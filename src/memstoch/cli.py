@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -101,13 +102,24 @@ def _positive(cfg: dict, key: str, what: str = "config"):
     return float(val)
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """Safe loader that also reads exponent floats without a dot, such as
+    1e-06, as floats (YAML 1.2 core schema); PyYAML's YAML 1.1 resolver
+    leaves them strings."""
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float", re.compile(r"^[-+]?[0-9]+[eE][-+]?[0-9]+$"),
+    list("-+0123456789"))
+
+
 def load_config(path) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     try:
-        cfg = yaml.safe_load(text)
+        cfg = yaml.load(text, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from None
     if not isinstance(cfg, dict):

@@ -629,11 +629,13 @@ class _VectorEnsemble:
             frac = (te - t0) / h_sub
             q_e = _hermite(qa0, qam, qae, frac)
             v_e = self.wave(te) if not self.wave.is_constant() else self.wave.amplitude
-            vm_e = self._vm(state[active], q_e, v_e)
-            up = vm_e > 0
-            new_state = state[active] + np.where(up, 1, -1)
-            if ((new_state < 0) | (new_state >= self.model.num_states)).any():
-                raise TrajectoryFailure("impossible boundary transition")
+            s_a = state[active]
+            vm_e = self._vm(s_a, q_e, v_e)
+            # boundary states can only jump inward (the event time is
+            # interpolated, so vm there may have the wrong sign); interior
+            # states jump along the sign of vm
+            up = (s_a == 0) | ((vm_e > 0) & (s_a < self.model.num_states - 1))
+            new_state = s_a + np.where(up, 1, -1)
             events_up += int(up.sum())
             events_down += int((~up).sum())
             fe = first_event[active]

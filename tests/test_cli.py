@@ -121,6 +121,24 @@ def test_simulate_netlist_input(tmp_path):
     assert ResultTable.read_csv(out).meta["engine"] == "mc"
 
 
+def test_simulate_reads_exponent_floats_without_dot(tmp_path):
+    # YAML 1.2 reads 1e-06 as a float; YAML 1.1 resolvers leave it a string
+    text = "engine: analytic\nt_end: 0.01\noutput_points: 6\nseries:\n"
+    text += "".join(f"  {k}: {v!r}\n" for k, v in SERIES.items())
+    assert "C: 1e-06\n" in text
+    path = tmp_path / "exp.yaml"
+    path.write_text(text)
+    out = tmp_path / "exp.csv"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    table = ResultTable.read_csv(out)
+    t_last = float(table.column("time")[-1])
+    assert table.column("p0")[-1] == pytest.approx(analytic.p0_constant_voltage(
+        analytic.ConstantDriveParams(**SERIES), t_last), rel=1e-15)
+    # a quoted number stays a string and is still rejected
+    path.write_text(text.replace("C: 1e-06", 'C: "1e-06"'))
+    assert main(["simulate", "--config", str(path)]) == 2
+
+
 # ------------------------------------------------------------- exit codes
 
 def test_exit_code_bad_engine(tmp_path, capsys):

@@ -227,3 +227,15 @@ C1 b 0 1u
     rec = simulate_trajectory(net, net.initial_state(), 0.05, 123,
                               np.linspace(0, 0.05, 11))
     assert rec.sample_charges[-1, 0] > 0.0
+
+
+def test_boundary_states_jump_inward_under_reverse_bias():
+    # 3-state device under a +-0.4 V sine: with this seed a state-0 event
+    # lands where vm is slightly negative; state 0 must still jump up
+    model = MemristorModel.uniform((1e5, 3e4, 1e4), 10.0, 0.05)
+    net = series_mc(model, 1e-7, Waveform.sine(0.0, 0.4, 200.0))
+    stats = run_ensemble(net, net.initial_state(), 0.005,
+                         np.linspace(0.0, 0.005, 21), 20_000, master_seed=101)
+    assert stats.n_failed == 0
+    assert stats.events_down > 0
+    assert np.allclose(stats.occupancy[0].sum(axis=1), 1.0, rtol=0, atol=1e-12)

@@ -1,13 +1,15 @@
 """Finite-volume master-equation solver tests."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from memstoch import (ChargeGrid, ConstantDriveParams, Density1D,
                       DistributionField, MemristorModel, SeriesCircuitParams,
-                      Waveform, no_switch_density, p0_constant_voltage)
+                      Waveform, no_switch_density, p0_constant_voltage,
+                      run_ensemble, series_mc)
 from memstoch import pde
 
 
@@ -172,6 +174,97 @@ def test_three_state_ladder_conserves_mass(params):
     assert np.allclose(res.marginals.sum(axis=1), 1.0, atol=1e-9)
     assert res.marginals[-1, 1] > 0.01  # middle rung populated
     assert res.min_cell_value >= 0.0
+
+
+@pytest.mark.parametrize("va, start", [(0.9, 0), (-0.9, 2)])
+def test_three_state_exchange_exact_beyond_rate_scale(va, start):
+    # at the CFL dt the exit rates exceed 1/dt by orders of magnitude; the
+    # exact pair exchanges still conserve mass and stay non-negative
+    model3 = MemristorModel.uniform((1e5, 3e4, 1e4), 10.0, 0.05)
+    C = 1e-7
+    w = Waveform.constant(va)
+    g = ChargeGrid.for_drive(C, w, 0.005, 200)
+    circ = SeriesCircuitParams(C, w)
+    # mass in the fifth of the grid farthest from the driven charge C*va
+    fifth = 0.2 * (g.q_max - g.q_min)
+    lo = g.q_min if va > 0 else g.q_max - fifth
+    field = DistributionField.from_uniform(g, 3, start, lo, lo + fifth)
+    vm = va - g.centers() / C
+    rate_max = max(float(r.max()) for k in (0, 1)
+                   for r in (model3.rate_up_array(k, vm), model3.rate_down_array(k + 1, vm)))
+    assert pde.admissible_dt(field, circ, model3) * rate_max > 100.0
+    for _ in range(50):
+        field = pde.step(field, pde.admissible_dt(field, circ, model3), circ, model3)
+        assert field.mass() == pytest.approx(1.0, abs=1e-12)
+        assert field.p.min() >= 0.0
+    # the strong drive has pushed nearly all mass to the far end state
+    assert field.marginals()[2 - start] > 0.99
+
+
+def test_binary_step_is_closed_two_state_update():
+    # rates of infinite time constant are exactly zero, so that step is
+    # the advection alone; the switching step must add the closed 2x2
+    # exchange on top of it, bit for bit
+    w = Waveform.sine(0.02, 0.4, 200.0)
+    C = 1e-7
+    model2 = MemristorModel.binary(1e5, 1e4, 1e-3, 0.05)
+    frozen2 = MemristorModel.binary(1e5, 1e4, math.inf, 0.05)
+    g = ChargeGrid.for_drive(C, w, 0.005, 300)
+    circ = SeriesCircuitParams(C, w)
+    u = DistributionField.from_uniform(g, 2, 0, g.q_min, g.q_max).p[0]
+    field = DistributionField(g, np.vstack([0.7 * u, 0.3 * u]), time=0.3e-3)
+    dt = pde.admissible_dt(field, circ, model2)
+    p = pde.step(field, dt, circ, frozen2).p
+    vm = w(field.time) - g.centers() / C
+    a = model2.rate_up_array(0, vm)
+    b = model2.rate_down_array(1, vm)
+    assert (a > 0).any() and (b > 0).any()
+    s = a + b
+    transfer = (a * p[0] - b * p[1]) * (-np.expm1(-s * dt) / s)
+    expected = np.clip(np.vstack([p[0] - transfer, p[1] + transfer]), 0.0, None)
+    assert np.array_equal(pde.step(field, dt, circ, model2).p, expected)
+
+
+@pytest.mark.parametrize("states, wave, t", [
+    (2, Waveform.constant(0.35), 0.0),
+    (3, Waveform.sine(0.0, 0.4, 200.0), 1.25e-3),
+    (3, Waveform.sine(0.0, 0.4, 200.0), 3.9e-3),
+    (4, Waveform.sine(0.1, 0.3, 50.0), 7e-3),
+])
+def test_admissible_dt_is_the_cfl_cap(states, wave, t):
+    model_g = MemristorModel.uniform((1e5, 1e4, 3e4, 5e3)[:states], 10.0, 0.05)
+    C = 1e-7
+    g = ChargeGrid.for_drive(C, wave, 0.01, 731)
+    field = DistributionField.from_delta(g, states, 0, 0.0, time=t)
+    circ = SeriesCircuitParams(C, wave)
+    faces = g.faces()
+    vmax = max(float(np.abs(pde.drift_velocity(i, faces, t, circ, model_g)).max())
+               for i in range(states))
+    assert pde.admissible_dt(field, circ, model_g) == pde.CFL_LIMIT * g.dq / vmax
+
+
+def test_sine_three_state_agrees_with_vector_mc():
+    # reverse-bias drive with no closed form: the PDE and the vector MC
+    # engine must agree on every marginal within 4 binomial sigma
+    model3 = MemristorModel.uniform((1e5, 3e4, 1e4), 10.0, 0.05)
+    C = 1e-7
+    w = Waveform.sine(0.0, 0.4, 200.0)
+    t_end, n = 0.01, 100_000
+    times = np.linspace(0.0, t_end, 21)
+    g = ChargeGrid.for_drive(C, w, t_end, 1000)
+    start = time.perf_counter()
+    res = pde.run(DistributionField.from_delta(g, 3, 0, 0.0), t_end, times,
+                  SeriesCircuitParams(C, w), model3)
+    elapsed = time.perf_counter() - start
+    net = series_mc(model3, C, w)
+    stats = run_ensemble(net, net.initial_state(), t_end, times, n,
+                         master_seed=4242)
+    p = res.marginals
+    sigma = np.sqrt(np.maximum(p * (1.0 - p), 1.0 / n) / n)
+    assert np.all(np.abs(stats.occupancy[0] - p) <= 4.0 * sigma)
+    assert stats.events_down > 0 and stats.n_failed == 0
+    assert res.max_mass_error < 1e-10 and res.min_cell_value >= 0.0
+    assert elapsed < 60.0
 
 
 def test_model_field_mismatch(params, model):

@@ -1,11 +1,12 @@
 """Closed-form results for the series binary memristor-capacitor circuit.
 
-Contains the exponential integral Ei, the RC charge trajectory, the
-no-switching transport of an initial charge density along the circuit's
-characteristics, and the unidirectional-switching solutions: the exact
-survival probability under constant drive, the mean switching time, the
-large-drive asymptotic no-switch probability, and the general
-two-density quadrature solution.
+Contains the exponential integral Ei and the hazard of an exponential
+rate along an RC relaxation (shared with the MC engine), the RC charge
+trajectory, the no-switching transport of an initial charge density
+along the circuit's characteristics, and the unidirectional-switching
+solutions: the exact survival probability under constant drive, the
+mean switching time, the large-drive asymptotic no-switch probability,
+and the general two-density quadrature solution.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy import special
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -30,70 +32,124 @@ class RegimeError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# Exponential integral
-
-def _ei_series(x: float) -> float:
-    # gamma + ln|x| + sum x^n / (n * n!); safe without cancellation for
-    # x > 0 and for small |x| when x < 0.
-    total = EULER_GAMMA + math.log(abs(x))
-    term = 1.0
-    for n in range(1, 500):
-        term *= x / n
-        delta = term / n
-        total += delta
-        if abs(delta) <= 1e-18 * max(abs(total), 1e-300):
-            break
-    return total
-
-def _ei_asymptotic(x: float) -> float:
-    # e^x/x * sum n!/x^n, truncated at the smallest term (x > 40).
-    s = 1.0
-    term = 1.0
-    for n in range(1, 200):
-        nxt = term * n / x
-        if abs(nxt) >= abs(term):
-            break
-        term = nxt
-        s += term
-        if abs(term) <= 1e-18 * abs(s):
-            break
-    return math.exp(x) / x * s
-
-def _e1_continued_fraction(z: float) -> float:
-    # E1(z) = e^{-z} * 1/(z + 1/(1 + 1/(z + 2/(1 + 2/(z + ...))))),
-    # evaluated by the modified Lentz method; solid for z > ~1.
-    tiny = 1e-300
-    b = z + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 300):
-        a = -float(i) * float(i)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return math.exp(-z) * h
-
+# Exponential integral and the hazard of an exponential rate on an RC
+# relaxation
 
 def expint_ei(x: float) -> float:
-    """Principal-value exponential integral Ei(x), x != 0.
-
-    Power series for small and moderate |x|, asymptotic series for large
-    positive x, continued fraction (via Ei(x) = -E1(-x)) for large
-    negative x.
-    """
+    """Principal-value exponential integral Ei(x), x != 0."""
     x = float(x)
     if x == 0.0:
         raise ValueError("Ei has a logarithmic singularity at x = 0")
-    if x > 40.0:
-        return _ei_asymptotic(x)
-    if x < -6.0:
-        return -_e1_continued_fraction(-x)
-    return _ei_series(x)
+    return float(special.expi(x))
+
+
+# 12-point Gauss-Legendre rule on [-1, 1] (numpy.polynomial.legendre.
+# leggauss(12), written out: computing it at import initializes LAPACK,
+# which costs about 2 MB of resident memory)
+_GL_HALF = ((0.1252334085114689, 0.2491470458134027),
+            (0.3678314989981802, 0.2334925365383546),
+            (0.5873179542866175, 0.20316742672306573),
+            (0.7699026741943047, 0.16007832854334642),
+            (0.9041172563704748, 0.10693932599531907),
+            (0.9815606342467192, 0.04717533638651141))
+_GL_NODES = np.array([-x for x, _ in reversed(_GL_HALF)] + [x for x, _ in _GL_HALF])
+_GL_WEIGHTS = np.array([w for _, w in reversed(_GL_HALF)] + [w for _, w in _GL_HALF])
+# Quadrature replaces the Ei difference when (d1 - d0) * max(|x0|, 1) is
+# below this: there the two Ei values cancel, while the integrand's
+# exponent varies by less than it.
+_GL_SWITCH = 0.05
+# 1 / (k k!) for the series of Ei(x) - gamma - ln|x|, k = 1..18
+_EIN_COEF = np.array([1.0 / (k * math.factorial(k)) for k in range(1, 19)])
+
+
+def _ei_log_free(x):
+    """Ei(x) - gamma - ln|x| = sum x^k / (k k!), for |x| < 1."""
+    p = np.zeros_like(x)
+    for c in _EIN_COEF[::-1]:
+        p = p * x + c
+    return p * x
+
+
+def _ei_scaled(x):
+    """Ei(x) e^{-x} for |x| >= 1; an asymptotic series beyond |x| = 500,
+    where Ei over- or underflows."""
+    out = np.empty_like(x)
+    far = np.abs(x) > 500.0
+    near = ~far
+    out[near] = special.expi(x[near]) * np.exp(-x[near])
+    if far.any():
+        xf = x[far]
+        s = np.ones_like(xf)
+        for k in range(8, 0, -1):
+            s = 1.0 + s * k / xf
+        out[far] = s / xf
+    return out
+
+
+def ei_term(alpha, beta, d):
+    """One end of the hazard integral below, at u = d.
+
+    Returns (T, small, rate, noise) with x = beta e^{-d} and rate =
+    exp(alpha + x).  For |x| >= 1, T = e^alpha Ei(x); for |x| < 1 (small)
+    T = e^alpha (Ei(x) - gamma - ln|beta|), which stays finite when x
+    underflows to 0 and is exact for beta = 0.  noise / eps bounds the
+    rounding error of T, which the rounding of alpha and x sets."""
+    x = beta * np.exp(-d)
+    small = np.abs(x) < 1.0
+    # e^alpha Ei(x) as a product while neither factor over- or underflows
+    direct = ~small & (np.abs(x) <= 500.0) & (np.abs(alpha) <= 200.0)
+    scaled = ~small & ~direct
+    t = np.empty_like(x)
+    cond = 1.0 + np.abs(alpha) + np.abs(x)
+    with np.errstate(over="ignore", under="ignore"):
+        rate = np.exp(alpha + x)
+        t[small] = np.exp(alpha[small]) * (_ei_log_free(x[small]) - d[small])
+        if direct.any():
+            xu, inv = np.unique(x[direct], return_inverse=True)
+            t[direct] = np.exp(alpha[direct]) * special.expi(xu)[inv]
+        if scaled.any():
+            t[scaled] = rate[scaled] * _ei_scaled(x[scaled])
+    return t, small, rate, np.abs(t) * cond
+
+
+def hazard_integral(alpha, beta, d0, d1, start=None):
+    """I = int_{d0}^{d1} exp(alpha + beta e^{-u}) du, elementwise, d1 >= d0.
+
+    With u = (t - t_s)/tau this is tau_x/tau times the hazard of the rate
+    exp(vm/V_x)/tau_x along vm = a + b e^{-(t - t_s)/tau} (alpha = a/V_x,
+    beta = b/V_x): the closed form e^alpha [Ei(beta e^{-d0}) - Ei(beta
+    e^{-d1})], or Gauss-Legendre where that difference cancels.  `start`
+    is ei_term(alpha, beta, d0) when the caller already has it.
+
+    Returns (I, scale, rate_end): |I - exact| is a few eps * scale, the
+    rounding of the terms I was formed from; rate_end = exp(alpha +
+    beta e^{-d1}) is dI/dd1."""
+    alpha, beta, d0, d1 = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (alpha, beta, d0, d1)))
+    t0, small0, _, noise0 = ei_term(alpha, beta, d0) if start is None else start
+    t1, small1, rate1, noise1 = ei_term(alpha, beta, d1)
+    out = t0 - t1
+    scale = noise0 + noise1
+    mixed = small1 & ~small0
+    if mixed.any():
+        # T1 lacks e^alpha (gamma + ln|beta|); beta != 0 since |x0| >= 1
+        am = alpha[mixed]
+        k = np.exp(am) * (EULER_GAMMA + np.log(np.abs(beta[mixed])))
+        out[mixed] -= k
+        scale[mixed] += np.abs(k) * (1.0 + np.abs(am))
+    width = d1 - d0
+    abs_x0 = np.abs(beta * np.exp(-d0))
+    quad_ = width * np.maximum(abs_x0, 1.0) < _GL_SWITCH
+    if quad_.any():
+        a, b, lo, w = alpha[quad_], beta[quad_], d0[quad_], width[quad_]
+        acc = np.zeros_like(a)
+        with np.errstate(under="ignore"):
+            for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+                u = lo + 0.5 * w * (node + 1.0)
+                acc += weight * np.exp(a + b * np.exp(-u))
+        out[quad_] = 0.5 * w * acc
+        scale[quad_] = out[quad_] * (1.0 + np.abs(a) + abs_x0[quad_])
+    return out, scale, rate1
 
 
 # --------------------------------------------------------------------------
@@ -268,14 +324,7 @@ def p0_constant_voltage(params: ConstantDriveParams, t: float) -> float:
     """Probability of no switching event up to time t under constant
     drive: exp{-(C R0/tau0) [Ei(x) - Ei(x e^{-t/(C R0)})]} with
     x = (Va - q0/C)/V0."""
-    _check_unidirectional(params)
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0.0:
-        return 1.0
-    x = params.x_drive
-    scale = params.C * params.R0 / params.tau0
-    return math.exp(-scale * (expint_ei(x) - expint_ei(x * math.exp(-t / (params.C * params.R0)))))
+    return math.exp(-accumulated_hazard(params, t))
 
 
 def p1_constant_voltage(params: ConstantDriveParams, t: float) -> float:
@@ -291,8 +340,16 @@ def switching_rate_at(params: ConstantDriveParams, t: float) -> float:
 
 def accumulated_hazard(params: ConstantDriveParams, t: float) -> float:
     """Integral of the 0->1 rate along the unswitched trajectory; the
-    survival probability is exp(-hazard)."""
-    return -math.log(p0_constant_voltage(params, t))
+    survival probability is exp(-hazard).  Computed directly, so it stays
+    finite where the survival probability underflows."""
+    _check_unidirectional(params)
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    if t == 0.0:
+        return 0.0
+    tc = params.C * params.R0
+    integral, _, _ = hazard_integral(0.0, params.x_drive, 0.0, t / tc)
+    return tc / params.tau0 * float(integral[0])
 
 
 def mean_switching_time(params: ConstantDriveParams, t_star: float,
@@ -556,9 +613,8 @@ def _hazard_from_delta(q_init: float, model: MemristorModel, C: float,
         vm0 = va - q_init / C
         if vm0 <= 0:
             return 0.0
-        x = vm0 / model.v_up[0]
-        scale = C * r0 / model.tau_up[0]
-        return scale * (expint_ei(x) - expint_ei(x * math.exp(-t / (C * r0))))
+        integral, _, _ = hazard_integral(0.0, vm0 / model.v_up[0], 0.0, t / (C * r0))
+        return C * r0 / model.tau_up[0] * float(integral[0])
     val, _ = quad(lambda ts: model.rate_up(
         0, waveform(ts) - rc_charge_wave(q_init, C, r0, waveform, ts, rtol) / C),
         0.0, t, epsrel=rtol, epsabs=1e-16, limit=200)

@@ -4,15 +4,20 @@ A trajectory is a piecewise-deterministic Markov process: between
 switching events the capacitor charges follow the Kirchhoff ODE of the
 instantaneous resistive network, and each memristor carries an
 independent exponential clock whose hazard is the time integral of its
-voltage-dependent exit rate along the trajectory.  Switch times are
-found by exact hazard inversion (no fixed-step Bernoulli trials), which
-removes discretization bias from the jump statistics.
+voltage-dependent exit rate along the trajectory.  A switch happens when
+the hazard reaches an exponential threshold (no fixed-step Bernoulli
+trials).
 
 Two engines share the same contracts: a generic per-trajectory engine
 for arbitrary netlists, and a vectorized ensemble engine for circuits
 with a single memristor, a single capacitor and a single source (any
-resistive padding), which evolves all trajectories on a shared adaptive
-time grid.
+resistive padding).  Under constant and step drives the ensemble engine
+moves every trajectory from event to event and inverts the closed-form
+hazard of each RC segment, so its jump times are exact to round-off.
+Under sine and PWL drives it evolves all trajectories on a shared
+adaptive time grid with Simpson-integrated hazards, and it raises
+TrajectoryFailure where its step control asks for a step below the
+floor.  The generic engine also integrates hazards by Simpson's rule.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from .analytic import ei_term, hazard_integral
 from .circuit import CircuitState, Netlist, affine_dynamics
 from .device import MemristorModel
 
@@ -69,6 +75,9 @@ class EnsembleStats:
     events_up: int = 0
     events_down: int = 0
     first_event_times: Optional[np.ndarray] = None  # (n,), nan = no event
+    # what the vector engine did: rounds, Newton iterations and splits on
+    # the exact path; shared steps and the deepest cascade on the stepped one
+    diagnostics: dict = field(default_factory=dict)
 
     def mean_first_switch_time(self, t_max: Optional[float] = None) -> float:
         """Empirical mean of the first switching time over trajectories
@@ -403,8 +412,11 @@ def _is_single_device(netlist: Netlist) -> bool:
 
 
 class _VectorEnsemble:
-    """All trajectories advance together on a shared adaptive time grid;
-    charge, state, hazard and threshold are (n,) arrays."""
+    """All trajectories as (n,) arrays of charge, state and clock.
+
+    Constant and step drives take exact event-to-event rounds (`_run_exact`);
+    sine and PWL drives advance on a shared adaptive time grid
+    (`_run_stepped`)."""
 
     def __init__(self, netlist: Netlist, n: int, master_seed: int,
                  histogram_bins: int):
@@ -425,17 +437,37 @@ class _VectorEnsemble:
         self.v_up = np.array(list(self.model.v_up) + [1.0])
         self.tau_dn = np.array([inf] + list(self.model.tau_down))
         self.v_dn = np.array([1.0] + list(self.model.v_down))
+        # exact path: RC time constant per state (1 s where the capacitor
+        # is cut off, A = 0) and the log of each rate's ceiling times tau_x
+        self.tau = np.where(self.A < 0.0, -1.0 / np.where(self.A < 0.0, self.A, -1.0),
+                            1.0)
+        with np.errstate(divide="ignore"):
+            self.log_cap_up = np.log(self.model.rate_ceiling * self.tau_up)
+            self.log_cap_dn = np.log(self.model.rate_ceiling * self.tau_dn)
         self._threshold_rounds = {}
 
     # -- counter-based threshold streams -------------------------------
     def _thresholds(self, round_idx: int) -> np.ndarray:
+        """The round_idx-th exponential threshold of every trajectory
+        (read-only; cached for the engine's lifetime)."""
         arr = self._threshold_rounds.get(round_idx)
         if arr is None:
             rng = np.random.Generator(
                 np.random.Philox(key=[self.master_seed, round_idx]))
             arr = rng.exponential(size=self.n)
+            arr.flags.writeable = False
             self._threshold_rounds[round_idx] = arr
         return arr
+
+    def _draw(self, idx, draw):
+        """Next thresholds of trajectories idx, each from its own round."""
+        rounds = draw[idx]
+        out = np.empty(idx.size)
+        for rnd in np.unique(rounds):
+            sel = rounds == rnd
+            out[sel] = self._thresholds(int(rnd))[idx[sel]]
+        draw[idx] += 1
+        return out
 
     # -- vectorized physics --------------------------------------------
     def _vm(self, state, q, v):
@@ -452,22 +484,261 @@ class _VectorEnsemble:
                           / self.tau_dn[state], 0.0)
         return np.minimum(up, ceiling), np.minimum(dn, ceiling)
 
+    def run(self, initial: CircuitState, t_end: float,
+            output_times: Sequence[float]) -> EnsembleStats:
+        n = self.n
+        g = self.model.num_states
+        q_init = float(initial.capacitor_charges[0])
+        state = np.full(n, int(initial.memristor_states[0]), dtype=np.int64)
+        first_event = np.full(n, np.nan)
+
+        t = float(initial.time)
+        outputs = sorted(set(float(x) for x in output_times) | {float(t_end)})
+        if outputs[0] < t:
+            raise ValueError("output time before the initial time")
+
+        # shared histogram range covering the reachable charges
+        vmin, vmax = self.wave.bounds(t_end)
+        cap = self.netlist.capacitors[0].capacitance
+        lo = min(q_init, cap * vmin, 0.0)
+        hi = max(q_init, cap * vmax)
+        pad = 0.05 * max(hi - lo, abs(hi), 1e-30)
+        edges = np.linspace(lo - pad, hi + pad, self.bins + 1)
+
+        times, occ, se, hists = [], [], [], []
+
+        def record(t_now, q):
+            counts = np.bincount(state, minlength=g).astype(float)
+            p = counts / n
+            times.append(t_now)
+            occ.append(p)
+            se.append(np.sqrt(p * (1.0 - p) / n))
+            hist = np.zeros((g, self.bins))
+            for i in range(g):
+                sel = state == i
+                if sel.any():
+                    hist[i], _ = np.histogram(q[sel], bins=edges)
+            hists.append(hist)
+
+        if outputs[0] == t:
+            record(t, np.full(n, q_init))
+            outputs = outputs[1:]
+
+        run_path = (self._run_exact if self.wave.kind in ("constant", "step")
+                    else self._run_stepped)
+        events_up, events_down, diagnostics = run_path(
+            state, q_init, t, float(t_end), outputs, record, first_event)
+
+        occ_arr = np.vstack(occ)
+        se_arr = np.vstack(se)
+        return EnsembleStats(
+            times=np.array(times),
+            occupancy=[occ_arr],
+            stderr=[se_arr],
+            histograms=[(h, edges) for h in hists],
+            n=n,
+            events_up=events_up,
+            events_down=events_down,
+            first_event_times=first_event,
+            diagnostics=diagnostics,
+        )
+
+    # -- exact event-to-event rounds (constant and step drives) ---------
+    def _run_exact(self, state, q_init, t, t_end, outputs, record, first_event):
+        """Each trajectory jumps from stop to stop: its next event, or the
+        end of its RC segment (the step time or t_end).  Within a segment
+        the source is constant, so vm = a + b e^{-(t - t0)/tau} and the
+        hazard is inverted in closed form (`_next_stops`)."""
+        A, B = self.A, self.B
+        if np.any((A > 0.0) | ((A == 0.0) & (B != 0.0))):
+            raise ValueError(
+                "exact hazard inversion needs the capacitor to relax in every "
+                "state (dq/dt = A q + B v with A < 0, or A = B = 0)")
+        n = self.n
+        self._diag = dict(path="exact", rounds=0, newton_iterations=0,
+                          newton_max=0, sign_splits=0, ceiling_splits=0)
+        t0 = np.full(n, t)
+        q0 = np.full(n, q_init)
+        remaining = self._thresholds(0).copy()
+        draw = np.ones(n, dtype=np.int64)
+        stop = _Stops(n)
+        everyone = np.arange(n)
+        self._next_stops(everyone, state, t0, q0, remaining, t_end, stop)
+        self._diag["rounds"] += 1
+        events_up = 0
+        events_down = 0
+        for t_out in outputs:
+            while True:
+                due = np.nonzero(stop.t < t_out)[0]
+                if not due.size:
+                    break
+                fired = due[stop.fires[due]]
+                up = stop.up[fired]
+                events_up += int(up.sum())
+                events_down += int(up.size - up.sum())
+                state[fired] += np.where(up, 1, -1)
+                fe = first_event[fired]
+                first_event[fired] = np.where(np.isnan(fe), stop.t[fired], fe)
+                remaining[fired] = self._draw(fired, draw)
+                q0[due] = stop.q_at(due, stop.d[due])
+                t0[due] = stop.t[due]
+                self._next_stops(due, state, t0, q0, remaining, t_end, stop)
+                self._diag["rounds"] += 1
+            record(t_out, stop.q_at(everyone, (t_out - t0) / self.tau[state]))
+        return events_up, events_down, self._diag
+
+    def _next_stops(self, idx, state, t0, q0, remaining, t_end, stop):
+        """Fill `stop` for trajectories idx, whose segments start at
+        (t0, q0) in `state`, with their next event or segment end.  A
+        segment end carries the unspent hazard forward in `remaining`."""
+        if idx.size > _STOP_BATCH:
+            for part in np.array_split(idx, -(-idx.size // _STOP_BATCH)):
+                self._next_stops(part, state, t0, q0, remaining, t_end, stop)
+            return
+        w = self.wave
+        s = state[idx]
+        tau = self.tau[s]
+        start = t0[idx]
+        if w.kind == "step":
+            before = start < w.t_step
+            v = np.where(before, w.value_before, w.amplitude)
+            seg_end = np.where(before, min(w.t_step, t_end), t_end)
+        else:
+            v = np.full(idx.size, w.amplitude)
+            seg_end = np.full(idx.size, t_end)
+        qs = q0[idx]
+        q_inf = np.where(self.A[s] < 0.0, self.B[s] * v * tau, qs)
+        a = self.Dq[s] * q_inf + self.Ds[s] * v
+        b = self.Dq[s] * (qs - q_inf)
+        d_end = (seg_end - start) / tau
+        left = remaining[idx].copy()
+        d = np.zeros(idx.size)
+        d_stop = d_end.copy()
+        fires = np.zeros(idx.size, dtype=bool)
+        up_out = np.zeros(idx.size, dtype=bool)
+        # vm changes sign once, at d_sign, when |b| > |a| and a b < 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d_sign = np.where((a * b < 0.0) & (np.abs(b) > np.abs(a)),
+                              np.log(-b / a), math.inf)
+        pend = np.arange(idx.size)
+        while pend.size:
+            p = self._piece(s[pend], a[pend], b[pend], d[pend],
+                            d_sign[pend], d_end[pend])
+            dp, dq, tp = d[pend], p.end, tau[pend]
+            haz = np.zeros(pend.size)
+            at_cap = p.live & p.above
+            haz[at_cap] = self.model.rate_ceiling * tp[at_cap] * (dq - dp)[at_cap]
+            curve = np.nonzero(p.live & ~p.above)[0]
+            begin = ei_term(p.alpha[curve], p.beta[curve], dp[curve])
+            integral, _, _ = hazard_integral(p.alpha[curve], p.beta[curve],
+                                             dp[curve], dq[curve], begin)
+            haz[curve] = tp[curve] / p.tau_x[curve] * integral
+            need = left[pend]
+            fire = p.live & (haz >= need)
+            # events at the ceiling: the rate is constant
+            hit = np.nonzero(fire & at_cap)[0]
+            d_stop[pend[hit]] = np.minimum(
+                dp[hit] + need[hit] / (self.model.rate_ceiling * tp[hit]), dq[hit])
+            # events on the exponential law: Newton on the hazard
+            sub = np.nonzero(fire[curve])[0]
+            if sub.size:
+                c = curve[sub]
+                d_stop[pend[c]] = self._invert(
+                    p.alpha[c], p.beta[c], dp[c], dq[c],
+                    need[c] * p.tau_x[c] / tp[c],
+                    tuple(x[sub] for x in begin))
+            fires[pend[fire]] = True
+            up_out[pend[fire]] = p.up[fire]
+            # no event in this piece: spend its hazard, move to the next
+            go_on = ~fire
+            left[pend[go_on]] -= haz[go_on]
+            split = go_on & (dq < d_end[pend])
+            self._diag["sign_splits"] += int(np.sum(split & (dq == p.sign_end)))
+            self._diag["ceiling_splits"] += int(np.sum(split & (dq != p.sign_end)))
+            d[pend[split]] = dq[split]
+            pend = pend[split]
+        remaining[idx] = left
+        stop.t[idx] = np.minimum(start + tau * d_stop, seg_end)
+        stop.d[idx] = d_stop
+        stop.fires[idx] = fires
+        stop.up[idx] = up_out
+        stop.q_inf[idx] = q_inf
+        stop.q0[idx] = qs
+
+    def _invert(self, alpha, beta, d0, d1, target, begin):
+        """d in (d0, d1] where hazard_integral(alpha, beta, d0, d) equals
+        target (<= its value at d1).
+
+        Newton's method with the exponent linearized at each iterate: the
+        step solves (r/x)(1 - e^{-x s}) = target - I, where r is the rate
+        and x = beta e^{-d} its log-slope, so a decaying rate does not
+        stall it.  Every iterate shrinks a bracket, and a step that
+        leaves it bisects it instead."""
+        lo, hi = d0.copy(), d1.copy()
+        d = d0 + _exp_step(beta * np.exp(-d0), begin[2], target)
+        d = np.where((d > lo) & (d < hi), d, 0.5 * (lo + hi))
+        iters = np.zeros(d.size, dtype=np.int64)
+        act = np.arange(d.size)
+        while act.size:
+            iters[act] += 1
+            if iters[act[0]] > _NEWTON_MAX_ITER:
+                raise TrajectoryFailure(
+                    f"hazard inversion did not converge in {_NEWTON_MAX_ITER} "
+                    "iterations")
+            da = d[act]
+            integral, scale, rate = hazard_integral(
+                alpha[act], beta[act], d0[act], da, tuple(x[act] for x in begin))
+            f = integral - target[act]
+            done = np.abs(f) <= 16.0 * _EPS * np.maximum(target[act], scale)
+            lo[act] = np.where(f < 0.0, da, lo[act])
+            hi[act] = np.where(f > 0.0, da, hi[act])
+            step = _exp_step(beta[act] * np.exp(-da), rate, -f)
+            new = da + step
+            inside = (new > lo[act]) & (new < hi[act])
+            new = np.where(inside, new, 0.5 * (lo[act] + hi[act]))
+            done |= (np.abs(step) <= 1e-14 * da) | (new == da)
+            d[act] = np.where(done & ~inside, da, new)
+            act = act[~done]
+        self._diag["newton_iterations"] += int(iters.sum())
+        self._diag["newton_max"] = max(self._diag["newton_max"], int(iters.max()))
+        return d
+
+    def _piece(self, s, a, b, d, d_sign, d_end):
+        """The stretch of a segment from offset d on over which the exit
+        rate keeps one form: one direction (vm does not change sign) and
+        either below or at the rate ceiling."""
+        g = self.model.num_states
+        # vm = a + b e^{-d} has the sign of b before a sign change and the
+        # sign of a after one or where there is none (b's when a = 0)
+        before = d < d_sign
+        sgn = np.where((before & (d_sign < math.inf)) | (a == 0.0),
+                       np.sign(b), np.sign(a))
+        up = (sgn > 0) & (s < g - 1)
+        live = up | ((sgn < 0) & (s > 0))
+        v_x = np.where(up, self.v_up[s], self.v_dn[s])
+        tau_x = np.where(up, self.tau_up[s], self.tau_dn[s])
+        log_cap = np.where(up, self.log_cap_up[s], self.log_cap_dn[s])
+        alpha = sgn * a / v_x
+        beta = sgn * b / v_x
+        # the exponent alpha + beta e^{-d} is monotone and meets log_cap
+        # once, at d_cap, when 0 < r < 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = (log_cap - alpha) / beta
+            d_cap = np.where((r > 0.0) & (r < 1.0), -np.log(r), math.inf)
+        crosses = d_cap < math.inf
+        above = np.where(beta > 0.0, (r <= 0.0) | (crosses & (d < d_cap)),
+                         np.where(beta < 0.0, (r >= 1.0) | (crosses & (d >= d_cap)),
+                                  alpha > log_cap))
+        sign_end = np.where(before, d_sign, math.inf)
+        cap_end = np.where(live & (d < d_cap), d_cap, math.inf)
+        end = np.minimum(np.minimum(sign_end, cap_end), d_end)
+        return _Piece(live, up, above, alpha, beta, tau_x, end, sign_end)
+
+    # -- shared adaptive grid (sine and PWL drives) ---------------------
     def _advance(self, state, q, t, h):
-        """(q_mid, q_end) over [t, t+h], per-trajectory exact exponential
-        update for constant drive, vectorized RK4 otherwise."""
+        """(q_mid, q_end) over [t, t+h] by two RK4 half steps; h may be a
+        scalar or per trajectory."""
         a = self.A[state]
-        if self.wave.is_constant():
-            v = self.wave.amplitude
-            drive = self.B[state] * v
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q_inf = np.where(a != 0.0, -drive / np.where(a != 0.0, a, 1.0), 0.0)
-            q_mid = np.where(a != 0.0,
-                             q_inf + (q - q_inf) * np.exp(a * h / 2.0),
-                             q + drive * h / 2.0)
-            q_end = np.where(a != 0.0,
-                             q_inf + (q - q_inf) * np.exp(a * h),
-                             q + drive * h)
-            return q_mid, q_end
 
         def f(qq, tt):
             return a * qq + self.B[state] * self.wave(tt)
@@ -483,7 +754,7 @@ class _VectorEnsemble:
         q_end = rk4(q_mid, t + h / 2, h / 2)
         return q_mid, q_end
 
-    def _step_size(self, state, q, t, t_limit):
+    def _step_size(self, state, q, t, t_limit, h_floor):
         v = self.wave(t)
         vm = self._vm(state, q, v)
         up, dn = self._rates(state, vm)
@@ -507,62 +778,30 @@ class _VectorEnsemble:
         cmin = float(cap.min())
         if math.isfinite(cmin):
             h = min(h, cmin)
+        # a breakpoint within the floor of t counts as passed
         for bp in self.wave.breakpoint_times():
-            if t < bp <= t + h:
+            if t + h_floor < bp <= t + h:
                 h = bp - t
         return max(h, 0.0)
 
-    def run(self, initial: CircuitState, t_end: float,
-            output_times: Sequence[float]) -> EnsembleStats:
+    def _run_stepped(self, state, q_init, t, t_end, outputs, record, first_event):
         n = self.n
-        g = self.model.num_states
-        q = np.full(n, float(initial.capacitor_charges[0]))
-        state = np.full(n, int(initial.memristor_states[0]), dtype=np.int64)
+        q = np.full(n, q_init)
         lam = np.zeros(n)
-        thr = self._thresholds(0)
+        thr = self._thresholds(0).copy()
         draw = np.ones(n, dtype=np.int64)
-        first_event = np.full(n, np.nan)
         events_up = 0
         events_down = 0
-
-        t = float(initial.time)
-        outputs = sorted(set(float(x) for x in output_times) | {float(t_end)})
-        if outputs[0] < t:
-            raise ValueError("output time before the initial time")
-
-        # shared histogram range covering the reachable charges
-        vmin, vmax = self.wave.bounds(t_end)
-        cap = self.netlist.capacitors[0].capacitance
-        lo = min(q[0], cap * vmin, 0.0)
-        hi = max(q[0], cap * vmax)
-        pad = 0.05 * max(hi - lo, abs(hi), 1e-30)
-        edges = np.linspace(lo - pad, hi + pad, self.bins + 1)
-
-        times, occ, se, hists = [], [], [], []
-
-        def record(t_now):
-            counts = np.bincount(state, minlength=g).astype(float)
-            p = counts / n
-            times.append(t_now)
-            occ.append(p)
-            se.append(np.sqrt(p * (1.0 - p) / n))
-            hist = np.zeros((g, self.bins))
-            for i in range(g):
-                sel = state == i
-                if sel.any():
-                    hist[i], _ = np.histogram(q[sel], bins=edges)
-            hists.append(hist)
-
-        if outputs[0] == t:
-            record(t)
-            outputs = outputs[1:]
-
+        self._diag = dict(path="stepped", shared_steps=0, max_cascade=0)
         h_floor = 1e-15 * max(t_end, 1.0)
         for t_out in outputs:
             while t < t_out - h_floor:
-                h = self._step_size(state, q, t, t_out)
+                h = self._step_size(state, q, t, t_out, h_floor)
                 if h <= h_floor:
-                    h = t_out - t
+                    raise TrajectoryFailure(
+                        f"step size control needs h = {h:.3g} s at t = {t:.9g} s, "
+                        f"below the floor {h_floor:.3g} s")
+                self._diag["shared_steps"] += 1
                 q_mid, q_end = self._advance(state, q, t, h)
                 v0, vm_, v1 = self.wave(t), self.wave(t + h / 2), self.wave(t + h)
                 r0u, r0d = self._rates(state, self._vm(state, q, v0))
@@ -586,20 +825,8 @@ class _VectorEnsemble:
                     events_down += evd
                 t += h
             t = t_out
-            record(t)
-
-        occ_arr = np.vstack(occ)
-        se_arr = np.vstack(se)
-        return EnsembleStats(
-            times=np.array(times),
-            occupancy=[occ_arr],
-            stderr=[se_arr],
-            histograms=[(h, edges) for h in hists],
-            n=n,
-            events_up=events_up,
-            events_down=events_down,
-            first_event_times=first_event,
-        )
+            record(t, q)
+        return events_up, events_down, self._diag
 
     def _handle_events(self, idx, q, state, lam, thr, draw, first_event,
                        t, h, q_mid, q_end, r0, rm, r1):
@@ -624,11 +851,12 @@ class _VectorEnsemble:
             if guard > 64:
                 raise TrajectoryFailure(
                     f"runaway switching cascade within one step at t = {t:g} s")
+            self._diag["max_cascade"] = max(self._diag["max_cascade"], guard)
             target = thr[active] - lam[active]
             te = _invert_step_vec(t0, h_sub, target, ra0, ram, ra1)
             frac = (te - t0) / h_sub
             q_e = _hermite(qa0, qam, qae, frac)
-            v_e = self.wave(te) if not self.wave.is_constant() else self.wave.amplitude
+            v_e = self.wave(te)
             s_a = state[active]
             vm_e = self._vm(s_a, q_e, v_e)
             # boundary states can only jump inward (the event time is
@@ -643,21 +871,12 @@ class _VectorEnsemble:
             state[active] = new_state
             q[active] = q_e
             lam[active] = 0.0
-            rounds = draw[active]
-            draw[active] += 1
-            new_thr = np.empty(active.size)
-            for rnd in np.unique(rounds):
-                sel = rounds == rnd
-                new_thr[sel] = self._thresholds(int(rnd))[active[sel]]
-            thr[active] = new_thr
+            thr[active] = self._draw(active, draw)
             # integrate the remainder (te -> t + h) in the new state
             rem = (t + h) - te
-            qm2, qe2 = self._advance_subset(state[active], q_e, te, rem)
-            if self.wave.is_constant():
-                v_m = v_1 = self.wave.amplitude
-            else:
-                v_m = self.wave(te + rem / 2)
-                v_1 = self.wave(te + rem)
+            qm2, qe2 = self._advance(state[active], q_e, te, rem)
+            v_m = self.wave(te + rem / 2)
+            v_1 = self.wave(te + rem)
             ru0, rd0 = self._rates(state[active], self._vm(state[active], q_e, v_e))
             rum, rdm = self._rates(state[active], self._vm(state[active], qm2, v_m))
             ru1, rd1 = self._rates(state[active], self._vm(state[active], qe2, v_1))
@@ -682,38 +901,49 @@ class _VectorEnsemble:
             ra1 = rr1[fire_again]
         return events_up, events_down
 
-    def _advance_subset(self, state, q, t, h_arr):
-        """Per-trajectory advance with (possibly) per-trajectory step
-        lengths; constant drive uses the exact update, otherwise a
-        single RK4 (remainders are short)."""
-        h = np.asarray(h_arr, dtype=float)
-        a = self.A[state]
-        if self.wave.is_constant():
-            v = self.wave.amplitude
-            drive = self.B[state] * v
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q_inf = np.where(a != 0.0, -drive / np.where(a != 0.0, a, 1.0), 0.0)
-            q_mid = np.where(a != 0.0,
-                             q_inf + (q - q_inf) * np.exp(a * h / 2.0),
-                             q + drive * h / 2.0)
-            q_end = np.where(a != 0.0,
-                             q_inf + (q - q_inf) * np.exp(a * h),
-                             q + drive * h)
-            return q_mid, q_end
 
-        def f(qq, tt):
-            return a * qq + self.B[state] * self.wave(tt)
+def _exp_step(x, rate, gap):
+    """s with (rate / x)(1 - e^{-x s}) = gap: the hazard still to go when
+    the exponent falls linearly with slope x from here (gap / rate when
+    x = 0; nan beyond the reach of a decaying rate)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(x != 0.0, -np.log1p(-gap * x / rate) / x, gap / rate)
 
-        def rk4(qq, tt, hh):
-            k1 = f(qq, tt)
-            k2 = f(qq + hh / 2 * k1, tt + hh / 2)
-            k3 = f(qq + hh / 2 * k2, tt + hh / 2)
-            k4 = f(qq + hh * k3, tt + hh)
-            return qq + hh / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
-        q_mid = rk4(q, t, h / 2)
-        q_end = rk4(q_mid, t + h / 2, h / 2)
-        return q_mid, q_end
+_EPS = float(np.finfo(float).eps)
+_NEWTON_MAX_ITER = 100
+# trajectories per `_next_stops` pass: it holds some sixty temporaries of
+# this length, so batches keep its memory O(batch) rather than O(n)
+_STOP_BATCH = 4096
+
+
+class _Stops:
+    """Per trajectory: the next stop (time t, offset d = (t - t0)/tau into
+    the segment, whether a clock fires there and in which direction) and
+    the segment's charge endpoints q0 -> q_inf."""
+
+    def __init__(self, n):
+        self.t = np.empty(n)
+        self.d = np.empty(n)
+        self.fires = np.zeros(n, dtype=bool)
+        self.up = np.zeros(n, dtype=bool)
+        self.q_inf = np.empty(n)
+        self.q0 = np.empty(n)
+
+    def q_at(self, idx, d):
+        return self.q_inf[idx] + (self.q0[idx] - self.q_inf[idx]) * np.exp(-d)
+
+
+@dataclass
+class _Piece:
+    live: np.ndarray      # a rate is on (state and sign of vm allow it)
+    up: np.ndarray        # its direction
+    above: np.ndarray     # the rate sits at the ceiling
+    alpha: np.ndarray     # rate = exp(alpha + beta e^{-d}) / tau_x
+    beta: np.ndarray
+    tau_x: np.ndarray
+    end: np.ndarray       # where the piece ends
+    sign_end: np.ndarray  # the sign change, if that ends it
 
 
 def _invert_step_vec(t0_arr, h_arr, target, r0, rm, r1):

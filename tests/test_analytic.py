@@ -18,7 +18,7 @@ from memstoch import (ConstantDriveParams, Density1D, MemristorModel,
                       Waveform, expint_ei, mean_switching_time,
                       no_switch_density, p0_asymptotic, p0_constant_voltage,
                       rc_charge, rc_charge_wave, unidirectional_densities)
-from memstoch.analytic import (RegimeError, accumulated_hazard,
+from memstoch.analytic import (RegimeError, accumulated_hazard, hazard_integral,
                                p1_constant_voltage, switching_rate_at)
 
 mpmath.mp.dps = 40
@@ -172,6 +172,40 @@ def test_hazard_matches_rate_quadrature(params):
                          epsrel=1e-11, limit=300,
                          points=[x for x in (0.005, 0.05, 0.1) if x < t] or None)
         assert accumulated_hazard(params, t) == pytest.approx(direct, rel=1e-8)
+
+
+def test_hazard_finite_where_survival_underflows(params):
+    # at 0.5 V the survival probability is exp(-899) by 10 ms
+    strong = ConstantDriveParams(C=params.C, R0=params.R0, R1=params.R1,
+                                 tau0=params.tau0, V0=params.V0, Va=0.5)
+    tc = mpmath.mpf(strong.C) * mpmath.mpf(strong.R0)
+    x = mpmath.mpf(strong.Va) / mpmath.mpf(strong.V0)
+    ref = tc / mpmath.mpf(strong.tau0) * (mpmath.ei(x) - mpmath.ei(x * mpmath.exp(-0.01 / tc)))
+    h = accumulated_hazard(strong, 0.01)
+    assert math.isfinite(h)
+    assert h == pytest.approx(float(ref), rel=1e-12)
+    assert p0_constant_voltage(strong, 0.01) == 0.0
+
+
+@pytest.mark.parametrize("alpha, beta, d0, d1", [
+    (0.0, 17.5, 0.0, 10.0),         # Figure-2 segment, into the rate's floor
+    (0.0, 45.0, 0.0, 1e-13),        # strong drive, quadrature branch
+    (0.0, 17.5, 0.0, 0.06 / 17.5),  # just past the quadrature switch
+    (0.0, 17.5, 0.3, 2000.0),       # x underflows to 0 at the end
+    (2.0, -20.0, 0.0, 5.0),         # rising rate
+    (-3.0, 0.4, 1.0, 4.0),          # |x| < 1 throughout
+    (1.0, 0.0, 0.0, 3.0),           # constant rate
+    (-650.0, 700.0, 0.0, 0.5),      # Ei(700) overflows on its own
+])
+def test_hazard_integral_against_mpmath(alpha, beta, d0, d1):
+    with mpmath.workdps(40):
+        ref = mpmath.quad(lambda u: mpmath.exp(alpha + beta * mpmath.exp(-u)),
+                          [d0, d0 + (d1 - d0) / 2, d1] if d1 - d0 < 10 else
+                          [d0, d0 + 1, d0 + 10, d1])
+    got, scale, rate = hazard_integral(alpha, beta, d0, d1)
+    assert got[0] == pytest.approx(float(ref), rel=1e-12)
+    assert abs(got[0] - float(ref)) <= 8 * np.finfo(float).eps * scale[0]
+    assert rate[0] == pytest.approx(math.exp(alpha + beta * math.exp(-d1)), rel=1e-13)
 
 
 def test_rate_decays_to_floor(params):

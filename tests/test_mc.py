@@ -7,6 +7,7 @@ catch a genuinely wrong sampler.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,7 +15,7 @@ from memstoch import (ConstantDriveParams, MemristorModel, Waveform,
                       p0_constant_voltage, rc_charge, run_ensemble,
                       series_mc, simulate_trajectory)
 from memstoch import mc
-from memstoch.circuit import parse_netlist
+from memstoch.circuit import CircuitState, parse_netlist
 
 
 @pytest.fixture
@@ -239,3 +240,195 @@ def test_boundary_states_jump_inward_under_reverse_bias():
     assert stats.n_failed == 0
     assert stats.events_down > 0
     assert np.allclose(stats.occupancy[0].sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+# ------------------------------------- exact hazard inversion (vector MC)
+
+def _figure2_at(params, va, **model_kw):
+    model = MemristorModel.binary(params.R0, params.R1, params.tau0, params.V0,
+                                  **model_kw)
+    return series_mc(model, params.C, Waveform.constant(va))
+
+
+def _round0_thresholds(master_seed, n):
+    # the first clock of trajectory i draws from Philox stream (seed, 0)
+    rng = np.random.Generator(np.random.Philox(key=[master_seed, 0]))
+    return rng.exponential(size=n)
+
+
+def _check_first_events(stats, thresholds, t_end, a, b, tau, tau_x, v_x):
+    # deterministic: each first event against a 40-digit inversion of the
+    # same threshold along vm = a + b e^{-t/tau} (one sign throughout),
+    # H(t) = (tau/tau_x) e^alpha [Ei(beta) - Ei(beta e^{-t/tau})]
+    with mpmath.workdps(40):
+        a, b, tau, tau_x, v_x = (mpmath.mpf(v) for v in (a, b, tau, tau_x, v_x))
+        alpha, beta = a / v_x, b / v_x
+
+        def rate(t):
+            return mpmath.exp(alpha + beta * mpmath.exp(-t / tau)) / tau_x
+
+        def hazard(t):
+            if beta == 0:
+                return rate(0) * t
+            return tau / tau_x * mpmath.exp(alpha) * (
+                mpmath.ei(beta) - mpmath.ei(beta * mpmath.exp(-t / tau)))
+
+        h_end = hazard(mpmath.mpf(t_end))
+        assert np.any(~np.isnan(stats.first_event_times))
+        for t, e in zip(stats.first_event_times, thresholds):
+            assert (not math.isnan(t)) == (h_end >= e)
+            if math.isnan(t):
+                continue
+            e = mpmath.mpf(float(e))
+            assert abs(hazard(mpmath.mpf(float(t))) - e) <= 1e-12 * e
+            t_ref = mpmath.findroot(lambda s: hazard(s) - e, mpmath.mpf(float(t)))
+            cond = max(1, e / (rate(t_ref) * t_ref))
+            assert abs(float(t) - t_ref) <= 1e-12 * t_ref * cond
+
+
+@pytest.mark.parametrize("va", [0.35, 0.9])
+def test_first_events_match_mpmath_inversion(params, va):
+    n, seed, t_end = 600, 7, 1.0
+    net = _figure2_at(params, va)
+    stats = run_ensemble(net, net.initial_state(), t_end, [t_end], n, seed)
+    _check_first_events(stats, _round0_thresholds(seed, n), t_end, 0.0, va,
+                        params.C * params.R0, params.tau0, params.V0)
+    assert stats.diagnostics["path"] == "exact"
+    assert stats.diagnostics["newton_max"] <= 20
+
+
+SHUNTED_TEXT = """
+V1 in 0 DC 0.4
+M1 in n1 STATES=2 R=100k,10k TAUUP=10 VUP=0.03 TAUDOWN=10 VDOWN=0.03 STATE=0
+C1 n1 0 100n IC=35n
+R2 n1 0 100k
+"""
+
+
+def test_shunted_first_events_match_mpmath_inversion():
+    # the shunt halves the drive: vm starts at 0.4 - 0.35 = 0.05 V and
+    # relaxes up to 0.2 V with tau = 100 nF * (100k || 100k) = 5 ms, so
+    # a = 0.2 and b = -0.15 keep vm positive without a sign change
+    n, seed, t_end = 500, 11, 0.02
+    net = parse_netlist(SHUNTED_TEXT)
+    stats = run_ensemble(net, net.initial_state(), t_end, [t_end], n, seed)
+    _check_first_events(stats, _round0_thresholds(seed, n), t_end,
+                        0.2, -0.15, 5e-3, 10.0, 0.03)
+    assert stats.diagnostics["sign_splits"] == 0
+
+
+CUT_OFF_TEXT = """
+V1 in 0 DC 0.3
+M1 in 0 STATES=2 R=100k,10k TAUUP=10 VUP=0.03 TAUDOWN=10 VDOWN=0.03 STATE=0
+C1 n1 0 100n
+R2 n1 0 100k
+"""
+
+
+@pytest.mark.parametrize("case", ["cut_off", "at_asymptote"])
+def test_constant_voltage_segments_fire_at_threshold_over_rate(case):
+    # b = 0: vm is constant, so the first event is E tau_up e^{-vm/V_up}
+    n, seed, t_end = 500, 13, 0.05
+    if case == "cut_off":
+        # the capacitor has no path to the device (A = B = 0); vm = 0.3 V
+        net = parse_netlist(CUT_OFF_TEXT)
+        initial, vm = net.initial_state(), 0.3
+    else:
+        # the shunted circuit started on its fixed point, vm = 0.2 V
+        net = parse_netlist(SHUNTED_TEXT)
+        eng = mc._VectorEnsemble(net, n, seed, 10)
+        q_inf = eng.B[0] * 0.4 * eng.tau[0]
+        initial, vm = CircuitState((0,), (q_inf,)), 0.2
+    stats = run_ensemble(net, initial, t_end, [t_end], n, seed)
+    expect = _round0_thresholds(seed, n) * 10.0 * math.exp(-vm / 0.03)
+    fired = ~np.isnan(stats.first_event_times)
+    assert np.array_equal(fired, expect <= t_end) and fired.any()
+    assert np.allclose(stats.first_event_times[fired], expect[fired],
+                       rtol=1e-12, atol=0.0)
+
+
+def test_step_drive_shifts_the_constant_drive_events(params, model):
+    n, seed, t_step, t_end = 800, 19, 0.01, 0.05
+    const = series_mc(model, params.C, Waveform.constant(params.Va))
+    step = series_mc(model, params.C, Waveform.step(params.Va, t_step))
+    a = run_ensemble(const, const.initial_state(), t_end, [t_end], n, seed)
+    b = run_ensemble(step, step.initial_state(), t_step + t_end, [t_step + t_end],
+                     n, seed)
+    fired = ~np.isnan(a.first_event_times)
+    assert np.array_equal(fired, ~np.isnan(b.first_event_times)) and fired.any()
+    shifted = t_step + a.first_event_times[fired]
+    assert np.all(np.abs(b.first_event_times[fired] - shifted) <= 1e-12 * shifted)
+
+
+def test_rate_ceiling_segments_are_exact(params):
+    # at 0.35 V the rate starts at 130 /s; a ceiling of 100 /s holds it
+    # constant until the relaxing voltage brings it below
+    ceiling, n, seed, t_end = 100.0, 300, 5, 0.05
+    net = _figure2_at(params, params.Va, rate_ceiling=ceiling)
+    stats = run_ensemble(net, net.initial_state(), t_end, [t_end], n, seed)
+    assert stats.diagnostics["ceiling_splits"] > 0
+    with mpmath.workdps(40):
+        tau = mpmath.mpf(params.C) * mpmath.mpf(params.R0)
+        tau0 = mpmath.mpf(params.tau0)
+        x = mpmath.mpf(params.Va) / mpmath.mpf(params.V0)
+        t_cap = tau * mpmath.log(x / mpmath.log(ceiling * tau0))
+
+        def hazard(t):
+            if t <= t_cap:
+                return ceiling * t
+            return ceiling * t_cap + tau / tau0 * (
+                mpmath.ei(x * mpmath.exp(-t_cap / tau)) - mpmath.ei(x * mpmath.exp(-t / tau)))
+
+        for t, e in zip(stats.first_event_times, _round0_thresholds(seed, n)):
+            assert (not math.isnan(t)) == (hazard(mpmath.mpf(t_end)) >= e)
+            if not math.isnan(t):
+                assert abs(hazard(mpmath.mpf(float(t))) - e) <= 1e-12 * e
+
+
+SIGN_CHANGE_TEXT = """
+V1 in 0 DC 0.4
+M1 in n1 STATES=3 R=100k,30k,10k TAUUP=10,10 VUP=0.03,0.03 TAUDOWN=10,10 VDOWN=0.03,0.03 STATE=1
+C1 n1 0 100n IC=70n
+R2 n1 0 30k
+"""
+
+
+def test_sign_change_within_a_segment_agrees_with_generic_engine():
+    # the capacitor starts at 0.7 V, so vm = -0.3 V and then rises through
+    # zero towards +0.2 V (state 1): down events first, up events after
+    net = parse_netlist(SIGN_CHANGE_TEXT)
+    times = np.linspace(0.0, 0.005, 6)
+    fast = run_ensemble(net, net.initial_state(), 0.005, times, 4000, master_seed=3)
+    slow = run_ensemble(net, net.initial_state(), 0.005, times, 400, master_seed=3,
+                        force_generic=True)
+    assert fast.diagnostics["sign_splits"] > 0
+    assert fast.events_up > 0 and fast.events_down > 0
+    se = np.hypot(fast.stderr[0], slow.stderr[0])
+    assert np.all(np.abs(fast.occupancy[0] - slow.occupancy[0])
+                  <= 5.0 * np.maximum(se, 1e-3))
+
+
+@pytest.mark.parametrize("wave", [Waveform.constant(0.35), Waveform.sine(0.0, 0.4, 200.0)])
+def test_engine_reruns_are_bit_identical(params, wave):
+    # a rerun must not see thresholds the first run drew over
+    model = MemristorModel.uniform((1e5, 3e4, 1e4), 10.0, 0.05)
+    net = series_mc(model, 1e-7 if wave.kind == "sine" else params.C, wave)
+    t_end = 0.005 if wave.kind == "sine" else 1.0
+    times = np.linspace(0.0, t_end, 5)
+    eng = mc._VectorEnsemble(net, 1000, 7, 20)
+    a = eng.run(net.initial_state(), t_end, times)
+    b = eng.run(net.initial_state(), t_end, times)
+    assert np.array_equal(a.occupancy[0], b.occupancy[0])
+    assert np.array_equal(a.first_event_times, b.first_event_times, equal_nan=True)
+    assert all(np.array_equal(ha, hb) for (ha, _), (hb, _) in zip(a.histograms, b.histograms))
+
+
+def test_stepped_path_raises_instead_of_jumping(model, params):
+    # at 0.9 V the step control asks for h below the floor at t = 0
+    net = series_mc(model, params.C, Waveform.sine(0.9, 0.05, 50.0))
+    with pytest.raises(mc.TrajectoryFailure, match="t = 0 s"):
+        run_ensemble(net, net.initial_state(), 0.01, [0.01], 100, master_seed=1)
+    fine = series_mc(model, params.C, Waveform.sine(0.35, 0.05, 50.0))
+    stats = run_ensemble(fine, fine.initial_state(), 0.002, [0.002], 100, master_seed=1)
+    assert stats.diagnostics["path"] == "stepped"
+    assert stats.diagnostics["shared_steps"] > 0

@@ -15,6 +15,8 @@ modified-nodal-analysis operating-point solver; ``memstoch.cli`` the
 command-line interface.
 """
 
+__version__ = "0.1.0"
+
 from .device import MemristorModel
 from .circuit import (CircuitState, Netlist, NetlistError,
                       SingularNetworkError, Waveform, parse_netlist,
@@ -25,8 +27,6 @@ from .analytic import (ConstantDriveParams, Density1D, expint_ei,
                        rc_charge_wave, unidirectional_densities)
 from .pde import ChargeGrid, DistributionField, SeriesCircuitParams
 from .mc import EnsembleStats, TrajectoryRecord, run_ensemble, simulate_trajectory
-
-__version__ = "0.1.0"
 
 __all__ = [
     "MemristorModel",

@@ -25,12 +25,10 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import analytic, mc, pde
+from . import __version__, analytic, mc, pde
 from .circuit import (NetlistError, SingularNetworkError, Waveform,
                       parse_netlist, series_mc, solve_operating_point)
 from .device import MemristorModel
-
-__version__ = "0.1.0"
 
 
 class ConfigError(ValueError):
@@ -217,7 +215,9 @@ def _run_mc(cfg: dict, seed_override=None, traj_override=None) -> ResultTable:
     cols = (["time"] + [f"p{i}" for i in range(g)]
             + [f"stderr{i}" for i in range(g)])
     rows = np.column_stack([stats.times, occ, se])
-    meta = {"engine": "mc", "trajectories": stats.n, "seed": seed,
+    # what the engine did (its path, steps, cascades) rides along
+    meta = {**stats.diagnostics,
+            "engine": "mc", "trajectories": stats.n, "seed": seed,
             "failed": stats.n_failed, "events_up": stats.events_up,
             "events_down": stats.events_down, "prob_sum_tol": "1e-12",
             "config": _config_hash(cfg), "version": __version__}

@@ -156,15 +156,3 @@ class MemristorModel:
             r = np.where(v < 0.0, np.exp(np.minimum(-v, 700.0 * self.v_down[i - 1])
                                          / self.v_down[i - 1]) / self.tau_down[i - 1], 0.0)
         return np.minimum(r, self.rate_ceiling)
-
-
-def rate_up(model: MemristorModel, i: int, v_m: float) -> float:
-    return model.rate_up(i, v_m)
-
-
-def rate_down(model: MemristorModel, i: int, v_m: float) -> float:
-    return model.rate_down(i, v_m)
-
-
-def total_exit_rate(model: MemristorModel, i: int, v_m: float) -> float:
-    return model.total_exit_rate(i, v_m)

@@ -8,35 +8,31 @@ voltage-dependent exit rate along the trajectory.  A switch happens when
 the hazard reaches an exponential threshold (no fixed-step Bernoulli
 trials).
 
-Two engines share the same contracts: a generic per-trajectory engine
-for arbitrary netlists, and a vectorized ensemble engine for circuits
-with a single memristor, a single capacitor and a single source (any
-resistive padding).  Under constant and step drives the ensemble engine
-moves every trajectory from event to event and inverts the closed-form
-hazard of each RC segment, so its jump times are exact to round-off.
-Under sine and PWL drives it evolves all trajectories on a shared
-adaptive time grid with Simpson-integrated hazards, and it raises
-TrajectoryFailure where its step control asks for a step below the
-floor.  The generic engine also integrates hazards by Simpson's rule.
+Both engines run all trajectories as arrays.  `_VectorEnsemble` takes
+circuits with one memristor, one capacitor and one source: under
+constant and step drives it inverts the closed-form hazard of each RC
+segment, so its jump times are exact to round-off; under sine and PWL
+drives it steps on a shared grid with Simpson-integrated hazards.
+`_NetlistEnsemble` takes every other netlist and steps on a shared grid,
+with charges exact under piecewise-constant sources (RK4 otherwise) and
+Simpson-integrated hazards.  A step below the floor fails, never jumps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .analytic import ei_term, hazard_integral
 from .circuit import CircuitState, Netlist, affine_dynamics
-from .device import MemristorModel
 
 # step-size control for the deterministic segments
 HAZARD_STEP_FACTOR = 0.1    # dt <= 0.1 / current total rate
 RATE_CURVATURE_FACTOR = 0.3  # dt <= 0.3 / |d ln(rate)/dt|
+MAX_CASCADE = 64            # events of one trajectory within one step
 
 
 class TrajectoryFailure(RuntimeError):
@@ -75,8 +71,8 @@ class EnsembleStats:
     events_up: int = 0
     events_down: int = 0
     first_event_times: Optional[np.ndarray] = None  # (n,), nan = no event
-    # what the vector engine did: rounds, Newton iterations and splits on
-    # the exact path; shared steps and the deepest cascade on the stepped one
+    # what the engine did: its path, step and cascade counts, Newton
+    # iterations and splits (see each engine)
     diagnostics: dict = field(default_factory=dict)
 
     def mean_first_switch_time(self, t_max: Optional[float] = None) -> float:
@@ -93,314 +89,406 @@ class EnsembleStats:
         return float(t1[sel].mean())
 
 
-def derive_seed(master_seed: int, index: int) -> int:
-    """Deterministic 64-bit per-trajectory seed from (master seed,
-    trajectory index) via the splittable SeedSequence construction."""
-    ss = np.random.SeedSequence([int(master_seed), int(index)])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 # --------------------------------------------------------------------------
-# Hazard inversion on an explicit segment
+# Array engine for any netlist
 
-def hazard_accumulate(model: MemristorModel, state: int,
-                      vm_of_t: Callable[[float], float],
-                      t0: float, t1: float, threshold: float,
-                      rtol: float = 1e-10) -> Optional[float]:
-    """Invert the accumulated exit hazard of one memristor along a
-    deterministic segment with continuous voltage vm_of_t.
-
-    Returns the time at which the integral of the exit rate from `state`
-    reaches `threshold`, or None if the segment's hazard is exhausted
-    below the threshold.
-    """
-    if t1 <= t0:
-        return None
-
-    def rate(t):
-        return model.total_exit_rate(state, vm_of_t(t))
-
-    total, _ = quad(rate, t0, t1, epsrel=rtol, epsabs=1e-300, limit=400)
-    if total < threshold:
-        return None
-
-    def objective(t):
-        part, _ = quad(rate, t0, t, epsrel=rtol, epsabs=1e-300, limit=400)
-        return part - threshold
-
-    xtol = max(1e-9 * (t1 - t0), 1e-18)
-    return float(brentq(objective, t0, t1, xtol=xtol, rtol=8.9e-16))
+def _mv(a, x):
+    """Batched matrix-vector product: a (..., I, J) times x (..., J)."""
+    return np.einsum("...ij,...j->...i", a, x)
 
 
-# --------------------------------------------------------------------------
-# Generic per-trajectory engine
+class _NetlistEnsemble:
+    """All n trajectories of any netlist as arrays: charges (n, K), states,
+    hazards and thresholds (n, M).  Each memristor-state configuration (a
+    mixed-radix index) gets a row of tables on first use: its
+    `affine_dynamics` and an eigenbasis of A.  Trajectories share one
+    adaptive time grid.  Charges advance exactly, q + h phi1(A h)(A q + B v),
+    under constant and step sources, and by RK4 half steps with a Richardson
+    check otherwise.  Hazards are Simpson-integrated; an event inverts the
+    piecewise-linear rate through the Simpson nodes, and the rest of the
+    step runs in the new configuration.  A trajectory that needs a step below
+    the floor, or more than MAX_CASCADE events in one step, fails alone."""
 
-class _GenericEngine:
-    """Stepwise PDMP integration for an arbitrary netlist."""
-
-    def __init__(self, netlist: Netlist, rtol: float = 1e-9):
+    def __init__(self, netlist: Netlist, n: int, master_seed: int,
+                 histogram_bins: int = 50, rtol: float = 1e-9):
         self.netlist = netlist
+        self.n = n
+        self.master_seed = int(master_seed)
+        self.bins = histogram_bins
         self.rtol = rtol
-        self.models = [m.model for m in netlist.memristors]
-        self.constant_sources = all(s.waveform.is_constant()
-                                    for s in netlist.sources)
-        self._dyn_cache = {}
+        self.waves = [s.waveform for s in netlist.sources]
+        self.piecewise_constant = all(w.kind in ("constant", "step") for w in self.waves)
+        self.breakpoints = sorted({b for w in self.waves for b in w.breakpoint_times()})
+        models = [m.model for m in netlist.memristors]
+        self.gs = [m.num_states for m in models]
+        self.M, self.K = len(models), len(netlist.capacitors)
+        self.strides = np.cumprod([1] + self.gs[:-1])[:self.M].astype(np.int64)
+        self.top = np.array(self.gs, dtype=np.int64) - 1
+        self.ceiling = np.array([m.rate_ceiling for m in models])
+        # per memristor and state: 1/v_up, tau_up, 1/v_down, tau_down and
+        # the smallest voltage scale among its transitions (inf: none)
+        self.par = np.full((self.M, max(self.gs, default=1), 5), math.inf)
+        for m, mo in enumerate(models):
+            up = [(1.0 / v, t) for v, t in zip(mo.v_up, mo.tau_up)] + [(0.0, math.inf)]
+            dn = [(0.0, math.inf)] + [(1.0 / v, t) for v, t in zip(mo.v_down, mo.tau_down)]
+            for i, ((iu, tu), (id_, td)) in enumerate(zip(up, dn)):
+                self.par[m, i] = (iu, tu, id_, td, 1.0 / max(iu, id_))
+        self.mi = np.arange(self.M)
+        self.sqrt_c = np.sqrt([c.capacitance for c in netlist.capacitors])
+        self.config_row = {}     # configuration index -> table row
+        self.tables = []
+        self.streams = {}
 
-    def dynamics(self, states: tuple):
-        dyn = self._dyn_cache.get(states)
-        if dyn is None:
-            dyn = affine_dynamics(self.netlist, states)
-            self._dyn_cache[states] = dyn
-        return dyn
+    # -- configuration tables ------------------------------------------
+    def _add_configuration(self, index: int, states: tuple) -> None:
+        d = affine_dynamics(self.netlist, states)
+        # A = -L C^{-1} with L symmetric, so C^{-1/2} A C^{1/2} is symmetric
+        # negative semi-definite: A = V diag(lam) V^{-1} with real lam <= 0
+        c = self.sqrt_c
+        sym = d.A * c[None, :] / c[:, None]
+        lam, u = np.linalg.eigh(0.5 * (sym + sym.T))
+        vec, inv = c[:, None] * u, u.T / c[None, :]
+        if self.K and np.abs(vec * lam @ inv - d.A).max() > 1e-9 * np.abs(d.A).max():
+            raise ValueError(f"configuration {states}: the network is not reciprocal")
+        self.tables.append((d.A, d.B, d.Dq, d.Ds, vec, inv, lam))
+        (self.A, self.B, self.Dq, self.Ds, self.V, self.Vinv,
+         self.eig) = (np.stack(x) for x in zip(*self.tables))
+        self.a_scale = np.abs(self.A).max(axis=(1, 2), initial=0.0)
+        self.config_row[index] = len(self.tables) - 1
 
-    def source_vector(self, t: float) -> np.ndarray:
-        return np.array([s.waveform(t) for s in self.netlist.sources])
+    def _rows_of(self, s):
+        """Table rows of the configurations of states s (rows, M)."""
+        index = s @ self.strides
+        rows = np.empty(index.size, dtype=np.int64)
+        for c, i in zip(*np.unique(index, return_index=True)):
+            if c not in self.config_row:
+                self._add_configuration(c, tuple(s[i].tolist()))
+            rows[index == c] = self.config_row[c]
+        return rows
 
-    def _advance(self, dyn, q: np.ndarray, t: float, h: float):
-        """Charge update over [t, t+h]; returns (q_mid, q_end, error
-        estimate).
+    # -- counter-based threshold streams -------------------------------
+    def _stream(self, k: int) -> np.ndarray:
+        """Stream k = round * M + m: every trajectory's threshold for the
+        round-th clock of memristor m (read-only, cached)."""
+        if k not in self.streams:
+            rng = np.random.Generator(np.random.Philox(key=[self.master_seed, k]))
+            self.streams[k] = rng.exponential(size=self.n)
+            self.streams[k].flags.writeable = False
+        return self.streams[k]
 
-        Exact exponential update for a single capacitor with constant
-        sources (zero error), otherwise two RK4 half steps (which also
-        furnish the midpoint) with a Richardson error estimate against a
-        single full step."""
-        if self.constant_sources and len(q) == 1:
-            vs = self.source_vector(t)
-            a = float((dyn.B @ vs)[0])
-            b = -float(dyn.A[0, 0])
-            if b > 0:
-                q_inf = a / b
-                q_mid = q_inf + (q[0] - q_inf) * math.exp(-b * h / 2)
-                q_end = q_inf + (q[0] - q_inf) * math.exp(-b * h)
-            else:
-                q_mid = q[0] + a * h / 2
-                q_end = q[0] + a * h
-            return np.array([q_mid]), np.array([q_end]), 0.0
+    def _draw(self, c, j):
+        """Next thresholds of clocks j of running trajectories c."""
+        k = self.round[c, j] * self.M + j
+        out = np.empty(c.size)
+        for kk in np.unique(k):
+            sel = k == kk
+            out[sel] = self._stream(int(kk))[self.ids[c[sel]]]
+        self.round[c, j] += 1
+        return out
+
+    # -- vectorized physics --------------------------------------------
+    def _v(self, t):
+        """Source voltages at t: (S,) for a scalar t, (n, S) for an array."""
+        t = np.asarray(t, dtype=float)
+        out = np.empty(t.shape + (len(self.waves),))
+        for k, w in enumerate(self.waves):
+            out[..., k] = w(t)
+        return out
+
+    def _vm(self, rows, q, v):
+        return _mv(self.Dq[rows], q) + _mv(self.Ds[rows], v)
+
+    def _rates(self, s, vm):
+        """Exit rate of every clock (rows, M): the up rate where vm > 0,
+        the down rate where vm < 0, zero where that transition is absent."""
+        p = self.par[self.mi, s]
+        up = vm > 0.0
+        x = np.abs(vm) * np.where(up, p[..., 0], p[..., 2])
+        with np.errstate(over="ignore"):
+            r = np.exp(np.minimum(x, 700.0)) / np.where(up, p[..., 1], p[..., 3])
+        return np.minimum(np.where(vm != 0.0, r, 0.0), self.ceiling)
+
+    def _flow(self, rows, q, v, *spans):
+        """Exact charges after each span (scalar or per row) under constant
+        sources: q + s phi1(A s)(A q + B v) in the eigenbasis of A."""
+        g = _mv(self.Vinv[rows], _mv(self.A[rows], q) + _mv(self.B[rows], v))
+        eig, vec = self.eig[rows], self.V[rows]
+        out = []
+        for span in spans:
+            s = np.reshape(span, (-1, 1))
+            z = eig * s
+            with np.errstate(divide="ignore", invalid="ignore"):
+                phi = np.where(z != 0.0, np.expm1(z) / z, 1.0)
+            out.append(q + _mv(vec, phi * s * g))
+        return out
+
+    def _rk4(self, rows, q, t, h):
+        """One RK4 step of dq/dt = A q + B v(t); t and h scalar or per row."""
+        a, b = self.A[rows], self.B[rows]
+        hc = np.reshape(h, (-1, 1))
 
         def f(qq, tt):
-            return dyn.dqdt(qq, self.source_vector(tt))
+            return _mv(a, qq) + _mv(b, self._v(tt))
 
-        def rk4(qq, tt, hh):
-            k1 = f(qq, tt)
-            k2 = f(qq + hh / 2 * k1, tt + hh / 2)
-            k3 = f(qq + hh / 2 * k2, tt + hh / 2)
-            k4 = f(qq + hh * k3, tt + hh)
-            return qq + hh / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        k1 = f(q, t)
+        k2 = f(q + hc / 2 * k1, t + h / 2)
+        k3 = f(q + hc / 2 * k2, t + h / 2)
+        k4 = f(q + hc * k3, t + h)
+        return q + hc / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
-        q_mid = rk4(q, t, h / 2)
-        q_end = rk4(q_mid, t + h / 2, h / 2)
-        q_full = rk4(q, t, h)
-        scale = float(np.max(np.abs(q_end))) + 1e-300
-        err = float(np.max(np.abs(q_end - q_full))) / 15.0 / scale
-        return q_mid, q_end, err
+    def _nodes(self, rows, s, q, t, h, v):
+        """Charges and rates at the middle and end of [t, t + h] (h scalar
+        or per row), starting from q."""
+        if self.piecewise_constant:
+            q_mid, q_end = self._flow(rows, q, v, h / 2, h)
+            v_mid = v_end = v
+        else:
+            q_mid = self._rk4(rows, q, t, h / 2)
+            q_end = self._rk4(rows, q_mid, t + h / 2, h / 2)
+            v_mid, v_end = self._v(t + h / 2), self._v(t + h)
+        return (q_mid, q_end, self._rates(s, self._vm(rows, q_mid, v_mid)),
+                self._rates(s, self._vm(rows, q_end, v_end)))
 
-    def _step_size(self, dyn, q, t, states, t_limit):
-        vs = self.source_vector(t)
-        vm = dyn.memristor_voltages(q, vs)
-        total = sum(m.total_exit_rate(s, v)
-                    for m, s, v in zip(self.models, states, vm))
-        h = t_limit - t
-        if total > 0:
-            h = min(h, HAZARD_STEP_FACTOR / total)
-        # resolve the circuit's own time scales
-        a_scale = float(np.abs(dyn.A).max())
-        if a_scale > 0:
-            h = min(h, 0.25 / a_scale)
-        # resolve how fast the rates themselves change: d ln(rate)/dt of
-        # the exponential law is |dvm/dt| / V-scale
-        dq = dyn.dqdt(q, vs)
-        for m, s, (dvm,) in zip(self.models, states,
-                                (dyn.Dq @ dq).reshape(-1, 1)):
-            scales = []
-            if s < m.num_states - 1:
-                scales.append(m.v_up[s])
-            if s > 0:
-                scales.append(m.v_down[s - 1])
-            if scales and dvm != 0.0:
-                h = min(h, RATE_CURVATURE_FACTOR * min(scales) / abs(dvm))
-        for src in self.netlist.sources:
-            for bp in src.waveform.breakpoint_times():
-                if t < bp <= t + h:
-                    h = bp - t
-        return max(h, 0.0)
-
-    def simulate(self, initial: CircuitState, t_end: float, seed: int,
-                 output_times: Optional[Sequence[float]] = None
-                 ) -> TrajectoryRecord:
-        rng = np.random.Generator(np.random.Philox(key=int(seed)))
-        n_mem = len(self.netlist.memristors)
-        states = tuple(initial.memristor_states)
-        q = np.array(initial.capacitor_charges, dtype=float)
+    # -- the run --------------------------------------------------------
+    def _evolve(self, initial: CircuitState, t_end: float, outputs):
+        """Run every trajectory from `initial` to t_end and sample it at
+        `outputs` (ascending, within [initial time, t_end], ending at
+        t_end).  Running trajectories are the rows of the state arrays;
+        `ids` maps rows to trajectory indices."""
         t = float(initial.time)
         if t_end <= t:
             raise ValueError("t_end must exceed the initial time")
-
-        thresholds = np.array([rng.exponential() for _ in range(n_mem)])
-        hazards = np.zeros(n_mem)
-        events = []
-
-        outputs = sorted(float(x) for x in
-                         ([] if output_times is None else output_times))
-        outputs = [x for x in outputs if t <= x <= t_end]
-        if not outputs or outputs[-1] < t_end:
-            outputs.append(t_end)
-        sample_t, sample_q, sample_s = [], [], []
-        out_iter = iter(outputs)
-        next_out = next(out_iter)
-        if next_out == t:
-            sample_t.append(t)
-            sample_q.append(q.copy())
-            sample_s.append(states)
-            next_out = next(out_iter, None)
-
+        if outputs[0] < t:
+            raise ValueError("output time before the initial time")
+        n, M = self.n, self.M
+        self.ids = np.arange(n)
+        self.q = np.tile(np.array(initial.capacitor_charges, dtype=float), (n, 1))
+        self.s = np.tile(np.array(initial.memristor_states, dtype=np.int64), (n, 1))
+        self.slot = self._rows_of(self.s)
+        self.haz = np.zeros((n, M))
+        self.thr = np.array([self._stream(m) for m in range(M)]).reshape(M, n).T.copy()
+        self.round = np.ones((n, M), dtype=np.int64)
+        self.sample_q = np.zeros((len(outputs), n, self.K))
+        self.sample_s = np.zeros((len(outputs), n, M), dtype=np.int64)
+        # per event batch: time, trajectory, memristor, from and to state
+        self.log = [(np.zeros(0),) + (np.zeros(0, dtype=np.int64),) * 4]
+        self.failures = []
+        self.diag = dict(path="netlist", shared_steps=0, rejected_steps=0,
+                         h_min=math.inf, max_cascade=0, configurations=0)
         h_floor = 1e-15 * max(t_end, 1.0)
-        while t < t_end - h_floor:
-            dyn = self.dynamics(states)
-            t_limit = next_out if next_out is not None else t_end
-            h = self._step_size(dyn, q, t, states, t_limit)
+        for k, t_out in enumerate(outputs):
+            while t < t_out - h_floor and self.ids.size:
+                t = self._step(t, t_out, h_floor)
+            if not self.ids.size:
+                break
+            t = t_out
+            self.sample_q[k, self.ids] = self.q
+            self.sample_s[k, self.ids] = self.s
+        self.diag["configurations"] = len(self.tables)
+
+    def _fail(self, rows, messages):
+        """Drop running trajectories `rows` (an index array), recording why."""
+        self.failures += [(int(i), m) for i, m in zip(self.ids[rows], messages)]
+        keep = ~np.isin(np.arange(self.ids.size), rows)
+        for name in ("ids", "q", "s", "slot", "haz", "thr", "round"):
+            setattr(self, name, getattr(self, name)[keep])
+
+    def _step(self, t, t_out, h_floor):
+        """One shared step from t; returns the new time (t itself when
+        trajectories failed and the step is to be retried)."""
+        q, s, rows = self.q, self.s, self.slot
+        v = self._v(t)
+        r0 = self._rates(s, self._vm(rows, q, v))
+        dvm = np.abs(_mv(self.Dq[rows], _mv(self.A[rows], q) + _mv(self.B[rows], v)))
+        total = r0.sum(axis=1)
+        if self.piecewise_constant:
+            # a rate that cannot change within the step needs no hazard cap
+            total = np.where((dvm > 0.0).any(axis=1), total, 0.0)
+        with np.errstate(divide="ignore"):
+            h_own = np.minimum(
+                np.minimum(HAZARD_STEP_FACTOR / total, 0.25 / self.a_scale[rows]),
+                (RATE_CURVATURE_FACTOR * self.par[self.mi, s, 4] / dvm).min(
+                    axis=1, initial=math.inf))
+        low = np.nonzero(h_own <= h_floor)[0]
+        if low.size:
+            self._fail(low, [f"step size control needs h = {h:.3g} s at t = {t:.9g} s, "
+                             f"below the floor {h_floor:.3g} s" for h in h_own[low]])
+            return t
+        t_next = min(t_out, t + float(h_own.min()))
+        # a breakpoint within the floor of t counts as passed
+        t_next = min([t_next] + [b for b in self.breakpoints if t + h_floor < b <= t_next])
+        h = t_next - t
+        while True:
+            q_mid, q_end, rm, r1 = self._nodes(rows, s, q, t, h, v)
+            if self.piecewise_constant:
+                break
+            q_full = self._rk4(rows, q, t, h)
+            scale = np.abs(q_end).max(axis=1, initial=0.0) + 1e-300
+            bad = np.abs(q_end - q_full).max(axis=1, initial=0.0) / 15.0 / scale > self.rtol
+            if not bad.any():
+                break
             if h <= h_floor:
-                if abs(t_limit - t) <= h_floor:
-                    h = t_limit - t
-                else:
-                    raise TrajectoryFailure(
-                        f"ODE step size underflow at t = {t:g} s")
-            while True:
-                q_mid, q_end, err = self._advance(dyn, q, t, h)
-                if err <= self.rtol or h <= h_floor:
-                    break
-                h /= 2.0
-            if h <= h_floor and err > self.rtol:
-                raise TrajectoryFailure(
-                    f"ODE step size underflow at t = {t:g} s")
+                self._fail(np.nonzero(bad)[0], [f"RK4 error above rtol at h = {h:.3g} s, "
+                                                f"t = {t:.9g} s"] * int(bad.sum()))
+                return t
+            h /= 2.0
+            t_next = t + h
+            self.diag["rejected_steps"] += 1
+        self.diag["shared_steps"] += 1
+        self.diag["h_min"] = min(self.diag["h_min"], h)
+        delta = h / 6.0 * (r0 + 4.0 * rm + r1)
+        fire = (self.haz + delta >= self.thr).any(axis=1)
+        self.q = np.where(fire[:, None], q, q_end)
+        self.haz = np.where(fire[:, None], self.haz, self.haz + delta)
+        c = np.nonzero(fire)[0]
+        if c.size:
+            runaway = self._events(c, t, t_next, v, q[c], q_mid[c], q_end[c],
+                                   r0[c], rm[c], r1[c], delta[c])
+            if runaway.size:
+                self._fail(runaway, [f"more than {MAX_CASCADE} events within one "
+                                     f"step at t = {t:.9g} s"] * runaway.size)
+        return t_next
 
-            vs0 = self.source_vector(t)
-            vsm = self.source_vector(t + h / 2)
-            vs1 = self.source_vector(t + h)
-            vm0 = dyn.memristor_voltages(q, vs0)
-            vmm = dyn.memristor_voltages(q_mid, vsm)
-            vm1 = dyn.memristor_voltages(q_end, vs1)
+    def _events(self, c, t, t_next, v, q0, qm, qe, r0, rm, r1, delta):
+        """Fire the clocks of running trajectories c whose hazard crosses
+        its threshold within [t, t_next], then run the rest of the step in
+        the new configuration, until no clock fires before t_next.
+        Returns the rows still firing after MAX_CASCADE events."""
+        t0 = np.full(c.size, t)
+        span = np.full(c.size, t_next - t)
+        for depth in range(1, MAX_CASCADE + 1):
+            self.diag["max_cascade"] = max(self.diag["max_cascade"], depth)
+            lam, thr = self.haz[c], self.thr[c]
+            te = np.where(lam + delta >= thr,
+                          _invert_step_vec(t0[:, None], span[:, None], thr - lam,
+                                           r0, rm, r1), math.inf)
+            j = te.argmin(axis=1)
+            at = np.arange(c.size)
+            te = te[at, j]
+            ds = te - t0
+            self.haz[c] = lam + _linear_hazard(span[:, None], r0, rm, r1, ds[:, None])
+            rows = self.slot[c]
+            if self.piecewise_constant:
+                (q_e,) = self._flow(rows, q0, v, ds)
+                v_e = v
+            else:
+                q_e = _hermite(q0, qm, qe, (ds / span)[:, None])
+                v_e = self._v(te)
+            vm_e = self._vm(rows, q_e, v_e)[at, j]
+            # the rate that fired: boundary states only jump inward,
+            # interior states along the sign of vm
+            old = self.s[c, j]
+            up = (old == 0) | ((vm_e > 0.0) & (old < self.top[j]))
+            new = old + np.where(up, 1, -1)
+            self.log.append((te, self.ids[c], j, old, new))
+            self.s[c, j] = new
+            self.haz[c, j] = 0.0
+            self.thr[c, j] = self._draw(c, j)
+            self.slot[c] = rows = self._rows_of(self.s[c])
+            # the rest of the step, te -> t_next, in the new configuration
+            rem = t_next - te
+            s = self.s[c]
+            r0 = self._rates(s, self._vm(rows, q_e, v_e))
+            qm, qe, rm, r1 = self._nodes(rows, s, q_e, te, rem, v)
+            delta = rem[:, None] / 6.0 * (r0 + 4.0 * rm + r1)
+            again = (self.haz[c] + delta >= self.thr[c]).any(axis=1)
+            done = c[~again]
+            self.q[done] = qe[~again]
+            self.haz[done] += delta[~again]
+            if not again.any():
+                return c[:0]
+            c, t0, span, q0 = c[again], te[again], rem[again], q_e[again]
+            qm, qe, r0, rm, r1, delta = (x[again] for x in (qm, qe, r0, rm, r1, delta))
+        return c
 
-            rates0 = np.array([m.total_exit_rate(s, v) for m, s, v
-                               in zip(self.models, states, vm0)])
-            ratesm = np.array([m.total_exit_rate(s, v) for m, s, v
-                               in zip(self.models, states, vmm)])
-            rates1 = np.array([m.total_exit_rate(s, v) for m, s, v
-                               in zip(self.models, states, vm1)])
-            delta = h / 6.0 * (rates0 + 4.0 * ratesm + rates1)
-
-            crossed = np.nonzero(hazards + delta >= thresholds)[0]
-            if crossed.size:
-                # earliest firing memristor in this step
-                best = None
-                for j in crossed:
-                    te = self._invert_in_step(
-                        t, h, hazards[j], thresholds[j],
-                        rates0[j], ratesm[j], rates1[j])
-                    if best is None or te < best[0]:
-                        best = (te, int(j))
-                te, j = best
-                frac = (te - t) / h
-                q_event = _hermite(q, q_mid, q_end, frac)
-                # hazards of the other clocks accumulate up to te
-                part = _simpson_partial(h, rates0, ratesm, rates1, frac)
-                hazards += part
-                vs_e = self.source_vector(te)
-                vm_e = dyn.memristor_voltages(q_event, vs_e)
-                old = states[j]
-                direction = 1 if vm_e[j] > 0 else -1
-                new = old + direction
-                model = self.models[j]
-                if not 0 <= new < model.num_states:
-                    # the wrong-direction rate is zero, so a boundary
-                    # state can only fire toward the interior
-                    raise TrajectoryFailure(
-                        f"impossible transition {old} -> {new} at t = {te:g} s")
-                events.append((float(te), j, old, new))
-                states = states[:j] + (new,) + states[j + 1:]
-                hazards[j] = 0.0
-                thresholds[j] = rng.exponential()
-                q = q_event
-                t = float(te)
-                continue
-
-            hazards += delta
-            q = q_end
-            t = t + h
-            if next_out is not None and t >= next_out - h_floor:
-                sample_t.append(next_out)
-                sample_q.append(q.copy())
-                sample_s.append(states)
-                next_out = next(out_iter, None)
-
-        final = CircuitState(states, tuple(q), t_end)
-        return TrajectoryRecord(events, np.array(sample_t),
-                                np.array(sample_q).reshape(len(sample_t), -1),
-                                np.array(sample_s).reshape(len(sample_t), -1),
-                                final)
-
-    @staticmethod
-    def _invert_in_step(t, h, accumulated, threshold, r0, rm, r1):
-        """Event time within [t, t+h] where the hazard reaches the
-        threshold, using the piecewise-linear rate through the three
-        Simpson nodes."""
-        target = threshold - accumulated
-        half = h / 2.0
-        area1 = half * (r0 + rm) / 2.0
-        if target <= area1 or area1 >= target:
-            s = _invert_trapezoid(r0, rm, half, min(target, area1))
-            return t + s
-        s = _invert_trapezoid(rm, r1, half, target - area1)
-        return t + half + s
-
-
-def _invert_trapezoid(ra, rb, width, target):
-    """Solve int_0^s (ra + (rb-ra) u/width) du = target for s in
-    [0, width]."""
-    if target <= 0:
-        return 0.0
-    slope = (rb - ra) / width
-    if abs(slope) < 1e-300:
-        return min(target / max(ra, 1e-300), width)
-    disc = ra * ra + 2.0 * slope * target
-    if disc < 0:
-        return width
-    s = (-ra + math.sqrt(disc)) / slope
-    return min(max(s, 0.0), width)
+    def run(self, initial: CircuitState, t_end: float,
+            output_times: Sequence[float]) -> EnsembleStats:
+        n = self.n
+        outputs = sorted(set(float(x) for x in output_times) | {float(t_end)})
+        self._evolve(initial, float(t_end), outputs)
+        ok = ~np.isin(np.arange(n), [i for i, _ in self.failures])
+        n_ok = int(ok.sum())
+        if n_ok == 0:
+            raise TrajectoryFailure("all trajectories failed")
+        T = len(outputs)
+        states = self.sample_s[:, ok]
+        when = np.arange(T)[:, None]
+        occupancy = [np.bincount((when * g + states[:, :, m]).ravel(),
+                                 minlength=T * g).reshape(T, g) / n_ok
+                     for m, g in enumerate(self.gs)]
+        hists = []
+        if self.K and self.M:
+            # capacitor 0 given memristor 0, edges at the sample min and max
+            q, g0, bins = self.sample_q[:, ok, 0], self.gs[0], self.bins
+            lo, hi = float(q.min()), float(q.max())
+            hi = hi if hi > lo else lo + max(abs(lo), 1e-30)
+            b = np.minimum(((q - lo) / (hi - lo) * bins).astype(np.int64), bins - 1)
+            counts = np.bincount(((when * g0 + states[:, :, 0]) * bins + b).ravel(),
+                                 minlength=T * g0 * bins).reshape(T, g0, bins)
+            edges = np.linspace(lo, hi, bins + 1)
+            hists = [(counts[k].astype(float), edges) for k in range(T)]
+        te, who, _, old, new = (np.concatenate(x) for x in zip(*self.log))
+        counted = ok[who]
+        first_event = np.full(n, np.nan)
+        first, at = np.unique(who[counted], return_index=True)
+        first_event[first] = te[counted][at]
+        return EnsembleStats(
+            times=np.array(outputs),
+            occupancy=occupancy,
+            stderr=[np.sqrt(p * (1.0 - p) / n_ok) for p in occupancy],
+            histograms=hists,
+            n=n_ok,
+            n_failed=len(self.failures),
+            failures=sorted(self.failures),
+            events_up=int((counted & (new > old)).sum()),
+            events_down=int((counted & (new < old)).sum()),
+            first_event_times=first_event,
+            diagnostics=dict(self.diag),
+        )
 
 
 def _hermite(q0, q_mid, q1, frac):
-    """Quadratic interpolation of the charge path through the three
-    step nodes."""
-    # Lagrange basis on nodes 0, 1/2, 1
+    """Quadratic interpolation of the charge path through the three step
+    nodes (Lagrange basis on 0, 1/2, 1)."""
     l0 = 2.0 * (frac - 0.5) * (frac - 1.0)
     l1 = -4.0 * frac * (frac - 1.0)
     l2 = 2.0 * frac * (frac - 0.5)
     return q0 * l0 + q_mid * l1 + q1 * l2
 
 
-def _simpson_partial(h, r0, rm, r1, frac):
-    """Approximate per-memristor hazard over [t, t + frac h] from the
-    piecewise-linear rate through the Simpson nodes."""
-    half = h / 2.0
-    s = frac * h
-    if s <= half:
-        u = s / half
-        return half * (r0 * u + (rm - r0) * u * u / 2.0)
-    u = (s - half) / half
-    first = half * (r0 + rm) / 2.0
-    return first + half * (rm * u + (r1 - rm) * u * u / 2.0)
+def _linear_hazard(span, r0, rm, r1, ds):
+    """Hazard over [0, ds] of the piecewise-linear rate through r0, rm, r1
+    at 0, span/2 and span."""
+    half = np.maximum(span / 2.0, 1e-300)
+    a = np.minimum(ds, half)
+    b = np.maximum(ds - half, 0.0)
+    return (a * (r0 + (rm - r0) * a / (2.0 * half))
+            + b * (rm + (r1 - rm) * b / (2.0 * half)))
 
 
 def simulate_trajectory(netlist: Netlist, initial: CircuitState,
                         t_end: float, seed: int,
                         output_times: Optional[Sequence[float]] = None,
                         rtol: float = 1e-9) -> TrajectoryRecord:
-    """Sample one exact trajectory of the circuit's jump process.
+    """Sample one exact trajectory of the circuit's jump process: the
+    n = 1 case of the netlist engine, with `seed` as its master seed.
 
     Identical (inputs, seed) give bitwise-identical records.
     """
-    return _GenericEngine(netlist, rtol).simulate(initial, t_end, seed,
-                                                  output_times)
+    t0 = float(initial.time)
+    outputs = sorted(float(x) for x in (() if output_times is None else output_times))
+    outputs = [x for x in outputs if t0 <= x <= t_end]
+    if not outputs or outputs[-1] < t_end:
+        outputs.append(float(t_end))
+    eng = _NetlistEnsemble(netlist, 1, seed, rtol=rtol)
+    eng._evolve(initial, float(t_end), outputs)
+    if eng.failures:
+        raise TrajectoryFailure(eng.failures[0][1])
+    te, _, m, old, new = (np.concatenate(x) for x in zip(*eng.log))
+    q, s = eng.sample_q[:, 0], eng.sample_s[:, 0]
+    return TrajectoryRecord(
+        [(float(a), int(b), int(c), int(d)) for a, b, c, d in zip(te, m, old, new)],
+        np.array(outputs), q, s, CircuitState(tuple(s[-1]), tuple(q[-1]), t_end))
 
 
 # --------------------------------------------------------------------------
@@ -979,94 +1067,18 @@ def _invert_trapezoid_vec(ra, rb, width, target):
 
 def run_ensemble(netlist: Netlist, initial: CircuitState, t_end: float,
                  output_times: Sequence[float], n: int, master_seed: int,
-                 histogram_bins: int = 50,
-                 force_generic: bool = False) -> EnsembleStats:
+                 histogram_bins: int = 50) -> EnsembleStats:
     """Aggregate n independent trajectories into occupation-probability
     estimates with standard errors and conditional charge histograms.
 
-    Single-memristor single-capacitor circuits use a vectorized engine;
-    everything else loops over simulate_trajectory with per-trajectory
-    seeds derived from (master_seed, index).  Failed trajectories are
-    excluded and reported, never silently retried.
+    Single-memristor single-capacitor single-source circuits go to the
+    vector engine; every other netlist to the netlist engine, which runs
+    all n trajectories as arrays.  Thresholds come from counter-based
+    Philox streams keyed by master_seed, so results do not depend on
+    batching.  Failed trajectories are excluded and reported, never
+    silently retried.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if _is_single_device(netlist) and not force_generic:
-        eng = _VectorEnsemble(netlist, n, master_seed, histogram_bins)
-        return eng.run(initial, t_end, output_times)
-    return _generic_ensemble(netlist, initial, t_end, output_times, n,
-                             master_seed, histogram_bins)
-
-
-def _generic_ensemble(netlist, initial, t_end, output_times, n,
-                      master_seed, histogram_bins):
-    outputs = sorted(set(float(x) for x in output_times) | {float(t_end)})
-    engine = _GenericEngine(netlist)
-    models = [m.model for m in netlist.memristors]
-    gs = [m.num_states for m in models]
-    T = len(outputs)
-    counts = [np.zeros((T, g)) for g in gs]
-    first_event = np.full(n, np.nan)
-    events_up = 0
-    events_down = 0
-    failures = []
-    charge_samples = [[] for _ in range(T)]  # (state0, q0) pairs
-    n_ok = 0
-
-    for i in range(n):
-        seed = derive_seed(master_seed, i)
-        try:
-            rec = engine.simulate(initial, t_end, seed, outputs)
-        except TrajectoryFailure as exc:
-            failures.append((i, str(exc)))
-            continue
-        n_ok += 1
-        for ti, t_out in enumerate(outputs):
-            k = int(np.searchsorted(rec.sample_times, t_out))
-            k = min(k, len(rec.sample_times) - 1)
-            for m in range(len(models)):
-                counts[m][ti, rec.sample_states[k, m]] += 1
-            if netlist.capacitors:
-                charge_samples[ti].append((rec.sample_states[k, 0],
-                                           rec.sample_charges[k, 0]))
-        for (te, j, old, new) in rec.events:
-            if new > old:
-                events_up += 1
-            else:
-                events_down += 1
-        if rec.events:
-            first_event[i] = rec.events[0][0]
-
-    if n_ok == 0:
-        raise TrajectoryFailure("all trajectories failed")
-
-    occupancy = [c / n_ok for c in counts]
-    stderr = [np.sqrt(p * (1.0 - p) / n_ok) for p in occupancy]
-
-    hists = []
-    if netlist.capacitors:
-        allq = [qv for tlist in charge_samples for _, qv in tlist]
-        lo, hi = (min(allq), max(allq)) if allq else (0.0, 1.0)
-        if hi <= lo:
-            hi = lo + max(abs(lo), 1e-30)
-        edges = np.linspace(lo, hi, histogram_bins + 1)
-        for tlist in charge_samples:
-            hist = np.zeros((gs[0], histogram_bins))
-            for s0, qv in tlist:
-                b = min(int((qv - lo) / (hi - lo) * histogram_bins),
-                        histogram_bins - 1)
-                hist[s0, b] += 1
-            hists.append((hist, edges))
-
-    return EnsembleStats(
-        times=np.array(outputs),
-        occupancy=occupancy,
-        stderr=stderr,
-        histograms=hists,
-        n=n_ok,
-        n_failed=len(failures),
-        failures=failures,
-        events_up=events_up,
-        events_down=events_down,
-        first_event_times=first_event,
-    )
+    engine = _VectorEnsemble if _is_single_device(netlist) else _NetlistEnsemble
+    return engine(netlist, n, master_seed, histogram_bins).run(initial, t_end, output_times)

@@ -118,7 +118,10 @@ def test_simulate_netlist_input(tmp_path):
     # the netlist path replaces the series block for the mc engine
     out = tmp_path / "n.csv"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-    assert ResultTable.read_csv(out).meta["engine"] == "mc"
+    meta = ResultTable.read_csv(out).meta
+    assert meta["engine"] == "mc"
+    # the engine's diagnostics are copied into the header
+    assert meta["path"] == "exact" and int(meta["rounds"]) > 0
 
 
 def test_simulate_reads_exponent_floats_without_dot(tmp_path):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from memstoch.device import (MemristorModel, rate_down, rate_up,
-                             total_exit_rate)
+from memstoch.device import MemristorModel
 
 
 @pytest.fixture
@@ -105,9 +104,3 @@ def test_vectorized_matches_scalar(vm):
     for k, v in enumerate(arr):
         assert up[k] == pytest.approx(m.rate_up(0, float(v)), rel=1e-12, abs=0.0)
         assert down[k] == pytest.approx(m.rate_down(1, float(v)), rel=1e-12, abs=0.0)
-
-
-def test_module_level_wrappers(binary):
-    assert rate_up(binary, 0, 0.1) == binary.rate_up(0, 0.1)
-    assert rate_down(binary, 1, -0.1) == binary.rate_down(1, -0.1)
-    assert total_exit_rate(binary, 0, 0.1) == binary.total_exit_rate(0, 0.1)

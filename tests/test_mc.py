@@ -10,12 +10,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from memstoch import (ConstantDriveParams, MemristorModel, Waveform,
                       p0_constant_voltage, rc_charge, run_ensemble,
                       series_mc, simulate_trajectory)
 from memstoch import mc
-from memstoch.circuit import CircuitState, parse_netlist
+from memstoch.circuit import (Capacitor, CircuitState, Memristor, Netlist,
+                              VoltageSource, parse_netlist)
 
 
 @pytest.fixture
@@ -39,19 +42,41 @@ def frozen(params):
 
 # ------------------------------------------------------------ hazard math
 
+def hazard_accumulate(model, state, vm_of_t, t0, t1, threshold, rtol=1e-10):
+    """Reference inversion by adaptive quadrature and root finding: the
+    time at which the exit hazard of `state` along the voltage vm_of_t
+    reaches `threshold`, or None if [t0, t1] does not accumulate it."""
+    if t1 <= t0:
+        return None
+
+    def rate(t):
+        return model.total_exit_rate(state, vm_of_t(t))
+
+    total, _ = quad(rate, t0, t1, epsrel=rtol, epsabs=1e-300, limit=400)
+    if total < threshold:
+        return None
+
+    def objective(t):
+        part, _ = quad(rate, t0, t, epsrel=rtol, epsabs=1e-300, limit=400)
+        return part - threshold
+
+    xtol = max(1e-9 * (t1 - t0), 1e-18)
+    return float(brentq(objective, t0, t1, xtol=xtol, rtol=8.9e-16))
+
+
 def test_hazard_inversion_constant_rate(model):
     # constant voltage -> homogeneous Poisson clock: crossing time is
     # threshold / rate
     gamma = model.rate_up(0, 0.35)
     thr = 0.5
-    t = mc.hazard_accumulate(model, 0, lambda _t: 0.35, 2.0, 2.0 + 1.0, thr)
+    t = hazard_accumulate(model, 0, lambda _t: 0.35, 2.0, 2.0 + 1.0, thr)
     assert t == pytest.approx(2.0 + thr / gamma, rel=1e-9)
 
 
 def test_hazard_exhausted_returns_none(model):
-    assert mc.hazard_accumulate(model, 0, lambda t: -0.1, 0.0, 1.0, 0.5) is None
+    assert hazard_accumulate(model, 0, lambda t: -0.1, 0.0, 1.0, 0.5) is None
     # reverse-biased state 1 does fire
-    t = mc.hazard_accumulate(model, 1, lambda t: -0.35, 0.0, 1.0, 0.001)
+    t = hazard_accumulate(model, 1, lambda t: -0.35, 0.0, 1.0, 0.001)
     assert t is not None and 0.0 < t < 1.0
 
 
@@ -63,15 +88,8 @@ def test_hazard_inversion_time_varying(model):
     cum = np.concatenate([[0.0], np.cumsum((rates[1:] + rates[:-1]) / 2 * np.diff(ts))])
     thr = 0.7 * cum[-1]
     expected = float(np.interp(thr, cum, ts))
-    got = mc.hazard_accumulate(model, 0, vm, 0.0, 1.0, thr)
+    got = hazard_accumulate(model, 0, vm, 0.0, 1.0, thr)
     assert got == pytest.approx(expected, abs=2e-4)
-
-
-def test_derive_seed_is_stable_and_distinct():
-    a = mc.derive_seed(42, 0)
-    assert a == mc.derive_seed(42, 0)
-    assert len({mc.derive_seed(42, i) for i in range(100)}) == 100
-    assert mc.derive_seed(43, 0) != a
 
 
 # ------------------------------------------------------------ trajectories
@@ -136,9 +154,10 @@ def test_generic_engine_agrees_with_vectorized(netlist, params):
     times = np.linspace(0.0, 0.01, 5)
     fast = run_ensemble(netlist, netlist.initial_state(), 0.01, times,
                         1500, master_seed=5)
-    slow = run_ensemble(netlist, netlist.initial_state(), 0.01, times,
-                        1500, master_seed=5, force_generic=True)
-    # different RNG streams, same law: agree within combined 5 sigma
+    slow = mc._NetlistEnsemble(netlist, 1500, 5).run(netlist.initial_state(),
+                                                     0.01, times)
+    # the netlist engine on a single-device circuit: same law, agree
+    # within combined 5 sigma
     for k in range(len(times)):
         se = math.hypot(fast.stderr[0][k, 0], slow.stderr[0][k, 0])
         assert abs(fast.occupancy[0][k, 0] - slow.occupancy[0][k, 0]) <= \
@@ -228,6 +247,57 @@ C1 b 0 1u
     rec = simulate_trajectory(net, net.initial_state(), 0.05, 123,
                               np.linspace(0, 0.05, 11))
     assert rec.sample_charges[-1, 0] > 0.0
+
+
+def test_memristors_across_sources_switch_at_constant_rates():
+    # no capacitor: each device sees the source, so its clock has the
+    # constant rate e^{V/V_up}/tau_up and p0 = exp(-t e^{V/V_up}/tau_up)
+    net = parse_netlist("""
+V1 in 0 DC 0.3
+M1 in 0 STATES=2 R=100k,10k TAUUP=300k VUP=0.02 TAUDOWN=300k VDOWN=0.02
+M2 in 0 STATES=2 R=100k,10k TAUUP=300k VUP=0.02 TAUDOWN=300k VDOWN=0.02
+""")
+    times = np.linspace(0.0, 0.2, 6)
+    stats = run_ensemble(net, net.initial_state(), 0.2, times, 2000, master_seed=5)
+    ref = np.exp(-times * math.exp(0.3 / 0.02) / 3e5)
+    for occ, se in zip(stats.occupancy, stats.stderr):
+        assert np.all(np.abs(occ[:, 0] - ref) <= 5.0 * np.maximum(se[:, 0], 1e-3))
+    assert stats.n_failed == 0 and stats.events_down == 0
+    assert stats.diagnostics["path"] == "netlist"
+
+
+def test_netlist_engine_first_events_match_the_exact_path(netlist):
+    # both engines draw round 0 from Philox stream (seed, 0), so each first
+    # event is the same clock: Simpson hazards against closed-form ones
+    n, seed, t_end = 600, 7, 1.0
+    exact = run_ensemble(netlist, netlist.initial_state(), t_end, [t_end], n, seed)
+    stepped = mc._NetlistEnsemble(netlist, n, seed).run(netlist.initial_state(),
+                                                        t_end, [t_end])
+    fired = ~np.isnan(exact.first_event_times)
+    assert np.array_equal(fired, ~np.isnan(stepped.first_event_times)) and fired.any()
+    t_exact = exact.first_event_times[fired]
+    assert np.all(np.abs(stepped.first_event_times[fired] - t_exact) <= 1e-3 * t_exact)
+    assert stepped.diagnostics["configurations"] == 2
+
+
+def test_trajectories_fail_alone():
+    # before the 1 ms step to 2 V, M1 switches to 1 kOhm in about half
+    # the trajectories; in those the step puts some 1 V on M2, whose rate
+    # (~1e18 /s) asks for a step below the floor.  They fail; the others
+    # finish, and M2 switches within the step in which M1 does
+    m1 = MemristorModel.binary(1e6, 1e3, 1.95e-3, 1.0)
+    m2 = MemristorModel.binary(1e3, 1e3, 1e3, 0.02)
+    net = Netlist(sources=(VoltageSource("V1", "in", "0", Waveform.step(2.0, 1e-3, 0.3)),),
+                  resistors=(), capacitors=(Capacitor("C1", "b", "0", 1e-6),),
+                  memristors=(Memristor("M1", "in", "a", m1), Memristor("M2", "a", "b", m2)))
+    stats = run_ensemble(net, net.initial_state(), 2e-3, np.linspace(0.0, 2e-3, 5),
+                         400, master_seed=9)
+    assert stats.n_failed > 0 and stats.n > 0 and stats.n + stats.n_failed == 400
+    assert all("below the floor" in msg for _, msg in stats.failures)
+    assert np.all(np.isnan(stats.first_event_times[[i for i, _ in stats.failures]]))
+    for occ in stats.occupancy:
+        assert np.all(occ.sum(axis=1) == 1.0)
+    assert stats.occupancy[1][-1, 1] > 0.5
 
 
 def test_boundary_states_jump_inward_under_reverse_bias():
@@ -399,8 +469,7 @@ def test_sign_change_within_a_segment_agrees_with_generic_engine():
     net = parse_netlist(SIGN_CHANGE_TEXT)
     times = np.linspace(0.0, 0.005, 6)
     fast = run_ensemble(net, net.initial_state(), 0.005, times, 4000, master_seed=3)
-    slow = run_ensemble(net, net.initial_state(), 0.005, times, 400, master_seed=3,
-                        force_generic=True)
+    slow = mc._NetlistEnsemble(net, 400, 3).run(net.initial_state(), 0.005, times)
     assert fast.diagnostics["sign_splits"] > 0
     assert fast.events_up > 0 and fast.events_down > 0
     se = np.hypot(fast.stderr[0], slow.stderr[0])

@@ -10,7 +10,7 @@ from memstoch import (ChargeGrid, ConstantDriveParams, Density1D,
                       DistributionField, MemristorModel, SeriesCircuitParams,
                       Waveform, no_switch_density, p0_constant_voltage,
                       run_ensemble, series_mc)
-from memstoch import pde
+from memstoch import mc, pde
 
 
 @pytest.fixture
@@ -243,22 +243,35 @@ def test_admissible_dt_is_the_cfl_cap(states, wave, t):
     assert pde.admissible_dt(field, circ, model_g) == pde.CFL_LIMIT * g.dq / vmax
 
 
-def test_sine_three_state_agrees_with_vector_mc():
-    # reverse-bias drive with no closed form: the PDE and the vector MC
-    # engine must agree on every marginal within 4 binomial sigma
-    model3 = MemristorModel.uniform((1e5, 3e4, 1e4), 10.0, 0.05)
-    C = 1e-7
-    w = Waveform.sine(0.0, 0.4, 200.0)
-    t_end, n = 0.01, 100_000
-    times = np.linspace(0.0, t_end, 21)
-    g = ChargeGrid.for_drive(C, w, t_end, 1000)
+SINE_MODEL3 = MemristorModel.uniform((1e5, 3e4, 1e4), 10.0, 0.05)
+SINE_C, SINE_WAVE, SINE_T_END = 1e-7, Waveform.sine(0.0, 0.4, 200.0), 0.01
+
+
+@pytest.fixture(scope="module")
+def sine_three_state_pde():
+    g = ChargeGrid.for_drive(SINE_C, SINE_WAVE, SINE_T_END, 1000)
     start = time.perf_counter()
-    res = pde.run(DistributionField.from_delta(g, 3, 0, 0.0), t_end, times,
-                  SeriesCircuitParams(C, w), model3)
-    elapsed = time.perf_counter() - start
-    net = series_mc(model3, C, w)
-    stats = run_ensemble(net, net.initial_state(), t_end, times, n,
-                         master_seed=4242)
+    res = pde.run(DistributionField.from_delta(g, 3, 0, 0.0), SINE_T_END,
+                  np.linspace(0.0, SINE_T_END, 21),
+                  SeriesCircuitParams(SINE_C, SINE_WAVE), SINE_MODEL3)
+    return res, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("engine, n", [("vector", 100_000), ("netlist", 20_000)],
+                         ids=["vector", "netlist"])
+def test_sine_three_state_agrees_with_mc(sine_three_state_pde, engine, n):
+    # reverse-bias drive with no closed form: the PDE and each MC engine
+    # must agree on every marginal within 4 binomial sigma
+    res, elapsed = sine_three_state_pde
+    times = np.linspace(0.0, SINE_T_END, 21)
+    net = series_mc(SINE_MODEL3, SINE_C, SINE_WAVE)
+    if engine == "vector":
+        stats = run_ensemble(net, net.initial_state(), SINE_T_END, times, n,
+                             master_seed=4242)
+    else:
+        stats = mc._NetlistEnsemble(net, n, 4242).run(net.initial_state(),
+                                                      SINE_T_END, times)
+    assert stats.diagnostics["path"] == ("stepped" if engine == "vector" else "netlist")
     p = res.marginals
     sigma = np.sqrt(np.maximum(p * (1.0 - p), 1.0 / n) / n)
     assert np.all(np.abs(stats.occupancy[0] - p) <= 4.0 * sigma)

@@ -188,7 +188,9 @@ def _run_pde(cfg: dict) -> ResultTable:
     result = pde.run(initial, t_end, times, circ, model)
     cols = ["time"] + [f"p{i}" for i in range(model.num_states)]
     rows = np.column_stack([result.times, result.marginals])
-    meta = {"engine": "pde", "n_cells": n_cells, "prob_sum_tol": "1e-8",
+    # what the solver did (its steps and dt range) rides along
+    meta = {**result.diagnostics,
+            "engine": "pde", "n_cells": n_cells, "prob_sum_tol": "1e-8",
             "mass_error": f"{result.max_mass_error:.3e}",
             "config": _config_hash(cfg), "version": __version__}
     return ResultTable(meta, cols, rows)

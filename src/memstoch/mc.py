@@ -12,7 +12,8 @@ Both engines run all trajectories as arrays.  `_VectorEnsemble` takes
 circuits with one memristor, one capacitor and one source: under
 constant and step drives it inverts the closed-form hazard of each RC
 segment, so its jump times are exact to round-off; under sine and PWL
-drives it steps on a shared grid with Simpson-integrated hazards.
+drives it steps on a shared grid with Simpson-integrated hazards, one
+affine charge map per state and step, and end-of-step rates carried over.
 `_NetlistEnsemble` takes every other netlist and steps on a shared grid,
 with charges exact under piecewise-constant sources (RK4 otherwise) and
 Simpson-integrated hazards.  A step below the floor fails, never jumps.
@@ -504,7 +505,8 @@ class _VectorEnsemble:
 
     Constant and step drives take exact event-to-event rounds (`_run_exact`);
     sine and PWL drives advance on a shared adaptive time grid
-    (`_run_stepped`)."""
+    (`_run_stepped`), where a trajectory with more than MAX_CASCADE events
+    in one step fails alone."""
 
     def __init__(self, netlist: Netlist, n: int, master_seed: int,
                  histogram_bins: int):
@@ -593,20 +595,14 @@ class _VectorEnsemble:
         pad = 0.05 * max(hi - lo, abs(hi), 1e-30)
         edges = np.linspace(lo - pad, hi + pad, self.bins + 1)
 
-        times, occ, se, hists = [], [], [], []
+        times, codes = [], []
+        # per output: state and histogram bin, tallied once failures are known
+        width = self.bins + 1
+        dtype = np.min_scalar_type(g * width)
 
         def record(t_now, q):
-            counts = np.bincount(state, minlength=g).astype(float)
-            p = counts / n
             times.append(t_now)
-            occ.append(p)
-            se.append(np.sqrt(p * (1.0 - p) / n))
-            hist = np.zeros((g, self.bins))
-            for i in range(g):
-                sel = state == i
-                if sel.any():
-                    hist[i], _ = np.histogram(q[sel], bins=edges)
-            hists.append(hist)
+            codes.append(_hist_codes(state, q, edges).astype(dtype))
 
         if outputs[0] == t:
             record(t, np.full(n, q_init))
@@ -614,22 +610,23 @@ class _VectorEnsemble:
 
         run_path = (self._run_exact if self.wave.kind in ("constant", "step")
                     else self._run_stepped)
-        events_up, events_down, diagnostics = run_path(
+        events_up, events_down, failures, diagnostics = run_path(
             state, q_init, t, float(t_end), outputs, record, first_event)
 
-        occ_arr = np.vstack(occ)
-        se_arr = np.vstack(se)
+        ok = np.ones(n, dtype=bool)
+        ok[[i for i, _ in failures]] = False
+        n_ok = int(ok.sum())
+        first_event[~ok] = np.nan
+        counts = np.array([np.bincount(c[ok], minlength=g * width)
+                           for c in codes]).reshape(-1, g, width)
+        occ = counts.sum(axis=2) / n_ok
         return EnsembleStats(
-            times=np.array(times),
-            occupancy=[occ_arr],
-            stderr=[se_arr],
-            histograms=[(h, edges) for h in hists],
-            n=n,
-            events_up=events_up,
-            events_down=events_down,
-            first_event_times=first_event,
-            diagnostics=diagnostics,
-        )
+            times=np.array(times), occupancy=[occ],
+            stderr=[np.sqrt(occ * (1.0 - occ) / n_ok)],
+            histograms=[(c[:, :-1].astype(float), edges) for c in counts],
+            n=n_ok, n_failed=len(failures), failures=sorted(failures),
+            events_up=events_up, events_down=events_down,
+            first_event_times=first_event, diagnostics=diagnostics)
 
     # -- exact event-to-event rounds (constant and step drives) ---------
     def _run_exact(self, state, q_init, t, t_end, outputs, record, first_event):
@@ -673,7 +670,7 @@ class _VectorEnsemble:
                 self._next_stops(due, state, t0, q0, remaining, t_end, stop)
                 self._diag["rounds"] += 1
             record(t_out, stop.q_at(everyone, (t_out - t0) / self.tau[state]))
-        return events_up, events_down, self._diag
+        return events_up, events_down, [], self._diag
 
     def _next_stops(self, idx, state, t0, q0, remaining, t_end, stop):
         """Fill `stop` for trajectories idx, whose segments start at
@@ -842,10 +839,17 @@ class _VectorEnsemble:
         q_end = rk4(q_mid, t + h / 2, h / 2)
         return q_mid, q_end
 
-    def _step_size(self, state, q, t, t_limit, h_floor):
-        v = self.wave(t)
-        vm = self._vm(state, q, v)
-        up, dn = self._rates(state, vm)
+    def _advance_shared(self, state, q, t, h):
+        """`_advance` with one h for all: its RK4 half steps are affine in
+        q, q -> c_s + phi_s q per state s, so one call on every state at
+        q = 0 and q = 1 gives both maps."""
+        g = self.model.num_states
+        basis = np.tile(np.arange(g), 2), np.repeat([0.0, 1.0], g)
+        return tuple(c[state] + (one - c)[state] * q
+                     for c, one in (x.reshape(2, g) for x in self._advance(*basis, t, h)))
+
+    def _step_size(self, state, q, t, t_limit, h_floor, v, up, dn):
+        """Shared step from t, given the source voltage and rates at t."""
         total = up + dn
         h = t_limit - t
         rmax = float(total.max())
@@ -873,28 +877,39 @@ class _VectorEnsemble:
         return max(h, 0.0)
 
     def _run_stepped(self, state, q_init, t, t_end, outputs, record, first_event):
+        """Running trajectories are the rows of s, q, lam and thr (`ids` maps
+        rows to trajectories).  A step's end rates are the next step's start
+        rates of the rows that did not fire."""
         n = self.n
+        ids = np.arange(n)
+        s = state.copy()
         q = np.full(n, q_init)
+        q_out = q.copy()
         lam = np.zeros(n)
         thr = self._thresholds(0).copy()
         draw = np.ones(n, dtype=np.int64)
-        events_up = 0
-        events_down = 0
+        events_up = events_down = 0
+        failures = []
         self._diag = dict(path="stepped", shared_steps=0, max_cascade=0)
         h_floor = 1e-15 * max(t_end, 1.0)
+        t_rates, stale = None, ids[:0]
         for t_out in outputs:
             while t < t_out - h_floor:
-                h = self._step_size(state, q, t, t_out, h_floor)
+                v0 = self.wave(t)
+                if t != t_rates:
+                    r0u, r0d = self._rates(s, self._vm(s, q, v0))
+                elif stale.size:
+                    r0u[stale], r0d[stale] = self._rates(
+                        s[stale], self._vm(s[stale], q[stale], v0))
+                h = self._step_size(s, q, t, t_out, h_floor, v0, r0u, r0d)
                 if h <= h_floor:
                     raise TrajectoryFailure(
                         f"step size control needs h = {h:.3g} s at t = {t:.9g} s, "
                         f"below the floor {h_floor:.3g} s")
                 self._diag["shared_steps"] += 1
-                q_mid, q_end = self._advance(state, q, t, h)
-                v0, vm_, v1 = self.wave(t), self.wave(t + h / 2), self.wave(t + h)
-                r0u, r0d = self._rates(state, self._vm(state, q, v0))
-                rmu, rmd = self._rates(state, self._vm(state, q_mid, vm_))
-                r1u, r1d = self._rates(state, self._vm(state, q_end, v1))
+                q_mid, q_end = self._advance_shared(s, q, t, h)
+                rmu, rmd = self._rates(s, self._vm(s, q_mid, self.wave(t + h / 2)))
+                r1u, r1d = self._rates(s, self._vm(s, q_end, self.wave(t + h)))
                 r0 = r0u + r0d
                 rm = rmu + rmd
                 r1 = r1u + r1d
@@ -905,41 +920,44 @@ class _VectorEnsemble:
                 keep = ~crossed
                 q = np.where(keep, q_end, q)
                 lam = np.where(keep, lam + delta, lam)
+                r0u, r0d, t_rates, stale = r1u, r1d, t + h, idx
                 if idx.size:
-                    evu, evd = self._handle_events(
-                        idx, q, state, lam, thr, draw, first_event,
+                    evu, evd, runaway = self._handle_events(
+                        idx, ids, q, s, lam, thr, draw, first_event,
                         t, h, q_mid, q_end, r0, rm, r1)
                     events_up += evu
                     events_down += evd
+                    if runaway.size:
+                        failures += [(int(i), f"more than {MAX_CASCADE} events within "
+                                      f"one step at t = {t:.9g} s") for i in ids[runaway]]
+                        live = ~np.isin(np.arange(ids.size), runaway)
+                        ids, s, q, lam, thr = (x[live] for x in (ids, s, q, lam, thr))
+                        t_rates = None
+                        if not ids.size:
+                            raise TrajectoryFailure(f"all trajectories failed: {failures[-1][1]}")
                 t += h
             t = t_out
-            record(t, q)
-        return events_up, events_down, self._diag
+            state[ids] = s
+            q_out[ids] = q
+            record(t, q_out)
+        return events_up, events_down, failures, self._diag
 
-    def _handle_events(self, idx, q, state, lam, thr, draw, first_event,
+    def _handle_events(self, idx, ids, q, state, lam, thr, draw, first_event,
                        t, h, q_mid, q_end, r0, rm, r1):
-        """Process the trajectories whose hazard crossed within the step;
+        """Process the rows idx whose hazard crossed within the step;
         repeats on the remaining sub-interval after each flip until no
-        clock fires before t + h."""
-        events_up = 0
-        events_down = 0
-        # per-active-subset views of the current sub-interval
+        clock fires before t + h.  Returns the event counts and the rows
+        still firing after MAX_CASCADE events."""
+        events_up = events_down = 0
+        # per-active-subset copies of the current sub-interval
         active = idx
         t0 = np.full(active.size, float(t))
         h_sub = np.full(active.size, float(h))
-        qa0 = q[active].copy()
-        qam = q_mid[active].copy()
-        qae = q_end[active].copy()
-        ra0 = r0[active].copy()
-        ram = rm[active].copy()
-        ra1 = r1[active].copy()
-        guard = 0
-        while active.size:
-            guard += 1
-            if guard > 64:
-                raise TrajectoryFailure(
-                    f"runaway switching cascade within one step at t = {t:g} s")
-            self._diag["max_cascade"] = max(self._diag["max_cascade"], guard)
+        qa0, qam, qae, ra0, ram, ra1 = (x[active] for x in (q, q_mid, q_end, r0, rm, r1))
+        for depth in range(1, MAX_CASCADE + 1):
+            if not active.size:
+                break
+            self._diag["max_cascade"] = max(self._diag["max_cascade"], depth)
             target = thr[active] - lam[active]
             te = _invert_step_vec(t0, h_sub, target, ra0, ram, ra1)
             frac = (te - t0) / h_sub
@@ -954,12 +972,13 @@ class _VectorEnsemble:
             new_state = s_a + np.where(up, 1, -1)
             events_up += int(up.sum())
             events_down += int((~up).sum())
-            fe = first_event[active]
-            first_event[active] = np.where(np.isnan(fe), te, fe)
+            who = ids[active]
+            fe = first_event[who]
+            first_event[who] = np.where(np.isnan(fe), te, fe)
             state[active] = new_state
             q[active] = q_e
             lam[active] = 0.0
-            thr[active] = self._draw(active, draw)
+            thr[active] = self._draw(who, draw)
             # integrate the remainder (te -> t + h) in the new state
             rem = (t + h) - te
             qm2, qe2 = self._advance(state[active], q_e, te, rem)
@@ -978,16 +997,22 @@ class _VectorEnsemble:
             lam[active[done]] = ddelta[done]
             # trajectories firing again loop with the sub-interval as
             # their new step
-            active = active[fire_again]
-            t0 = te[fire_again]
-            h_sub = rem[fire_again]
-            qa0 = q_e[fire_again]
-            qam = qm2[fire_again]
-            qae = qe2[fire_again]
-            ra0 = rr0[fire_again]
-            ram = rrm[fire_again]
-            ra1 = rr1[fire_again]
-        return events_up, events_down
+            active, t0, h_sub, qa0, qam, qae, ra0, ram, ra1 = (
+                x[fire_again] for x in (active, te, rem, q_e, qm2, qe2, rr0, rrm, rr1))
+        return events_up, events_down, active
+
+
+def _hist_codes(state, q, edges):
+    """state * (bins + 1) + np.histogram's bin of each charge over the uniform
+    `edges` (the last bin closed; `bins` outside them): as in np.histogram,
+    the arithmetic bin moves by at most one to agree with the edges."""
+    bins = edges.size - 1
+    inside = (q >= edges[0]) & (q <= edges[-1])
+    b = np.where(inside, (q - edges[0]) * (bins / (edges[-1] - edges[0])), 0.0)
+    b = np.minimum(b.astype(np.intp), bins - 1)
+    b -= q < edges[b]
+    b += (q >= edges[b + 1]) & (b < bins - 1)
+    return state * (bins + 1) + np.where(inside, b, bins)
 
 
 def _exp_step(x, rate, gap):

@@ -11,6 +11,10 @@ the single exact 2x2 update.  Every exchange conserves mass and keeps
 cells non-negative for any dt, so dt is limited by the CFL condition
 only.  Grid bounds are chosen so the drift points inward at both edges,
 making zero-flux boundaries exact and conserving mass to round-off.
+
+`run` computes faces, centres and resistances once and advects all states
+in one array operation; under a constant drive it also computes the face
+velocities and pair rates once, and the reaction weights once per dt.
 """
 
 from __future__ import annotations
@@ -166,13 +170,6 @@ class SeriesCircuitParams:
             raise ValueError("C must be positive")
 
 
-def drift_velocity(i: int, q, t: float, params: SeriesCircuitParams,
-                   model: MemristorModel):
-    """Advection velocity of state i at charge q: (V(t) - q/C)/R_i."""
-    r = model.resistance(i)
-    return (params.waveform(t) - np.asarray(q) / params.C) / r
-
-
 def admissible_dt(field: DistributionField, params: SeriesCircuitParams,
                   model: MemristorModel) -> float:
     """Largest dt satisfying the CFL cap at the field's current time.
@@ -187,16 +184,50 @@ def admissible_dt(field: DistributionField, params: SeriesCircuitParams,
     return CFL_LIMIT * grid.dq / vmax if vmax > 0 else math.inf
 
 
+class _RunTables:
+    """What `step` needs that one `run` does not change (see the module
+    docstring)."""
+
+    def __init__(self, grid: ChargeGrid, params: SeriesCircuitParams, model: MemristorModel):
+        self.params, self.model = params, model
+        self.inner, self.centers = grid.faces()[1:-1], grid.centers()
+        self.r = np.array(model.resistances)[:, None]
+        self.fixed = params.waveform.kind == "constant"
+        self.rates = self.velocity = self.pairs = self.dt = None
+
+    def at(self, t: float, dt: float):
+        """Face velocities (G, n-1) and reaction pairs (k, a, b, w) at t."""
+        if self.rates is None or not self.fixed:
+            v, C = self.params.waveform(t), self.params.C
+            self.velocity = (v - self.inner / C) / self.r
+            vm = v - self.centers / C
+            self.rates = [(self.model.rate_up_array(k, vm),        # k -> k+1
+                           self.model.rate_down_array(k + 1, vm))  # k+1 -> k
+                          for k in range(self.model.num_states - 1)]
+            self.dt = None
+        if dt != self.dt:
+            self.dt, last = dt, len(self.rates) - 1
+            self.pairs = []
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for k, (a, b) in enumerate(self.rates):
+                    s = a + b
+                    h = dt if k == last else dt / 2
+                    # (1 - exp(-s h)) / s, with its limit h where s = 0
+                    w = np.where(s > 0, -np.expm1(-s * h) / np.where(s > 0, s, 1.0), h)
+                    self.pairs.append((k, a, b, w))
+        return self.velocity, self.pairs
+
+
 def step(field: DistributionField, dt: float, params: SeriesCircuitParams,
-         model: MemristorModel) -> DistributionField:
-    """One Lie-split step: conservative upwind advection per state, then
-    the reaction substep coupling adjacent states.
+         model: MemristorModel, *, _tables: _RunTables = None) -> DistributionField:
+    """One Lie-split step: conservative upwind advection of every state,
+    then the reaction substep coupling adjacent states.
 
     The reaction sweeps exact pair exchanges symmetrically: pairs
     (0, 1) ... (G-3, G-2) over dt/2, the last pair over dt, then back
     down over dt/2.  Refuses dt beyond the CFL cap (0.9), carrying the
     admissible dt.  Mass is conserved to round-off and no cell goes
-    negative.
+    negative.  `run` passes its per-run tables as `_tables`.
     """
     if model.num_states != field.num_states:
         raise ValueError("model/field state-count mismatch")
@@ -210,35 +241,19 @@ def step(field: DistributionField, dt: float, params: SeriesCircuitParams,
 
     grid = field.grid
     t = field.time
-    faces = grid.faces()
+    tables = _tables or _RunTables(grid, params, model)
+    v, pairs = tables.at(t, dt)
     p = field.p.copy()
 
     # ---- advection: upwind fluxes at interior faces, zero at boundaries
-    for i in range(field.num_states):
-        v = drift_velocity(i, faces[1:-1], t, params, model)
-        left = p[i, :-1]
-        right = p[i, 1:]
-        flux = np.where(v > 0, v * left, v * right)
-        div = np.zeros(grid.n_cells)
-        div[:-1] += flux
-        div[1:] -= flux
-        p[i] -= dt / grid.dq * div
+    flux = v * np.where(v > 0, p[:, :-1], p[:, 1:])
+    div = np.zeros_like(p)
+    div[:, :-1] += flux
+    div[:, 1:] -= flux
+    p -= dt / grid.dq * div
 
-    # ---- reaction at cell centers: symmetric sweep of pair exchanges
-    qc = grid.centers()
-    vm = params.waveform(t) - qc / params.C
-    last = field.num_states - 2
-    pairs = []
-    for k in range(last + 1):
-        a = model.rate_up_array(k, vm)        # k -> k+1
-        b = model.rate_down_array(k + 1, vm)  # k+1 -> k
-        s = a + b
-        h = dt if k == last else dt / 2
-        # (1 - exp(-s h)) / s, with its limit h where s = 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(s > 0, -np.expm1(-s * h) / np.where(s > 0, s, 1.0), h)
-        pairs.append((k, a, b, w))
-    # up the ladder, then back down without repeating the last pair
+    # ---- reaction at cell centers: up the ladder of pair exchanges, then
+    # back down without repeating the last pair
     for k, a, b, w in pairs + pairs[-2::-1]:
         transfer = (a * p[k] - b * p[k + 1]) * w
         p[k] -= transfer
@@ -264,6 +279,8 @@ class PdeResult:
     fields: list                 # DistributionField at each output time
     min_cell_value: float
     max_mass_error: float
+    # what the run did: steps taken and the smallest and largest dt
+    diagnostics: dict
 
 
 def run(initial: DistributionField, t_end: float,
@@ -279,8 +296,10 @@ def run(initial: DistributionField, t_end: float,
     outputs = sorted(set(float(t) for t in output_times) | {float(t_end)})
     if outputs[0] < initial.time:
         raise ValueError("output time before the initial time")
+    tables = _RunTables(initial.grid, params, model)
     field = DistributionField(initial.grid, initial.p.copy(), initial.time)
     mass0 = field.mass()
+    dts = []
 
     times, marg, mean, var, fields = [], [], [], [], []
     min_cell = float(field.p.min())
@@ -301,7 +320,8 @@ def run(initial: DistributionField, t_end: float,
     for t_out in outputs:
         while field.time < t_out - 1e-15 * max(t_out, 1.0):
             dt = min(admissible_dt(field, params, model), t_out - field.time)
-            field = step(field, dt, params, model)
+            field = step(field, dt, params, model, _tables=tables)
+            dts.append(dt)
             min_cell = min(min_cell, float(field.p.min()))
             err = abs(field.mass() - mass0)
             max_mass_err = max(max_mass_err, err)
@@ -313,4 +333,6 @@ def run(initial: DistributionField, t_end: float,
         record(field)
 
     return PdeResult(np.array(times), np.vstack(marg), np.vstack(mean),
-                     np.vstack(var), fields, min_cell, max_mass_err)
+                     np.vstack(var), fields, min_cell, max_mass_err,
+                     dict(steps=len(dts), dt_min=min(dts, default=math.nan),
+                          dt_max=max(dts, default=math.nan)))

@@ -95,6 +95,10 @@ def test_simulate_pde_engine(tmp_path):
     probs = table.column("p0") + table.column("p1")
     assert np.allclose(probs, 1.0, atol=1e-8)
     assert float(table.meta["mass_error"]) < 1e-8
+    # the solver's diagnostics ride along in the header
+    steps = int(table.meta["steps"])
+    assert steps > 0
+    assert 0.0 < float(table.meta["dt_min"]) <= float(table.meta["dt_max"]) <= 0.01 / 5
 
 
 def test_simulate_compare_engine(tmp_path):
@@ -108,6 +112,9 @@ def test_simulate_compare_engine(tmp_path):
     assert float(table.meta["max_dev_mc_over_stderr"]) < 6.0
     assert set(table.columns) == {"time", "p0_analytic", "p0_pde", "p0_mc",
                                   "p0_mc_stderr"}
+    # the compare header keeps its own keys only
+    assert set(table.meta) == {"engine", "max_abs_dev_pde", "max_dev_mc_over_stderr",
+                               "prob_sum_tol", "config", "version"}
 
 
 def test_simulate_netlist_input(tmp_path):

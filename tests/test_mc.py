@@ -501,3 +501,120 @@ def test_stepped_path_raises_instead_of_jumping(model, params):
     stats = run_ensemble(fine, fine.initial_state(), 0.002, [0.002], 100, master_seed=1)
     assert stats.diagnostics["path"] == "stepped"
     assert stats.diagnostics["shared_steps"] > 0
+
+
+# ------------------------------------------ stepped path: shared-step work
+
+SINE3 = MemristorModel.uniform((1e5, 3e4, 1e4), 10.0, 0.05)
+
+
+def _sine3_net():
+    return series_mc(SINE3, 1e-7, Waveform.sine(0.0, 0.4, 200.0))
+
+
+def test_shared_step_map_matches_per_trajectory_advance():
+    # the affine map of one shared step must reproduce the per-trajectory
+    # RK4 half steps to 1e-12 of the charge scale C max|v|
+    eng = mc._VectorEnsemble(_sine3_net(), 10, 1, 10)
+    rng = np.random.default_rng(11)
+    scale = 1e-7 * 0.4
+    state = rng.integers(0, 3, 500)
+    q = rng.uniform(-scale, scale, 500)
+    for t, h in [(0.0, 1e-5), (1.3e-3, 4e-5), (3.9e-3, 2e-6), (4.4e-3, 1e-4)]:
+        for shared, own in zip(eng._advance_shared(state, q, t, h),
+                               eng._advance(state, q, t, h)):
+            assert np.abs(shared - own).max() <= 1e-12 * scale
+
+
+def test_carried_rates_equal_fresh_start_rates(monkeypatch):
+    # every step's start rates, carried from the last step's end or
+    # recomputed for the rows that fired, equal a fresh evaluation
+    step_size = mc._VectorEnsemble._step_size
+    checked = []
+
+    def spy(self, state, q, t, t_limit, h_floor, v, up, dn):
+        fresh = self._rates(state, self._vm(state, q, self.wave(t)))
+        assert np.array_equal(up, fresh[0]) and np.array_equal(dn, fresh[1])
+        checked.append(t)
+        return step_size(self, state, q, t, t_limit, h_floor, v, up, dn)
+
+    monkeypatch.setattr(mc._VectorEnsemble, "_step_size", spy)
+    net = _sine3_net()
+    stats = run_ensemble(net, net.initial_state(), 0.005, np.linspace(0.0, 0.005, 11),
+                         2000, master_seed=100)
+    assert len(checked) == stats.diagnostics["shared_steps"] > 0
+    assert stats.events_up > 0 and stats.events_down > 0
+
+
+def test_vector_runaway_cascade_fails_alone(monkeypatch, model, params):
+    # this ensemble reaches a cascade depth of 2; with the limit at 1 the
+    # trajectories that go deeper fail, and the others finish
+    net = _sine3_net()
+    times = np.linspace(0.0, 0.005, 21)
+    full = run_ensemble(net, net.initial_state(), 0.005, times, 2000, master_seed=100)
+    assert full.diagnostics["max_cascade"] == 2 and full.n_failed == 0
+    monkeypatch.setattr(mc, "MAX_CASCADE", 1)
+    stats = run_ensemble(net, net.initial_state(), 0.005, times, 2000, master_seed=100)
+    assert 0 < stats.n_failed < 2000 and stats.n + stats.n_failed == 2000
+    assert all("more than 1 events within one step" in msg for _, msg in stats.failures)
+    failed = [i for i, _ in stats.failures]
+    assert np.all(np.isnan(stats.first_event_times[failed]))
+    assert np.allclose(stats.occupancy[0].sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.array_equal(stats.stderr[0], np.sqrt(stats.occupancy[0]
+                                                   * (1.0 - stats.occupancy[0]) / stats.n))
+    assert all(h.sum() == stats.n for h, _ in stats.histograms)
+    # every trajectory of this one switches, so with no event allowed in a
+    # step all of them fail
+    monkeypatch.setattr(mc, "MAX_CASCADE", 0)
+    net = series_mc(model, params.C, Waveform.sine(0.35, 0.05, 50.0))
+    with pytest.raises(mc.TrajectoryFailure, match="all trajectories failed"):
+        run_ensemble(net, net.initial_state(), 0.05, [0.05], 50, master_seed=1)
+
+
+def _histograms_by_loop(state, q, edges, g):
+    """Reference: one np.histogram per state."""
+    hist = np.zeros((g, edges.size - 1))
+    for i in range(g):
+        sel = state == i
+        if sel.any():
+            hist[i], _ = np.histogram(q[sel], bins=edges)
+    return hist
+
+
+def test_histogram_codes_match_np_histogram():
+    # charges on the edges, one ulp either side of them, inside and
+    # outside them
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        bins = int(rng.integers(1, 60))
+        edges = np.linspace(*np.sort(rng.normal(size=2)), bins + 1)
+        near = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                               np.nextafter(edges, np.inf)])
+        q = np.concatenate([rng.choice(near, 30),
+                            rng.uniform(edges[0] - 0.5, edges[-1] + 0.5, 30)])
+        state = rng.integers(0, 3, q.size)
+        counts = np.bincount(mc._hist_codes(state, q, edges),
+                             minlength=3 * (bins + 1)).reshape(3, bins + 1)
+        assert np.array_equal(counts[:, :-1], _histograms_by_loop(state, q, edges, 3))
+
+
+@pytest.mark.parametrize("wave, C, t_end", [
+    (Waveform.sine(0.0, 0.4, 200.0), 1e-7, 0.005),
+    (Waveform.constant(0.35), 1e-6, 0.01),
+], ids=["sine", "constant"])
+def test_ensemble_histograms_match_the_per_state_loop(monkeypatch, wave, C, t_end):
+    seen = []
+    codes = mc._hist_codes
+
+    def spy(state, q, edges):
+        seen.append(_histograms_by_loop(state, q, edges, 3))
+        return codes(state, q, edges)
+
+    monkeypatch.setattr(mc, "_hist_codes", spy)
+    net = series_mc(SINE3, C, wave)
+    stats = run_ensemble(net, net.initial_state(), t_end, np.linspace(0.0, t_end, 6),
+                         2000, master_seed=5, histogram_bins=30)
+    assert stats.diagnostics["path"] == ("stepped" if wave.kind == "sine" else "exact")
+    assert len(seen) == len(stats.histograms) == 6
+    for ref, (h, _) in zip(seen, stats.histograms):
+        assert np.array_equal(h, ref)

@@ -23,6 +23,11 @@ def model(params):
     return MemristorModel.binary(params.R0, params.R1, params.tau0, params.V0)
 
 
+def drift_velocity(i, q, t, params, model):
+    """Advection velocity of state i at charge q: (V(t) - q/C)/R_i."""
+    return (params.waveform(t) - np.asarray(q) / params.C) / model.resistance(i)
+
+
 def rates_off(params):
     # astronomically slow switching: pure transport
     return MemristorModel.binary(params.R0, params.R0, 1e300, params.V0)
@@ -238,7 +243,7 @@ def test_admissible_dt_is_the_cfl_cap(states, wave, t):
     field = DistributionField.from_delta(g, states, 0, 0.0, time=t)
     circ = SeriesCircuitParams(C, wave)
     faces = g.faces()
-    vmax = max(float(np.abs(pde.drift_velocity(i, faces, t, circ, model_g)).max())
+    vmax = max(float(np.abs(drift_velocity(i, faces, t, circ, model_g)).max())
                for i in range(states))
     assert pde.admissible_dt(field, circ, model_g) == pde.CFL_LIMIT * g.dq / vmax
 
@@ -303,3 +308,80 @@ def test_narrowing_toward_driven_charge(params):
     # numerical diffusion only ever widens the packet, so the measured
     # ratio brackets the exact contraction factor from above
     assert math.exp(-2.0) <= v1 / v0 < 1.3 * math.exp(-2.0)
+
+
+# ------------------------------------------- per-run tables: same fields
+
+def _reference_step(field, dt, params, model):
+    """The step as written per state, with nothing computed once per run."""
+    grid = field.grid
+    t = field.time
+    faces = grid.faces()
+    p = field.p.copy()
+    for i in range(field.num_states):
+        v = drift_velocity(i, faces[1:-1], t, params, model)
+        flux = np.where(v > 0, v * p[i, :-1], v * p[i, 1:])
+        div = np.zeros(grid.n_cells)
+        div[:-1] += flux
+        div[1:] -= flux
+        p[i] -= dt / grid.dq * div
+    vm = params.waveform(t) - grid.centers() / params.C
+    last = field.num_states - 2
+    pairs = []
+    for k in range(last + 1):
+        a = model.rate_up_array(k, vm)
+        b = model.rate_down_array(k + 1, vm)
+        s = a + b
+        h = dt if k == last else dt / 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.where(s > 0, -np.expm1(-s * h) / np.where(s > 0, s, 1.0), h)
+        pairs.append((k, a, b, w))
+    for k, a, b, w in pairs + pairs[-2::-1]:
+        transfer = (a * p[k] - b * p[k + 1]) * w
+        p[k] -= transfer
+        p[k + 1] += transfer
+    np.clip(p, 0.0, None, out=p)
+    return DistributionField(grid, p, t + dt)
+
+
+def _reference_run(initial, outputs, params, model):
+    """Fields at `outputs` (after the initial time) and every dt taken."""
+    field = DistributionField(initial.grid, initial.p.copy(), initial.time)
+    fields, dts = [], []
+    for t_out in outputs:
+        while field.time < t_out - 1e-15 * max(t_out, 1.0):
+            dt = min(pde.admissible_dt(field, params, model), t_out - field.time)
+            field = _reference_step(field, dt, params, model)
+            dts.append(dt)
+        field.time = t_out
+        fields.append(field.p.copy())
+    return fields, dts
+
+
+@pytest.mark.parametrize("case", ["figure2_constant", "sine_three_state"])
+def test_run_is_bit_identical_to_the_per_state_step(params, model, case):
+    if case == "figure2_constant":
+        circ, m, cells, t_end = (SeriesCircuitParams(params.C, Waveform.constant(params.Va)),
+                                 model, 400, 0.01)
+    else:
+        circ, m, cells, t_end = SeriesCircuitParams(SINE_C, SINE_WAVE), SINE_MODEL3, 300, 0.005
+    g = ChargeGrid.for_drive(circ.C, circ.waveform, t_end, cells)
+    initial = DistributionField.from_delta(g, m.num_states, 0, 0.0)
+    outputs = np.linspace(0.0, t_end, 6)
+    res = pde.run(initial, t_end, outputs, circ, m)
+    fields, dts = _reference_run(initial, outputs[1:], circ, m)
+    for f, p in zip(res.fields[1:], fields):
+        assert np.array_equal(f.p, p)
+    assert np.array_equal(res.marginals[1:], np.array([p.sum(axis=1) * g.dq for p in fields]))
+    if case == "figure2_constant":
+        # dt repeats within an output interval and changes at its end
+        assert len(set(dts)) < len(dts) and len(set(dts)) > 1
+    assert res.diagnostics == dict(steps=len(dts), dt_min=min(dts), dt_max=max(dts))
+
+
+def test_run_diagnostics_without_steps(params, model):
+    w = Waveform.constant(params.Va)
+    g = ChargeGrid.for_drive(params.C, w, 0.01, 64)
+    res = pde.run(DistributionField.from_delta(g, 2, 0, 0.0), 0.0, [0.0],
+                  SeriesCircuitParams(params.C, w), model)
+    assert res.diagnostics["steps"] == 0 and math.isnan(res.diagnostics["dt_min"])

@@ -14,6 +14,9 @@ constant and step drives it inverts the closed-form hazard of each RC
 segment, so its jump times are exact to round-off; under sine and PWL
 drives it steps on a shared grid with Simpson-integrated hazards, one
 affine charge map per state and step, and end-of-step rates carried over.
+There, one shared row carries every trajectory that has not switched yet
+(all follow the same path until their first event), so a step's work
+grows only with the number of switched trajectories.
 `_NetlistEnsemble` takes every other netlist and steps on a shared grid,
 with charges exact under piecewise-constant sources (RK4 otherwise) and
 Simpson-integrated hazards.  A step below the floor fails, never jumps.
@@ -506,7 +509,9 @@ class _VectorEnsemble:
     Constant and step drives take exact event-to-event rounds (`_run_exact`);
     sine and PWL drives advance on a shared adaptive time grid
     (`_run_stepped`), where a trajectory with more than MAX_CASCADE events
-    in one step fails alone."""
+    in one step fails alone.  There, row 0 stands for all trajectories
+    not yet switched, and a trajectory gets a row of its own at its first
+    event; `diagnostics["rows_max"]` counts the most such rows."""
 
     def __init__(self, netlist: Netlist, n: int, master_seed: int,
                  histogram_bins: int):
@@ -878,19 +883,27 @@ class _VectorEnsemble:
 
     def _run_stepped(self, state, q_init, t, t_end, outputs, record, first_event):
         """Running trajectories are the rows of s, q, lam and thr (`ids` maps
-        rows to trajectories).  A step's end rates are the next step's start
-        rates of the rows that did not fire."""
+        rows to trajectories).  Until its first event every trajectory
+        follows the same path, so while some have not switched, row 0
+        (id -1) stands for all of them: one charge and hazard, with the
+        smallest round-0 threshold not yet reached.  Members it reaches
+        leave as rows of their own.  A step's end rates are the next
+        step's start rates of the rows that did not fire."""
         n = self.n
-        ids = np.arange(n)
-        s = state.copy()
-        q = np.full(n, q_init)
-        q_out = q.copy()
-        lam = np.zeros(n)
-        thr = self._thresholds(0).copy()
+        thr0 = self._thresholds(0)
+        order = np.argsort(thr0, kind="stable")
+        thr_sorted = thr0[order]
+        left = 0                       # order[left:] share row 0
+        ids = np.array([-1])
+        s = state[:1].copy()
+        q = np.array([q_init])
+        q_out = np.full(n, q_init)
+        lam = np.zeros(1)
+        thr = thr_sorted[:1].copy()
         draw = np.ones(n, dtype=np.int64)
-        events_up = events_down = 0
+        counts = np.zeros((2, n), dtype=np.int64)   # events up, down
         failures = []
-        self._diag = dict(path="stepped", shared_steps=0, max_cascade=0)
+        self._diag = dict(path="stepped", shared_steps=0, max_cascade=0, rows_max=0)
         h_floor = 1e-15 * max(t_end, 1.0)
         t_rates, stale = None, ids[:0]
         for t_out in outputs:
@@ -915,6 +928,22 @@ class _VectorEnsemble:
                 r1 = r1u + r1d
                 delta = h / 6.0 * (r0 + 4.0 * rm + r1)
                 crossed = lam + delta >= thr
+                if left < n and crossed[0]:
+                    # members of row 0 reached: copy its step into rows of their own
+                    end = int(np.searchsorted(thr_sorted, lam[0] + delta[0], side="right"))
+                    leave = order[left:end]
+                    left = end
+                    rows = np.r_[(0 if left < n else 1):ids.size, np.zeros(leave.size, np.intp)]
+                    ids, s, q, lam, thr, q_mid, q_end, r0, rm, r1, r1u, r1d, delta, crossed = (
+                        x[rows] for x in (ids, s, q, lam, thr, q_mid, q_end, r0, rm, r1,
+                                          r1u, r1d, delta, crossed))
+                    ids[-leave.size:] = leave
+                    thr[-leave.size:] = thr0[leave]
+                    if left < n:
+                        thr[0] = thr_sorted[left]
+                        crossed[0] = False
+                    self._diag["rows_max"] = max(self._diag["rows_max"],
+                                                 ids.size - (left < n))
                 idx = np.nonzero(crossed)[0]
                 # non-crossing trajectories advance to t + h
                 keep = ~crossed
@@ -922,11 +951,9 @@ class _VectorEnsemble:
                 lam = np.where(keep, lam + delta, lam)
                 r0u, r0d, t_rates, stale = r1u, r1d, t + h, idx
                 if idx.size:
-                    evu, evd, runaway = self._handle_events(
-                        idx, ids, q, s, lam, thr, draw, first_event,
+                    runaway = self._handle_events(
+                        idx, ids, q, s, lam, thr, draw, first_event, counts,
                         t, h, q_mid, q_end, r0, rm, r1)
-                    events_up += evu
-                    events_down += evd
                     if runaway.size:
                         failures += [(int(i), f"more than {MAX_CASCADE} events within "
                                       f"one step at t = {t:.9g} s") for i in ids[runaway]]
@@ -937,18 +964,22 @@ class _VectorEnsemble:
                             raise TrajectoryFailure(f"all trajectories failed: {failures[-1][1]}")
                 t += h
             t = t_out
-            state[ids] = s
-            q_out[ids] = q
+            own = slice(int(left < n), None)
+            state[ids[own]] = s[own]
+            q_out[ids[own]] = q[own]
+            q_out[order[left:]] = q[0]
             record(t, q_out)
+        counts[:, [i for i, _ in failures]] = 0
+        events_up, events_down = (int(c) for c in counts.sum(axis=1))
         return events_up, events_down, failures, self._diag
 
-    def _handle_events(self, idx, ids, q, state, lam, thr, draw, first_event,
+    def _handle_events(self, idx, ids, q, state, lam, thr, draw, first_event, counts,
                        t, h, q_mid, q_end, r0, rm, r1):
         """Process the rows idx whose hazard crossed within the step;
         repeats on the remaining sub-interval after each flip until no
-        clock fires before t + h.  Returns the event counts and the rows
-        still firing after MAX_CASCADE events."""
-        events_up = events_down = 0
+        clock fires before t + h.  Adds each trajectory's events to
+        `counts` (up, down) and returns the rows still firing after
+        MAX_CASCADE events."""
         # per-active-subset copies of the current sub-interval
         active = idx
         t0 = np.full(active.size, float(t))
@@ -970,9 +1001,9 @@ class _VectorEnsemble:
             # states jump along the sign of vm
             up = (s_a == 0) | ((vm_e > 0) & (s_a < self.model.num_states - 1))
             new_state = s_a + np.where(up, 1, -1)
-            events_up += int(up.sum())
-            events_down += int((~up).sum())
             who = ids[active]
+            counts[0, who] += up
+            counts[1, who] += ~up
             fe = first_event[who]
             first_event[who] = np.where(np.isnan(fe), te, fe)
             state[active] = new_state
@@ -999,7 +1030,7 @@ class _VectorEnsemble:
             # their new step
             active, t0, h_sub, qa0, qam, qae, ra0, ram, ra1 = (
                 x[fire_again] for x in (active, te, rem, q_e, qm2, qe2, rr0, rrm, rr1))
-        return events_up, events_down, active
+        return active
 
 
 def _hist_codes(state, q, edges):

@@ -618,3 +618,187 @@ def test_ensemble_histograms_match_the_per_state_loop(monkeypatch, wave, C, t_en
     assert len(seen) == len(stats.histograms) == 6
     for ref, (h, _) in zip(seen, stats.histograms):
         assert np.array_equal(h, ref)
+
+
+# ------------------------- stepped path: the shared row of unswitched trajectories
+
+def _reference_stepped(self, state, q_init, t, t_end, outputs, record, first_event):
+    """The stepped path as written with one row per trajectory: every
+    trajectory, switched or not, is stepped on its own row."""
+    n = self.n
+    ids = np.arange(n)
+    s = state.copy()
+    q = np.full(n, q_init)
+    q_out = q.copy()
+    lam = np.zeros(n)
+    thr = self._thresholds(0).copy()
+    draw = np.ones(n, dtype=np.int64)
+    events_up = events_down = 0
+    failures = []
+    self._diag = dict(path="stepped", shared_steps=0, max_cascade=0)
+    h_floor = 1e-15 * max(t_end, 1.0)
+    t_rates, stale = None, ids[:0]
+    for t_out in outputs:
+        while t < t_out - h_floor:
+            v0 = self.wave(t)
+            if t != t_rates:
+                r0u, r0d = self._rates(s, self._vm(s, q, v0))
+            elif stale.size:
+                r0u[stale], r0d[stale] = self._rates(
+                    s[stale], self._vm(s[stale], q[stale], v0))
+            h = self._step_size(s, q, t, t_out, h_floor, v0, r0u, r0d)
+            if h <= h_floor:
+                raise mc.TrajectoryFailure(
+                    f"step size control needs h = {h:.3g} s at t = {t:.9g} s, "
+                    f"below the floor {h_floor:.3g} s")
+            self._diag["shared_steps"] += 1
+            q_mid, q_end = self._advance_shared(s, q, t, h)
+            rmu, rmd = self._rates(s, self._vm(s, q_mid, self.wave(t + h / 2)))
+            r1u, r1d = self._rates(s, self._vm(s, q_end, self.wave(t + h)))
+            r0 = r0u + r0d
+            rm = rmu + rmd
+            r1 = r1u + r1d
+            delta = h / 6.0 * (r0 + 4.0 * rm + r1)
+            crossed = lam + delta >= thr
+            idx = np.nonzero(crossed)[0]
+            keep = ~crossed
+            q = np.where(keep, q_end, q)
+            lam = np.where(keep, lam + delta, lam)
+            r0u, r0d, t_rates, stale = r1u, r1d, t + h, idx
+            if idx.size:
+                evu, evd, runaway = _reference_events(
+                    self, idx, ids, q, s, lam, thr, draw, first_event,
+                    t, h, q_mid, q_end, r0, rm, r1)
+                events_up += evu
+                events_down += evd
+                if runaway.size:
+                    failures += [(int(i), f"more than {mc.MAX_CASCADE} events within "
+                                  f"one step at t = {t:.9g} s") for i in ids[runaway]]
+                    live = ~np.isin(np.arange(ids.size), runaway)
+                    ids, s, q, lam, thr = (x[live] for x in (ids, s, q, lam, thr))
+                    t_rates = None
+                    if not ids.size:
+                        raise mc.TrajectoryFailure(
+                            f"all trajectories failed: {failures[-1][1]}")
+            t += h
+        t = t_out
+        state[ids] = s
+        q_out[ids] = q
+        record(t, q_out)
+    return events_up, events_down, failures, self._diag
+
+
+def _reference_events(self, idx, ids, q, state, lam, thr, draw, first_event,
+                      t, h, q_mid, q_end, r0, rm, r1):
+    """The cascade of `_reference_stepped`, counting events as they happen
+    (trajectories that fail later included)."""
+    events_up = events_down = 0
+    active = idx
+    t0 = np.full(active.size, float(t))
+    h_sub = np.full(active.size, float(h))
+    qa0, qam, qae, ra0, ram, ra1 = (x[active] for x in (q, q_mid, q_end, r0, rm, r1))
+    for depth in range(1, mc.MAX_CASCADE + 1):
+        if not active.size:
+            break
+        self._diag["max_cascade"] = max(self._diag["max_cascade"], depth)
+        target = thr[active] - lam[active]
+        te = mc._invert_step_vec(t0, h_sub, target, ra0, ram, ra1)
+        frac = (te - t0) / h_sub
+        q_e = mc._hermite(qa0, qam, qae, frac)
+        v_e = self.wave(te)
+        s_a = state[active]
+        vm_e = self._vm(s_a, q_e, v_e)
+        up = (s_a == 0) | ((vm_e > 0) & (s_a < self.model.num_states - 1))
+        events_up += int(up.sum())
+        events_down += int((~up).sum())
+        who = ids[active]
+        fe = first_event[who]
+        first_event[who] = np.where(np.isnan(fe), te, fe)
+        state[active] = s_a + np.where(up, 1, -1)
+        q[active] = q_e
+        lam[active] = 0.0
+        thr[active] = self._draw(who, draw)
+        rem = (t + h) - te
+        qm2, qe2 = self._advance(state[active], q_e, te, rem)
+        ru0, rd0 = self._rates(state[active], self._vm(state[active], q_e, v_e))
+        rum, rdm = self._rates(state[active],
+                               self._vm(state[active], qm2, self.wave(te + rem / 2)))
+        ru1, rd1 = self._rates(state[active], self._vm(state[active], qe2, self.wave(te + rem)))
+        rr0 = ru0 + rd0
+        rrm = rum + rdm
+        rr1 = ru1 + rd1
+        ddelta = rem / 6.0 * (rr0 + 4.0 * rrm + rr1)
+        fire_again = ddelta >= thr[active]
+        done = ~fire_again
+        q[active[done]] = qe2[done]
+        lam[active[done]] = ddelta[done]
+        active, t0, h_sub, qa0, qam, qae, ra0, ram, ra1 = (
+            x[fire_again] for x in (active, te, rem, q_e, qm2, qe2, rr0, rrm, rr1))
+    return events_up, events_down, active
+
+
+@pytest.mark.parametrize("case, seed", [
+    ("reverse_bias_g3", 100), ("reverse_bias_g3", 101), ("reverse_bias_g3", 102),
+    ("reverse_bias_g3", 103), ("figure2_sine", 3), ("figure2_ramp", 3),
+    ("pwl_g3_reversing", 9), ("runaway", 100),
+])
+def test_shared_row_is_bit_identical_to_the_per_row_loop(monkeypatch, params, model,
+                                                        case, seed):
+    n, t_end = 2000, 0.005
+    if case == "reverse_bias_g3":       # the benchmark's ensembles
+        net, n = _sine3_net(), 20_000
+    elif case == "figure2_sine":
+        net, t_end = series_mc(model, params.C, Waveform.sine(0.35, 0.05, 50.0)), 0.05
+    elif case == "figure2_ramp":        # every trajectory switches: row 0 empties
+        net = series_mc(model, params.C, Waveform.pwl([(0.0, 0.35), (0.02, 0.5)]))
+        t_end = 0.03
+    elif case == "pwl_g3_reversing":
+        wave = Waveform.pwl([(0.0, 0.0), (0.002, 0.45), (0.004, -0.45), (0.006, 0.1)])
+        net, n, t_end = series_mc(SINE3, 1e-7, wave), 5000, 0.006
+    else:
+        net = _sine3_net()
+        monkeypatch.setattr(mc, "MAX_CASCADE", 1)
+    times = np.linspace(0.0, t_end, 21)
+    new = run_ensemble(net, net.initial_state(), t_end, times, n, seed)
+    monkeypatch.setattr(mc._VectorEnsemble, "_run_stepped", _reference_stepped)
+    ref = run_ensemble(net, net.initial_state(), t_end, times, n, seed)
+    assert new.diagnostics["path"] == "stepped"
+    assert np.array_equal(new.occupancy[0], ref.occupancy[0])
+    assert np.array_equal(new.stderr[0], ref.stderr[0])
+    assert all(np.array_equal(a, b) and np.array_equal(ea, eb)
+               for (a, ea), (b, eb) in zip(new.histograms, ref.histograms))
+    assert np.array_equal(new.first_event_times, ref.first_event_times, equal_nan=True)
+    assert (new.n, new.failures) == (ref.n, ref.failures)
+    for key in ("shared_steps", "max_cascade"):
+        assert new.diagnostics[key] == ref.diagnostics[key]
+    if case == "runaway":
+        assert new.n_failed > 0
+    else:
+        assert new.n_failed == 0
+        assert (new.events_up, new.events_down) == (ref.events_up, ref.events_down)
+        assert new.diagnostics["rows_max"] == np.isfinite(new.first_event_times).sum() > 0
+    if case == "pwl_g3_reversing":
+        assert new.events_down > 0
+    if case == "figure2_ramp":
+        assert new.diagnostics["rows_max"] == n
+
+
+def test_stepped_events_count_only_finished_trajectories(monkeypatch):
+    # every event draws the trajectory's next threshold once, so the event
+    # totals equal the draws made for the trajectories that finish
+    drawn = []
+    draw = mc._VectorEnsemble._draw
+
+    def spy(self, idx, counter):
+        drawn.append(idx.copy())
+        return draw(self, idx, counter)
+
+    monkeypatch.setattr(mc._VectorEnsemble, "_draw", spy)
+    monkeypatch.setattr(mc, "MAX_CASCADE", 1)
+    net = _sine3_net()
+    stats = run_ensemble(net, net.initial_state(), 0.005, np.linspace(0.0, 0.005, 21),
+                         2000, master_seed=100)
+    assert stats.n_failed > 0
+    who = np.concatenate(drawn)
+    finished = ~np.isin(who, [i for i, _ in stats.failures])
+    assert stats.events_up + stats.events_down == finished.sum() < who.size

@@ -242,7 +242,11 @@ def _run_compare(cfg: dict, seed_override=None, traj_override=None) -> ResultTab
         ratio = np.abs(p0a - p0m) / sem
     ratio = ratio[np.isfinite(ratio)]
     dev_mc = float(ratio.max()) if ratio.size else 0.0
-    meta = {"engine": "compare",
+    # what each engine did rides along under its prefix
+    shared = {"engine", "prob_sum_tol", "config", "version"}
+    meta = {**{f"{name}_{k}": v for name, table in (("pde", pd_), ("mc", mc_))
+               for k, v in table.meta.items() if k not in shared},
+            "engine": "compare",
             "max_abs_dev_pde": f"{dev_pde:.6e}",
             "max_dev_mc_over_stderr": f"{dev_mc:.6e}",
             "prob_sum_tol": "1e-8",

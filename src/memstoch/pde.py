@@ -12,9 +12,13 @@ cells non-negative for any dt, so dt is limited by the CFL condition
 only.  Grid bounds are chosen so the drift points inward at both edges,
 making zero-flux boundaries exact and conserving mass to round-off.
 
-`run` computes faces, centres and resistances once and advects all states
-in one array operation; under a constant drive it also computes the face
-velocities and pair rates once, and the reaction weights once per dt.
+dt depends on t only (the CFL cap at the grid's end faces), so `run` plans
+each output interval's steps before it takes them.  For each block of
+planned steps it evaluates face velocities, upwind split faces, pair rates
+and reaction weights as tables of about 64 KB (under a constant drive the
+rates once per run and the weights once per dt).  Upwind transport moves
+mass by at most one cell per step, so a block works only on its start's
+support widened by the block length; the cells outside stay exactly zero.
 """
 
 from __future__ import annotations
@@ -177,45 +181,77 @@ def admissible_dt(field: DistributionField, params: SeriesCircuitParams,
     The drift (V - q/C)/R_i is monotone in q and largest for the smallest
     R_i, so the fastest face is an end face of the fastest state.
     """
-    grid = field.grid
-    ends = grid.q_min + np.array([0, grid.n_cells]) * grid.dq
-    r = min(model.resistances)
-    vmax = float(np.abs((params.waveform(field.time) - ends / params.C) / r).max())
+    grid, v, r = field.grid, params.waveform(field.time), min(model.resistances)
+    vmax = float(max(abs((v - (grid.q_min + k * grid.dq) / params.C) / r)
+                     for k in (0, grid.n_cells)))
     return CFL_LIMIT * grid.dq / vmax if vmax > 0 else math.inf
 
 
+_BLOCK_BYTES = 1 << 16  # one block table (steps x cells): 8 steps at 1000 cells
+
+
 class _RunTables:
-    """What `step` needs that one `run` does not change (see the module
-    docstring)."""
+    """Face velocities, upwind split faces, pair rates and reaction weights
+    of one block of planned steps, over the cells that mass can reach
+    during the block (see the module docstring)."""
 
     def __init__(self, grid: ChargeGrid, params: SeriesCircuitParams, model: MemristorModel):
         self.params, self.model = params, model
-        self.inner, self.centers = grid.faces()[1:-1], grid.centers()
+        # the drift (V - q/C)/R_i is > 0 at the faces with V > face_v
+        self.face_v, self.cell_v = grid.faces()[1:-1] / params.C, grid.centers() / params.C
         self.r = np.array(model.resistances)[:, None]
-        self.fixed = params.waveform.kind == "constant"
-        self.rates = self.velocity = self.pairs = self.dt = None
+        self.steps = max(1, _BLOCK_BYTES // (8 * grid.n_cells))
+        self.fixed = self.w_dt = self.w = None
+        if params.waveform.kind == "constant":
+            self.fixed = self._drive(np.array([params.waveform(0.0)]), 0, grid.n_cells)
+        self.rows = {}
 
-    def at(self, t: float, dt: float):
-        """Face velocities (G, n-1) and reaction pairs (k, a, b, w) at t."""
-        if self.rates is None or not self.fixed:
-            v, C = self.params.waveform(t), self.params.C
-            self.velocity = (v - self.inner / C) / self.r
-            vm = v - self.centers / C
-            self.rates = [(self.model.rate_up_array(k, vm),        # k -> k+1
-                           self.model.rate_down_array(k + 1, vm))  # k+1 -> k
-                          for k in range(self.model.num_states - 1)]
-            self.dt = None
-        if dt != self.dt:
-            self.dt, last = dt, len(self.rates) - 1
-            self.pairs = []
-            with np.errstate(divide="ignore", invalid="ignore"):
-                for k, (a, b) in enumerate(self.rates):
-                    s = a + b
-                    h = dt if k == last else dt / 2
-                    # (1 - exp(-s h)) / s, with its limit h where s = 0
-                    w = np.where(s > 0, -np.expm1(-s * h) / np.where(s > 0, s, 1.0), h)
-                    self.pairs.append((k, a, b, w))
-        return self.velocity, self.pairs
+    def _drive(self, v, lo, hi):
+        """Face velocities, split faces and pair rates per drive value in v,
+        over the cells lo..hi-1."""
+        vm = v[:, None] - self.cell_v[lo:hi]
+        rates = [(self.model.rate_up_array(k, vm),        # k -> k+1
+                  self.model.rate_down_array(k + 1, vm))  # k+1 -> k
+                 for k in range(self.model.num_states - 1)]
+        return ((v[:, None] - self.face_v[lo:hi - 1])[:, None] / self.r,
+                np.searchsorted(self.face_v, v) - lo, rates)
+
+    @staticmethod
+    def _weights(rates, dt):
+        """(1 - exp(-s h)) / s of every pair, with its limit h where s = 0;
+        h is dt for the last pair and dt/2 for the others."""
+        last, ws = len(rates) - 1, []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k, (a, b) in enumerate(rates):
+                s = a + b
+                h = dt if k == last else dt / 2
+                ws.append(np.where(s > 0, -np.expm1(-s * h) / np.where(s > 0, s, 1.0), h))
+        return ws
+
+    def plan(self, p: np.ndarray, ts, dts, dts_ok):
+        """Tables of the steps (ts[i], dts[i]), admissible up to dts_ok[i],
+        from the densities p: over p's support widened by the block length
+        plus one cell on each side."""
+        m = len(ts)
+        held = np.flatnonzero(p.any(axis=0))
+        s0, s1 = (held[0], held[-1]) if held.size else (0, 0)
+        self.lo, self.hi = lo, hi = max(s0 - 1 - m, 0), min(s1 + 2 + m, self.cell_v.size)
+        if self.fixed is None:
+            vel, split, rates = self._drive(np.array([self.params.waveform(t) for t in ts]), lo, hi)
+            ws = self._weights(rates, np.array(dts)[:, None])
+            pairs = [[(k, a[i], b[i], w[i]) for k, ((a, b), w) in enumerate(zip(rates, ws))]
+                     for i in range(m)]
+        else:  # rates once per run and weights once per distinct dt, sliced
+            vel, split, rates = self.fixed
+            vel, split, pairs = [vel[0, :, lo:hi - 1]] * m, np.repeat(split, m) - lo, []
+            for dt in dts:
+                if dt != self.w_dt:
+                    self.w_dt, self.w = dt, self._weights(rates, dt)
+                pairs.append([(k, a[0, lo:hi], b[0, lo:hi], w[0, lo:hi])
+                              for k, ((a, b), w) in enumerate(zip(rates, self.w))])
+        split = np.clip(split, 0, hi - lo - 1)
+        self.rows = {t: (dt, ok, vel[i], split[i], pairs[i])
+                     for i, (t, dt, ok) in enumerate(zip(ts, dts, dts_ok))}
 
 
 def step(field: DistributionField, dt: float, params: SeriesCircuitParams,
@@ -227,7 +263,10 @@ def step(field: DistributionField, dt: float, params: SeriesCircuitParams,
     (0, 1) ... (G-3, G-2) over dt/2, the last pair over dt, then back
     down over dt/2.  Refuses dt beyond the CFL cap (0.9), carrying the
     admissible dt.  Mass is conserved to round-off and no cell goes
-    negative.  `run` passes its per-run tables as `_tables`.
+    negative.  `run` passes the tables of its planned block as `_tables`,
+    and a planned step takes its admissible dt from the plan; any other
+    step plans itself as a block of one.  Only the block's window of cells
+    is worked on; the cells outside hold no mass and stay zero.
     """
     if model.num_states != field.num_states:
         raise ValueError("model/field state-count mismatch")
@@ -235,35 +274,42 @@ def step(field: DistributionField, dt: float, params: SeriesCircuitParams,
         raise ValueError("dt must be >= 0")
     if dt == 0.0:
         return DistributionField(field.grid, field.p.copy(), field.time)
-    dt_ok = admissible_dt(field, params, model)
+    grid, t = field.grid, field.time
+    row = _tables.rows.get(t) if _tables else None
+    dt_ok = row[1] if row else admissible_dt(field, params, model)
     if dt > dt_ok:
         raise StepSizeError(f"dt = {dt:g} s too large", dt_ok)
-
-    grid = field.grid
-    t = field.time
-    tables = _tables or _RunTables(grid, params, model)
-    v, pairs = tables.at(t, dt)
+    if not row or row[0] != dt:
+        _tables = _RunTables(grid, params, model)
+        _tables.plan(field.p, [t], [dt], [dt_ok])
+        row = _tables.rows[t]
+    _, _, v, f, pairs = row
     p = field.p.copy()
+    pw = p[:, _tables.lo:_tables.hi]
 
     # ---- advection: upwind fluxes at interior faces, zero at boundaries
-    flux = v * np.where(v > 0, p[:, :-1], p[:, 1:])
-    div = np.zeros_like(p)
+    flux = np.empty(v.shape)
+    flux[:, :f] = v[:, :f] * pw[:, :f]
+    flux[:, f:] = v[:, f:] * pw[:, f + 1:]
+    div = np.zeros(pw.shape)
     div[:, :-1] += flux
     div[:, 1:] -= flux
-    p -= dt / grid.dq * div
+    pw -= dt / grid.dq * div
 
     # ---- reaction at cell centers: up the ladder of pair exchanges, then
     # back down without repeating the last pair
     for k, a, b, w in pairs + pairs[-2::-1]:
-        transfer = (a * p[k] - b * p[k + 1]) * w
-        p[k] -= transfer
-        p[k + 1] += transfer
+        transfer = (a * pw[k] - b * pw[k + 1]) * w
+        pw[k] -= transfer
+        pw[k + 1] += transfer
 
-    min_val = float(p.min())
-    if min_val < -1e-12 * max(float(p.max()), 1.0):
+    # a window short of a grid edge ends in an empty cell: its min is the grid's
+    min_val = float(pw.min())
+    if min_val < -1e-12 * max(float(pw.max()), 1.0):
         raise RuntimeError(
             f"positivity violated: min cell value {min_val:g} at t = {t:g} s")
-    np.clip(p, 0.0, None, out=p)  # round-off-level negatives only
+    np.maximum(pw, 0.0, out=pw)  # round-off-level negatives only
+    _tables.min_cell = max(min_val, 0.0)
     return DistributionField(grid, p, t + dt)
 
 
@@ -299,40 +345,35 @@ def run(initial: DistributionField, t_end: float,
     tables = _RunTables(initial.grid, params, model)
     field = DistributionField(initial.grid, initial.p.copy(), initial.time)
     mass0 = field.mass()
-    dts = []
-
-    times, marg, mean, var, fields = [], [], [], [], []
+    dts, fields = [], []
     min_cell = float(field.p.min())
     max_mass_err = 0.0
-
-    def record(f):
-        times.append(f.time)
-        marg.append(f.marginals())
-        m, v = f.conditional_moments()
-        mean.append(m)
-        var.append(v)
-        fields.append(DistributionField(f.grid, f.p.copy(), f.time))
-
-    if outputs[0] == field.time:
-        record(field)
-        outputs = outputs[1:]
-
     for t_out in outputs:
+        # dt depends on t only: plan the interval's steps, then take them
+        t0, plan = field.time, []
         while field.time < t_out - 1e-15 * max(t_out, 1.0):
-            dt = min(admissible_dt(field, params, model), t_out - field.time)
-            field = step(field, dt, params, model, _tables=tables)
-            dts.append(dt)
-            min_cell = min(min_cell, float(field.p.min()))
-            err = abs(field.mass() - mass0)
-            max_mass_err = max(max_mass_err, err)
-            if err > mass_tolerance:
-                raise MassLossError(
-                    f"mass error {err:g} exceeds {mass_tolerance:g} at "
-                    f"t = {field.time:g} s (boundary outflow?)")
+            dt_ok = admissible_dt(field, params, model)
+            plan.append((field.time, min(dt_ok, t_out - field.time), dt_ok))
+            field.time += plan[-1][1]
+        field.time = t0
+        for b in range(0, len(plan), tables.steps):
+            tables.plan(field.p, *zip(*plan[b:b + tables.steps]))
+            for _, dt, _ in plan[b:b + tables.steps]:
+                field = step(field, dt, params, model, _tables=tables)
+                dts.append(dt)
+                min_cell = min(min_cell, tables.min_cell)
+                err = abs(field.mass() - mass0)
+                max_mass_err = max(max_mass_err, err)
+                if err > mass_tolerance:
+                    raise MassLossError(
+                        f"mass error {err:g} exceeds {mass_tolerance:g} at "
+                        f"t = {field.time:g} s (boundary outflow?)")
         field.time = t_out  # snap round-off
-        record(field)
+        fields.append(DistributionField(field.grid, field.p.copy(), field.time))
 
-    return PdeResult(np.array(times), np.vstack(marg), np.vstack(mean),
+    mean, var = zip(*(f.conditional_moments() for f in fields))
+    return PdeResult(np.array([f.time for f in fields]),
+                     np.vstack([f.marginals() for f in fields]), np.vstack(mean),
                      np.vstack(var), fields, min_cell, max_mass_err,
                      dict(steps=len(dts), dt_min=min(dts, default=math.nan),
                           dt_max=max(dts, default=math.nan)))

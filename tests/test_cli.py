@@ -112,9 +112,15 @@ def test_simulate_compare_engine(tmp_path):
     assert float(table.meta["max_dev_mc_over_stderr"]) < 6.0
     assert set(table.columns) == {"time", "p0_analytic", "p0_pde", "p0_mc",
                                   "p0_mc_stderr"}
-    # the compare header keeps its own keys only
+    # the compare header carries what each engine did under its prefix
     assert set(table.meta) == {"engine", "max_abs_dev_pde", "max_dev_mc_over_stderr",
-                               "prob_sum_tol", "config", "version"}
+                               "prob_sum_tol", "config", "version",
+                               "pde_steps", "pde_dt_min", "pde_dt_max", "pde_n_cells",
+                               "pde_mass_error", "mc_path", "mc_rounds",
+                               "mc_newton_iterations", "mc_newton_max", "mc_sign_splits",
+                               "mc_ceiling_splits", "mc_trajectories", "mc_seed",
+                               "mc_failed", "mc_events_up", "mc_events_down"}
+    assert table.meta["mc_path"] == "exact" and int(table.meta["pde_steps"]) > 0
 
 
 def test_simulate_netlist_input(tmp_path):

@@ -358,16 +358,39 @@ def _reference_run(initial, outputs, params, model):
     return fields, dts
 
 
-@pytest.mark.parametrize("case", ["figure2_constant", "sine_three_state"])
-def test_run_is_bit_identical_to_the_per_state_step(params, model, case):
-    if case == "figure2_constant":
-        circ, m, cells, t_end = (SeriesCircuitParams(params.C, Waveform.constant(params.Va)),
-                                 model, 400, 0.01)
-    else:
-        circ, m, cells, t_end = SeriesCircuitParams(SINE_C, SINE_WAVE), SINE_MODEL3, 300, 0.005
+BIT_CASES = ["figure2_constant", "sine_three_state", "pwl_reverse_three_state",
+             "step_two_state", "uniform_clamped_at_both_edges", "interval_of_many_blocks"]
+
+
+def _bit_case(case, params, model):
+    """(circuit, model, initial field, output times) of one bit-identity case."""
+    figure2 = SeriesCircuitParams(params.C, Waveform.constant(params.Va))
+    sine = SeriesCircuitParams(SINE_C, SINE_WAVE)
+    reverse = Waveform.pwl([(0.0, 0.4), (1e-3, 0.4), (2e-3, -0.4), (4e-3, -0.4)])
+    circ, m, cells, t_end, outputs = {
+        "figure2_constant": (figure2, model, 400, 0.01, 6),
+        "sine_three_state": (sine, SINE_MODEL3, 300, 0.005, 6),
+        "pwl_reverse_three_state": (SeriesCircuitParams(SINE_C, reverse), SINE_MODEL3, 300,
+                                    0.004, 6),
+        "step_two_state": (SeriesCircuitParams(params.C, Waveform.step(-params.Va, 3e-3,
+                                                                       params.Va)),
+                           model, 300, 0.006, 4),
+        "uniform_clamped_at_both_edges": (sine, SINE_MODEL3, 200, 0.003, 4),
+        "interval_of_many_blocks": (figure2, model, 2000, 0.002, 2),
+    }[case]
     g = ChargeGrid.for_drive(circ.C, circ.waveform, t_end, cells)
-    initial = DistributionField.from_delta(g, m.num_states, 0, 0.0)
-    outputs = np.linspace(0.0, t_end, 6)
+    if case == "uniform_clamped_at_both_edges":
+        initial = DistributionField.from_uniform(g, m.num_states, 0, g.q_min + 2 * g.dq,
+                                                 g.q_max - 2 * g.dq)
+    else:
+        initial = DistributionField.from_delta(g, m.num_states, 0, 0.0)
+    return circ, m, initial, np.linspace(0.0, t_end, outputs)
+
+
+@pytest.mark.parametrize("case", BIT_CASES)
+def test_run_is_bit_identical_to_the_per_state_step(params, model, case):
+    circ, m, initial, outputs = _bit_case(case, params, model)
+    g, t_end = initial.grid, outputs[-1]
     res = pde.run(initial, t_end, outputs, circ, m)
     fields, dts = _reference_run(initial, outputs[1:], circ, m)
     for f, p in zip(res.fields[1:], fields):
@@ -376,7 +399,45 @@ def test_run_is_bit_identical_to_the_per_state_step(params, model, case):
     if case == "figure2_constant":
         # dt repeats within an output interval and changes at its end
         assert len(set(dts)) < len(dts) and len(set(dts)) > 1
+    if case == "interval_of_many_blocks":
+        assert len(dts) > 10 * pde._RunTables(g, circ, m).steps
     assert res.diagnostics == dict(steps=len(dts), dt_min=min(dts), dt_max=max(dts))
+
+
+@pytest.mark.parametrize("edge", [False, True], ids=["inside", "touching_an_edge"])
+def test_standalone_step_is_bit_identical_to_the_per_state_step(edge):
+    circ = SeriesCircuitParams(SINE_C, SINE_WAVE)
+    g = ChargeGrid.for_drive(SINE_C, SINE_WAVE, SINE_T_END, 300)
+    lo = g.q_min if edge else g.q_min + 0.3 * (g.q_max - g.q_min)
+    field = DistributionField.from_uniform(g, 3, 0, lo, lo + 0.2 * (g.q_max - g.q_min),
+                                           time=1.25e-3)
+    assert (field.p[0, 0] > 0) == edge and field.p[0, -1] == 0.0
+    ref = field
+    for _ in range(30):
+        dt = pde.admissible_dt(field, circ, SINE_MODEL3)
+        field = pde.step(field, dt, circ, SINE_MODEL3)
+        ref = _reference_step(ref, dt, circ, SINE_MODEL3)
+        assert np.array_equal(field.p, ref.p) and field.time == ref.time
+    assert field.marginals()[1] > 0.0
+
+
+def test_planned_step_takes_the_cfl_cap_from_the_plan(params, model, monkeypatch):
+    w = Waveform.constant(params.Va)
+    g = ChargeGrid.for_drive(params.C, w, 0.01, 100)
+    field = DistributionField.from_delta(g, 2, 0, 0.0)
+    circ = SeriesCircuitParams(params.C, w)
+    dt_ok = pde.admissible_dt(field, circ, model)
+    tables = pde._RunTables(g, circ, model)
+    tables.plan(field.p, [field.time], [dt_ok], [dt_ok])
+    calls = []
+    monkeypatch.setattr(pde, "admissible_dt", lambda *a: calls.append(a) or dt_ok)
+    with pytest.raises(pde.StepSizeError) as err:
+        pde.step(field, 2.0 * dt_ok, circ, model, _tables=tables)
+    assert err.value.admissible_dt == dt_ok
+    planned = pde.step(field, dt_ok, circ, model, _tables=tables)
+    assert calls == []  # the plan's admissible dt was used both times
+    monkeypatch.undo()
+    assert np.array_equal(planned.p, pde.step(field, dt_ok, circ, model).p)
 
 
 def test_run_diagnostics_without_steps(params, model):

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -114,9 +115,7 @@ class Waveform:
             return self.offset + self.amplitude * np.sin(2.0 * math.pi * self.frequency * np.asarray(t))[()] \
                 if not np.isscalar(t) else \
                 self.offset + self.amplitude * math.sin(2.0 * math.pi * self.frequency * t)
-        ts = np.array([p[0] for p in self.breakpoints])
-        vs = np.array([p[1] for p in self.breakpoints])
-        return np.interp(t, ts, vs)
+        return np.interp(t, *self._pwl)
 
     def bounds(self, t_end: float) -> tuple:
         """(min, max) of the waveform over [0, t_end]."""
@@ -132,12 +131,17 @@ class Waveform:
         if self.kind == "sine":
             # conservative envelope
             return (self.offset - abs(self.amplitude), self.offset + abs(self.amplitude))
-        ts = np.array([p[0] for p in self.breakpoints])
-        vs = np.array([p[1] for p in self.breakpoints])
+        ts, vs = self._pwl
         sample = np.interp(np.clip([0.0, t_end], ts[0], ts[-1]), ts, vs)
         inside = vs[(ts >= 0.0) & (ts <= t_end)]
         allv = np.concatenate([sample, inside]) if inside.size else sample
         return (float(allv.min()), float(allv.max()))
+
+    @cached_property
+    def _pwl(self) -> tuple:
+        """Breakpoint times and values of a PWL source as arrays."""
+        return (np.array([t for t, _ in self.breakpoints]),
+                np.array([v for _, v in self.breakpoints]))
 
     def is_constant(self) -> bool:
         return self.kind == "constant"

@@ -4,18 +4,39 @@ A device has G resistance levels R_0..R_{G-1} and voltage-dependent
 switching rates between adjacent levels only.  A positive voltage across
 the device drives i -> i+1 transitions, a negative voltage drives
 i+1 -> i transitions; the rate in the "wrong" direction is exactly zero.
+
+`switching_rate` is the one place that evaluates the rate law; every
+engine calls it with parameters taken from `MemristorModel.transitions`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-# Computed rates are clamped here to avoid overflow of exp(V/V0) at
-# large drive voltages.  Crossing the ceiling sets `clamp_hit`.
+# Computed rates are capped here; exponents are cut at 700 before the
+# exponential so that exp(V/V0) cannot overflow at large drive voltages.
 DEFAULT_RATE_CEILING = 1e30
+
+
+def switching_rate(vm, v_scale, tau, ceiling, tally=None):
+    """The switching law: the rate exp(|vm| / v_scale) / tau of the
+    transition that the sign of the memristor voltage vm drives, given
+    that transition's voltage scale and time constant.  The rate is 0 at
+    vm = 0 and for an absent transition (v_scale = tau = inf).  The
+    exponent is cut at 700 against overflow and the rate at `ceiling`.
+    Arguments are floats or arrays that broadcast together.  With a
+    diagnostics dict as `tally`, the number of rates cut at the ceiling
+    is added to its "rate_ceiling_hits"."""
+    x = np.minimum(np.abs(vm) / v_scale, 700.0)
+    with np.errstate(over="ignore"):
+        r = np.where(vm != 0.0, np.exp(x) / tau, 0.0)
+    if tally is not None:
+        tally["rate_ceiling_hits"] += int(np.count_nonzero(r > ceiling))
+    return np.minimum(r, ceiling)
 
 
 @dataclass(frozen=True)
@@ -24,7 +45,8 @@ class MemristorModel:
 
     resistances[i] is the resistance of state i (ohms).  tau_up[i] and
     v_up[i] parameterize the i -> i+1 rate, tau_down[i] and v_down[i]
-    the i+1 -> i rate, so all four lists have length G-1.
+    the i+1 -> i rate, so all four lists have length G-1.  rate_ceiling
+    caps every rate; it must be positive (inf turns the cap off).
     """
 
     resistances: tuple
@@ -33,9 +55,6 @@ class MemristorModel:
     tau_down: tuple
     v_down: tuple
     rate_ceiling: float = DEFAULT_RATE_CEILING
-    # Diagnostic: set (via object.__setattr__, the model is otherwise
-    # frozen) the first time a computed rate hits the ceiling.
-    clamp_hit: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         res = tuple(float(r) for r in self.resistances)
@@ -60,10 +79,24 @@ class MemristorModel:
                 raise ValueError(f"all {name} entries must be positive")
         if any(r <= 0 for r in res):
             raise ValueError("all resistances must be positive")
+        if not self.rate_ceiling > 0:
+            raise ValueError(
+                f"rate_ceiling must be positive (inf: no cap), got {self.rate_ceiling!r}")
 
     @property
     def num_states(self) -> int:
         return len(self.resistances)
+
+    @cached_property
+    def transitions(self) -> np.ndarray:
+        """(2, 2G) array: column i holds (V, tau) of the up transition out
+        of state i, which a positive voltage drives, and column G + i those
+        of the down transition out of state i (negative voltage).  The
+        absent ones, up from G-1 and down from 0, hold inf: rate 0 and no
+        voltage scale."""
+        inf = (np.inf,)
+        return np.array([self.v_up + inf + inf + self.v_down,
+                         self.tau_up + inf + inf + self.tau_down])
 
     @classmethod
     def binary(cls, r_off: float, r_on: float,
@@ -86,73 +119,41 @@ class MemristorModel:
         vs = tuple([v_scale] * (g - 1))
         return cls(tuple(resistances), ones, vs, ones, vs, **kw)
 
+    def _check(self, i: int, lo: int, hi: int, what: str) -> None:
+        if not lo <= i <= hi:
+            raise IndexError(f"{what} index {i} out of range [{lo}, {hi}]")
+
     def resistance(self, i: int) -> float:
-        if not 0 <= i < self.num_states:
-            raise IndexError(f"state index {i} out of range [0, {self.num_states - 1}]")
+        self._check(i, 0, self.num_states - 1, "state")
         return self.resistances[i]
 
-    def _clamp(self, rate: float) -> float:
-        if rate > self.rate_ceiling or not np.isfinite(rate):
-            object.__setattr__(self, "clamp_hit", True)
-            return self.rate_ceiling
-        return rate
-
+    # The rates below are `switching_rate` on one transition; v_m is a
+    # float for the first three and may be an array for the last two.
     def rate_up(self, i: int, v_m: float) -> float:
-        """Rate of the i -> i+1 transition at memristor voltage v_m.
-
-        Nonzero only for v_m > 0: 1 / (tau_up[i] * exp(-v_m / v_up[i])).
-        """
-        if not 0 <= i <= self.num_states - 2:
-            raise IndexError(
-                f"up-transition index {i} out of range [0, {self.num_states - 2}]")
-        if v_m <= 0.0:
-            return 0.0
-        with np.errstate(over="ignore"):
-            rate = float(np.exp(v_m / self.v_up[i])) / self.tau_up[i]
-        return self._clamp(rate)
+        """Rate of the i -> i+1 transition at memristor voltage v_m:
+        exp(v_m / v_up[i]) / tau_up[i] for v_m > 0, else 0."""
+        self._check(i, 0, self.num_states - 2, "up-transition")
+        return float(switching_rate(max(v_m, 0.0), *self.transitions[:, i], self.rate_ceiling))
 
     def rate_down(self, i: int, v_m: float) -> float:
-        """Rate of the i -> i-1 transition at memristor voltage v_m.
-
-        Nonzero only for v_m < 0: 1 / (tau_down[i-1] * exp(-|v_m| / v_down[i-1])).
-        """
-        if not 1 <= i <= self.num_states - 1:
-            raise IndexError(
-                f"down-transition index {i} out of range [1, {self.num_states - 1}]")
-        if v_m >= 0.0:
-            return 0.0
-        with np.errstate(over="ignore"):
-            rate = float(np.exp(abs(v_m) / self.v_down[i - 1])) / self.tau_down[i - 1]
-        return self._clamp(rate)
+        """Rate of the i -> i-1 transition at memristor voltage v_m:
+        exp(|v_m| / v_down[i-1]) / tau_down[i-1] for v_m < 0, else 0."""
+        self._check(i, 1, self.num_states - 1, "down-transition")
+        return float(switching_rate(min(v_m, 0.0), *self.transitions[:, self.num_states + i],
+                                    self.rate_ceiling))
 
     def total_exit_rate(self, i: int, v_m: float) -> float:
-        """Sum of the rates out of state i; boundary states lack one
-        direction, which contributes zero."""
-        if not 0 <= i < self.num_states:
-            raise IndexError(f"state index {i} out of range [0, {self.num_states - 1}]")
-        rate = 0.0
-        if i < self.num_states - 1:
-            rate += self.rate_up(i, v_m)
-        if i > 0:
-            rate += self.rate_down(i, v_m)
-        return rate
+        """Sum of the rates out of state i: the one that the sign of v_m
+        drives, zero where state i lacks that direction."""
+        self._check(i, 0, self.num_states - 1, "state")
+        return float(switching_rate(v_m, *self.transitions[:, i + self.num_states * (v_m < 0.0)],
+                                    self.rate_ceiling))
 
-    # Vectorized helpers used by the PDE and ensemble engines.  v_m may
-    # be an array; the state index is fixed.
     def rate_up_array(self, i: int, v_m: np.ndarray) -> np.ndarray:
-        if not 0 <= i <= self.num_states - 2:
-            raise IndexError(f"up-transition index {i} out of range")
-        v = np.asarray(v_m, dtype=float)
-        with np.errstate(over="ignore"):
-            r = np.where(v > 0.0, np.exp(np.minimum(v, 700.0 * self.v_up[i])
-                                         / self.v_up[i]) / self.tau_up[i], 0.0)
-        return np.minimum(r, self.rate_ceiling)
+        self._check(i, 0, self.num_states - 2, "up-transition")
+        return switching_rate(np.maximum(v_m, 0.0), *self.transitions[:, i], self.rate_ceiling)
 
     def rate_down_array(self, i: int, v_m: np.ndarray) -> np.ndarray:
-        if not 1 <= i <= self.num_states - 1:
-            raise IndexError(f"down-transition index {i} out of range")
-        v = np.asarray(v_m, dtype=float)
-        with np.errstate(over="ignore"):
-            r = np.where(v < 0.0, np.exp(np.minimum(-v, 700.0 * self.v_down[i - 1])
-                                         / self.v_down[i - 1]) / self.tau_down[i - 1], 0.0)
-        return np.minimum(r, self.rate_ceiling)
+        self._check(i, 1, self.num_states - 1, "down-transition")
+        return switching_rate(np.minimum(v_m, 0.0), *self.transitions[:, self.num_states + i],
+                              self.rate_ceiling)

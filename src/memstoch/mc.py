@@ -20,6 +20,12 @@ grows only with the number of switched trajectories.
 `_NetlistEnsemble` takes every other netlist and steps on a shared grid,
 with charges exact under piecewise-constant sources (RK4 otherwise) and
 Simpson-integrated hazards.  A step below the floor fails, never jumps.
+
+Both engines take exit rates from `device.switching_rate` (`_Rates` stacks
+the memristors' transition tables so that one call covers every clock) and
+thresholds from the same counter-based Philox streams (`_Thresholds`).
+Their diagnostics count `rate_ceiling_hits`: the rates cut at the model's
+ceiling or, on the exact path, the hazard pieces run at it.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import numpy as np
 
 from .analytic import ei_term, hazard_integral
 from .circuit import CircuitState, Netlist, affine_dynamics
+from .device import switching_rate
 
 # step-size control for the deterministic segments
 HAZARD_STEP_FACTOR = 0.1    # dt <= 0.1 / current total rate
@@ -101,6 +108,58 @@ def _mv(a, x):
     return np.einsum("...ij,...j->...i", a, x)
 
 
+class _Rates:
+    """Exit rates of the clocks of M memristors in one `switching_rate`
+    call: each model's `transitions`, padded to the largest state count
+    gmax with absent ones, flattened so that entry base[m] + s + gmax (vm < 0)
+    is the transition out of state s of memristor m that vm drives."""
+
+    def __init__(self, models):
+        self.gmax = max((m.num_states for m in models), default=1)
+        table = np.full((len(models), 2, 2, self.gmax), math.inf)
+        for m, model in enumerate(models):
+            table[m, ..., :model.num_states] = model.transitions.reshape(2, 2, -1)
+        self.v_scale, self.tau = table[:, 0].ravel(), table[:, 1].ravel()
+        # (M, gmax): the smallest voltage scale out of each state
+        self.v_min = table[:, 0].min(axis=1)
+        self.base = np.arange(len(models)) * 2 * self.gmax
+        self.ceiling = np.array([m.rate_ceiling for m in models])
+
+    def __call__(self, s, vm, diag):
+        """Rates of clocks in states s at voltages vm (the last axis over
+        memristors) and their entries; ceiling hits are tallied in diag."""
+        i = self.base + s + self.gmax * (vm < 0.0)
+        return switching_rate(vm, self.v_scale[i], self.tau[i], self.ceiling, diag), i
+
+
+class _Thresholds:
+    """Counter-based exponential thresholds: Philox stream [master_seed, k]
+    holds, for k = round * M + m, the round-th threshold of clock m of each
+    of the n trajectories (read-only, cached)."""
+
+    def __init__(self, master_seed: int, n: int, M: int = 1):
+        self.key, self.n, self.M = int(master_seed), n, M
+        self.streams = {}
+
+    def stream(self, k: int) -> np.ndarray:
+        if k not in self.streams:
+            rng = np.random.Generator(np.random.Philox(key=[self.key, k]))
+            self.streams[k] = rng.exponential(size=self.n)
+            self.streams[k].flags.writeable = False
+        return self.streams[k]
+
+    def draw(self, ids, rounds, at, m=0):
+        """Next thresholds of clocks m of trajectories ids, whose rounds
+        are rounds[at]; advances those rounds."""
+        k = rounds[at] * self.M + m
+        out = np.empty(k.size)
+        for kk in np.unique(k):
+            sel = k == kk
+            out[sel] = self.stream(int(kk))[ids[sel]]
+        rounds[at] += 1
+        return out
+
+
 class _NetlistEnsemble:
     """All n trajectories of any netlist as arrays: charges (n, K), states,
     hazards and thresholds (n, M).  Each memristor-state configuration (a
@@ -117,7 +176,6 @@ class _NetlistEnsemble:
                  histogram_bins: int = 50, rtol: float = 1e-9):
         self.netlist = netlist
         self.n = n
-        self.master_seed = int(master_seed)
         self.bins = histogram_bins
         self.rtol = rtol
         self.waves = [s.waveform for s in netlist.sources]
@@ -128,20 +186,12 @@ class _NetlistEnsemble:
         self.M, self.K = len(models), len(netlist.capacitors)
         self.strides = np.cumprod([1] + self.gs[:-1])[:self.M].astype(np.int64)
         self.top = np.array(self.gs, dtype=np.int64) - 1
-        self.ceiling = np.array([m.rate_ceiling for m in models])
-        # per memristor and state: 1/v_up, tau_up, 1/v_down, tau_down and
-        # the smallest voltage scale among its transitions (inf: none)
-        self.par = np.full((self.M, max(self.gs, default=1), 5), math.inf)
-        for m, mo in enumerate(models):
-            up = [(1.0 / v, t) for v, t in zip(mo.v_up, mo.tau_up)] + [(0.0, math.inf)]
-            dn = [(0.0, math.inf)] + [(1.0 / v, t) for v, t in zip(mo.v_down, mo.tau_down)]
-            for i, ((iu, tu), (id_, td)) in enumerate(zip(up, dn)):
-                self.par[m, i] = (iu, tu, id_, td, 1.0 / max(iu, id_))
+        self.rates = _Rates(models)
         self.mi = np.arange(self.M)
         self.sqrt_c = np.sqrt([c.capacitance for c in netlist.capacitors])
         self.config_row = {}     # configuration index -> table row
         self.tables = []
-        self.streams = {}
+        self.thresholds = _Thresholds(master_seed, n, self.M)
 
     # -- configuration tables ------------------------------------------
     def _add_configuration(self, index: int, states: tuple) -> None:
@@ -170,26 +220,6 @@ class _NetlistEnsemble:
             rows[index == c] = self.config_row[c]
         return rows
 
-    # -- counter-based threshold streams -------------------------------
-    def _stream(self, k: int) -> np.ndarray:
-        """Stream k = round * M + m: every trajectory's threshold for the
-        round-th clock of memristor m (read-only, cached)."""
-        if k not in self.streams:
-            rng = np.random.Generator(np.random.Philox(key=[self.master_seed, k]))
-            self.streams[k] = rng.exponential(size=self.n)
-            self.streams[k].flags.writeable = False
-        return self.streams[k]
-
-    def _draw(self, c, j):
-        """Next thresholds of clocks j of running trajectories c."""
-        k = self.round[c, j] * self.M + j
-        out = np.empty(c.size)
-        for kk in np.unique(k):
-            sel = k == kk
-            out[sel] = self._stream(int(kk))[self.ids[c[sel]]]
-        self.round[c, j] += 1
-        return out
-
     # -- vectorized physics --------------------------------------------
     def _v(self, t):
         """Source voltages at t: (S,) for a scalar t, (n, S) for an array."""
@@ -201,16 +231,6 @@ class _NetlistEnsemble:
 
     def _vm(self, rows, q, v):
         return _mv(self.Dq[rows], q) + _mv(self.Ds[rows], v)
-
-    def _rates(self, s, vm):
-        """Exit rate of every clock (rows, M): the up rate where vm > 0,
-        the down rate where vm < 0, zero where that transition is absent."""
-        p = self.par[self.mi, s]
-        up = vm > 0.0
-        x = np.abs(vm) * np.where(up, p[..., 0], p[..., 2])
-        with np.errstate(over="ignore"):
-            r = np.exp(np.minimum(x, 700.0)) / np.where(up, p[..., 1], p[..., 3])
-        return np.minimum(np.where(vm != 0.0, r, 0.0), self.ceiling)
 
     def _flow(self, rows, q, v, *spans):
         """Exact charges after each span (scalar or per row) under constant
@@ -250,8 +270,8 @@ class _NetlistEnsemble:
             q_mid = self._rk4(rows, q, t, h / 2)
             q_end = self._rk4(rows, q_mid, t + h / 2, h / 2)
             v_mid, v_end = self._v(t + h / 2), self._v(t + h)
-        return (q_mid, q_end, self._rates(s, self._vm(rows, q_mid, v_mid)),
-                self._rates(s, self._vm(rows, q_end, v_end)))
+        return (q_mid, q_end, self.rates(s, self._vm(rows, q_mid, v_mid), self.diag)[0],
+                self.rates(s, self._vm(rows, q_end, v_end), self.diag)[0])
 
     # -- the run --------------------------------------------------------
     def _evolve(self, initial: CircuitState, t_end: float, outputs):
@@ -270,7 +290,7 @@ class _NetlistEnsemble:
         self.s = np.tile(np.array(initial.memristor_states, dtype=np.int64), (n, 1))
         self.slot = self._rows_of(self.s)
         self.haz = np.zeros((n, M))
-        self.thr = np.array([self._stream(m) for m in range(M)]).reshape(M, n).T.copy()
+        self.thr = np.array([self.thresholds.stream(m) for m in range(M)]).reshape(M, n).T.copy()
         self.round = np.ones((n, M), dtype=np.int64)
         self.sample_q = np.zeros((len(outputs), n, self.K))
         self.sample_s = np.zeros((len(outputs), n, M), dtype=np.int64)
@@ -278,7 +298,8 @@ class _NetlistEnsemble:
         self.log = [(np.zeros(0),) + (np.zeros(0, dtype=np.int64),) * 4]
         self.failures = []
         self.diag = dict(path="netlist", shared_steps=0, rejected_steps=0,
-                         h_min=math.inf, max_cascade=0, configurations=0)
+                         h_min=math.inf, max_cascade=0, configurations=0,
+                         rate_ceiling_hits=0)
         h_floor = 1e-15 * max(t_end, 1.0)
         for k, t_out in enumerate(outputs):
             while t < t_out - h_floor and self.ids.size:
@@ -302,7 +323,7 @@ class _NetlistEnsemble:
         trajectories failed and the step is to be retried)."""
         q, s, rows = self.q, self.s, self.slot
         v = self._v(t)
-        r0 = self._rates(s, self._vm(rows, q, v))
+        r0 = self.rates(s, self._vm(rows, q, v), self.diag)[0]
         dvm = np.abs(_mv(self.Dq[rows], _mv(self.A[rows], q) + _mv(self.B[rows], v)))
         total = r0.sum(axis=1)
         if self.piecewise_constant:
@@ -311,7 +332,7 @@ class _NetlistEnsemble:
         with np.errstate(divide="ignore"):
             h_own = np.minimum(
                 np.minimum(HAZARD_STEP_FACTOR / total, 0.25 / self.a_scale[rows]),
-                (RATE_CURVATURE_FACTOR * self.par[self.mi, s, 4] / dvm).min(
+                (RATE_CURVATURE_FACTOR * self.rates.v_min[self.mi, s] / dvm).min(
                     axis=1, initial=math.inf))
         low = np.nonzero(h_own <= h_floor)[0]
         if low.size:
@@ -387,12 +408,12 @@ class _NetlistEnsemble:
             self.log.append((te, self.ids[c], j, old, new))
             self.s[c, j] = new
             self.haz[c, j] = 0.0
-            self.thr[c, j] = self._draw(c, j)
+            self.thr[c, j] = self.thresholds.draw(self.ids[c], self.round, (c, j), j)
             self.slot[c] = rows = self._rows_of(self.s[c])
             # the rest of the step, te -> t_next, in the new configuration
             rem = t_next - te
             s = self.s[c]
-            r0 = self._rates(s, self._vm(rows, q_e, v_e))
+            r0 = self.rates(s, self._vm(rows, q_e, v_e), self.diag)[0]
             qm, qe, rm, r1 = self._nodes(rows, s, q_e, te, rem, v)
             delta = rem[:, None] / 6.0 * (r0 + 4.0 * rm + r1)
             again = (self.haz[c] + delta >= self.thr[c]).any(axis=1)
@@ -518,7 +539,6 @@ class _VectorEnsemble:
         self.netlist = netlist
         self.model = netlist.memristors[0].model
         self.n = n
-        self.master_seed = int(master_seed)
         self.bins = histogram_bins
         self.wave = netlist.sources[0].waveform
         g = self.model.num_states
@@ -527,57 +547,17 @@ class _VectorEnsemble:
         self.B = np.array([float(d.B[0, 0]) for d in dyn])
         self.Dq = np.array([float(d.Dq[0, 0]) for d in dyn])
         self.Ds = np.array([float(d.Ds[0, 0]) for d in dyn])
-        inf = math.inf
-        self.tau_up = np.array(list(self.model.tau_up) + [inf])
-        self.v_up = np.array(list(self.model.v_up) + [1.0])
-        self.tau_dn = np.array([inf] + list(self.model.tau_down))
-        self.v_dn = np.array([1.0] + list(self.model.v_down))
+        # rate entries are s + G (vm < 0) for state s
+        self.rates = _Rates([self.model])
+        self.thresholds = _Thresholds(master_seed, n)
         # exact path: RC time constant per state (1 s where the capacitor
-        # is cut off, A = 0) and the log of each rate's ceiling times tau_x
+        # is cut off, A = 0) and the log of the ceiling times each tau
         self.tau = np.where(self.A < 0.0, -1.0 / np.where(self.A < 0.0, self.A, -1.0),
                             1.0)
-        with np.errstate(divide="ignore"):
-            self.log_cap_up = np.log(self.model.rate_ceiling * self.tau_up)
-            self.log_cap_dn = np.log(self.model.rate_ceiling * self.tau_dn)
-        self._threshold_rounds = {}
+        self.log_cap = np.log(self.model.rate_ceiling * self.rates.tau)
 
-    # -- counter-based threshold streams -------------------------------
-    def _thresholds(self, round_idx: int) -> np.ndarray:
-        """The round_idx-th exponential threshold of every trajectory
-        (read-only; cached for the engine's lifetime)."""
-        arr = self._threshold_rounds.get(round_idx)
-        if arr is None:
-            rng = np.random.Generator(
-                np.random.Philox(key=[self.master_seed, round_idx]))
-            arr = rng.exponential(size=self.n)
-            arr.flags.writeable = False
-            self._threshold_rounds[round_idx] = arr
-        return arr
-
-    def _draw(self, idx, draw):
-        """Next thresholds of trajectories idx, each from its own round."""
-        rounds = draw[idx]
-        out = np.empty(idx.size)
-        for rnd in np.unique(rounds):
-            sel = rounds == rnd
-            out[sel] = self._thresholds(int(rnd))[idx[sel]]
-        draw[idx] += 1
-        return out
-
-    # -- vectorized physics --------------------------------------------
     def _vm(self, state, q, v):
         return self.Dq[state] * q + self.Ds[state] * v
-
-    def _rates(self, state, vm):
-        ceiling = self.model.rate_ceiling
-        with np.errstate(over="ignore"):
-            up = np.where(vm > 0.0,
-                          np.exp(np.minimum(vm / self.v_up[state], 700.0))
-                          / self.tau_up[state], 0.0)
-            dn = np.where(vm < 0.0,
-                          np.exp(np.minimum(-vm / self.v_dn[state], 700.0))
-                          / self.tau_dn[state], 0.0)
-        return np.minimum(up, ceiling), np.minimum(dn, ceiling)
 
     def run(self, initial: CircuitState, t_end: float,
             output_times: Sequence[float]) -> EnsembleStats:
@@ -646,10 +626,11 @@ class _VectorEnsemble:
                 "state (dq/dt = A q + B v with A < 0, or A = B = 0)")
         n = self.n
         self._diag = dict(path="exact", rounds=0, newton_iterations=0,
-                          newton_max=0, sign_splits=0, ceiling_splits=0)
+                          newton_max=0, sign_splits=0, ceiling_splits=0,
+                          rate_ceiling_hits=0)
         t0 = np.full(n, t)
         q0 = np.full(n, q_init)
-        remaining = self._thresholds(0).copy()
+        remaining = self.thresholds.stream(0).copy()
         draw = np.ones(n, dtype=np.int64)
         stop = _Stops(n)
         everyone = np.arange(n)
@@ -669,7 +650,7 @@ class _VectorEnsemble:
                 state[fired] += np.where(up, 1, -1)
                 fe = first_event[fired]
                 first_event[fired] = np.where(np.isnan(fe), stop.t[fired], fe)
-                remaining[fired] = self._draw(fired, draw)
+                remaining[fired] = self.thresholds.draw(fired, draw, fired)
                 q0[due] = stop.q_at(due, stop.d[due])
                 t0[due] = stop.t[due]
                 self._next_stops(due, state, t0, q0, remaining, t_end, stop)
@@ -717,6 +698,7 @@ class _VectorEnsemble:
             dp, dq, tp = d[pend], p.end, tau[pend]
             haz = np.zeros(pend.size)
             at_cap = p.live & p.above
+            self._diag["rate_ceiling_hits"] += int(np.count_nonzero(at_cap))
             haz[at_cap] = self.model.rate_ceiling * tp[at_cap] * (dq - dp)[at_cap]
             curve = np.nonzero(p.live & ~p.above)[0]
             begin = ei_term(p.alpha[curve], p.beta[curve], dp[curve])
@@ -805,9 +787,8 @@ class _VectorEnsemble:
                        np.sign(b), np.sign(a))
         up = (sgn > 0) & (s < g - 1)
         live = up | ((sgn < 0) & (s > 0))
-        v_x = np.where(up, self.v_up[s], self.v_dn[s])
-        tau_x = np.where(up, self.tau_up[s], self.tau_dn[s])
-        log_cap = np.where(up, self.log_cap_up[s], self.log_cap_dn[s])
+        i = s + g * ~up
+        v_x, tau_x, log_cap = self.rates.v_scale[i], self.rates.tau[i], self.log_cap[i]
         alpha = sgn * a / v_x
         beta = sgn * b / v_x
         # the exponent alpha + beta e^{-d} is monotone and meets log_cap
@@ -853,11 +834,11 @@ class _VectorEnsemble:
         return tuple(c[state] + (one - c)[state] * q
                      for c, one in (x.reshape(2, g) for x in self._advance(*basis, t, h)))
 
-    def _step_size(self, state, q, t, t_limit, h_floor, v, up, dn):
-        """Shared step from t, given the source voltage and rates at t."""
-        total = up + dn
+    def _step_size(self, state, q, t, t_limit, h_floor, v, rate, entry):
+        """Shared step from t, given the source voltage, the rates at t and
+        their entries in `rates`."""
         h = t_limit - t
-        rmax = float(total.max())
+        rmax = float(rate.max())
         if rmax > 0:
             h = min(h, HAZARD_STEP_FACTOR / rmax)
         a_scale = float(np.abs(self.A[state]).max())
@@ -866,9 +847,7 @@ class _VectorEnsemble:
         # rate-curvature cap: |d ln rate / dt| = |dvm/dt| / V-scale
         dq = self.A[state] * q + self.B[state] * v
         dvm = np.abs(self.Dq[state] * dq)
-        vs_up = np.where(up > 0, self.v_up[state], math.inf)
-        vs_dn = np.where(dn > 0, self.v_dn[state], math.inf)
-        vscale = np.minimum(vs_up, vs_dn)
+        vscale = np.where(rate > 0, self.rates.v_scale[entry], math.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
             cap = np.where((dvm > 0) & np.isfinite(vscale),
                            RATE_CURVATURE_FACTOR * vscale / dvm, math.inf)
@@ -890,7 +869,7 @@ class _VectorEnsemble:
         leave as rows of their own.  A step's end rates are the next
         step's start rates of the rows that did not fire."""
         n = self.n
-        thr0 = self._thresholds(0)
+        thr0 = self.thresholds.stream(0)
         order = np.argsort(thr0, kind="stable")
         thr_sorted = thr0[order]
         left = 0                       # order[left:] share row 0
@@ -903,29 +882,29 @@ class _VectorEnsemble:
         draw = np.ones(n, dtype=np.int64)
         counts = np.zeros((2, n), dtype=np.int64)   # events up, down
         failures = []
-        self._diag = dict(path="stepped", shared_steps=0, max_cascade=0, rows_max=0)
+        self._diag = dict(path="stepped", shared_steps=0, max_cascade=0, rows_max=0,
+                          rate_ceiling_hits=0)
         h_floor = 1e-15 * max(t_end, 1.0)
         t_rates, stale = None, ids[:0]
         for t_out in outputs:
             while t < t_out - h_floor:
                 v0 = self.wave(t)
                 if t != t_rates:
-                    r0u, r0d = self._rates(s, self._vm(s, q, v0))
-                elif stale.size:
-                    r0u[stale], r0d[stale] = self._rates(
-                        s[stale], self._vm(s[stale], q[stale], v0))
-                h = self._step_size(s, q, t, t_out, h_floor, v0, r0u, r0d)
+                    r0, e0 = self.rates(s, self._vm(s, q, v0), self._diag)
+                else:
+                    r0, e0 = r1, e1
+                    if stale.size:
+                        r0[stale], e0[stale] = self.rates(
+                            s[stale], self._vm(s[stale], q[stale], v0), self._diag)
+                h = self._step_size(s, q, t, t_out, h_floor, v0, r0, e0)
                 if h <= h_floor:
                     raise TrajectoryFailure(
                         f"step size control needs h = {h:.3g} s at t = {t:.9g} s, "
                         f"below the floor {h_floor:.3g} s")
                 self._diag["shared_steps"] += 1
                 q_mid, q_end = self._advance_shared(s, q, t, h)
-                rmu, rmd = self._rates(s, self._vm(s, q_mid, self.wave(t + h / 2)))
-                r1u, r1d = self._rates(s, self._vm(s, q_end, self.wave(t + h)))
-                r0 = r0u + r0d
-                rm = rmu + rmd
-                r1 = r1u + r1d
+                rm, _ = self.rates(s, self._vm(s, q_mid, self.wave(t + h / 2)), self._diag)
+                r1, e1 = self.rates(s, self._vm(s, q_end, self.wave(t + h)), self._diag)
                 delta = h / 6.0 * (r0 + 4.0 * rm + r1)
                 crossed = lam + delta >= thr
                 if left < n and crossed[0]:
@@ -934,9 +913,9 @@ class _VectorEnsemble:
                     leave = order[left:end]
                     left = end
                     rows = np.r_[(0 if left < n else 1):ids.size, np.zeros(leave.size, np.intp)]
-                    ids, s, q, lam, thr, q_mid, q_end, r0, rm, r1, r1u, r1d, delta, crossed = (
+                    ids, s, q, lam, thr, q_mid, q_end, r0, rm, r1, e1, delta, crossed = (
                         x[rows] for x in (ids, s, q, lam, thr, q_mid, q_end, r0, rm, r1,
-                                          r1u, r1d, delta, crossed))
+                                          e1, delta, crossed))
                     ids[-leave.size:] = leave
                     thr[-leave.size:] = thr0[leave]
                     if left < n:
@@ -949,7 +928,7 @@ class _VectorEnsemble:
                 keep = ~crossed
                 q = np.where(keep, q_end, q)
                 lam = np.where(keep, lam + delta, lam)
-                r0u, r0d, t_rates, stale = r1u, r1d, t + h, idx
+                t_rates, stale = t + h, idx
                 if idx.size:
                     runaway = self._handle_events(
                         idx, ids, q, s, lam, thr, draw, first_event, counts,
@@ -1009,18 +988,14 @@ class _VectorEnsemble:
             state[active] = new_state
             q[active] = q_e
             lam[active] = 0.0
-            thr[active] = self._draw(who, draw)
+            thr[active] = self.thresholds.draw(who, draw, who)
             # integrate the remainder (te -> t + h) in the new state
             rem = (t + h) - te
-            qm2, qe2 = self._advance(state[active], q_e, te, rem)
+            qm2, qe2 = self._advance(new_state, q_e, te, rem)
             v_m = self.wave(te + rem / 2)
             v_1 = self.wave(te + rem)
-            ru0, rd0 = self._rates(state[active], self._vm(state[active], q_e, v_e))
-            rum, rdm = self._rates(state[active], self._vm(state[active], qm2, v_m))
-            ru1, rd1 = self._rates(state[active], self._vm(state[active], qe2, v_1))
-            rr0 = ru0 + rd0
-            rrm = rum + rdm
-            rr1 = ru1 + rd1
+            rr0, rrm, rr1 = (self.rates(new_state, self._vm(new_state, qq, vv), self._diag)[0]
+                             for qq, vv in ((q_e, v_e), (qm2, v_m), (qe2, v_1)))
             ddelta = rem / 6.0 * (rr0 + 4.0 * rrm + rr1)
             fire_again = ddelta >= thr[active]
             done = ~fire_again

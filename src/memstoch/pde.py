@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .circuit import Waveform
-from .device import MemristorModel
+from .device import MemristorModel, switching_rate
 
 CFL_LIMIT = 0.9
 
@@ -202,6 +202,7 @@ class _RunTables:
         self.r = np.array(model.resistances)[:, None]
         self.steps = max(1, _BLOCK_BYTES // (8 * grid.n_cells))
         self.fixed = self.w_dt = self.w = None
+        self.diag = dict(rate_ceiling_hits=0)   # over the rates computed
         if params.waveform.kind == "constant":
             self.fixed = self._drive(np.array([params.waveform(0.0)]), 0, grid.n_cells)
         self.rows = {}
@@ -210,9 +211,13 @@ class _RunTables:
         """Face velocities, split faces and pair rates per drive value in v,
         over the cells lo..hi-1."""
         vm = v[:, None] - self.cell_v[lo:hi]
-        rates = [(self.model.rate_up_array(k, vm),        # k -> k+1
-                  self.model.rate_down_array(k + 1, vm))  # k+1 -> k
-                 for k in range(self.model.num_states - 1)]
+        g, par, cap = self.model.num_states, self.model.transitions, self.model.rate_ceiling
+        up, rates = vm > 0.0, []
+        for k in range(g - 1):
+            # one kernel call per pair: k -> k+1 where vm > 0, k+1 -> k where vm < 0
+            (vu, vd), (tu, td) = par[:, [k, g + k + 1]]
+            r = switching_rate(vm, np.where(up, vu, vd), np.where(up, tu, td), cap, self.diag)
+            rates.append((np.where(up, r, 0.0), np.where(up, 0.0, r)))
         return ((v[:, None] - self.face_v[lo:hi - 1])[:, None] / self.r,
                 np.searchsorted(self.face_v, v) - lo, rates)
 
@@ -325,7 +330,8 @@ class PdeResult:
     fields: list                 # DistributionField at each output time
     min_cell_value: float
     max_mass_error: float
-    # what the run did: steps taken and the smallest and largest dt
+    # what the run did: steps taken, the smallest and largest dt and how
+    # many computed rates the ceiling capped
     diagnostics: dict
 
 
@@ -376,4 +382,4 @@ def run(initial: DistributionField, t_end: float,
                      np.vstack([f.marginals() for f in fields]), np.vstack(mean),
                      np.vstack(var), fields, min_cell, max_mass_err,
                      dict(steps=len(dts), dt_min=min(dts, default=math.nan),
-                          dt_max=max(dts, default=math.nan)))
+                          dt_max=max(dts, default=math.nan), **tables.diag))

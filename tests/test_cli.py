@@ -116,9 +116,9 @@ def test_simulate_compare_engine(tmp_path):
     assert set(table.meta) == {"engine", "max_abs_dev_pde", "max_dev_mc_over_stderr",
                                "prob_sum_tol", "config", "version",
                                "pde_steps", "pde_dt_min", "pde_dt_max", "pde_n_cells",
-                               "pde_mass_error", "mc_path", "mc_rounds",
+                               "pde_mass_error", "pde_rate_ceiling_hits", "mc_path", "mc_rounds",
                                "mc_newton_iterations", "mc_newton_max", "mc_sign_splits",
-                               "mc_ceiling_splits", "mc_trajectories", "mc_seed",
+                               "mc_ceiling_splits", "mc_rate_ceiling_hits", "mc_trajectories", "mc_seed",
                                "mc_failed", "mc_events_up", "mc_events_down"}
     assert table.meta["mc_path"] == "exact" and int(table.meta["pde_steps"]) > 0
 

@@ -326,6 +326,18 @@ def _round0_thresholds(master_seed, n):
     return rng.exponential(size=n)
 
 
+def test_threshold_streams_are_keyed_by_round_and_clock():
+    # the r-th threshold of clock m of trajectory i is entry i of Philox
+    # stream [master_seed, r M + m]; both engines draw through this helper
+    th = mc._Thresholds(99, 50, M=3)
+    rounds = np.array([[1, 4, 2], [3, 1, 1]])
+    got = th.draw(np.array([7, 42]), rounds, ([0, 1], [2, 0]), np.array([2, 0]))
+    expect = [np.random.Generator(np.random.Philox(key=[99, r * 3 + m])).exponential(size=50)[i]
+              for i, r, m in ((7, 2, 2), (42, 3, 0))]
+    assert np.array_equal(got, expect)
+    assert rounds.tolist() == [[1, 4, 3], [4, 1, 1]]
+
+
 def _check_first_events(stats, thresholds, t_end, a, b, tau, tau_x, v_x):
     # deterministic: each first event against a 40-digit inversion of the
     # same threshold along vm = a + b e^{-t/tau} (one sign throughout),
@@ -365,6 +377,7 @@ def test_first_events_match_mpmath_inversion(params, va):
                         params.C * params.R0, params.tau0, params.V0)
     assert stats.diagnostics["path"] == "exact"
     assert stats.diagnostics["newton_max"] <= 20
+    assert stats.diagnostics["rate_ceiling_hits"] == 0
 
 
 SHUNTED_TEXT = """
@@ -437,6 +450,8 @@ def test_rate_ceiling_segments_are_exact(params):
     net = _figure2_at(params, params.Va, rate_ceiling=ceiling)
     stats = run_ensemble(net, net.initial_state(), t_end, [t_end], n, seed)
     assert stats.diagnostics["ceiling_splits"] > 0
+    # every trajectory starts on a capped piece
+    assert stats.diagnostics["rate_ceiling_hits"] >= n
     with mpmath.workdps(40):
         tau = mpmath.mpf(params.C) * mpmath.mpf(params.R0)
         tau0 = mpmath.mpf(params.tau0)
@@ -453,6 +468,24 @@ def test_rate_ceiling_segments_are_exact(params):
             assert (not math.isnan(t)) == (hazard(mpmath.mpf(t_end)) >= e)
             if not math.isnan(t):
                 assert abs(hazard(mpmath.mpf(float(t))) - e) <= 1e-12 * e
+
+
+@pytest.mark.parametrize("path", ["stepped", "netlist"])
+def test_rate_ceiling_hits_count_the_capped_rates(params, path):
+    # the Figure-2 device under a sine about 0.35 V: its rates stay below
+    # the default ceiling, while a ceiling of 100 /s caps them near the crests
+    counts = []
+    for ceiling in (1e30, 100.0):
+        model = MemristorModel.binary(params.R0, params.R1, params.tau0, params.V0,
+                                      rate_ceiling=ceiling)
+        net = series_mc(model, params.C, Waveform.sine(0.35, 0.05, 50.0))
+        if path == "netlist":
+            stats = mc._NetlistEnsemble(net, 200, 3).run(net.initial_state(), 0.01, [0.01])
+        else:
+            stats = run_ensemble(net, net.initial_state(), 0.01, [0.01], 200, 3)
+        assert stats.diagnostics["path"] == path
+        counts.append(stats.diagnostics["rate_ceiling_hits"])
+    assert counts[0] == 0 and counts[1] > 0
 
 
 SIGN_CHANGE_TEXT = """
@@ -532,11 +565,11 @@ def test_carried_rates_equal_fresh_start_rates(monkeypatch):
     step_size = mc._VectorEnsemble._step_size
     checked = []
 
-    def spy(self, state, q, t, t_limit, h_floor, v, up, dn):
-        fresh = self._rates(state, self._vm(state, q, self.wave(t)))
-        assert np.array_equal(up, fresh[0]) and np.array_equal(dn, fresh[1])
+    def spy(self, state, q, t, t_limit, h_floor, v, rate, entry):
+        fresh = self.rates(state, self._vm(state, q, self.wave(t)), dict(rate_ceiling_hits=0))
+        assert np.array_equal(rate, fresh[0]) and np.array_equal(entry, fresh[1])
         checked.append(t)
-        return step_size(self, state, q, t, t_limit, h_floor, v, up, dn)
+        return step_size(self, state, q, t, t_limit, h_floor, v, rate, entry)
 
     monkeypatch.setattr(mc._VectorEnsemble, "_step_size", spy)
     net = _sine3_net()
@@ -631,40 +664,39 @@ def _reference_stepped(self, state, q_init, t, t_end, outputs, record, first_eve
     q = np.full(n, q_init)
     q_out = q.copy()
     lam = np.zeros(n)
-    thr = self._thresholds(0).copy()
+    thr = self.thresholds.stream(0).copy()
     draw = np.ones(n, dtype=np.int64)
     events_up = events_down = 0
     failures = []
-    self._diag = dict(path="stepped", shared_steps=0, max_cascade=0)
+    self._diag = dict(path="stepped", shared_steps=0, max_cascade=0, rate_ceiling_hits=0)
     h_floor = 1e-15 * max(t_end, 1.0)
     t_rates, stale = None, ids[:0]
     for t_out in outputs:
         while t < t_out - h_floor:
             v0 = self.wave(t)
             if t != t_rates:
-                r0u, r0d = self._rates(s, self._vm(s, q, v0))
-            elif stale.size:
-                r0u[stale], r0d[stale] = self._rates(
-                    s[stale], self._vm(s[stale], q[stale], v0))
-            h = self._step_size(s, q, t, t_out, h_floor, v0, r0u, r0d)
+                r0, e0 = self.rates(s, self._vm(s, q, v0), self._diag)
+            else:
+                r0, e0 = r1, e1
+                if stale.size:
+                    r0[stale], e0[stale] = self.rates(
+                        s[stale], self._vm(s[stale], q[stale], v0), self._diag)
+            h = self._step_size(s, q, t, t_out, h_floor, v0, r0, e0)
             if h <= h_floor:
                 raise mc.TrajectoryFailure(
                     f"step size control needs h = {h:.3g} s at t = {t:.9g} s, "
                     f"below the floor {h_floor:.3g} s")
             self._diag["shared_steps"] += 1
             q_mid, q_end = self._advance_shared(s, q, t, h)
-            rmu, rmd = self._rates(s, self._vm(s, q_mid, self.wave(t + h / 2)))
-            r1u, r1d = self._rates(s, self._vm(s, q_end, self.wave(t + h)))
-            r0 = r0u + r0d
-            rm = rmu + rmd
-            r1 = r1u + r1d
+            rm, _ = self.rates(s, self._vm(s, q_mid, self.wave(t + h / 2)), self._diag)
+            r1, e1 = self.rates(s, self._vm(s, q_end, self.wave(t + h)), self._diag)
             delta = h / 6.0 * (r0 + 4.0 * rm + r1)
             crossed = lam + delta >= thr
             idx = np.nonzero(crossed)[0]
             keep = ~crossed
             q = np.where(keep, q_end, q)
             lam = np.where(keep, lam + delta, lam)
-            r0u, r0d, t_rates, stale = r1u, r1d, t + h, idx
+            t_rates, stale = t + h, idx
             if idx.size:
                 evu, evd, runaway = _reference_events(
                     self, idx, ids, q, s, lam, thr, draw, first_event,
@@ -717,16 +749,14 @@ def _reference_events(self, idx, ids, q, state, lam, thr, draw, first_event,
         state[active] = s_a + np.where(up, 1, -1)
         q[active] = q_e
         lam[active] = 0.0
-        thr[active] = self._draw(who, draw)
+        thr[active] = self.thresholds.draw(who, draw, who)
         rem = (t + h) - te
         qm2, qe2 = self._advance(state[active], q_e, te, rem)
-        ru0, rd0 = self._rates(state[active], self._vm(state[active], q_e, v_e))
-        rum, rdm = self._rates(state[active],
-                               self._vm(state[active], qm2, self.wave(te + rem / 2)))
-        ru1, rd1 = self._rates(state[active], self._vm(state[active], qe2, self.wave(te + rem)))
-        rr0 = ru0 + rd0
-        rrm = rum + rdm
-        rr1 = ru1 + rd1
+        rr0 = self.rates(state[active], self._vm(state[active], q_e, v_e), self._diag)[0]
+        rrm = self.rates(state[active], self._vm(state[active], qm2, self.wave(te + rem / 2)),
+                         self._diag)[0]
+        rr1 = self.rates(state[active], self._vm(state[active], qe2, self.wave(te + rem)),
+                         self._diag)[0]
         ddelta = rem / 6.0 * (rr0 + 4.0 * rrm + rr1)
         fire_again = ddelta >= thr[active]
         done = ~fire_again
@@ -787,13 +817,13 @@ def test_stepped_events_count_only_finished_trajectories(monkeypatch):
     # every event draws the trajectory's next threshold once, so the event
     # totals equal the draws made for the trajectories that finish
     drawn = []
-    draw = mc._VectorEnsemble._draw
+    draw = mc._Thresholds.draw
 
-    def spy(self, idx, counter):
-        drawn.append(idx.copy())
-        return draw(self, idx, counter)
+    def spy(self, ids, rounds, at, m=0):
+        drawn.append(ids.copy())
+        return draw(self, ids, rounds, at, m)
 
-    monkeypatch.setattr(mc._VectorEnsemble, "_draw", spy)
+    monkeypatch.setattr(mc._Thresholds, "draw", spy)
     monkeypatch.setattr(mc, "MAX_CASCADE", 1)
     net = _sine3_net()
     stats = run_ensemble(net, net.initial_state(), 0.005, np.linspace(0.0, 0.005, 21),

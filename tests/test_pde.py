@@ -401,7 +401,25 @@ def test_run_is_bit_identical_to_the_per_state_step(params, model, case):
         assert len(set(dts)) < len(dts) and len(set(dts)) > 1
     if case == "interval_of_many_blocks":
         assert len(dts) > 10 * pde._RunTables(g, circ, m).steps
-    assert res.diagnostics == dict(steps=len(dts), dt_min=min(dts), dt_max=max(dts))
+    assert res.diagnostics == dict(steps=len(dts), dt_min=min(dts), dt_max=max(dts),
+                                   rate_ceiling_hits=0)
+
+
+def test_rate_ceiling_hits_count_the_capped_rates(params):
+    # under a constant drive the rates are computed once over the grid: a
+    # ceiling of 100 /s caps the up rates of the cells with vm = Va - q/C
+    # above V0 ln(100 tau0) and the down rates below -V0 ln(100 tau0)
+    circ = SeriesCircuitParams(params.C, Waveform.constant(params.Va))
+    g = ChargeGrid.for_drive(params.C, circ.waveform, 0.002, 400)
+    initial = DistributionField.from_delta(g, 2, 0, 0.0)
+    vm = params.Va - g.centers() / params.C
+    capped = np.count_nonzero(np.exp(np.abs(vm) / params.V0) / params.tau0 > 100.0)
+    assert capped > 0
+    for ceiling, hits in ((1e30, 0), (100.0, capped)):
+        m = MemristorModel.binary(params.R0, params.R1, params.tau0, params.V0,
+                                  rate_ceiling=ceiling)
+        res = pde.run(initial, 0.002, [0.002], circ, m)
+        assert res.diagnostics["rate_ceiling_hits"] == hits
 
 
 @pytest.mark.parametrize("edge", [False, True], ids=["inside", "touching_an_edge"])

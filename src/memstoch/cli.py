@@ -101,14 +101,15 @@ def _positive(cfg: dict, key: str, what: str = "config"):
 
 
 class _ConfigLoader(yaml.SafeLoader):
-    """Safe loader that also reads exponent floats without a dot, such as
-    1e-06, as floats (YAML 1.2 core schema); PyYAML's YAML 1.1 resolver
-    leaves them strings."""
+    """Safe loader that reads every float of the YAML 1.2 core schema, such
+    as 1e-06, 1.0e5 or .5e3, as a float; PyYAML's YAML 1.1 resolver wants a
+    dot and a signed exponent and leaves the others strings."""
 
 
 _ConfigLoader.add_implicit_resolver(
-    "tag:yaml.org,2002:float", re.compile(r"^[-+]?[0-9]+[eE][-+]?[0-9]+$"),
-    list("-+0123456789"))
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"))
 
 
 def load_config(path) -> dict:
@@ -152,10 +153,8 @@ def _output_times(cfg: dict) -> np.ndarray:
     t_end = _positive(cfg, "t_end")
     if "output_dt" in cfg:
         dt = _positive(cfg, "output_dt")
-        times = np.arange(0.0, t_end + dt / 2, dt)
-        if times[-1] < t_end:
-            times = np.append(times, t_end)
-        return times
+        # multiples of dt below t_end, then t_end itself (not a rounded multiple)
+        return np.append(np.arange(0.0, t_end - 1e-9 * dt, dt), t_end)
     n = int(cfg.get("output_points", 50))
     if n < 2:
         raise ConfigError("output_points must be >= 2")

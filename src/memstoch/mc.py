@@ -9,14 +9,11 @@ the hazard reaches an exponential threshold (no fixed-step Bernoulli
 trials).
 
 Both engines run all trajectories as arrays.  `_VectorEnsemble` takes
-circuits with one memristor, one capacitor and one source: under
-constant and step drives it inverts the closed-form hazard of each RC
-segment, so its jump times are exact to round-off; under sine and PWL
-drives it steps on a shared grid with Simpson-integrated hazards, one
-affine charge map per state and step, and end-of-step rates carried over.
-There, one shared row carries every trajectory that has not switched yet
-(all follow the same path until their first event), so a step's work
-grows only with the number of switched trajectories.
+circuits with one memristor, one capacitor and one source, and draws
+exact jump times: under constant and step drives it inverts the
+closed-form hazard of each RC segment; under sine and PWL drives it thins
+candidates drawn from a bound of the rate along the closed-form charge,
+with one shared row for every trajectory that has not switched yet.
 `_NetlistEnsemble` takes every other netlist and steps on a shared grid,
 with charges exact under piecewise-constant sources (RK4 otherwise) and
 Simpson-integrated hazards.  A step below the floor fails, never jumps.
@@ -40,10 +37,12 @@ from .analytic import ei_term, hazard_integral
 from .circuit import CircuitState, Netlist, affine_dynamics
 from .device import switching_rate
 
-# step-size control for the deterministic segments
+# step control of the netlist engine, then thinning in the vector engine
 HAZARD_STEP_FACTOR = 0.1    # dt <= 0.1 / current total rate
 RATE_CURVATURE_FACTOR = 0.3  # dt <= 0.3 / |d ln(rate)/dt|
 MAX_CASCADE = 64            # events of one trajectory within one step
+MAX_CANDIDATES = 10_000     # candidates of one trajectory within one output interval
+_WINDOW_SLACK = 1.0         # bound on the envelope's excess over the log-rate
 
 
 class TrajectoryFailure(RuntimeError):
@@ -148,14 +147,20 @@ class _Thresholds:
             self.streams[k].flags.writeable = False
         return self.streams[k]
 
-    def draw(self, ids, rounds, at, m=0):
-        """Next thresholds of clocks m of trajectories ids, whose rounds
-        are rounds[at]; advances those rounds."""
-        k = rounds[at] * self.M + m
+    def take(self, ids, k):
+        """Entry ids[i] of stream k[i], for each i."""
+        if k.size and (k == k[0]).all():
+            return self.stream(int(k[0]))[ids]
         out = np.empty(k.size)
         for kk in np.unique(k):
             sel = k == kk
             out[sel] = self.stream(int(kk))[ids[sel]]
+        return out
+
+    def draw(self, ids, rounds, at, m=0):
+        """Next thresholds of clocks m of trajectories ids, whose rounds
+        are rounds[at]; advances those rounds."""
+        out = self.take(ids, rounds[at] * self.M + m)
         rounds[at] += 1
         return out
 
@@ -525,14 +530,11 @@ def _is_single_device(netlist: Netlist) -> bool:
 
 
 class _VectorEnsemble:
-    """All trajectories as (n,) arrays of charge, state and clock.
-
-    Constant and step drives take exact event-to-event rounds (`_run_exact`);
-    sine and PWL drives advance on a shared adaptive time grid
-    (`_run_stepped`), where a trajectory with more than MAX_CASCADE events
-    in one step fails alone.  There, row 0 stands for all trajectories
-    not yet switched, and a trajectory gets a row of its own at its first
-    event; `diagnostics["rows_max"]` counts the most such rows."""
+    """All trajectories as (n,) arrays of charge, state and clock, jumping
+    from event to event: by closed-form hazard inversion under constant and
+    step drives (`_run_exact`), by thinning under sine and PWL drives
+    (`_run_thinning`), where `diagnostics["rows_max"]` counts the switched
+    trajectories, each on a row of its own."""
 
     def __init__(self, netlist: Netlist, n: int, master_seed: int,
                  histogram_bins: int):
@@ -543,21 +545,18 @@ class _VectorEnsemble:
         self.wave = netlist.sources[0].waveform
         g = self.model.num_states
         dyn = [affine_dynamics(netlist, (i,)) for i in range(g)]
-        self.A = np.array([float(d.A[0, 0]) for d in dyn])
-        self.B = np.array([float(d.B[0, 0]) for d in dyn])
-        self.Dq = np.array([float(d.Dq[0, 0]) for d in dyn])
-        self.Ds = np.array([float(d.Ds[0, 0]) for d in dyn])
+        self.A, self.B, self.Dq, self.Ds = np.array(
+            [[d.A[0, 0], d.B[0, 0], d.Dq[0, 0], d.Ds[0, 0]] for d in dyn], dtype=float).T
         # rate entries are s + G (vm < 0) for state s
         self.rates = _Rates([self.model])
         self.thresholds = _Thresholds(master_seed, n)
+        # thinning: candidate round r's spacing in stream 2r, acceptance in 2r + 1
+        self.candidates = _Thresholds(master_seed, n, 2)
         # exact path: RC time constant per state (1 s where the capacitor
         # is cut off, A = 0) and the log of the ceiling times each tau
         self.tau = np.where(self.A < 0.0, -1.0 / np.where(self.A < 0.0, self.A, -1.0),
                             1.0)
         self.log_cap = np.log(self.model.rate_ceiling * self.rates.tau)
-
-    def _vm(self, state, q, v):
-        return self.Dq[state] * q + self.Ds[state] * v
 
     def run(self, initial: CircuitState, t_end: float,
             output_times: Sequence[float]) -> EnsembleStats:
@@ -585,16 +584,23 @@ class _VectorEnsemble:
         width = self.bins + 1
         dtype = np.min_scalar_type(g * width)
 
-        def record(t_now, q):
+        def record(t_now, s, q, ids=None):
+            # with ids, entry 0 stands for every trajectory not in ids
+            c = _hist_codes(s, q, edges).astype(dtype)
+            if ids is not None:
+                c, c[ids] = np.full(n, c[0], dtype), c[1:]
             times.append(t_now)
-            codes.append(_hist_codes(state, q, edges).astype(dtype))
+            codes.append(c)
 
         if outputs[0] == t:
-            record(t, np.full(n, q_init))
+            record(t, state[:1], np.array([q_init]), state[:0])
             outputs = outputs[1:]
 
+        if np.any((self.A > 0.0) | ((self.A == 0.0) & (self.B != 0.0))):
+            raise ValueError("the vector engine needs the capacitor to relax in every "
+                             "state (dq/dt = A q + B v with A < 0, or A = B = 0)")
         run_path = (self._run_exact if self.wave.kind in ("constant", "step")
-                    else self._run_stepped)
+                    else self._run_thinning)
         events_up, events_down, failures, diagnostics = run_path(
             state, q_init, t, float(t_end), outputs, record, first_event)
 
@@ -619,11 +625,6 @@ class _VectorEnsemble:
         end of its RC segment (the step time or t_end).  Within a segment
         the source is constant, so vm = a + b e^{-(t - t0)/tau} and the
         hazard is inverted in closed form (`_next_stops`)."""
-        A, B = self.A, self.B
-        if np.any((A > 0.0) | ((A == 0.0) & (B != 0.0))):
-            raise ValueError(
-                "exact hazard inversion needs the capacitor to relax in every "
-                "state (dq/dt = A q + B v with A < 0, or A = B = 0)")
         n = self.n
         self._diag = dict(path="exact", rounds=0, newton_iterations=0,
                           newton_max=0, sign_splits=0, ceiling_splits=0,
@@ -655,7 +656,7 @@ class _VectorEnsemble:
                 t0[due] = stop.t[due]
                 self._next_stops(due, state, t0, q0, remaining, t_end, stop)
                 self._diag["rounds"] += 1
-            record(t_out, stop.q_at(everyone, (t_out - t0) / self.tau[state]))
+            record(t_out, state, stop.q_at(everyone, (t_out - t0) / self.tau[state]))
         return events_up, events_down, [], self._diag
 
     def _next_stops(self, idx, state, t0, q0, remaining, t_end, stop):
@@ -805,207 +806,202 @@ class _VectorEnsemble:
         end = np.minimum(np.minimum(sign_end, cap_end), d_end)
         return _Piece(live, up, above, alpha, beta, tau_x, end, sign_end)
 
-    # -- shared adaptive grid (sine and PWL drives) ---------------------
-    def _advance(self, state, q, t, h):
-        """(q_mid, q_end) over [t, t+h] by two RK4 half steps; h may be a
-        scalar or per trajectory."""
-        a = self.A[state]
+    # -- thinning (sine and PWL drives) ---------------------------------
+    def _forcing(self):
+        """Tables of the closed-form charge q_p(t) + (q(t0) - q_p(t0)) e^{A (t - t0)}
+        per state: q_p = -B off / A + B amp Im[e^{iwt} / (iw - A)] for a sine,
+        -(B / A)(v + k / A) on a PWL segment of slope k; A = 0 (so B = 0) keeps q.
+        _coef[:, i, s]: basis function i's coefficients in q_p, u = Dq q_p +
+        Ds v (vm without the transient) and du/dt.  _par[s]: A, Dq, A^2, a
+        bound on |u''|, the window slack in volts, 1 / V and ln tau up and
+        down, the log of the rate's cap."""
+        A, B, w, g = self.A, self.B, self.wave, self.model.num_states
+        ia = np.divide(1.0, A, out=np.zeros_like(A), where=A < 0.0)
+        if w.kind == "sine":
+            self._omega = om = 2.0 * math.pi * w.frequency
+            den = np.where(A * A + om * om > 0.0, A * A + om * om, 1.0)
+            fq = -B * np.array([w.offset * ia, w.amplitude * A / den, w.amplitude * om / den])
+            fu = self.Dq * fq + self.Ds * np.array([w.offset, w.amplitude, 0.0])[:, None]
+            du, curve = om * np.array([0.0 * A, -fu[2], fu[1]]), om * om * np.hypot(fu[1], fu[2])
+        else:
+            ts, vs = w._pwl
+            self._slope, self._bp_next = np.r_[0.0, np.diff(vs) / np.diff(ts), 0.0], np.r_[ts, math.inf]
+            fq = -B * np.array([ia, ia * ia])
+            fu = self.Dq * fq + self.Ds * np.array([1.0, 0.0])[:, None]
+            du, curve = np.array([0.0 * A, fu[0]]), 0.0 * A
+        self._coef = np.array([fq, fu, du])
+        v, lt = self.rates.v_scale, np.log(self.rates.tau)
+        cap = np.minimum(math.log(self.model.rate_ceiling), 700.0 - np.minimum(lt[:g], lt[g:]))
+        self._par = np.array([A, self.Dq, A * A, curve, _WINDOW_SLACK * np.minimum(v[:g], v[g:]),
+                              1.0 / v[:g], 1.0 / v[g:], lt[:g], lt[g:], cap]).T.copy()
 
-        def f(qq, tt):
-            return a * qq + self.B[state] * self.wave(tt)
+    def _forced(self, s, t, seg, rows=3):
+        """The first `rows` of q_p, u, du/dt in states s at times t: basis (1, sin wt,
+        cos wt) or (v(t), k) on PWL segments seg, summed per state if one for all."""
+        if seg is None:
+            basis = 1.0, np.sin(self._omega * t), np.cos(self._omega * t)
+        else:
+            basis = np.interp(t, *self.wave._pwl), self._slope[seg]
+        one = np.ndim(t) == 0 and np.ndim(seg) == 0
+        coef = self._coef[:rows] if one else np.take(self._coef[:rows], s, axis=2)
+        out = sum(coef[:, i] * b for i, b in enumerate(basis))
+        return np.take(out, s, axis=1) if one else out
 
-        def rk4(qq, tt, hh):
-            k1 = f(qq, tt)
-            k2 = f(qq + hh / 2 * k1, tt + hh / 2)
-            k3 = f(qq + hh / 2 * k2, tt + hh / 2)
-            k4 = f(qq + hh * k3, tt + hh)
-            return qq + hh / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-        q_mid = rk4(q, t, h / 2)
-        q_end = rk4(q_mid, t + h / 2, h / 2)
-        return q_mid, q_end
-
-    def _advance_shared(self, state, q, t, h):
-        """`_advance` with one h for all: its RK4 half steps are affine in
-        q, q -> c_s + phi_s q per state s, so one call on every state at
-        q = 0 and q = 1 gives both maps."""
-        g = self.model.num_states
-        basis = np.tile(np.arange(g), 2), np.repeat([0.0, 1.0], g)
-        return tuple(c[state] + (one - c)[state] * q
-                     for c, one in (x.reshape(2, g) for x in self._advance(*basis, t, h)))
-
-    def _step_size(self, state, q, t, t_limit, h_floor, v, rate, entry):
-        """Shared step from t, given the source voltage, the rates at t and
-        their entries in `rates`."""
-        h = t_limit - t
-        rmax = float(rate.max())
-        if rmax > 0:
-            h = min(h, HAZARD_STEP_FACTOR / rmax)
-        a_scale = float(np.abs(self.A[state]).max())
-        if a_scale > 0:
-            h = min(h, 0.25 / a_scale)
-        # rate-curvature cap: |d ln rate / dt| = |dvm/dt| / V-scale
-        dq = self.A[state] * q + self.B[state] * v
-        dvm = np.abs(self.Dq[state] * dq)
-        vscale = np.where(rate > 0, self.rates.v_scale[entry], math.inf)
+    def _window(self, s, t, q, t_stop):
+        """Windows [t, t1] of rows in states s with charges q, and on them
+        the envelope e^{l0 + (l1 - l0) x / dt} of the exit rate (x the time
+        into the window).  +-vm lie below their tangents at t plus K dt x / 2
+        (K bounds |vm''|); a window ends by t_stop, at a PWL breakpoint and
+        where K dt^2 reaches _WINDOW_SLACK voltage scales.  The envelope
+        covers the transitions the sign of vm can drive there, floored at
+        e^-700 and flat at the rate's cap.  Returns (s, t, segments, t1, dt,
+        l0, l1, its integral, the transient q - q_p(t), the charge at t1)."""
+        seg = None if self.wave.kind == "sine" else np.searchsorted(self._bp_next[:-1], t, "right")
+        qp, u, du = self._forced(s, t, seg)
+        a, dq, a2, curve, slack, iv_up, iv_down, lt_up, lt_down, cap = (
+            np.take(self._par, s, axis=0).T)
+        cq = q - qp
+        c = dq * cq                   # vm's transient, decaying as e^{A x}
+        k = curve + a2 * np.abs(c)
         with np.errstate(divide="ignore", invalid="ignore"):
-            cap = np.where((dvm > 0) & np.isfinite(vscale),
-                           RATE_CURVATURE_FACTOR * vscale / dvm, math.inf)
-        cmin = float(cap.min())
-        if math.isfinite(cmin):
-            h = min(h, cmin)
-        # a breakpoint within the floor of t counts as passed
-        for bp in self.wave.breakpoint_times():
-            if t + h_floor < bp <= t + h:
-                h = bp - t
-        return max(h, 0.0)
+            t1 = np.minimum(np.minimum(t + np.sqrt(slack / k), t_stop),
+                            math.inf if seg is None else self._bp_next[seg])
+            dt = t1 - t
+            rise, bend = (du + a * c) * dt, 0.5 * k * dt * dt
+            vm0 = u + c
+            vm1, mv1 = vm0 + rise + bend, bend - rise - vm0   # vm, -vm at t1
+            on_up, on_down = (vm0 > 0.0) | (vm1 > 0.0), (vm0 < 0.0) | (mv1 > 0.0)
+            l0, l1 = (np.maximum(np.maximum(np.where(on_up, x * iv_up - lt_up, -700.0),
+                                            np.where(on_down, y * iv_down - lt_down, -700.0)),
+                                 -700.0) for x, y in ((vm0, -vm0), (vm1, mv1)))
+            top = np.maximum(l0, l1)
+            # from l1 - 50 at least: the inversion cannot overflow
+            l0, l1 = (np.where(top > cap, cap, x) for x in (np.maximum(l0, l1 - 50.0), l1))
+            z = -np.abs(l1 - l0)
+            total = np.exp(np.minimum(top, cap)) * dt * np.where(z < 0.0, np.expm1(z) / z, 1.0)
+        q1 = self._forced(s, t_stop, seg, 1)[0]       # most windows end at t_stop
+        short = np.flatnonzero(t1 < t_stop)
+        if short.size:
+            q1[short] = self._forced(s[short], t1[short], _pick(seg, short), 1)[0]
+        return s, t, seg, t1, dt, l0, l1, total, cq, q1 + cq * np.exp(a * dt)
 
-    def _run_stepped(self, state, q_init, t, t_end, outputs, record, first_event):
-        """Running trajectories are the rows of s, q, lam and thr (`ids` maps
-        rows to trajectories).  Until its first event every trajectory
-        follows the same path, so while some have not switched, row 0
-        (id -1) stands for all of them: one charge and hazard, with the
-        smallest round-0 threshold not yet reached.  Members it reaches
-        leave as rows of their own.  A step's end rates are the next
-        step's start rates of the rows that did not fire."""
+    def _candidates(self, w, at, ids, gap):
+        """Trajectories ids' candidates where the envelope's integral into
+        windows `at` of w reaches gap: times, charges, acceptance (with
+        probability rate / envelope), direction and next spacing draws."""
+        s, tw, seg, _, dt, l0, l1, _, cq, _ = w
+        s, dt, l0, l1, cq = (x[at] for x in (s, dt, l0, l1, cq))
+        b = (l1 - l0) / dt
+        x = np.clip(_exp_step(-b, np.exp(l0), gap), 0.0, dt)
+        a, dq = np.take(self._par[:, :2], s, axis=0).T
+        trans = cq * np.exp(a * x)
+        qp, u = self._forced(s, _pick(tw, at) + x, _pick(seg, at), 2)
+        vm = u + dq * trans
+        rate, _ = self.rates(s, vm, self._diag)
+        k = 2 * self._rounds[ids]
+        self._rounds[ids] += 1
+        with np.errstate(divide="ignore"):
+            ok = self.candidates.take(ids, k + 1) > l0 + b * x - np.log(rate)
+        return ok, _pick(tw, at) + x, qp + trans, vm > 0.0, self.candidates.take(ids, k + 2)
+
+    def _run_thinning(self, state, q_init, t, t_end, outputs, record, first_event):
+        """Thinning (Lewis & Shedler 1979): each trajectory runs on its own
+        clock through windows (`_window`); a candidate falls where the
+        envelope's integral since the last jump reaches the trajectory's
+        level (a sum of spacing draws) and is accepted with probability
+        rate / envelope.  Row i + 1 carries trajectory i once it switched;
+        until then row 0, one path through the same windows, stands for it
+        and keeps only its level (sorted, unsorted once rejected), so a
+        window touches only the members with a candidate in it."""
         n = self.n
-        thr0 = self.thresholds.stream(0)
-        order = np.argsort(thr0, kind="stable")
-        thr_sorted = thr0[order]
-        left = 0                       # order[left:] share row 0
-        ids = np.array([-1])
-        s = state[:1].copy()
-        q = np.array([q_init])
-        q_out = np.full(n, q_init)
-        lam = np.zeros(1)
-        thr = thr_sorted[:1].copy()
-        draw = np.ones(n, dtype=np.int64)
-        counts = np.zeros((2, n), dtype=np.int64)   # events up, down
-        failures = []
-        self._diag = dict(path="stepped", shared_steps=0, max_cascade=0, rows_max=0,
-                          rate_ceiling_hits=0)
-        h_floor = 1e-15 * max(t_end, 1.0)
-        t_rates, stale = None, ids[:0]
+        self._forcing()
+        S, T, Q = np.full(n + 1, state[0]), np.full(n + 1, t), np.full(n + 1, q_init)
+        # the envelope's integral since the last jump, and where the next candidate is
+        lam_all, lev_all = np.zeros(n + 1), np.zeros(n + 1)
+        self._rounds = np.zeros(n, dtype=np.int64)
+        order = np.argsort(self.candidates.stream(0))
+        levels, left = self.candidates.stream(0)[order], 0    # row 0: order[left:], pend_id
+        pend_id, pend_lev, own = order[:0], levels[:0], order[:0]
+        tries = np.zeros(n, dtype=np.int64)
+        counts, failures = np.zeros((2, n), dtype=np.int64), []   # events up, down
+        diag = self._diag = dict(path="thinning", windows=0, candidates=0, accepted=0,
+                                 rows_max=0, runaway_failures=0, rate_ceiling_hits=0)
         for t_out in outputs:
-            while t < t_out - h_floor:
-                v0 = self.wave(t)
-                if t != t_rates:
-                    r0, e0 = self.rates(s, self._vm(s, q, v0), self._diag)
-                else:
-                    r0, e0 = r1, e1
-                    if stale.size:
-                        r0[stale], e0[stale] = self.rates(
-                            s[stale], self._vm(s[stale], q[stale], v0), self._diag)
-                h = self._step_size(s, q, t, t_out, h_floor, v0, r0, e0)
-                if h <= h_floor:
-                    raise TrajectoryFailure(
-                        f"step size control needs h = {h:.3g} s at t = {t:.9g} s, "
-                        f"below the floor {h_floor:.3g} s")
-                self._diag["shared_steps"] += 1
-                q_mid, q_end = self._advance_shared(s, q, t, h)
-                rm, _ = self.rates(s, self._vm(s, q_mid, self.wave(t + h / 2)), self._diag)
-                r1, e1 = self.rates(s, self._vm(s, q_end, self.wave(t + h)), self._diag)
-                delta = h / 6.0 * (r0 + 4.0 * rm + r1)
-                crossed = lam + delta >= thr
-                if left < n and crossed[0]:
-                    # members of row 0 reached: copy its step into rows of their own
-                    end = int(np.searchsorted(thr_sorted, lam[0] + delta[0], side="right"))
-                    leave = order[left:end]
-                    left = end
-                    rows = np.r_[(0 if left < n else 1):ids.size, np.zeros(leave.size, np.intp)]
-                    ids, s, q, lam, thr, q_mid, q_end, r0, rm, r1, e1, delta, crossed = (
-                        x[rows] for x in (ids, s, q, lam, thr, q_mid, q_end, r0, rm, r1,
-                                          e1, delta, crossed))
-                    ids[-leave.size:] = leave
-                    thr[-leave.size:] = thr0[leave]
-                    if left < n:
-                        thr[0] = thr_sorted[left]
-                        crossed[0] = False
-                    self._diag["rows_max"] = max(self._diag["rows_max"],
-                                                 ids.size - (left < n))
-                idx = np.nonzero(crossed)[0]
-                # non-crossing trajectories advance to t + h
-                keep = ~crossed
-                q = np.where(keep, q_end, q)
-                lam = np.where(keep, lam + delta, lam)
-                t_rates, stale = t + h, idx
-                if idx.size:
-                    runaway = self._handle_events(
-                        idx, ids, q, s, lam, thr, draw, first_event, counts,
-                        t, h, q_mid, q_end, r0, rm, r1)
-                    if runaway.size:
-                        failures += [(int(i), f"more than {MAX_CASCADE} events within "
-                                      f"one step at t = {t:.9g} s") for i in ids[runaway]]
-                        live = ~np.isin(np.arange(ids.size), runaway)
-                        ids, s, q, lam, thr = (x[live] for x in (ids, s, q, lam, thr))
-                        t_rates = None
-                        if not ids.size:
-                            raise TrajectoryFailure(f"all trajectories failed: {failures[-1][1]}")
-                t += h
+            tries[:] = 0
+            act, fresh = own[T[own] < t_out], True    # all rows start at t
+            while True:
+                shared = (left < n or pend_id.size > 0) and T[0] < t_out
+                rows = np.concatenate((order[:1] * 0, act)) if shared else act
+                if not rows.size:
+                    break
+                lam, lev = lam_all[rows], lev_all[rows]
+                w = self._window(S[rows], t if fresh else T[rows], Q[rows], t_out)
+                s, _, _, t1, dt, _, _, total, _, q1 = w
+                fresh, live = False, np.ones(rows.size, dtype=bool)
+                diag["windows"] += rows.size
+                if not (dt > 0.0).all():
+                    raise TrajectoryFailure(f"a window before {t_out:.9g} s is below the time step")
+                # the candidates in the window: own rows, then members of row 0
+                hit = lev - lam < total
+                hit[0] &= not shared
+                at = np.flatnonzero(hit)
+                ids, gap_end = rows[at] - 1, lev[at]
+                if shared:
+                    lam0, tot0 = lam[0], total[0]
+                    end = left + int(np.searchsorted(levels[left:], lam0 + tot0))
+                    while end < n and levels[end] - lam0 < tot0:   # the own rows' test
+                        end += 1
+                    while end > left and not levels[end - 1] - lam0 < tot0:
+                        end -= 1
+                    inside = pend_lev - lam0 < tot0
+                    ids = np.concatenate((ids, order[left:end], pend_id[inside]))
+                    gap_end = np.concatenate((gap_end, levels[left:end], pend_lev[inside]))
+                    at = np.concatenate((at, np.zeros(ids.size - at.size, dtype=np.intp)))
+                    left, pend_id, pend_lev = end, pend_id[~inside], pend_lev[~inside]
+                born = [own[:0]]
+                while ids.size:
+                    tries[ids] += 1
+                    over = tries[ids] > MAX_CANDIDATES
+                    if over.any():      # a runaway trajectory fails alone
+                        failures += [(int(i), f"more than {MAX_CANDIDATES} candidates within one "
+                                      f"output interval at t = {t_out:.9g} s") for i in ids[over]]
+                        T[ids[over] + 1], live[at[over & (rows[at] > 0)]] = math.inf, False
+                        at, ids, gap_end = at[~over], ids[~over], gap_end[~over]
+                    ok, t_c, q_c, up, spacing = self._candidates(w, at, ids, gap_end - lam[at])
+                    diag["candidates"] += ids.size
+                    diag["accepted"] += int(ok.sum())
+                    # accepted: the trajectory jumps, and its window ends
+                    j, u, mine = ids[ok], up[ok], rows[at] == 0
+                    S[j + 1] = s[at[ok]] + np.where(u, 1, -1)
+                    T[j + 1], Q[j + 1], lam_all[j + 1], lev_all[j + 1] = (
+                        t_c[ok], q_c[ok], 0.0, spacing[ok])
+                    counts[:, j] += [u, ~u]
+                    first_event[j] = np.where(np.isnan(first_event[j]), t_c[ok], first_event[j])
+                    live[at[ok & ~mine]] = False
+                    born.append(j[mine[ok]] + 1)
+                    # rejected: the next candidate, in this window or a later one
+                    at, ids, mine = at[~ok], ids[~ok], mine[~ok]
+                    gap_end = gap_end[~ok] + spacing[~ok]
+                    lev_all[ids + 1] = gap_end
+                    again = gap_end - lam[at] < total[at]
+                    pend_id = np.concatenate((pend_id, ids[mine & ~again]))
+                    pend_lev = np.concatenate((pend_lev, gap_end[mine & ~again]))
+                    at, ids, gap_end = at[again], ids[again], gap_end[again]
+                # the other rows reach the window's end
+                rk = rows[live]
+                T[rk], Q[rk], lam_all[rk] = t1[live], q1[live], lam[live] + total[live]
+                born = np.concatenate(born)
+                own = np.concatenate((own, born))
+                act = np.concatenate((rows[(T[rows] < t_out) & (rows > 0)], born[T[born] < t_out]))
+                diag["rows_max"] = own.size
+            if len(failures) == n:
+                raise TrajectoryFailure(f"all trajectories failed: {failures[-1][1]}")
+            at = np.concatenate((order[:1] * 0, own))
+            record(t_out, S[at], Q[at], own - 1)
             t = t_out
-            own = slice(int(left < n), None)
-            state[ids[own]] = s[own]
-            q_out[ids[own]] = q[own]
-            q_out[order[left:]] = q[0]
-            record(t, q_out)
+        diag["runaway_failures"] = len(failures)
         counts[:, [i for i, _ in failures]] = 0
-        events_up, events_down = (int(c) for c in counts.sum(axis=1))
-        return events_up, events_down, failures, self._diag
-
-    def _handle_events(self, idx, ids, q, state, lam, thr, draw, first_event, counts,
-                       t, h, q_mid, q_end, r0, rm, r1):
-        """Process the rows idx whose hazard crossed within the step;
-        repeats on the remaining sub-interval after each flip until no
-        clock fires before t + h.  Adds each trajectory's events to
-        `counts` (up, down) and returns the rows still firing after
-        MAX_CASCADE events."""
-        # per-active-subset copies of the current sub-interval
-        active = idx
-        t0 = np.full(active.size, float(t))
-        h_sub = np.full(active.size, float(h))
-        qa0, qam, qae, ra0, ram, ra1 = (x[active] for x in (q, q_mid, q_end, r0, rm, r1))
-        for depth in range(1, MAX_CASCADE + 1):
-            if not active.size:
-                break
-            self._diag["max_cascade"] = max(self._diag["max_cascade"], depth)
-            target = thr[active] - lam[active]
-            te = _invert_step_vec(t0, h_sub, target, ra0, ram, ra1)
-            frac = (te - t0) / h_sub
-            q_e = _hermite(qa0, qam, qae, frac)
-            v_e = self.wave(te)
-            s_a = state[active]
-            vm_e = self._vm(s_a, q_e, v_e)
-            # boundary states can only jump inward (the event time is
-            # interpolated, so vm there may have the wrong sign); interior
-            # states jump along the sign of vm
-            up = (s_a == 0) | ((vm_e > 0) & (s_a < self.model.num_states - 1))
-            new_state = s_a + np.where(up, 1, -1)
-            who = ids[active]
-            counts[0, who] += up
-            counts[1, who] += ~up
-            fe = first_event[who]
-            first_event[who] = np.where(np.isnan(fe), te, fe)
-            state[active] = new_state
-            q[active] = q_e
-            lam[active] = 0.0
-            thr[active] = self.thresholds.draw(who, draw, who)
-            # integrate the remainder (te -> t + h) in the new state
-            rem = (t + h) - te
-            qm2, qe2 = self._advance(new_state, q_e, te, rem)
-            v_m = self.wave(te + rem / 2)
-            v_1 = self.wave(te + rem)
-            rr0, rrm, rr1 = (self.rates(new_state, self._vm(new_state, qq, vv), self._diag)[0]
-                             for qq, vv in ((q_e, v_e), (qm2, v_m), (qe2, v_1)))
-            ddelta = rem / 6.0 * (rr0 + 4.0 * rrm + rr1)
-            fire_again = ddelta >= thr[active]
-            done = ~fire_again
-            q[active[done]] = qe2[done]
-            lam[active[done]] = ddelta[done]
-            # trajectories firing again loop with the sub-interval as
-            # their new step
-            active, t0, h_sub, qa0, qam, qae, ra0, ram, ra1 = (
-                x[fire_again] for x in (active, te, rem, q_e, qm2, qe2, rr0, rrm, rr1))
-        return active
+        return int(counts[0].sum()), int(counts[1].sum()), failures, diag
 
 
 def _hist_codes(state, q, edges):
@@ -1019,6 +1015,11 @@ def _hist_codes(state, q, edges):
     b -= q < edges[b]
     b += (q >= edges[b + 1]) & (b < bins - 1)
     return state * (bins + 1) + np.where(inside, b, bins)
+
+
+def _pick(x, at):
+    """x[at], or x itself where it is one value (or None) for all rows."""
+    return x if x is None or np.ndim(x) == 0 else x[at]
 
 
 def _exp_step(x, rate, gap):

@@ -5,7 +5,7 @@ import pytest
 import yaml
 
 from memstoch import analytic
-from memstoch.cli import ResultTable, cmd_netlist_check, main
+from memstoch.cli import ResultTable, cmd_netlist_check, load_config, main
 
 GOOD_NETLIST = """
 V1 in 0 DC 0.35
@@ -153,6 +153,64 @@ def test_simulate_reads_exponent_floats_without_dot(tmp_path):
     # a quoted number stays a string and is still rejected
     path.write_text(text.replace("C: 1e-06", 'C: "1e-06"'))
     assert main(["simulate", "--config", str(path)]) == 2
+
+
+def test_simulate_reads_yaml_12_floats_with_a_dot(tmp_path):
+    # YAML 1.1 wants a signed exponent after a dot, so PyYAML leaves 1.0e5 a
+    # string; the YAML 1.2 core schema reads all of these as floats
+    path = tmp_path / "dot.yaml"
+    values = ("1.0e5", "2.5e6", "1.5E3", ".5e3", "1.e5", "1e5", "1.0e+5", "-.5e-3")
+    path.write_text("".join(f"x{i}: {v}\n" for i, v in enumerate(values)) + "q: '1.0e5'\n")
+    cfg = load_config(path)
+    assert [cfg[f"x{i}"] for i in range(len(values))] == [float(v) for v in values]
+    assert cfg["q"] == "1.0e5"
+    text = "engine: analytic\nt_end: 0.01\noutput_points: 6\nseries:\n"
+    text += "".join(f"  {k}: {v}\n" for k, v in (("C", "1.0e-6"), ("R0", "1.0e5"), ("R1", "1.e4"),
+                                                  ("tau0", "3.0e5"), ("V0", ".2e-1"), ("Va", "0.35")))
+    path.write_text(text)
+    out = tmp_path / "dot.csv"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    assert ResultTable.read_csv(out).column("p0")[-1] == pytest.approx(
+        analytic.p0_constant_voltage(analytic.ConstantDriveParams(**SERIES), 0.01), rel=1e-15)
+
+
+@pytest.mark.parametrize("t_end, dt, count", [(0.3, 0.1, 4), (0.7, 0.1, 8), (0.6, 0.2, 4),
+                                               (0.36, 0.1, 5), (0.35, 0.1, 5)])
+def test_output_dt_ends_exactly_at_t_end(tmp_path, t_end, dt, count):
+    # 0.3 / 0.1 is not an integer in floating point: the last output time
+    # must still be the configured t_end, not 0.30000000000000004
+    cfg = write_cfg(tmp_path, t_end=t_end, output_dt=dt)
+    out = tmp_path / "dt.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    times = ResultTable.read_csv(out).column("time")
+    assert times.size == count and times[-1] == t_end and np.all(np.diff(times) > 0)
+
+
+SIN_NETLIST = """
+V1 in 0 SIN 0.35 0.05 50
+M1 in n1 STATES=2 R=100k,10k TAUUP=300k VUP=0.02 TAUDOWN=300k VDOWN=0.02
+C1 n1 0 1u
+"""
+
+
+def test_simulate_sine_netlist_reports_thinning(tmp_path):
+    # a one-device SIN netlist takes the vector engine's thinning path, and
+    # what it did rides along in the header
+    net = tmp_path / "sine.net"
+    net.write_text(SIN_NETLIST)
+    cfg = write_cfg(tmp_path, engine="mc", mc={"trajectories": 300, "seed": 2},
+                    netlist=str(net))
+    out = tmp_path / "s.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    meta = ResultTable.read_csv(out).meta
+    assert meta["path"] == "thinning"
+    count = {k: int(meta[k]) for k in ("windows", "candidates", "accepted", "rows_max",
+                                       "rate_ceiling_hits", "runaway_failures", "failed",
+                                       "events_up", "events_down")}
+    assert count["windows"] > 0 and 0 < count["accepted"] <= count["candidates"]
+    assert count["accepted"] == count["events_up"] + count["events_down"]
+    assert 0 < count["rows_max"] <= 300
+    assert count["rate_ceiling_hits"] == count["runaway_failures"] == count["failed"] == 0
 
 
 # ------------------------------------------------------------- exit codes

@@ -11,7 +11,9 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
+from scipy.stats import kstwo
 
 from memstoch import (ConstantDriveParams, MemristorModel, Waveform,
                       p0_constant_voltage, rc_charge, run_ensemble,
@@ -470,7 +472,7 @@ def test_rate_ceiling_segments_are_exact(params):
                 assert abs(hazard(mpmath.mpf(float(t))) - e) <= 1e-12 * e
 
 
-@pytest.mark.parametrize("path", ["stepped", "netlist"])
+@pytest.mark.parametrize("path", ["thinning", "netlist"])
 def test_rate_ceiling_hits_count_the_capped_rates(params, path):
     # the Figure-2 device under a sine about 0.35 V: its rates stay below
     # the default ceiling, while a ceiling of 100 /s caps them near the crests
@@ -525,92 +527,134 @@ def test_engine_reruns_are_bit_identical(params, wave):
     assert all(np.array_equal(ha, hb) for (ha, _), (hb, _) in zip(a.histograms, b.histograms))
 
 
-def test_stepped_path_raises_instead_of_jumping(model, params):
-    # at 0.9 V the step control asks for h below the floor at t = 0
-    net = series_mc(model, params.C, Waveform.sine(0.9, 0.05, 50.0))
-    with pytest.raises(mc.TrajectoryFailure, match="t = 0 s"):
-        run_ensemble(net, net.initial_state(), 0.01, [0.01], 100, master_seed=1)
-    fine = series_mc(model, params.C, Waveform.sine(0.35, 0.05, 50.0))
-    stats = run_ensemble(fine, fine.initial_state(), 0.002, [0.002], 100, master_seed=1)
-    assert stats.diagnostics["path"] == "stepped"
-    assert stats.diagnostics["shared_steps"] > 0
-
-
-# ------------------------------------------ stepped path: shared-step work
+# ---------------------------------- thinning: first events against mpmath
 
 SINE3 = MemristorModel.uniform((1e5, 3e4, 1e4), 10.0, 0.05)
+REVERSING_PWL = Waveform.pwl([(0.0, 0.0), (0.002, 0.45), (0.004, -0.45), (0.006, 0.1)])
 
 
 def _sine3_net():
     return series_mc(SINE3, 1e-7, Waveform.sine(0.0, 0.4, 200.0))
 
 
-def test_shared_step_map_matches_per_trajectory_advance():
-    # the affine map of one shared step must reproduce the per-trajectory
-    # RK4 half steps to 1e-12 of the charge scale C max|v|
-    eng = mc._VectorEnsemble(_sine3_net(), 10, 1, 10)
-    rng = np.random.default_rng(11)
-    scale = 1e-7 * 0.4
-    state = rng.integers(0, 3, 500)
-    q = rng.uniform(-scale, scale, 500)
-    for t, h in [(0.0, 1e-5), (1.3e-3, 4e-5), (3.9e-3, 2e-6), (4.4e-3, 1e-4)]:
-        for shared, own in zip(eng._advance_shared(state, q, t, h),
-                               eng._advance(state, q, t, h)):
-            assert np.abs(shared - own).max() <= 1e-12 * scale
+def _series_state0_rate(model, C, wave):
+    """The exit rate of state 0 of the series circuit started at q = 0, as
+    an mpmath function of t: tau dq/dt + q = C v(t) with tau = R0 C, solved
+    in closed form per sine or PWL segment, and vm = v - q / C."""
+    mp = mpmath
+    tau = mp.mpf(model.resistances[0]) * C
+    v_up, tau_up = mp.mpf(model.v_up[0]), mp.mpf(model.tau_up[0])
+    if wave.kind == "sine":
+        off, amp = mp.mpf(wave.offset), mp.mpf(wave.amplitude)
+        om = 2 * mp.pi * wave.frequency
+        wt = om * tau
+
+        def vm(t):
+            q = C * (off * (1 - mp.exp(-t / tau)) + amp * (
+                mp.sin(om * t) - wt * mp.cos(om * t) + wt * mp.exp(-t / tau)) / (1 + wt ** 2))
+            return off + amp * mp.sin(om * t) - q / C
+    else:
+        knots = [(mp.mpf(a), mp.mpf(b)) for a, b in wave.breakpoints]
+        segments, q0 = [], mp.mpf(0)
+        for (t0, v0), (t1, v1) in zip(knots, knots[1:] + [(mp.inf, knots[-1][1])]):
+            k = (v1 - v0) / (t1 - t0) if t1 < mp.inf else mp.mpf(0)
+            # on [t0, t1]: q = C (v - k tau) + (q0 - C (v0 - k tau)) e^{-(t - t0)/tau}
+            segments.append((t0, v0, k, q0))
+            if t1 < mp.inf:
+                q0 = C * (v1 - k * tau) + (q0 - C * (v0 - k * tau)) * mp.exp(-(t1 - t0) / tau)
+
+        def vm(t):
+            t0, v0, k, q0 = [seg for seg in segments if seg[0] <= t][-1]
+            v = v0 + k * (t - t0)
+            return v - (C * (v - k * tau) + (q0 - C * (v0 - k * tau)) * mp.exp(-(t - t0) / tau)) / C
+
+    def rate(t):
+        x = vm(t)
+        return mp.exp(x / v_up) / tau_up if x > 0 else mp.mpf(0)
+    return rate
 
 
-def test_carried_rates_equal_fresh_start_rates(monkeypatch):
-    # every step's start rates, carried from the last step's end or
-    # recomputed for the rows that fired, equal a fresh evaluation
-    step_size = mc._VectorEnsemble._step_size
-    checked = []
+def _ks_first_events(stats, model, C, wave, t_end):
+    """KS distance of the first events (censored at t_end) from
+    P(T1 <= t) = 1 - exp(-H(t)), H the mpmath integral of the state-0 rate.
+    H is computed at nodes (sample quantiles, PWL knots and the ends) and
+    interpolated by cubic Hermite with H' = rate."""
+    rate = _series_state0_rate(model, C, wave)
+    t1 = np.sort(stats.first_event_times[~np.isnan(stats.first_event_times)])
+    n, m = stats.first_event_times.size, t1.size
+    knots = [b for b in wave.breakpoint_times() if 0.0 < b < t_end]
+    nodes = np.unique(np.concatenate([[0.0, t_end], t1[::max(1, m // 100)], knots]))
+    with mpmath.workdps(15):
+        pieces = [mpmath.quad(rate, [a, b]) for a, b in zip(nodes[:-1], nodes[1:])]
+        h = np.concatenate([[0.0], np.cumsum([float(x) for x in pieces])])
+        dh = np.array([float(rate(mpmath.mpf(float(x)))) for x in nodes])
+    cdf = -np.expm1(-CubicHermiteSpline(nodes, h, dh)(t1))
+    i = np.arange(1, m + 1)
+    d = max(np.max(i / n - cdf, initial=0.0), np.max(cdf - (i - 1) / n, initial=0.0),
+            abs(m / n + np.expm1(-h[-1])))
+    return d, kstwo.isf(1e-6, n)
 
-    def spy(self, state, q, t, t_limit, h_floor, v, rate, entry):
-        fresh = self.rates(state, self._vm(state, q, self.wave(t)), dict(rate_ceiling_hits=0))
-        assert np.array_equal(rate, fresh[0]) and np.array_equal(entry, fresh[1])
-        checked.append(t)
-        return step_size(self, state, q, t, t_limit, h_floor, v, rate, entry)
 
-    monkeypatch.setattr(mc._VectorEnsemble, "_step_size", spy)
-    net = _sine3_net()
-    stats = run_ensemble(net, net.initial_state(), 0.005, np.linspace(0.0, 0.005, 11),
-                         2000, master_seed=100)
-    assert len(checked) == stats.diagnostics["shared_steps"] > 0
-    assert stats.events_up > 0 and stats.events_down > 0
+@pytest.mark.parametrize("case", ["sine_three_state", "figure2_strong_sine",
+                                  "pwl_three_state_reversing"])
+def test_first_events_pass_ks_against_mpmath(params, model, case):
+    # before its first event every trajectory follows one deterministic
+    # path, so T1 has the CDF 1 - exp(-H(t)); at 0.9 V the Figure-2 device
+    # fires within about 1e-14 s, which the thinning draws exactly
+    if case == "sine_three_state":
+        m, C, wave, t_end = SINE3, 1e-7, Waveform.sine(0.0, 0.4, 200.0), 0.005
+    elif case == "figure2_strong_sine":
+        m, C, wave, t_end = model, params.C, Waveform.sine(0.9, 0.05, 50.0), 0.01
+    else:
+        m, C, wave, t_end = SINE3, 1e-7, REVERSING_PWL, 0.006
+    net = series_mc(m, C, wave)
+    n = 100_000
+    stats = run_ensemble(net, net.initial_state(), t_end, [t_end], n, master_seed=17)
+    assert stats.diagnostics["path"] == "thinning"
+    assert stats.n_failed == 0 and stats.n == n
+    fired = np.isfinite(stats.first_event_times).sum()
+    assert 0 < fired
+    d, bound = _ks_first_events(stats, m, C, wave, t_end)
+    assert d < bound
+    if case == "figure2_strong_sine":
+        assert fired == n and np.nanmax(stats.first_event_times) < 1e-12
 
 
 def test_vector_runaway_cascade_fails_alone(monkeypatch, model, params):
-    # this ensemble reaches a cascade depth of 2; with the limit at 1 the
-    # trajectories that go deeper fail, and the others finish
+    # a trajectory with more than MAX_CANDIDATES thinning candidates in one
+    # output interval fails, and the others finish
     net = _sine3_net()
     times = np.linspace(0.0, 0.005, 21)
     full = run_ensemble(net, net.initial_state(), 0.005, times, 2000, master_seed=100)
-    assert full.diagnostics["max_cascade"] == 2 and full.n_failed == 0
-    monkeypatch.setattr(mc, "MAX_CASCADE", 1)
+    assert full.n_failed == 0 and full.diagnostics["runaway_failures"] == 0
+    monkeypatch.setattr(mc, "MAX_CANDIDATES", 1)
     stats = run_ensemble(net, net.initial_state(), 0.005, times, 2000, master_seed=100)
     assert 0 < stats.n_failed < 2000 and stats.n + stats.n_failed == 2000
-    assert all("more than 1 events within one step" in msg for _, msg in stats.failures)
+    assert stats.diagnostics["runaway_failures"] == stats.n_failed
+    assert all("more than 1 candidates within one output interval" in msg
+               for _, msg in stats.failures)
     failed = [i for i, _ in stats.failures]
     assert np.all(np.isnan(stats.first_event_times[failed]))
     assert np.allclose(stats.occupancy[0].sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert np.array_equal(stats.stderr[0], np.sqrt(stats.occupancy[0]
                                                    * (1.0 - stats.occupancy[0]) / stats.n))
     assert all(h.sum() == stats.n for h, _ in stats.histograms)
-    # every trajectory of this one switches, so with no event allowed in a
-    # step all of them fail
-    monkeypatch.setattr(mc, "MAX_CASCADE", 0)
+    # every trajectory of this one switches, so with no candidate allowed
+    # all of them fail
+    monkeypatch.setattr(mc, "MAX_CANDIDATES", 0)
     net = series_mc(model, params.C, Waveform.sine(0.35, 0.05, 50.0))
     with pytest.raises(mc.TrajectoryFailure, match="all trajectories failed"):
         run_ensemble(net, net.initial_state(), 0.05, [0.05], 50, master_seed=1)
 
 
-def _histograms_by_loop(state, q, edges, g):
+def _histograms_by_loop(state, q, edges, g, weight=None):
     """Reference: one np.histogram per state."""
+    weight = np.ones(q.size) if weight is None else weight
     hist = np.zeros((g, edges.size - 1))
     for i in range(g):
         sel = state == i
         if sel.any():
-            hist[i], _ = np.histogram(q[sel], bins=edges)
+            hist[i], _ = np.histogram(q[sel], bins=edges, weights=weight[sel])
     return hist
 
 
@@ -640,131 +684,78 @@ def test_ensemble_histograms_match_the_per_state_loop(monkeypatch, wave, C, t_en
     codes = mc._hist_codes
 
     def spy(state, q, edges):
-        seen.append(_histograms_by_loop(state, q, edges, 3))
+        # entry 0 stands for every trajectory that the others leave out
+        weight = np.ones(q.size)
+        weight[0] += 2000 - q.size
+        seen.append(_histograms_by_loop(state, q, edges, 3, weight))
         return codes(state, q, edges)
 
     monkeypatch.setattr(mc, "_hist_codes", spy)
     net = series_mc(SINE3, C, wave)
     stats = run_ensemble(net, net.initial_state(), t_end, np.linspace(0.0, t_end, 6),
                          2000, master_seed=5, histogram_bins=30)
-    assert stats.diagnostics["path"] == ("stepped" if wave.kind == "sine" else "exact")
+    assert stats.diagnostics["path"] == ("thinning" if wave.kind == "sine" else "exact")
     assert len(seen) == len(stats.histograms) == 6
     for ref, (h, _) in zip(seen, stats.histograms):
         assert np.array_equal(h, ref)
 
 
-# ------------------------- stepped path: the shared row of unswitched trajectories
+# ---------------------------- thinning: the shared row of unswitched trajectories
 
-def _reference_stepped(self, state, q_init, t, t_end, outputs, record, first_event):
-    """The stepped path as written with one row per trajectory: every
-    trajectory, switched or not, is stepped on its own row."""
+def _reference_thinning(self, state, q_init, t, t_end, outputs, record, first_event):
+    """The thinning path as written with one row per trajectory: every
+    trajectory, switched or not, runs through windows of its own."""
     n = self.n
-    ids = np.arange(n)
-    s = state.copy()
-    q = np.full(n, q_init)
-    q_out = q.copy()
-    lam = np.zeros(n)
-    thr = self.thresholds.stream(0).copy()
-    draw = np.ones(n, dtype=np.int64)
-    events_up = events_down = 0
+    self._forcing()
+    S, T, Q = np.full(n, state[0]), np.full(n, t), np.full(n, q_init)
+    lam, lev = np.zeros(n), self.candidates.stream(0).copy()
+    self._rounds = np.zeros(n, dtype=np.int64)
+    tries = np.zeros(n, dtype=np.int64)
+    counts = np.zeros((2, n), dtype=np.int64)
     failures = []
-    self._diag = dict(path="stepped", shared_steps=0, max_cascade=0, rate_ceiling_hits=0)
-    h_floor = 1e-15 * max(t_end, 1.0)
-    t_rates, stale = None, ids[:0]
+    self._diag = dict(path="thinning", windows=0, candidates=0, accepted=0, rows_max=0,
+                      runaway_failures=0, rate_ceiling_hits=0)
     for t_out in outputs:
-        while t < t_out - h_floor:
-            v0 = self.wave(t)
-            if t != t_rates:
-                r0, e0 = self.rates(s, self._vm(s, q, v0), self._diag)
-            else:
-                r0, e0 = r1, e1
-                if stale.size:
-                    r0[stale], e0[stale] = self.rates(
-                        s[stale], self._vm(s[stale], q[stale], v0), self._diag)
-            h = self._step_size(s, q, t, t_out, h_floor, v0, r0, e0)
-            if h <= h_floor:
-                raise mc.TrajectoryFailure(
-                    f"step size control needs h = {h:.3g} s at t = {t:.9g} s, "
-                    f"below the floor {h_floor:.3g} s")
-            self._diag["shared_steps"] += 1
-            q_mid, q_end = self._advance_shared(s, q, t, h)
-            rm, _ = self.rates(s, self._vm(s, q_mid, self.wave(t + h / 2)), self._diag)
-            r1, e1 = self.rates(s, self._vm(s, q_end, self.wave(t + h)), self._diag)
-            delta = h / 6.0 * (r0 + 4.0 * rm + r1)
-            crossed = lam + delta >= thr
-            idx = np.nonzero(crossed)[0]
-            keep = ~crossed
-            q = np.where(keep, q_end, q)
-            lam = np.where(keep, lam + delta, lam)
-            t_rates, stale = t + h, idx
-            if idx.size:
-                evu, evd, runaway = _reference_events(
-                    self, idx, ids, q, s, lam, thr, draw, first_event,
-                    t, h, q_mid, q_end, r0, rm, r1)
-                events_up += evu
-                events_down += evd
-                if runaway.size:
-                    failures += [(int(i), f"more than {mc.MAX_CASCADE} events within "
-                                  f"one step at t = {t:.9g} s") for i in ids[runaway]]
-                    live = ~np.isin(np.arange(ids.size), runaway)
-                    ids, s, q, lam, thr = (x[live] for x in (ids, s, q, lam, thr))
-                    t_rates = None
-                    if not ids.size:
-                        raise mc.TrajectoryFailure(
-                            f"all trajectories failed: {failures[-1][1]}")
-            t += h
+        tries[:] = 0
+        act, fresh = np.flatnonzero(T < t_out), True
+        while act.size:
+            w = self._window(S[act], t if fresh else T[act], Q[act], t_out)
+            fresh = False
+            s, _, _, t1, dt, _, _, total, _, q1 = w
+            assert (dt > 0.0).all()
+            live = np.ones(act.size, dtype=bool)
+            at = np.flatnonzero(lev[act] - lam[act] < total)
+            while at.size:
+                j = act[at]
+                tries[j] += 1
+                over = tries[j] > mc.MAX_CANDIDATES
+                failures += [(int(i), f"more than {mc.MAX_CANDIDATES} candidates within one "
+                              f"output interval at t = {t_out:.9g} s") for i in j[over]]
+                T[j[over]], live[at[over]] = math.inf, False
+                at, j = at[~over], j[~over]
+                ok, t_c, q_c, up, spacing = self._candidates(w, at, j, lev[j] - lam[j])
+                self._diag["candidates"] += j.size
+                self._diag["accepted"] += int(ok.sum())
+                i, u = j[ok], up[ok]
+                S[i] = s[at[ok]] + np.where(u, 1, -1)
+                T[i], Q[i], lam[i], lev[i] = t_c[ok], q_c[ok], 0.0, spacing[ok]
+                counts[0, i] += u
+                counts[1, i] += ~u
+                first_event[i] = np.where(np.isnan(first_event[i]), t_c[ok], first_event[i])
+                live[at[ok]] = False
+                at, j = at[~ok], j[~ok]
+                lev[j] += spacing[~ok]
+                at = at[lev[j] - lam[j] < total[at]]
+            keep = act[live]
+            T[keep], Q[keep] = t1[live], q1[live]
+            lam[keep] += total[live]
+            act = act[T[act] < t_out]
+        if len(failures) == n:
+            raise mc.TrajectoryFailure(f"all trajectories failed: {failures[-1][1]}")
+        record(t_out, S, Q)
         t = t_out
-        state[ids] = s
-        q_out[ids] = q
-        record(t, q_out)
-    return events_up, events_down, failures, self._diag
-
-
-def _reference_events(self, idx, ids, q, state, lam, thr, draw, first_event,
-                      t, h, q_mid, q_end, r0, rm, r1):
-    """The cascade of `_reference_stepped`, counting events as they happen
-    (trajectories that fail later included)."""
-    events_up = events_down = 0
-    active = idx
-    t0 = np.full(active.size, float(t))
-    h_sub = np.full(active.size, float(h))
-    qa0, qam, qae, ra0, ram, ra1 = (x[active] for x in (q, q_mid, q_end, r0, rm, r1))
-    for depth in range(1, mc.MAX_CASCADE + 1):
-        if not active.size:
-            break
-        self._diag["max_cascade"] = max(self._diag["max_cascade"], depth)
-        target = thr[active] - lam[active]
-        te = mc._invert_step_vec(t0, h_sub, target, ra0, ram, ra1)
-        frac = (te - t0) / h_sub
-        q_e = mc._hermite(qa0, qam, qae, frac)
-        v_e = self.wave(te)
-        s_a = state[active]
-        vm_e = self._vm(s_a, q_e, v_e)
-        up = (s_a == 0) | ((vm_e > 0) & (s_a < self.model.num_states - 1))
-        events_up += int(up.sum())
-        events_down += int((~up).sum())
-        who = ids[active]
-        fe = first_event[who]
-        first_event[who] = np.where(np.isnan(fe), te, fe)
-        state[active] = s_a + np.where(up, 1, -1)
-        q[active] = q_e
-        lam[active] = 0.0
-        thr[active] = self.thresholds.draw(who, draw, who)
-        rem = (t + h) - te
-        qm2, qe2 = self._advance(state[active], q_e, te, rem)
-        rr0 = self.rates(state[active], self._vm(state[active], q_e, v_e), self._diag)[0]
-        rrm = self.rates(state[active], self._vm(state[active], qm2, self.wave(te + rem / 2)),
-                         self._diag)[0]
-        rr1 = self.rates(state[active], self._vm(state[active], qe2, self.wave(te + rem)),
-                         self._diag)[0]
-        ddelta = rem / 6.0 * (rr0 + 4.0 * rrm + rr1)
-        fire_again = ddelta >= thr[active]
-        done = ~fire_again
-        q[active[done]] = qe2[done]
-        lam[active[done]] = ddelta[done]
-        active, t0, h_sub, qa0, qam, qae, ra0, ram, ra1 = (
-            x[fire_again] for x in (active, te, rem, q_e, qm2, qe2, rr0, rrm, rr1))
-    return events_up, events_down, active
+    counts[:, [i for i, _ in failures]] = 0
+    return int(counts[0].sum()), int(counts[1].sum()), failures, self._diag
 
 
 @pytest.mark.parametrize("case, seed", [
@@ -783,29 +774,28 @@ def test_shared_row_is_bit_identical_to_the_per_row_loop(monkeypatch, params, mo
         net = series_mc(model, params.C, Waveform.pwl([(0.0, 0.35), (0.02, 0.5)]))
         t_end = 0.03
     elif case == "pwl_g3_reversing":
-        wave = Waveform.pwl([(0.0, 0.0), (0.002, 0.45), (0.004, -0.45), (0.006, 0.1)])
-        net, n, t_end = series_mc(SINE3, 1e-7, wave), 5000, 0.006
+        net, n, t_end = series_mc(SINE3, 1e-7, REVERSING_PWL), 5000, 0.006
     else:
         net = _sine3_net()
-        monkeypatch.setattr(mc, "MAX_CASCADE", 1)
+        monkeypatch.setattr(mc, "MAX_CANDIDATES", 1)
     times = np.linspace(0.0, t_end, 21)
     new = run_ensemble(net, net.initial_state(), t_end, times, n, seed)
-    monkeypatch.setattr(mc._VectorEnsemble, "_run_stepped", _reference_stepped)
+    monkeypatch.setattr(mc._VectorEnsemble, "_run_thinning", _reference_thinning)
     ref = run_ensemble(net, net.initial_state(), t_end, times, n, seed)
-    assert new.diagnostics["path"] == "stepped"
+    assert new.diagnostics["path"] == "thinning"
     assert np.array_equal(new.occupancy[0], ref.occupancy[0])
     assert np.array_equal(new.stderr[0], ref.stderr[0])
     assert all(np.array_equal(a, b) and np.array_equal(ea, eb)
                for (a, ea), (b, eb) in zip(new.histograms, ref.histograms))
     assert np.array_equal(new.first_event_times, ref.first_event_times, equal_nan=True)
     assert (new.n, new.failures) == (ref.n, ref.failures)
-    for key in ("shared_steps", "max_cascade"):
+    assert (new.events_up, new.events_down) == (ref.events_up, ref.events_down)
+    for key in ("candidates", "accepted", "rate_ceiling_hits"):
         assert new.diagnostics[key] == ref.diagnostics[key]
     if case == "runaway":
         assert new.n_failed > 0
     else:
         assert new.n_failed == 0
-        assert (new.events_up, new.events_down) == (ref.events_up, ref.events_down)
         assert new.diagnostics["rows_max"] == np.isfinite(new.first_event_times).sum() > 0
     if case == "pwl_g3_reversing":
         assert new.events_down > 0
@@ -814,21 +804,23 @@ def test_shared_row_is_bit_identical_to_the_per_row_loop(monkeypatch, params, mo
 
 
 def test_stepped_events_count_only_finished_trajectories(monkeypatch):
-    # every event draws the trajectory's next threshold once, so the event
-    # totals equal the draws made for the trajectories that finish
-    drawn = []
-    draw = mc._Thresholds.draw
+    # the event totals are the accepted candidates of the trajectories
+    # that finish (the thinning path's successor of the stepped one)
+    accepted = []
+    candidates = mc._VectorEnsemble._candidates
 
-    def spy(self, ids, rounds, at, m=0):
-        drawn.append(ids.copy())
-        return draw(self, ids, rounds, at, m)
+    def spy(self, w, at, ids, gap):
+        out = candidates(self, w, at, ids, gap)
+        accepted.append(ids[out[0]])
+        return out
 
-    monkeypatch.setattr(mc._Thresholds, "draw", spy)
-    monkeypatch.setattr(mc, "MAX_CASCADE", 1)
+    monkeypatch.setattr(mc._VectorEnsemble, "_candidates", spy)
+    monkeypatch.setattr(mc, "MAX_CANDIDATES", 1)
     net = _sine3_net()
     stats = run_ensemble(net, net.initial_state(), 0.005, np.linspace(0.0, 0.005, 21),
                          2000, master_seed=100)
     assert stats.n_failed > 0
-    who = np.concatenate(drawn)
+    who = np.concatenate(accepted)
     finished = ~np.isin(who, [i for i, _ in stats.failures])
     assert stats.events_up + stats.events_down == finished.sum() < who.size
+    assert stats.diagnostics["accepted"] == who.size

@@ -276,7 +276,7 @@ def test_sine_three_state_agrees_with_mc(sine_three_state_pde, engine, n):
     else:
         stats = mc._NetlistEnsemble(net, n, 4242).run(net.initial_state(),
                                                       SINE_T_END, times)
-    assert stats.diagnostics["path"] == ("stepped" if engine == "vector" else "netlist")
+    assert stats.diagnostics["path"] == ("thinning" if engine == "vector" else "netlist")
     p = res.marginals
     sigma = np.sqrt(np.maximum(p * (1.0 - p), 1.0 / n) / n)
     assert np.all(np.abs(stats.occupancy[0] - p) <= 4.0 * sigma)

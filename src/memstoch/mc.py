@@ -81,8 +81,8 @@ class EnsembleStats:
     events_up: int = 0
     events_down: int = 0
     first_event_times: Optional[np.ndarray] = None  # (n,), nan = no event
-    # what the engine did: its path, step and cascade counts, Newton
-    # iterations and splits (see each engine)
+    # what the engine did: its path, step, window, candidate and cascade
+    # counts, Newton iterations and splits (see each engine)
     diagnostics: dict = field(default_factory=dict)
 
     def mean_first_switch_time(self, t_max: Optional[float] = None) -> float:
@@ -608,7 +608,7 @@ class _VectorEnsemble:
         ok[[i for i, _ in failures]] = False
         n_ok = int(ok.sum())
         first_event[~ok] = np.nan
-        counts = np.array([np.bincount(c[ok], minlength=g * width)
+        counts = np.array([np.bincount(c if n_ok == n else c[ok], minlength=g * width)
                            for c in codes]).reshape(-1, g, width)
         occ = counts.sum(axis=2) / n_ok
         return EnsembleStats(

@@ -576,23 +576,30 @@ def _series_state0_rate(model, C, wave):
 
 def _ks_first_events(stats, model, C, wave, t_end):
     """KS distance of the first events (censored at t_end) from
-    P(T1 <= t) = 1 - exp(-H(t)), H the mpmath integral of the state-0 rate.
-    H is computed at nodes (sample quantiles, PWL knots and the ends) and
+    P(T1 <= t) = 1 - exp(-H(t)), H the mpmath integral of the state-0 rate,
+    its bound at level 1e-6, and the z-score of the mean of min(T1, t_end)
+    against the integral of exp(-H) over [0, t_end].  H is computed at
+    nodes (sample quantiles, the last sample, PWL knots and the ends) and
     interpolated by cubic Hermite with H' = rate."""
     rate = _series_state0_rate(model, C, wave)
     t1 = np.sort(stats.first_event_times[~np.isnan(stats.first_event_times)])
     n, m = stats.first_event_times.size, t1.size
     knots = [b for b in wave.breakpoint_times() if 0.0 < b < t_end]
-    nodes = np.unique(np.concatenate([[0.0, t_end], t1[::max(1, m // 100)], knots]))
+    nodes = np.unique(np.concatenate([[0.0, t_end], t1[::max(1, m // 100)], t1[-1:], knots]))
     with mpmath.workdps(15):
         pieces = [mpmath.quad(rate, [a, b]) for a, b in zip(nodes[:-1], nodes[1:])]
         h = np.concatenate([[0.0], np.cumsum([float(x) for x in pieces])])
         dh = np.array([float(rate(mpmath.mpf(float(x)))) for x in nodes])
-    cdf = -np.expm1(-CubicHermiteSpline(nodes, h, dh)(t1))
+    hazard = CubicHermiteSpline(nodes, h, dh)
+    cdf = -np.expm1(-hazard(t1))
     i = np.arange(1, m + 1)
     d = max(np.max(i / n - cdf, initial=0.0), np.max(cdf - (i - 1) / n, initial=0.0),
             abs(m / n + np.expm1(-h[-1])))
-    return d, kstwo.isf(1e-6, n)
+    x, wx = np.polynomial.legendre.leggauss(8)
+    a, b = nodes[:-1, None], nodes[1:, None]
+    mean = np.sum((b - a) / 2 * wx * np.exp(-hazard((a + b) / 2 + (b - a) / 2 * x)))
+    capped = np.fmin(stats.first_event_times, t_end)
+    return d, kstwo.isf(1e-6, n), (capped.mean() - mean) / (capped.std() / math.sqrt(n))
 
 
 @pytest.mark.parametrize("case", ["sine_three_state", "figure2_strong_sine",
@@ -614,8 +621,8 @@ def test_first_events_pass_ks_against_mpmath(params, model, case):
     assert stats.n_failed == 0 and stats.n == n
     fired = np.isfinite(stats.first_event_times).sum()
     assert 0 < fired
-    d, bound = _ks_first_events(stats, m, C, wave, t_end)
-    assert d < bound
+    d, bound, z_mean = _ks_first_events(stats, m, C, wave, t_end)
+    assert d < bound and abs(z_mean) < 5.0
     if case == "figure2_strong_sine":
         assert fired == n and np.nanmax(stats.first_event_times) < 1e-12
 

@@ -812,7 +812,7 @@ def test_shared_row_is_bit_identical_to_the_per_row_loop(monkeypatch, params, mo
 
 def test_stepped_events_count_only_finished_trajectories(monkeypatch):
     # the event totals are the accepted candidates of the trajectories
-    # that finish (the thinning path's successor of the stepped one)
+    # that finish
     accepted = []
     candidates = mc._VectorEnsemble._candidates
 

@@ -824,7 +824,7 @@ class _VectorEnsemble:
             fu = self.Dq * fq + self.Ds * np.array([w.offset, w.amplitude, 0.0])[:, None]
             du, curve = om * np.array([0.0 * A, -fu[2], fu[1]]), om * om * np.hypot(fu[1], fu[2])
         else:
-            ts, vs = w._pwl
+            self._knots = ts, vs = np.array(w.breakpoints, dtype=float).T
             self._slope, self._bp_next = np.r_[0.0, np.diff(vs) / np.diff(ts), 0.0], np.r_[ts, math.inf]
             fq = -B * np.array([ia, ia * ia])
             fu = self.Dq * fq + self.Ds * np.array([1.0, 0.0])[:, None]
@@ -841,7 +841,7 @@ class _VectorEnsemble:
         if seg is None:
             basis = 1.0, np.sin(self._omega * t), np.cos(self._omega * t)
         else:
-            basis = np.interp(t, *self.wave._pwl), self._slope[seg]
+            basis = np.interp(t, *self._knots), self._slope[seg]
         one = np.ndim(t) == 0 and np.ndim(seg) == 0
         coef = self._coef[:rows] if one else np.take(self._coef[:rows], s, axis=2)
         out = sum(coef[:, i] * b for i, b in enumerate(basis))
@@ -931,7 +931,7 @@ class _VectorEnsemble:
             act, fresh = own[T[own] < t_out], True    # all rows start at t
             while True:
                 shared = (left < n or pend_id.size > 0) and T[0] < t_out
-                rows = np.concatenate((order[:1] * 0, act)) if shared else act
+                rows = np.concatenate(([0], act)) if shared else act
                 if not rows.size:
                     break
                 lam, lev = lam_all[rows], lev_all[rows]
@@ -996,7 +996,7 @@ class _VectorEnsemble:
                 diag["rows_max"] = own.size
             if len(failures) == n:
                 raise TrajectoryFailure(f"all trajectories failed: {failures[-1][1]}")
-            at = np.concatenate((order[:1] * 0, own))
+            at = np.concatenate(([0], own))
             record(t_out, S[at], Q[at], own - 1)
             t = t_out
         diag["runaway_failures"] = len(failures)

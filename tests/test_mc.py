@@ -627,6 +627,19 @@ def test_first_events_pass_ks_against_mpmath(params, model, case):
         assert fired == n and np.nanmax(stats.first_event_times) < 1e-12
 
 
+def test_thinning_does_not_depend_on_the_ensemble_size():
+    # each trajectory reads its own entries of the counter-based streams
+    # and runs through its own windows, so the first 1500 trajectories of a
+    # 4000-trajectory run are those of a 1500-trajectory run
+    for wave in (Waveform.sine(0.0, 0.4, 200.0), REVERSING_PWL):
+        net = series_mc(SINE3, 1e-7, wave)
+        times = np.linspace(0.0, 0.005, 11)
+        a = run_ensemble(net, net.initial_state(), 0.005, times, 4000, master_seed=21)
+        b = run_ensemble(net, net.initial_state(), 0.005, times, 1500, master_seed=21)
+        assert np.array_equal(a.first_event_times[:1500], b.first_event_times, equal_nan=True)
+        assert np.isfinite(b.first_event_times).sum() > 100
+
+
 def test_vector_runaway_cascade_fails_alone(monkeypatch, model, params):
     # a trajectory with more than MAX_CANDIDATES thinning candidates in one
     # output interval fails, and the others finish

@@ -15,8 +15,9 @@ closed-form hazard of each RC segment; under sine and PWL drives it thins
 candidates drawn from a bound of the rate along the closed-form charge,
 with one shared row for every trajectory that has not switched yet.
 `_NetlistEnsemble` takes every other netlist and steps on a shared grid,
-with charges exact under piecewise-constant sources (RK4 otherwise) and
-Simpson-integrated hazards.  A step below the floor fails, never jumps.
+with charges from one closed-form flow in the eigenmodes of the Kirchhoff
+ODE for every source kind, and Simpson-integrated hazards.  A step below
+the floor fails, never jumps.
 
 Both engines take exit rates from `device.switching_rate` (`_Rates` stacks
 the memristors' transition tables so that one call covers every clock) and
@@ -170,22 +171,31 @@ class _NetlistEnsemble:
     hazards and thresholds (n, M).  Each memristor-state configuration (a
     mixed-radix index) gets a row of tables on first use: its
     `affine_dynamics` and an eigenbasis of A.  Trajectories share one
-    adaptive time grid.  Charges advance exactly, q + h phi1(A h)(A q + B v),
-    under constant and step sources, and by RK4 half steps with a Richardson
-    check otherwise.  Hazards are Simpson-integrated; an event inverts the
+    adaptive time grid, with steps that end at breakpoints and last at most
+    0.25 / w of the fastest sine.  Charges follow the exact flow of
+    dq/dt = A q + B v(t) under every source kind (`_flow`), also to an event
+    time.  Hazards are Simpson-integrated; an event inverts the
     piecewise-linear rate through the Simpson nodes, and the rest of the
     step runs in the new configuration.  A trajectory that needs a step below
     the floor, or more than MAX_CASCADE events in one step, fails alone."""
 
     def __init__(self, netlist: Netlist, n: int, master_seed: int,
-                 histogram_bins: int = 50, rtol: float = 1e-9):
+                 histogram_bins: int = 50):
         self.netlist = netlist
         self.n = n
         self.bins = histogram_bins
-        self.rtol = rtol
         self.waves = [s.waveform for s in netlist.sources]
         self.piecewise_constant = all(w.kind in ("constant", "step") for w in self.waves)
         self.breakpoints = sorted({b for w in self.waves for b in w.breakpoint_times()})
+        # sines v = offset + amp sin(w t), and the slopes of each PWL segment
+        sines = [(k, w) for k, w in enumerate(self.waves) if w.kind == "sine"]
+        self.sine = np.array([k for k, _ in sines], dtype=np.intp)
+        self.omega, self.amp, self.offset = np.array(
+            [(2.0 * math.pi * w.frequency, w.amplitude, w.offset) for _, w in sines]).reshape(-1, 3).T
+        self.h_wave = 0.25 / float(self.omega.max()) if self.omega.any() else math.inf
+        self.ramps = [(k, ts, np.r_[0.0, np.diff(vs) / np.diff(ts), 0.0])
+                      for k, w in enumerate(self.waves) if w.kind == "pwl"
+                      for ts, vs in [np.array(w.breakpoints, dtype=float).T]]
         models = [m.model for m in netlist.memristors]
         self.gs = [m.num_states for m in models]
         self.M, self.K = len(models), len(netlist.capacitors)
@@ -209,9 +219,9 @@ class _NetlistEnsemble:
         vec, inv = c[:, None] * u, u.T / c[None, :]
         if self.K and np.abs(vec * lam @ inv - d.A).max() > 1e-9 * np.abs(d.A).max():
             raise ValueError(f"configuration {states}: the network is not reciprocal")
-        self.tables.append((d.A, d.B, d.Dq, d.Ds, vec, inv, lam))
+        self.tables.append((d.A, d.B, d.Dq, d.Ds, vec, inv, lam, inv @ d.B))
         (self.A, self.B, self.Dq, self.Ds, self.V, self.Vinv,
-         self.eig) = (np.stack(x) for x in zip(*self.tables))
+         self.eig, self.Bhat) = (np.stack(x) for x in zip(*self.tables))
         self.a_scale = np.abs(self.A).max(axis=(1, 2), initial=0.0)
         self.config_row[index] = len(self.tables) - 1
 
@@ -237,9 +247,29 @@ class _NetlistEnsemble:
     def _vm(self, rows, q, v):
         return _mv(self.Dq[rows], q) + _mv(self.Ds[rows], v)
 
-    def _flow(self, rows, q, v, *spans):
-        """Exact charges after each span (scalar or per row) under constant
-        sources: q + s phi1(A s)(A q + B v) in the eigenbasis of A."""
+    def _parts(self, t, v):
+        """At t (scalar or per row), with v the source values there: v
+        without its sine parts, the PWL slopes and amp e^{iwt} of the sines."""
+        t = np.asarray(t, dtype=float)
+        v0 = v + np.zeros(t.shape + (1,))
+        v0[..., self.sine] = self.offset
+        k = np.zeros_like(v0)
+        for j, ts, slope in self.ramps:
+            k[..., j] = slope[np.searchsorted(ts, t, "right")]
+        return v0, k, self.amp * np.exp(1j * self.omega * t[..., None])
+
+    def _flow(self, rows, q, t, v, *spans):
+        """Exact charges after each span (scalar or per row) from q at t,
+        with v = v(t).  In mode lam of A, with y = V^{-1} q and b = V^{-1} B,
+        y moves by s phi1(lam s)(lam y + b v0) + s^2 phi2(lam s) b k
+        + b amp Im[e^{iwt} (e^{iws} - e^{lam s}) / (iw - lam)], where v0 is v
+        without its sine parts and k the PWL slopes (`_parts`); piecewise-
+        constant sources have the first term only, and lam = 0 is taken
+        through the phi limits."""
+        ramp = not self.piecewise_constant
+        if ramp:
+            v, k, ph = self._parts(t, v)
+            bk, b = _mv(self.Bhat[rows], k), self.Bhat[rows][..., self.sine]
         g = _mv(self.Vinv[rows], _mv(self.A[rows], q) + _mv(self.B[rows], v))
         eig, vec = self.eig[rows], self.V[rows]
         out = []
@@ -248,32 +278,23 @@ class _NetlistEnsemble:
             z = eig * s
             with np.errstate(divide="ignore", invalid="ignore"):
                 phi = np.where(z != 0.0, np.expm1(z) / z, 1.0)
-            out.append(q + _mv(vec, phi * s * g))
+                dy = phi * s * g
+                if ramp:
+                    phi2 = np.where(z != 0.0, (phi - 1.0) / z, 0.5)
+                    den = 1j * self.omega - eig[..., None]
+                    wave = ((np.expm1(1j * self.omega * s[..., None]) - np.expm1(z)[..., None])
+                            / np.where(den != 0.0, den, 1.0))
+                    dy += phi2 * s * s * bk + (b * np.imag(ph[..., None, :] * wave)).sum(axis=-1)
+            out.append(q + _mv(vec, dy))
         return out
 
-    def _rk4(self, rows, q, t, h):
-        """One RK4 step of dq/dt = A q + B v(t); t and h scalar or per row."""
-        a, b = self.A[rows], self.B[rows]
-        hc = np.reshape(h, (-1, 1))
-
-        def f(qq, tt):
-            return _mv(a, qq) + _mv(b, self._v(tt))
-
-        k1 = f(q, t)
-        k2 = f(q + hc / 2 * k1, t + h / 2)
-        k3 = f(q + hc / 2 * k2, t + h / 2)
-        k4 = f(q + hc * k3, t + h)
-        return q + hc / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-
     def _nodes(self, rows, s, q, t, h, v):
-        """Charges and rates at the middle and end of [t, t + h] (h scalar
-        or per row), starting from q."""
+        """Charges and rates at the middle and end of [t, t + h] (t and h
+        scalar or per row), starting from q, with v = v(t)."""
+        q_mid, q_end = self._flow(rows, q, t, v, h / 2, h)
         if self.piecewise_constant:
-            q_mid, q_end = self._flow(rows, q, v, h / 2, h)
             v_mid = v_end = v
         else:
-            q_mid = self._rk4(rows, q, t, h / 2)
-            q_end = self._rk4(rows, q_mid, t + h / 2, h / 2)
             v_mid, v_end = self._v(t + h / 2), self._v(t + h)
         return (q_mid, q_end, self.rates(s, self._vm(rows, q_mid, v_mid), self.diag)[0],
                 self.rates(s, self._vm(rows, q_end, v_end), self.diag)[0])
@@ -302,7 +323,7 @@ class _NetlistEnsemble:
         # per event batch: time, trajectory, memristor, from and to state
         self.log = [(np.zeros(0),) + (np.zeros(0, dtype=np.int64),) * 4]
         self.failures = []
-        self.diag = dict(path="netlist", shared_steps=0, rejected_steps=0,
+        self.diag = dict(path="netlist", shared_steps=0,
                          h_min=math.inf, max_cascade=0, configurations=0,
                          rate_ceiling_hits=0)
         h_floor = 1e-15 * max(t_end, 1.0)
@@ -329,11 +350,17 @@ class _NetlistEnsemble:
         q, s, rows = self.q, self.s, self.slot
         v = self._v(t)
         r0 = self.rates(s, self._vm(rows, q, v), self.diag)[0]
-        dvm = np.abs(_mv(self.Dq[rows], _mv(self.A[rows], q) + _mv(self.B[rows], v)))
+        # d vm / dt = Dq (A q + B v) + Ds v'
+        dvm = _mv(self.Dq[rows], _mv(self.A[rows], q) + _mv(self.B[rows], v))
         total = r0.sum(axis=1)
         if self.piecewise_constant:
+            dvm = np.abs(dvm)
             # a rate that cannot change within the step needs no hazard cap
             total = np.where((dvm > 0.0).any(axis=1), total, 0.0)
+        else:
+            _, slope, ph = self._parts(t, v)
+            slope[self.sine] += self.omega * ph.real
+            dvm = np.abs(dvm + _mv(self.Ds[rows], slope))
         with np.errstate(divide="ignore"):
             h_own = np.minimum(
                 np.minimum(HAZARD_STEP_FACTOR / total, 0.25 / self.a_scale[rows]),
@@ -344,26 +371,11 @@ class _NetlistEnsemble:
             self._fail(low, [f"step size control needs h = {h:.3g} s at t = {t:.9g} s, "
                              f"below the floor {h_floor:.3g} s" for h in h_own[low]])
             return t
-        t_next = min(t_out, t + float(h_own.min()))
+        t_next = min(t_out, t + float(h_own.min()), t + self.h_wave)
         # a breakpoint within the floor of t counts as passed
         t_next = min([t_next] + [b for b in self.breakpoints if t + h_floor < b <= t_next])
         h = t_next - t
-        while True:
-            q_mid, q_end, rm, r1 = self._nodes(rows, s, q, t, h, v)
-            if self.piecewise_constant:
-                break
-            q_full = self._rk4(rows, q, t, h)
-            scale = np.abs(q_end).max(axis=1, initial=0.0) + 1e-300
-            bad = np.abs(q_end - q_full).max(axis=1, initial=0.0) / 15.0 / scale > self.rtol
-            if not bad.any():
-                break
-            if h <= h_floor:
-                self._fail(np.nonzero(bad)[0], [f"RK4 error above rtol at h = {h:.3g} s, "
-                                                f"t = {t:.9g} s"] * int(bad.sum()))
-                return t
-            h /= 2.0
-            t_next = t + h
-            self.diag["rejected_steps"] += 1
+        _, q_end, rm, r1 = self._nodes(rows, s, q, t, h, v)
         self.diag["shared_steps"] += 1
         self.diag["h_min"] = min(self.diag["h_min"], h)
         delta = h / 6.0 * (r0 + 4.0 * rm + r1)
@@ -372,20 +384,20 @@ class _NetlistEnsemble:
         self.haz = np.where(fire[:, None], self.haz, self.haz + delta)
         c = np.nonzero(fire)[0]
         if c.size:
-            runaway = self._events(c, t, t_next, v, q[c], q_mid[c], q_end[c],
-                                   r0[c], rm[c], r1[c], delta[c])
+            runaway = self._events(c, t, t_next, v, q[c], r0[c], rm[c], r1[c], delta[c])
             if runaway.size:
                 self._fail(runaway, [f"more than {MAX_CASCADE} events within one "
                                      f"step at t = {t:.9g} s"] * runaway.size)
         return t_next
 
-    def _events(self, c, t, t_next, v, q0, qm, qe, r0, rm, r1, delta):
+    def _events(self, c, t, t_next, v, q0, r0, rm, r1, delta):
         """Fire the clocks of running trajectories c whose hazard crosses
         its threshold within [t, t_next], then run the rest of the step in
         the new configuration, until no clock fires before t_next.
         Returns the rows still firing after MAX_CASCADE events."""
         t0 = np.full(c.size, t)
         span = np.full(c.size, t_next - t)
+        v0 = v     # the sources at t0
         for depth in range(1, MAX_CASCADE + 1):
             self.diag["max_cascade"] = max(self.diag["max_cascade"], depth)
             lam, thr = self.haz[c], self.thr[c]
@@ -398,12 +410,8 @@ class _NetlistEnsemble:
             ds = te - t0
             self.haz[c] = lam + _linear_hazard(span[:, None], r0, rm, r1, ds[:, None])
             rows = self.slot[c]
-            if self.piecewise_constant:
-                (q_e,) = self._flow(rows, q0, v, ds)
-                v_e = v
-            else:
-                q_e = _hermite(q0, qm, qe, (ds / span)[:, None])
-                v_e = self._v(te)
+            (q_e,) = self._flow(rows, q0, t0, v0, ds)
+            v_e = v if self.piecewise_constant else self._v(te)
             vm_e = self._vm(rows, q_e, v_e)[at, j]
             # the rate that fired: boundary states only jump inward,
             # interior states along the sign of vm
@@ -419,7 +427,7 @@ class _NetlistEnsemble:
             rem = t_next - te
             s = self.s[c]
             r0 = self.rates(s, self._vm(rows, q_e, v_e), self.diag)[0]
-            qm, qe, rm, r1 = self._nodes(rows, s, q_e, te, rem, v)
+            _, qe, rm, r1 = self._nodes(rows, s, q_e, te, rem, v_e)
             delta = rem[:, None] / 6.0 * (r0 + 4.0 * rm + r1)
             again = (self.haz[c] + delta >= self.thr[c]).any(axis=1)
             done = c[~again]
@@ -428,7 +436,8 @@ class _NetlistEnsemble:
             if not again.any():
                 return c[:0]
             c, t0, span, q0 = c[again], te[again], rem[again], q_e[again]
-            qm, qe, r0, rm, r1, delta = (x[again] for x in (qm, qe, r0, rm, r1, delta))
+            v0 = v if self.piecewise_constant else v_e[again]
+            r0, rm, r1, delta = (x[again] for x in (r0, rm, r1, delta))
         return c
 
     def run(self, initial: CircuitState, t_end: float,
@@ -477,15 +486,6 @@ class _NetlistEnsemble:
         )
 
 
-def _hermite(q0, q_mid, q1, frac):
-    """Quadratic interpolation of the charge path through the three step
-    nodes (Lagrange basis on 0, 1/2, 1)."""
-    l0 = 2.0 * (frac - 0.5) * (frac - 1.0)
-    l1 = -4.0 * frac * (frac - 1.0)
-    l2 = 2.0 * frac * (frac - 0.5)
-    return q0 * l0 + q_mid * l1 + q1 * l2
-
-
 def _linear_hazard(span, r0, rm, r1, ds):
     """Hazard over [0, ds] of the piecewise-linear rate through r0, rm, r1
     at 0, span/2 and span."""
@@ -498,10 +498,10 @@ def _linear_hazard(span, r0, rm, r1, ds):
 
 def simulate_trajectory(netlist: Netlist, initial: CircuitState,
                         t_end: float, seed: int,
-                        output_times: Optional[Sequence[float]] = None,
-                        rtol: float = 1e-9) -> TrajectoryRecord:
-    """Sample one exact trajectory of the circuit's jump process: the
-    n = 1 case of the netlist engine, with `seed` as its master seed.
+                        output_times: Optional[Sequence[float]] = None) -> TrajectoryRecord:
+    """Sample one trajectory of the circuit's jump process: the n = 1 case
+    of the netlist engine (closed-form charges under every source kind,
+    Simpson-integrated hazards), with `seed` as its master seed.
 
     Identical (inputs, seed) give bitwise-identical records.
     """
@@ -510,7 +510,7 @@ def simulate_trajectory(netlist: Netlist, initial: CircuitState,
     outputs = [x for x in outputs if t0 <= x <= t_end]
     if not outputs or outputs[-1] < t_end:
         outputs.append(float(t_end))
-    eng = _NetlistEnsemble(netlist, 1, seed, rtol=rtol)
+    eng = _NetlistEnsemble(netlist, 1, seed)
     eng._evolve(initial, float(t_end), outputs)
     if eng.failures:
         raise TrajectoryFailure(eng.failures[0][1])

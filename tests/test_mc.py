@@ -10,7 +10,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 from scipy.stats import kstwo
@@ -266,6 +266,114 @@ M2 in 0 STATES=2 R=100k,10k TAUUP=300k VUP=0.02 TAUDOWN=300k VDOWN=0.02
         assert np.all(np.abs(occ[:, 0] - ref) <= 5.0 * np.maximum(se[:, 0], 1e-3))
     assert stats.n_failed == 0 and stats.events_down == 0
     assert stats.diagnostics["path"] == "netlist"
+
+
+SIN_PAIR_TEXT = """
+V1 in 0 SIN 0 0.3 50
+M1 in 0 STATES=2 R=100k,10k TAUUP=300k VUP=0.02 TAUDOWN=300k VDOWN=0.02
+M2 in 0 STATES=2 R=100k,10k TAUUP=300k VUP=0.02 TAUDOWN=300k VDOWN=0.02
+"""
+
+
+@pytest.mark.parametrize("dt", [0.04, 0.001])
+def test_sine_step_control_does_not_depend_on_the_output_grid(dt):
+    # no capacitor: each device sees the sine itself, so dvm/dt is the
+    # source's own slope; 40 ms outputs put every Simpson node of a step
+    # that ignores it on a zero crossing.  p0 solves the two-state master
+    # equation with the rates of +-v
+    net = parse_netlist(SIN_PAIR_TEXT)
+    t_end, n = 0.12, 2000
+    times = np.arange(1, round(t_end / dt) + 1) * dt
+
+    def rhs(t, p):
+        v = 0.3 * math.sin(2.0 * math.pi * 50.0 * t)
+        up, down = (math.exp(abs(v) / 0.02) / 3e5 * (x > 0.0) for x in (v, -v))
+        return [-up * p[0] + down * (1.0 - p[0])]
+
+    ref = solve_ivp(rhs, (0.0, t_end), [1.0], t_eval=times, rtol=1e-11, atol=1e-13,
+                    max_step=1e-4).y[0]
+    stats = run_ensemble(net, net.initial_state(), t_end, times, n, master_seed=31)
+    assert stats.diagnostics["path"] == "netlist" and stats.n_failed == 0
+    assert np.array_equal(stats.times, times)
+    for occ in stats.occupancy:
+        assert np.all(np.abs(occ[:, 0] - ref) <= 4.0 * np.sqrt(ref * (1.0 - ref) / n))
+
+
+def _ladder(wave):
+    # two capacitors in series behind a memristor: q1 - q2 never changes,
+    # so A is singular
+    m = MemristorModel.binary(1e5, 1e4, 10.0, 0.05)
+    return Netlist(sources=(VoltageSource("V1", "in", "0", wave),), resistors=(),
+                   capacitors=(Capacitor("C1", "a", "b", 1e-7, 2e-8),
+                               Capacitor("C2", "b", "0", 4.7e-8, -5e-9)),
+                   memristors=(Memristor("M1", "in", "a", m),))
+
+
+FLOW_WAVES = {
+    "constant": (Waveform.constant(0.35), [0.03]),
+    "step": (Waveform.step(0.4, 1e-3, -0.2), [1e-3]),
+    "pwl": (Waveform.pwl([(0.0, 0.0), (1e-3, 0.4), (2.5e-3, -0.3), (4e-3, -0.3)]),
+            [1e-3, 2.5e-3, 4e-3]),
+    "sine": (Waveform.sine(0.05, 0.4, 200.0), []),
+}
+
+
+def _source_mp(wave, t0):
+    """u -> v(t0 + u) in mpmath on the piece of the waveform that starts at t0."""
+    if wave.kind == "sine":
+        return lambda u: wave.offset + wave.amplitude * mpmath.sin(
+            2 * mpmath.pi * wave.frequency * (t0 + u))
+    if wave.kind == "pwl":
+        pts = [(mpmath.mpf(a), mpmath.mpf(b)) for a, b in wave.breakpoints]
+        i = max(k for k, (a, _) in enumerate(pts) if a <= t0)
+        if i + 1 < len(pts):
+            (ta, va), (tb, vb) = pts[i], pts[i + 1]
+            return lambda u: va + (vb - va) * (t0 + u - ta) / (tb - ta)
+    return lambda u: mpmath.mpf(float(wave(t0)))
+
+
+@pytest.mark.parametrize("circuit", ["series", "ladder"])
+@pytest.mark.parametrize("kind", list(FLOW_WAVES))
+def test_flow_matches_the_variation_of_constants_integral(kind, circuit):
+    # q(t + s) = e^{A s} q(t) + int_0^s e^{A (s - u)} B v(t + u) du, by
+    # mpmath quadrature in each eigenmode of A, from starts on and between
+    # breakpoints, over spans that end at most at the next one; the
+    # shortest have |lam s| < 1e-3
+    wave, knots = FLOW_WAVES[kind]
+    if circuit == "series":
+        net = series_mc(MemristorModel.binary(1e5, 1e4, 10.0, 0.05), 1e-7, wave, 2e-8)
+    else:
+        net = _ladder(wave)
+    eng = mc._NetlistEnsemble(net, 1, 0)
+    rows = eng._rows_of(np.zeros((1, 1), dtype=np.int64))
+    tol = 1e-13 * max(c.capacitance for c in net.capacitors) * np.abs(wave.bounds(0.05)).max()
+    q0 = np.array([[c.initial_charge for c in net.capacitors]])
+    starts, spans, exact = [], [], []
+    with mpmath.workdps(25):
+        lam, vec = mpmath.eig(mpmath.matrix(eng.A[rows[0]].tolist()))
+        if circuit == "ladder":
+            assert min(abs(x) for x in lam) < 1e-9
+        inv = mpmath.inverse(vec)
+        b, y0 = inv * mpmath.matrix(eng.B[rows[0]].tolist()), inv * mpmath.matrix(q0[0].tolist())
+        for t in [0.0, 4e-4] + knots:
+            end = min([x for x in knots if x > t], default=t + 0.03)
+            v = _source_mp(wave, t)
+            for s in [3e-7, 5e-6, min(2e-4, end - t), end - t]:
+                y = [mpmath.exp(lam[k] * s) * y0[k] + b[k] * mpmath.quad(
+                    lambda u: mpmath.exp(lam[k] * (s - u)) * v(u), mpmath.linspace(0, s, 9))
+                     for k in range(eng.K)]
+                starts.append(t)
+                spans.append(s)
+                exact.append([float(x) for x in vec * mpmath.matrix(y)])
+    starts, spans, exact = np.array(starts), np.array(spans), np.array(exact)
+    assert np.abs(eng.eig[rows[0]]).max() * spans.min() < 1e-3
+    # one start per call (the shared step) and every start at once (events)
+    one = np.array([eng._flow(rows, q0, t, eng._v(t), s)[0][0]
+                    for t, s in zip(starts, spans)])
+    many = eng._flow(np.repeat(rows, starts.size), np.repeat(q0, starts.size, axis=0),
+                     starts, eng._v(starts), spans)[0]
+    assert np.abs(one - exact).max() <= tol
+    assert np.abs(many - exact).max() <= tol
 
 
 def test_netlist_engine_first_events_match_the_exact_path(netlist):

@@ -4,25 +4,23 @@ A trajectory is a piecewise-deterministic Markov process: between
 switching events the capacitor charges follow the Kirchhoff ODE of the
 instantaneous resistive network, and each memristor carries an
 independent exponential clock whose hazard is the time integral of its
-voltage-dependent exit rate along the trajectory.  A switch happens when
-the hazard reaches an exponential threshold (no fixed-step Bernoulli
-trials).
+voltage-dependent exit rate along the trajectory.  Jump times are exact
+(no fixed-step Bernoulli trials).
 
-Both engines run all trajectories as arrays.  `_VectorEnsemble` takes
-circuits with one memristor, one capacitor and one source, and draws
-exact jump times: under constant and step drives it inverts the
-closed-form hazard of each RC segment; under sine and PWL drives it thins
-candidates drawn from a bound of the rate along the closed-form charge,
-with one shared row for every trajectory that has not switched yet.
-`_NetlistEnsemble` takes every other netlist and steps on a shared grid,
-with charges from one closed-form flow in the eigenmodes of the Kirchhoff
-ODE for every source kind, and Simpson-integrated hazards.  A step below
-the floor fails, never jumps.
+Both engines run all trajectories as arrays and jump from event to event.
+`_VectorEnsemble` takes circuits with one memristor, one capacitor and one
+source: under constant and step drives it inverts the closed-form hazard
+of each RC segment; under sine and PWL drives it thins candidates drawn
+from a bound of the rate along the closed-form charge.  `_NetlistEnsemble`
+takes every other netlist and thins under every source kind, with charges
+from one closed-form flow in the eigenmodes of the Kirchhoff ODE and one
+envelope of the summed rate of the M clocks.  Both carry every trajectory
+that has not switched yet on one shared row.
 
 Both engines take exit rates from `device.switching_rate` (`_Rates` stacks
 the memristors' transition tables so that one call covers every clock) and
-thresholds from the same counter-based Philox streams (`_Thresholds`).
-Their diagnostics count `rate_ceiling_hits`: the rates cut at the model's
+draws from the same counter-based Philox streams (`_Thresholds`).  Their
+diagnostics count `rate_ceiling_hits`: the rates cut at the model's
 ceiling or, on the exact path, the hazard pieces run at it.
 """
 
@@ -38,10 +36,7 @@ from .analytic import ei_term, hazard_integral
 from .circuit import CircuitState, Netlist, affine_dynamics
 from .device import switching_rate
 
-# step control of the netlist engine, then thinning in the vector engine
-HAZARD_STEP_FACTOR = 0.1    # dt <= 0.1 / current total rate
-RATE_CURVATURE_FACTOR = 0.3  # dt <= 0.3 / |d ln(rate)/dt|
-MAX_CASCADE = 64            # events of one trajectory within one step
+# thinning in both engines
 MAX_CANDIDATES = 10_000     # candidates of one trajectory within one output interval
 _WINDOW_SLACK = 1.0         # bound on the envelope's excess over the log-rate
 
@@ -82,8 +77,8 @@ class EnsembleStats:
     events_up: int = 0
     events_down: int = 0
     first_event_times: Optional[np.ndarray] = None  # (n,), nan = no event
-    # what the engine did: its path, step, window, candidate and cascade
-    # counts, Newton iterations and splits (see each engine)
+    # what the engine did: its path, window, candidate and round counts,
+    # Newton iterations and splits (see each engine)
     diagnostics: dict = field(default_factory=dict)
 
     def mean_first_switch_time(self, t_max: Optional[float] = None) -> float:
@@ -167,17 +162,15 @@ class _Thresholds:
 
 
 class _NetlistEnsemble:
-    """All n trajectories of any netlist as arrays: charges (n, K), states,
-    hazards and thresholds (n, M).  Each memristor-state configuration (a
-    mixed-radix index) gets a row of tables on first use: its
-    `affine_dynamics` and an eigenbasis of A.  Trajectories share one
-    adaptive time grid, with steps that end at breakpoints and last at most
-    0.25 / w of the fastest sine.  Charges follow the exact flow of
-    dq/dt = A q + B v(t) under every source kind (`_flow`), also to an event
-    time.  Hazards are Simpson-integrated; an event inverts the
-    piecewise-linear rate through the Simpson nodes, and the rest of the
-    step runs in the new configuration.  A trajectory that needs a step below
-    the floor, or more than MAX_CASCADE events in one step, fails alone."""
+    """All n trajectories of any netlist as arrays: states (n, M), charges
+    (n, K).  Each memristor-state configuration (a mixed-radix index) gets a
+    row of tables on first use: its `affine_dynamics`, an eigenbasis of A
+    and the sine factors of the flow.  Trajectories jump from event to event
+    by thinning, each on its own clock (`_evolve`): charges follow the exact
+    flow of dq/dt = A q + B v(t) under every source kind (`_flow`), and the
+    candidates come from one exponential-linear envelope of the summed exit
+    rate of the M clocks per window (`_window`).  A trajectory with more
+    than MAX_CANDIDATES candidates in one output interval fails alone."""
 
     def __init__(self, netlist: Netlist, n: int, master_seed: int,
                  histogram_bins: int = 50):
@@ -186,13 +179,13 @@ class _NetlistEnsemble:
         self.bins = histogram_bins
         self.waves = [s.waveform for s in netlist.sources]
         self.piecewise_constant = all(w.kind in ("constant", "step") for w in self.waves)
-        self.breakpoints = sorted({b for w in self.waves for b in w.breakpoint_times()})
+        self.breakpoints = np.array(
+            sorted({b for w in self.waves for b in w.breakpoint_times()}) + [math.inf])
         # sines v = offset + amp sin(w t), and the slopes of each PWL segment
         sines = [(k, w) for k, w in enumerate(self.waves) if w.kind == "sine"]
         self.sine = np.array([k for k, _ in sines], dtype=np.intp)
         self.omega, self.amp, self.offset = np.array(
             [(2.0 * math.pi * w.frequency, w.amplitude, w.offset) for _, w in sines]).reshape(-1, 3).T
-        self.h_wave = 0.25 / float(self.omega.max()) if self.omega.any() else math.inf
         self.ramps = [(k, ts, np.r_[0.0, np.diff(vs) / np.diff(ts), 0.0])
                       for k, w in enumerate(self.waves) if w.kind == "pwl"
                       for ts, vs in [np.array(w.breakpoints, dtype=float).T]]
@@ -200,13 +193,17 @@ class _NetlistEnsemble:
         self.gs = [m.num_states for m in models]
         self.M, self.K = len(models), len(netlist.capacitors)
         self.strides = np.cumprod([1] + self.gs[:-1])[:self.M].astype(np.int64)
-        self.top = np.array(self.gs, dtype=np.int64) - 1
-        self.rates = _Rates(models)
+        self.rates = r = _Rates(models)
+        # per rate entry: 1 / V, ln tau and the log of the rate's cap, where
+        # the exponent cut at 700 or the model's ceiling stops it
+        self.inv_v, self.log_tau = 1.0 / r.v_scale, np.log(r.tau)
+        self.log_cap = np.minimum(np.repeat(np.log(r.ceiling), 2 * r.gmax), 700.0 - self.log_tau)
         self.mi = np.arange(self.M)
         self.sqrt_c = np.sqrt([c.capacitance for c in netlist.capacitors])
         self.config_row = {}     # configuration index -> table row
         self.tables = []
-        self.thresholds = _Thresholds(master_seed, n, self.M)
+        # candidate round r's spacing in stream 2r, its acceptance in 2r + 1
+        self.candidates = _Thresholds(master_seed, n, 2)
 
     # -- configuration tables ------------------------------------------
     def _add_configuration(self, index: int, states: tuple) -> None:
@@ -219,10 +216,16 @@ class _NetlistEnsemble:
         vec, inv = c[:, None] * u, u.T / c[None, :]
         if self.K and np.abs(vec * lam @ inv - d.A).max() > 1e-9 * np.abs(d.A).max():
             raise ValueError(f"configuration {states}: the network is not reciprocal")
-        self.tables.append((d.A, d.B, d.Dq, d.Ds, vec, inv, lam, inv @ d.B))
-        (self.A, self.B, self.Dq, self.Ds, self.V, self.Vinv,
-         self.eig, self.Bhat) = (np.stack(x) for x in zip(*self.tables))
-        self.a_scale = np.abs(self.A).max(axis=(1, 2), initial=0.0)
+        bhat, dqv = inv @ d.B, d.Dq @ vec
+        # the sines through mode lam: b / (iw - lam), and lam^2 times that
+        den = 1j * self.omega - lam[:, None]
+        bw = bhat[:, self.sine] / np.where(den != 0.0, den, 1.0)
+        # |vm''| of the forced sines: w^2 amp |Dq V b / (iw - lam) + Ds|
+        curve = np.abs(dqv @ bw + d.Ds[:, self.sine]) @ (self.omega ** 2 * np.abs(self.amp))
+        self.tables.append((d.A, d.B, d.Dq, d.Ds, vec, inv, lam, bhat, bw,
+                            lam[:, None] ** 2 * bw, np.abs(dqv), curve))
+        (self.A, self.B, self.Dq, self.Ds, self.V, self.Vinv, self.eig, self.Bhat,
+         self.bw, self.bw2, self.abs_dqv, self.curve) = (np.stack(x) for x in zip(*self.tables))
         self.config_row[index] = len(self.tables) - 1
 
     def _rows_of(self, s):
@@ -244,201 +247,230 @@ class _NetlistEnsemble:
             out[..., k] = w(t)
         return out
 
-    def _vm(self, rows, q, v):
-        return _mv(self.Dq[rows], q) + _mv(self.Ds[rows], v)
-
-    def _parts(self, t, v):
-        """At t (scalar or per row), with v the source values there: v
-        without its sine parts, the PWL slopes and amp e^{iwt} of the sines."""
-        t = np.asarray(t, dtype=float)
-        v0 = v + np.zeros(t.shape + (1,))
+    def _modes(self, rows, q, t, v):
+        """What the flow from q at t (scalar or per row) needs, with v = v(t):
+        g = lam y + b v0 per mode (y = V^{-1} q, b = V^{-1} B, v0 = v without
+        its sine parts), b k for the PWL slopes k, amp e^{iwt} of the sines,
+        v0 and k; all but g are None under piecewise-constant sources."""
+        if self.piecewise_constant:
+            return (_mv(self.Vinv[rows], _mv(self.A[rows], q) + _mv(self.B[rows], v)),) + (None,) * 4
+        t, v0 = np.asarray(t, dtype=float), v.copy()
         v0[..., self.sine] = self.offset
         k = np.zeros_like(v0)
         for j, ts, slope in self.ramps:
             k[..., j] = slope[np.searchsorted(ts, t, "right")]
-        return v0, k, self.amp * np.exp(1j * self.omega * t[..., None])
+        g = _mv(self.Vinv[rows], _mv(self.A[rows], q) + _mv(self.B[rows], v0))
+        return g, _mv(self.Bhat[rows], k), self.amp * np.exp(1j * self.omega * t[..., None]), v0, k
 
-    def _flow(self, rows, q, t, v, *spans):
-        """Exact charges after each span (scalar or per row) from q at t,
-        with v = v(t).  In mode lam of A, with y = V^{-1} q and b = V^{-1} B,
-        y moves by s phi1(lam s)(lam y + b v0) + s^2 phi2(lam s) b k
-        + b amp Im[e^{iwt} (e^{iws} - e^{lam s}) / (iw - lam)], where v0 is v
-        without its sine parts and k the PWL slopes (`_parts`); piecewise-
-        constant sources have the first term only, and lam = 0 is taken
-        through the phi limits."""
-        ramp = not self.piecewise_constant
-        if ramp:
-            v, k, ph = self._parts(t, v)
-            bk, b = _mv(self.Bhat[rows], k), self.Bhat[rows][..., self.sine]
-        g = _mv(self.Vinv[rows], _mv(self.A[rows], q) + _mv(self.B[rows], v))
-        eig, vec = self.eig[rows], self.V[rows]
-        out = []
-        for span in spans:
-            s = np.reshape(span, (-1, 1))
-            z = eig * s
-            with np.errstate(divide="ignore", invalid="ignore"):
-                phi = np.where(z != 0.0, np.expm1(z) / z, 1.0)
-                dy = phi * s * g
-                if ramp:
-                    phi2 = np.where(z != 0.0, (phi - 1.0) / z, 0.5)
-                    den = 1j * self.omega - eig[..., None]
-                    wave = ((np.expm1(1j * self.omega * s[..., None]) - np.expm1(z)[..., None])
-                            / np.where(den != 0.0, den, 1.0))
-                    dy += phi2 * s * s * bk + (b * np.imag(ph[..., None, :] * wave)).sum(axis=-1)
-            out.append(q + _mv(vec, dy))
-        return out
+    def _flow(self, rows, q, modes, span):
+        """Exact charges after span (scalar or per row) from q at t, with
+        modes = `_modes` there: in mode lam, y moves by s phi1(lam s) g
+        + s^2 phi2(lam s) b k + Im[amp e^{iwt} (e^{iws} - e^{lam s}) b / (iw - lam)],
+        with lam = 0 taken through the phi limits and b / (iw - lam) tabled
+        per configuration."""
+        g, bk, ph = modes[:3]
+        s = np.reshape(span, (-1, 1))
+        z = self.eig[rows] * s
+        with np.errstate(divide="ignore", invalid="ignore"):
+            phi = np.where(z != 0.0, np.expm1(z) / z, 1.0)
+            dy = phi * s * g
+            if bk is not None:
+                phi2 = np.where(z != 0.0, (phi - 1.0) / z, 0.5)
+                wave = np.expm1(1j * self.omega * s[..., None]) - np.expm1(z)[..., None]
+                dy += phi2 * s * s * bk + np.imag(ph[..., None, :] * wave * self.bw[rows]).sum(axis=-1)
+        return q + _mv(self.V[rows], dy)
 
-    def _nodes(self, rows, s, q, t, h, v):
-        """Charges and rates at the middle and end of [t, t + h] (t and h
-        scalar or per row), starting from q, with v = v(t)."""
-        q_mid, q_end = self._flow(rows, q, t, v, h / 2, h)
-        if self.piecewise_constant:
-            v_mid = v_end = v
-        else:
-            v_mid, v_end = self._v(t + h / 2), self._v(t + h)
-        return (q_mid, q_end, self.rates(s, self._vm(rows, q_mid, v_mid), self.diag)[0],
-                self.rates(s, self._vm(rows, q_end, v_end), self.diag)[0])
+    def _vm(self, rows, q, v):
+        return _mv(self.Dq[rows], q) + _mv(self.Ds[rows], v)
 
-    # -- the run --------------------------------------------------------
+    # -- thinning ----------------------------------------------------------
+    def _window(self, c, s, t, q, t_stop):
+        """Windows [t, t1] of rows in configurations c (states s, charges q)
+        and on them the envelope e^{l0 + (l1 - l0) x / dt} of the summed exit
+        rate (x the time into the window).  Per clock, +-vm lie below their
+        tangents at t plus kk dt x / 2, where kk bounds |vm''|: the forced
+        sines' curve plus sum_k |(Dq V)_k| lam_k^2 |y_k - y_p,k| over the
+        decaying modes.  A window ends by t_stop, at a breakpoint and where
+        kk dt^2 reaches _WINDOW_SLACK voltage scales.  Each clock's envelope
+        covers the transitions the sign of vm can drive, floored at e^-700
+        and flat at the rate's cap; their sum is bounded by the chord of its
+        (convex) log.  Returns (c, s, t, t1, dt, l0, l1, the envelope's
+        integral, q, v, the flow's modes, the charge at t1)."""
+        v = self._v(t)
+        modes = self._modes(c, q, t, v)
+        g, bk, ph = modes[:3]
+        dq, dv = _mv(self.A[c], q) + _mv(self.B[c], v), 0.0
+        lam_c = self.eig[c] * g                     # lam^2 (y - y_p)
+        if bk is not None:
+            dv = modes[4].copy()
+            dv[..., self.sine] += self.omega * ph.real
+            dv = _mv(self.Ds[c], dv)
+            lam_c += bk - np.imag(ph[..., None, :] * self.bw2[c]).sum(axis=-1)
+        vm0, dvm = self._vm(c, q, v), _mv(self.Dq[c], dq) + dv
+        kk = self.curve[c] + _mv(self.abs_dqv[c], np.abs(lam_c))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            reach = np.sqrt(_WINDOW_SLACK * self.rates.v_min[self.mi, s] / kk).min(
+                axis=1, initial=math.inf)
+            t1 = np.minimum(np.minimum(t + reach, t_stop),
+                            self.breakpoints[np.searchsorted(self.breakpoints, t, "right")])
+            dt = t1 - t
+            rise, bend = dvm * dt[:, None], 0.5 * kk * (dt * dt)[:, None]
+            vm1, mv1 = vm0 + rise + bend, bend - rise - vm0   # vm, -vm at t1
+            on_up, on_down = (vm0 > 0.0) | (vm1 > 0.0), (vm0 < 0.0) | (mv1 > 0.0)
+            up, down = self.rates.base + s, self.rates.base + s + self.rates.gmax
+            l0, l1 = (np.maximum(np.maximum(
+                np.where(on_up, x * self.inv_v[up] - self.log_tau[up], -700.0),
+                np.where(on_down, y * self.inv_v[down] - self.log_tau[down], -700.0)), -700.0)
+                for x, y in ((vm0, -vm0), (vm1, mv1)))
+            cap = np.maximum(self.log_cap[up], self.log_cap[down])
+            top = np.maximum(l0, l1) > cap
+            l0, l1 = (_log_sum_exp(np.where(top, cap, x)) for x in (l0, l1))
+            # from l1 - 50 at least: the inversion cannot overflow
+            l0 = np.maximum(l0, l1 - 50.0)
+            z = -np.abs(l1 - l0)
+            total = np.exp(np.maximum(l0, l1)) * dt * np.where(z < 0.0, np.expm1(z) / z, 1.0)
+        return c, s, t, t1, dt, l0, l1, total, q, v, modes, self._flow(c, q, modes, dt)
+
+    def _candidates(self, w, at, ids, gap):
+        """Trajectories ids' candidates where the envelope's integral into
+        windows `at` of w reaches gap: times, charges, acceptance (with
+        probability summed rate / envelope), the clock that fires (in
+        proportion to the clocks' rates), its direction (the one its rate
+        drives, so boundary states jump inward) and next spacing draws."""
+        c, s, t, _, dt, l0, l1, _, q, v, modes, _ = w
+        c, s, t, dt, l0, l1, q, v = (x[at] for x in (c, s, t, dt, l0, l1, q, v))
+        modes = tuple(None if x is None else x[at] for x in modes)
+        b = (l1 - l0) / dt
+        x = np.clip(_exp_step(-b, np.exp(l0), gap), 0.0, dt)
+        q_c = self._flow(c, q, modes, x)
+        if modes[1] is not None:        # the sources along their segments
+            v = modes[3] + modes[4] * x[:, None]
+            v[:, self.sine] += self.amp * np.sin(self.omega * (t + x)[:, None])
+        vm = self._vm(c, q_c, v)
+        rate, _ = self.rates(s, vm, self.diag)
+        cum = np.cumsum(rate, axis=1)
+        k = 2 * self._rounds[ids]
+        self._rounds[ids] += 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            excess = self.candidates.take(ids, k + 1) - (l0 + b * x - np.log(cum[:, -1]))
+        # given acceptance the excess is exponential, so e^-excess is uniform
+        u = np.exp(-np.maximum(excess, 0.0)) * cum[:, -1]
+        m = np.argmax((cum >= u[:, None]) & (rate > 0.0), axis=1)
+        up = vm[np.arange(m.size), m] > 0.0
+        return excess > 0.0, t + x, q_c, m, up, self.candidates.take(ids, k + 2)
+
     def _evolve(self, initial: CircuitState, t_end: float, outputs):
-        """Run every trajectory from `initial` to t_end and sample it at
-        `outputs` (ascending, within [initial time, t_end], ending at
-        t_end).  Running trajectories are the rows of the state arrays;
-        `ids` maps rows to trajectory indices."""
+        """Thinning (Lewis & Shedler 1979) from `initial` to t_end, sampled
+        at `outputs` (ascending, within [initial time, t_end], ending at
+        t_end).  Each trajectory runs on its own clock through windows; a
+        candidate falls where the envelope's integral since the last jump
+        reaches the trajectory's level (a sum of spacing draws) and is
+        accepted with probability summed rate / envelope.  Row i + 1 carries
+        trajectory i once it switched; until then row 0, one path through
+        the same windows, stands for it and keeps only its level (sorted,
+        unsorted once rejected), so a window touches only the members with
+        a candidate in it."""
         t = float(initial.time)
         if t_end <= t:
             raise ValueError("t_end must exceed the initial time")
         if outputs[0] < t:
             raise ValueError("output time before the initial time")
-        n, M = self.n, self.M
-        self.ids = np.arange(n)
-        self.q = np.tile(np.array(initial.capacitor_charges, dtype=float), (n, 1))
-        self.s = np.tile(np.array(initial.memristor_states, dtype=np.int64), (n, 1))
-        self.slot = self._rows_of(self.s)
-        self.haz = np.zeros((n, M))
-        self.thr = np.array([self.thresholds.stream(m) for m in range(M)]).reshape(M, n).T.copy()
-        self.round = np.ones((n, M), dtype=np.int64)
+        n = self.n
+        S = np.tile(np.array(initial.memristor_states, dtype=np.int64), (n + 1, 1))
+        Q = np.tile(np.array(initial.capacitor_charges, dtype=float), (n + 1, 1))
+        T, R = np.full(n + 1, t), np.full(n + 1, self._rows_of(S[:1])[0])
+        # the envelope's integral since the last jump, and where the next candidate is
+        lam_all, lev_all = np.zeros(n + 1), np.zeros(n + 1)
+        self._rounds = np.zeros(n, dtype=np.int64)
+        order = np.argsort(self.candidates.stream(0))
+        levels, left = self.candidates.stream(0)[order], 0    # row 0: order[left:], pend_id
+        pend_id, pend_lev, own = order[:0], levels[:0], order[:0]
+        tries = np.zeros(n, dtype=np.int64)
         self.sample_q = np.zeros((len(outputs), n, self.K))
-        self.sample_s = np.zeros((len(outputs), n, M), dtype=np.int64)
-        # per event batch: time, trajectory, memristor, from and to state
+        self.sample_s = np.zeros((len(outputs), n, self.M), dtype=np.int64)
+        # per accepted batch: time, trajectory, memristor, from and to state
         self.log = [(np.zeros(0),) + (np.zeros(0, dtype=np.int64),) * 4]
         self.failures = []
-        self.diag = dict(path="netlist", shared_steps=0,
-                         h_min=math.inf, max_cascade=0, configurations=0,
-                         rate_ceiling_hits=0)
-        h_floor = 1e-15 * max(t_end, 1.0)
-        for k, t_out in enumerate(outputs):
-            while t < t_out - h_floor and self.ids.size:
-                t = self._step(t, t_out, h_floor)
-            if not self.ids.size:
-                break
+        diag = self.diag = dict(path="netlist", windows=0, candidates=0, accepted=0,
+                                rows_max=0, runaway_failures=0, configurations=0,
+                                rate_ceiling_hits=0)
+        for i_out, t_out in enumerate(outputs):
+            tries[:] = 0
+            act = own[T[own] < t_out]
+            while True:
+                shared = (left < n or pend_id.size > 0) and T[0] < t_out
+                rows = np.concatenate(([0], act)) if shared else act
+                if not rows.size:
+                    break
+                lam, lev = lam_all[rows], lev_all[rows]
+                w = self._window(R[rows], S[rows], T[rows], Q[rows], t_out)
+                _, s, _, t1, dt, _, _, total, _, _, _, q1 = w
+                live = np.ones(rows.size, dtype=bool)
+                diag["windows"] += rows.size
+                if not (dt > 0.0).all():
+                    raise TrajectoryFailure(f"a window before {t_out:.9g} s is below the time step")
+                # the candidates in the window: own rows, then members of row 0
+                hit = lev - lam < total
+                hit[0] &= not shared
+                at = np.flatnonzero(hit)
+                ids, gap_end = rows[at] - 1, lev[at]
+                if shared:
+                    lam0, tot0 = lam[0], total[0]
+                    end = left + int(np.searchsorted(levels[left:], lam0 + tot0))
+                    while end < n and levels[end] - lam0 < tot0:   # the own rows' test
+                        end += 1
+                    while end > left and not levels[end - 1] - lam0 < tot0:
+                        end -= 1
+                    inside = pend_lev - lam0 < tot0
+                    ids = np.concatenate((ids, order[left:end], pend_id[inside]))
+                    gap_end = np.concatenate((gap_end, levels[left:end], pend_lev[inside]))
+                    at = np.concatenate((at, np.zeros(ids.size - at.size, dtype=np.intp)))
+                    left, pend_id, pend_lev = end, pend_id[~inside], pend_lev[~inside]
+                born = [own[:0]]
+                while ids.size:
+                    tries[ids] += 1
+                    over = tries[ids] > MAX_CANDIDATES
+                    if over.any():      # a runaway trajectory fails alone
+                        self.failures += [(int(i), f"more than {MAX_CANDIDATES} candidates within "
+                                           f"one output interval at t = {t_out:.9g} s")
+                                          for i in ids[over]]
+                        T[ids[over] + 1], live[at[over & (rows[at] > 0)]] = math.inf, False
+                        at, ids, gap_end = at[~over], ids[~over], gap_end[~over]
+                    ok, t_c, q_c, m, up, spacing = self._candidates(w, at, ids, gap_end - lam[at])
+                    diag["candidates"] += ids.size
+                    diag["accepted"] += int(ok.sum())
+                    # accepted: clock m of the trajectory jumps, and its window ends
+                    j, m, mine = ids[ok], m[ok], rows[at] == 0
+                    old = s[at[ok], m]
+                    new = old + np.where(up[ok], 1, -1)
+                    S[j + 1] = s[at[ok]]
+                    S[j + 1, m] = new
+                    R[j + 1] = self._rows_of(S[j + 1])
+                    T[j + 1], Q[j + 1], lam_all[j + 1], lev_all[j + 1] = (
+                        t_c[ok], q_c[ok], 0.0, spacing[ok])
+                    self.log.append((t_c[ok], j, m, old, new))
+                    live[at[ok & ~mine]] = False
+                    born.append(j[mine[ok]] + 1)
+                    # rejected: the next candidate, in this window or a later one
+                    at, ids, mine = at[~ok], ids[~ok], mine[~ok]
+                    gap_end = gap_end[~ok] + spacing[~ok]
+                    lev_all[ids + 1] = gap_end
+                    again = gap_end - lam[at] < total[at]
+                    pend_id = np.concatenate((pend_id, ids[mine & ~again]))
+                    pend_lev = np.concatenate((pend_lev, gap_end[mine & ~again]))
+                    at, ids, gap_end = at[again], ids[again], gap_end[again]
+                # the other rows reach the window's end
+                rk = rows[live]
+                T[rk], Q[rk], lam_all[rk] = t1[live], q1[live], lam[live] + total[live]
+                born = np.concatenate(born)
+                own = np.concatenate((own, born))
+                act = np.concatenate((rows[(T[rows] < t_out) & (rows > 0)], born[T[born] < t_out]))
+                diag["rows_max"] = own.size
+            self.sample_q[i_out], self.sample_q[i_out, own - 1] = Q[0], Q[own]
+            self.sample_s[i_out], self.sample_s[i_out, own - 1] = S[0], S[own]
             t = t_out
-            self.sample_q[k, self.ids] = self.q
-            self.sample_s[k, self.ids] = self.s
-        self.diag["configurations"] = len(self.tables)
-
-    def _fail(self, rows, messages):
-        """Drop running trajectories `rows` (an index array), recording why."""
-        self.failures += [(int(i), m) for i, m in zip(self.ids[rows], messages)]
-        keep = ~np.isin(np.arange(self.ids.size), rows)
-        for name in ("ids", "q", "s", "slot", "haz", "thr", "round"):
-            setattr(self, name, getattr(self, name)[keep])
-
-    def _step(self, t, t_out, h_floor):
-        """One shared step from t; returns the new time (t itself when
-        trajectories failed and the step is to be retried)."""
-        q, s, rows = self.q, self.s, self.slot
-        v = self._v(t)
-        r0 = self.rates(s, self._vm(rows, q, v), self.diag)[0]
-        # d vm / dt = Dq (A q + B v) + Ds v'
-        dvm = _mv(self.Dq[rows], _mv(self.A[rows], q) + _mv(self.B[rows], v))
-        total = r0.sum(axis=1)
-        if self.piecewise_constant:
-            dvm = np.abs(dvm)
-            # a rate that cannot change within the step needs no hazard cap
-            total = np.where((dvm > 0.0).any(axis=1), total, 0.0)
-        else:
-            _, slope, ph = self._parts(t, v)
-            slope[self.sine] += self.omega * ph.real
-            dvm = np.abs(dvm + _mv(self.Ds[rows], slope))
-        with np.errstate(divide="ignore"):
-            h_own = np.minimum(
-                np.minimum(HAZARD_STEP_FACTOR / total, 0.25 / self.a_scale[rows]),
-                (RATE_CURVATURE_FACTOR * self.rates.v_min[self.mi, s] / dvm).min(
-                    axis=1, initial=math.inf))
-        low = np.nonzero(h_own <= h_floor)[0]
-        if low.size:
-            self._fail(low, [f"step size control needs h = {h:.3g} s at t = {t:.9g} s, "
-                             f"below the floor {h_floor:.3g} s" for h in h_own[low]])
-            return t
-        t_next = min(t_out, t + float(h_own.min()), t + self.h_wave)
-        # a breakpoint within the floor of t counts as passed
-        t_next = min([t_next] + [b for b in self.breakpoints if t + h_floor < b <= t_next])
-        h = t_next - t
-        _, q_end, rm, r1 = self._nodes(rows, s, q, t, h, v)
-        self.diag["shared_steps"] += 1
-        self.diag["h_min"] = min(self.diag["h_min"], h)
-        delta = h / 6.0 * (r0 + 4.0 * rm + r1)
-        fire = (self.haz + delta >= self.thr).any(axis=1)
-        self.q = np.where(fire[:, None], q, q_end)
-        self.haz = np.where(fire[:, None], self.haz, self.haz + delta)
-        c = np.nonzero(fire)[0]
-        if c.size:
-            runaway = self._events(c, t, t_next, v, q[c], r0[c], rm[c], r1[c], delta[c])
-            if runaway.size:
-                self._fail(runaway, [f"more than {MAX_CASCADE} events within one "
-                                     f"step at t = {t:.9g} s"] * runaway.size)
-        return t_next
-
-    def _events(self, c, t, t_next, v, q0, r0, rm, r1, delta):
-        """Fire the clocks of running trajectories c whose hazard crosses
-        its threshold within [t, t_next], then run the rest of the step in
-        the new configuration, until no clock fires before t_next.
-        Returns the rows still firing after MAX_CASCADE events."""
-        t0 = np.full(c.size, t)
-        span = np.full(c.size, t_next - t)
-        v0 = v     # the sources at t0
-        for depth in range(1, MAX_CASCADE + 1):
-            self.diag["max_cascade"] = max(self.diag["max_cascade"], depth)
-            lam, thr = self.haz[c], self.thr[c]
-            te = np.where(lam + delta >= thr,
-                          _invert_step_vec(t0[:, None], span[:, None], thr - lam,
-                                           r0, rm, r1), math.inf)
-            j = te.argmin(axis=1)
-            at = np.arange(c.size)
-            te = te[at, j]
-            ds = te - t0
-            self.haz[c] = lam + _linear_hazard(span[:, None], r0, rm, r1, ds[:, None])
-            rows = self.slot[c]
-            (q_e,) = self._flow(rows, q0, t0, v0, ds)
-            v_e = v if self.piecewise_constant else self._v(te)
-            vm_e = self._vm(rows, q_e, v_e)[at, j]
-            # the rate that fired: boundary states only jump inward,
-            # interior states along the sign of vm
-            old = self.s[c, j]
-            up = (old == 0) | ((vm_e > 0.0) & (old < self.top[j]))
-            new = old + np.where(up, 1, -1)
-            self.log.append((te, self.ids[c], j, old, new))
-            self.s[c, j] = new
-            self.haz[c, j] = 0.0
-            self.thr[c, j] = self.thresholds.draw(self.ids[c], self.round, (c, j), j)
-            self.slot[c] = rows = self._rows_of(self.s[c])
-            # the rest of the step, te -> t_next, in the new configuration
-            rem = t_next - te
-            s = self.s[c]
-            r0 = self.rates(s, self._vm(rows, q_e, v_e), self.diag)[0]
-            _, qe, rm, r1 = self._nodes(rows, s, q_e, te, rem, v_e)
-            delta = rem[:, None] / 6.0 * (r0 + 4.0 * rm + r1)
-            again = (self.haz[c] + delta >= self.thr[c]).any(axis=1)
-            done = c[~again]
-            self.q[done] = qe[~again]
-            self.haz[done] += delta[~again]
-            if not again.any():
-                return c[:0]
-            c, t0, span, q0 = c[again], te[again], rem[again], q_e[again]
-            v0 = v if self.piecewise_constant else v_e[again]
-            r0, rm, r1, delta = (x[again] for x in (r0, rm, r1, delta))
-        return c
+        diag["runaway_failures"] = len(self.failures)
+        diag["configurations"] = len(self.tables)
 
     def run(self, initial: CircuitState, t_end: float,
             output_times: Sequence[float]) -> EnsembleStats:
@@ -448,7 +480,7 @@ class _NetlistEnsemble:
         ok = ~np.isin(np.arange(n), [i for i, _ in self.failures])
         n_ok = int(ok.sum())
         if n_ok == 0:
-            raise TrajectoryFailure("all trajectories failed")
+            raise TrajectoryFailure(f"all trajectories failed: {self.failures[-1][1]}")
         T = len(outputs)
         states = self.sample_s[:, ok]
         when = np.arange(T)[:, None]
@@ -472,28 +504,18 @@ class _NetlistEnsemble:
         first, at = np.unique(who[counted], return_index=True)
         first_event[first] = te[counted][at]
         return EnsembleStats(
-            times=np.array(outputs),
-            occupancy=occupancy,
+            times=np.array(outputs), occupancy=occupancy,
             stderr=[np.sqrt(p * (1.0 - p) / n_ok) for p in occupancy],
-            histograms=hists,
-            n=n_ok,
-            n_failed=len(self.failures),
-            failures=sorted(self.failures),
-            events_up=int((counted & (new > old)).sum()),
+            histograms=hists, n=n_ok, n_failed=len(self.failures),
+            failures=sorted(self.failures), events_up=int((counted & (new > old)).sum()),
             events_down=int((counted & (new < old)).sum()),
-            first_event_times=first_event,
-            diagnostics=dict(self.diag),
-        )
+            first_event_times=first_event, diagnostics=dict(self.diag))
 
 
-def _linear_hazard(span, r0, rm, r1, ds):
-    """Hazard over [0, ds] of the piecewise-linear rate through r0, rm, r1
-    at 0, span/2 and span."""
-    half = np.maximum(span / 2.0, 1e-300)
-    a = np.minimum(ds, half)
-    b = np.maximum(ds - half, 0.0)
-    return (a * (r0 + (rm - r0) * a / (2.0 * half))
-            + b * (rm + (r1 - rm) * b / (2.0 * half)))
+def _log_sum_exp(x):
+    """log sum_m e^{x_m} over the last axis."""
+    top = x.max(axis=-1, initial=-700.0)
+    return top + np.log(np.exp(x - top[..., None]).sum(axis=-1))
 
 
 def simulate_trajectory(netlist: Netlist, initial: CircuitState,
@@ -501,7 +523,7 @@ def simulate_trajectory(netlist: Netlist, initial: CircuitState,
                         output_times: Optional[Sequence[float]] = None) -> TrajectoryRecord:
     """Sample one trajectory of the circuit's jump process: the n = 1 case
     of the netlist engine (closed-form charges under every source kind,
-    Simpson-integrated hazards), with `seed` as its master seed.
+    exact jump times by thinning), with `seed` as its master seed.
 
     Identical (inputs, seed) give bitwise-identical records.
     """
@@ -1064,34 +1086,6 @@ class _Piece:
     tau_x: np.ndarray
     end: np.ndarray       # where the piece ends
     sign_end: np.ndarray  # the sign change, if that ends it
-
-
-def _invert_step_vec(t0_arr, h_arr, target, r0, rm, r1):
-    """Vectorized event-time inversion on per-trajectory sub-intervals
-    [t0, t0 + h] using the piecewise-linear rate through the Simpson
-    nodes (r0, rm, r1 at start, midpoint, end)."""
-    half = h_arr / 2.0
-    area1 = half * (r0 + rm) / 2.0
-    in_first = target <= area1
-    s = np.where(
-        in_first,
-        _invert_trapezoid_vec(r0, rm, half, np.minimum(target, area1)),
-        half + _invert_trapezoid_vec(rm, r1, half, target - area1),
-    )
-    return t0_arr + s
-
-
-def _invert_trapezoid_vec(ra, rb, width, target):
-    target = np.maximum(target, 0.0)
-    width = np.maximum(width, 1e-300)
-    slope = (rb - ra) / width
-    lin = np.abs(slope) < 1e-300
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_lin = target / np.maximum(ra, 1e-300)
-        disc = ra * ra + 2.0 * slope * target
-        s_quad = (-ra + np.sqrt(np.maximum(disc, 0.0))) / np.where(lin, 1.0, slope)
-    s = np.where(lin, s_lin, s_quad)
-    return np.clip(s, 0.0, width)
 
 
 # --------------------------------------------------------------------------

@@ -213,6 +213,37 @@ def test_simulate_sine_netlist_reports_thinning(tmp_path):
     assert count["rate_ceiling_hits"] == count["runaway_failures"] == count["failed"] == 0
 
 
+TWO_DEVICE_NETLIST = """
+V1 in 0 SIN 0 0.4 200
+M1 in a STATES=2 R=100k,10k TAUUP=300k VUP=0.02 TAUDOWN=300k VDOWN=0.02
+C1 a 0 1u
+R1 in b 10k
+M2 b c STATES=2 R=100k,10k TAUUP=300k VUP=0.02 TAUDOWN=300k VDOWN=0.02
+C2 c 0 1u
+"""
+
+
+def test_simulate_two_device_netlist_reports_thinning(tmp_path):
+    # a two-device netlist takes the netlist engine, which thins as well,
+    # and its counters ride along in the header
+    net = tmp_path / "pair.net"
+    net.write_text(TWO_DEVICE_NETLIST)
+    cfg = write_cfg(tmp_path, engine="mc", mc={"trajectories": 300, "seed": 2},
+                    netlist=str(net))
+    out = tmp_path / "p.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    meta = ResultTable.read_csv(out).meta
+    assert meta["path"] == "netlist"
+    count = {k: int(meta[k]) for k in ("windows", "candidates", "accepted", "rows_max",
+                                       "rate_ceiling_hits", "runaway_failures", "failed",
+                                       "events_up", "events_down")}
+    assert count["windows"] > 0 and 0 < count["accepted"] <= count["candidates"]
+    assert count["accepted"] == count["events_up"] + count["events_down"]
+    assert count["events_down"] > 0
+    assert 0 < count["rows_max"] <= 300
+    assert count["rate_ceiling_hits"] == count["runaway_failures"] == count["failed"] == 0
+
+
 # ------------------------------------------------------------- exit codes
 
 def test_exit_code_bad_engine(tmp_path, capsys):

@@ -19,6 +19,7 @@ from memstoch import (ConstantDriveParams, MemristorModel, Waveform,
                       p0_constant_voltage, rc_charge, run_ensemble,
                       series_mc, simulate_trajectory)
 from memstoch import mc
+from memstoch.analytic import hazard_integral
 from memstoch.circuit import (Capacitor, CircuitState, Memristor, Netlist,
                               VoltageSource, parse_netlist)
 
@@ -367,34 +368,20 @@ def test_flow_matches_the_variation_of_constants_integral(kind, circuit):
                 exact.append([float(x) for x in vec * mpmath.matrix(y)])
     starts, spans, exact = np.array(starts), np.array(spans), np.array(exact)
     assert np.abs(eng.eig[rows[0]]).max() * spans.min() < 1e-3
-    # one start per call (the shared step) and every start at once (events)
-    one = np.array([eng._flow(rows, q0, t, eng._v(t), s)[0][0]
+    # one start per call (a scalar t) and every start at once (t per row)
+    one = np.array([eng._flow(rows, q0, eng._modes(rows, q0, t, eng._v(t)), s)[0]
                     for t, s in zip(starts, spans)])
-    many = eng._flow(np.repeat(rows, starts.size), np.repeat(q0, starts.size, axis=0),
-                     starts, eng._v(starts), spans)[0]
+    rows_n, q_n = np.repeat(rows, starts.size), np.repeat(q0, starts.size, axis=0)
+    many = eng._flow(rows_n, q_n, eng._modes(rows_n, q_n, starts, eng._v(starts)), spans)
     assert np.abs(one - exact).max() <= tol
     assert np.abs(many - exact).max() <= tol
-
-
-def test_netlist_engine_first_events_match_the_exact_path(netlist):
-    # both engines draw round 0 from Philox stream (seed, 0), so each first
-    # event is the same clock: Simpson hazards against closed-form ones
-    n, seed, t_end = 600, 7, 1.0
-    exact = run_ensemble(netlist, netlist.initial_state(), t_end, [t_end], n, seed)
-    stepped = mc._NetlistEnsemble(netlist, n, seed).run(netlist.initial_state(),
-                                                        t_end, [t_end])
-    fired = ~np.isnan(exact.first_event_times)
-    assert np.array_equal(fired, ~np.isnan(stepped.first_event_times)) and fired.any()
-    t_exact = exact.first_event_times[fired]
-    assert np.all(np.abs(stepped.first_event_times[fired] - t_exact) <= 1e-3 * t_exact)
-    assert stepped.diagnostics["configurations"] == 2
 
 
 def test_trajectories_fail_alone():
     # before the 1 ms step to 2 V, M1 switches to 1 kOhm in about half
     # the trajectories; in those the step puts some 1 V on M2, whose rate
-    # (~1e18 /s) asks for a step below the floor.  They fail; the others
-    # finish, and M2 switches within the step in which M1 does
+    # (~1e18 /s) the thinning draws exactly: M2 switches right after the
+    # step, and every trajectory finishes
     m1 = MemristorModel.binary(1e6, 1e3, 1.95e-3, 1.0)
     m2 = MemristorModel.binary(1e3, 1e3, 1e3, 0.02)
     net = Netlist(sources=(VoltageSource("V1", "in", "0", Waveform.step(2.0, 1e-3, 0.3)),),
@@ -402,9 +389,7 @@ def test_trajectories_fail_alone():
                   memristors=(Memristor("M1", "in", "a", m1), Memristor("M2", "a", "b", m2)))
     stats = run_ensemble(net, net.initial_state(), 2e-3, np.linspace(0.0, 2e-3, 5),
                          400, master_seed=9)
-    assert stats.n_failed > 0 and stats.n > 0 and stats.n + stats.n_failed == 400
-    assert all("below the floor" in msg for _, msg in stats.failures)
-    assert np.all(np.isnan(stats.first_event_times[[i for i, _ in stats.failures]]))
+    assert stats.n_failed == 0 and stats.n == 400
     for occ in stats.occupancy:
         assert np.all(occ.sum(axis=1) == 1.0)
     assert stats.occupancy[1][-1, 1] > 0.5
@@ -645,12 +630,14 @@ def _sine3_net():
     return series_mc(SINE3, 1e-7, Waveform.sine(0.0, 0.4, 200.0))
 
 
-def _series_state0_rate(model, C, wave):
-    """The exit rate of state 0 of the series circuit started at q = 0, as
-    an mpmath function of t: tau dq/dt + q = C v(t) with tau = R0 C, solved
-    in closed form per sine or PWL segment, and vm = v - q / C."""
+def _series_state0_rate(model, C, wave, r_series=0.0):
+    """The exit rate of state 0 of the series circuit (with r_series in
+    series with the device) started at q = 0, as an mpmath function of t:
+    tau dq/dt + q = C v(t) with tau = (R0 + r_series) C, solved in closed
+    form per sine or PWL segment, and vm = R0 / (R0 + r_series) (v - q / C)."""
     mp = mpmath
-    tau = mp.mpf(model.resistances[0]) * C
+    r0 = mp.mpf(model.resistances[0])
+    tau, share = (r0 + r_series) * C, r0 / (r0 + r_series)
     v_up, tau_up = mp.mpf(model.v_up[0]), mp.mpf(model.tau_up[0])
     if wave.kind == "sine":
         off, amp = mp.mpf(wave.offset), mp.mpf(wave.amplitude)
@@ -660,7 +647,7 @@ def _series_state0_rate(model, C, wave):
         def vm(t):
             q = C * (off * (1 - mp.exp(-t / tau)) + amp * (
                 mp.sin(om * t) - wt * mp.cos(om * t) + wt * mp.exp(-t / tau)) / (1 + wt ** 2))
-            return off + amp * mp.sin(om * t) - q / C
+            return share * (off + amp * mp.sin(om * t) - q / C)
     else:
         knots = [(mp.mpf(a), mp.mpf(b)) for a, b in wave.breakpoints]
         segments, q0 = [], mp.mpf(0)
@@ -674,7 +661,8 @@ def _series_state0_rate(model, C, wave):
         def vm(t):
             t0, v0, k, q0 = [seg for seg in segments if seg[0] <= t][-1]
             v = v0 + k * (t - t0)
-            return v - (C * (v - k * tau) + (q0 - C * (v0 - k * tau)) * mp.exp(-(t - t0) / tau)) / C
+            return share * (v - (C * (v - k * tau) + (q0 - C * (v0 - k * tau))
+                                 * mp.exp(-(t - t0) / tau)) / C)
 
     def rate(t):
         x = vm(t)
@@ -682,40 +670,44 @@ def _series_state0_rate(model, C, wave):
     return rate
 
 
-def _ks_first_events(stats, model, C, wave, t_end):
-    """KS distance of the first events (censored at t_end) from
-    P(T1 <= t) = 1 - exp(-H(t)), H the mpmath integral of the state-0 rate,
-    its bound at level 1e-6, and the z-score of the mean of min(T1, t_end)
-    against the integral of exp(-H) over [0, t_end].  H is computed at
-    nodes (sample quantiles, the last sample, PWL knots and the ends) and
-    interpolated by cubic Hermite with H' = rate."""
-    rate = _series_state0_rate(model, C, wave)
-    t1 = np.sort(stats.first_event_times[~np.isnan(stats.first_event_times)])
-    n, m = stats.first_event_times.size, t1.size
-    knots = [b for b in wave.breakpoint_times() if 0.0 < b < t_end]
+def _quad_hazard(rate):
+    """nodes -> H, the mpmath integral of rate from 0, computed at the nodes
+    and interpolated by cubic Hermite with H' = rate."""
+    def at(nodes):
+        with mpmath.workdps(15):
+            pieces = [mpmath.quad(rate, [a, b]) for a, b in zip(nodes[:-1], nodes[1:])]
+            h = np.concatenate([[0.0], np.cumsum([float(x) for x in pieces])])
+            dh = np.array([float(rate(mpmath.mpf(float(x)))) for x in nodes])
+        return CubicHermiteSpline(nodes, h, dh)
+    return at
+
+
+def _ks_first_events(first, t_end, hazard_at, knots=()):
+    """KS distance of the first events `first` (nan = none by t_end) from
+    P(T1 <= t) = 1 - exp(-H(t)), its bound at level 1e-6, and the z-score
+    of the mean of min(T1, t_end) against the integral of exp(-H) over
+    [0, t_end].  hazard_at(nodes) gives H as a function of t; the nodes are
+    sample quantiles, the last sample, the knots and the ends."""
+    t1 = np.sort(first[~np.isnan(first)])
+    n, m = first.size, t1.size
+    knots = [b for b in knots if 0.0 < b < t_end]
     nodes = np.unique(np.concatenate([[0.0, t_end], t1[::max(1, m // 100)], t1[-1:], knots]))
-    with mpmath.workdps(15):
-        pieces = [mpmath.quad(rate, [a, b]) for a, b in zip(nodes[:-1], nodes[1:])]
-        h = np.concatenate([[0.0], np.cumsum([float(x) for x in pieces])])
-        dh = np.array([float(rate(mpmath.mpf(float(x)))) for x in nodes])
-    hazard = CubicHermiteSpline(nodes, h, dh)
+    hazard = hazard_at(nodes)
     cdf = -np.expm1(-hazard(t1))
     i = np.arange(1, m + 1)
     d = max(np.max(i / n - cdf, initial=0.0), np.max(cdf - (i - 1) / n, initial=0.0),
-            abs(m / n + np.expm1(-h[-1])))
+            abs(m / n + np.expm1(-float(hazard(t_end)))))
     x, wx = np.polynomial.legendre.leggauss(8)
     a, b = nodes[:-1, None], nodes[1:, None]
     mean = np.sum((b - a) / 2 * wx * np.exp(-hazard((a + b) / 2 + (b - a) / 2 * x)))
-    capped = np.fmin(stats.first_event_times, t_end)
+    capped = np.fmin(first, t_end)
     return d, kstwo.isf(1e-6, n), (capped.mean() - mean) / (capped.std() / math.sqrt(n))
 
 
-@pytest.mark.parametrize("case", ["sine_three_state", "figure2_strong_sine",
-                                  "pwl_three_state_reversing"])
-def test_first_events_pass_ks_against_mpmath(params, model, case):
-    # before its first event every trajectory follows one deterministic
-    # path, so T1 has the CDF 1 - exp(-H(t)); at 0.9 V the Figure-2 device
-    # fires within about 1e-14 s, which the thinning draws exactly
+KS_CASES = ["sine_three_state", "figure2_strong_sine", "pwl_three_state_reversing"]
+
+
+def _check_series_ks(params, model, case, path):
     if case == "sine_three_state":
         m, C, wave, t_end = SINE3, 1e-7, Waveform.sine(0.0, 0.4, 200.0), 0.005
     elif case == "figure2_strong_sine":
@@ -724,15 +716,34 @@ def test_first_events_pass_ks_against_mpmath(params, model, case):
         m, C, wave, t_end = SINE3, 1e-7, REVERSING_PWL, 0.006
     net = series_mc(m, C, wave)
     n = 100_000
-    stats = run_ensemble(net, net.initial_state(), t_end, [t_end], n, master_seed=17)
-    assert stats.diagnostics["path"] == "thinning"
+    if path == "thinning":
+        stats = run_ensemble(net, net.initial_state(), t_end, [t_end], n, master_seed=17)
+    else:
+        stats = mc._NetlistEnsemble(net, n, 17).run(net.initial_state(), t_end, [t_end])
+    assert stats.diagnostics["path"] == path
     assert stats.n_failed == 0 and stats.n == n
     fired = np.isfinite(stats.first_event_times).sum()
     assert 0 < fired
-    d, bound, z_mean = _ks_first_events(stats, m, C, wave, t_end)
+    d, bound, z_mean = _ks_first_events(stats.first_event_times, t_end,
+                                        _quad_hazard(_series_state0_rate(m, C, wave)),
+                                        wave.breakpoint_times())
     assert d < bound and abs(z_mean) < 5.0
     if case == "figure2_strong_sine":
         assert fired == n and np.nanmax(stats.first_event_times) < 1e-12
+
+
+@pytest.mark.parametrize("case", KS_CASES)
+def test_first_events_pass_ks_against_mpmath(params, model, case):
+    # before its first event every trajectory follows one deterministic
+    # path, so T1 has the CDF 1 - exp(-H(t)); at 0.9 V the Figure-2 device
+    # fires within about 1e-14 s, which the thinning draws exactly
+    _check_series_ks(params, model, case, "thinning")
+
+
+@pytest.mark.parametrize("case", KS_CASES)
+def test_netlist_engine_first_events_pass_ks_against_mpmath(params, model, case):
+    # the same cases on the netlist engine, with one clock and one mode
+    _check_series_ks(params, model, case, "netlist")
 
 
 def test_thinning_does_not_depend_on_the_ensemble_size():
@@ -773,6 +784,95 @@ def test_vector_runaway_cascade_fails_alone(monkeypatch, model, params):
     net = series_mc(model, params.C, Waveform.sine(0.35, 0.05, 50.0))
     with pytest.raises(mc.TrajectoryFailure, match="all trajectories failed"):
         run_ensemble(net, net.initial_state(), 0.05, [0.05], 50, master_seed=1)
+
+
+# ------------------------------------------ netlist thinning: two branches
+
+def _two_branch(source):
+    # the benchmark's netlist_mc circuit: branch a = M1 + C1 and branch
+    # b = R1 + M2 + C2, both across the ideal source V1
+    dev = "STATES=2 R=100k,10k TAUUP=300k VUP=0.02 TAUDOWN=300k VDOWN=0.02"
+    return parse_netlist(f"V1 in 0 {source}\nM1 in a {dev}\nC1 a 0 1u\n"
+                         f"R1 in b 10k\nM2 b c {dev}\nC2 c 0 1u\n")
+
+
+TWO_BRANCH_CASES = [("DC 0.35", 0.05), ("SIN 0 0.4 200", 0.005)]
+
+
+def _first_events_of(eng, m):
+    """First event times of memristor m per trajectory (nan = none)."""
+    te, who, mem, _, _ = (np.concatenate(x) for x in zip(*eng.log))
+    first = np.full(eng.n, np.nan)
+    ids, at = np.unique(who[mem == m], return_index=True)
+    first[ids] = te[mem == m][at]
+    return first
+
+
+def _decay_hazard(vm0, tau, tau_x, v_x):
+    """nodes -> H, the closed-form hazard of the rate e^{vm / v_x} / tau_x
+    along vm = vm0 e^{-t / tau} (`hazard_integral`)."""
+    def hazard(t):
+        t = np.asarray(t, dtype=float)
+        return (tau / tau_x * hazard_integral(0.0, vm0 / v_x, 0.0, t.ravel() / tau)[0]
+                ).reshape(t.shape)
+    return lambda nodes: hazard
+
+
+@pytest.mark.parametrize("source, t_end", TWO_BRANCH_CASES, ids=["dc", "sine"])
+def test_netlist_first_events_pass_ks(source, t_end):
+    # each memristor's first event has the CDF 1 - exp(-H(t)) of its own
+    # branch (K = 2).  Under DC, vm = 0.35 R0 / (R0 + Rs) e^{-t / ((R0 + Rs) C)}
+    # with Rs = 0 (branch a) or 10k (branch b), and H is closed form; under
+    # the sine, H is the mpmath integral of the branch's rate
+    net, n = _two_branch(source), 100_000
+    device = net.memristors[0].model
+    eng = mc._NetlistEnsemble(net, n, 17)
+    stats = eng.run(net.initial_state(), t_end, [t_end])
+    assert stats.diagnostics["path"] == "netlist"
+    assert stats.n_failed == 0 and stats.n == n
+    firsts = [_first_events_of(eng, m) for m in range(2)]
+    assert np.array_equal(stats.first_event_times, np.fmin(*firsts), equal_nan=True)
+    for first, rs in zip(firsts, (0.0, 1e4)):
+        if source.startswith("DC"):
+            hazard_at = _decay_hazard(0.35 * 1e5 / (1e5 + rs), (1e5 + rs) * 1e-6, 3e5, 0.02)
+        else:
+            hazard_at = _quad_hazard(_series_state0_rate(
+                device, 1e-6, net.sources[0].waveform, rs))
+        d, bound, z_mean = _ks_first_events(first, t_end, hazard_at)
+        assert np.isfinite(first).sum() > 0.05 * n
+        assert d < bound and abs(z_mean) < 5.0
+
+
+@pytest.mark.parametrize("source, t_end", TWO_BRANCH_CASES, ids=["dc", "sine"])
+def test_netlist_thinning_does_not_depend_on_the_ensemble_size(source, t_end):
+    # as in the vector engine: the first 150 trajectories of a 400-trajectory
+    # run are those of a 150-trajectory run
+    net = _two_branch(source)
+    times = np.linspace(0.0, t_end, 11)
+    a = run_ensemble(net, net.initial_state(), t_end, times, 400, master_seed=21)
+    b = run_ensemble(net, net.initial_state(), t_end, times, 150, master_seed=21)
+    assert a.diagnostics["path"] == "netlist"
+    assert np.array_equal(a.first_event_times[:150], b.first_event_times, equal_nan=True)
+    assert np.isfinite(b.first_event_times).sum() > 30
+
+
+def test_netlist_runaway_fails_alone(monkeypatch):
+    # a trajectory with more than MAX_CANDIDATES thinning candidates in one
+    # output interval fails, and the others finish
+    net = _two_branch("SIN 0 0.4 200")
+    times = np.linspace(0.0, 0.005, 21)
+    full = run_ensemble(net, net.initial_state(), 0.005, times, 2000, master_seed=100)
+    assert full.n_failed == 0 and full.diagnostics["runaway_failures"] == 0
+    monkeypatch.setattr(mc, "MAX_CANDIDATES", 1)
+    stats = run_ensemble(net, net.initial_state(), 0.005, times, 2000, master_seed=100)
+    assert 0 < stats.n_failed < 2000 and stats.n + stats.n_failed == 2000
+    assert stats.diagnostics["runaway_failures"] == stats.n_failed
+    assert all("more than 1 candidates within one output interval" in msg
+               for _, msg in stats.failures)
+    assert np.all(np.isnan(stats.first_event_times[[i for i, _ in stats.failures]]))
+    for occ, se in zip(stats.occupancy, stats.stderr):
+        assert np.allclose(occ.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.array_equal(se, np.sqrt(occ * (1.0 - occ) / stats.n))
 
 
 def _histograms_by_loop(state, q, edges, g, weight=None):

@@ -13,12 +13,14 @@ only.  Grid bounds are chosen so the drift points inward at both edges,
 making zero-flux boundaries exact and conserving mass to round-off.
 
 dt depends on t only (the CFL cap at the grid's end faces), so `run` plans
-each output interval's steps before it takes them.  For each block of
-planned steps it evaluates face velocities, upwind split faces, pair rates
-and reaction weights as tables of about 64 KB (under a constant drive the
-rates once per run and the weights once per dt).  Upwind transport moves
-mass by at most one cell per step, so a block works only on its start's
-support widened by the block length; the cells outside stay exactly zero.
+each output interval's steps, then takes them in blocks with tables of about
+64 KB: face velocities, upwind split faces, pair rates and reaction weights
+(under a constant drive the rates once per run, the weights once per dt).
+Upwind transport moves mass by at most one cell per step, so a block works
+only on its start's support widened by the block length; the cells outside
+stay exactly zero.  One kernel steps that window of one working copy of the
+field in place, checking positivity and mass after every step; `step` runs
+it on a copy of its field, as a block of one.
 """
 
 from __future__ import annotations
@@ -174,17 +176,21 @@ class SeriesCircuitParams:
             raise ValueError("C must be positive")
 
 
+def _cfl(grid: ChargeGrid, params: SeriesCircuitParams, model: MemristorModel):
+    """dt_ok(v), the CFL cap at drive value v.  The drift (V - q/C)/R_i is
+    monotone in q and largest for the smallest R_i, so the fastest face is
+    an end face of the fastest state."""
+    (e0, e1), r, dq = (grid.faces()[[0, -1]] / params.C).tolist(), min(model.resistances), grid.dq
+    def dt_ok(v):
+        vmax = max(abs((v - e0) / r), abs((v - e1) / r))
+        return float(CFL_LIMIT * dq / vmax) if vmax > 0 else math.inf
+    return dt_ok
+
+
 def admissible_dt(field: DistributionField, params: SeriesCircuitParams,
                   model: MemristorModel) -> float:
-    """Largest dt satisfying the CFL cap at the field's current time.
-
-    The drift (V - q/C)/R_i is monotone in q and largest for the smallest
-    R_i, so the fastest face is an end face of the fastest state.
-    """
-    grid, v, r = field.grid, params.waveform(field.time), min(model.resistances)
-    vmax = float(max(abs((v - (grid.q_min + k * grid.dq) / params.C) / r)
-                     for k in (0, grid.n_cells)))
-    return CFL_LIMIT * grid.dq / vmax if vmax > 0 else math.inf
+    """Largest dt satisfying the CFL cap at the field's current time."""
+    return _cfl(field.grid, params, model)(params.waveform(field.time))
 
 
 _BLOCK_BYTES = 1 << 16  # one block table (steps x cells): 8 steps at 1000 cells
@@ -192,59 +198,60 @@ _BLOCK_BYTES = 1 << 16  # one block table (steps x cells): 8 steps at 1000 cells
 
 class _RunTables:
     """Face velocities, upwind split faces, pair rates and reaction weights
-    of one block of planned steps, over the cells that mass can reach
-    during the block (see the module docstring)."""
+    of a block of planned steps over the cells mass can reach in it (see
+    the module docstring), and the kernel that takes those steps in place."""
 
     def __init__(self, grid: ChargeGrid, params: SeriesCircuitParams, model: MemristorModel):
-        self.params, self.model = params, model
+        self.model, self.dq, self.dt_ok = model, grid.dq, _cfl(grid, params, model)
         # the drift (V - q/C)/R_i is > 0 at the faces with V > face_v
         self.face_v, self.cell_v = grid.faces()[1:-1] / params.C, grid.centers() / params.C
         self.r = np.array(model.resistances)[:, None]
         self.steps = max(1, _BLOCK_BYTES // (8 * grid.n_cells))
         self.fixed = self.w_dt = self.w = None
-        self.diag = dict(rate_ceiling_hits=0)   # over the rates computed
+        self.lo, self.hi, self.min_cell, self.mass_err = 0, grid.n_cells, math.inf, 0.0
+        self.diag = dict(rate_ceiling_hits=0, blocks=0, cell_steps=0)   # over the run
         if params.waveform.kind == "constant":
             self.fixed = self._drive(np.array([params.waveform(0.0)]), 0, grid.n_cells)
-        self.rows = {}
 
     def _drive(self, v, lo, hi):
-        """Face velocities, split faces and pair rates per drive value in v,
-        over the cells lo..hi-1."""
+        """Face velocities, split faces and pair rates (up, down, either)
+        per drive value in v, over the cells lo..hi-1."""
         vm = v[:, None] - self.cell_v[lo:hi]
         g, par, cap = self.model.num_states, self.model.transitions, self.model.rate_ceiling
         up, rates = vm > 0.0, []
         for k in range(g - 1):
             # one kernel call per pair: k -> k+1 where vm > 0, k+1 -> k where vm < 0
             (vu, vd), (tu, td) = par[:, [k, g + k + 1]]
-            r = switching_rate(vm, np.where(up, vu, vd), np.where(up, tu, td), cap, self.diag)
-            rates.append((np.where(up, r, 0.0), np.where(up, 0.0, r)))
+            r = switching_rate(vm, vu if vu == vd else np.where(up, vu, vd),
+                               tu if tu == td else np.where(up, tu, td), cap, self.diag)
+            rates.append((np.where(up, r, 0.0), np.where(up, 0.0, r), r))
         return ((v[:, None] - self.face_v[lo:hi - 1])[:, None] / self.r,
                 np.searchsorted(self.face_v, v) - lo, rates)
 
     @staticmethod
     def _weights(rates, dt):
-        """(1 - exp(-s h)) / s of every pair, with its limit h where s = 0;
-        h is dt for the last pair and dt/2 for the others."""
+        """(1 - exp(-r h)) / r of every pair's rate r (its up plus down
+        rate, one of them 0), with its limit h where r = 0; h is dt for the
+        last pair and dt/2 for the others."""
         last, ws = len(rates) - 1, []
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for k, (a, b) in enumerate(rates):
-                s = a + b
-                h = dt if k == last else dt / 2
-                ws.append(np.where(s > 0, -np.expm1(-s * h) / np.where(s > 0, s, 1.0), h))
+        for k, (_, _, r) in enumerate(rates):
+            h = np.broadcast_to(dt if k == last else dt / 2, r.shape)
+            ws.append(np.divide(-np.expm1(-r * h), r, out=h.copy(), where=r > 0))
         return ws
 
-    def plan(self, p: np.ndarray, ts, dts, dts_ok):
-        """Tables of the steps (ts[i], dts[i]), admissible up to dts_ok[i],
-        from the densities p: over p's support widened by the block length
-        plus one cell on each side."""
-        m = len(ts)
-        held = np.flatnonzero(p.any(axis=0))
-        s0, s1 = (held[0], held[-1]) if held.size else (0, 0)
+    def plan(self, p: np.ndarray, rows):
+        """Tables of the steps rows = [(t, v, dt, dt_ok), ...] over the
+        support of p (searched in the last window; p is 0 outside it)
+        widened by the block length plus one cell on each side."""
+        m = len(rows)
+        held = np.flatnonzero(p[:, self.lo:self.hi].any(axis=0)) + self.lo
+        s0, s1 = (int(held[0]), int(held[-1])) if held.size else (0, 0)
         self.lo, self.hi = lo, hi = max(s0 - 1 - m, 0), min(s1 + 2 + m, self.cell_v.size)
+        ts, vs, dts, oks = zip(*rows)
         if self.fixed is None:
-            vel, split, rates = self._drive(np.array([self.params.waveform(t) for t in ts]), lo, hi)
+            vel, split, rates = self._drive(np.array(vs), lo, hi)
             ws = self._weights(rates, np.array(dts)[:, None])
-            pairs = [[(k, a[i], b[i], w[i]) for k, ((a, b), w) in enumerate(zip(rates, ws))]
+            pairs = [[(k, a[i], b[i], w[i]) for k, ((a, b, _), w) in enumerate(zip(rates, ws))]
                      for i in range(m)]
         else:  # rates once per run and weights once per distinct dt, sliced
             vel, split, rates = self.fixed
@@ -253,14 +260,51 @@ class _RunTables:
                 if dt != self.w_dt:
                     self.w_dt, self.w = dt, self._weights(rates, dt)
                 pairs.append([(k, a[0, lo:hi], b[0, lo:hi], w[0, lo:hi])
-                              for k, ((a, b), w) in enumerate(zip(rates, self.w))])
-        split = np.clip(split, 0, hi - lo - 1)
-        self.rows = {t: (dt, ok, vel[i], split[i], pairs[i])
-                     for i, (t, dt, ok) in enumerate(zip(ts, dts, dts_ok))}
+                              for k, ((a, b, _), w) in enumerate(zip(rates, self.w))])
+        split = np.clip(split, 0, hi - lo - 1).tolist()
+        self.block = list(zip(ts, dts, oks, vel, split, [ps + ps[-2::-1] for ps in pairs]))
+        self.diag["blocks"] += 1
+        self.diag["cell_steps"] += m * (hi - lo)
+
+    def advance(self, p: np.ndarray, mass0: float, mass_tolerance: float) -> None:
+        """Take the planned block's steps on p in place, over the window."""
+        pw = p[:, self.lo:self.hi]
+        rows, dq = list(pw), self.dq
+        flux, div = np.empty((len(pw), pw.shape[1] - 1)), np.empty(pw.shape)
+        for t, dt, dt_ok, v, f, sweep in self.block:
+            if dt > dt_ok:
+                raise StepSizeError(f"dt = {dt:g} s too large", dt_ok)
+            # ---- advection: upwind fluxes at interior faces, zero at boundaries
+            np.multiply(v[:, :f], pw[:, :f], out=flux[:, :f])
+            np.multiply(v[:, f:], pw[:, f + 1:], out=flux[:, f:])
+            div.fill(0.0)
+            div[:, :-1] += flux
+            div[:, 1:] -= flux
+            div *= dt / dq
+            pw -= div
+            # ---- reaction at cell centers: pair exchanges up the ladder, then down
+            for k, a, b, w in sweep:
+                transfer = (a * rows[k] - b * rows[k + 1]) * w
+                rows[k] -= transfer
+                rows[k + 1] += transfer
+            # a window short of a grid edge ends in an empty cell: its min is the grid's
+            min_val = float(pw.min())
+            if min_val < 0.0:
+                if min_val < -1e-12 * max(float(pw.max()), 1.0):
+                    raise RuntimeError(
+                        f"positivity violated: min cell value {min_val:g} at t = {t:g} s")
+                np.maximum(pw, 0.0, out=pw)  # round-off-level negatives only
+            self.min_cell = min(self.min_cell, max(min_val, 0.0))
+            # the window's sum is the whole mass: the cells outside hold none
+            err = abs(float(pw.sum()) * dq - mass0)
+            self.mass_err = max(self.mass_err, err)
+            if err > mass_tolerance:
+                raise MassLossError(f"mass error {err:g} exceeds {mass_tolerance:g} at "
+                                    f"t = {t + dt:g} s (boundary outflow?)")
 
 
 def step(field: DistributionField, dt: float, params: SeriesCircuitParams,
-         model: MemristorModel, *, _tables: _RunTables = None) -> DistributionField:
+         model: MemristorModel) -> DistributionField:
     """One Lie-split step: conservative upwind advection of every state,
     then the reaction substep coupling adjacent states.
 
@@ -268,54 +312,19 @@ def step(field: DistributionField, dt: float, params: SeriesCircuitParams,
     (0, 1) ... (G-3, G-2) over dt/2, the last pair over dt, then back
     down over dt/2.  Refuses dt beyond the CFL cap (0.9), carrying the
     admissible dt.  Mass is conserved to round-off and no cell goes
-    negative.  `run` passes the tables of its planned block as `_tables`,
-    and a planned step takes its admissible dt from the plan; any other
-    step plans itself as a block of one.  Only the block's window of cells
-    is worked on; the cells outside hold no mass and stay zero.
+    negative.  The step is `run`'s kernel on a block of one step, on a
+    copy of the field: bit for bit one step of `run`.
     """
     if model.num_states != field.num_states:
         raise ValueError("model/field state-count mismatch")
     if dt < 0:
         raise ValueError("dt must be >= 0")
-    if dt == 0.0:
-        return DistributionField(field.grid, field.p.copy(), field.time)
-    grid, t = field.grid, field.time
-    row = _tables.rows.get(t) if _tables else None
-    dt_ok = row[1] if row else admissible_dt(field, params, model)
-    if dt > dt_ok:
-        raise StepSizeError(f"dt = {dt:g} s too large", dt_ok)
-    if not row or row[0] != dt:
-        _tables = _RunTables(grid, params, model)
-        _tables.plan(field.p, [t], [dt], [dt_ok])
-        row = _tables.rows[t]
-    _, _, v, f, pairs = row
     p = field.p.copy()
-    pw = p[:, _tables.lo:_tables.hi]
-
-    # ---- advection: upwind fluxes at interior faces, zero at boundaries
-    flux = np.empty(v.shape)
-    flux[:, :f] = v[:, :f] * pw[:, :f]
-    flux[:, f:] = v[:, f:] * pw[:, f + 1:]
-    div = np.zeros(pw.shape)
-    div[:, :-1] += flux
-    div[:, 1:] -= flux
-    pw -= dt / grid.dq * div
-
-    # ---- reaction at cell centers: up the ladder of pair exchanges, then
-    # back down without repeating the last pair
-    for k, a, b, w in pairs + pairs[-2::-1]:
-        transfer = (a * pw[k] - b * pw[k + 1]) * w
-        pw[k] -= transfer
-        pw[k + 1] += transfer
-
-    # a window short of a grid edge ends in an empty cell: its min is the grid's
-    min_val = float(pw.min())
-    if min_val < -1e-12 * max(float(pw.max()), 1.0):
-        raise RuntimeError(
-            f"positivity violated: min cell value {min_val:g} at t = {t:g} s")
-    np.maximum(pw, 0.0, out=pw)  # round-off-level negatives only
-    _tables.min_cell = max(min_val, 0.0)
-    return DistributionField(grid, p, t + dt)
+    if dt > 0.0:
+        tables, v = _RunTables(field.grid, params, model), params.waveform(field.time)
+        tables.plan(p, [(field.time, v, dt, tables.dt_ok(v))])
+        tables.advance(p, 0.0, math.inf)
+    return DistributionField(field.grid, p, field.time + dt)
 
 
 @dataclass
@@ -330,8 +339,8 @@ class PdeResult:
     fields: list                 # DistributionField at each output time
     min_cell_value: float
     max_mass_error: float
-    # what the run did: steps taken, the smallest and largest dt and how
-    # many computed rates the ceiling capped
+    # what the run did: steps taken, the smallest and largest dt, how many
+    # computed rates the ceiling capped, blocks planned and cells worked
     diagnostics: dict
 
 
@@ -343,43 +352,34 @@ def run(initial: DistributionField, t_end: float,
     moments at the requested output times.
 
     Raises MassLossError if more than mass_tolerance of the initial mass
-    leaks (indicating boundary outflow).
+    leaks (indicating boundary outflow).  `initial` is not modified.
     """
     outputs = sorted(set(float(t) for t in output_times) | {float(t_end)})
     if outputs[0] < initial.time:
         raise ValueError("output time before the initial time")
+    if model.num_states != initial.num_states:
+        raise ValueError("model/field state-count mismatch")
     tables = _RunTables(initial.grid, params, model)
-    field = DistributionField(initial.grid, initial.p.copy(), initial.time)
-    mass0 = field.mass()
-    dts, fields = [], []
-    min_cell = float(field.p.min())
-    max_mass_err = 0.0
+    p, t, dts, fields = initial.p.copy(), initial.time, [], []
+    mass0, tables.min_cell = initial.mass(), float(p.min())
     for t_out in outputs:
         # dt depends on t only: plan the interval's steps, then take them
-        t0, plan = field.time, []
-        while field.time < t_out - 1e-15 * max(t_out, 1.0):
-            dt_ok = admissible_dt(field, params, model)
-            plan.append((field.time, min(dt_ok, t_out - field.time), dt_ok))
-            field.time += plan[-1][1]
-        field.time = t0
+        plan = []
+        while t < t_out - 1e-15 * max(t_out, 1.0):
+            v = params.waveform(t)
+            ok = tables.dt_ok(v)
+            plan.append((t, v, min(ok, t_out - t), ok))
+            t += plan[-1][2]
         for b in range(0, len(plan), tables.steps):
-            tables.plan(field.p, *zip(*plan[b:b + tables.steps]))
-            for _, dt, _ in plan[b:b + tables.steps]:
-                field = step(field, dt, params, model, _tables=tables)
-                dts.append(dt)
-                min_cell = min(min_cell, tables.min_cell)
-                err = abs(field.mass() - mass0)
-                max_mass_err = max(max_mass_err, err)
-                if err > mass_tolerance:
-                    raise MassLossError(
-                        f"mass error {err:g} exceeds {mass_tolerance:g} at "
-                        f"t = {field.time:g} s (boundary outflow?)")
-        field.time = t_out  # snap round-off
-        fields.append(DistributionField(field.grid, field.p.copy(), field.time))
+            tables.plan(p, plan[b:b + tables.steps])
+            tables.advance(p, mass0, mass_tolerance)
+        dts += [row[2] for row in plan]
+        t = t_out  # snap round-off
+        fields.append(DistributionField(initial.grid, p.copy(), t))
 
     mean, var = zip(*(f.conditional_moments() for f in fields))
     return PdeResult(np.array([f.time for f in fields]),
                      np.vstack([f.marginals() for f in fields]), np.vstack(mean),
-                     np.vstack(var), fields, min_cell, max_mass_err,
+                     np.vstack(var), fields, tables.min_cell, tables.mass_err,
                      dict(steps=len(dts), dt_min=min(dts, default=math.nan),
                           dt_max=max(dts, default=math.nan), **tables.diag))

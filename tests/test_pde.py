@@ -359,7 +359,12 @@ def _reference_run(initial, outputs, params, model):
 
 
 BIT_CASES = ["figure2_constant", "sine_three_state", "pwl_reverse_three_state",
-             "step_two_state", "uniform_clamped_at_both_edges", "interval_of_many_blocks"]
+             "step_two_state", "uniform_clamped_at_both_edges", "interval_of_many_blocks",
+             "sine_three_state_capped"]
+# the sine ladder with a 50 /s ceiling: rates up to exp(0.4/0.04)/20 = 1100 /s
+# are capped, and the second pair's down transition has its own (tau, V)
+SINE_MODEL3_CAPPED = MemristorModel(SINE_MODEL3.resistances, (10.0, 10.0), (0.05, 0.05),
+                                    (10.0, 20.0), (0.05, 0.04), rate_ceiling=50.0)
 
 
 def _bit_case(case, params, model):
@@ -377,6 +382,7 @@ def _bit_case(case, params, model):
                            model, 300, 0.006, 4),
         "uniform_clamped_at_both_edges": (sine, SINE_MODEL3, 200, 0.003, 4),
         "interval_of_many_blocks": (figure2, model, 2000, 0.002, 2),
+        "sine_three_state_capped": (sine, SINE_MODEL3_CAPPED, 300, 0.005, 6),
     }[case]
     g = ChargeGrid.for_drive(circ.C, circ.waveform, t_end, cells)
     if case == "uniform_clamped_at_both_edges":
@@ -401,8 +407,12 @@ def test_run_is_bit_identical_to_the_per_state_step(params, model, case):
         assert len(set(dts)) < len(dts) and len(set(dts)) > 1
     if case == "interval_of_many_blocks":
         assert len(dts) > 10 * pde._RunTables(g, circ, m).steps
-    assert res.diagnostics == dict(steps=len(dts), dt_min=min(dts), dt_max=max(dts),
-                                   rate_ceiling_hits=0)
+    diag = dict(res.diagnostics)
+    blocks, cell_steps = diag.pop("blocks"), diag.pop("cell_steps")
+    assert blocks >= 1 and 0 < cell_steps <= len(dts) * g.n_cells
+    hits = diag.pop("rate_ceiling_hits")
+    assert hits > 0 if case == "sine_three_state_capped" else hits == 0
+    assert diag == dict(steps=len(dts), dt_min=min(dts), dt_max=max(dts))
 
 
 def test_rate_ceiling_hits_count_the_capped_rates(params):
@@ -439,23 +449,45 @@ def test_standalone_step_is_bit_identical_to_the_per_state_step(edge):
     assert field.marginals()[1] > 0.0
 
 
-def test_planned_step_takes_the_cfl_cap_from_the_plan(params, model, monkeypatch):
-    w = Waveform.constant(params.Va)
-    g = ChargeGrid.for_drive(params.C, w, 0.01, 100)
-    field = DistributionField.from_delta(g, 2, 0, 0.0)
-    circ = SeriesCircuitParams(params.C, w)
-    dt_ok = pde.admissible_dt(field, circ, model)
-    tables = pde._RunTables(g, circ, model)
-    tables.plan(field.p, [field.time], [dt_ok], [dt_ok])
-    calls = []
-    monkeypatch.setattr(pde, "admissible_dt", lambda *a: calls.append(a) or dt_ok)
-    with pytest.raises(pde.StepSizeError) as err:
-        pde.step(field, 2.0 * dt_ok, circ, model, _tables=tables)
-    assert err.value.admissible_dt == dt_ok
-    planned = pde.step(field, dt_ok, circ, model, _tables=tables)
-    assert calls == []  # the plan's admissible dt was used both times
-    monkeypatch.undo()
-    assert np.array_equal(planned.p, pde.step(field, dt_ok, circ, model).p)
+@pytest.mark.parametrize("case", ["figure2_constant", "sine_three_state"])
+def test_standalone_step_equals_one_step_of_run(params, model, case):
+    circ, m, initial, _ = _bit_case(case, params, model)
+    dt = pde.admissible_dt(initial, circ, m)
+    assert (initial.time + dt) - initial.time == dt  # run's one step is this dt
+    stepped = pde.step(initial, dt, circ, m)
+    res = pde.run(initial, initial.time + dt, [], circ, m)
+    assert res.diagnostics["steps"] == 1 and res.diagnostics["dt_max"] == dt
+    assert np.array_equal(stepped.p, res.fields[-1].p) and stepped.time == res.times[-1]
+
+
+def _sine_run(initial, **kw):
+    return pde.run(initial, SINE_T_END, np.linspace(0.0, SINE_T_END, 6),
+                   SeriesCircuitParams(SINE_C, SINE_WAVE), SINE_MODEL3, **kw)
+
+
+def test_run_raises_on_mass_loss_with_its_time():
+    g = ChargeGrid.for_drive(SINE_C, SINE_WAVE, SINE_T_END, 300)
+    initial = DistributionField.from_delta(g, 3, 0, 0.0)
+    with pytest.raises(pde.MassLossError, match=r"exceeds 1e-18 at t = \S+ s"):
+        _sine_run(initial, mass_tolerance=1e-18)
+
+
+def test_run_refuses_an_output_time_before_the_initial_time():
+    g = ChargeGrid.for_drive(SINE_C, SINE_WAVE, SINE_T_END, 300)
+    initial = DistributionField.from_delta(g, 3, 0, 0.0, time=1e-3)
+    with pytest.raises(ValueError, match="before the initial time"):
+        _sine_run(initial)
+
+
+def test_run_leaves_the_initial_field_unchanged():
+    g = ChargeGrid.for_drive(SINE_C, SINE_WAVE, SINE_T_END, 300)
+    initial = DistributionField.from_uniform(g, 3, 0, 0.0, 0.3 * g.q_max)
+    before = initial.p.copy()
+    res = _sine_run(initial)
+    assert res.fields[-1].p is not initial.p and np.array_equal(initial.p, before)
+    with pytest.raises(pde.MassLossError):
+        _sine_run(initial, mass_tolerance=1e-18)
+    assert np.array_equal(initial.p, before)
 
 
 def test_run_diagnostics_without_steps(params, model):

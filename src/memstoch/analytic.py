@@ -1,12 +1,13 @@
 """Closed-form results for the series binary memristor-capacitor circuit.
 
-Contains the exponential integral Ei and the hazard of an exponential
-rate along an RC relaxation (shared with the MC engine), the RC charge
-trajectory, the no-switching transport of an initial charge density
-along the circuit's characteristics, and the unidirectional-switching
-solutions: the exact survival probability under constant drive, the
-mean switching time, the large-drive asymptotic no-switch probability,
-and the general two-density quadrature solution.
+Contains Ei and the hazard of an exponential rate along an RC relaxation
+(shared with the MC engine), the RC charge trajectory, the no-switching
+transport of a charge density along the circuit's characteristics, and the
+unidirectional-switching solutions: exact survival under constant drive, the
+mean switching time, the large-drive asymptotic no-switch probability and the
+general two-density quadrature solution.  scipy is imported on first use:
+`scipy.special` by Ei, and so by the MC exact path under constant and step
+drives; `scipy.integrate` and `scipy.optimize` by the other closed forms.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .circuit import Waveform
 from .device import MemristorModel
@@ -31,6 +29,21 @@ class RegimeError(ValueError):
     """Inputs outside the validity region of a closed-form result."""
 
 
+def _expi(x):
+    from scipy.special import expi
+    return expi(x)
+
+
+def _quad(*args, **kwargs):
+    from scipy.integrate import quad
+    return quad(*args, **kwargs)
+
+
+def _brentq(*args, **kwargs):
+    from scipy.optimize import brentq
+    return brentq(*args, **kwargs)
+
+
 # --------------------------------------------------------------------------
 # Exponential integral and the hazard of an exponential rate on an RC
 # relaxation
@@ -40,7 +53,7 @@ def expint_ei(x: float) -> float:
     x = float(x)
     if x == 0.0:
         raise ValueError("Ei has a logarithmic singularity at x = 0")
-    return float(special.expi(x))
+    return float(_expi(x))
 
 
 # 12-point Gauss-Legendre rule on [-1, 1] (numpy.polynomial.legendre.
@@ -76,7 +89,7 @@ def _ei_scaled(x):
     out = np.empty_like(x)
     far = np.abs(x) > 500.0
     near = ~far
-    out[near] = special.expi(x[near]) * np.exp(-x[near])
+    out[near] = _expi(x[near]) * np.exp(-x[near])
     if far.any():
         xf = x[far]
         s = np.ones_like(xf)
@@ -106,7 +119,7 @@ def ei_term(alpha, beta, d):
         t[small] = np.exp(alpha[small]) * (_ei_log_free(x[small]) - d[small])
         if direct.any():
             xu, inv = np.unique(x[direct], return_inverse=True)
-            t[direct] = np.exp(alpha[direct]) * special.expi(xu)[inv]
+            t[direct] = np.exp(alpha[direct]) * _expi(xu)[inv]
         if scaled.any():
             t[scaled] = rate[scaled] * _ei_scaled(x[scaled])
     return t, small, rate, np.abs(t) * cond
@@ -224,8 +237,8 @@ class Density1D:
     def mass(self, rtol: float = 1e-9) -> float:
         total = sum(w for _, w in self.deltas)
         if self.fn is not None and self.support[1] > self.support[0]:
-            val, _ = quad(self, self.support[0], self.support[1],
-                          epsrel=rtol, epsabs=1e-14, limit=200)
+            val, _ = _quad(self, self.support[0], self.support[1],
+                           epsrel=rtol, epsabs=1e-14, limit=200)
             total += val
         return total
 
@@ -264,8 +277,8 @@ def rc_charge_wave(q0: float, C: float, R: float, waveform: Waveform,
         e = math.exp(-t / tc)
         return q0 * e + waveform.amplitude * C * (1.0 - e)
     pts = [p for p in waveform.breakpoint_times() if 0.0 < p < t] or None
-    integral, _ = quad(lambda tau: math.exp((tau - t) / tc) * waveform(tau) / R,
-                       0.0, t, epsrel=rtol, epsabs=1e-16, limit=400, points=pts)
+    integral, _ = _quad(lambda tau: math.exp((tau - t) / tc) * waveform(tau) / R,
+                        0.0, t, epsrel=rtol, epsabs=1e-16, limit=400, points=pts)
     return q0 * math.exp(-t / tc) + integral
 
 
@@ -276,8 +289,8 @@ def _char_shift(R: float, C: float, waveform: Waveform, t: float,
     if waveform.is_constant():
         return waveform.amplitude * C * (math.exp(t / tc) - 1.0)
     pts = [p for p in waveform.breakpoint_times() if 0.0 < p < t] or None
-    val, _ = quad(lambda tau: math.exp(tau / tc) * waveform(tau) / R,
-                  0.0, t, epsrel=rtol, epsabs=1e-16, limit=400, points=pts)
+    val, _ = _quad(lambda tau: math.exp(tau / tc) * waveform(tau) / R,
+                   0.0, t, epsrel=rtol, epsabs=1e-16, limit=400, points=pts)
     return val
 
 
@@ -372,11 +385,11 @@ def mean_switching_time(params: ConstantDriveParams, t_star: float,
     def dp1dt(t):
         return p0_constant_voltage(params, t) * switching_rate_at(params, t)
 
-    direct, _ = quad(lambda t: t * dp1dt(t), 0.0, t_star,
-                     epsrel=rtol, epsabs=1e-16, points=hint, limit=400)
+    direct, _ = _quad(lambda t: t * dp1dt(t), 0.0, t_star,
+                      epsrel=rtol, epsabs=1e-16, points=hint, limit=400)
     direct /= p1_end
-    tail, _ = quad(lambda t: p1_constant_voltage(params, t), 0.0, t_star,
-                   epsrel=rtol, epsabs=1e-16, points=hint, limit=400)
+    tail, _ = _quad(lambda t: p1_constant_voltage(params, t), 0.0, t_star,
+                    epsrel=rtol, epsabs=1e-16, points=hint, limit=400)
     by_parts = t_star - tail / p1_end
     if abs(direct - by_parts) > 1e-6 * max(abs(direct), abs(by_parts)):
         raise ValueError(
@@ -409,8 +422,8 @@ def _backward_charge(q: float, t: float, t_ref: float, R: float, C: float,
         cv = C * waveform.amplitude
         return cv + (q - cv) * math.exp((t - t_ref) / tc)
     # q_char(t_ref) = q e^{(t - t_ref)/tc} + int_t^{t_ref} e^{(tau-t_ref)/tc} V/R dtau
-    val, _ = quad(lambda tau: math.exp((tau - t_ref) / tc) * waveform(tau) / R,
-                  t, t_ref, epsrel=rtol, epsabs=1e-16, limit=200)
+    val, _ = _quad(lambda tau: math.exp((tau - t_ref) / tc) * waveform(tau) / R,
+                   t, t_ref, epsrel=rtol, epsabs=1e-16, limit=200)
     return q * math.exp((t - t_ref) / tc) + val
 
 
@@ -425,7 +438,7 @@ def _hazard_along_characteristic(q: float, t: float, model: MemristorModel,
         qc = _backward_charge(q, t, tt, r0, C, waveform, rtol)
         return model.rate_up(0, waveform(tt) - qc / C)
 
-    val, _ = quad(gamma, 0.0, t, epsrel=rtol, epsabs=1e-16, limit=200)
+    val, _ = _quad(gamma, 0.0, t, epsrel=rtol, epsabs=1e-16, limit=200)
     return val
 
 
@@ -507,7 +520,7 @@ def unidirectional_densities(f: Density1D, g: Density1D,
                     return 0.0
                 return rate * math.exp((t - ts) / tc1) * p0_value_at(qs, ts)
 
-            val, _ = quad(integrand, 0.0, t, epsrel=rtol, epsabs=1e-16, limit=100)
+            val, _ = _quad(integrand, 0.0, t, epsrel=rtol, epsabs=1e-16, limit=100)
             return val
         source_fns.append(source_smooth)
 
@@ -570,8 +583,8 @@ def _delta_source_state1(q_init: float, weight: float, model: MemristorModel,
         if waveform.is_constant():
             cv = C * waveform.amplitude
             return cv + (q_sw - cv) * math.exp(-(t - ts) / tc1)
-        val, _ = quad(lambda tau: math.exp((tau - t) / tc1) * waveform(tau) / r1,
-                      ts, t, epsrel=rtol, epsabs=1e-16, limit=200)
+        val, _ = _quad(lambda tau: math.exp((tau - t) / tc1) * waveform(tau) / r1,
+                       ts, t, epsrel=rtol, epsabs=1e-16, limit=200)
         return q_sw * math.exp(-(t - ts) / tc1) + val
 
     if abs(r0 - r1) <= 1e-12 * max(r0, r1):
@@ -589,8 +602,8 @@ def _delta_source_state1(q_init: float, weight: float, model: MemristorModel,
         if not lo <= q <= hi:
             return 0.0
         try:
-            ts = brentq(lambda s: arrival(s) - q, 0.0, t,
-                        xtol=1e-15 * max(t, 1.0), rtol=8.9e-16)
+            ts = _brentq(lambda s: arrival(s) - q, 0.0, t,
+                         xtol=1e-15 * max(t, 1.0), rtol=8.9e-16)
         except ValueError:
             return 0.0
         rate = model.rate_up(0, waveform(ts) - q0_of(ts) / C)
@@ -615,7 +628,7 @@ def _hazard_from_delta(q_init: float, model: MemristorModel, C: float,
             return 0.0
         integral, _, _ = hazard_integral(0.0, vm0 / model.v_up[0], 0.0, t / (C * r0))
         return C * r0 / model.tau_up[0] * float(integral[0])
-    val, _ = quad(lambda ts: model.rate_up(
+    val, _ = _quad(lambda ts: model.rate_up(
         0, waveform(ts) - rc_charge_wave(q_init, C, r0, waveform, ts, rtol) / C),
         0.0, t, epsrel=rtol, epsabs=1e-16, limit=200)
     return val

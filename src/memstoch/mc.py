@@ -373,8 +373,6 @@ class _NetlistEnsemble:
         t = float(initial.time)
         if t_end <= t:
             raise ValueError("t_end must exceed the initial time")
-        if outputs[0] < t:
-            raise ValueError("output time before the initial time")
         n = self.n
         S = np.tile(np.array(initial.memristor_states, dtype=np.int64), (n + 1, 1))
         Q = np.tile(np.array(initial.capacitor_charges, dtype=float), (n + 1, 1))
@@ -590,8 +588,6 @@ class _VectorEnsemble:
 
         t = float(initial.time)
         outputs = sorted(set(float(x) for x in output_times) | {float(t_end)})
-        if outputs[0] < t:
-            raise ValueError("output time before the initial time")
 
         # shared histogram range covering the reachable charges
         vmin, vmax = self.wave.bounds(t_end)
@@ -1106,5 +1102,9 @@ def run_ensemble(netlist: Netlist, initial: CircuitState, t_end: float,
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if min(output_times, default=t_end) < initial.time:
+        raise ValueError("output time before the initial time")
+    if max(output_times, default=t_end) > t_end:
+        raise ValueError("output time after t_end")
     engine = _VectorEnsemble if _is_single_device(netlist) else _NetlistEnsemble
     return engine(netlist, n, master_seed, histogram_bins).run(initial, t_end, output_times)

@@ -357,6 +357,8 @@ def run(initial: DistributionField, t_end: float,
     outputs = sorted(set(float(t) for t in output_times) | {float(t_end)})
     if outputs[0] < initial.time:
         raise ValueError("output time before the initial time")
+    if outputs[-1] > t_end:
+        raise ValueError("output time after t_end")
     if model.num_states != initial.num_states:
         raise ValueError("model/field state-count mismatch")
     tables = _RunTables(initial.grid, params, model)

@@ -205,6 +205,27 @@ def test_ensemble_input_validation(netlist):
         run_ensemble(netlist, netlist.initial_state(), 0.01, [0.01], 0, 1)
 
 
+DIVIDER_TEXT = """
+V1 in 0 DC 1.0
+R1 in a 20k
+M1 a b STATES=2 R=100k,10k TAUUP=300k VUP=0.02 TAUDOWN=300k VDOWN=0.02
+C1 b 0 1u
+"""
+
+
+@pytest.mark.parametrize("path", ["exact", "thinning", "netlist"])
+def test_ensemble_refuses_output_times_outside_the_run(params, model, path):
+    # unchecked, an output after t_end hangs the exact path and the
+    # netlist engine and makes the thinning path run past t_end
+    net = {"exact": lambda: series_mc(model, params.C, Waveform.constant(params.Va)),
+           "thinning": lambda: series_mc(model, params.C, Waveform.sine(0.0, 0.4, 200.0)),
+           "netlist": lambda: parse_netlist(DIVIDER_TEXT)}[path]()
+    with pytest.raises(ValueError, match="output time after t_end"):
+        run_ensemble(net, net.initial_state(), 0.01, [0.005, 0.02], 10, 1)
+    with pytest.raises(ValueError, match="output time before the initial time"):
+        run_ensemble(net, net.initial_state(), 0.01, [-0.005, 0.005], 10, 1)
+
+
 # ------------------------------------------------- beyond the series loop
 
 TWO_MEM_TEXT = """
@@ -241,12 +262,7 @@ def test_two_memristor_chain_reproducible():
 def test_resistor_divider_circuit_runs():
     # memristor fed through a resistive divider: exercises the generic
     # MNA path where the source is not directly across the device
-    net = parse_netlist("""
-V1 in 0 DC 1.0
-R1 in a 20k
-M1 a b STATES=2 R=100k,10k TAUUP=300k VUP=0.02 TAUDOWN=300k VDOWN=0.02
-C1 b 0 1u
-""")
+    net = parse_netlist(DIVIDER_TEXT)
     rec = simulate_trajectory(net, net.initial_state(), 0.05, 123,
                               np.linspace(0, 0.05, 11))
     assert rec.sample_charges[-1, 0] > 0.0

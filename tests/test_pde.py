@@ -479,6 +479,14 @@ def test_run_refuses_an_output_time_before_the_initial_time():
         _sine_run(initial)
 
 
+def test_run_refuses_an_output_time_after_t_end():
+    g = ChargeGrid.for_drive(SINE_C, SINE_WAVE, SINE_T_END, 300)
+    initial = DistributionField.from_delta(g, 3, 0, 0.0)
+    with pytest.raises(ValueError, match="output time after t_end"):
+        pde.run(initial, SINE_T_END, [0.5 * SINE_T_END, 2.0 * SINE_T_END],
+                SeriesCircuitParams(SINE_C, SINE_WAVE), SINE_MODEL3)
+
+
 def test_run_leaves_the_initial_field_unchanged():
     g = ChargeGrid.for_drive(SINE_C, SINE_WAVE, SINE_T_END, 300)
     initial = DistributionField.from_uniform(g, 3, 0, 0.0, 0.3 * g.q_max)

@@ -523,11 +523,14 @@ def simulate_trajectory(netlist: Netlist, initial: CircuitState,
     of the netlist engine (closed-form charges under every source kind,
     exact jump times by thinning), with `seed` as its master seed.
 
-    Identical (inputs, seed) give bitwise-identical records.
+    Identical (inputs, seed) give bitwise-identical records.  Output
+    times outside [initial time, t_end] raise ValueError.
     """
-    t0 = float(initial.time)
     outputs = sorted(float(x) for x in (() if output_times is None else output_times))
-    outputs = [x for x in outputs if t0 <= x <= t_end]
+    if min(outputs, default=t_end) < initial.time:
+        raise ValueError("output time before the initial time")
+    if max(outputs, default=t_end) > t_end:
+        raise ValueError("output time after t_end")
     if not outputs or outputs[-1] < t_end:
         outputs.append(float(t_end))
     eng = _NetlistEnsemble(netlist, 1, seed)

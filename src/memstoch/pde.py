@@ -15,12 +15,16 @@ making zero-flux boundaries exact and conserving mass to round-off.
 dt depends on t only (the CFL cap at the grid's end faces), so `run` plans
 each output interval's steps, then takes them in blocks with tables of about
 64 KB: face velocities, upwind split faces, pair rates and reaction weights
-(under a constant drive the rates once per run, the weights once per dt).
+(under a constant drive the rates once per run, the weights once per dt;
+one rate table per distinct transition law).
 Upwind transport moves mass by at most one cell per step, so a block works
-only on its start's support widened by the block length; the cells outside
-stay exactly zero.  One kernel steps that window of one working copy of the
-field in place, checking positivity and mass after every step; `step` runs
-it on a copy of its field, as a block of one.
+only on its start's support widened by the block length.  The support ends
+at the outermost cells where a state holds more than FLUSH_EPS of the mass;
+the edge tails beyond, left by upwind diffusion, are zeroed at the block's
+start and their mass, which counts in the mass error, is reported as
+diagnostics["flushed_mass"].  One kernel steps that window of one working
+copy of the field in place, checking positivity and mass after every step;
+`step` runs it on a copy of its field, as a block of one.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .circuit import Waveform
 from .device import MemristorModel, switching_rate
 
 CFL_LIMIT = 0.9
+FLUSH_EPS = 1e-16  # edge cells below this share of the mass are flushed
 
 
 class StepSizeError(ValueError):
@@ -209,7 +214,7 @@ class _RunTables:
         self.steps = max(1, _BLOCK_BYTES // (8 * grid.n_cells))
         self.fixed = self.w_dt = self.w = None
         self.lo, self.hi, self.min_cell, self.mass_err = 0, grid.n_cells, math.inf, 0.0
-        self.diag = dict(rate_ceiling_hits=0, blocks=0, cell_steps=0)   # over the run
+        self.diag = dict(rate_ceiling_hits=0, blocks=0, cell_steps=0, flushed_mass=0.0)
         if params.waveform.kind == "constant":
             self.fixed = self._drive(np.array([params.waveform(0.0)]), 0, grid.n_cells)
 
@@ -218,13 +223,17 @@ class _RunTables:
         per drive value in v, over the cells lo..hi-1."""
         vm = v[:, None] - self.cell_v[lo:hi]
         g, par, cap = self.model.num_states, self.model.transitions, self.model.rate_ceiling
-        up, rates = vm > 0.0, []
+        up, rates, laws = vm > 0.0, [], {}
         for k in range(g - 1):
-            # one kernel call per pair: k -> k+1 where vm > 0, k+1 -> k where vm < 0
-            (vu, vd), (tu, td) = par[:, [k, g + k + 1]]
-            r = switching_rate(vm, vu if vu == vd else np.where(up, vu, vd),
-                               tu if tu == td else np.where(up, tu, td), cap, self.diag)
-            rates.append((np.where(up, r, 0.0), np.where(up, 0.0, r), r))
+            # one kernel call per distinct law: k -> k+1 where vm > 0, k+1 -> k where vm < 0
+            (vu, vd), (tu, td) = law = par[:, [k, g + k + 1]]
+            if (key := tuple(law.ravel())) not in laws:
+                tally = dict(rate_ceiling_hits=0)
+                r = switching_rate(vm, vu if vu == vd else np.where(up, vu, vd),
+                                   tu if tu == td else np.where(up, tu, td), cap, tally)
+                laws[key] = (np.where(up, r, 0.0), np.where(up, 0.0, r), r), tally
+            rates.append(laws[key][0])
+            self.diag["rate_ceiling_hits"] += laws[key][1]["rate_ceiling_hits"]
         return ((v[:, None] - self.face_v[lo:hi - 1])[:, None] / self.r,
                 np.searchsorted(self.face_v, v) - lo, rates)
 
@@ -239,14 +248,19 @@ class _RunTables:
             ws.append(np.divide(-np.expm1(-r * h), r, out=h.copy(), where=r > 0))
         return ws
 
-    def plan(self, p: np.ndarray, rows):
+    def plan(self, p: np.ndarray, rows, mass0: float):
         """Tables of the steps rows = [(t, v, dt, dt_ok), ...] over the
         support of p (searched in the last window; p is 0 outside it)
-        widened by the block length plus one cell on each side."""
-        m = len(rows)
-        held = np.flatnonzero(p[:, self.lo:self.hi].any(axis=0)) + self.lo
-        s0, s1 = (int(held[0]), int(held[-1])) if held.size else (0, 0)
-        self.lo, self.hi = lo, hi = max(s0 - 1 - m, 0), min(s1 + 2 + m, self.cell_v.size)
+        widened by the block length plus one cell on each side.  The
+        support ends at the outermost cells holding more than FLUSH_EPS *
+        mass0 in some state; the last window's cells beyond are zeroed."""
+        m, pw = len(rows), p[:, self.lo:self.hi]
+        held = np.flatnonzero((pw > FLUSH_EPS * mass0 / self.dq).any(axis=0))
+        s0, s1 = (int(held[0]), int(held[-1]) + 1) if held.size else (0, 0)
+        self.diag["flushed_mass"] += float(pw[:, :s0].sum() + pw[:, s1:].sum()) * self.dq
+        pw[:, :s0] = pw[:, s1:] = 0.0
+        lo, hi = max(self.lo + s0 - 1 - m, 0), min(self.lo + s1 + 1 + m, self.cell_v.size)
+        self.lo, self.hi = lo, hi
         ts, vs, dts, oks = zip(*rows)
         if self.fixed is None:
             vel, split, rates = self._drive(np.array(vs), lo, hi)
@@ -311,9 +325,11 @@ def step(field: DistributionField, dt: float, params: SeriesCircuitParams,
     The reaction sweeps exact pair exchanges symmetrically: pairs
     (0, 1) ... (G-3, G-2) over dt/2, the last pair over dt, then back
     down over dt/2.  Refuses dt beyond the CFL cap (0.9), carrying the
-    admissible dt.  Mass is conserved to round-off and no cell goes
-    negative.  The step is `run`'s kernel on a block of one step, on a
-    copy of the field: bit for bit one step of `run`.
+    admissible dt.  Mass is conserved to round-off plus the edge tails
+    below FLUSH_EPS of the field's mass, flushed before the step (`run`
+    reports them as flushed_mass); no cell goes negative.  The step is
+    `run`'s kernel on a block of one step, on a copy of the field: bit for
+    bit one step of `run`.
     """
     if model.num_states != field.num_states:
         raise ValueError("model/field state-count mismatch")
@@ -322,7 +338,7 @@ def step(field: DistributionField, dt: float, params: SeriesCircuitParams,
     p = field.p.copy()
     if dt > 0.0:
         tables, v = _RunTables(field.grid, params, model), params.waveform(field.time)
-        tables.plan(p, [(field.time, v, dt, tables.dt_ok(v))])
+        tables.plan(p, [(field.time, v, dt, tables.dt_ok(v))], field.mass())
         tables.advance(p, 0.0, math.inf)
     return DistributionField(field.grid, p, field.time + dt)
 
@@ -340,7 +356,7 @@ class PdeResult:
     min_cell_value: float
     max_mass_error: float
     # what the run did: steps taken, the smallest and largest dt, how many
-    # computed rates the ceiling capped, blocks planned and cells worked
+    # computed rates the ceiling capped, blocks planned, cells worked, flushed mass
     diagnostics: dict
 
 
@@ -373,7 +389,7 @@ def run(initial: DistributionField, t_end: float,
             plan.append((t, v, min(ok, t_out - t), ok))
             t += plan[-1][2]
         for b in range(0, len(plan), tables.steps):
-            tables.plan(p, plan[b:b + tables.steps])
+            tables.plan(p, plan[b:b + tables.steps], mass0)
             tables.advance(p, mass0, mass_tolerance)
         dts += [row[2] for row in plan]
         t = t_out  # snap round-off

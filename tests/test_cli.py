@@ -101,6 +101,7 @@ def test_simulate_pde_engine(tmp_path):
     assert 0.0 < float(table.meta["dt_min"]) <= float(table.meta["dt_max"]) <= 0.01 / 5
     assert 1 <= int(table.meta["blocks"]) <= steps
     assert 0 < int(table.meta["cell_steps"]) <= steps * 200
+    assert 0.0 <= float(table.meta["flushed_mass"]) <= 1e-12
 
 
 def test_simulate_compare_engine(tmp_path):
@@ -119,7 +120,7 @@ def test_simulate_compare_engine(tmp_path):
                                "prob_sum_tol", "config", "version",
                                "pde_steps", "pde_dt_min", "pde_dt_max", "pde_n_cells",
                                "pde_mass_error", "pde_rate_ceiling_hits", "pde_blocks",
-                               "pde_cell_steps", "mc_path", "mc_rounds",
+                               "pde_cell_steps", "pde_flushed_mass", "mc_path", "mc_rounds",
                                "mc_newton_iterations", "mc_newton_max", "mc_sign_splits",
                                "mc_ceiling_splits", "mc_rate_ceiling_hits", "mc_trajectories", "mc_seed",
                                "mc_failed", "mc_events_up", "mc_events_down"}

@@ -137,6 +137,16 @@ def test_event_record_structure(netlist):
     assert rec.final_state.memristor_states[0] in (0, 1)
 
 
+def test_trajectory_refuses_an_output_time_before_the_initial_time(netlist):
+    with pytest.raises(ValueError, match="before the initial time"):
+        simulate_trajectory(netlist, netlist.initial_state(), 0.01, 1, [-0.005, 0.005])
+
+
+def test_trajectory_refuses_an_output_time_after_t_end(netlist):
+    with pytest.raises(ValueError, match="output time after t_end"):
+        simulate_trajectory(netlist, netlist.initial_state(), 0.01, 1, [0.005, 0.02])
+
+
 # ------------------------------------------------------------- ensembles
 
 def test_ensemble_occupancy_tracks_survival(netlist, params):

@@ -312,12 +312,26 @@ def test_narrowing_toward_driven_charge(params):
 
 # ------------------------------------------- per-run tables: same fields
 
-def _reference_step(field, dt, params, model):
-    """The step as written per state, with nothing computed once per run."""
+def _flush(p, mass0, dq):
+    """Zero, in place, the cells beyond the outermost ones where some state
+    holds more than FLUSH_EPS * mass0; returns the mass zeroed."""
+    held = np.flatnonzero((p > pde.FLUSH_EPS * mass0 / dq).any(axis=0))
+    s0, s1 = (held[0], held[-1] + 1) if held.size else (0, 0)
+    flushed = (p[:, :s0].sum() + p[:, s1:].sum()) * dq
+    p[:, :s0] = p[:, s1:] = 0.0
+    return flushed
+
+
+def _reference_step(field, dt, params, model, flush=True):
+    """The step as written per state, with nothing computed once per run.
+    Like `pde.step`, it first flushes the edge tails against the field's
+    mass, unless flush is false."""
     grid = field.grid
     t = field.time
     faces = grid.faces()
     p = field.p.copy()
+    if flush:
+        _flush(p, field.mass(), grid.dq)
     for i in range(field.num_states):
         v = drift_velocity(i, faces[1:-1], t, params, model)
         flux = np.where(v > 0, v * p[i, :-1], v * p[i, 1:])
@@ -344,18 +358,26 @@ def _reference_step(field, dt, params, model):
     return DistributionField(grid, p, t + dt)
 
 
-def _reference_run(initial, outputs, params, model):
-    """Fields at `outputs` (after the initial time) and every dt taken."""
+def _reference_run(initial, outputs, params, model, flush=True):
+    """Fields at `outputs` (after the initial time), every dt taken and the
+    flushed mass.  As `pde.run` does, the edge tails are flushed against
+    the initial mass before every block's first step, where blocks of
+    `_RunTables.steps` steps start afresh in each output interval."""
     field = DistributionField(initial.grid, initial.p.copy(), initial.time)
-    fields, dts = [], []
+    block = pde._RunTables(initial.grid, params, model).steps
+    fields, dts, mass0, flushed = [], [], initial.mass(), 0.0
     for t_out in outputs:
+        k = 0
         while field.time < t_out - 1e-15 * max(t_out, 1.0):
             dt = min(pde.admissible_dt(field, params, model), t_out - field.time)
-            field = _reference_step(field, dt, params, model)
+            if flush and k % block == 0:
+                flushed += _flush(field.p, mass0, field.grid.dq)
+            field = _reference_step(field, dt, params, model, flush=False)
             dts.append(dt)
+            k += 1
         field.time = t_out
         fields.append(field.p.copy())
-    return fields, dts
+    return fields, dts, flushed
 
 
 BIT_CASES = ["figure2_constant", "sine_three_state", "pwl_reverse_three_state",
@@ -398,7 +420,7 @@ def test_run_is_bit_identical_to_the_per_state_step(params, model, case):
     circ, m, initial, outputs = _bit_case(case, params, model)
     g, t_end = initial.grid, outputs[-1]
     res = pde.run(initial, t_end, outputs, circ, m)
-    fields, dts = _reference_run(initial, outputs[1:], circ, m)
+    fields, dts, flushed = _reference_run(initial, outputs[1:], circ, m)
     for f, p in zip(res.fields[1:], fields):
         assert np.array_equal(f.p, p)
     assert np.array_equal(res.marginals[1:], np.array([p.sum(axis=1) * g.dq for p in fields]))
@@ -412,7 +434,27 @@ def test_run_is_bit_identical_to_the_per_state_step(params, model, case):
     assert blocks >= 1 and 0 < cell_steps <= len(dts) * g.n_cells
     hits = diag.pop("rate_ceiling_hits")
     assert hits > 0 if case == "sine_three_state_capped" else hits == 0
+    # the window sums the tails in other chunks than the whole-grid reference
+    assert diag.pop("flushed_mass") == pytest.approx(flushed, rel=1e-12, abs=0.0)
+    assert flushed > 0.0 if case == "sine_three_state" else flushed >= 0.0
     assert diag == dict(steps=len(dts), dt_min=min(dts), dt_max=max(dts))
+
+
+def test_flush_narrows_the_sine_window_and_reports_its_mass():
+    # one period of the reverse-bias sine: upwind diffusion leaves sub-1e-16
+    # tails across 834 cells; the flush drops them and reports their mass
+    g = ChargeGrid.for_drive(SINE_C, SINE_WAVE, 0.005, 1000)
+    initial = DistributionField.from_delta(g, 3, 0, 0.0)
+    circ, outputs = SeriesCircuitParams(SINE_C, SINE_WAVE), np.linspace(0.0, 0.005, 21)
+    res = pde.run(initial, 0.005, outputs, circ, SINE_MODEL3)
+    fields, _, _ = _reference_run(initial, outputs[1:], circ, SINE_MODEL3, flush=False)
+    unflushed = np.array([p.sum(axis=1) * g.dq for p in fields])
+    assert np.max(np.abs(res.marginals[1:] - unflushed)) <= 1e-12
+    flushed = res.diagnostics["flushed_mass"]
+    assert 0.0 <= flushed <= 1e-12
+    assert abs(initial.mass() - res.fields[-1].mass() - flushed) <= 1e-13
+    held = np.flatnonzero(res.fields[-1].p.any(axis=0))
+    assert held[-1] - held[0] + 1 <= 550
 
 
 def test_rate_ceiling_hits_count_the_capped_rates(params):
@@ -430,6 +472,11 @@ def test_rate_ceiling_hits_count_the_capped_rates(params):
                                   rate_ceiling=ceiling)
         res = pde.run(initial, 0.002, [0.002], circ, m)
         assert res.diagnostics["rate_ceiling_hits"] == hits
+    # two pairs sharing one law share its rate table, but each counts its hits
+    m3 = MemristorModel.uniform((params.R0, params.R1, params.R1), params.tau0, params.V0,
+                                rate_ceiling=100.0)
+    res = pde.run(DistributionField.from_delta(g, 3, 0, 0.0), 0.002, [0.002], circ, m3)
+    assert res.diagnostics["rate_ceiling_hits"] == 2 * capped
 
 
 @pytest.mark.parametrize("edge", [False, True], ids=["inside", "touching_an_edge"])

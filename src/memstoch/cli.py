@@ -201,15 +201,13 @@ def _run_mc(cfg: dict, seed_override=None, traj_override=None) -> ResultTable:
             else mc_cfg.get("trajectories", 1000))
     seed = int(seed_override if seed_override is not None
                else mc_cfg.get("seed", 0))
-    bins = int(mc_cfg.get("bins", 50))
     times = _output_times(cfg)
     t_end = float(times[-1])
     if "netlist" in cfg:
         netlist = parse_netlist(Path(_require(cfg, "netlist", str)).read_text())
     else:
         netlist = _series_netlist(_series_params(cfg))
-    stats = mc.run_ensemble(netlist, netlist.initial_state(), t_end, times,
-                            n, seed, histogram_bins=bins)
+    stats = mc.run_ensemble(netlist, netlist.initial_state(), t_end, times, n, seed)
     occ = stats.occupancy[0]
     se = stats.stderr[0]
     g = occ.shape[1]

@@ -198,8 +198,8 @@ C1 n1 0 1u
 
 
 def test_simulate_sine_netlist_reports_thinning(tmp_path):
-    # a one-device SIN netlist takes the vector engine's thinning path, and
-    # what it did rides along in the header
+    # a one-device SIN netlist takes the thinning path, and what it did
+    # rides along in the header
     net = tmp_path / "sine.net"
     net.write_text(SIN_NETLIST)
     cfg = write_cfg(tmp_path, engine="mc", mc={"trajectories": 300, "seed": 2},
@@ -228,8 +228,8 @@ C2 c 0 1u
 
 
 def test_simulate_two_device_netlist_reports_thinning(tmp_path):
-    # a two-device netlist takes the netlist engine, which thins as well,
-    # and its counters ride along in the header
+    # a two-device netlist thins as well (with the matrix kernels), and
+    # its counters ride along in the header
     net = tmp_path / "pair.net"
     net.write_text(TWO_DEVICE_NETLIST)
     cfg = write_cfg(tmp_path, engine="mc", mc={"trajectories": 300, "seed": 2},
@@ -237,7 +237,7 @@ def test_simulate_two_device_netlist_reports_thinning(tmp_path):
     out = tmp_path / "p.csv"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     meta = ResultTable.read_csv(out).meta
-    assert meta["path"] == "netlist"
+    assert meta["path"] == "thinning" and int(meta["configurations"]) > 1
     count = {k: int(meta[k]) for k in ("windows", "candidates", "accepted", "rows_max",
                                        "rate_ceiling_hits", "runaway_failures", "failed",
                                        "events_up", "events_down")}

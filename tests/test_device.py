@@ -150,7 +150,7 @@ def _old_pde_arrays(model, k, v):
 
 
 def _old_vector(model, state, vm):
-    """_VectorEnsemble._rates, up plus down."""
+    """The single-device MC engine's rates as first written, up plus down."""
     v_up = np.array(list(model.v_up) + [1.0])
     tau_up = np.array(list(model.tau_up) + [math.inf])
     v_dn = np.array([1.0] + list(model.v_down))
@@ -164,7 +164,8 @@ def _old_vector(model, state, vm):
 
 
 def _old_netlist(models, s, vm):
-    """_NetlistEnsemble._rates over the stacked parameter table."""
+    """The netlist MC engine's rates as first written, over the stacked
+    parameter table."""
     par = np.full((len(models), max(m.num_states for m in models), 4), math.inf)
     for m, mo in enumerate(models):
         up = [(1.0 / v, t) for v, t in zip(mo.v_up, mo.tau_up)] + [(0.0, math.inf)]

@@ -10,7 +10,7 @@ from memstoch import (ChargeGrid, ConstantDriveParams, Density1D,
                       DistributionField, MemristorModel, SeriesCircuitParams,
                       Waveform, no_switch_density, p0_constant_voltage,
                       run_ensemble, series_mc)
-from memstoch import mc, pde
+from memstoch import pde
 
 
 @pytest.fixture
@@ -262,21 +262,15 @@ def sine_three_state_pde():
     return res, time.perf_counter() - start
 
 
-@pytest.mark.parametrize("engine, n", [("vector", 100_000), ("netlist", 20_000)],
-                         ids=["vector", "netlist"])
-def test_sine_three_state_agrees_with_mc(sine_three_state_pde, engine, n):
-    # reverse-bias drive with no closed form: the PDE and each MC engine
-    # must agree on every marginal within 4 binomial sigma
+def test_sine_three_state_agrees_with_mc(sine_three_state_pde):
+    # reverse-bias drive with no closed form: the PDE and the MC must agree
+    # on every marginal within 4 binomial sigma
     res, elapsed = sine_three_state_pde
     times = np.linspace(0.0, SINE_T_END, 21)
     net = series_mc(SINE_MODEL3, SINE_C, SINE_WAVE)
-    if engine == "vector":
-        stats = run_ensemble(net, net.initial_state(), SINE_T_END, times, n,
-                             master_seed=4242)
-    else:
-        stats = mc._NetlistEnsemble(net, n, 4242).run(net.initial_state(),
-                                                      SINE_T_END, times)
-    assert stats.diagnostics["path"] == ("thinning" if engine == "vector" else "netlist")
+    n = 100_000
+    stats = run_ensemble(net, net.initial_state(), SINE_T_END, times, n, master_seed=4242)
+    assert stats.diagnostics["path"] == "thinning"
     p = res.marginals
     sigma = np.sqrt(np.maximum(p * (1.0 - p), 1.0 / n) / n)
     assert np.all(np.abs(stats.occupancy[0] - p) <= 4.0 * sigma)

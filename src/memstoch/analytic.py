@@ -1,13 +1,13 @@
 """Closed-form results for the series binary memristor-capacitor circuit.
 
-Contains Ei and the hazard of an exponential rate along an RC relaxation
-(shared with the MC engine), the RC charge trajectory, the no-switching
+Contains Ei and the hazard of an exponential rate along an RC relaxation,
+the RC charge trajectory, the no-switching
 transport of a charge density along the circuit's characteristics, and the
 unidirectional-switching solutions: exact survival under constant drive, the
 mean switching time, the large-drive asymptotic no-switch probability and the
 general two-density quadrature solution.  scipy is imported on first use:
-`scipy.special` by Ei, and so by the MC exact path under constant and step
-drives; `scipy.integrate` and `scipy.optimize` by the other closed forms.
+`scipy.special` by Ei, `scipy.integrate` and `scipy.optimize` by the other
+closed forms.
 """
 
 from __future__ import annotations
@@ -125,21 +125,20 @@ def ei_term(alpha, beta, d):
     return t, small, rate, np.abs(t) * cond
 
 
-def hazard_integral(alpha, beta, d0, d1, start=None):
+def hazard_integral(alpha, beta, d0, d1):
     """I = int_{d0}^{d1} exp(alpha + beta e^{-u}) du, elementwise, d1 >= d0.
 
     With u = (t - t_s)/tau this is tau_x/tau times the hazard of the rate
     exp(vm/V_x)/tau_x along vm = a + b e^{-(t - t_s)/tau} (alpha = a/V_x,
     beta = b/V_x): the closed form e^alpha [Ei(beta e^{-d0}) - Ei(beta
-    e^{-d1})], or Gauss-Legendre where that difference cancels.  `start`
-    is ei_term(alpha, beta, d0) when the caller already has it.
+    e^{-d1})], or Gauss-Legendre where that difference cancels.
 
     Returns (I, scale, rate_end): |I - exact| is a few eps * scale, the
     rounding of the terms I was formed from; rate_end = exp(alpha +
     beta e^{-d1}) is dI/dd1."""
     alpha, beta, d0, d1 = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (alpha, beta, d0, d1)))
-    t0, small0, _, noise0 = ei_term(alpha, beta, d0) if start is None else start
+    t0, small0, _, noise0 = ei_term(alpha, beta, d0)
     t1, small1, rate1, noise1 = ei_term(alpha, beta, d1)
     out = t0 - t1
     scale = noise0 + noise1

@@ -214,7 +214,7 @@ def _run_mc(cfg: dict, seed_override=None, traj_override=None) -> ResultTable:
     cols = (["time"] + [f"p{i}" for i in range(g)]
             + [f"stderr{i}" for i in range(g)])
     rows = np.column_stack([stats.times, occ, se])
-    # what the engine did (its path, steps, cascades) rides along
+    # what the sampler did (windows, candidates, events) rides along
     meta = {**stats.diagnostics,
             "engine": "mc", "trajectories": stats.n, "seed": seed,
             "failed": stats.n_failed, "events_up": stats.events_up,

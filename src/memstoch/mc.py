@@ -7,26 +7,25 @@ independent exponential clock whose hazard is the time integral of its
 voltage-dependent exit rate along the trajectory.  Jump times are exact
 (no fixed-step Bernoulli trials).
 
-One engine, `_Ensemble`, runs all trajectories as arrays and jumps from
-event to event on one of two paths.  A circuit with one memristor, one
-capacitor and one source under a constant or step drive takes the exact
-path (`_run_exact`): it inverts the closed-form hazard of each RC segment.
-Every other run thins (`_evolve`): candidates drawn from an envelope of
-the summed exit rate along the closed-form charges are accepted with
+One engine, `_Ensemble`, runs all trajectories as arrays and samples
+them by thinning (`_evolve`): candidates drawn from an envelope of the
+summed exit rate along the closed-form charges are accepted with
 probability rate / envelope, and one shared row carries every trajectory
-that has not switched yet.  The thinning loop runs one of two kernel
-pairs (window and candidates), bound at construction: the scalar pair,
-with the charge in closed form per state, for one memristor, one
-capacitor and one sine or PWL source; the matrix pair, with one flow in
-the eigenmodes of the Kirchhoff ODE, for every other netlist.
+that has not switched yet.  Windows end at source breakpoints and where
+the envelope would loosen, never at output times; at an output the
+recorder takes each row's charge in closed form from its window start.
+The loop runs one of two kernel pairs (window and charge flow), bound at
+construction: the scalar pair, with the charge in closed form per state,
+for one memristor, one capacitor and one source; the matrix pair, with
+one flow in the eigenmodes of the Kirchhoff ODE, for every other netlist.
 
 Exit rates come from `device.switching_rate` (`_Rates` stacks the
 memristors' transition tables so that one call covers every clock) and
-draws from counter-based Philox streams (`_Thresholds`).  Both paths
-record through one recorder (`_record`: a compact code per trajectory and
-output) and one event log, which one aggregator (`_tally`) turns into
-`EnsembleStats`.  The diagnostics count `rate_ceiling_hits`: the rates cut
-at the model's ceiling or, on the exact path, the hazard pieces run at it.
+draws from counter-based Philox streams (`_Thresholds`).  One recorder
+(`_record`: a compact code per trajectory and output) and one event log
+feed one aggregator (`_tally`) that returns `EnsembleStats`.  The
+diagnostics count `rate_ceiling_hits`: the rates cut at the model's
+ceiling.
 """
 
 from __future__ import annotations
@@ -38,13 +37,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analytic import ei_term, hazard_integral
 from .circuit import CircuitState, Netlist, affine_dynamics
 from .device import switching_rate
 
 # thinning
 MAX_CANDIDATES = 10_000     # candidates of one trajectory within one output interval
 _WINDOW_SLACK = 1.0         # bound on the envelope's excess over the log-rate
+# rows per kernel call: a kernel holds some dozens of temporaries of this
+# length, so batches keep its memory O(batch) rather than O(n)
+_BATCH = 4096
 
 
 class TrajectoryFailure(RuntimeError):
@@ -86,8 +87,7 @@ class EnsembleStats:
     events_up: int = 0
     events_down: int = 0
     first_event_times: Optional[np.ndarray] = None  # (n,), nan = no event
-    # what the engine did: its path ("exact" or "thinning") and the
-    # counters of that path
+    # what the sampler did: windows, candidates, accepted events, ...
     diagnostics: dict = field(default_factory=dict)
 
     def mean_first_switch_time(self, t_max: Optional[float] = None) -> float:
@@ -134,12 +134,11 @@ class _Rates:
 
 
 class _Thresholds:
-    """Counter-based exponential thresholds: Philox stream [master_seed, k]
-    holds, for k = round * M + m, the round-th threshold of clock m of each
-    of the n trajectories (read-only, cached)."""
+    """Counter-based exponential draws: Philox stream [master_seed, k]
+    holds draw k of each of the n trajectories (read-only, cached)."""
 
-    def __init__(self, master_seed: int, n: int, M: int = 1):
-        self.key, self.n, self.M = int(master_seed), n, M
+    def __init__(self, master_seed: int, n: int):
+        self.key, self.n = int(master_seed), n
         self.streams = {}
 
     def stream(self, k: int) -> np.ndarray:
@@ -159,26 +158,18 @@ class _Thresholds:
             out[sel] = self.stream(int(kk))[ids[sel]]
         return out
 
-    def draw(self, ids, rounds, at, m=0):
-        """Next thresholds of clocks m of trajectories ids, whose rounds
-        are rounds[at]; advances those rounds."""
-        out = self.take(ids, rounds[at] * self.M + m)
-        rounds[at] += 1
-        return out
-
 
 class _Ensemble:
     """All n trajectories of a netlist as arrays: states (n, M), charges
     (n, K).  Each memristor-state configuration (a mixed-radix index) gets a
     row of tables on first use: its `affine_dynamics`, an eigenbasis of A
-    and the sine factors of the flow.  A single device (one memristor, one
-    capacitor, one source) needs only A, B, Dq and Ds per state, built up
-    front.  `run` takes the exact path for a single device under a constant
-    or step drive and thins otherwise.  The thinning kernels are bound here:
-    the scalar pair for a single device under a sine or PWL drive, its
-    table rows being its states; the matrix pair for everything else.  Both
-    take the table rows c, states s (rows, M), times t, charges q (rows, K)
-    and the output time t_stop."""
+    and the sine factors of the flow.  The thinning kernels are bound here:
+    the scalar pair for a single device (one memristor, one capacitor, one
+    source), its table rows being its states; the matrix pair for
+    everything else.  Both take the table rows c, states s (rows, M),
+    window start times t and the rows' state z (rows, K) there: charges for
+    the matrix pair, their transient for the scalar pair, whose window
+    kernel turns the charges of `fresh` rows into it."""
 
     def __init__(self, netlist: Netlist, n: int, master_seed: int,
                  histogram_bins: int = 50):
@@ -213,29 +204,20 @@ class _Ensemble:
         self.sqrt_c = np.sqrt([c.capacitance for c in netlist.capacitors])
         self.config_row = {}     # configuration index -> table row
         self.tables = []
-        self.thresholds = _Thresholds(master_seed, n)          # exact path
         # candidate round r's spacing in stream 2r, its acceptance in 2r + 1
-        self.candidates = _Thresholds(master_seed, n, 2)
-        single = _is_single_device(netlist)
-        self.exact = single and self.piecewise_constant
-        if single:
-            # per state: A, B, Dq, Ds of the one capacitor and memristor, all
-            # that the exact path and the scalar pair read
-            dyn = [affine_dynamics(netlist, (i,)) for i in range(self.gs[0])]
-            self.per_state = tuple(np.array([[d.A[0, 0], d.B[0, 0], d.Dq[0, 0], d.Ds[0, 0]]
-                                             for d in dyn]).T)
-        # window, candidates and table rows, as functions of the engine:
+        self.candidates = _Thresholds(master_seed, n)
+        # window, charge flow and table rows, as functions of the engine:
         # bound methods kept on it would hold its arrays in a reference cycle
-        if single and not self.exact:
+        if _is_single_device(netlist):
             self._forcing()
-            self.kernels = _Ensemble._scalar_window, _Ensemble._scalar_candidates, _Ensemble._state_rows
+            self.kernels = _Ensemble._scalar_window, _Ensemble._scalar_flow, _Ensemble._state_rows
         else:
-            self.kernels = _Ensemble._matrix_window, _Ensemble._matrix_candidates, _Ensemble._rows_of
+            self.kernels = _Ensemble._matrix_window, _Ensemble._matrix_flow, _Ensemble._rows_of
 
     def run(self, initial: CircuitState, outputs: Sequence[float]) -> EnsembleStats:
         """The ensemble from `initial`, sampled at `outputs` (ascending,
         within [initial time, t_end], ending at t_end)."""
-        (self._run_exact if self.exact else self._evolve)(initial, outputs)
+        self._evolve(initial, outputs)
         return self._tally(outputs)
 
     # -- configuration tables ------------------------------------------
@@ -281,22 +263,24 @@ class _Ensemble:
         return s[:, 0]
 
     # -- record ----------------------------------------------------------
-    def _reset(self, diag: dict) -> None:
-        """An empty record and event log; diag counts what the path does."""
-        self.codes, self.q_min, self.edges, self.failures, self.diag = [], [], [], [], diag
+    def _reset(self) -> None:
+        """An empty record, event log and diagnostics."""
+        self.codes, self.q_min, self.edges, self.failures = [], [], [], []
+        self.diag = dict(windows=0, candidates=0, accepted=0, rows_max=0, runaway_failures=0,
+                         configurations=0, rate_ceiling_hits=0)
         # per accepted batch: times, trajectories, memristors, up (or down)
         self.log = [(np.zeros(0), np.zeros(0, np.intp), np.zeros(0, np.intp),
                      np.zeros(0, bool))]
 
-    def _record(self, s, q, live=None, own=None) -> None:
+    def _record(self, s, q, live=None, n_own=None) -> None:
         """Record an output from rows in states s with charges q: each
         capacitor's smallest charge over the `live` rows (a mask, or all),
         `bins` uniform bins from capacitor 0's smallest to its largest
         charge there (`_edges`) and, per trajectory, a row of codes: its
         memristors' states, the first as state * bins + capacitor 0's bin
-        (`_hist_codes`).  Row i is trajectory i or, with `own`, row 0 stands
-        for every trajectory but own - 1 and row i + 1 for trajectory
-        own[i] - 1; the codes are kept with `own`."""
+        (`_hist_codes`).  Row i is trajectory i or, with n_own, row i + 1
+        is trajectory own[i], with own = self.own[:n_own] (a prefix of the
+        final one), and row 0 stands for every other trajectory."""
         code = s.astype(self.code_type)
         if self.K:
             q_live = q if live is None else q[live]
@@ -306,7 +290,7 @@ class _Ensemble:
         if self.M:
             code[:, 0] = (_hist_codes(s[:, 0], q[:, 0], self.edges[-1]) if self.K
                           else s[:, 0] * self.bins)
-        self.codes.append((code, own))
+        self.codes.append((code, n_own))
 
     def _tally(self, outputs) -> EnsembleStats:
         """The statistics of the record, leaving out failed trajectories."""
@@ -316,9 +300,10 @@ class _Ensemble:
         n_ok = int(ok.sum())
         occupancy = [np.zeros((len(outputs), g)) for g in self.gs]
         hists = []
-        for k, (code, own) in enumerate(self.codes):
+        for k, (code, n_own) in enumerate(self.codes):
+            own = None if n_own is None else self.own[:n_own]
             if n_ok < n:
-                code = code[ok if own is None else np.concatenate(([True], ok[own - 1]))]
+                code = code[ok if own is None else np.concatenate(([True], ok[own]))]
             for m, g in enumerate(self.gs):
                 counts = np.bincount(code[:, m], minlength=g * self.bins if m == 0 else g)
                 if own is not None:     # row 0 counts the trajectories not in own
@@ -343,110 +328,195 @@ class _Ensemble:
 
     # -- thinning ----------------------------------------------------------
     def _evolve(self, initial: CircuitState, outputs) -> None:
-        """Thinning (Lewis & Shedler 1979) from `initial`, recorded at
-        `outputs` (ascending, ending at t_end), with the kernels bound at
-        construction.  Each trajectory runs on its own clock through
-        windows; a candidate falls where the envelope's integral since the
-        last jump reaches the trajectory's level (a sum of spacing draws)
-        and is accepted with probability summed rate / envelope.  Row i + 1
-        carries trajectory i once it switched; until then row 0, one path
-        through the same windows, stands for it and keeps only its level
-        (sorted, unsorted once rejected), so a window touches only the
-        members with a candidate in it.  A trajectory with more than
+        """Thinning (Lewis & Shedler 1979) from `initial` to t_end =
+        outputs[-1], recorded at `outputs`, with the kernels bound at
+        construction.  Each row runs through windows that end at a source
+        breakpoint, at the curvature reach (_WINDOW_SLACK) or at t_end;
+        output times do not cut them.  Of its open window a row keeps the
+        start T with its state Q, the end E with the state Q1, the
+        envelope's log-rates L0 and L1 at both ends and its integral TOT.  A
+        candidate falls where that integral from the window start reaches
+        the row's gap G (a sum of spacing draws, less the windows passed), X
+        into the window (inf: none in it), and is accepted with probability
+        summed rate / envelope; A is when the row next acts, at its candidate
+        or at its window's end.  A trajectory gets a row of its own when it
+        first switches; until then row 0, one path through the same windows,
+        stands for it and keeps only its level (measured from the initial
+        time against row 0's integral lam0; sorted, unsorted once rejected),
+        so a window touches only the members with a candidate in it.  Before
+        each output, passes draw every candidate ahead of it and open the
+        windows that end before it; the recorder then takes each row's
+        charge there in closed form.  A trajectory with more than
         MAX_CANDIDATES candidates in one output interval fails alone."""
-        n, (window, candidates, rows_of) = self.n, self.kernels
-        S = np.tile(np.array(initial.memristor_states, dtype=np.int64), (n + 1, 1))
-        Q = np.tile(np.array(initial.capacitor_charges, dtype=float), (n + 1, 1))
-        T, R = np.full(n + 1, float(initial.time)), np.full(n + 1, rows_of(self, S[:1])[0])
-        # the envelope's integral since the last jump, and where the next candidate is
-        lam_all, lev_all = np.zeros(n + 1), np.zeros(n + 1)
-        self._rounds = np.zeros(n, dtype=np.int64)
+        n, t_end, (window, flow, rows_of) = self.n, outputs[-1], self.kernels
+        # row r > 0 carries trajectory traj[r]
+        S, traj = np.zeros((n + 1, self.M), dtype=np.int16), np.zeros(n + 1, dtype=np.int32)
+        S[0] = initial.memristor_states
+        R, T = np.zeros(n + 1, dtype=np.int64), np.zeros(n + 1)
+        R[0], T[0] = rows_of(self, S[:1])[0], initial.time
+        Q, Q1 = (np.zeros((n + 1, self.K)) for _ in range(2))
+        Q[0] = initial.capacitor_charges
+        E, L0, L1, TOT, G, X, A = (np.zeros(n + 1) for _ in range(7))
+        self._rounds = np.zeros(n, dtype=np.int32)
         order = np.argsort(self.candidates.stream(0))
         levels, left = self.candidates.stream(0)[order], 0    # row 0: order[left:], pend_id
-        pend_id, pend_lev, own = order[:0], levels[:0], order[:0]
-        tries = np.zeros(n, dtype=np.int64)
-        self._reset(dict(path="thinning", windows=0, candidates=0, accepted=0, rows_max=0,
-                         runaway_failures=0, configurations=0, rate_ceiling_hits=0))
-        diag = self.diag
+        pend_id, pend_lev, lam0, k = order[:0], levels[:0], 0.0, 0
+        tries = np.zeros(n, dtype=np.int32)
+        self._reset()
+
+        def batched(fn, r, *args):
+            """fn(self, R, S, T, Q of rows r, *args) over _BATCH rows at a
+            time; array args go along with the rows."""
+            out = [fn(self, R[b], S[b], T[b], Q[b],
+                      *(a if np.ndim(a) == 0 else a[i:i + _BATCH] for a in args))
+                   for i in range(0, r.size, _BATCH) for b in [r[i:i + _BATCH]]]
+            return out[0] if len(out) == 1 else tuple(np.concatenate(x) for x in zip(*out))
+
+        def open_windows(r, fresh):
+            """Windows from the starts of rows r, and their next candidates;
+            the first `fresh` rows hold the charges they jumped with."""
+            if not r.size:
+                return
+            t = T[r]
+            t1, l0, l1, Q[r], Q1[r] = batched(window, r, t_end, np.arange(r.size) < fresh)
+            dt = t1 - t
+            if not (dt > 0.0).all():
+                raise TrajectoryFailure(f"a window at {t.min():.9g} s is below the time step")
+            E[r], L0[r], L1[r] = t1, l0, l1
+            TOT[r] = tot = _integral(l0, l1, dt)
+            X[r] = x = _offset(l0, l1, dt, G[r], tot)
+            A[r] = np.minimum(t + x, t1)
+            self.diag["windows"] += r.size
+
+        def draw(r, ids, gap, x, t_out):
+            """Candidates of trajectories ids at offsets x into the windows
+            of rows r (0: a member of row 0 at level gap, else its own row
+            with G = gap) before t_out, each until accepted or none is left
+            (members then go back to row 0).  Returns the rows that jumped."""
+            nonlocal pend_id, pend_lev, k
+            jumped = [r[:0]]
+            while True:
+                due = (x < math.inf) & ((T[r] + x < t_out) | (E[r] < t_out))
+                if not due.all():
+                    later = ~due & (r == 0)
+                    pend_id = np.concatenate((pend_id, ids[later]))
+                    pend_lev = np.concatenate((pend_lev, gap[later]))
+                    r, ids, gap, x = r[due], ids[due], gap[due], x[due]
+                tries[ids] += 1
+                over = tries[ids] > MAX_CANDIDATES
+                if over.any():      # a runaway trajectory fails alone
+                    self.failures += [(int(i), f"more than {MAX_CANDIDATES} candidates within "
+                                       f"one output interval at t = {t_out:.9g} s")
+                                      for i in ids[over]]
+                    gone = r[over & (r > 0)]      # own rows; members just drop out
+                    T[gone] = A[gone] = math.inf
+                    r, ids, gap, x = r[~over], ids[~over], gap[~over], x[~over]
+                if not ids.size:
+                    return np.concatenate(jumped)
+                ok, t_c, q_c, m, up, spacing = batched(
+                    _Ensemble._candidates, r, L0[r], L1[r], E[r] - T[r], ids, x)
+                self.diag["candidates"] += ids.size
+                self.diag["accepted"] += int(ok.sum())
+                # accepted: clock m of the trajectory jumps (a member into
+                # a new row), and a window opens at the next pass (until then
+                # A = inf)
+                j, m, jr = ids[ok], m[ok], r[ok]
+                new = np.flatnonzero(jr == 0)
+                jr[new], traj[k + 1:k + 1 + new.size] = np.arange(k + 1, k + 1 + new.size), j[new]
+                k += new.size
+                S[jr] = S[r[ok]]
+                S[jr, m] += np.where(up[ok], 1, -1)
+                R[jr] = rows_of(self, S[jr])
+                T[jr], G[jr], A[jr], Q[jr] = t_c[ok], spacing[ok], math.inf, q_c[ok]
+                self.log.append((t_c[ok], j, m, up[ok]))
+                jumped.append(jr)
+                # rejected: the next candidate, in this window or a later one
+                r, ids, gap = r[~ok], ids[~ok], gap[~ok] + spacing[~ok]
+                mine = r == 0
+                x = _offset(L0[r], L1[r], E[r] - T[r], np.where(mine, gap - lam0, gap), TOT[r])
+                o = r[~mine]
+                G[o], X[o], A[o] = gap[~mine], x[~mine], np.minimum(T[o] + x[~mine], E[o])
+
+        pending = np.zeros(1, dtype=np.intp)    # rows that jumped, whose windows open next
         for t_out in outputs:
             tries[:] = 0
-            act = own[T[own] < t_out]
+            rows, swept = np.arange(1, k + 1), False    # swept: row 0's members drawn up to t_out
             while True:
-                shared = (left < n or pend_id.size > 0) and T[0] < t_out
-                rows = np.concatenate(([0], act)) if shared else act
-                if not rows.size:
+                # own rows that act before t_out: at a candidate, or where
+                # their window ends with none left in it (then the next one
+                # opens, with those of the rows that jumped and row 0's
+                # once its members are drawn)
+                rows = rows[A[rows] < t_out]
+                shared = left < n or pend_id.size > 0
+                turn = shared and swept and E[0] < t_out
+                if not (rows.size or pending.size or turn or shared and not swept):
                     break
-                lam, lev, s = lam_all[rows], lev_all[rows], S[rows]
-                t1, dt, total, q1, w = window(self, R[rows], s, T[rows], Q[rows], t_out)
-                live = np.ones(rows.size, dtype=bool)
-                diag["windows"] += rows.size
-                if not (dt > 0.0).all():
-                    raise TrajectoryFailure(f"a window before {t_out:.9g} s is below the time step")
-                # the candidates in the window: own rows, then members of row 0
-                hit = lev - lam < total
-                hit[0] &= not shared
-                at = np.flatnonzero(hit)
-                ids, gap_end = rows[at] - 1, lev[at]
-                if shared:
-                    lam0, tot0 = lam[0], total[0]
-                    end = left + int(np.searchsorted(levels[left:], lam0 + tot0))
-                    while end < n and levels[end] - lam0 < tot0:   # the own rows' test
+                x = X[rows]
+                ends, c = rows[x == math.inf], rows[x < math.inf]
+                if turn:
+                    lam0 += TOT[0]
+                    ends, swept = np.concatenate(([0], ends)), False
+                G[ends] -= TOT[ends]
+                T[ends], Q[ends] = E[ends], Q1[ends]
+                opened = np.concatenate((pending, ends))
+                open_windows(opened, pending.size)
+                opened = opened[opened > 0]
+                opened = opened[A[opened] < t_out]     # those that act before t_out
+                r = np.concatenate((c, opened[X[opened] < math.inf]))
+                ids, gap, x = traj[r], G[r], X[r]
+                if shared and not swept:    # the members with a candidate in row 0's window
+                    tot = TOT[0]
+                    end = left + int(np.searchsorted(levels[left:], lam0 + tot))
+                    while end < n and levels[end] - lam0 < tot:
                         end += 1
-                    while end > left and not levels[end - 1] - lam0 < tot0:
+                    while end > left and not levels[end - 1] - lam0 < tot:
                         end -= 1
-                    inside = pend_lev - lam0 < tot0
-                    ids = np.concatenate((ids, order[left:end], pend_id[inside]))
-                    gap_end = np.concatenate((gap_end, levels[left:end], pend_lev[inside]))
-                    at = np.concatenate((at, np.zeros(ids.size - at.size, dtype=np.intp)))
+                    inside = pend_lev - lam0 < tot
+                    m_id = np.concatenate((order[left:end], pend_id[inside]))
+                    m_lev = np.concatenate((levels[left:end], pend_lev[inside]))
                     left, pend_id, pend_lev = end, pend_id[~inside], pend_lev[~inside]
-                born = [own[:0]]
-                while ids.size:
-                    tries[ids] += 1
-                    over = tries[ids] > MAX_CANDIDATES
-                    if over.any():      # a runaway trajectory fails alone
-                        self.failures += [(int(i), f"more than {MAX_CANDIDATES} candidates within "
-                                           f"one output interval at t = {t_out:.9g} s")
-                                          for i in ids[over]]
-                        T[ids[over] + 1], live[at[over & (rows[at] > 0)]] = math.inf, False
-                        at, ids, gap_end = at[~over], ids[~over], gap_end[~over]
-                    ok, t_c, q_c, m, up, spacing = candidates(self, w, at, ids, gap_end - lam[at])
-                    diag["candidates"] += ids.size
-                    diag["accepted"] += int(ok.sum())
-                    # accepted: clock m of the trajectory jumps, and its window ends
-                    j, m, mine = ids[ok], m[ok], rows[at] == 0
-                    S[j + 1] = s[at[ok]]
-                    S[j + 1, m] += np.where(up[ok], 1, -1)
-                    R[j + 1] = rows_of(self, S[j + 1])
-                    T[j + 1], Q[j + 1], lam_all[j + 1], lev_all[j + 1] = (
-                        t_c[ok], q_c[ok], 0.0, spacing[ok])
-                    self.log.append((t_c[ok], j, m, up[ok]))
-                    live[at[ok & ~mine]] = False
-                    born.append(j[mine[ok]] + 1)
-                    # rejected: the next candidate, in this window or a later one
-                    at, ids, mine = at[~ok], ids[~ok], mine[~ok]
-                    gap_end = gap_end[~ok] + spacing[~ok]
-                    lev_all[ids + 1] = gap_end
-                    again = gap_end - lam[at] < total[at]
-                    pend_id = np.concatenate((pend_id, ids[mine & ~again]))
-                    pend_lev = np.concatenate((pend_lev, gap_end[mine & ~again]))
-                    at, ids, gap_end = at[again], ids[again], gap_end[again]
-                # the other rows reach the window's end
-                rk = rows[live]
-                T[rk], Q[rk], lam_all[rk] = t1[live], q1[live], lam[live] + total[live]
-                born = np.concatenate(born)
-                own = np.concatenate((own, born))
-                act = np.concatenate((rows[(T[rows] < t_out) & (rows > 0)], born[T[born] < t_out]))
-                diag["rows_max"] = own.size
+                    r = np.concatenate((r, np.zeros(m_id.size, dtype=r.dtype)))
+                    ids, gap = np.concatenate((ids, m_id)), np.concatenate((gap, m_lev))
+                    x = np.concatenate((x, _offset(L0[0], L1[0], E[0] - T[0], m_lev - lam0, tot)))
+                    swept = True
+                pending = draw(r, ids, gap, x, t_out) if r.size else r
+                rows = np.concatenate((c, opened))
+                self.diag["rows_max"] = k
             if len(self.failures) == n:
                 raise TrajectoryFailure(f"all trajectories failed: {self.failures[-1][1]}")
             # row 0 is live while it has members; own rows until they fail
-            rows = np.concatenate(([0], own))
+            rows = np.arange(k + 1)
             live = T[rows] < math.inf
             live[0] = left < n or pend_id.size > 0
-            self._record(S[rows], Q[rows], live, own)
-        diag["runaway_failures"] = len(self.failures)
+            q = Q[rows]
+            q[live] = batched(flow, rows[live], t_out)[0]
+            self._record(S[rows], q, live, k)
+        self.own = traj[1:k + 1]
+        self.diag["runaway_failures"] = len(self.failures)
         # the scalar pair's tables are its device's states
-        diag["configurations"] = len(self.tables) or self.gs[0]
+        self.diag["configurations"] = len(self.tables) or self.gs[0]
+
+    def _candidates(self, c, s, t, q, l0, l1, dt, ids, x):
+        """Trajectories ids' candidates at offsets x into their windows
+        (from row states q at t, in configurations c and states s, under
+        the envelope e^{l0 + (l1 - l0) x / dt}): acceptance (with probability
+        summed rate / envelope), times, charges, the clock that fires (in
+        proportion to the clocks' rates), its direction (up: the one its
+        rate drives, so boundary states jump inward) and next spacing draws."""
+        t_c = t + x
+        q_c, vm = self.kernels[1](self, c, s, t, q, t_c, True)
+        rate, _ = self.rates(s, vm, self.diag)
+        cum = np.cumsum(rate, axis=1)
+        k = 2 * self._rounds[ids]
+        self._rounds[ids] += 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            excess = self.candidates.take(ids, k + 1) - (
+                l0 + (l1 - l0) / dt * x - np.log(cum[:, -1]))
+        # given acceptance the excess is exponential, so e^-excess is uniform
+        u = np.exp(-np.maximum(excess, 0.0)) * cum[:, -1]
+        m = np.argmax((cum >= u[:, None]) & (rate > 0.0), axis=1)
+        up = vm[np.arange(m.size), m] > 0.0
+        return excess > 0.0, t_c, q_c, m, up, self.candidates.take(ids, k + 2)
 
     # -- matrix kernels (any netlist) -----------------------------------
     def _v(self, t):
@@ -493,18 +563,17 @@ class _Ensemble:
     def _vm(self, rows, q, v):
         return _mv(self.Dq[rows], q) + _mv(self.Ds[rows], v)
 
-    def _matrix_window(self, c, s, t, q, t_stop):
+    def _matrix_window(self, c, s, t, q, t_end, fresh):
         """Windows [t, t1] of rows in configurations c (states s, charges q)
         and on them the envelope e^{l0 + (l1 - l0) x / dt} of the summed exit
         rate (x the time into the window).  Per clock, +-vm lie below their
         tangents at t plus kk dt x / 2, where kk bounds |vm''|: the forced
         sines' curve plus sum_k |(Dq V)_k| lam_k^2 |y_k - y_p,k| over the
-        decaying modes.  A window ends by t_stop, at a breakpoint and where
+        decaying modes.  A window ends by t_end, at a breakpoint and where
         kk dt^2 reaches _WINDOW_SLACK voltage scales.  Each clock's envelope
         covers the transitions the sign of vm can drive, floored at e^-700
         and flat at the rate's cap; their sum is bounded by the chord of its
-        (convex) log.  Returns t1, dt, the envelope's integral, the charge at
-        t1 and what `_matrix_candidates` reads."""
+        (convex) log.  Returns t1, l0, l1, and the charges at t and t1."""
         v = self._v(t)
         modes = self._modes(c, q, t, v)
         g, bk, ph = modes[:3]
@@ -520,7 +589,7 @@ class _Ensemble:
         with np.errstate(divide="ignore", invalid="ignore"):
             reach = np.sqrt(_WINDOW_SLACK * self.rates.v_min[self.mi, s] / kk).min(
                 axis=1, initial=math.inf)
-            t1 = np.minimum(np.minimum(t + reach, t_stop),
+            t1 = np.minimum(np.minimum(t + reach, t_end),
                             self.breakpoints[np.searchsorted(self.breakpoints, t, "right")])
             dt = t1 - t
             rise, bend = dvm * dt[:, None], 0.5 * kk * (dt * dt)[:, None]
@@ -534,100 +603,98 @@ class _Ensemble:
             cap = np.maximum(self.log_cap[up], self.log_cap[down])
             top = np.maximum(l0, l1) > cap
             l0, l1 = (_log_sum_exp(np.where(top, cap, x)) for x in (l0, l1))
-            # from l1 - 50 at least: the inversion cannot overflow
-            l0 = np.maximum(l0, l1 - 50.0)
-            z = -np.abs(l1 - l0)
-            total = np.exp(np.maximum(l0, l1)) * dt * np.where(z < 0.0, np.expm1(z) / z, 1.0)
-        return t1, dt, total, self._flow(c, q, modes, dt), (c, s, t, dt, l0, l1, q, v, modes)
+        # from l1 - 50 at least: the inversion cannot overflow
+        return t1, np.maximum(l0, l1 - 50.0), l1, q, self._flow(c, q, modes, dt)
 
-    def _matrix_candidates(self, w, at, ids, gap):
-        """Trajectories ids' candidates where the envelope's integral into
-        windows `at` of w reaches gap: acceptance (with probability summed
-        rate / envelope), times, charges, the clock that fires (in
-        proportion to the clocks' rates), its direction (up: the one its
-        rate drives, so boundary states jump inward) and next spacing draws."""
-        c, s, t, dt, l0, l1, q, v = (x[at] for x in w[:8])
-        modes = tuple(None if x is None else x[at] for x in w[8])
-        b = (l1 - l0) / dt
-        x = np.clip(_exp_step(-b, np.exp(l0), gap), 0.0, dt)
-        q_c = self._flow(c, q, modes, x)
+    def _matrix_flow(self, c, s, t, q, t1, with_vm=False):
+        """Charges at times t1 from q at t in configurations c (`_flow`)
+        and, with_vm, the memristor voltages there."""
+        v = self._v(t)
+        modes = self._modes(c, q, t, v)
+        q1 = self._flow(c, q, modes, t1 - t)
+        if not with_vm:
+            return q1,
         if modes[1] is not None:        # the sources along their segments
-            v = modes[3] + modes[4] * x[:, None]
-            v[:, self.sine] += self.amp * np.sin(self.omega * (t + x)[:, None])
-        vm = self._vm(c, q_c, v)
-        rate, _ = self.rates(s, vm, self.diag)
-        cum = np.cumsum(rate, axis=1)
-        k = 2 * self._rounds[ids]
-        self._rounds[ids] += 1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            excess = self.candidates.take(ids, k + 1) - (l0 + b * x - np.log(cum[:, -1]))
-        # given acceptance the excess is exponential, so e^-excess is uniform
-        u = np.exp(-np.maximum(excess, 0.0)) * cum[:, -1]
-        m = np.argmax((cum >= u[:, None]) & (rate > 0.0), axis=1)
-        up = vm[np.arange(m.size), m] > 0.0
-        return excess > 0.0, t + x, q_c, m, up, self.candidates.take(ids, k + 2)
+            v = modes[3] + modes[4] * (t1 - t)[:, None]
+            v[:, self.sine] += self.amp * np.sin(self.omega * t1[:, None])
+        return q1, self._vm(c, q1, v)
 
-    # -- scalar kernels (one memristor and capacitor, sine or PWL) -------
+    # -- scalar kernels (one memristor, one capacitor, one source) -------
     def _forcing(self):
         """Tables of the closed-form charge q_p(t) + (q(t0) - q_p(t0)) e^{A (t - t0)}
         per state: q_p = -B off / A + B amp Im[e^{iwt} / (iw - A)] for a sine,
-        -(B / A)(v + k / A) on a PWL segment of slope k; A = 0 (so B = 0) keeps q.
-        _coef[:, i, s]: basis function i's coefficients in q_p, u = Dq q_p +
-        Ds v (vm without the transient) and du/dt.  _par[s]: A, Dq, A^2, a
-        bound on |u''|, the window slack in volts, 1 / V and ln tau up and
-        down, the log of the rate's cap."""
-        A, B, Dq, Ds = self.per_state
+        -(B / A)(v + k / A) on a source segment v = v0 + k (t - t0) (constant,
+        step and PWL sources); A = 0 (so B = 0) keeps q.  _coef[:, i, j]:
+        basis function i's coefficients in q_p, u = Dq q_p + Ds v (vm without
+        the transient) and du/dt, with j the state under a sine (basis 1,
+        sin wt, cos wt) and segment * G + state otherwise (basis 1, t - t0).
+        _par[:, s]: A, Dq, A^2, a bound on |u''|, the window slack in volts,
+        1 / V and ln tau up and down, the log of the rate's cap."""
+        dyn = [affine_dynamics(self.netlist, (i,)) for i in range(self.gs[0])]
+        A, B, Dq, Ds = np.array([[d.A[0, 0], d.B[0, 0], d.Dq[0, 0], d.Ds[0, 0]] for d in dyn]).T
         w, g = self.waves[0], self.gs[0]
         ia = np.divide(1.0, A, out=np.zeros_like(A), where=A < 0.0)
         if w.kind == "sine":
             om = self.omega[0]
             den = np.where(A * A + om * om > 0.0, A * A + om * om, 1.0)
             fq = -B * np.array([w.offset * ia, w.amplitude * A / den, w.amplitude * om / den])
-            fu = Dq * fq + Ds * np.array([w.offset, w.amplitude, 0.0])[:, None]
+            fu = _cancel(Dq * fq, Ds * np.array([w.offset, w.amplitude, 0.0])[:, None])
             du, curve = om * np.array([0.0 * A, -fu[2], fu[1]]), om * om * np.hypot(fu[1], fu[2])
+            self._coef = np.array([fq, fu, du])
         else:
-            self._knots = np.array(w.breakpoints, dtype=float).T
+            # segment j starts at t0[j] with value v0[j] (w(-inf): the value
+            # before the first breakpoint) and slope k[j]
+            bp = self.breakpoints[:-1]
+            self._t0 = np.r_[bp[:1], bp] if bp.size else np.zeros(1)
+            v0 = np.array([w(b) for b in np.r_[-math.inf, bp]])[:, None]
+            k = (self.ramps[0][2] if self.ramps else np.zeros(bp.size + 1))[:, None]
             fq = -B * np.array([ia, ia * ia])
-            fu = Dq * fq + Ds * np.array([1.0, 0.0])[:, None]
-            du, curve = np.array([0.0 * A, fu[0]]), 0.0 * A
-        self._coef = np.array([fq, fu, du])
+            fu = _cancel(Dq * fq, Ds * np.array([1.0, 0.0])[:, None])
+            self._coef = np.array([[f[0] * v0 + f[1] * k, f[0] * k] for f in (fq, fu)]
+                                  + [[fu[0] * k, 0.0 * k * A]]).reshape(3, 2, -1)
+            curve = 0.0 * A
         v, lt = self.rates.v_scale, np.log(self.rates.tau)
         cap = np.minimum(math.log(self.rates.ceiling[0]), 700.0 - np.minimum(lt[:g], lt[g:]))
         self._par = np.array([A, Dq, A * A, curve, _WINDOW_SLACK * np.minimum(v[:g], v[g:]),
-                              1.0 / v[:g], 1.0 / v[g:], lt[:g], lt[g:], cap]).T.copy()
+                              1.0 / v[:g], 1.0 / v[g:], lt[:g], lt[g:], cap])
 
-    def _forced(self, s, t, seg, rows=3):
-        """The first `rows` of q_p, u, du/dt in states s at times t: basis (1, sin wt,
-        cos wt) or (v(t), k) on PWL segments seg, summed per state if one for all."""
-        if seg is None:
-            basis = 1.0, np.sin(self.omega[0] * t), np.cos(self.omega[0] * t)
-        else:   # the one PWL source's value and slope
-            basis = np.interp(t, *self._knots), self.ramps[0][2][seg]
-        one = np.ndim(t) == 0 and np.ndim(seg) == 0
-        coef = self._coef[:rows] if one else np.take(self._coef[:rows], s, axis=2)
-        out = sum(coef[:, i] * b for i, b in enumerate(basis))
-        return np.take(out, s, axis=1) if one else out
+    def _segment(self, t):
+        """Source segments of times t (0 for all without breakpoints)."""
+        return np.searchsorted(self.breakpoints, t, "right") if self.breakpoints.size > 1 else 0
 
-    def _scalar_window(self, c, s, t, q, t_stop):
+    def _forced(self, s, seg, rows, t):
+        """The `rows` (a slice) of q_p, u, du/dt in states s on the source
+        segments seg at times t; where the basis is one for all rows, per
+        table column first."""
+        j = s if self.sine.size else seg * self.gs[0] + s
+        if self.sine.size:
+            basis = np.sin(self.omega[0] * t), np.cos(self.omega[0] * t)
+        else:
+            basis = t - self._t0[seg],
+        one = np.ndim(basis[0]) == 0
+        coef = self._coef[rows] if one else np.take(self._coef[rows], j, axis=2)
+        out = coef[:, 0] + coef[:, 1] * basis[0]
+        for i, b in enumerate(basis[1:], 2):
+            out += coef[:, i] * b
+        return np.take(out, j, axis=1) if one else out
+
+    def _scalar_window(self, c, s, t, z, t_end, fresh):
         """`_matrix_window` for one device, whose table rows c are its
         states: +-vm lie below their tangents at t plus K dt x / 2 (K bounds
-        |vm''|); a window ends by t_stop, at a PWL breakpoint and where
+        |vm''|); a window ends by t_end, at a source breakpoint and where
         K dt^2 reaches _WINDOW_SLACK voltage scales, and the envelope covers
-        the transitions the sign of vm can drive there."""
-        q = q[:, 0]
-        # rows that start together (at an output time) share one forced response
-        t0 = t[0] if (t == t[0]).all() else t
-        bp = self.breakpoints
-        seg = None if self.waves[0].kind == "sine" else np.searchsorted(bp[:-1], t0, "right")
-        qp, u, du = self._forced(c, t0, seg)
+        the transitions the sign of vm can drive there.  Off sines, a window
+        in which no transition can be driven up to the segment's end runs to
+        it.  Returns t1, l0, l1, and the transient at t and t1."""
+        seg = self._segment(t)
         a, dq, a2, curve, slack, iv_up, iv_down, lt_up, lt_down, cap = (
-            np.take(self._par, c, axis=0).T)
-        cq = q - qp
+            np.take(self._par, c, axis=1))
+        qp, u, du = self._forced(c, seg, slice(3), t)
+        cq = np.where(fresh, z[:, 0] - qp, z[:, 0])
         vc = dq * cq                  # vm's transient, decaying as e^{A x}
         k = curve + a2 * np.abs(vc)
         with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = np.minimum(np.minimum(t + np.sqrt(slack / k), t_stop),
-                            math.inf if seg is None else bp[seg])
+            t1 = np.minimum(np.minimum(t + np.sqrt(slack / k), t_end), self.breakpoints[seg])
             dt = t1 - t
             rise, bend = (du + a * vc) * dt, 0.5 * k * dt * dt
             vm0 = u + vc
@@ -636,230 +703,36 @@ class _Ensemble:
             l0, l1 = (np.maximum(np.maximum(np.where(on_up, x * iv_up - lt_up, -700.0),
                                             np.where(on_down, y * iv_down - lt_down, -700.0)),
                                  -700.0) for x, y in ((vm0, -vm0), (vm1, mv1)))
-            top = np.maximum(l0, l1)
-            # from l1 - 50 at least: the inversion cannot overflow
-            l0, l1 = (np.where(top > cap, cap, x) for x in (np.maximum(l0, l1 - 50.0), l1))
-            z = -np.abs(l1 - l0)
-            total = np.exp(np.minimum(top, cap)) * dt * np.where(z < 0.0, np.expm1(z) / z, 1.0)
-        q1 = self._forced(c, t_stop, seg, 1)[0]       # most windows end at t_stop
-        short = np.flatnonzero(t1 < t_stop)
-        if short.size:
-            q1[short] = self._forced(c[short], t1[short], _pick(seg, short), 1)[0]
-        return t1, dt, total, (q1 + cq * np.exp(a * dt))[:, None], (c, t, seg, dt, l0, l1, cq)
+            if not self.sine.size:
+                # up to the segment's end b, vm runs between the forced part
+                # u (linear) and u plus the transient: where neither sign it
+                # takes drives a transition, no candidate falls before b
+                b = np.minimum(self.breakpoints[seg], t_end)
+                ub = u + du * (b - t)
+                lo = np.minimum(u, ub) + np.minimum(vc, 0.0)
+                hi = np.maximum(u, ub) + np.maximum(vc, 0.0)
+                idle = (np.where(hi > 0.0, hi * iv_up - lt_up, -700.0) <= -700.0) & (
+                    np.where(lo < 0.0, -lo * iv_down - lt_down, -700.0) <= -700.0)
+                t1 = np.where(idle, b, t1)
+                l0, l1 = np.where(idle, -700.0, l0), np.where(idle, -700.0, l1)
+        top = np.maximum(l0, l1) > cap
+        z1 = cq * np.exp(a * (t1 - t))
+        if self.breakpoints.size > 1:   # at a breakpoint the transient takes up q_p's jump
+            at = np.flatnonzero(t1 == self.breakpoints[seg])
+            qa, qb = (self._forced(c[at], g, slice(1), t1[at])[0] for g in (seg[at], seg[at] + 1))
+            z1[at] += qa - qb
+        # from l1 - 50 at least: the inversion cannot overflow
+        return (t1, np.where(top, cap, np.maximum(l0, l1 - 50.0)), np.where(top, cap, l1),
+                cq[:, None], z1[:, None])
 
-    def _scalar_candidates(self, w, at, ids, gap):
-        """`_matrix_candidates` for one device: its one clock (m = 0) fires
-        with probability rate / envelope."""
-        c, t, seg, dt, l0, l1, cq = w
-        s, t, dt, l0, l1, cq = (x[at] for x in (c, t, dt, l0, l1, cq))
-        b = (l1 - l0) / dt
-        x = np.clip(_exp_step(-b, np.exp(l0), gap), 0.0, dt)
-        a, dq = np.take(self._par[:, :2], s, axis=0).T
-        trans = cq * np.exp(a * x)
-        qp, u = self._forced(s, t + x, _pick(seg, at), 2)
-        vm = u + dq * trans
-        rate, _ = self.rates(s, vm, self.diag)
-        k = 2 * self._rounds[ids]
-        self._rounds[ids] += 1
-        with np.errstate(divide="ignore"):
-            ok = self.candidates.take(ids, k + 1) > l0 + b * x - np.log(rate)
-        return (ok, t + x, (qp + trans)[:, None], np.zeros(at.size, np.intp), vm > 0.0,
-                self.candidates.take(ids, k + 2))
-
-    # -- exact event-to-event rounds (single device, constant and step) --
-    def _run_exact(self, initial: CircuitState, outputs) -> None:
-        """Each trajectory jumps from stop to stop: its next event, or the
-        end of its RC segment (the step time or t_end).  Within a segment
-        the source is constant, so vm = a + b e^{-(t - t0)/tau} and the
-        hazard is inverted in closed form (`_next_stops`)."""
-        A, B = self.per_state[:2]
-        if np.any((A > 0.0) | ((A == 0.0) & (B != 0.0))):
-            raise ValueError("the exact path needs the capacitor to relax in every "
-                             "state (dq/dt = A q + B v with A < 0, or A = B = 0)")
-        # RC time constant per state (1 s where the capacitor is cut off,
-        # A = 0) and the log of the ceiling times each rate entry's tau
-        self.tau = np.where(A < 0.0, -1.0 / np.where(A < 0.0, A, -1.0), 1.0)
-        self.log_cap_tau = np.log(self.rates.ceiling[0] * self.rates.tau)
-        n, t_end = self.n, outputs[-1]
-        self._reset(dict(path="exact", rounds=0, newton_iterations=0, newton_max=0,
-                         sign_splits=0, ceiling_splits=0, rate_ceiling_hits=0))
-        state = np.full(n, int(initial.memristor_states[0]), dtype=np.int64)
-        t0 = np.full(n, float(initial.time))
-        q0 = np.full(n, float(initial.capacitor_charges[0]))
-        remaining = self.thresholds.stream(0).copy()
-        draw = np.ones(n, dtype=np.int64)
-        stop = _Stops(n)
-        everyone = np.arange(n)
-        self._next_stops(everyone, state, t0, q0, remaining, t_end, stop)
-        self.diag["rounds"] += 1
-        for t_out in outputs:
-            while True:
-                due = np.nonzero(stop.t < t_out)[0]
-                if not due.size:
-                    break
-                fired = due[stop.fires[due]]
-                up = stop.up[fired]
-                state[fired] += np.where(up, 1, -1)
-                # memristor 0, as a view that stores no column
-                self.log.append((stop.t[fired], fired, np.broadcast_to(0, fired.shape), up))
-                remaining[fired] = self.thresholds.draw(fired, draw, fired)
-                q0[due] = stop.q_at(due, stop.d[due])
-                t0[due] = stop.t[due]
-                self._next_stops(due, state, t0, q0, remaining, t_end, stop)
-                self.diag["rounds"] += 1
-            # charges straight into the record: held in a local, they would
-            # stay alive through the next rounds' temporaries
-            self._record(state[:, None],
-                         stop.q_at(everyone, (t_out - t0) / self.tau[state])[:, None])
-
-    def _next_stops(self, idx, state, t0, q0, remaining, t_end, stop):
-        """Fill `stop` for trajectories idx, whose segments start at
-        (t0, q0) in `state`, with their next event or segment end.  A
-        segment end carries the unspent hazard forward in `remaining`."""
-        if idx.size > _STOP_BATCH:
-            for part in np.array_split(idx, -(-idx.size // _STOP_BATCH)):
-                self._next_stops(part, state, t0, q0, remaining, t_end, stop)
-            return
-        w = self.waves[0]
-        s = state[idx]
-        tau = self.tau[s]
-        start = t0[idx]
-        if w.kind == "step":
-            before = start < w.t_step
-            v = np.where(before, w.value_before, w.amplitude)
-            seg_end = np.where(before, min(w.t_step, t_end), t_end)
-        else:
-            v = np.full(idx.size, w.amplitude)
-            seg_end = np.full(idx.size, t_end)
-        qs = q0[idx]
-        A, B, Dq, Ds = self.per_state
-        q_inf = np.where(A[s] < 0.0, B[s] * v * tau, qs)
-        a = Dq[s] * q_inf + Ds[s] * v
-        b = Dq[s] * (qs - q_inf)
-        d_end = (seg_end - start) / tau
-        left = remaining[idx].copy()
-        d = np.zeros(idx.size)
-        d_stop = d_end.copy()
-        fires = np.zeros(idx.size, dtype=bool)
-        up_out = np.zeros(idx.size, dtype=bool)
-        # vm changes sign once, at d_sign, when |b| > |a| and a b < 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d_sign = np.where((a * b < 0.0) & (np.abs(b) > np.abs(a)),
-                              np.log(-b / a), math.inf)
-        ceiling = self.rates.ceiling[0]
-        pend = np.arange(idx.size)
-        while pend.size:
-            p = self._piece(s[pend], a[pend], b[pend], d[pend],
-                            d_sign[pend], d_end[pend])
-            dp, dq, tp = d[pend], p.end, tau[pend]
-            haz = np.zeros(pend.size)
-            at_cap = p.live & p.above
-            self.diag["rate_ceiling_hits"] += int(np.count_nonzero(at_cap))
-            haz[at_cap] = ceiling * tp[at_cap] * (dq - dp)[at_cap]
-            curve = np.nonzero(p.live & ~p.above)[0]
-            begin = ei_term(p.alpha[curve], p.beta[curve], dp[curve])
-            integral, _, _ = hazard_integral(p.alpha[curve], p.beta[curve],
-                                             dp[curve], dq[curve], begin)
-            haz[curve] = tp[curve] / p.tau_x[curve] * integral
-            need = left[pend]
-            fire = p.live & (haz >= need)
-            # events at the ceiling: the rate is constant
-            hit = np.nonzero(fire & at_cap)[0]
-            d_stop[pend[hit]] = np.minimum(
-                dp[hit] + need[hit] / (ceiling * tp[hit]), dq[hit])
-            # events on the exponential law: Newton on the hazard
-            sub = np.nonzero(fire[curve])[0]
-            if sub.size:
-                c = curve[sub]
-                d_stop[pend[c]] = self._invert(
-                    p.alpha[c], p.beta[c], dp[c], dq[c],
-                    need[c] * p.tau_x[c] / tp[c],
-                    tuple(x[sub] for x in begin))
-            fires[pend[fire]] = True
-            up_out[pend[fire]] = p.up[fire]
-            # no event in this piece: spend its hazard, move to the next
-            go_on = ~fire
-            left[pend[go_on]] -= haz[go_on]
-            split = go_on & (dq < d_end[pend])
-            self.diag["sign_splits"] += int(np.sum(split & (dq == p.sign_end)))
-            self.diag["ceiling_splits"] += int(np.sum(split & (dq != p.sign_end)))
-            d[pend[split]] = dq[split]
-            pend = pend[split]
-        remaining[idx] = left
-        stop.t[idx] = np.minimum(start + tau * d_stop, seg_end)
-        stop.d[idx] = d_stop
-        stop.fires[idx] = fires
-        stop.up[idx] = up_out
-        stop.q_inf[idx] = q_inf
-        stop.q0[idx] = qs
-
-    def _invert(self, alpha, beta, d0, d1, target, begin):
-        """d in (d0, d1] where hazard_integral(alpha, beta, d0, d) equals
-        target (<= its value at d1).
-
-        Newton's method with the exponent linearized at each iterate: the
-        step solves (r/x)(1 - e^{-x s}) = target - I, where r is the rate
-        and x = beta e^{-d} its log-slope, so a decaying rate does not
-        stall it.  Every iterate shrinks a bracket, and a step that
-        leaves it bisects it instead."""
-        lo, hi = d0.copy(), d1.copy()
-        d = d0 + _exp_step(beta * np.exp(-d0), begin[2], target)
-        d = np.where((d > lo) & (d < hi), d, 0.5 * (lo + hi))
-        iters = np.zeros(d.size, dtype=np.int64)
-        act = np.arange(d.size)
-        while act.size:
-            iters[act] += 1
-            if iters[act[0]] > _NEWTON_MAX_ITER:
-                raise TrajectoryFailure(
-                    f"hazard inversion did not converge in {_NEWTON_MAX_ITER} "
-                    "iterations")
-            da = d[act]
-            integral, scale, rate = hazard_integral(
-                alpha[act], beta[act], d0[act], da, tuple(x[act] for x in begin))
-            f = integral - target[act]
-            done = np.abs(f) <= 16.0 * _EPS * np.maximum(target[act], scale)
-            lo[act] = np.where(f < 0.0, da, lo[act])
-            hi[act] = np.where(f > 0.0, da, hi[act])
-            step = _exp_step(beta[act] * np.exp(-da), rate, -f)
-            new = da + step
-            inside = (new > lo[act]) & (new < hi[act])
-            new = np.where(inside, new, 0.5 * (lo[act] + hi[act]))
-            done |= (np.abs(step) <= 1e-14 * da) | (new == da)
-            d[act] = np.where(done & ~inside, da, new)
-            act = act[~done]
-        self.diag["newton_iterations"] += int(iters.sum())
-        self.diag["newton_max"] = max(self.diag["newton_max"], int(iters.max()))
-        return d
-
-    def _piece(self, s, a, b, d, d_sign, d_end):
-        """The stretch of a segment from offset d on over which the exit
-        rate keeps one form: one direction (vm does not change sign) and
-        either below or at the rate ceiling."""
-        g = self.gs[0]
-        # vm = a + b e^{-d} has the sign of b before a sign change and the
-        # sign of a after one or where there is none (b's when a = 0)
-        before = d < d_sign
-        sgn = np.where((before & (d_sign < math.inf)) | (a == 0.0),
-                       np.sign(b), np.sign(a))
-        up = (sgn > 0) & (s < g - 1)
-        live = up | ((sgn < 0) & (s > 0))
-        i = s + g * ~up
-        v_x, tau_x, log_cap = self.rates.v_scale[i], self.rates.tau[i], self.log_cap_tau[i]
-        alpha = sgn * a / v_x
-        beta = sgn * b / v_x
-        # the exponent alpha + beta e^{-d} is monotone and meets log_cap
-        # once, at d_cap, when 0 < r < 1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = (log_cap - alpha) / beta
-            d_cap = np.where((r > 0.0) & (r < 1.0), -np.log(r), math.inf)
-        crosses = d_cap < math.inf
-        above = np.where(beta > 0.0, (r <= 0.0) | (crosses & (d < d_cap)),
-                         np.where(beta < 0.0, (r >= 1.0) | (crosses & (d >= d_cap)),
-                                  alpha > log_cap))
-        sign_end = np.where(before, d_sign, math.inf)
-        cap_end = np.where(live & (d < d_cap), d_cap, math.inf)
-        end = np.minimum(np.minimum(sign_end, cap_end), d_end)
-        return _Piece(live, up, above, alpha, beta, tau_x, end, sign_end)
+    def _scalar_flow(self, c, s, t, z, t1, with_vm=False):
+        """`_matrix_flow` for one device: q_p at t1 plus the transient z at t
+        times e^{A (t1 - t)}, and vm = u + Dq times the transient."""
+        a, dq = np.take(self._par[:2], c, axis=1)
+        qp = self._forced(c, self._segment(t), slice(2 if with_vm else 1), t1)
+        trans = z[:, 0] * np.exp(a * (t1 - t))
+        q1 = (qp[0] + trans)[:, None]
+        return (q1, (qp[1] + dq * trans)[:, None]) if with_vm else (q1,)
 
 
 def _log_sum_exp(x):
@@ -886,53 +759,31 @@ def _hist_codes(state, q, edges):
     return state * bins + np.minimum(b, bins - 1)
 
 
-def _pick(x, at):
-    """x[at], or x itself where it is one value (or None) for all rows."""
-    return x if x is None or np.ndim(x) == 0 else x[at]
+def _cancel(a, b):
+    """a + b, with sums that cancel to round-off set to 0 (so that vm's
+    forced response keeps the sign it has in exact arithmetic)."""
+    s = a + b
+    return np.where(np.abs(s) <= 4.0 * np.finfo(float).eps * (np.abs(a) + np.abs(b)), 0.0, s)
 
 
-def _exp_step(x, rate, gap):
-    """s with (rate / x)(1 - e^{-x s}) = gap: the hazard still to go when
-    the exponent falls linearly with slope x from here (gap / rate when
-    x = 0; nan beyond the reach of a decaying rate)."""
+def _integral(l0, l1, dt):
+    """The integral of e^{l0 + (l1 - l0) x / dt} over a window of length dt."""
+    d = l1 - l0
+    nz = d != 0.0
+    return np.exp(l0) * dt * np.where(nz, np.expm1(d) / np.where(nz, d, 1.0), 1.0)
+
+
+def _offset(l0, l1, dt, gap, total):
+    """Where the integral of e^{l0 + b x} (b = (l1 - l0) / dt) from 0
+    reaches gap: x = ln(1 + gap b e^{-l0}) / b (gap e^{-l0} where b = 0),
+    or inf where the window's integral, total, does not reach it."""
+    hit = gap < total
+    if not hit.any():       # no candidate in any of the windows
+        return np.full(hit.shape, math.inf)
+    b, rate = (l1 - l0) / dt, np.exp(l0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.where(x != 0.0, -np.log1p(-gap * x / rate) / x, gap / rate)
-
-
-_EPS = float(np.finfo(float).eps)
-_NEWTON_MAX_ITER = 100
-# trajectories per `_next_stops` pass: it holds some sixty temporaries of
-# this length, so batches keep its memory O(batch) rather than O(n)
-_STOP_BATCH = 4096
-
-
-class _Stops:
-    """Per trajectory: the next stop (time t, offset d = (t - t0)/tau into
-    the segment, whether a clock fires there and in which direction) and
-    the segment's charge endpoints q0 -> q_inf."""
-
-    def __init__(self, n):
-        self.t = np.empty(n)
-        self.d = np.empty(n)
-        self.fires = np.zeros(n, dtype=bool)
-        self.up = np.zeros(n, dtype=bool)
-        self.q_inf = np.empty(n)
-        self.q0 = np.empty(n)
-
-    def q_at(self, idx, d):
-        return self.q_inf[idx] + (self.q0[idx] - self.q_inf[idx]) * np.exp(-d)
-
-
-@dataclass
-class _Piece:
-    live: np.ndarray      # a rate is on (state and sign of vm allow it)
-    up: np.ndarray        # its direction
-    above: np.ndarray     # the rate sits at the ceiling
-    alpha: np.ndarray     # rate = exp(alpha + beta e^{-d}) / tau_x
-    beta: np.ndarray
-    tau_x: np.ndarray
-    end: np.ndarray       # where the piece ends
-    sign_end: np.ndarray  # the sign change, if that ends it
+        x = np.where(b != 0.0, np.log1p(gap * b / rate) / b, gap / rate)
+    return np.where(hit, np.minimum(np.maximum(x, 0.0), dt), math.inf)
 
 
 # --------------------------------------------------------------------------
@@ -965,7 +816,7 @@ def simulate_trajectory(netlist: Netlist, initial: CircuitState,
                         t_end: float, seed: int,
                         output_times: Optional[Sequence[float]] = None) -> TrajectoryRecord:
     """Sample one trajectory of the circuit's jump process: the n = 1 case
-    of the thinning path (closed-form charges under every source kind,
+    of `run_ensemble` (closed-form charges under every source kind,
     exact jump times), with `seed` as its master seed.  Its charges at the
     output times are the smallest charges of the record, which for one
     trajectory are its own; if it fails, TrajectoryFailure is raised.
@@ -997,10 +848,10 @@ def run_ensemble(netlist: Netlist, initial: CircuitState, t_end: float,
     estimates with standard errors and conditional charge histograms
     (see `EnsembleStats`).
 
-    A circuit with one memristor, one capacitor and one source under a
-    constant or step drive takes the exact path; every other run thins.
-    Thresholds come from counter-based Philox streams keyed by
-    master_seed, so results do not depend on batching.  Failed
+    Every run thins, with the scalar kernel pair for one memristor, one
+    capacitor and one source and the matrix pair otherwise.  Draws come
+    from counter-based Philox streams keyed by master_seed, so results do
+    not depend on batching or on the output times.  Failed
     trajectories are excluded and reported, never silently retried.  n and
     histogram_bins must be integers >= 1, and the times as for
     `simulate_trajectory`, else ValueError.

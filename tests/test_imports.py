@@ -1,10 +1,10 @@
 """scipy stays off memstoch's import path.
 
-Importing memstoch, and running the PDE, the thinning MC and the netlist
-engine, loads no scipy module; the closed forms and the MC exact path
-import `scipy.special` on first use.  A fresh interpreter checks which
-scipy modules each stage loads, and its results must equal, bit for bit,
-the same calls made here, where scipy is already loaded.
+Importing memstoch, and running the PDE and any MC ensemble, loads no
+scipy module; the closed forms import `scipy.special` on first use.  A
+fresh interpreter checks which scipy modules each stage loads, and its
+results must equal, bit for bit, the same calls made here, where scipy
+is already loaded.
 """
 
 import json
@@ -25,31 +25,31 @@ DEV = "STATES=2 R=100k,10k TAUUP=300k VUP=0.02 TAUDOWN=300k VDOWN=0.02"
 
 
 def numpy_only_runs():
-    """A thinning series ensemble, a two-branch netlist ensemble and a
-    3-state PDE run."""
+    """A sine series ensemble, a constant-drive ensemble, a two-branch
+    netlist ensemble and a 3-state PDE run."""
     model3 = MemristorModel.uniform((1e5, 3e4, 1e4), 10.0, 0.05)
     wave = Waveform.sine(0.0, 0.4, 200.0)
     series = series_mc(model3, 1e-7, wave)
     thin = run_ensemble(series, series.initial_state(), 0.005, [0.0025], 200, 5)
+    p = ConstantDriveParams.figure2()
+    model = MemristorModel.binary(p.R0, p.R1, p.tau0, p.V0)
+    const = series_mc(model, p.C, Waveform.constant(p.Va), p.q0)
+    constant = run_ensemble(const, const.initial_state(), 0.01, [0.005], 200, 7)
     net = parse_netlist(f"V1 in 0 DC 0.35\nM1 in a {DEV}\nC1 a 0 1u\n"
                         f"R1 in b 10k\nM2 b c {DEV}\nC2 c 0 1u\n")
     two = run_ensemble(net, net.initial_state(), 0.01, [0.005], 100, 6)
     grid = ChargeGrid.for_drive(1e-7, wave, 0.002, 100)
     field = DistributionField.from_delta(grid, 3, 0, 0.0)
     res = pde.run(field, 0.002, [0.001], SeriesCircuitParams(1e-7, wave), model3)
-    return {"thinning": thin.occupancy[0], "netlist_m0": two.occupancy[0],
-            "netlist_m1": two.occupancy[1], "pde": res.marginals}
+    return {"thinning": thin.occupancy[0], "constant": constant.occupancy[0],
+            "netlist_m0": two.occupancy[0], "netlist_m1": two.occupancy[1],
+            "pde": res.marginals}
 
 
 def scipy_runs():
-    """The constant-drive closed form and a constant-drive ensemble (the
-    MC exact path)."""
+    """The constant-drive closed form."""
     p = ConstantDriveParams.figure2()
-    model = MemristorModel.binary(p.R0, p.R1, p.tau0, p.V0)
-    net = series_mc(model, p.C, Waveform.constant(p.Va), p.q0)
-    exact = run_ensemble(net, net.initial_state(), 0.01, [0.005], 200, 7)
-    return {"p0": np.array([p0_constant_voltage(p, t) for t in (1e-3, 5e-3)]),
-            "exact": exact.occupancy[0]}
+    return {"p0": np.array([p0_constant_voltage(p, t) for t in (1e-3, 5e-3)])}
 
 
 CHILD = """

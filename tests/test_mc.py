@@ -177,21 +177,6 @@ def _thinning_only(monkeypatch):
     monkeypatch.setattr(mc, "_is_single_device", lambda netlist: False)
 
 
-def test_generic_engine_agrees_with_vectorized(monkeypatch, netlist, params):
-    times = np.linspace(0.0, 0.01, 5)
-    fast = run_ensemble(netlist, netlist.initial_state(), 0.01, times,
-                        1500, master_seed=5)
-    _thinning_only(monkeypatch)
-    slow = run_ensemble(netlist, netlist.initial_state(), 0.01, times, 1500, master_seed=5)
-    assert (fast.diagnostics["path"], slow.diagnostics["path"]) == ("exact", "thinning")
-    # thinning on a single-device circuit under a constant drive: same
-    # law as the exact path, agree within combined 5 sigma
-    for k in range(len(times)):
-        se = math.hypot(fast.stderr[0][k, 0], slow.stderr[0][k, 0])
-        assert abs(fast.occupancy[0][k, 0] - slow.occupancy[0][k, 0]) <= \
-            5.0 * max(se, 1e-3)
-
-
 def test_ensemble_bitwise_reproducible(netlist):
     times = np.linspace(0.0, 0.01, 5)
     runs = [run_ensemble(netlist, netlist.initial_state(), 0.01, times,
@@ -240,12 +225,12 @@ C1 b 0 1u
 """
 
 
-@pytest.mark.parametrize("path", ["exact", "thinning", "netlist"])
+@pytest.mark.parametrize("path", ["constant", "thinning", "netlist"])
 def test_ensemble_refuses_output_times_outside_the_run(params, model, path):
-    # unchecked, an output after t_end hangs the exact path and makes
-    # thinning run past t_end; t_end = inf under a sine never ends, and a
-    # nan time returns a nan row ("netlist": the matrix kernels)
-    net = {"exact": lambda: series_mc(model, params.C, Waveform.constant(params.Va)),
+    # unchecked, an output after t_end makes thinning run past t_end;
+    # t_end = inf under a sine never ends, and a nan time returns a nan row
+    # ("netlist": the matrix kernels)
+    net = {"constant": lambda: series_mc(model, params.C, Waveform.constant(params.Va)),
            "thinning": lambda: series_mc(model, params.C, Waveform.sine(0.0, 0.4, 200.0)),
            "netlist": lambda: parse_netlist(DIVIDER_TEXT)}[path]()
     with pytest.raises(ValueError, match="output time after t_end"):
@@ -317,7 +302,6 @@ M2 in 0 STATES=2 R=100k,10k TAUUP=300k VUP=0.02 TAUDOWN=300k VDOWN=0.02
     for occ, se in zip(stats.occupancy, stats.stderr):
         assert np.all(np.abs(occ[:, 0] - ref) <= 5.0 * np.maximum(se[:, 0], 1e-3))
     assert stats.n_failed == 0 and stats.events_down == 0
-    assert stats.diagnostics["path"] == "thinning"
 
 
 SIN_PAIR_TEXT = """
@@ -345,7 +329,7 @@ def test_sine_step_control_does_not_depend_on_the_output_grid(dt):
     ref = solve_ivp(rhs, (0.0, t_end), [1.0], t_eval=times, rtol=1e-11, atol=1e-13,
                     max_step=1e-4).y[0]
     stats = run_ensemble(net, net.initial_state(), t_end, times, n, master_seed=31)
-    assert stats.diagnostics["path"] == "thinning" and stats.n_failed == 0
+    assert stats.n_failed == 0
     assert np.array_equal(stats.times, times)
     for occ in stats.occupancy:
         assert np.all(np.abs(occ[:, 0] - ref) <= 4.0 * np.sqrt(ref * (1.0 - ref) / n))
@@ -458,72 +442,24 @@ def test_boundary_states_jump_inward_under_reverse_bias():
     assert np.allclose(stats.occupancy[0].sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
-# ------------------------------------- exact hazard inversion (vector MC)
+# ------------------------------------------------------------------ draws
+
+def test_threshold_streams_are_keyed_by_round_and_clock():
+    # draw k of trajectory i is entry i of Philox stream [master_seed, k]:
+    # candidate round r reads its acceptance from stream 2r + 1 and the
+    # next spacing from stream 2r + 2, whatever the other trajectories do
+    th = mc._Thresholds(99, 50)
+    got = th.take(np.array([7, 42, 3]), np.array([5, 2, 5]))
+    expect = [np.random.Generator(np.random.Philox(key=[99, k])).exponential(size=50)[i]
+              for i, k in ((7, 5), (42, 2), (3, 5))]
+    assert np.array_equal(got, expect)
+    assert np.array_equal(th.take(np.array([7, 3]), np.array([5, 5])), expect[::2])
+
 
 def _figure2_at(params, va, **model_kw):
     model = MemristorModel.binary(params.R0, params.R1, params.tau0, params.V0,
                                   **model_kw)
     return series_mc(model, params.C, Waveform.constant(va))
-
-
-def _round0_thresholds(master_seed, n):
-    # the first clock of trajectory i draws from Philox stream (seed, 0)
-    rng = np.random.Generator(np.random.Philox(key=[master_seed, 0]))
-    return rng.exponential(size=n)
-
-
-def test_threshold_streams_are_keyed_by_round_and_clock():
-    # the r-th threshold of clock m of trajectory i is entry i of Philox
-    # stream [master_seed, r M + m]; both engines draw through this helper
-    th = mc._Thresholds(99, 50, M=3)
-    rounds = np.array([[1, 4, 2], [3, 1, 1]])
-    got = th.draw(np.array([7, 42]), rounds, ([0, 1], [2, 0]), np.array([2, 0]))
-    expect = [np.random.Generator(np.random.Philox(key=[99, r * 3 + m])).exponential(size=50)[i]
-              for i, r, m in ((7, 2, 2), (42, 3, 0))]
-    assert np.array_equal(got, expect)
-    assert rounds.tolist() == [[1, 4, 3], [4, 1, 1]]
-
-
-def _check_first_events(stats, thresholds, t_end, a, b, tau, tau_x, v_x):
-    # deterministic: each first event against a 40-digit inversion of the
-    # same threshold along vm = a + b e^{-t/tau} (one sign throughout),
-    # H(t) = (tau/tau_x) e^alpha [Ei(beta) - Ei(beta e^{-t/tau})]
-    with mpmath.workdps(40):
-        a, b, tau, tau_x, v_x = (mpmath.mpf(v) for v in (a, b, tau, tau_x, v_x))
-        alpha, beta = a / v_x, b / v_x
-
-        def rate(t):
-            return mpmath.exp(alpha + beta * mpmath.exp(-t / tau)) / tau_x
-
-        def hazard(t):
-            if beta == 0:
-                return rate(0) * t
-            return tau / tau_x * mpmath.exp(alpha) * (
-                mpmath.ei(beta) - mpmath.ei(beta * mpmath.exp(-t / tau)))
-
-        h_end = hazard(mpmath.mpf(t_end))
-        assert np.any(~np.isnan(stats.first_event_times))
-        for t, e in zip(stats.first_event_times, thresholds):
-            assert (not math.isnan(t)) == (h_end >= e)
-            if math.isnan(t):
-                continue
-            e = mpmath.mpf(float(e))
-            assert abs(hazard(mpmath.mpf(float(t))) - e) <= 1e-12 * e
-            t_ref = mpmath.findroot(lambda s: hazard(s) - e, mpmath.mpf(float(t)))
-            cond = max(1, e / (rate(t_ref) * t_ref))
-            assert abs(float(t) - t_ref) <= 1e-12 * t_ref * cond
-
-
-@pytest.mark.parametrize("va", [0.35, 0.9])
-def test_first_events_match_mpmath_inversion(params, va):
-    n, seed, t_end = 600, 7, 1.0
-    net = _figure2_at(params, va)
-    stats = run_ensemble(net, net.initial_state(), t_end, [t_end], n, seed)
-    _check_first_events(stats, _round0_thresholds(seed, n), t_end, 0.0, va,
-                        params.C * params.R0, params.tau0, params.V0)
-    assert stats.diagnostics["path"] == "exact"
-    assert stats.diagnostics["newton_max"] <= 20
-    assert stats.diagnostics["rate_ceiling_hits"] == 0
 
 
 SHUNTED_TEXT = """
@@ -533,88 +469,12 @@ C1 n1 0 100n IC=35n
 R2 n1 0 100k
 """
 
-
-def test_shunted_first_events_match_mpmath_inversion():
-    # the shunt halves the drive: vm starts at 0.4 - 0.35 = 0.05 V and
-    # relaxes up to 0.2 V with tau = 100 nF * (100k || 100k) = 5 ms, so
-    # a = 0.2 and b = -0.15 keep vm positive without a sign change
-    n, seed, t_end = 500, 11, 0.02
-    net = parse_netlist(SHUNTED_TEXT)
-    stats = run_ensemble(net, net.initial_state(), t_end, [t_end], n, seed)
-    _check_first_events(stats, _round0_thresholds(seed, n), t_end,
-                        0.2, -0.15, 5e-3, 10.0, 0.03)
-    assert stats.diagnostics["sign_splits"] == 0
-
-
 CUT_OFF_TEXT = """
 V1 in 0 DC 0.3
 M1 in 0 STATES=2 R=100k,10k TAUUP=10 VUP=0.03 TAUDOWN=10 VDOWN=0.03 STATE=0
 C1 n1 0 100n
 R2 n1 0 100k
 """
-
-
-@pytest.mark.parametrize("case", ["cut_off", "at_asymptote"])
-def test_constant_voltage_segments_fire_at_threshold_over_rate(case):
-    # b = 0: vm is constant, so the first event is E tau_up e^{-vm/V_up}
-    n, seed, t_end = 500, 13, 0.05
-    if case == "cut_off":
-        # the capacitor has no path to the device (A = B = 0); vm = 0.3 V
-        net = parse_netlist(CUT_OFF_TEXT)
-        initial, vm = net.initial_state(), 0.3
-    else:
-        # the shunted circuit started on its fixed point, vm = 0.2 V
-        net = parse_netlist(SHUNTED_TEXT)
-        eng = mc._Ensemble(net, n, seed)
-        A, B = eng.per_state[:2]
-        q_inf = B[0] * 0.4 * (-1.0 / A[0])
-        initial, vm = CircuitState((0,), (q_inf,)), 0.2
-    stats = run_ensemble(net, initial, t_end, [t_end], n, seed)
-    expect = _round0_thresholds(seed, n) * 10.0 * math.exp(-vm / 0.03)
-    fired = ~np.isnan(stats.first_event_times)
-    assert np.array_equal(fired, expect <= t_end) and fired.any()
-    assert np.allclose(stats.first_event_times[fired], expect[fired],
-                       rtol=1e-12, atol=0.0)
-
-
-def test_step_drive_shifts_the_constant_drive_events(params, model):
-    n, seed, t_step, t_end = 800, 19, 0.01, 0.05
-    const = series_mc(model, params.C, Waveform.constant(params.Va))
-    step = series_mc(model, params.C, Waveform.step(params.Va, t_step))
-    a = run_ensemble(const, const.initial_state(), t_end, [t_end], n, seed)
-    b = run_ensemble(step, step.initial_state(), t_step + t_end, [t_step + t_end],
-                     n, seed)
-    fired = ~np.isnan(a.first_event_times)
-    assert np.array_equal(fired, ~np.isnan(b.first_event_times)) and fired.any()
-    shifted = t_step + a.first_event_times[fired]
-    assert np.all(np.abs(b.first_event_times[fired] - shifted) <= 1e-12 * shifted)
-
-
-def test_rate_ceiling_segments_are_exact(params):
-    # at 0.35 V the rate starts at 130 /s; a ceiling of 100 /s holds it
-    # constant until the relaxing voltage brings it below
-    ceiling, n, seed, t_end = 100.0, 300, 5, 0.05
-    net = _figure2_at(params, params.Va, rate_ceiling=ceiling)
-    stats = run_ensemble(net, net.initial_state(), t_end, [t_end], n, seed)
-    assert stats.diagnostics["ceiling_splits"] > 0
-    # every trajectory starts on a capped piece
-    assert stats.diagnostics["rate_ceiling_hits"] >= n
-    with mpmath.workdps(40):
-        tau = mpmath.mpf(params.C) * mpmath.mpf(params.R0)
-        tau0 = mpmath.mpf(params.tau0)
-        x = mpmath.mpf(params.Va) / mpmath.mpf(params.V0)
-        t_cap = tau * mpmath.log(x / mpmath.log(ceiling * tau0))
-
-        def hazard(t):
-            if t <= t_cap:
-                return ceiling * t
-            return ceiling * t_cap + tau / tau0 * (
-                mpmath.ei(x * mpmath.exp(-t_cap / tau)) - mpmath.ei(x * mpmath.exp(-t / tau)))
-
-        for t, e in zip(stats.first_event_times, _round0_thresholds(seed, n)):
-            assert (not math.isnan(t)) == (hazard(mpmath.mpf(t_end)) >= e)
-            if not math.isnan(t):
-                assert abs(hazard(mpmath.mpf(float(t))) - e) <= 1e-12 * e
 
 
 @pytest.mark.parametrize("path", ["thinning", "netlist"])
@@ -630,34 +490,8 @@ def test_rate_ceiling_hits_count_the_capped_rates(monkeypatch, params, path):
                                       rate_ceiling=ceiling)
         net = series_mc(model, params.C, Waveform.sine(0.35, 0.05, 50.0))
         stats = run_ensemble(net, net.initial_state(), 0.01, [0.01], 200, 3)
-        assert stats.diagnostics["path"] == "thinning"
         counts.append(stats.diagnostics["rate_ceiling_hits"])
     assert counts[0] == 0 and counts[1] > 0
-
-
-SIGN_CHANGE_TEXT = """
-V1 in 0 DC 0.4
-M1 in n1 STATES=3 R=100k,30k,10k TAUUP=10,10 VUP=0.03,0.03 TAUDOWN=10,10 VDOWN=0.03,0.03 STATE=1
-C1 n1 0 100n IC=70n
-R2 n1 0 30k
-"""
-
-
-def test_sign_change_within_a_segment_agrees_with_generic_engine(monkeypatch):
-    # the capacitor starts at 0.7 V, so vm = -0.3 V and then rises through
-    # zero towards +0.2 V (state 1): down events first, up events after;
-    # the exact path against thinning
-    net = parse_netlist(SIGN_CHANGE_TEXT)
-    times = np.linspace(0.0, 0.005, 6)
-    fast = run_ensemble(net, net.initial_state(), 0.005, times, 4000, master_seed=3)
-    _thinning_only(monkeypatch)
-    slow = run_ensemble(net, net.initial_state(), 0.005, times, 400, master_seed=3)
-    assert slow.diagnostics["path"] == "thinning"
-    assert fast.diagnostics["sign_splits"] > 0
-    assert fast.events_up > 0 and fast.events_down > 0
-    se = np.hypot(fast.stderr[0], slow.stderr[0])
-    assert np.all(np.abs(fast.occupancy[0] - slow.occupancy[0])
-                  <= 5.0 * np.maximum(se, 1e-3))
 
 
 @pytest.mark.parametrize("wave", [Waveform.constant(0.35), Waveform.sine(0.0, 0.4, 200.0)])
@@ -737,6 +571,14 @@ def _quad_hazard(rate):
     return at
 
 
+SIGN_CHANGE_TEXT = """
+V1 in 0 DC 0.4
+M1 in n1 STATES=3 R=100k,30k,10k TAUUP=10,10 VUP=0.03,0.03 TAUDOWN=10,10 VDOWN=0.03,0.03 STATE=1
+C1 n1 0 100n IC=70n
+R2 n1 0 30k
+"""
+
+
 def _ks_first_events(first, t_end, hazard_at, knots=()):
     """KS distance of the first events `first` (nan = none by t_end) from
     P(T1 <= t) = 1 - exp(-H(t)), its bound at level 1e-6, and the z-score
@@ -759,45 +601,110 @@ def _ks_first_events(first, t_end, hazard_at, knots=()):
     return d, kstwo.isf(1e-6, n), (capped.mean() - mean) / (capped.std() / math.sqrt(n))
 
 
-KS_CASES = ["sine_three_state", "figure2_strong_sine", "pwl_three_state_reversing"]
+def _decay_hazard(vm0, tau, tau_x, v_x, vm_inf=0.0, t_on=0.0, cap=math.inf):
+    """nodes -> H, the closed-form hazard (`hazard_integral`) of the rate
+    min(e^{|vm| / v_x} / tau_x, cap) along vm = vm_inf + (vm0 - vm_inf)
+    e^{-(t - t_on) / tau} after t_on (H = 0 before), through the sign
+    change of vm if there is one.  The cap may act only on a decaying |vm|
+    from t_on on."""
+    a, b = vm_inf / v_x, (vm0 - vm_inf) / v_x
+    # vm / v_x = a + b e^{-d} changes sign once, at d_sign, if a b < 0 and |b| > |a|
+    d_sign = math.log(-b / a) if a * b < 0.0 and abs(b) > abs(a) else math.inf
+    s0 = math.copysign(1.0, a + b)
+    d_cap = max(math.log(s0 * b / (math.log(cap * tau_x) - s0 * a)), 0.0) if cap < math.inf else 0.0
+
+    def hazard(t):
+        t = np.asarray(t, dtype=float)
+        d = np.maximum(t.ravel() - t_on, 0.0) / tau
+        dc = np.minimum(d, d_cap)
+        ds = np.maximum(np.minimum(d, d_sign), dc)
+        h = tau / tau_x * (hazard_integral(s0 * a, s0 * b, dc, ds)[0]
+                           + hazard_integral(-s0 * a, -s0 * b, ds, d)[0])
+        return (h + cap * tau * dc if d_cap > 0.0 else h).reshape(t.shape)
+    return lambda nodes: hazard
 
 
-def _check_series_ks(monkeypatch, params, model, case, kernels):
-    if case == "sine_three_state":
-        m, C, wave, t_end = SINE3, 1e-7, Waveform.sine(0.0, 0.4, 200.0), 0.005
-    elif case == "figure2_strong_sine":
-        m, C, wave, t_end = model, params.C, Waveform.sine(0.9, 0.05, 50.0), 0.01
-    else:
-        m, C, wave, t_end = SINE3, 1e-7, REVERSING_PWL, 0.006
-    net = series_mc(m, C, wave)
+KS_CASES = ["sine_three_state", "figure2_strong_sine", "pwl_three_state_reversing",
+            "figure2_0.35V", "figure2_0.9V", "shunted", "sign_change", "cut_off",
+            "at_asymptote", "step_shift", "rate_ceiling"]
+
+
+def _ks_case(case, params, model):
+    """A first-event law: netlist, initial state, t_end, hazard_at and knots."""
+    drives = {"sine_three_state": (SINE3, 1e-7, Waveform.sine(0.0, 0.4, 200.0), 0.005),
+              "figure2_strong_sine": (model, params.C, Waveform.sine(0.9, 0.05, 50.0), 0.01),
+              "pwl_three_state_reversing": (SINE3, 1e-7, REVERSING_PWL, 0.006)}
+    figure2 = (params.R0 * params.C, params.tau0, params.V0)
+    if case in drives:
+        m, C, wave, t_end = drives[case]
+        net = series_mc(m, C, wave)
+        return (net, net.initial_state(), t_end, _quad_hazard(_series_state0_rate(m, C, wave)),
+                wave.breakpoint_times())
+    if case in ("figure2_0.35V", "figure2_0.9V"):     # vm = va e^{-t / (R0 C)}
+        va = float(case[8:-1])
+        net = _figure2_at(params, va)
+        return net, net.initial_state(), 0.05, _decay_hazard(va, *figure2), ()
+    if case == "rate_ceiling":
+        # at 0.35 V the rate starts at 130 /s; a ceiling of 100 /s holds it
+        # until the relaxing voltage brings it below
+        net = _figure2_at(params, params.Va, rate_ceiling=100.0)
+        return net, net.initial_state(), 0.05, _decay_hazard(params.Va, *figure2, cap=100.0), ()
+    if case == "step_shift":        # the constant drive's law, 10 ms later
+        net = series_mc(model, params.C, Waveform.step(params.Va, 0.01))
+        hazard_at = _decay_hazard(params.Va, *figure2, t_on=0.01)
+        return net, net.initial_state(), 0.06, hazard_at, (0.01,)
+    if case == "shunted":
+        # the shunt halves the drive: vm starts at 0.4 - 0.35 = 0.05 V and
+        # relaxes up to 0.2 V with tau = 100 nF * (100k || 100k) = 5 ms
+        net = parse_netlist(SHUNTED_TEXT)
+        return net, net.initial_state(), 0.02, _decay_hazard(0.05, 5e-3, 10.0, 0.03, 0.2), ()
+    if case == "sign_change":
+        # the capacitor starts at 0.7 V, so vm = -0.3 V (down events) and
+        # rises through zero at 1.5 ms ln 2.5 towards +0.2 V (up events)
+        net = parse_netlist(SIGN_CHANGE_TEXT)
+        return (net, net.initial_state(), 0.005, _decay_hazard(-0.3, 1.5e-3, 10.0, 0.03, 0.2),
+                (1.5e-3 * math.log(2.5),))
+    if case == "cut_off":
+        # the capacitor has no path to the device (A = B = 0): vm = 0.3 V
+        net = parse_netlist(CUT_OFF_TEXT)
+        return net, net.initial_state(), 0.05, _decay_hazard(0.3, 1.0, 10.0, 0.03, 0.3), ()
+    # the shunted circuit started on its fixed point (20 nC): vm = 0.2 V
+    net = parse_netlist(SHUNTED_TEXT)
+    return net, CircuitState((0,), (2e-8,)), 0.05, _decay_hazard(0.2, 5e-3, 10.0, 0.03, 0.2), ()
+
+
+def _check_ks(monkeypatch, params, model, case, kernels):
+    net, initial, t_end, hazard_at, knots = _ks_case(case, params, model)
     n = 100_000
     if kernels == "matrix":
         _thinning_only(monkeypatch)
-    stats = run_ensemble(net, net.initial_state(), t_end, [t_end], n, master_seed=17)
-    assert stats.diagnostics["path"] == "thinning"
+    stats = run_ensemble(net, initial, t_end, [t_end], n, master_seed=17)
     assert stats.n_failed == 0 and stats.n == n
     fired = np.isfinite(stats.first_event_times).sum()
     assert 0 < fired
-    d, bound, z_mean = _ks_first_events(stats.first_event_times, t_end,
-                                        _quad_hazard(_series_state0_rate(m, C, wave)),
-                                        wave.breakpoint_times())
+    d, bound, z_mean = _ks_first_events(stats.first_event_times, t_end, hazard_at, knots)
     assert d < bound and abs(z_mean) < 5.0
-    if case == "figure2_strong_sine":
+    if case in ("figure2_strong_sine", "figure2_0.9V"):
         assert fired == n and np.nanmax(stats.first_event_times) < 1e-12
+    if case == "sign_change":
+        assert stats.events_up > 0 and stats.events_down > 0
+    if case == "rate_ceiling":
+        assert stats.diagnostics["rate_ceiling_hits"] > 0
 
 
 @pytest.mark.parametrize("case", KS_CASES)
 def test_first_events_pass_ks_against_mpmath(monkeypatch, params, model, case):
     # before its first event every trajectory follows one deterministic
-    # path, so T1 has the CDF 1 - exp(-H(t)); at 0.9 V the Figure-2 device
-    # fires within about 1e-14 s, which the thinning draws exactly
-    _check_series_ks(monkeypatch, params, model, case, "scalar")
+    # path, so T1 has the CDF 1 - exp(-H(t)), with H from mpmath
+    # quadrature or the closed form; at 0.9 V the Figure-2 device fires
+    # within about 1e-14 s, which the thinning draws exactly
+    _check_ks(monkeypatch, params, model, case, "scalar")
 
 
 @pytest.mark.parametrize("case", KS_CASES)
 def test_netlist_engine_first_events_pass_ks_against_mpmath(monkeypatch, params, model, case):
     # the same cases on the matrix kernels, with one clock and one mode
-    _check_series_ks(monkeypatch, params, model, case, "matrix")
+    _check_ks(monkeypatch, params, model, case, "matrix")
 
 
 def test_thinning_does_not_depend_on_the_ensemble_size():
@@ -862,16 +769,6 @@ def _first_events_of(eng, m):
     return first
 
 
-def _decay_hazard(vm0, tau, tau_x, v_x):
-    """nodes -> H, the closed-form hazard of the rate e^{vm / v_x} / tau_x
-    along vm = vm0 e^{-t / tau} (`hazard_integral`)."""
-    def hazard(t):
-        t = np.asarray(t, dtype=float)
-        return (tau / tau_x * hazard_integral(0.0, vm0 / v_x, 0.0, t.ravel() / tau)[0]
-                ).reshape(t.shape)
-    return lambda nodes: hazard
-
-
 @pytest.mark.parametrize("source, t_end", TWO_BRANCH_CASES, ids=["dc", "sine"])
 def test_netlist_first_events_pass_ks(source, t_end):
     # each memristor's first event has the CDF 1 - exp(-H(t)) of its own
@@ -882,7 +779,6 @@ def test_netlist_first_events_pass_ks(source, t_end):
     device = net.memristors[0].model
     eng = mc._Ensemble(net, n, 17)
     stats = eng.run(net.initial_state(), [t_end])
-    assert stats.diagnostics["path"] == "thinning"
     assert stats.n_failed == 0 and stats.n == n
     firsts = [_first_events_of(eng, m) for m in range(2)]
     assert np.array_equal(stats.first_event_times, np.fmin(*firsts), equal_nan=True)
@@ -905,7 +801,6 @@ def test_netlist_thinning_does_not_depend_on_the_ensemble_size(source, t_end):
     times = np.linspace(0.0, t_end, 11)
     a = run_ensemble(net, net.initial_state(), t_end, times, 400, master_seed=21)
     b = run_ensemble(net, net.initial_state(), t_end, times, 150, master_seed=21)
-    assert a.diagnostics["path"] == "thinning"
     assert np.array_equal(a.first_event_times[:150], b.first_event_times, equal_nan=True)
     assert np.isfinite(b.first_event_times).sum() > 30
 
@@ -977,7 +872,6 @@ def test_ensemble_histograms_match_the_per_state_loop(monkeypatch, wave, C, t_en
     net = series_mc(SINE3, C, wave)
     stats = run_ensemble(net, net.initial_state(), t_end, np.linspace(0.0, t_end, 6),
                          2000, master_seed=5, histogram_bins=30)
-    assert stats.diagnostics["path"] == ("thinning" if wave.kind == "sine" else "exact")
     assert len(seen) == len(stats.histograms) == 6
     for (ref, ref_edges), (h, edges) in zip(seen, stats.histograms):
         assert np.array_equal(h, ref) and np.array_equal(edges, ref_edges)
@@ -992,53 +886,87 @@ def test_ensemble_histograms_match_the_per_state_loop(monkeypatch, wave, C, t_en
 
 def _reference_evolve(self, initial, outputs):
     """The thinning loop as written with one row per trajectory: every
-    trajectory, switched or not, runs through windows of its own."""
-    n, (window, candidates, rows_of) = self.n, self.kernels
+    trajectory, switched or not, runs through windows of its own, cut at
+    breakpoints, the slack and t_end alone.  Until its first jump a row
+    compares its level, a sum of spacings since the start, with its
+    envelope integral lam, as the shared row does; after it, it keeps its
+    gap G from the window start."""
+    n, t_end, (window, flow, rows_of) = self.n, outputs[-1], self.kernels
     S = np.tile(np.array(initial.memristor_states, dtype=np.int64), (n, 1))
     Q = np.tile(np.array(initial.capacitor_charges, dtype=float), (n, 1))
     T, R = np.full(n, float(initial.time)), np.full(n, rows_of(self, S[:1])[0])
-    lam, lev = np.zeros(n), self.candidates.stream(0).copy()
+    E, L0, L1, G = (np.zeros(n) for _ in range(4))
+    Q1 = np.zeros_like(Q)
+    lam, lev, fresh = np.zeros(n), self.candidates.stream(0).copy(), np.ones(n, dtype=bool)
     self._rounds = np.zeros(n, dtype=np.int64)
     tries = np.zeros(n, dtype=np.int64)
-    self._reset(dict(path="thinning", windows=0, candidates=0, accepted=0, rows_max=0,
-                     runaway_failures=0, configurations=0, rate_ceiling_hits=0))
+    self._reset()
+
+    def gap(i):
+        return np.where(fresh[i], lev[i] - lam[i], G[i])
+
+    def open_windows(i, charged=False):
+        E[i], L0[i], L1[i], Q[i], Q1[i] = window(self, R[i], S[i], T[i], Q[i], t_end,
+                                                 np.full(i.size, charged))
+        assert (E[i] > T[i]).all()
+
+    def total(i):
+        """The envelope's integral over the windows of rows i."""
+        return mc._integral(L0[i], L1[i], E[i] - T[i])
+
+    def offset(i):
+        """Where the next candidates of rows i fall in their windows."""
+        return mc._offset(L0[i], L1[i], E[i] - T[i], gap(i), total(i))
+
+    def due(i, t_out):
+        """Rows i with a candidate before t_out."""
+        x = offset(i)
+        return i[(x < math.inf) & ((T[i] + x < t_out) | (E[i] < t_out))]
+
+    open_windows(np.arange(n), True)
     for t_out in outputs:
         tries[:] = 0
         act = np.flatnonzero(T < t_out)
         while act.size:
-            s = S[act]
-            t1, dt, total, q1, w = window(self, R[act], s, T[act], Q[act], t_out)
-            assert (dt > 0.0).all()
-            live = np.ones(act.size, dtype=bool)
-            at = np.flatnonzero(lev[act] - lam[act] < total)
-            while at.size:
-                j = act[at]
+            j = due(act, t_out)
+            while j.size:
                 tries[j] += 1
                 over = tries[j] > mc.MAX_CANDIDATES
                 self.failures += [(int(i), f"more than {mc.MAX_CANDIDATES} candidates within one "
                                    f"output interval at t = {t_out:.9g} s") for i in j[over]]
-                T[j[over]], live[at[over]] = math.inf, False
-                at, j = at[~over], j[~over]
-                ok, t_c, q_c, m, up, spacing = candidates(self, w, at, j, lev[j] - lam[j])
+                T[j[over]] = E[j[over]] = math.inf
+                j = j[~over]
+                x = offset(j)
+                ok, t_c, q_c, m, up, spacing = self._candidates(
+                    R[j], S[j], T[j], Q[j], L0[j], L1[j], E[j] - T[j], j, x)
                 self.diag["candidates"] += j.size
                 self.diag["accepted"] += int(ok.sum())
                 i, m = j[ok], m[ok]
-                S[i] = s[at[ok]]
                 S[i, m] += np.where(up[ok], 1, -1)
                 R[i] = rows_of(self, S[i])
-                T[i], Q[i], lam[i], lev[i] = t_c[ok], q_c[ok], 0.0, spacing[ok]
+                T[i], Q[i], G[i], fresh[i] = t_c[ok], q_c[ok], spacing[ok], False
+                open_windows(i, True)
                 self.log.append((t_c[ok], i, m, up[ok]))
-                live[at[ok]] = False
-                at, j = at[~ok], j[~ok]
-                lev[j] += spacing[~ok]
-                at = at[lev[j] - lam[j] < total[at]]
-            keep = act[live]
-            T[keep], Q[keep] = t1[live], q1[live]
-            lam[keep] += total[live]
-            act = act[T[act] < t_out]
+                k = j[~ok]
+                lev[k] += np.where(fresh[k], spacing[~ok], 0.0)
+                G[k] += np.where(fresh[k], 0.0, spacing[~ok])
+                j = due(k, t_out)
+            # windows that end before t_out with no candidate left in them
+            act = act[T[act] < math.inf]
+            full = total(act)
+            ends = act[(E[act] < t_out) & (gap(act) >= full)]
+            full = full[(E[act] < t_out) & (gap(act) >= full)]
+            lam[ends] += np.where(fresh[ends], full, 0.0)
+            G[ends] -= np.where(fresh[ends], 0.0, full)
+            T[ends], Q[ends] = E[ends], Q1[ends]
+            open_windows(ends)
+            act = act[(T[act] < t_out) & ((E[act] < t_out) | np.isin(act, due(act, t_out)))]
         if len(self.failures) == n:
             raise mc.TrajectoryFailure(f"all trajectories failed: {self.failures[-1][1]}")
-        self._record(S, Q, T < math.inf)
+        live = T < math.inf
+        q = Q.copy()
+        q[live] = flow(self, R[live], S[live], T[live], Q[live], t_out)[0]
+        self._record(S, q, live)
     self.diag["runaway_failures"] = len(self.failures)
 
 
@@ -1069,7 +997,6 @@ def test_shared_row_is_bit_identical_to_the_per_row_loop(monkeypatch, params, mo
     new = run_ensemble(net, net.initial_state(), t_end, times, n, seed)
     monkeypatch.setattr(mc._Ensemble, "_evolve", _reference_evolve)
     ref = run_ensemble(net, net.initial_state(), t_end, times, n, seed)
-    assert new.diagnostics["path"] == "thinning"
     for a, b in zip(new.occupancy + new.stderr, ref.occupancy + ref.stderr):
         assert np.array_equal(a, b)
     assert len(new.histograms) == len(ref.histograms) == times.size
@@ -1091,40 +1018,86 @@ def test_shared_row_is_bit_identical_to_the_per_row_loop(monkeypatch, params, mo
         assert new.diagnostics["rows_max"] == n
 
 
-@pytest.mark.parametrize("wave, t_end, seed", [
-    (Waveform.sine(0.0, 0.4, 200.0), 0.005, 100), (REVERSING_PWL, 0.006, 101),
-], ids=["sine", "pwl"])
-def test_scalar_and_matrix_kernels_agree(monkeypatch, wave, t_end, seed):
+def _grid_case(case, params, model):
+    """Netlist, t_end and trajectories of an output-grid case."""
+    if case == "mc_const":          # the benchmark's constant drive
+        return series_mc(model, params.C, Waveform.constant(params.Va)), 1.0, 10_000
+    if case == "step":
+        return series_mc(model, params.C, Waveform.step(params.Va, 0.01)), 0.05, 5000
+    if case == "reverse_bias_g3":
+        return _sine3_net(), 0.005, 20_000
+    (source, t_end), = [c for c in TWO_BRANCH_CASES
+                        if c[0].startswith({"netlist_dc": "DC", "netlist_sine": "SIN"}[case])]
+    return _two_branch(source), t_end, 2000
+
+
+@pytest.mark.parametrize("case", ["mc_const", "step", "reverse_bias_g3", "netlist_dc",
+                                  "netlist_sine"])
+def test_windows_do_not_depend_on_the_output_grid(params, model, case):
+    # output times only read the rows' charges: 2 and 21 outputs run the
+    # same windows and draw the same candidates, bit for bit (the last
+    # three: the scalar pair under a sine, the matrix pair under DC and a
+    # sine)
+    net, t_end, n = _grid_case(case, params, model)
+    runs = [run_ensemble(net, net.initial_state(), t_end, np.linspace(0.0, t_end, k), n, 23)
+            for k in (2, 21)]
+    a, b = runs
+    assert np.array_equal(a.first_event_times, b.first_event_times, equal_nan=True)
+    assert np.isfinite(a.first_event_times).sum() > 0.05 * n
+    assert (a.events_up, a.events_down) == (b.events_up, b.events_down)
+    for key in ("windows", "candidates", "accepted", "rows_max"):
+        assert a.diagnostics[key] == b.diagnostics[key]
+    assert np.array_equal(a.occupancy[0][-1], b.occupancy[0][-1])
+    assert all(np.array_equal(x, y) for x, y in zip(a.histograms[-1], b.histograms[-1]))
+
+
+def _agreement_case(case, params, model):
+    """Netlist, t_end and seed of a scalar-matrix case."""
+    if case == "sine":
+        return series_mc(SINE3, 1e-7, Waveform.sine(0.0, 0.4, 200.0)), 0.005, 100
+    if case == "pwl":
+        return series_mc(SINE3, 1e-7, REVERSING_PWL), 0.006, 101
+    if case == "constant":          # the Figure-2 point
+        return series_mc(model, params.C, Waveform.constant(params.Va)), 0.01, 5
+    # vm from -0.3 V through zero to +0.2 V within the one DC segment
+    return parse_netlist(SIGN_CHANGE_TEXT), 0.005, 3
+
+
+@pytest.mark.parametrize("case", ["sine", "pwl", "constant", "sign_change"])
+def test_scalar_and_matrix_kernels_agree(monkeypatch, params, model, case):
     # one device: the per-state closed forms and the eigenmode flow draw
     # the same candidates, so they accept the same ones.  Event times agree
     # to round-off, amplified where a level is found as the difference of
-    # two large envelope integrals: up to 1.6e-12 relative under the PWL
-    net = series_mc(SINE3, 1e-7, wave)
+    # two large envelope integrals of the shared row: up to 9.3e-14
+    # relative under the PWL and 9.3e-13 through the sign change
+    net, t_end, seed = _agreement_case(case, params, model)
+    n = 20_000
     times = np.linspace(0.0, t_end, 21)
-    scalar = run_ensemble(net, net.initial_state(), t_end, times, 20_000, seed)
+    scalar = run_ensemble(net, net.initial_state(), t_end, times, n, seed)
     _thinning_only(monkeypatch)
-    matrix = run_ensemble(net, net.initial_state(), t_end, times, 20_000, seed)
+    matrix = run_ensemble(net, net.initial_state(), t_end, times, n, seed)
     assert "configurations" in scalar.diagnostics
     assert np.array_equal(scalar.occupancy[0], matrix.occupancy[0])
     assert (scalar.events_up, scalar.events_down) == (matrix.events_up, matrix.events_down)
-    assert scalar.events_down > 0
+    assert (scalar.events_down > 0) == (case != "constant")
     a, b = scalar.first_event_times, matrix.first_event_times
     assert np.array_equal(np.isnan(a), np.isnan(b)) and np.isfinite(a).sum() > 1000
-    assert np.allclose(a, b, rtol=1e-11, atol=0.0, equal_nan=True)
+    rtol = {"sine": 1e-14, "pwl": 2e-13, "constant": 1e-14, "sign_change": 2e-12}[case]
+    assert np.allclose(a, b, rtol=rtol, atol=0.0, equal_nan=True)
 
 
 def test_stepped_events_count_only_finished_trajectories(monkeypatch):
     # the event totals are the accepted candidates of the trajectories
     # that finish
     accepted = []
-    candidates = mc._Ensemble._scalar_candidates
+    candidates = mc._Ensemble._candidates
 
-    def spy(self, w, at, ids, gap):
-        out = candidates(self, w, at, ids, gap)
+    def spy(self, c, s, t, q, l0, l1, dt, ids, x):
+        out = candidates(self, c, s, t, q, l0, l1, dt, ids, x)
         accepted.append(ids[out[0]])
         return out
 
-    monkeypatch.setattr(mc._Ensemble, "_scalar_candidates", spy)
+    monkeypatch.setattr(mc._Ensemble, "_candidates", spy)
     monkeypatch.setattr(mc, "MAX_CANDIDATES", 1)
     net = _sine3_net()
     stats = run_ensemble(net, net.initial_state(), 0.005, np.linspace(0.0, 0.005, 21),

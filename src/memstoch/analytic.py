@@ -1,13 +1,15 @@
 """Closed-form results for the series binary memristor-capacitor circuit.
 
 Contains Ei and the hazard of an exponential rate along an RC relaxation,
-the RC charge trajectory, the no-switching
-transport of a charge density along the circuit's characteristics, and the
-unidirectional-switching solutions: exact survival under constant drive, the
-mean switching time, the large-drive asymptotic no-switch probability and the
-general two-density quadrature solution.  scipy is imported on first use:
-`scipy.special` by Ei, `scipy.integrate` and `scipy.optimize` by the other
-closed forms.
+the RC characteristics in closed form (`_Paths`: the forced charge of
+`circuit.forced_charge` plus a decaying transient), the no-switching
+transport of a charge density along them, and the unidirectional-switching
+solutions: exact survival under constant drive, the mean switching time,
+the large-drive asymptotic no-switch probability and the general
+two-density solution, whose integrals run on Gauss-Legendre panels over
+array calls of `device.switching_rate`.  scipy is imported on first use:
+`scipy.special` by Ei, `scipy.integrate` by `Density1D.mass` and
+`mean_switching_time`.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .circuit import Waveform
-from .device import MemristorModel
+from .circuit import Waveform, forced_charge
+from .device import MemristorModel, switching_rate
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -37,11 +39,6 @@ def _expi(x):
 def _quad(*args, **kwargs):
     from scipy.integrate import quad
     return quad(*args, **kwargs)
-
-
-def _brentq(*args, **kwargs):
-    from scipy.optimize import brentq
-    return brentq(*args, **kwargs)
 
 
 # --------------------------------------------------------------------------
@@ -102,27 +99,22 @@ def _ei_scaled(x):
 def ei_term(alpha, beta, d):
     """One end of the hazard integral below, at u = d.
 
-    Returns (T, small, rate, noise) with x = beta e^{-d} and rate =
-    exp(alpha + x).  For |x| >= 1, T = e^alpha Ei(x); for |x| < 1 (small)
-    T = e^alpha (Ei(x) - gamma - ln|beta|), which stays finite when x
-    underflows to 0 and is exact for beta = 0.  noise / eps bounds the
-    rounding error of T, which the rounding of alpha and x sets."""
+    Returns (T, small) with x = beta e^{-d}: for |x| >= 1, T = e^alpha
+    Ei(x); for |x| < 1 (small) T = e^alpha (Ei(x) - gamma - ln|beta|),
+    which stays finite when x underflows to 0 and is exact for beta = 0."""
     x = beta * np.exp(-d)
     small = np.abs(x) < 1.0
     # e^alpha Ei(x) as a product while neither factor over- or underflows
     direct = ~small & (np.abs(x) <= 500.0) & (np.abs(alpha) <= 200.0)
     scaled = ~small & ~direct
     t = np.empty_like(x)
-    cond = 1.0 + np.abs(alpha) + np.abs(x)
     with np.errstate(over="ignore", under="ignore"):
-        rate = np.exp(alpha + x)
         t[small] = np.exp(alpha[small]) * (_ei_log_free(x[small]) - d[small])
         if direct.any():
-            xu, inv = np.unique(x[direct], return_inverse=True)
-            t[direct] = np.exp(alpha[direct]) * _expi(xu)[inv]
+            t[direct] = np.exp(alpha[direct]) * _expi(x[direct])
         if scaled.any():
-            t[scaled] = rate[scaled] * _ei_scaled(x[scaled])
-    return t, small, rate, np.abs(t) * cond
+            t[scaled] = np.exp(alpha[scaled] + x[scaled]) * _ei_scaled(x[scaled])
+    return t, small
 
 
 def hazard_integral(alpha, beta, d0, d1):
@@ -131,37 +123,81 @@ def hazard_integral(alpha, beta, d0, d1):
     With u = (t - t_s)/tau this is tau_x/tau times the hazard of the rate
     exp(vm/V_x)/tau_x along vm = a + b e^{-(t - t_s)/tau} (alpha = a/V_x,
     beta = b/V_x): the closed form e^alpha [Ei(beta e^{-d0}) - Ei(beta
-    e^{-d1})], or Gauss-Legendre where that difference cancels.
-
-    Returns (I, scale, rate_end): |I - exact| is a few eps * scale, the
-    rounding of the terms I was formed from; rate_end = exp(alpha +
-    beta e^{-d1}) is dI/dd1."""
+    e^{-d1})], or one Gauss-Legendre panel where that difference cancels."""
     alpha, beta, d0, d1 = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (alpha, beta, d0, d1)))
-    t0, small0, _, noise0 = ei_term(alpha, beta, d0)
-    t1, small1, rate1, noise1 = ei_term(alpha, beta, d1)
+    t0, small0 = ei_term(alpha, beta, d0)
+    t1, small1 = ei_term(alpha, beta, d1)
     out = t0 - t1
-    scale = noise0 + noise1
     mixed = small1 & ~small0
     if mixed.any():
         # T1 lacks e^alpha (gamma + ln|beta|); beta != 0 since |x0| >= 1
-        am = alpha[mixed]
-        k = np.exp(am) * (EULER_GAMMA + np.log(np.abs(beta[mixed])))
-        out[mixed] -= k
-        scale[mixed] += np.abs(k) * (1.0 + np.abs(am))
-    width = d1 - d0
-    abs_x0 = np.abs(beta * np.exp(-d0))
-    quad_ = width * np.maximum(abs_x0, 1.0) < _GL_SWITCH
+        out[mixed] -= np.exp(alpha[mixed]) * (EULER_GAMMA + np.log(np.abs(beta[mixed])))
+    quad_ = (d1 - d0) * np.maximum(np.abs(beta * np.exp(-d0)), 1.0) < _GL_SWITCH
     if quad_.any():
-        a, b, lo, w = alpha[quad_], beta[quad_], d0[quad_], width[quad_]
-        acc = np.zeros_like(a)
         with np.errstate(under="ignore"):
-            for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-                u = lo + 0.5 * w * (node + 1.0)
-                acc += weight * np.exp(a + b * np.exp(-u))
-        out[quad_] = 0.5 * w * acc
-        scale[quad_] = out[quad_] * (1.0 + np.abs(a) + abs_x0[quad_])
-    return out, scale, rate1
+            out[quad_] = _panels(lambda u, a, b: np.exp(a + b * np.exp(-u)), d0[quad_],
+                                 d1[quad_], 1, alpha[quad_], beta[quad_])
+    return out
+
+
+# --------------------------------------------------------------------------
+# Gauss-Legendre panels and bracket search on arrays
+
+# panels of one integral at most; more raise rather than return a value
+# that has not met its tolerance
+_GL_MAX_PANELS = 512
+# a pass of `_crossing` cuts its bracket into _PIECES; _PASSES of them take
+# a bracket [0, t] to round-off in t (256^7 = 2^56)
+_PIECES, _PASSES = 256, 7
+
+
+def _panels(fn, a, b, n, *args):
+    """The 12-point Gauss-Legendre rule on n equal panels of [a, b] for
+    int fn(x, *args) dx, elementwise over a, b and args (which broadcast);
+    fn gets the nodes along a new last axis."""
+    h = np.asarray((b - a) / n, dtype=float)[..., None]
+    x = np.asarray(a)[..., None] + h * (np.arange(n)[:, None] + 0.5 * (_GL_NODES + 1.0)).ravel()
+    vals = fn(x, *(np.asarray(p)[..., None] for p in args))
+    return 0.5 * h[..., 0] * (vals @ np.tile(_GL_WEIGHTS, n))
+
+
+def _gauss(fn, a, b, rtol, *args):
+    """`_panels` with n = 1, 2, 4, ... panels until n and 2n agree to rtol
+    everywhere; RuntimeError if they do not by _GL_MAX_PANELS."""
+    n, coarse = 1, _panels(fn, a, b, 1, *args)
+    while n < _GL_MAX_PANELS:
+        n *= 2
+        fine = _panels(fn, a, b, n, *args)
+        if np.all(np.abs(fine - coarse) <= rtol * np.abs(fine)):
+            return fine
+        coarse = fine
+    raise RuntimeError(f"Gauss-Legendre panels disagree beyond rtol = {rtol:g} "
+                       f"at {n} panels")
+
+
+def _pieces(fn, lo, hi, cuts, rtol, *args):
+    """`_gauss` of fn over [lo, hi], split at the cuts inside it."""
+    shape = np.broadcast_shapes(np.shape(lo), np.shape(hi), *map(np.shape, args))
+    lo, hi = (np.broadcast_to(np.asarray(x, dtype=float), shape)[..., None] for x in (lo, hi))
+    edges = np.concatenate([lo, np.clip(cuts, lo, hi), hi], axis=-1)
+    return _gauss(fn, edges[..., :-1], edges[..., 1:], rtol,
+                  *(np.asarray(p)[..., None] for p in args)).sum(axis=-1)
+
+
+def _crossing(g, lo, hi, rising, *args):
+    """Where g(x, *args), rising (falling) in x on [lo, hi] elementwise,
+    crosses 0: each pass cuts the bracket into _PIECES and keeps the piece
+    where g changes sign.  The upper end where g <= 0 (> 0) throughout, the
+    lower end where g > 0 (<= 0) throughout."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    inner = np.arange(1, _PIECES) / _PIECES
+    for _ in range(_PASSES):
+        width = hi - lo
+        x = lo[..., None] + width[..., None] * inner
+        left = ((g(x, *(np.asarray(p)[..., None] for p in args)) <= 0.0) == rising).sum(axis=-1)
+        lo, hi = lo + width * left / _PIECES, lo + width * (left + 1) / _PIECES
+    return 0.5 * (lo + hi)
 
 
 # --------------------------------------------------------------------------
@@ -263,44 +299,61 @@ def rc_charge(params: ConstantDriveParams, R: float, t: float) -> float:
     return params.q0 * e + params.Va * params.C * (1.0 - e)
 
 
+class _Paths:
+    """The RC characteristics dq/ds = (V(s) - q/C) / R of one resistance in
+    closed form: the forced charge q_p (`forced_charge`) plus a transient
+    that decays as e^{-s/(CR)} and, at each source breakpoint, takes up
+    q_p's jump."""
+
+    def __init__(self, C: float, R: float, waveform: Waveform):
+        self.w, self.a = waveform, -1.0 / (C * R)
+        self.fq = forced_charge(self.a, 1.0 / R, waveform)
+        self.bp = self.jump = np.zeros(0)
+        if waveform.kind != "sine":
+            self.t0, self.v0, self.k = waveform.segments
+            self.bp = self.t0[1:]
+            seg = np.arange(self.bp.size)
+            self.jump = self.forced(self.bp, seg) - self.forced(self.bp, seg + 1)
+
+    def forced(self, s, seg=None):
+        """q_p at times s, on the source segments seg (by default those of s)."""
+        fq = self.fq
+        if self.w.kind == "sine":
+            ws = 2.0 * math.pi * self.w.frequency * np.asarray(s)
+            return fq[0] + fq[1] * np.sin(ws) + fq[2] * np.cos(ws)
+        if seg is None:
+            seg = np.searchsorted(self.bp, s, "right") if self.bp.size else 0
+        k = self.k[seg]
+        return fq[0] * (self.v0[seg] + k * (s - self.t0[seg])) + fq[1] * k
+
+    def __call__(self, q, t, s):
+        """The charges at times s, earlier or later, on the characteristics
+        through (q, t)."""
+        out = self.forced(s) + np.exp(self.a * (s - t)) * (q - self.forced(t))
+        if self.bp.size:    # the jumps at the breakpoints between t and s
+            b, t, s = self.bp, np.asarray(t)[..., None], np.asarray(s)[..., None]
+            sign = ((t < b) & (b <= s)).astype(float) - ((s < b) & (b <= t))
+            out += (sign * self.jump * np.exp(self.a * np.where(sign != 0.0, s - b, 0.0))).sum(-1)
+        return out
+
+
 def rc_charge_wave(q0: float, C: float, R: float, waveform: Waveform,
-                   t: float, rtol: float = 1e-9) -> float:
-    """General-waveform RC charge: q0 e^{-t/(CR)} plus the convolution
-    of V with the exponential kernel, by adaptive quadrature."""
+                   t: float) -> float:
+    """General-waveform RC charge at t from q0 at time 0, in closed form:
+    q0 e^{-t/(CR)} plus the convolution of V with the exponential kernel."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    tc = C * R
-    if t == 0.0:
-        return q0
-    if waveform.is_constant():
-        e = math.exp(-t / tc)
-        return q0 * e + waveform.amplitude * C * (1.0 - e)
-    pts = [p for p in waveform.breakpoint_times() if 0.0 < p < t] or None
-    integral, _ = _quad(lambda tau: math.exp((tau - t) / tc) * waveform(tau) / R,
-                        0.0, t, epsrel=rtol, epsabs=1e-16, limit=400, points=pts)
-    return q0 * math.exp(-t / tc) + integral
-
-
-def _char_shift(R: float, C: float, waveform: Waveform, t: float,
-                rtol: float = 1e-9) -> float:
-    """S(t) = int_0^t e^{tau/(CR)} V(tau)/R dtau (characteristics shift)."""
-    tc = C * R
-    if waveform.is_constant():
-        return waveform.amplitude * C * (math.exp(t / tc) - 1.0)
-    pts = [p for p in waveform.breakpoint_times() if 0.0 < p < t] or None
-    val, _ = _quad(lambda tau: math.exp(tau / tc) * waveform(tau) / R,
-                   0.0, t, epsrel=rtol, epsabs=1e-16, limit=400, points=pts)
-    return val
+    return float(_Paths(C, R, waveform)(q0, 0.0, t))
 
 
 # --------------------------------------------------------------------------
 # No-switching transport
 
 def no_switch_density(f: Density1D, R: float, C: float,
-                      waveform: Waveform, t: float,
-                      rtol: float = 1e-9) -> Density1D:
+                      waveform: Waveform, t: float) -> Density1D:
     """Transport an initial density along the RC characteristics with
-    switching off: p(q, t) = e^{t/(CR)} f(q e^{t/(CR)} - S(t)).
+    switching off: p(q, t) = e^{t/(CR)} f((q - q_z) e^{t/(CR)}), where q_z
+    is the charge at t of the characteristic that starts at 0.
 
     The change of variables preserves total mass exactly; the support
     contracts by e^{-t/(CR)} while drifting toward the driven charge.
@@ -309,16 +362,16 @@ def no_switch_density(f: Density1D, R: float, C: float,
         raise ValueError("t must be >= 0")
     if t == 0.0:
         return f
-    a = math.exp(t / (C * R))
-    s = _char_shift(R, C, waveform, t, rtol)
+    b = math.exp(-t / (C * R))
+    qz = rc_charge_wave(0.0, C, R, waveform, t)
     # a delta at q0 moves along the deterministic RC trajectory
-    deltas = tuple(((q0 + s) / a, w) for q0, w in f.deltas)
+    deltas = tuple((q0 * b + qz, w) for q0, w in f.deltas)
     fn = None
     support = (0.0, 0.0)
     if f.fn is not None:
         lo, hi = f.support
-        support = ((lo + s) / a, (hi + s) / a)
-        fn = lambda q, a=a, s=s, f=f: a * f(q * a - s)
+        support = (lo * b + qz, hi * b + qz)
+        fn = lambda q, b=b, qz=qz, f=f: f((q - qz) / b) / b
     return Density1D(fn=fn, support=support, deltas=deltas)
 
 
@@ -360,8 +413,7 @@ def accumulated_hazard(params: ConstantDriveParams, t: float) -> float:
     if t == 0.0:
         return 0.0
     tc = params.C * params.R0
-    integral, _, _ = hazard_integral(0.0, params.x_drive, 0.0, t / tc)
-    return tc / params.tau0 * float(integral[0])
+    return tc / params.tau0 * float(hazard_integral(0.0, params.x_drive, 0.0, t / tc)[0])
 
 
 def mean_switching_time(params: ConstantDriveParams, t_star: float,
@@ -412,42 +464,95 @@ def p0_asymptotic(params: ConstantDriveParams) -> float:
 # --------------------------------------------------------------------------
 # Unidirectional-switching general solution
 
-def _backward_charge(q: float, t: float, t_ref: float, R: float, C: float,
-                     waveform: Waveform, rtol: float) -> float:
-    """Charge at time t_ref on the RC characteristic (resistance R)
-    passing through (q, t)."""
-    tc = C * R
-    if waveform.is_constant():
-        cv = C * waveform.amplitude
-        return cv + (q - cv) * math.exp((t - t_ref) / tc)
-    # q_char(t_ref) = q e^{(t - t_ref)/tc} + int_t^{t_ref} e^{(tau-t_ref)/tc} V/R dtau
-    val, _ = _quad(lambda tau: math.exp((tau - t_ref) / tc) * waveform(tau) / R,
-                   t, t_ref, epsrel=rtol, epsabs=1e-16, limit=200)
-    return q * math.exp((t - t_ref) / tc) + val
+class _Switching:
+    """The integrals of the unidirectional solution up to time t: the
+    state-0 and state-1 characteristics, the 0 -> 1 rate along them and
+    the hazard it accumulates, on Gauss-Legendre panels to rtol."""
 
+    def __init__(self, model: MemristorModel, C: float, waveform: Waveform,
+                 t: float, rtol: float):
+        self.model, self.C, self.w, self.t, self.rtol = model, C, waveform, t, rtol
+        self.r0, self.r1 = model.resistances[0], model.resistances[1]
+        self.paths = _Paths(C, self.r0, waveform), _Paths(C, self.r1, waveform)
 
-def _hazard_along_characteristic(q: float, t: float, model: MemristorModel,
-                                 C: float, waveform: Waveform,
-                                 rtol: float) -> float:
-    """Accumulated 0->1 hazard along the state-0 characteristic ending
-    at (q, t)."""
-    r0 = model.resistances[0]
+    def rate(self, s, q):
+        """The 0 -> 1 rate at times s and charges q (0 where vm <= 0)."""
+        vm = self.w(s) - q / self.C
+        return switching_rate(np.maximum(vm, 0.0), *self.model.transitions[:, 0],
+                              self.model.rate_ceiling)
 
-    def gamma(tt):
-        qc = _backward_charge(q, t, tt, r0, C, waveform, rtol)
-        return model.rate_up(0, waveform(tt) - qc / C)
+    def hazard(self, q, s):
+        """The hazard accumulated over [0, s] along the state-0
+        characteristics through (q, s): under constant drive vm = vm(0)
+        e^{-u/(C R0)}, so `hazard_integral` after the rate leaves its cap,
+        else panels of the rate."""
+        p0 = self.paths[0]
+        if self.w.kind != "constant":
+            return _pieces(lambda u, q, s: self.rate(u, p0(q, s, u)), 0.0, s, p0.bp,
+                           self.rtol, q, s)
+        v, tau = self.model.transitions[:, 0]
+        tc = self.C * self.r0
+        d = np.asarray(s) / tc
+        beta = (self.w.amplitude - p0(q, s, 0.0) / self.C) / v
+        # the rate e^{beta e^{-u}} / tau is capped at e^top / tau up to d_cap
+        top = min(math.log(self.model.rate_ceiling) + math.log(tau), 700.0)
+        d_cap = np.minimum(np.log(np.maximum(beta / top, 1.0)), d) if top > 0.0 else d
+        h = tc / tau * (math.exp(top) * d_cap + hazard_integral(0.0, beta, d_cap, d))
+        return np.where(beta > 0.0, h, 0.0).reshape(np.shape(beta))
 
-    val, _ = _quad(gamma, 0.0, t, epsrel=rtol, epsabs=1e-16, limit=200)
-    return val
+    def switched(self, f: Density1D, q):
+        """State-1 density at (q, t) of the smooth f's mass switched at ts
+        in [0, t]: int rate e^{(t - ts)/(C R1)} p0(Q1(ts), ts) dts along the
+        state-1 characteristic Q1 through (q, t).  p0 is non-zero where the
+        state-0 characteristic through (Q1(ts), ts) starts inside f's
+        support, and that start is monotone in ts (vm > 0): `_crossing`
+        finds where it crosses the support's edges."""
+        p0, p1 = self.paths
+        t, tc0, tc1 = self.t, self.C * self.r0, self.C * self.r1
+        fvals = np.vectorize(f, otypes=[float])
 
+        rising = self.r1 < self.r0
+        ends = _crossing(lambda ts, q, edge: p0(p1(q, t, ts), ts, 0.0) - edge, 0.0, t, rising,
+                         np.asarray(q)[..., None], np.array(f.support))
+        lo, hi = (ends[..., 0], ends[..., 1]) if rising else (ends[..., 1], ends[..., 0])
 
-def _first_regime_violation(upper_q: float, C: float, waveform: Waveform,
-                            t: float) -> Optional[float]:
-    """First time in [0, t] where the mass region reaches q >= C V(s)."""
-    for s in np.linspace(0.0, t, 257):
-        if upper_q >= C * waveform(float(s)):
-            return float(s)
-    return None
+        def integrand(ts, q):
+            qs = p1(q, t, ts)
+            p0_value = np.exp(ts / tc0) * fvals(p0(qs, ts, 0.0)) * np.exp(-self.hazard(qs, ts))
+            return self.rate(ts, qs) * np.exp((t - ts) / tc1) * p0_value
+
+        return _pieces(integrand, lo, np.maximum(lo, hi), p1.bp, self.rtol, q)
+
+    def delta_source(self, q_init: float, weight: float) -> tuple:
+        """State-1 density produced by a state-0 delta of given weight.
+
+        Mass switching at time ts leaves the deterministic state-0
+        trajectory q0(ts) and rides the state-1 characteristic to time t.
+        If R0 != R1 the arrival position is monotone in ts and the result
+        is a smooth density; if R0 == R1 all switched mass arrives at the
+        same point and stays a delta.  Returns (density, delta)."""
+        p0, p1 = self.paths
+        t, r0, r1 = self.t, self.r0, self.r1
+
+        def arrival(ts):        # position at t of mass that switched at ts
+            return p1(p0(q_init, 0.0, ts), ts, t)
+
+        if abs(r0 - r1) <= 1e-12 * max(r0, r1):
+            # switched mass shares the unswitched trajectory
+            q_t = p0(q_init, 0.0, t)
+            return None, (float(arrival(t)), weight * (1.0 - math.exp(-float(self.hazard(q_t, t)))))
+        lo, hi = sorted((float(arrival(0.0)), float(arrival(t))))
+
+        def density(q):
+            ts = _crossing(lambda s, q: arrival(s) - q, 0.0, t, r1 > r0, q)
+            qs = p0(q_init, 0.0, ts)
+            # d(arrival)/dts = e^{(ts - t)/(C R1)} vm(ts) (1/R0 - 1/R1)
+            jac = np.abs(np.exp((ts - t) / (self.C * r1)) * (self.w(ts) - qs / self.C)
+                         * (1.0 / r0 - 1.0 / r1))
+            value = weight * self.rate(ts, qs) * np.exp(-self.hazard(qs, ts)) / jac
+            return np.where((lo <= q) & (q <= hi), value, 0.0)
+
+        return density, None
 
 
 def unidirectional_densities(f: Density1D, g: Density1D,
@@ -461,173 +566,61 @@ def unidirectional_densities(f: Density1D, g: Density1D,
     hazard along each characteristic; p1 is the transport of g plus the
     source term integrating the switched flux over switch times.  Delta
     initial conditions are handled symbolically and reduce, for constant
-    drive, to the exact Ei-weighted delta transport.
+    drive, to the exact Ei-weighted delta transport.  The integrals meet
+    rtol on Gauss-Legendre panels or raise RuntimeError.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
+    r0, r1 = model.resistances[0], model.resistances[1]
     upper = max(f.max_support(), g.max_support())
     if upper > -math.inf:
-        bad = _first_regime_violation(upper, C, waveform, t)
-        if bad is not None:
+        # while vm > 0 on it, the path of the top charge through the
+        # smaller resistance bounds every path, switched or not
+        top = _Paths(C, min(r0, r1), waveform)
+        s = np.union1d(np.linspace(0.0, t, 1025), top.bp[(top.bp >= 0.0) & (top.bp <= t)])
+        bad = waveform(s) - top(upper, 0.0, s) / C <= 0.0
+        if bad.any():
             raise RegimeError(
-                f"mass reaches q >= C V(t) first at t = {bad:g} s; "
+                f"mass reaches q >= C V(t) first at t = {s[np.argmax(bad)]:g} s; "
                 "unidirectional solution invalid there")
     if t == 0.0:
         return f, g
-    r0, r1 = model.resistances[0], model.resistances[1]
+    sw = _Switching(model, C, waveform, t, rtol)
 
     # ---- state 0: transported f times the survival factor
-    transported_f = no_switch_density(f, r0, C, waveform, t, rtol)
-    p0_deltas = tuple((qd, w * math.exp(-_hazard_along_characteristic(
-        qd, t, model, C, waveform, rtol)))
-        for qd, w in transported_f.deltas)
+    transported_f = no_switch_density(f, r0, C, waveform, t)
+    p0_deltas = tuple((qd, w * math.exp(-float(sw.hazard(qd, t))))
+                      for qd, w in transported_f.deltas)
     p0_fn = None
     if transported_f.fn is not None:
         def p0_fn(q, tf=transported_f):
             base = tf(q)
-            if base == 0.0:
-                return 0.0
-            return base * math.exp(-_hazard_along_characteristic(
-                q, t, model, C, waveform, rtol))
+            return base * math.exp(-float(sw.hazard(q, t))) if base != 0.0 else 0.0
     p0 = Density1D(fn=p0_fn, support=transported_f.support, deltas=p0_deltas)
 
-    # ---- state 1: transported g
-    transported_g = no_switch_density(g, r1, C, waveform, t, rtol)
-    p1_parts_deltas = list(transported_g.deltas)
-
-    # source term: mass switched from state 0 at time t~, then carried
-    # by the state-1 characteristics to time t
-    def p0_value_at(qq, tt):
-        """Smooth part of the Eq-(21)-type solution at an earlier time."""
-        tf = no_switch_density(f, r0, C, waveform, tt, rtol)
-        base = tf(qq)
-        if base == 0.0:
-            return 0.0
-        return base * math.exp(-_hazard_along_characteristic(
-            qq, tt, model, C, waveform, rtol))
-
-    source_fns = []
-    if f.fn is not None:
-        def source_smooth(q):
-            tc1 = C * r1
-
-            def integrand(ts):
-                qs = _backward_charge(q, t, ts, r1, C, waveform, rtol)
-                vm = waveform(ts) - qs / C
-                rate = model.rate_up(0, vm)
-                if rate == 0.0:
-                    return 0.0
-                return rate * math.exp((t - ts) / tc1) * p0_value_at(qs, ts)
-
-            val, _ = _quad(integrand, 0.0, t, epsrel=rtol, epsabs=1e-16, limit=100)
-            return val
-        source_fns.append(source_smooth)
-
-    extra_delta_parts = []
+    # ---- state 1: transported g plus the mass switched out of state 0
+    transported_g = no_switch_density(g, r1, C, waveform, t)
+    p1_deltas = list(transported_g.deltas)
+    source_fns = [lambda q: sw.switched(f, q)] if f.fn is not None else []
     for qd0, w in f.deltas:
-        smooth, delta_part = _delta_source_state1(
-            qd0, w, model, C, waveform, t, rtol)
+        smooth, delta = sw.delta_source(qd0, w)
         if smooth is not None:
             source_fns.append(smooth)
-        if delta_part is not None:
-            extra_delta_parts.append(delta_part)
-    p1_parts_deltas.extend(extra_delta_parts)
+        if delta is not None:
+            p1_deltas.append(delta)
 
     p1_fn = None
     support1 = transported_g.support
     if source_fns or transported_g.fn is not None:
         # conservative support: from the lowest initial mass up to the
         # driven charge bound C V over the window
-        cv_hi = C * max(waveform(float(s)) for s in np.linspace(0.0, t, 65))
-        lo_candidates = []
-        if transported_g.fn is not None:
-            lo_candidates.append(support1[0])
-        if f.deltas:
-            lo_candidates.append(min(qd for qd, _ in f.deltas))
-        if f.fn is not None:
-            lo_candidates.append(f.support[0])
-        lo = min(lo_candidates) if lo_candidates else 0.0
-        support1 = (lo, max(support1[1], cv_hi))
+        cv_hi = C * float(np.max(waveform(np.linspace(0.0, t, 65))))
+        starts = ([qd for qd, _ in f.deltas] + [f.support[0]] * (f.fn is not None)
+                  + [support1[0]] * (transported_g.fn is not None))
+        support1 = (min(starts, default=0.0), max(support1[1], cv_hi))
 
         def p1_fn(q, tg=transported_g, fns=tuple(source_fns)):
-            return tg(q) + sum(fn(q) for fn in fns)
+            return tg(q) + sum(float(fn(q)) for fn in fns)
 
-    p1 = Density1D(fn=p1_fn, support=support1, deltas=tuple(p1_parts_deltas))
+    p1 = Density1D(fn=p1_fn, support=support1, deltas=tuple(p1_deltas))
     return p0, p1
-
-
-def _delta_source_state1(q_init: float, weight: float, model: MemristorModel,
-                         C: float, waveform: Waveform, t: float,
-                         rtol: float) -> tuple:
-    """State-1 density produced by a state-0 delta of given weight.
-
-    Mass switching at time ts leaves the deterministic state-0
-    trajectory q0(ts) and rides the state-1 characteristic to time t.
-    If R0 != R1 the arrival position is monotone in ts and the result is
-    a smooth density; if R0 == R1 all switched mass arrives at the same
-    point and stays a delta.
-    """
-    r0, r1 = model.resistances[0], model.resistances[1]
-    tc1 = C * r1
-
-    def q0_of(ts):
-        return rc_charge_wave(q_init, C, r0, waveform, ts, rtol)
-
-    def survival(ts):
-        return math.exp(-_hazard_from_delta(q_init, model, C, waveform, ts, rtol))
-
-    def arrival(ts):
-        # position at time t of mass that switched at ts
-        q_sw = q0_of(ts)
-        if waveform.is_constant():
-            cv = C * waveform.amplitude
-            return cv + (q_sw - cv) * math.exp(-(t - ts) / tc1)
-        val, _ = _quad(lambda tau: math.exp((tau - t) / tc1) * waveform(tau) / r1,
-                       ts, t, epsrel=rtol, epsabs=1e-16, limit=200)
-        return q_sw * math.exp(-(t - ts) / tc1) + val
-
-    if abs(r0 - r1) <= 1e-12 * max(r0, r1):
-        # switched mass shares the unswitched trajectory
-        w1 = weight * (1.0 - survival(t))
-        return None, (arrival(t), w1)
-
-    def darrival(ts):
-        # d(arrival)/dts = e^{(ts-t)/tc1} (V(ts) - q0/C)(1/R0 - 1/R1)
-        vm = waveform(ts) - q0_of(ts) / C
-        return math.exp((ts - t) / tc1) * vm * (1.0 / r0 - 1.0 / r1)
-
-    def density(q):
-        lo, hi = sorted((arrival(0.0), arrival(t)))
-        if not lo <= q <= hi:
-            return 0.0
-        try:
-            ts = _brentq(lambda s: arrival(s) - q, 0.0, t,
-                         xtol=1e-15 * max(t, 1.0), rtol=8.9e-16)
-        except ValueError:
-            return 0.0
-        rate = model.rate_up(0, waveform(ts) - q0_of(ts) / C)
-        jac = abs(darrival(ts))
-        if jac == 0.0:
-            return math.inf
-        return weight * rate * survival(ts) / jac
-
-    return density, None
-
-
-def _hazard_from_delta(q_init: float, model: MemristorModel, C: float,
-                       waveform: Waveform, t: float, rtol: float) -> float:
-    """Accumulated 0->1 hazard along the deterministic state-0
-    trajectory started at q_init."""
-    r0 = model.resistances[0]
-    if waveform.is_constant():
-        # closed form via Ei under constant drive
-        va = waveform.amplitude
-        vm0 = va - q_init / C
-        if vm0 <= 0:
-            return 0.0
-        integral, _, _ = hazard_integral(0.0, vm0 / model.v_up[0], 0.0, t / (C * r0))
-        return C * r0 / model.tau_up[0] * float(integral[0])
-    val, _ = _quad(lambda ts: model.rate_up(
-        0, waveform(ts) - rc_charge_wave(q_init, C, r0, waveform, ts, rtol) / C),
-        0.0, t, epsrel=rtol, epsabs=1e-16, limit=200)
-    return val

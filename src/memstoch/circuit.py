@@ -143,16 +143,43 @@ class Waveform:
         return (np.array([t for t, _ in self.breakpoints]),
                 np.array([v for _, v in self.breakpoints]))
 
-    def is_constant(self) -> bool:
-        return self.kind == "constant"
-
     def breakpoint_times(self) -> tuple:
-        """Times where the waveform is non-smooth (useful quadrature hints)."""
+        """Times where the waveform is non-smooth: the ends of its segments."""
         if self.kind == "step":
             return (self.t_step,)
         if self.kind == "pwl":
             return tuple(t for t, _ in self.breakpoints)
         return ()
+
+    @cached_property
+    def segments(self) -> tuple:
+        """(t0, v0, k) of a source without sines: on segment j, the times
+        from breakpoint j - 1 (-inf for j = 0) to breakpoint j (inf after
+        the last), the voltage is v0[j] + k[j] (t - t0[j])."""
+        bp = np.array(self.breakpoint_times())
+        t0 = np.r_[bp[:1], bp] if bp.size else np.zeros(1)
+        v0 = np.array([self(b) for b in np.r_[-math.inf, bp]])
+        k = np.zeros(bp.size + 1)
+        if self.kind == "pwl":
+            k = np.r_[0.0, np.diff(self._pwl[1]) / np.diff(self._pwl[0]), 0.0]
+        return t0, v0, k
+
+
+def forced_charge(A, B, waveform: Waveform) -> np.ndarray:
+    """Coefficients of the forced charge q_p, the particular solution of
+    dq/dt = A q + B v(t) (A <= 0, elementwise; A = 0 means B = 0 and q_p =
+    0).  Under a sine v = off + amp sin(wt), q_p = -B off / A + B amp
+    Im[e^{iwt} / (iw - A)] = fq[0] + fq[1] sin(wt) + fq[2] cos(wt); under
+    the other sources, on a segment where v has slope k, q_p = -(B / A)
+    (v + k / A) = fq[0] v + fq[1] k.  q_p jumps where v or k does."""
+    A = np.asarray(A, dtype=float)
+    ia = np.divide(1.0, A, out=np.zeros_like(A), where=A < 0.0)
+    if waveform.kind == "sine":
+        om = 2.0 * math.pi * waveform.frequency
+        den = np.where(A * A + om * om > 0.0, A * A + om * om, 1.0)
+        return -B * np.array([waveform.offset * ia, waveform.amplitude * A / den,
+                              waveform.amplitude * om / den])
+    return -B * np.array([ia, ia * ia])
 
 
 # --------------------------------------------------------------------------

@@ -128,20 +128,7 @@ class MemristorModel:
         return self.resistances[i]
 
     # The rates below are `switching_rate` on one transition; v_m is a
-    # float for the first three and may be an array for the last two.
-    def rate_up(self, i: int, v_m: float) -> float:
-        """Rate of the i -> i+1 transition at memristor voltage v_m:
-        exp(v_m / v_up[i]) / tau_up[i] for v_m > 0, else 0."""
-        self._check(i, 0, self.num_states - 2, "up-transition")
-        return float(switching_rate(max(v_m, 0.0), *self.transitions[:, i], self.rate_ceiling))
-
-    def rate_down(self, i: int, v_m: float) -> float:
-        """Rate of the i -> i-1 transition at memristor voltage v_m:
-        exp(|v_m| / v_down[i-1]) / tau_down[i-1] for v_m < 0, else 0."""
-        self._check(i, 1, self.num_states - 1, "down-transition")
-        return float(switching_rate(min(v_m, 0.0), *self.transitions[:, self.num_states + i],
-                                    self.rate_ceiling))
-
+    # float for the first and may be an array for the other two.
     def total_exit_rate(self, i: int, v_m: float) -> float:
         """Sum of the rates out of state i: the one that the sign of v_m
         drives, zero where state i lacks that direction."""

@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .circuit import CircuitState, Netlist, affine_dynamics
+from .circuit import CircuitState, Netlist, affine_dynamics, forced_charge
 from .device import switching_rate
 
 # thinning
@@ -185,9 +185,8 @@ class _Ensemble:
         self.sine = np.array([k for k, _ in sines], dtype=np.intp)
         self.omega, self.amp, self.offset = np.array(
             [(2.0 * math.pi * w.frequency, w.amplitude, w.offset) for _, w in sines]).reshape(-1, 3).T
-        self.ramps = [(k, ts, np.r_[0.0, np.diff(vs) / np.diff(ts), 0.0])
-                      for k, w in enumerate(self.waves) if w.kind == "pwl"
-                      for ts, vs in [np.array(w.breakpoints, dtype=float).T]]
+        self.ramps = [(k, w.segments[0][1:], w.segments[2])
+                      for k, w in enumerate(self.waves) if w.kind == "pwl"]
         models = [m.model for m in netlist.memristors]
         self.gs = [m.num_states for m in models]
         self.M, self.K = len(models), len(netlist.capacitors)
@@ -622,9 +621,8 @@ class _Ensemble:
     # -- scalar kernels (one memristor, one capacitor, one source) -------
     def _forcing(self):
         """Tables of the closed-form charge q_p(t) + (q(t0) - q_p(t0)) e^{A (t - t0)}
-        per state: q_p = -B off / A + B amp Im[e^{iwt} / (iw - A)] for a sine,
-        -(B / A)(v + k / A) on a source segment v = v0 + k (t - t0) (constant,
-        step and PWL sources); A = 0 (so B = 0) keeps q.  _coef[:, i, j]:
+        per state, with q_p from `forced_charge` (constant, step and PWL
+        sources on their `segments`); A = 0 (so B = 0) keeps q.  _coef[:, i, j]:
         basis function i's coefficients in q_p, u = Dq q_p + Ds v (vm without
         the transient) and du/dt, with j the state under a sine (basis 1,
         sin wt, cos wt) and segment * G + state otherwise (basis 1, t - t0).
@@ -633,22 +631,15 @@ class _Ensemble:
         dyn = [affine_dynamics(self.netlist, (i,)) for i in range(self.gs[0])]
         A, B, Dq, Ds = np.array([[d.A[0, 0], d.B[0, 0], d.Dq[0, 0], d.Ds[0, 0]] for d in dyn]).T
         w, g = self.waves[0], self.gs[0]
-        ia = np.divide(1.0, A, out=np.zeros_like(A), where=A < 0.0)
+        fq = forced_charge(A, B, w)
         if w.kind == "sine":
             om = self.omega[0]
-            den = np.where(A * A + om * om > 0.0, A * A + om * om, 1.0)
-            fq = -B * np.array([w.offset * ia, w.amplitude * A / den, w.amplitude * om / den])
             fu = _cancel(Dq * fq, Ds * np.array([w.offset, w.amplitude, 0.0])[:, None])
             du, curve = om * np.array([0.0 * A, -fu[2], fu[1]]), om * om * np.hypot(fu[1], fu[2])
             self._coef = np.array([fq, fu, du])
         else:
-            # segment j starts at t0[j] with value v0[j] (w(-inf): the value
-            # before the first breakpoint) and slope k[j]
-            bp = self.breakpoints[:-1]
-            self._t0 = np.r_[bp[:1], bp] if bp.size else np.zeros(1)
-            v0 = np.array([w(b) for b in np.r_[-math.inf, bp]])[:, None]
-            k = (self.ramps[0][2] if self.ramps else np.zeros(bp.size + 1))[:, None]
-            fq = -B * np.array([ia, ia * ia])
+            self._t0, v0, k = w.segments
+            v0, k = v0[:, None], k[:, None]
             fu = _cancel(Dq * fq, Ds * np.array([1.0, 0.0])[:, None])
             self._coef = np.array([[f[0] * v0 + f[1] * k, f[0] * k] for f in (fq, fu)]
                                   + [[fu[0] * k, 0.0 * k * A]]).reshape(3, 2, -1)

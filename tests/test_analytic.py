@@ -13,13 +13,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
+from scipy.special import expi
 
 from memstoch import (ConstantDriveParams, Density1D, MemristorModel,
                       Waveform, expint_ei, mean_switching_time,
                       no_switch_density, p0_asymptotic, p0_constant_voltage,
                       rc_charge, rc_charge_wave, unidirectional_densities)
-from memstoch.analytic import (RegimeError, accumulated_hazard, hazard_integral,
-                               p1_constant_voltage, switching_rate_at)
+from memstoch.analytic import (RegimeError, _gauss, _Paths, accumulated_hazard,
+                               hazard_integral, p1_constant_voltage, switching_rate_at)
 
 mpmath.mp.dps = 40
 
@@ -96,6 +98,43 @@ def test_rc_charge_wave_sine_against_ode():
     for t in (0.005, 0.02, 0.05):
         assert rc_charge_wave(2e-8, C, R, w, t) == pytest.approx(
             float(sol.sol(t)[0]), rel=1e-7, abs=1e-15)
+
+
+# one of each source kind; the step and the PWL have breakpoints inside
+# [0, 6 ms], where the characteristics run
+WAVES = {"constant": Waveform.constant(0.35),
+         "step": Waveform.step(0.3, 2e-3, value_before=0.1),
+         "sine": Waveform.sine(0.1, 0.3, 250.0),
+         "pwl": Waveform.pwl([(0.0, 0.0), (1e-3, 0.3), (3e-3, 0.3), (4e-3, -0.1), (6e-3, 0.2)])}
+
+
+def _mp_characteristic(w, C, R, q, t, s):
+    """Charge at s on the RC characteristic through (q, t), by mpmath
+    quadrature of the convolution e^{-(s - t)/(CR)} q + int_t^s
+    e^{-(s - u)/(CR)} V(u)/R du, split at the source's breakpoints."""
+    tc, lo, hi = mpmath.mpf(C) * R, min(t, s), max(t, s)
+    cuts = [lo] + [b for b in w.breakpoint_times() if lo < b < hi] + [hi]
+    conv = mpmath.quad(lambda u: mpmath.exp(-(s - u) / tc) * float(w(float(u))) / R, cuts)
+    return mpmath.exp(-(s - t) / tc) * q + (conv if s >= t else -conv)
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+@pytest.mark.parametrize("kind", list(WAVES))
+def test_rc_characteristic_against_mpmath(kind, direction):
+    # one characteristic, from 0 on and back from 6 ms, across every
+    # breakpoint.  Backward, the transient grows as e^{(t - s)/(CR)}: with
+    # CR = 2 ms it stays within e^3, where its round-off meets the tolerance
+    C, R, w = 1e-6, 2e3, WAVES[kind]
+    tol = 1e-13 * C * 0.35
+    with mpmath.workdps(30):
+        for s in (0.5e-3, 2e-3, 3.5e-3, 6e-3):
+            if direction == "forward":
+                got = rc_charge_wave(2e-8, C, R, w, s)
+                ref = _mp_characteristic(w, C, R, 2e-8, 0.0, s)
+            else:
+                got = float(_Paths(C, R, w)(1e-7, 6e-3, 6e-3 - s))
+                ref = _mp_characteristic(w, C, R, 1e-7, 6e-3, 6e-3 - s)
+            assert abs(got - float(ref)) <= tol, (s, got, float(ref))
 
 
 def test_rc_charge_rejects_negative_time(params):
@@ -202,10 +241,15 @@ def test_hazard_integral_against_mpmath(alpha, beta, d0, d1):
         ref = mpmath.quad(lambda u: mpmath.exp(alpha + beta * mpmath.exp(-u)),
                           [d0, d0 + (d1 - d0) / 2, d1] if d1 - d0 < 10 else
                           [d0, d0 + 1, d0 + 10, d1])
-    got, scale, rate = hazard_integral(alpha, beta, d0, d1)
-    assert got[0] == pytest.approx(float(ref), rel=1e-12)
-    assert abs(got[0] - float(ref)) <= 8 * np.finfo(float).eps * scale[0]
-    assert rate[0] == pytest.approx(math.exp(alpha + beta * math.exp(-d1)), rel=1e-13)
+    assert hazard_integral(alpha, beta, d0, d1)[0] == pytest.approx(float(ref), rel=1e-12)
+
+
+def test_gauss_panels_raise_rather_than_return_an_unconverged_value():
+    # 1.6e6 periods on [0, 1]: no panel count up to the cap resolves them
+    assert _gauss(lambda x: np.exp(-x), 0.0, 1.0, 1e-13)[()] == pytest.approx(-math.expm1(-1.0),
+                                                                              rel=1e-14)
+    with pytest.raises(RuntimeError, match="panels"):
+        _gauss(lambda x: np.sin(1e7 * x), 0.0, 1.0, 1e-8)
 
 
 def test_rate_decays_to_floor(params):
@@ -317,3 +361,105 @@ def test_unidirectional_regime_violation(params, model):
     with pytest.raises(RegimeError):
         unidirectional_densities(over, Density1D.zero(), model, params.C,
                                  w, 0.01)
+
+
+def test_unidirectional_regime_follows_the_charge():
+    # the voltage drops at 2.5 ms below the charge that the faster state
+    # reached while it was high: vm = -0.157 V there on the unswitched path,
+    # although q0 = 0 lies below C V(s) throughout
+    model = MemristorModel.binary(1e3, 500.0, 3e5, 0.02)
+    w = Waveform.pwl([(0.0, 0.05), (1e-3, 0.3), (2e-3, 0.3), (2.5e-3, 0.05), (6e-3, 0.05)])
+    with pytest.raises(RegimeError):
+        unidirectional_densities(Density1D.delta(0.0), Density1D.zero(), model, 1e-6, w, 5e-3)
+
+
+def _smooth_source_reference(params, width, t, q):
+    """Switched density at (q, t) of a uniform state-0 density on [0, width]
+    under constant drive, by scipy quad over the switch times ts where the
+    state-0 characteristic through the state-1 path's point starts inside
+    [0, width]; the hazard in closed form with scipy's Ei."""
+    C, cv = params.C, params.C * params.Va
+    tc0, tc1 = C * params.R0, C * params.R1
+
+    def q1(ts):      # state-1 characteristic through (q, t), back at ts
+        return cv + (q - cv) * math.exp((t - ts) / tc1)
+
+    def start(ts):   # where the state-0 characteristic through (q1(ts), ts) starts
+        return cv + (q1(ts) - cv) * math.exp(ts / tc0)
+
+    def integrand(ts):
+        x0 = (params.Va - start(ts) / C) / params.V0
+        hazard = tc0 / params.tau0 * (expi(x0) - expi(x0 * math.exp(-ts / tc0)))
+        p0 = math.exp(ts / tc0) / width * math.exp(-hazard)
+        rate = math.exp((params.Va - q1(ts) / C) / params.V0) / params.tau0
+        return rate * math.exp((t - ts) / tc1) * p0
+
+    def crossing(edge):   # start() rises with ts, since R1 < R0
+        if start(0.0) >= edge:
+            return 0.0
+        if start(t) <= edge:
+            return t
+        return brentq(lambda ts: start(ts) - edge, 0.0, t, xtol=1e-18, rtol=1e-15)
+
+    lo, hi = crossing(0.0), crossing(width)
+    return quad(integrand, lo, hi, epsrel=1e-12, epsabs=0.0, limit=200)[0] if hi > lo else 0.0
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 8])
+def test_unidirectional_smooth_source_near_the_support_edge(params, model, k):
+    # grid points of the mass test above near p1's lower support edge: at
+    # k = 5 the switch-time integrand is non-zero only on [7.985, 8] ms
+    w = Waveform.constant(params.Va)
+    width, t = 0.05 * params.C * params.Va, 0.008
+    _, p1 = unidirectional_densities(Density1D.uniform(0.0, width), Density1D.zero(), model,
+                                     params.C, w, t, rtol=1e-10)
+    q = k / 64 * params.C * params.Va
+    ref = _smooth_source_reference(params, width, t, q)
+    assert p1(q) == pytest.approx(ref, rel=1e-8)
+    if k == 5:
+        assert ref == pytest.approx(17899.07, rel=1e-6)
+
+
+# in-regime drives that are not constant: the faster state-1 path from 0
+# stays below C V throughout [0, 10 ms]
+DRIVES = {"rising_pwl": Waveform.pwl([(0.0, 0.2), (3e-3, 0.3), (6e-3, 0.36), (20e-3, 0.4)]),
+          "sine": Waveform.sine(0.3, 0.05, 120.0)}
+
+
+@pytest.mark.parametrize("drive", list(DRIVES))
+def test_unidirectional_delta_under_time_varying_drive(params, model, drive):
+    # survival weight and total mass of a delta at 0 against the ODE path
+    # (solve_ivp) and scipy quad of the rate along it
+    w, C, t = DRIVES[drive], params.C, 0.01
+
+    def path(r):
+        return solve_ivp(lambda s, q: (w(s) - q[0] / C) / r, (0.0, t), [0.0], method="DOP853",
+                         rtol=1e-13, atol=1e-22, dense_output=True).sol
+
+    q0_path = path(params.R0)
+    cuts = [b for b in w.breakpoint_times() if 0.0 < b < t] or None
+    hazard = quad(lambda s: math.exp((w(s) - q0_path(s)[0] / C) / params.V0) / params.tau0,
+                  0.0, t, points=cuts, epsrel=1e-12, epsabs=0.0, limit=200)[0]
+    p0, p1 = unidirectional_densities(Density1D.delta(0.0), Density1D.zero(), model, C, w, t,
+                                      rtol=1e-11)
+    (qd, weight), = p0.deltas
+    assert qd == pytest.approx(float(q0_path(t)[0]), rel=1e-10)
+    assert weight == pytest.approx(math.exp(-hazard), rel=1e-8)
+    # the switched mass lies between the paths that switch at t and at 0
+    lo, hi = float(q0_path(t)[0]), float(path(params.R1)(t)[0])
+    switched = quad(p1, lo, hi, epsrel=1e-11, epsabs=0.0, limit=200)[0]
+    assert weight + switched == pytest.approx(1.0, rel=1e-8)
+    assert switched == pytest.approx(-math.expm1(-hazard), rel=1e-8)
+
+
+@pytest.mark.parametrize("ceiling", [50.0, 1e-6, math.inf])
+def test_unidirectional_constant_drive_agrees_with_flat_pwl(params, ceiling):
+    # the closed form under constant drive against the panels of the same
+    # drive written as a flat PWL, with the rate's cap binding at first (50),
+    # throughout (below the floor rate 1/tau0) or never
+    m = MemristorModel.binary(params.R0, params.R1, params.tau0, params.V0, rate_ceiling=ceiling)
+    out = [unidirectional_densities(Density1D.delta(0.0), Density1D.zero(), m, params.C, w, 0.01)
+           for w in (Waveform.constant(params.Va), Waveform.pwl([(0.0, params.Va), (1.0, params.Va)]))]
+    (_, closed), (_, panels) = (p0.deltas[0] for p0, _ in out)
+    assert closed == pytest.approx(panels, rel=1e-8)
+    assert out[0][1](1e-7) == pytest.approx(out[1][1](1e-7), rel=1e-8)

@@ -42,8 +42,13 @@ def test_waveform_bounds_and_breakpoints():
     w = Waveform.pwl([(0.0, 0.0), (1.0, 2.0)])
     assert w.bounds(0.5) == (0.0, 1.0)
     assert w.breakpoint_times() == (0.0, 1.0)
-    assert Waveform.constant(1.0).is_constant()
-    assert not w.is_constant()
+    # segments: (t0, v0, k) before the first breakpoint and after each
+    t0, v0, k = w.segments
+    assert t0.tolist() == [0.0, 0.0, 1.0] and v0.tolist() == [0.0, 0.0, 2.0]
+    assert k.tolist() == [0.0, 2.0, 0.0]
+    t0, v0, k = Waveform.step(2.0, 0.5, value_before=-1.0).segments
+    assert (t0.tolist(), v0.tolist(), k.tolist()) == ([0.5, 0.5], [-1.0, 2.0], [0.0, 0.0])
+    assert [x.tolist() for x in Waveform.constant(3.0).segments] == [[0.0], [3.0], [0.0]]
 
 
 def test_waveform_validation():

@@ -16,59 +16,69 @@ def binary():
     return MemristorModel.binary(1e5, 1e4, 3e5, 0.02)
 
 
+def _rate(model, column, v_m):
+    """`switching_rate` on column `column` of the model's transition table
+    (i: up out of state i; G + i: down out of state i)."""
+    return float(switching_rate(v_m, *model.transitions[:, column], model.rate_ceiling))
+
+
 def test_rate_up_value(binary):
     # exp(0.35 / 0.02) / 3e5, computed independently with mpmath
     import mpmath
     expected = float(mpmath.exp(mpmath.mpf("0.35") / mpmath.mpf("0.02")) / 3e5)
-    got = binary.rate_up(0, 0.35)
+    got = _rate(binary, 0, 0.35)
     assert got == pytest.approx(expected, rel=1e-14)
     assert got == pytest.approx(132.7492813252541, rel=1e-12)
 
 
 def test_rates_zero_in_wrong_direction(binary):
-    assert binary.rate_up(0, 0.0) == 0.0
-    assert binary.rate_up(0, -0.1) == 0.0
-    assert binary.rate_down(1, 0.0) == 0.0
-    assert binary.rate_down(1, 0.1) == 0.0
+    # zero at vm = 0, and for the absent transitions: up out of the top
+    # state and down out of the bottom one
+    assert _rate(binary, 0, 0.0) == 0.0
+    assert _rate(binary, 3, 0.0) == 0.0
+    assert _rate(binary, 1, 0.1) == 0.0
+    assert _rate(binary, 2, -0.1) == 0.0
+    assert np.array_equal(binary.rate_up_array(0, np.array([0.0, -0.1])), [0.0, 0.0])
+    assert np.array_equal(binary.rate_down_array(1, np.array([0.0, 0.1])), [0.0, 0.0])
 
 
 def test_rate_down_mirrors_rate_up(binary):
     # symmetric parameters: down-rate at -V equals up-rate at +V
     for v in (0.01, 0.1, 0.34):
-        assert binary.rate_down(1, -v) == pytest.approx(binary.rate_up(0, v), rel=1e-15)
+        assert _rate(binary, 3, -v) == pytest.approx(_rate(binary, 0, v), rel=1e-15)
 
 
 def test_total_exit_rate_boundary_states(binary):
     v = 0.2
-    assert binary.total_exit_rate(0, v) == binary.rate_up(0, v)
+    assert binary.total_exit_rate(0, v) == _rate(binary, 0, v)
     assert binary.total_exit_rate(0, -v) == 0.0
-    assert binary.total_exit_rate(1, -v) == binary.rate_down(1, -v)
+    assert binary.total_exit_rate(1, -v) == _rate(binary, 3, -v)
     assert binary.total_exit_rate(1, v) == 0.0
 
 
 def test_total_exit_rate_middle_state():
     m = MemristorModel.uniform((1e5, 5e4, 1e4), 1.0, 0.1)
     # for a middle state only one direction is active at a time
-    assert m.total_exit_rate(1, 0.3) == m.rate_up(1, 0.3)
-    assert m.total_exit_rate(1, -0.3) == m.rate_down(1, -0.3)
+    assert m.total_exit_rate(1, 0.3) == _rate(m, 1, 0.3)
+    assert m.total_exit_rate(1, -0.3) == _rate(m, 4, -0.3)
 
 
 def test_rate_ceiling_caps_rates():
     m = MemristorModel.binary(1e5, 1e4, 3e5, 0.02)
-    r = m.rate_up(0, 50.0)  # exp(2500) overflows
+    r = _rate(m, 0, 50.0)  # exp(2500) overflows
     assert r == m.rate_ceiling == 1e30
     custom = MemristorModel.binary(1e5, 1e4, 3e5, 0.02, rate_ceiling=1e6)
-    assert custom.rate_up(0, 1.0) == 1e6
-    assert custom.rate_down(1, -1.0) == custom.total_exit_rate(1, -1.0) == 1e6
+    assert _rate(custom, 0, 1.0) == 1e6
+    assert _rate(custom, 3, -1.0) == custom.total_exit_rate(1, -1.0) == 1e6
     assert np.array_equal(custom.rate_up_array(0, np.array([1.0, 0.2, -1.0])),
                           [1e6, math.exp(10.0) / 3e5, 0.0])
     unlimited = MemristorModel.binary(1e5, 1e4, 3e5, 0.02, rate_ceiling=math.inf)
-    assert unlimited.rate_up(0, 1.0) == math.exp(50.0) / 3e5
+    assert _rate(unlimited, 0, 1.0) == math.exp(50.0) / 3e5
     # without a cap the exponent is still cut at 700; a rate that then
     # overflows in the division by tau meets the ceiling without a warning
-    assert unlimited.rate_up(0, 50.0) == math.exp(700.0) / 3e5
+    assert _rate(unlimited, 0, 50.0) == math.exp(700.0) / 3e5
     fast = MemristorModel.binary(1e5, 1e4, 1e-10, 0.02)
-    assert fast.rate_up(0, 50.0) == fast.rate_ceiling
+    assert _rate(fast, 0, 50.0) == fast.rate_ceiling
 
 
 @pytest.mark.parametrize("ceiling", [0.0, -1.0, math.nan, -math.inf])
@@ -79,9 +89,9 @@ def test_rate_ceiling_must_be_positive(ceiling):
 
 def test_index_errors(binary):
     with pytest.raises(IndexError):
-        binary.rate_up(1, 0.1)
+        binary.rate_up_array(1, np.array([0.1]))
     with pytest.raises(IndexError):
-        binary.rate_down(0, -0.1)
+        binary.rate_down_array(0, np.array([-0.1]))
     with pytest.raises(IndexError):
         binary.total_exit_rate(2, 0.1)
     with pytest.raises(IndexError):
@@ -120,8 +130,8 @@ def test_vectorized_matches_scalar(vm):
     up = m.rate_up_array(0, arr)
     down = m.rate_down_array(1, arr)
     for k, v in enumerate(arr):
-        assert up[k] == pytest.approx(m.rate_up(0, float(v)), rel=1e-12, abs=0.0)
-        assert down[k] == pytest.approx(m.rate_down(1, float(v)), rel=1e-12, abs=0.0)
+        assert up[k] == pytest.approx(_rate(m, 0, max(float(v), 0.0)), rel=1e-12, abs=0.0)
+        assert down[k] == pytest.approx(_rate(m, 3, min(float(v), 0.0)), rel=1e-12, abs=0.0)
 
 
 # ------------------------------------- the kernel against the old formulas
@@ -130,7 +140,7 @@ def test_vectorized_matches_scalar(vm):
 # netlist engine's, which multiplied by 1/V, to round-off.
 
 def _old_scalar(model, i, v_m, up):
-    """MemristorModel.rate_up / rate_down with their clamp."""
+    """The deleted MemristorModel.rate_up / rate_down, with their clamp."""
     if (v_m <= 0.0) if up else (v_m >= 0.0):
         return 0.0
     v, tau = (model.v_up[i], model.tau_up[i]) if up else (model.v_down[i - 1],
@@ -213,9 +223,9 @@ def test_kernel_equals_the_old_formulas_bit_for_bit(model):
             down = _old_scalar(model, i, v, False) if i > 0 else 0.0
             assert model.total_exit_rate(i, v) == up + down
             if i < g - 1:
-                assert model.rate_up(i, v) == up
+                assert _rate(model, i, max(v, 0.0)) == up
             if i > 0:
-                assert model.rate_down(i, v) == down
+                assert _rate(model, g + i, min(v, 0.0)) == down
 
 
 def test_kernel_counts_only_rates_above_the_ceiling():

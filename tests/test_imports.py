@@ -15,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from memstoch import (ChargeGrid, ConstantDriveParams, DistributionField,
+from memstoch import (ChargeGrid, ConstantDriveParams, Density1D, DistributionField,
                       MemristorModel, SeriesCircuitParams, Waveform,
                       p0_constant_voltage, parse_netlist, pde, run_ensemble,
-                      series_mc)
+                      series_mc, unidirectional_densities)
 
 TESTS = Path(__file__).resolve().parent
 DEV = "STATES=2 R=100k,10k TAUUP=300k VUP=0.02 TAUDOWN=300k VDOWN=0.02"
@@ -47,9 +47,15 @@ def numpy_only_runs():
 
 
 def scipy_runs():
-    """The constant-drive closed form."""
+    """The constant-drive closed form, and the unidirectional solution of a
+    delta under a PWL drive: its survival weight and switched density."""
     p = ConstantDriveParams.figure2()
-    return {"p0": np.array([p0_constant_voltage(p, t) for t in (1e-3, 5e-3)])}
+    model = MemristorModel.binary(p.R0, p.R1, p.tau0, p.V0)
+    wave = Waveform.pwl([(0.0, 0.2), (0.01, 0.4)])
+    p0, p1 = unidirectional_densities(Density1D.delta(0.0), Density1D.zero(), model, p.C,
+                                      wave, 0.005)
+    return {"p0": np.array([p0_constant_voltage(p, t) for t in (1e-3, 5e-3)]),
+            "unidirectional": np.array([p0.deltas[0][1], p1(5e-8)])}
 
 
 CHILD = """

@@ -22,6 +22,7 @@ from memstoch import mc
 from memstoch.analytic import hazard_integral
 from memstoch.circuit import (Capacitor, CircuitState, Memristor, Netlist,
                               VoltageSource, parse_netlist)
+from memstoch.device import switching_rate
 
 
 @pytest.fixture
@@ -70,7 +71,7 @@ def hazard_accumulate(model, state, vm_of_t, t0, t1, threshold, rtol=1e-10):
 def test_hazard_inversion_constant_rate(model):
     # constant voltage -> homogeneous Poisson clock: crossing time is
     # threshold / rate
-    gamma = model.rate_up(0, 0.35)
+    gamma = float(switching_rate(0.35, *model.transitions[:, 0], model.rate_ceiling))
     thr = 0.5
     t = hazard_accumulate(model, 0, lambda _t: 0.35, 2.0, 2.0 + 1.0, thr)
     assert t == pytest.approx(2.0 + thr / gamma, rel=1e-9)
@@ -618,8 +619,8 @@ def _decay_hazard(vm0, tau, tau_x, v_x, vm_inf=0.0, t_on=0.0, cap=math.inf):
         d = np.maximum(t.ravel() - t_on, 0.0) / tau
         dc = np.minimum(d, d_cap)
         ds = np.maximum(np.minimum(d, d_sign), dc)
-        h = tau / tau_x * (hazard_integral(s0 * a, s0 * b, dc, ds)[0]
-                           + hazard_integral(-s0 * a, -s0 * b, ds, d)[0])
+        h = tau / tau_x * (hazard_integral(s0 * a, s0 * b, dc, ds)
+                           + hazard_integral(-s0 * a, -s0 * b, ds, d))
         return (h + cap * tau * dc if d_cap > 0.0 else h).reshape(t.shape)
     return lambda nodes: hazard
 

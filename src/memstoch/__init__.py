@@ -6,7 +6,8 @@ Three cross-validating engines share one device and circuit model:
 - ``memstoch.mc``: Monte Carlo trajectory sampling of the underlying
   piecewise-deterministic Markov process,
 - ``memstoch.pde``: a finite-volume solver for the coupled
-  advection-reaction master equations of the series circuit,
+  advection-reaction master equations of any circuit of one memristor,
+  one capacitor and one source, read from its per-state affine tables,
 - ``memstoch.analytic``: closed-form solutions for the no-switching and
   unidirectional-switching regimes of the binary series circuit.
 

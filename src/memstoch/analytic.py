@@ -573,10 +573,10 @@ def unidirectional_densities(f: Density1D, g: Density1D,
         raise ValueError("t must be >= 0")
     r0, r1 = model.resistances[0], model.resistances[1]
     upper = max(f.max_support(), g.max_support())
+    # while vm > 0 on it, the path of the top charge through the smaller
+    # resistance bounds every path, switched or not
+    top = _Paths(C, min(r0, r1), waveform)
     if upper > -math.inf:
-        # while vm > 0 on it, the path of the top charge through the
-        # smaller resistance bounds every path, switched or not
-        top = _Paths(C, min(r0, r1), waveform)
         s = np.union1d(np.linspace(0.0, t, 1025), top.bp[(top.bp >= 0.0) & (top.bp <= t)])
         bad = waveform(s) - top(upper, 0.0, s) / C <= 0.0
         if bad.any():
@@ -612,12 +612,13 @@ def unidirectional_densities(f: Density1D, g: Density1D,
     p1_fn = None
     support1 = transported_g.support
     if source_fns or transported_g.fn is not None:
-        # conservative support: from the lowest initial mass up to the
-        # driven charge bound C V over the window
-        cv_hi = C * float(np.max(waveform(np.linspace(0.0, t, 65))))
+        # while vm > 0 every path rises no slower than through max(R0, R1):
+        # the paths of the lowest start through it and of the top one
+        # through min(R0, R1) bound p1's mass
         starts = ([qd for qd, _ in f.deltas] + [f.support[0]] * (f.fn is not None)
-                  + [support1[0]] * (transported_g.fn is not None))
-        support1 = (min(starts, default=0.0), max(support1[1], cv_hi))
+                  + [g.support[0]] * (g.fn is not None))
+        support1 = (float(_Paths(C, max(r0, r1), waveform)(min(starts), 0.0, t)),
+                    float(top(upper, 0.0, t)))
 
         def p1_fn(q, tg=transported_g, fns=tuple(source_fns)):
             return tg(q) + sum(float(fn(q)) for fn in fns)

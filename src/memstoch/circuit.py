@@ -658,3 +658,36 @@ def affine_dynamics(netlist: Netlist, mem_states) -> AffineDynamics:
         B[:, s] = dqdt
         Ds[:, s] = vm
     return AffineDynamics(A, B, Dq, Ds)
+
+
+def is_single_device(netlist: Netlist) -> bool:
+    """One memristor, one capacitor and one source, with any resistors."""
+    return (len(netlist.memristors) == 1 and len(netlist.capacitors) == 1
+            and len(netlist.sources) == 1)
+
+
+def single_device_tables(netlist: Netlist) -> tuple:
+    """(A, B, Dq, Ds) of a single device, arrays over its G states: in state
+    s, dq/dt = A[s] q + B[s] v and vm = Dq[s] q + Ds[s] v, from one
+    `affine_dynamics` per state.  Any other netlist raises NetlistError."""
+    if not is_single_device(netlist):
+        raise NetlistError("need one memristor, one capacitor and one source")
+    dyn = [affine_dynamics(netlist, (i,)) for i in range(netlist.memristors[0].model.num_states)]
+    return tuple(np.array([[d.A[0, 0], d.B[0, 0], d.Dq[0, 0], d.Ds[0, 0]] for d in dyn]).T)
+
+
+def output_grid(t0: float, t_end: float, output_times) -> list:
+    """The distinct output times and t_end, ascending, of a run from t0;
+    ValueError unless t_end > t0 and every time is finite and in [t0, t_end]."""
+    t_end, times = float(t_end), np.asarray(output_times, dtype=float).ravel()
+    if not math.isfinite(t_end):
+        raise ValueError("t_end must be finite")
+    if not np.isfinite(times).all():
+        raise ValueError("output times must be finite")
+    if not t_end > t0:
+        raise ValueError("t_end must exceed the initial time")
+    if min(times, default=t_end) < t0:
+        raise ValueError("output time before the initial time")
+    if max(times, default=t_end) > t_end:
+        raise ValueError("output time after t_end")
+    return sorted(set(times.tolist()) | {t_end})

@@ -140,13 +140,13 @@ def _series_params(cfg: dict) -> analytic.ConstantDriveParams:
     return analytic.ConstantDriveParams(**kw)
 
 
-def _series_model(params: analytic.ConstantDriveParams) -> MemristorModel:
-    return MemristorModel.binary(params.R0, params.R1, params.tau0, params.V0)
-
-
-def _series_netlist(params: analytic.ConstantDriveParams):
-    return series_mc(_series_model(params), params.C,
-                     Waveform.constant(params.Va), params.q0)
+def _circuit(cfg: dict):
+    """The config's `netlist:` file, else the circuit of its `series:` block."""
+    if "netlist" in cfg:
+        return parse_netlist(Path(_require(cfg, "netlist", str)).read_text())
+    p = _series_params(cfg)
+    return series_mc(MemristorModel.binary(p.R0, p.R1, p.tau0, p.V0), p.C,
+                     Waveform.constant(p.Va), p.q0)
 
 
 def _output_times(cfg: dict) -> np.ndarray:
@@ -175,17 +175,16 @@ def _run_analytic(cfg: dict) -> ResultTable:
 
 
 def _run_pde(cfg: dict) -> ResultTable:
-    params = _series_params(cfg)
-    model = _series_model(params)
+    netlist = _circuit(cfg)
     times = _output_times(cfg)
     t_end = float(times[-1])
     n_cells = int(cfg.get("pde", {}).get("n_cells", 2000))
-    grid = pde.ChargeGrid.for_drive(params.C, Waveform.constant(params.Va),
-                                    t_end, n_cells, q_extra=params.q0)
-    initial = pde.DistributionField.from_delta(grid, model.num_states, 0, params.q0)
-    circ = pde.SeriesCircuitParams(params.C, Waveform.constant(params.Va))
-    result = pde.run(initial, t_end, times, circ, model)
-    cols = ["time"] + [f"p{i}" for i in range(model.num_states)]
+    c = pde.fixed_charges(netlist)   # NetlistError unless a single device
+    mem, q0, g = netlist.memristors[0], netlist.capacitors[0].initial_charge, len(c)
+    grid = pde.ChargeGrid.for_drive(c, netlist.sources[0].waveform, t_end, n_cells, q_extra=q0)
+    result = pde.run(pde.DistributionField.from_delta(grid, g, mem.initial_state, q0), t_end,
+                     times, netlist)
+    cols = ["time"] + [f"p{i}" for i in range(g)]
     rows = np.column_stack([result.times, result.marginals])
     # what the solver did (its steps and dt range) rides along
     meta = {**result.diagnostics,
@@ -203,10 +202,7 @@ def _run_mc(cfg: dict, seed_override=None, traj_override=None) -> ResultTable:
                else mc_cfg.get("seed", 0))
     times = _output_times(cfg)
     t_end = float(times[-1])
-    if "netlist" in cfg:
-        netlist = parse_netlist(Path(_require(cfg, "netlist", str)).read_text())
-    else:
-        netlist = _series_netlist(_series_params(cfg))
+    netlist = _circuit(cfg)
     stats = mc.run_ensemble(netlist, netlist.initial_state(), t_end, times, n, seed)
     occ = stats.occupancy[0]
     se = stats.stderr[0]
@@ -224,7 +220,8 @@ def _run_mc(cfg: dict, seed_override=None, traj_override=None) -> ResultTable:
 
 
 def _run_compare(cfg: dict, seed_override=None, traj_override=None) -> ResultTable:
-    params = _series_params(cfg)
+    if "netlist" in cfg:    # the analytic engine knows only the series block
+        raise ConfigError("engine compare needs a series: block, not a netlist:")
     times = _output_times(cfg)
     ana = _run_analytic(cfg)
     pd_ = _run_pde(cfg)

@@ -37,7 +37,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .circuit import CircuitState, Netlist, affine_dynamics, forced_charge
+from .circuit import (CircuitState, Netlist, affine_dynamics, forced_charge, is_single_device,
+                      output_grid, single_device_tables)
 from .device import switching_rate
 
 # thinning
@@ -207,7 +208,7 @@ class _Ensemble:
         self.candidates = _Thresholds(master_seed, n)
         # window, charge flow and table rows, as functions of the engine:
         # bound methods kept on it would hold its arrays in a reference cycle
-        if _is_single_device(netlist):
+        if is_single_device(netlist):
             self._forcing()
             self.kernels = _Ensemble._scalar_window, _Ensemble._scalar_flow, _Ensemble._state_rows
         else:
@@ -628,8 +629,7 @@ class _Ensemble:
         sin wt, cos wt) and segment * G + state otherwise (basis 1, t - t0).
         _par[:, s]: A, Dq, A^2, a bound on |u''|, the window slack in volts,
         1 / V and ln tau up and down, the log of the rate's cap."""
-        dyn = [affine_dynamics(self.netlist, (i,)) for i in range(self.gs[0])]
-        A, B, Dq, Ds = np.array([[d.A[0, 0], d.B[0, 0], d.Dq[0, 0], d.Ds[0, 0]] for d in dyn]).T
+        A, B, Dq, Ds = single_device_tables(self.netlist)
         w, g = self.waves[0], self.gs[0]
         fq = forced_charge(A, B, w)
         if w.kind == "sine":
@@ -780,29 +780,6 @@ def _offset(l0, l1, dt, gap, total):
 # --------------------------------------------------------------------------
 # Entry points
 
-def _is_single_device(netlist: Netlist) -> bool:
-    return (len(netlist.memristors) == 1 and len(netlist.capacitors) == 1
-            and len(netlist.sources) == 1)
-
-
-def _output_grid(initial: CircuitState, t_end: float, output_times) -> list:
-    """The distinct output times and t_end, ascending.  A run that does not
-    end after the initial time, or a time that is not finite or lies
-    outside [initial time, t_end], raises ValueError."""
-    t_end, times = float(t_end), np.asarray(output_times, dtype=float).ravel()
-    if not math.isfinite(t_end):
-        raise ValueError("t_end must be finite")
-    if not np.isfinite(times).all():
-        raise ValueError("output times must be finite")
-    if not t_end > initial.time:
-        raise ValueError("t_end must exceed the initial time")
-    if min(times, default=t_end) < initial.time:
-        raise ValueError("output time before the initial time")
-    if max(times, default=t_end) > t_end:
-        raise ValueError("output time after t_end")
-    return sorted(set(times.tolist()) | {t_end})
-
-
 def simulate_trajectory(netlist: Netlist, initial: CircuitState,
                         t_end: float, seed: int,
                         output_times: Optional[Sequence[float]] = None) -> TrajectoryRecord:
@@ -816,7 +793,7 @@ def simulate_trajectory(netlist: Netlist, initial: CircuitState,
     t_end or output time, t_end not after the initial time, or an output
     time outside [initial time, t_end] raises ValueError.
     """
-    outputs = _output_grid(initial, t_end, () if output_times is None else output_times)
+    outputs = output_grid(initial.time, t_end, () if output_times is None else output_times)
     eng = _Ensemble(netlist, 1, seed)
     eng._evolve(initial, outputs)
     # the one trajectory is the last row of each record
@@ -851,5 +828,5 @@ def run_ensemble(netlist: Netlist, initial: CircuitState, t_end: float,
         raise ValueError("n must be an integer >= 1")
     if not isinstance(histogram_bins, Integral) or histogram_bins < 1:
         raise ValueError("histogram_bins must be an integer >= 1")
-    outputs = _output_grid(initial, t_end, output_times)
+    outputs = output_grid(initial.time, t_end, output_times)
     return _Ensemble(netlist, int(n), master_seed, int(histogram_bins)).run(initial, outputs)

@@ -1,14 +1,18 @@
 """Finite-volume solver for the coupled advection-reaction master
-equations of the series memristor-capacitor circuit.
+equations of a circuit of one stochastic memristor, one capacitor and one
+source, with any resistors: a `Netlist`, or the series circuit as
+`SeriesCircuitParams` and a model.  The circuit enters only through its
+per-state tables (`circuit.single_device_tables`): in state s the charge
+drifts at A_s q + B_s V(t) and the memristor sees vm_s = Dq_s q + Ds_s V(t).
 
-Each of the G state densities p_i(q, t) is advected along the charge
-axis with velocity (V(t) - q/C)/R_i (conservative first-order upwind)
-and exchanges mass with adjacent states through the voltage-dependent
-switching rates.  The reaction splits each cell's birth-death generator
-into adjacent-pair exchanges, each solved exactly (2x2 matrix
-exponential) and swept symmetrically (Strang 1968); for G = 2 this is
-the single exact 2x2 update.  Every exchange conserves mass and keeps
-cells non-negative for any dt, so dt is limited by the CFL condition
+Each state density p_s(q, t) is advected with its drift (conservative
+first-order upwind, split at the face of q* = -B_s V / A_s) and exchanges
+mass with adjacent states: pair (k, k+1) goes up at the rate vm_k drives
+and down at the one vm_{k+1} drives.  The reaction splits each cell's
+birth-death generator into adjacent-pair exchanges, each solved exactly
+(2x2 matrix exponential) and swept symmetrically (Strang 1968); for G = 2
+this is the single exact 2x2 update.  Every exchange conserves mass and
+keeps cells non-negative for any dt, so dt is limited by the CFL condition
 only.  Grid bounds are chosen so the drift points inward at both edges,
 making zero-flux boundaries exact and conserving mass to round-off.
 
@@ -16,7 +20,7 @@ dt depends on t only (the CFL cap at the grid's end faces), so `run` plans
 each output interval's steps, then takes them in blocks with tables of about
 64 KB: face velocities, upwind split faces, pair rates and reaction weights
 (under a constant drive the rates once per run, the weights once per dt;
-one rate table per distinct transition law).
+one vm and one rate table per law for states with equal (Dq, Ds) rows).
 Upwind transport moves mass by at most one cell per step, so a block works
 only on its start's support widened by the block length.  The support ends
 at the outermost cells where a state holds more than FLUSH_EPS of the mass;
@@ -29,13 +33,14 @@ copy of the field in place, checking positivity and mass after every step;
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .circuit import Waveform
+from .circuit import Netlist, Waveform, output_grid, series_mc, single_device_tables
 from .device import MemristorModel, switching_rate
 
 CFL_LIMIT = 0.9
@@ -79,25 +84,27 @@ class ChargeGrid:
         return self.q_min + np.arange(self.n_cells + 1) * self.dq
 
     @classmethod
-    def for_drive(cls, C: float, waveform: Waveform, t_end: float,
+    def for_drive(cls, C, waveform: Waveform, t_end: float,
                   n_cells: int, q_extra: float = 0.0,
                   pad: float = 0.1) -> "ChargeGrid":
         """Grid covering the dynamically reachable charges, padded so the
         drift is inward at both boundaries for all t in [0, t_end].
 
+        C is the series capacitance or the per-state `fixed_charges`.
         q_extra extends the covered range to include e.g. the initial
         charge.  Raises if the waveform range makes inward drift at the
         boundaries impossible to guarantee.
         """
         vmin, vmax = waveform.bounds(t_end)
-        lo = min(0.0, q_extra, C * vmin)
-        hi = max(C * vmax, q_extra)
+        cv = np.asarray(C, dtype=float)[..., None] * [vmin, vmax]
+        lo = min(0.0, q_extra, float(cv.min()))
+        hi = max(float(cv.max()), q_extra)
         span = hi - lo
         if span <= 0:
             span = max(abs(hi), 1.0) * 0.1
         grid = cls(lo - pad * span, hi + pad * span, n_cells)
-        # inward drift: v(q_min) = (V - q_min/C)/R > 0 and v(q_max) < 0
-        if not (grid.q_min < C * vmin and grid.q_max > C * vmax):
+        # inward drift: A (q_min - c v) > 0 and A (q_max - c v) < 0
+        if not (grid.q_min < cv.min() and grid.q_max > cv.max()):
             raise ValueError("grid bounds do not guarantee inward drift")
         return grid
 
@@ -169,9 +176,8 @@ class DistributionField:
 
 @dataclass(frozen=True)
 class SeriesCircuitParams:
-    """Parameters of the series source-memristor-capacitor circuit as
-    seen by the PDE: capacitance and drive waveform; the per-state
-    resistances come from the memristor model."""
+    """The series source-memristor-capacitor circuit by its capacitance and
+    drive waveform; `netlist` builds it for a memristor model."""
 
     C: float
     waveform: Waveform
@@ -180,22 +186,42 @@ class SeriesCircuitParams:
         if self.C <= 0:
             raise ValueError("C must be positive")
 
+    def netlist(self, model: MemristorModel) -> Netlist:
+        return series_mc(model, self.C, self.waveform)
 
-def _cfl(grid: ChargeGrid, params: SeriesCircuitParams, model: MemristorModel):
-    """dt_ok(v), the CFL cap at drive value v.  The drift (V - q/C)/R_i is
-    monotone in q and largest for the smallest R_i, so the fastest face is
-    an end face of the fastest state."""
-    (e0, e1), r, dq = (grid.faces()[[0, -1]] / params.C).tolist(), min(model.resistances), grid.dq
+
+@functools.lru_cache
+def _device(circuit, model):
+    """((A, B, Dq, Ds, c = -B / A or 0 where A = 0), waveform, model), once per
+    argument pair, of a single-device netlist (and its own model) or params."""
+    net = circuit.netlist(model) if isinstance(circuit, SeriesCircuitParams) else circuit
+    A, B, Dq, Ds = single_device_tables(net)
+    if model not in (None, net.memristors[0].model):
+        raise ValueError("model differs from the netlist's memristor")
+    c = np.divide(-B, A, out=np.zeros_like(A), where=A < 0.0)
+    return (A, B, Dq, Ds, c), net.sources[0].waveform, net.memristors[0].model
+
+
+def fixed_charges(circuit, model: MemristorModel = None) -> np.ndarray:
+    """c_s per state s: under a source v, state s drifts toward the charge
+    c_s v.  `ChargeGrid.for_drive` takes them for C."""
+    return _device(circuit, model)[0][4].copy()  # the cached array stays put
+
+
+def admissible_dt(field: DistributionField, circuit, model: MemristorModel = None) -> float:
+    """Largest dt satisfying the CFL cap at the field's current time."""
+    (A, B, *_), wave, _ = _device(circuit, model)
+    return _cfl(field.grid.faces(), field.grid.dq, A, B)(wave(field.time))
+
+
+def _cfl(faces, dq, A, B):
+    """dt_ok(v), the CFL cap at source voltage v: state s drifts at A_s q +
+    B_s v, fastest at an end face."""
+    ends = [(a * e, b) for a, b in zip(A.tolist(), B.tolist()) for e in faces[[0, -1]].tolist()]
     def dt_ok(v):
-        vmax = max(abs((v - e0) / r), abs((v - e1) / r))
+        vmax = max([abs(a + b * v) for a, b in ends])
         return float(CFL_LIMIT * dq / vmax) if vmax > 0 else math.inf
     return dt_ok
-
-
-def admissible_dt(field: DistributionField, params: SeriesCircuitParams,
-                  model: MemristorModel) -> float:
-    """Largest dt satisfying the CFL cap at the field's current time."""
-    return _cfl(field.grid, params, model)(params.waveform(field.time))
 
 
 _BLOCK_BYTES = 1 << 16  # one block table (steps x cells): 8 steps at 1000 cells
@@ -206,42 +232,50 @@ class _RunTables:
     of a block of planned steps over the cells mass can reach in it (see
     the module docstring), and the kernel that takes those steps in place."""
 
-    def __init__(self, grid: ChargeGrid, params: SeriesCircuitParams, model: MemristorModel):
-        self.model, self.dq, self.dt_ok = model, grid.dq, _cfl(grid, params, model)
-        # the drift (V - q/C)/R_i is > 0 at the faces with V > face_v
-        self.face_v, self.cell_v = grid.faces()[1:-1] / params.C, grid.centers() / params.C
-        self.r = np.array(model.resistances)[:, None]
+    def __init__(self, field: DistributionField, circuit, model: MemristorModel = None):
+        (A, B, Dq, Ds, c), self.wave, self.model = _device(circuit, model)
+        if self.model.num_states != field.num_states:
+            raise ValueError("model/field state-count mismatch")
+        # state s drifts at A_s q + B_s v: upward below its split face at c_s v
+        grid, faces, self.b, self.c = field.grid, field.grid.faces(), B, c
+        self.dq, self.dt_ok = grid.dq, _cfl(faces, grid.dq, A, B)
+        self.faces, self.a_face = faces[1:-1], A[:, None] * faces[1:-1]
+        # one vm = Dq q + Ds v per distinct (Dq, Ds) row; vrow[s] is state s's
+        rows = list(dict.fromkeys(keys := list(zip(Dq.tolist(), Ds.tolist()))))
+        self.vrow, (dq, ds) = [rows.index(k) for k in keys], np.array(rows).T
+        self.vm_q, self.vm_v = dq[:, None] * grid.centers(), ds
         self.steps = max(1, _BLOCK_BYTES // (8 * grid.n_cells))
         self.fixed = self.w_dt = self.w = None
         self.lo, self.hi, self.min_cell, self.mass_err = 0, grid.n_cells, math.inf, 0.0
         self.diag = dict(rate_ceiling_hits=0, blocks=0, cell_steps=0, flushed_mass=0.0)
-        if params.waveform.kind == "constant":
-            self.fixed = self._drive(np.array([params.waveform(0.0)]), 0, grid.n_cells)
 
     def _drive(self, v, lo, hi):
-        """Face velocities, split faces and pair rates (up, down, either)
-        per drive value in v, over the cells lo..hi-1."""
-        vm = v[:, None] - self.cell_v[lo:hi]
+        """Face velocities (steps, G, faces), split faces (steps, G) and pair rates
+        (up, down, their sum) per drive value in v, over the cells lo..hi-1."""
+        vms = self.vm_q[:, lo:hi] + (self.vm_v * v[:, None])[:, :, None]
         g, par, cap = self.model.num_states, self.model.transitions, self.model.rate_ceiling
-        up, rates, laws = vm > 0.0, [], {}
+        rates, laws = [], {}
         for k in range(g - 1):
-            # one kernel call per distinct law: k -> k+1 where vm > 0, k+1 -> k where vm < 0
+            # one kernel call per law and vm rows: k -> k+1 where vm_k > 0, else k+1 -> k where
+            # vm_{k+1} < 0 (vm, Thevenin voltage times Rm / (Rm + R_th), has one sign in all states)
             (vu, vd), (tu, td) = law = par[:, [k, g + k + 1]]
-            if (key := tuple(law.ravel())) not in laws:
-                tally = dict(rate_ceiling_hits=0)
-                r = switching_rate(vm, vu if vu == vd else np.where(up, vu, vd),
+            u, d = self.vrow[k], self.vrow[k + 1]
+            if (key := (u, d, *law.ravel())) not in laws:
+                tally, up = dict(rate_ceiling_hits=0), vms[:, u] > 0.0
+                x = np.where(up, vms[:, u], np.minimum(vms[:, d], 0.0))
+                r = switching_rate(x, vu if vu == vd else np.where(up, vu, vd),
                                    tu if tu == td else np.where(up, tu, td), cap, tally)
                 laws[key] = (np.where(up, r, 0.0), np.where(up, 0.0, r), r), tally
             rates.append(laws[key][0])
             self.diag["rate_ceiling_hits"] += laws[key][1]["rate_ceiling_hits"]
-        return ((v[:, None] - self.face_v[lo:hi - 1])[:, None] / self.r,
-                np.searchsorted(self.face_v, v) - lo, rates)
+        return (self.a_face[:, lo:hi - 1] + (self.b * v[:, None])[:, :, None],
+                np.searchsorted(self.faces, np.multiply.outer(v, self.c)) - lo, rates)
 
     @staticmethod
     def _weights(rates, dt):
-        """(1 - exp(-r h)) / r of every pair's rate r (its up plus down
-        rate, one of them 0), with its limit h where r = 0; h is dt for the
-        last pair and dt/2 for the others."""
+        """(1 - exp(-r h)) / r of every pair's rate r, its up plus down
+        rate, with its limit h where r = 0; h is dt for the last pair and
+        dt/2 for the others."""
         last, ws = len(rates) - 1, []
         for k, (_, _, r) in enumerate(rates):
             h = np.broadcast_to(dt if k == last else dt / 2, r.shape)
@@ -259,23 +293,26 @@ class _RunTables:
         s0, s1 = (int(held[0]), int(held[-1]) + 1) if held.size else (0, 0)
         self.diag["flushed_mass"] += float(pw[:, :s0].sum() + pw[:, s1:].sum()) * self.dq
         pw[:, :s0] = pw[:, s1:] = 0.0
-        lo, hi = max(self.lo + s0 - 1 - m, 0), min(self.lo + s1 + 1 + m, self.cell_v.size)
+        lo, hi = max(self.lo + s0 - 1 - m, 0), min(self.lo + s1 + 1 + m, self.vm_q.shape[1])
         self.lo, self.hi = lo, hi
         ts, vs, dts, oks = zip(*rows)
-        if self.fixed is None:
+        if self.wave.kind != "constant":
             vel, split, rates = self._drive(np.array(vs), lo, hi)
             ws = self._weights(rates, np.array(dts)[:, None])
             pairs = [[(k, a[i], b[i], w[i]) for k, ((a, b, _), w) in enumerate(zip(rates, ws))]
                      for i in range(m)]
         else:  # rates once per run and weights once per distinct dt, sliced
+            self.fixed = self.fixed or self._drive(np.array(vs[:1]), 0, self.vm_q.shape[1])
             vel, split, rates = self.fixed
-            vel, split, pairs = [vel[0, :, lo:hi - 1]] * m, np.repeat(split, m) - lo, []
+            vel, split, pairs = [vel[0, :, lo:hi - 1]] * m, split - lo, []
             for dt in dts:
                 if dt != self.w_dt:
                     self.w_dt, self.w = dt, self._weights(rates, dt)
                 pairs.append([(k, a[0, lo:hi], b[0, lo:hi], w[0, lo:hi])
                               for k, ((a, b, _), w) in enumerate(zip(rates, self.w))])
-        split = np.clip(split, 0, hi - lo - 1).tolist()
+        # (state, face) pairs per step; one row for a constant drive
+        split = [list(enumerate(f)) for f in np.clip(split, 0, hi - lo - 1).tolist()]
+        split *= m // len(split)
         self.block = list(zip(ts, dts, oks, vel, split, [ps + ps[-2::-1] for ps in pairs]))
         self.diag["blocks"] += 1
         self.diag["cell_steps"] += m * (hi - lo)
@@ -285,12 +322,13 @@ class _RunTables:
         pw = p[:, self.lo:self.hi]
         rows, dq = list(pw), self.dq
         flux, div = np.empty((len(pw), pw.shape[1] - 1)), np.empty(pw.shape)
-        for t, dt, dt_ok, v, f, sweep in self.block:
+        for t, dt, dt_ok, v, split, sweep in self.block:
             if dt > dt_ok:
                 raise StepSizeError(f"dt = {dt:g} s too large", dt_ok)
             # ---- advection: upwind fluxes at interior faces, zero at boundaries
-            np.multiply(v[:, :f], pw[:, :f], out=flux[:, :f])
-            np.multiply(v[:, f:], pw[:, f + 1:], out=flux[:, f:])
+            for s, f in split:
+                np.multiply(v[s, :f], pw[s, :f], out=flux[s, :f])
+                np.multiply(v[s, f:], pw[s, f + 1:], out=flux[s, f:])
             div.fill(0.0)
             div[:, :-1] += flux
             div[:, 1:] -= flux
@@ -317,8 +355,8 @@ class _RunTables:
                                     f"t = {t + dt:g} s (boundary outflow?)")
 
 
-def step(field: DistributionField, dt: float, params: SeriesCircuitParams,
-         model: MemristorModel) -> DistributionField:
+def step(field: DistributionField, dt: float, circuit,
+         model: MemristorModel = None) -> DistributionField:
     """One Lie-split step: conservative upwind advection of every state,
     then the reaction substep coupling adjacent states.
 
@@ -331,13 +369,11 @@ def step(field: DistributionField, dt: float, params: SeriesCircuitParams,
     `run`'s kernel on a block of one step, on a copy of the field: bit for
     bit one step of `run`.
     """
-    if model.num_states != field.num_states:
-        raise ValueError("model/field state-count mismatch")
     if dt < 0:
         raise ValueError("dt must be >= 0")
-    p = field.p.copy()
+    tables, p = _RunTables(field, circuit, model), field.p.copy()
     if dt > 0.0:
-        tables, v = _RunTables(field.grid, params, model), params.waveform(field.time)
+        v = tables.wave(field.time)
         tables.plan(p, [(field.time, v, dt, tables.dt_ok(v))], field.mass())
         tables.advance(p, 0.0, math.inf)
     return DistributionField(field.grid, p, field.time + dt)
@@ -361,30 +397,25 @@ class PdeResult:
 
 
 def run(initial: DistributionField, t_end: float,
-        output_times: Sequence[float], params: SeriesCircuitParams,
-        model: MemristorModel,
+        output_times: Sequence[float], circuit,
+        model: MemristorModel = None,
         mass_tolerance: float = 1e-6) -> PdeResult:
     """Advance the field to t_end, recording marginals and conditional
     moments at the requested output times.
 
     Raises MassLossError if more than mass_tolerance of the initial mass
-    leaks (indicating boundary outflow).  `initial` is not modified.
+    leaks (indicating boundary outflow).  `initial` is not modified.  The
+    times are checked by `circuit.output_grid`, as in the MC.
     """
-    outputs = sorted(set(float(t) for t in output_times) | {float(t_end)})
-    if outputs[0] < initial.time:
-        raise ValueError("output time before the initial time")
-    if outputs[-1] > t_end:
-        raise ValueError("output time after t_end")
-    if model.num_states != initial.num_states:
-        raise ValueError("model/field state-count mismatch")
-    tables = _RunTables(initial.grid, params, model)
+    outputs = output_grid(initial.time, t_end, output_times)
+    tables = _RunTables(initial, circuit, model)
     p, t, dts, fields = initial.p.copy(), initial.time, [], []
     mass0, tables.min_cell = initial.mass(), float(p.min())
     for t_out in outputs:
         # dt depends on t only: plan the interval's steps, then take them
         plan = []
         while t < t_out - 1e-15 * max(t_out, 1.0):
-            v = params.waveform(t)
+            v = tables.wave(t)
             ok = tables.dt_ok(v)
             plan.append((t, v, min(ok, t_out - t), ok))
             t += plan[-1][2]

@@ -452,6 +452,19 @@ def test_unidirectional_delta_under_time_varying_drive(params, model, drive):
     assert switched == pytest.approx(-math.expm1(-hazard), rel=1e-8)
 
 
+@pytest.mark.parametrize("drive", ["constant", *DRIVES])
+def test_unidirectional_p1_support_is_the_bounding_paths_span(params, model, drive):
+    # from the lowest start through max(R0, R1) to the top start through
+    # min(R0, R1): over the former support [0, C max V], the Figure-2 delta
+    # at 10 ms took 2205 density calls in Density1D.mass, 21 over this span
+    w, t = DRIVES.get(drive, Waveform.constant(params.Va)), 0.01
+    p0, p1 = unidirectional_densities(Density1D.delta(0.0), Density1D.zero(), model, params.C,
+                                      w, t)
+    lo, hi = (rc_charge_wave(0.0, params.C, r, w, t) for r in (params.R0, params.R1))
+    assert p1.support == (pytest.approx(lo, rel=1e-12), pytest.approx(hi, rel=1e-12))
+    assert p0.deltas[0][1] + p1.mass() == pytest.approx(1.0, rel=1e-8)
+
+
 @pytest.mark.parametrize("ceiling", [50.0, 1e-6, math.inf])
 def test_unidirectional_constant_drive_agrees_with_flat_pwl(params, ceiling):
     # the closed form under constant drive against the panels of the same

@@ -133,13 +133,55 @@ def test_simulate_netlist_input(tmp_path):
     net.write_text(GOOD_NETLIST)
     cfg = write_cfg(tmp_path, engine="mc", mc={"trajectories": 100, "seed": 2},
                     netlist=str(net))
-    # the netlist path replaces the series block for the mc engine
+    # the netlist path replaces the series block for the mc and pde engines
     out = tmp_path / "n.csv"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     meta = ResultTable.read_csv(out).meta
     assert meta["engine"] == "mc"
     # the engine's diagnostics are copied into the header
     assert int(meta["windows"]) > 0 and int(meta["accepted"]) > 0
+
+
+SHUNTED_NETLIST = GOOD_NETLIST + "R2 n1 0 100k\n"
+
+
+def test_simulate_pde_engine_reads_a_netlist(tmp_path):
+    # the series netlist gives the series block's rows; a resistor across the
+    # capacitor changes them, and the solver's diagnostics ride along
+    rows = {}
+    for name, text in (("series", GOOD_NETLIST), ("shunted", SHUNTED_NETLIST), (None, None)):
+        extra = {}
+        if name:
+            (tmp_path / f"{name}.net").write_text(text)
+            extra["netlist"] = str(tmp_path / f"{name}.net")
+        cfg = write_cfg(tmp_path, f"{name}.yaml", engine="pde", pde={"n_cells": 200}, **extra)
+        out = tmp_path / f"{name}.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        table = ResultTable.read_csv(out)
+        assert np.allclose(table.column("p0") + table.column("p1"), 1.0, atol=1e-8)
+        assert 0.0 <= float(table.meta["flushed_mass"]) <= 1e-12
+        rows[name] = table.rows
+    assert np.array_equal(rows["series"], rows[None])
+    assert np.abs(rows["shunted"] - rows[None]).max() > 1e-3
+
+
+def test_simulate_pde_engine_refuses_two_devices(tmp_path, capsys):
+    net = tmp_path / "pair.net"
+    net.write_text(TWO_DEVICE_NETLIST)
+    cfg = write_cfg(tmp_path, engine="pde", netlist=str(net))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "one memristor, one capacitor and one source" in capsys.readouterr().err
+
+
+def test_simulate_compare_engine_refuses_a_netlist(tmp_path, capsys):
+    # unrefused, the analytic and PDE columns were the series block's and
+    # the MC column the netlist's, and the run exited 0
+    net = tmp_path / "shunted.net"
+    net.write_text(SHUNTED_NETLIST)
+    cfg = write_cfg(tmp_path, engine="compare", netlist=str(net),
+                    mc={"trajectories": 400, "seed": 3}, pde={"n_cells": 300})
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "series" in capsys.readouterr().err
 
 
 def test_simulate_reads_exponent_floats_without_dot(tmp_path):

@@ -175,7 +175,7 @@ def test_ensemble_occupancy_tracks_survival(netlist, params):
 
 def _thinning_only(monkeypatch):
     """Send every netlist through the thinning path and its matrix kernels."""
-    monkeypatch.setattr(mc, "_is_single_device", lambda netlist: False)
+    monkeypatch.setattr(mc, "is_single_device", lambda netlist: False)
 
 
 def test_ensemble_bitwise_reproducible(netlist):

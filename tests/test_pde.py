@@ -1,5 +1,6 @@
 """Finite-volume master-equation solver tests."""
 
+import functools
 import math
 import time
 
@@ -7,10 +8,12 @@ import numpy as np
 import pytest
 
 from memstoch import (ChargeGrid, ConstantDriveParams, Density1D,
-                      DistributionField, MemristorModel, SeriesCircuitParams,
+                      DistributionField, MemristorModel, Netlist, SeriesCircuitParams,
                       Waveform, no_switch_density, p0_constant_voltage,
-                      run_ensemble, series_mc)
+                      parse_netlist, run_ensemble, series_mc)
 from memstoch import pde
+from memstoch.circuit import affine_dynamics
+from test_mc import SHUNTED_TEXT, SIGN_CHANGE_TEXT
 
 
 @pytest.fixture
@@ -23,9 +26,42 @@ def model(params):
     return MemristorModel.binary(params.R0, params.R1, params.tau0, params.V0)
 
 
-def drift_velocity(i, q, t, params, model):
-    """Advection velocity of state i at charge q: (V(t) - q/C)/R_i."""
-    return (params.waveform(t) - np.asarray(q) / params.C) / model.resistance(i)
+@functools.lru_cache
+def affine_rows(circuit, model):
+    """(A, B, Dq, Ds), one row per state, read from `affine_dynamics` state by
+    state, and the source: in state i, dq/dt = A[i] q + B[i] V and vm =
+    Dq[i] q + Ds[i] V."""
+    net = circuit if isinstance(circuit, Netlist) else series_mc(model, circuit.C,
+                                                                 circuit.waveform)
+    dyn = [affine_dynamics(net, (i,)) for i in range(model.num_states)]
+    return ([np.array([d.A[0, 0], d.B[0, 0], d.Dq[0, 0], d.Ds[0, 0]]) for d in dyn],
+            net.sources[0].waveform)
+
+
+def drift_velocity(i, q, t, circuit, model, series=False):
+    """Advection velocity of state i at charge q: A_i q + B_i V(t), or with
+    series, the series circuit's formula (V(t) - q/C)/R_i."""
+    if series:
+        return (circuit.waveform(t) - np.asarray(q) / circuit.C) / model.resistance(i)
+    rows, wave = affine_rows(circuit, model)
+    return rows[i][0] * np.asarray(q) + rows[i][1] * wave(t)
+
+
+def memristor_voltage(i, q, t, circuit, model, series=False):
+    """The memristor voltage in state i at charge q: Dq_i q + Ds_i V(t), or
+    with series, the series circuit's formula V(t) - q/C."""
+    if series:
+        return circuit.waveform(t) - np.asarray(q) / circuit.C
+    rows, wave = affine_rows(circuit, model)
+    return rows[i][2] * np.asarray(q) + rows[i][3] * wave(t)
+
+
+def reference_dt(field, circuit, model, series=False):
+    """The CFL cap: CFL_LIMIT dq over the largest drift at any face of any state."""
+    faces = field.grid.faces()
+    vmax = max(float(np.abs(drift_velocity(i, faces, field.time, circuit, model, series)).max())
+               for i in range(field.num_states))
+    return pde.CFL_LIMIT * field.grid.dq / vmax
 
 
 def rates_off(params):
@@ -220,9 +256,8 @@ def test_binary_step_is_closed_two_state_update():
     field = DistributionField(g, np.vstack([0.7 * u, 0.3 * u]), time=0.3e-3)
     dt = pde.admissible_dt(field, circ, model2)
     p = pde.step(field, dt, circ, frozen2).p
-    vm = w(field.time) - g.centers() / C
-    a = model2.rate_up_array(0, vm)
-    b = model2.rate_down_array(1, vm)
+    a = model2.rate_up_array(0, memristor_voltage(0, g.centers(), field.time, circ, model2))
+    b = model2.rate_down_array(1, memristor_voltage(1, g.centers(), field.time, circ, model2))
     assert (a > 0).any() and (b > 0).any()
     s = a + b
     transfer = (a * p[0] - b * p[1]) * (-np.expm1(-s * dt) / s)
@@ -242,10 +277,7 @@ def test_admissible_dt_is_the_cfl_cap(states, wave, t):
     g = ChargeGrid.for_drive(C, wave, 0.01, 731)
     field = DistributionField.from_delta(g, states, 0, 0.0, time=t)
     circ = SeriesCircuitParams(C, wave)
-    faces = g.faces()
-    vmax = max(float(np.abs(drift_velocity(i, faces, t, circ, model_g)).max())
-               for i in range(states))
-    assert pde.admissible_dt(field, circ, model_g) == pde.CFL_LIMIT * g.dq / vmax
+    assert pde.admissible_dt(field, circ, model_g) == reference_dt(field, circ, model_g)
 
 
 SINE_MODEL3 = MemristorModel.uniform((1e5, 3e4, 1e4), 10.0, 0.05)
@@ -278,12 +310,57 @@ def test_sine_three_state_agrees_with_mc(sine_three_state_pde):
     assert elapsed < 60.0
 
 
+# a 3-state device behind 10k, shunted by 100k, under a sine that reverses
+# the bias: vm = Rm / (Rm + 10k) (V - q/C) differs between the states
+DIVIDED_SINE_TEXT = """
+V1 in 0 SIN 0 0.4 200
+R1 in a 10k
+M1 a n1 STATES=3 R=100k,30k,10k TAUUP=10,10 VUP=0.05,0.05 TAUDOWN=10,10 VDOWN=0.05,0.05
+C1 n1 0 100n
+R2 n1 0 100k
+"""
+
+
+def _netlist_field(net, t_end, cells):
+    """The netlist's initial delta on a grid built from its fixed charges."""
+    (mem,), (cap,) = net.memristors, net.capacitors
+    g = ChargeGrid.for_drive(pde.fixed_charges(net), net.sources[0].waveform, t_end, cells,
+                             q_extra=cap.initial_charge)
+    return DistributionField.from_delta(g, mem.model.num_states, mem.initial_state,
+                                        cap.initial_charge)
+
+
+# cells per case: at these counts |p(n) - p(2n)| stays below the MC sigma of
+# 1e5 trajectories at every output and state (0.62, 0.48 and 0.53 sigma)
+@pytest.mark.parametrize("text, t_end, cells", [
+    (SHUNTED_TEXT, 0.02, 1000), (SIGN_CHANGE_TEXT, 0.005, 2000),
+    (DIVIDED_SINE_TEXT, 0.01, 1000),
+], ids=["shunted", "sign_change", "divided_sine_three_state"])
+def test_netlist_pde_agrees_with_mc(text, t_end, cells):
+    # circuits that only the netlist path runs: the PDE and the MC agree on
+    # every marginal within 4 binomial sigma
+    net, times, n = parse_netlist(text), np.linspace(0.0, t_end, 11), 100_000
+    res = pde.run(_netlist_field(net, t_end, cells), t_end, times, net)
+    stats = run_ensemble(net, net.initial_state(), t_end, times, n, master_seed=7)
+    p = res.marginals
+    sigma = np.sqrt(np.maximum(p * (1.0 - p), 1.0 / n) / n)
+    assert np.all(np.abs(stats.occupancy[0] - p) <= 4.0 * sigma)
+    assert stats.n_failed == 0 and stats.events_up > 0
+    assert stats.events_down > 0 or text == SHUNTED_TEXT  # vm stays > 0 when shunted
+    assert np.allclose(p.sum(axis=1), 1.0, atol=1e-10)
+    assert res.max_mass_error < 1e-10 and res.min_cell_value >= 0.0
+
+
 def test_model_field_mismatch(params, model):
     w = Waveform.constant(params.Va)
     g = ChargeGrid.for_drive(params.C, w, 0.01, 64)
     field = DistributionField.from_delta(g, 3, 0, 0.0)
     with pytest.raises(ValueError, match="mismatch"):
         pde.step(field, 1e-6, SeriesCircuitParams(params.C, w), model)
+    # a netlist carries its own model: another one passed with it is refused
+    net = series_mc(model, params.C, w)
+    with pytest.raises(ValueError, match="differs from the netlist's memristor"):
+        pde.admissible_dt(field, net, MemristorModel.binary(1e5, 1e4, 1.0, 0.02))
 
 
 def test_narrowing_toward_driven_charge(params):
@@ -315,10 +392,11 @@ def _flush(p, mass0, dq):
     return flushed
 
 
-def _reference_step(field, dt, params, model, flush=True):
+def _reference_step(field, dt, params, model, flush=True, series=False):
     """The step as written per state, with nothing computed once per run.
     Like `pde.step`, it first flushes the edge tails against the field's
-    mass, unless flush is false."""
+    mass, unless flush is false.  With series, the drift and vm are the
+    series circuit's formulas."""
     grid = field.grid
     t = field.time
     faces = grid.faces()
@@ -326,18 +404,20 @@ def _reference_step(field, dt, params, model, flush=True):
     if flush:
         _flush(p, field.mass(), grid.dq)
     for i in range(field.num_states):
-        v = drift_velocity(i, faces[1:-1], t, params, model)
+        v = drift_velocity(i, faces[1:-1], t, params, model, series)
         flux = np.where(v > 0, v * p[i, :-1], v * p[i, 1:])
         div = np.zeros(grid.n_cells)
         div[:-1] += flux
         div[1:] -= flux
         p[i] -= dt / grid.dq * div
-    vm = params.waveform(t) - grid.centers() / params.C
     last = field.num_states - 2
     pairs = []
     for k in range(last + 1):
-        a = model.rate_up_array(k, vm)
-        b = model.rate_down_array(k + 1, vm)
+        # pair k goes up at the rate vm_k drives and down at the one vm_{k+1} drives
+        a = model.rate_up_array(k, memristor_voltage(k, grid.centers(), t, params, model,
+                                                     series))
+        b = model.rate_down_array(k + 1, memristor_voltage(k + 1, grid.centers(), t, params,
+                                                           model, series))
         s = a + b
         h = dt if k == last else dt / 2
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -351,21 +431,21 @@ def _reference_step(field, dt, params, model, flush=True):
     return DistributionField(grid, p, t + dt)
 
 
-def _reference_run(initial, outputs, params, model, flush=True):
+def _reference_run(initial, outputs, params, model, flush=True, series=False):
     """Fields at `outputs` (after the initial time), every dt taken and the
     flushed mass.  As `pde.run` does, the edge tails are flushed against
     the initial mass before every block's first step, where blocks of
     `_RunTables.steps` steps start afresh in each output interval."""
     field = DistributionField(initial.grid, initial.p.copy(), initial.time)
-    block = pde._RunTables(initial.grid, params, model).steps
+    block = pde._RunTables(initial, params, model).steps
     fields, dts, mass0, flushed = [], [], initial.mass(), 0.0
     for t_out in outputs:
         k = 0
         while field.time < t_out - 1e-15 * max(t_out, 1.0):
-            dt = min(pde.admissible_dt(field, params, model), t_out - field.time)
+            dt = min(reference_dt(field, params, model, series), t_out - field.time)
             if flush and k % block == 0:
                 flushed += _flush(field.p, mass0, field.grid.dq)
-            field = _reference_step(field, dt, params, model, flush=False)
+            field = _reference_step(field, dt, params, model, flush=False, series=series)
             dts.append(dt)
             k += 1
         field.time = t_out
@@ -384,6 +464,10 @@ SINE_MODEL3_CAPPED = MemristorModel(SINE_MODEL3.resistances, (10.0, 10.0), (0.05
 
 def _bit_case(case, params, model):
     """(circuit, model, initial field, output times) of one bit-identity case."""
+    if case == "divided_sine_three_state":
+        net = parse_netlist(DIVIDED_SINE_TEXT)
+        return net, net.memristors[0].model, _netlist_field(net, 0.005, 300), np.linspace(
+            0.0, 0.005, 6)
     figure2 = SeriesCircuitParams(params.C, Waveform.constant(params.Va))
     sine = SeriesCircuitParams(SINE_C, SINE_WAVE)
     reverse = Waveform.pwl([(0.0, 0.4), (1e-3, 0.4), (2e-3, -0.4), (4e-3, -0.4)])
@@ -408,7 +492,7 @@ def _bit_case(case, params, model):
     return circ, m, initial, np.linspace(0.0, t_end, outputs)
 
 
-@pytest.mark.parametrize("case", BIT_CASES)
+@pytest.mark.parametrize("case", BIT_CASES + ["divided_sine_three_state"])
 def test_run_is_bit_identical_to_the_per_state_step(params, model, case):
     circ, m, initial, outputs = _bit_case(case, params, model)
     g, t_end = initial.grid, outputs[-1]
@@ -421,7 +505,7 @@ def test_run_is_bit_identical_to_the_per_state_step(params, model, case):
         # dt repeats within an output interval and changes at its end
         assert len(set(dts)) < len(dts) and len(set(dts)) > 1
     if case == "interval_of_many_blocks":
-        assert len(dts) > 10 * pde._RunTables(g, circ, m).steps
+        assert len(dts) > 10 * pde._RunTables(initial, circ, m).steps
     diag = dict(res.diagnostics)
     blocks, cell_steps = diag.pop("blocks"), diag.pop("cell_steps")
     assert blocks >= 1 and 0 < cell_steps <= len(dts) * g.n_cells
@@ -431,6 +515,18 @@ def test_run_is_bit_identical_to_the_per_state_step(params, model, case):
     assert diag.pop("flushed_mass") == pytest.approx(flushed, rel=1e-12, abs=0.0)
     assert flushed > 0.0 if case == "sine_three_state" else flushed >= 0.0
     assert diag == dict(steps=len(dts), dt_min=min(dts), dt_max=max(dts))
+
+
+@pytest.mark.parametrize("case", BIT_CASES)
+def test_series_fields_match_the_series_formulas(params, model, case):
+    # the tables' A q + B V and Dq q + Ds V are (V - q/C)/R_i and V - q/C up to
+    # round-off: the same steps, and marginals within 1e-13
+    circ, m, initial, outputs = _bit_case(case, params, model)
+    res = pde.run(initial, outputs[-1], outputs, circ, m)
+    fields, dts, _ = _reference_run(initial, outputs[1:], circ, m, series=True)
+    assert res.diagnostics["steps"] == len(dts)
+    series = np.array([p.sum(axis=1) * initial.grid.dq for p in fields])
+    assert np.max(np.abs(res.marginals[1:] - series)) <= 1e-13
 
 
 def test_flush_narrows_the_sine_window_and_reports_its_mass():
@@ -539,8 +635,24 @@ def test_run_leaves_the_initial_field_unchanged():
 
 
 def test_run_diagnostics_without_steps(params, model):
+    # a run shorter than the planning loop's 1e-15 s round-off snap takes no step
     w = Waveform.constant(params.Va)
     g = ChargeGrid.for_drive(params.C, w, 0.01, 64)
-    res = pde.run(DistributionField.from_delta(g, 2, 0, 0.0), 0.0, [0.0],
+    res = pde.run(DistributionField.from_delta(g, 2, 0, 0.0), 1e-16, [0.0],
                   SeriesCircuitParams(params.C, w), model)
     assert res.diagnostics["steps"] == 0 and math.isnan(res.diagnostics["dt_min"])
+
+
+@pytest.mark.parametrize("t_end, outputs, message", [
+    # unchecked, the planning loop's inf - 1e-15 inf = nan ended the run at
+    # once, with times [0, inf] and a field that never stepped
+    (math.inf, [0.0], "t_end must be finite"),
+    # unchecked, a NaN output time gave a record at time nan
+    (SINE_T_END, [math.nan], "output times must be finite"),
+    (0.0, [0.0], "t_end must exceed the initial time"),
+], ids=["infinite_t_end", "nan_output_time", "t_end_at_the_initial_time"])
+def test_run_checks_its_times_as_the_mc_does(t_end, outputs, message):
+    g = ChargeGrid.for_drive(SINE_C, SINE_WAVE, SINE_T_END, 300)
+    with pytest.raises(ValueError, match=message):
+        pde.run(DistributionField.from_delta(g, 3, 0, 0.0), t_end, outputs,
+                SeriesCircuitParams(SINE_C, SINE_WAVE), SINE_MODEL3)

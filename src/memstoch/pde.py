@@ -12,27 +12,34 @@ and down at the one vm_{k+1} drives.  The reaction splits each cell's
 birth-death generator into adjacent-pair exchanges, each solved exactly
 (2x2 matrix exponential) and swept symmetrically (Strang 1968); for G = 2
 this is the single exact 2x2 update.  Every exchange conserves mass and
-keeps cells non-negative for any dt, so dt is limited by the CFL condition
+keeps cells non-negative for any dt, so dt is limited by transport
 only.  Grid bounds are chosen so the drift points inward at both edges,
 making zero-flux boundaries exact and conserving mass to round-off.
 
-dt depends on t only (the CFL cap at the grid's end faces), so `run` plans
-each output interval's steps, then takes them in blocks with tables of about
-64 KB: face velocities, upwind split faces, pair rates and reaction weights
-(under a constant drive the rates once per run, the weights once per dt;
-one vm and one rate table per law for states with equal (Dq, Ds) rows).
-Upwind transport moves mass by at most one cell per step, so a block works
-only on its start's support widened by the block length.  The support ends
-at the outermost cells where a state holds more than FLUSH_EPS of the mass;
-the edge tails beyond, left by upwind diffusion, are zeroed at the block's
-start and their mass, which counts in the mass error, is reported as
-diagnostics["flushed_mass"].  One kernel steps that window of one working
+`run` takes its steps in blocks.  A block starts from the support of the
+mass: the cells between the outermost ones where a state holds more than
+FLUSH_EPS of it.  The edge tails beyond, left by upwind diffusion, are
+zeroed, and their mass, which counts in the mass error, is reported as
+diagnostics["flushed_mass"].  Upwind transport moves mass by at most one
+cell per step, so step j of the block reaches only the faces of that
+support widened by j cells, and its dt is the CFL cap there.  Every step
+also obeys the drive cap CFL_LIMIT dq / (max_s |c_s| max_t |V'(t)|), with
+c_s the `fixed_charges`: no state's fixed charge c_s V moves more than
+CFL_LIMIT cells in a step, so dt shrinks with dq even where the support is
+narrow and its drift slow.  Steps end at output times and at the source's
+breakpoints.  The block's steps are then tabulated, about 64 KB, over the
+support widened by their number plus one cell: face velocities split into
+their upwind parts below and above each state's split face, pair rates and
+reaction weights (under a constant drive the velocities and rates once per
+run; one vm and one rate table per law for states with equal (Dq, Ds)
+rows).  One kernel steps that window of one working
 copy of the field in place, checking positivity and mass after every step;
 `step` runs it on a copy of its field, as a block of one.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -209,18 +216,41 @@ def fixed_charges(circuit, model: MemristorModel = None) -> np.ndarray:
 
 
 def admissible_dt(field: DistributionField, circuit, model: MemristorModel = None) -> float:
-    """Largest dt satisfying the CFL cap at the field's current time."""
-    (A, B, *_), wave, _ = _device(circuit, model)
-    return _cfl(field.grid.faces(), field.grid.dq, A, B)(wave(field.time))
+    """Largest dt a step from the field may take: `run`'s rule for a block
+    of one step, the CFL cap at the end faces of the field's support (the
+    cells where some state holds more than FLUSH_EPS of its mass) and the
+    drive cap."""
+    (A, B, *_, c), wave, _ = _device(circuit, model)
+    s0, s1 = _support(field.p, field.mass(), field.grid.dq)
+    return _caps(field.grid, A, B, c, wave)(wave(field.time), s0, s1, 0)[0]
 
 
-def _cfl(faces, dq, A, B):
-    """dt_ok(v), the CFL cap at source voltage v: state s drifts at A_s q +
-    B_s v, fastest at an end face."""
-    ends = [(a * e, b) for a, b in zip(A.tolist(), B.tolist()) for e in faces[[0, -1]].tolist()]
-    def dt_ok(v):
-        vmax = max([abs(a + b * v) for a, b in ends])
-        return float(CFL_LIMIT * dq / vmax) if vmax > 0 else math.inf
+def _support(p, mass0, dq):
+    """(s0, s1): the cells s0..s1-1 from the first to the last where some
+    state holds more than FLUSH_EPS * mass0; (0, 0) if there are none."""
+    held = np.flatnonzero((p > FLUSH_EPS * mass0 / dq).any(axis=0))
+    return (int(held[0]), int(held[-1]) + 1) if held.size else (0, 0)
+
+
+def _caps(grid, A, B, c, wave):
+    """dt_ok(v, s0, s1, j) -> (cap, whether the drive cap set it): the cap on
+    step j of a block whose start support is the cells s0..s1-1, at source
+    voltage v.  It is the lesser of the CFL cap at the faces that step can
+    reach (s0 - j and s1 + j, clipped to the grid; the drift A_s q + B_s v is
+    affine in q, so fastest at one of them) and the drive cap CFL_LIMIT dq /
+    (max |c_s| max |V'|), under which no state's fixed charge c_s V moves
+    more than CFL_LIMIT cells in one step."""
+    faces, n, dq = grid.faces().tolist(), grid.n_cells, grid.dq
+    rows = list(zip(A.tolist(), B.tolist()))
+    slope = (abs(wave.amplitude) * 2.0 * math.pi * wave.frequency if wave.kind == "sine" else
+             float(np.abs(wave.segments[2]).max()) if wave.kind == "pwl" else 0.0)
+    top = float(np.abs(c).max()) * slope
+    drive = CFL_LIMIT * dq / top if top > 0 else math.inf
+    def dt_ok(v, s0, s1, j):
+        lo, hi = faces[max(s0 - j, 0)], faces[min(s1 + j, n)]
+        vmax = max([max(abs(a * lo + b * v), abs(a * hi + b * v)) for a, b in rows])
+        window = CFL_LIMIT * dq / vmax if vmax > 0 else math.inf
+        return (drive, True) if drive < window else (window, False)
     return dt_ok
 
 
@@ -228,9 +258,10 @@ _BLOCK_BYTES = 1 << 16  # one block table (steps x cells): 8 steps at 1000 cells
 
 
 class _RunTables:
-    """Face velocities, upwind split faces, pair rates and reaction weights
-    of a block of planned steps over the cells mass can reach in it (see
-    the module docstring), and the kernel that takes those steps in place."""
+    """Face velocities split into their lower and upper upwind parts, pair
+    rates and reaction weights of a block of planned steps over the cells
+    mass can reach in it (see the module docstring), and the kernel that
+    takes those steps in place."""
 
     def __init__(self, field: DistributionField, circuit, model: MemristorModel = None):
         (A, B, Dq, Ds, c), self.wave, self.model = _device(circuit, model)
@@ -238,20 +269,22 @@ class _RunTables:
             raise ValueError("model/field state-count mismatch")
         # state s drifts at A_s q + B_s v: upward below its split face at c_s v
         grid, faces, self.b, self.c = field.grid, field.grid.faces(), B, c
-        self.dq, self.dt_ok = grid.dq, _cfl(faces, grid.dq, A, B)
+        self.dq, self.dt_ok = grid.dq, _caps(grid, A, B, c, self.wave)
         self.faces, self.a_face = faces[1:-1], A[:, None] * faces[1:-1]
         # one vm = Dq q + Ds v per distinct (Dq, Ds) row; vrow[s] is state s's
         rows = list(dict.fromkeys(keys := list(zip(Dq.tolist(), Ds.tolist()))))
         self.vrow, (dq, ds) = [rows.index(k) for k in keys], np.array(rows).T
         self.vm_q, self.vm_v = dq[:, None] * grid.centers(), ds
         self.steps = max(1, _BLOCK_BYTES // (8 * grid.n_cells))
-        self.fixed = self.w_dt = self.w = None
+        self.fixed = None
         self.lo, self.hi, self.min_cell, self.mass_err = 0, grid.n_cells, math.inf, 0.0
-        self.diag = dict(rate_ceiling_hits=0, blocks=0, cell_steps=0, flushed_mass=0.0)
+        self.diag = dict(rate_ceiling_hits=0, blocks=0, cell_steps=0, flushed_mass=0.0,
+                         drive_capped_steps=0)
 
     def _drive(self, v, lo, hi):
-        """Face velocities (steps, G, faces), split faces (steps, G) and pair rates
-        (up, down, their sum) per drive value in v, over the cells lo..hi-1."""
+        """Face velocities below and above the split faces (steps, G, faces),
+        zero elsewhere, and pair rates (up, down, their sum) per drive value in
+        v, over the cells lo..hi-1."""
         vms = self.vm_q[:, lo:hi] + (self.vm_v * v[:, None])[:, :, None]
         g, par, cap = self.model.num_states, self.model.transitions, self.model.rate_ceiling
         rates, laws = [], {}
@@ -268,8 +301,9 @@ class _RunTables:
                 laws[key] = (np.where(up, r, 0.0), np.where(up, 0.0, r), r), tally
             rates.append(laws[key][0])
             self.diag["rate_ceiling_hits"] += laws[key][1]["rate_ceiling_hits"]
-        return (self.a_face[:, lo:hi - 1] + (self.b * v[:, None])[:, :, None],
-                np.searchsorted(self.faces, np.multiply.outer(v, self.c)) - lo, rates)
+        vel = self.a_face[:, lo:hi - 1] + (self.b * v[:, None])[:, :, None]
+        low = self.faces[lo:hi - 1] < np.multiply.outer(v, self.c)[:, :, None]
+        return (np.where(low, vel, 0.0), np.where(low, 0.0, vel)), rates
 
     @staticmethod
     def _weights(rates, dt):
@@ -278,57 +312,53 @@ class _RunTables:
         dt/2 for the others."""
         last, ws = len(rates) - 1, []
         for k, (_, _, r) in enumerate(rates):
-            h = np.broadcast_to(dt if k == last else dt / 2, r.shape)
-            ws.append(np.divide(-np.expm1(-r * h), r, out=h.copy(), where=r > 0))
+            rh = r * (h := dt if k == last else dt / 2)
+            ws.append(np.divide(-np.expm1(-rh), r, out=np.full(rh.shape, h), where=r > 0))
         return ws
 
-    def plan(self, p: np.ndarray, rows, mass0: float):
-        """Tables of the steps rows = [(t, v, dt, dt_ok), ...] over the
-        support of p (searched in the last window; p is 0 outside it)
-        widened by the block length plus one cell on each side.  The
-        support ends at the outermost cells holding more than FLUSH_EPS *
-        mass0 in some state; the last window's cells beyond are zeroed."""
-        m, pw = len(rows), p[:, self.lo:self.hi]
-        held = np.flatnonzero((pw > FLUSH_EPS * mass0 / self.dq).any(axis=0))
-        s0, s1 = (int(held[0]), int(held[-1]) + 1) if held.size else (0, 0)
+    def flush(self, p: np.ndarray, mass0: float):
+        """The support (s0, s1) of p in grid cells, searched in the last
+        window (p is 0 outside it); the window's cells beyond are zeroed."""
+        pw = p[:, self.lo:self.hi]
+        s0, s1 = _support(pw, mass0, self.dq)
         self.diag["flushed_mass"] += float(pw[:, :s0].sum() + pw[:, s1:].sum()) * self.dq
         pw[:, :s0] = pw[:, s1:] = 0.0
-        lo, hi = max(self.lo + s0 - 1 - m, 0), min(self.lo + s1 + 1 + m, self.vm_q.shape[1])
+        return self.lo + s0, self.lo + s1
+
+    def plan(self, rows, s0: int, s1: int):
+        """Tables of the steps rows = [(t, v, dt, dt_ok), ...] over the
+        support s0..s1-1 widened by the number of steps plus one cell on
+        each side."""
+        m = len(rows)
+        lo, hi = max(s0 - 1 - m, 0), min(s1 + 1 + m, self.vm_q.shape[1])
         self.lo, self.hi = lo, hi
         ts, vs, dts, oks = zip(*rows)
         if self.wave.kind != "constant":
-            vel, split, rates = self._drive(np.array(vs), lo, hi)
-            ws = self._weights(rates, np.array(dts)[:, None])
-            pairs = [[(k, a[i], b[i], w[i]) for k, ((a, b, _), w) in enumerate(zip(rates, ws))]
-                     for i in range(m)]
-        else:  # rates once per run and weights once per distinct dt, sliced
+            vel, rates = self._drive(np.array(vs), lo, hi)
+        else:  # velocities and rates once per run: one row, sliced to the window
             self.fixed = self.fixed or self._drive(np.array(vs[:1]), 0, self.vm_q.shape[1])
-            vel, split, rates = self.fixed
-            vel, split, pairs = [vel[0, :, lo:hi - 1]] * m, split - lo, []
-            for dt in dts:
-                if dt != self.w_dt:
-                    self.w_dt, self.w = dt, self._weights(rates, dt)
-                pairs.append([(k, a[0, lo:hi], b[0, lo:hi], w[0, lo:hi])
-                              for k, ((a, b, _), w) in enumerate(zip(rates, self.w))])
-        # (state, face) pairs per step; one row for a constant drive
-        split = [list(enumerate(f)) for f in np.clip(split, 0, hi - lo - 1).tolist()]
-        split *= m // len(split)
-        self.block = list(zip(ts, dts, oks, vel, split, [ps + ps[-2::-1] for ps in pairs]))
+            vel = [[v[0, :, lo:hi - 1]] * m for v in self.fixed[0]]
+            rates = [[x[:, lo:hi] for x in r] for r in self.fixed[1]]
+        ws = self._weights(rates, np.array(dts)[:, None])
+        # step i's rates: row i, or the constant drive's one row
+        pairs = [[(k, a[i % len(a)], b[i % len(b)], w[i])
+                  for k, ((a, b, _), w) in enumerate(zip(rates, ws))] for i in range(m)]
+        self.block = list(zip(ts, dts, oks, *vel, [ps + ps[-2::-1] for ps in pairs]))
         self.diag["blocks"] += 1
         self.diag["cell_steps"] += m * (hi - lo)
 
     def advance(self, p: np.ndarray, mass0: float, mass_tolerance: float) -> None:
         """Take the planned block's steps on p in place, over the window."""
         pw = p[:, self.lo:self.hi]
-        rows, dq = list(pw), self.dq
-        flux, div = np.empty((len(pw), pw.shape[1] - 1)), np.empty(pw.shape)
-        for t, dt, dt_ok, v, split, sweep in self.block:
+        rows, dq, left, right = list(pw), self.dq, pw[:, :-1], pw[:, 1:]
+        flux, upper = np.empty(left.shape), np.empty(left.shape)
+        div, transfer, back = np.empty(pw.shape), np.empty(pw.shape[1]), np.empty(pw.shape[1])
+        for t, dt, dt_ok, vl, vr, sweep in self.block:
             if dt > dt_ok:
                 raise StepSizeError(f"dt = {dt:g} s too large", dt_ok)
             # ---- advection: upwind fluxes at interior faces, zero at boundaries
-            for s, f in split:
-                np.multiply(v[s, :f], pw[s, :f], out=flux[s, :f])
-                np.multiply(v[s, f:], pw[s, f + 1:], out=flux[s, f:])
+            np.multiply(vl, left, out=flux)
+            flux += np.multiply(vr, right, out=upper)
             div.fill(0.0)
             div[:, :-1] += flux
             div[:, 1:] -= flux
@@ -336,7 +366,9 @@ class _RunTables:
             pw -= div
             # ---- reaction at cell centers: pair exchanges up the ladder, then down
             for k, a, b, w in sweep:
-                transfer = (a * rows[k] - b * rows[k + 1]) * w
+                np.multiply(a, rows[k], out=transfer)
+                transfer -= np.multiply(b, rows[k + 1], out=back)
+                transfer *= w
                 rows[k] -= transfer
                 rows[k + 1] += transfer
             # a window short of a grid edge ends in an empty cell: its min is the grid's
@@ -362,19 +394,20 @@ def step(field: DistributionField, dt: float, circuit,
 
     The reaction sweeps exact pair exchanges symmetrically: pairs
     (0, 1) ... (G-3, G-2) over dt/2, the last pair over dt, then back
-    down over dt/2.  Refuses dt beyond the CFL cap (0.9), carrying the
-    admissible dt.  Mass is conserved to round-off plus the edge tails
-    below FLUSH_EPS of the field's mass, flushed before the step (`run`
-    reports them as flushed_mass); no cell goes negative.  The step is
-    `run`'s kernel on a block of one step, on a copy of the field: bit for
-    bit one step of `run`.
+    down over dt/2.  Refuses dt beyond `admissible_dt`, carrying it: the
+    CFL cap (0.9) at the end faces of the field's support, and the drive
+    cap.  Mass is conserved to round-off plus the edge tails below
+    FLUSH_EPS of the field's mass, flushed before the step (`run` reports
+    them as flushed_mass); no cell goes negative.  The step is `run`'s
+    kernel on a block of one step, on a copy of the field: bit for bit one
+    step of `run`.
     """
     if dt < 0:
         raise ValueError("dt must be >= 0")
     tables, p = _RunTables(field, circuit, model), field.p.copy()
     if dt > 0.0:
-        v = tables.wave(field.time)
-        tables.plan(p, [(field.time, v, dt, tables.dt_ok(v))], field.mass())
+        v, (s0, s1) = tables.wave(field.time), tables.flush(p, field.mass())
+        tables.plan([(field.time, v, dt, tables.dt_ok(v, s0, s1, 0)[0])], s0, s1)
         tables.advance(p, 0.0, math.inf)
     return DistributionField(field.grid, p, field.time + dt)
 
@@ -392,7 +425,8 @@ class PdeResult:
     min_cell_value: float
     max_mass_error: float
     # what the run did: steps taken, the smallest and largest dt, how many
-    # computed rates the ceiling capped, blocks planned, cells worked, flushed mass
+    # computed rates the ceiling capped, blocks planned, cells worked, flushed
+    # mass, and the steps whose dt the drive cap set
     diagnostics: dict
 
 
@@ -409,20 +443,26 @@ def run(initial: DistributionField, t_end: float,
     """
     outputs = output_grid(initial.time, t_end, output_times)
     tables = _RunTables(initial, circuit, model)
+    cuts = sorted(tables.wave.breakpoint_times()) + [math.inf]
     p, t, dts, fields = initial.p.copy(), initial.time, [], []
     mass0, tables.min_cell = initial.mass(), float(p.min())
     for t_out in outputs:
-        # dt depends on t only: plan the interval's steps, then take them
-        plan = []
-        while t < t_out - 1e-15 * max(t_out, 1.0):
-            v = tables.wave(t)
-            ok = tables.dt_ok(v)
-            plan.append((t, v, min(ok, t_out - t), ok))
-            t += plan[-1][2]
-        for b in range(0, len(plan), tables.steps):
-            tables.plan(p, plan[b:b + tables.steps], mass0)
+        t_stop = t_out - 1e-15 * max(t_out, 1.0)  # round-off short of t_out
+        while t < t_stop:
+            # a block: the support at its start, then its steps, each capped at
+            # the faces it can reach and cut at t_out and the source breakpoints
+            s0, s1 = tables.flush(p, mass0)
+            rows = []
+            while len(rows) < tables.steps and t < t_stop:
+                v = tables.wave(t)
+                ok, capped = tables.dt_ok(v, s0, s1, len(rows))
+                t_cut = min(t_out, cuts[bisect.bisect_right(cuts, t)])
+                rows.append((t, v, min(ok, t_cut - t), ok))
+                tables.diag["drive_capped_steps"] += capped and ok < t_cut - t
+                t = t + ok if ok < t_cut - t else t_cut
+            tables.plan(rows, s0, s1)
             tables.advance(p, mass0, mass_tolerance)
-        dts += [row[2] for row in plan]
+            dts += [row[2] for row in rows]
         t = t_out  # snap round-off
         fields.append(DistributionField(initial.grid, p.copy(), t))
 

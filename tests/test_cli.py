@@ -102,6 +102,7 @@ def test_simulate_pde_engine(tmp_path):
     assert 1 <= int(table.meta["blocks"]) <= steps
     assert 0 < int(table.meta["cell_steps"]) <= steps * 200
     assert 0.0 <= float(table.meta["flushed_mass"]) <= 1e-12
+    assert int(table.meta["drive_capped_steps"]) == 0  # a constant drive has no drive cap
 
 
 def test_simulate_compare_engine(tmp_path):
@@ -120,7 +121,8 @@ def test_simulate_compare_engine(tmp_path):
                                "prob_sum_tol", "config", "version",
                                "pde_steps", "pde_dt_min", "pde_dt_max", "pde_n_cells",
                                "pde_mass_error", "pde_rate_ceiling_hits", "pde_blocks",
-                               "pde_cell_steps", "pde_flushed_mass", "mc_windows",
+                               "pde_cell_steps", "pde_flushed_mass",
+                               "pde_drive_capped_steps", "mc_windows",
                                "mc_candidates", "mc_accepted", "mc_rows_max",
                                "mc_runaway_failures", "mc_configurations",
                                "mc_rate_ceiling_hits", "mc_trajectories", "mc_seed",

@@ -3,6 +3,7 @@
 import functools
 import math
 import time
+import types
 
 import numpy as np
 import pytest
@@ -56,12 +57,44 @@ def memristor_voltage(i, q, t, circuit, model, series=False):
     return rows[i][2] * np.asarray(q) + rows[i][3] * wave(t)
 
 
-def reference_dt(field, circuit, model, series=False):
-    """The CFL cap: CFL_LIMIT dq over the largest drift at any face of any state."""
-    faces = field.grid.faces()
+def held_cells(p, mass0, dq):
+    """(s0, s1): the cells s0..s1-1 from the first to the last where some
+    state holds more than FLUSH_EPS * mass0."""
+    held = np.flatnonzero((p > pde.FLUSH_EPS * mass0 / dq).any(axis=0))
+    return (int(held[0]), int(held[-1]) + 1) if held.size else (0, 0)
+
+
+def drive_cap(field, circuit, model, series=False):
+    """CFL_LIMIT dq over the fastest speed of a fixed charge c_i V(t): c_i =
+    -B_i / A_i (C with series) times the largest |V'| of a sine or PWL
+    source; none under a constant or step source."""
+    rows, wave = affine_rows(circuit, model)
+    c = circuit.C if series else max(abs(-b / a) if a < 0 else 0.0 for a, b, _, _ in rows)
+    if wave.kind == "sine":
+        slope = abs(wave.amplitude) * 2.0 * math.pi * wave.frequency
+    elif wave.kind == "pwl":
+        ts, vs = np.array(wave.breakpoints).T
+        slope = float(np.abs(np.diff(vs) / np.diff(ts)).max())
+    else:
+        return math.inf
+    return pde.CFL_LIMIT * field.grid.dq / (c * slope)
+
+
+def window_cap(field, circuit, model, support, j, series=False):
+    """CFL_LIMIT dq over the largest drift of any state at the faces that
+    step j of a block reaches: its start support widened by j cells."""
+    (s0, s1), n = support, field.grid.n_cells
+    faces = field.grid.faces()[[max(s0 - j, 0), min(s1 + j, n)]]
     vmax = max(float(np.abs(drift_velocity(i, faces, field.time, circuit, model, series)).max())
                for i in range(field.num_states))
     return pde.CFL_LIMIT * field.grid.dq / vmax
+
+
+def reference_dt(field, circuit, model):
+    """The cap on a step from the field, as the first of a block: the
+    window cap at its support and the drive cap."""
+    support = held_cells(field.p, field.mass(), field.grid.dq)
+    return min(window_cap(field, circuit, model, support, 0), drive_cap(field, circuit, model))
 
 
 def rates_off(params):
@@ -272,12 +305,16 @@ def test_binary_step_is_closed_two_state_update():
     (4, Waveform.sine(0.1, 0.3, 50.0), 7e-3),
 ])
 def test_admissible_dt_is_the_cfl_cap(states, wave, t):
+    # the window cap sets the constant and the 50 Hz case, the drive cap the
+    # 200 Hz ones; either allows more than the cap at the grid's end faces
     model_g = MemristorModel.uniform((1e5, 1e4, 3e4, 5e3)[:states], 10.0, 0.05)
     C = 1e-7
     g = ChargeGrid.for_drive(C, wave, 0.01, 731)
     field = DistributionField.from_delta(g, states, 0, 0.0, time=t)
     circ = SeriesCircuitParams(C, wave)
-    assert pde.admissible_dt(field, circ, model_g) == reference_dt(field, circ, model_g)
+    dt = pde.admissible_dt(field, circ, model_g)
+    assert dt == reference_dt(field, circ, model_g)
+    assert dt > window_cap(field, circ, model_g, (0, g.n_cells), 0)
 
 
 SINE_MODEL3 = MemristorModel.uniform((1e5, 3e4, 1e4), 10.0, 0.05)
@@ -308,6 +345,28 @@ def test_sine_three_state_agrees_with_mc(sine_three_state_pde):
     assert stats.events_down > 0 and stats.n_failed == 0
     assert res.max_mass_error < 1e-10 and res.min_cell_value >= 0.0
     assert elapsed < 60.0
+
+
+def test_first_output_of_the_sine_matches_the_rc_path():
+    # from a delta at q = 0 with V(0) = 0, the drift at the faces of the
+    # narrow support is tiny: under the window cap alone the first step, at
+    # V = 0, spans all 0.25 ms and p1 reads 0; the drive cap keeps dt shrinking
+    # with dq.  Until then state 0 almost never leaves, so p1 = 1 - exp(-int
+    # r dt) along its RC path, up to 2nd order in p1
+    t1, (r0, *_) = 0.25e-3, SINE_MODEL3.resistances
+    g = ChargeGrid.for_drive(SINE_C, SINE_WAVE, SINE_T_END, 1000)
+    res = pde.run(DistributionField.from_delta(g, 3, 0, 0.0), t1, [t1],
+                  SeriesCircuitParams(SINE_C, SINE_WAVE), SINE_MODEL3)
+    from scipy.integrate import solve_ivp
+
+    def rhs(t, y):
+        vm = SINE_WAVE(t) - y[0] / SINE_C
+        return [vm / r0, math.exp(vm / SINE_MODEL3.v_up[0]) / SINE_MODEL3.tau_up[0]]
+
+    sol = solve_ivp(rhs, (0.0, t1), [0.0, 0.0], rtol=1e-12, atol=1e-20)
+    p1 = -math.expm1(-sol.y[1, -1])
+    assert p1 == pytest.approx(1.0899e-4, rel=1e-3)
+    assert res.marginals[-1, 1] == pytest.approx(p1, rel=0.03)
 
 
 # a 3-state device behind 10k, shunted by 100k, under a sine that reverses
@@ -385,8 +444,7 @@ def test_narrowing_toward_driven_charge(params):
 def _flush(p, mass0, dq):
     """Zero, in place, the cells beyond the outermost ones where some state
     holds more than FLUSH_EPS * mass0; returns the mass zeroed."""
-    held = np.flatnonzero((p > pde.FLUSH_EPS * mass0 / dq).any(axis=0))
-    s0, s1 = (held[0], held[-1] + 1) if held.size else (0, 0)
+    s0, s1 = held_cells(p, mass0, dq)
     flushed = (p[:, :s0].sum() + p[:, s1:].sum()) * dq
     p[:, :s0] = p[:, s1:] = 0.0
     return flushed
@@ -431,26 +489,41 @@ def _reference_step(field, dt, params, model, flush=True, series=False):
     return DistributionField(grid, p, t + dt)
 
 
-def _reference_run(initial, outputs, params, model, flush=True, series=False):
-    """Fields at `outputs` (after the initial time), every dt taken and the
-    flushed mass.  As `pde.run` does, the edge tails are flushed against
-    the initial mass before every block's first step, where blocks of
-    `_RunTables.steps` steps start afresh in each output interval."""
+def _reference_run(initial, outputs, params, model, flush=True, series=False, dts=None):
+    """Fields at `outputs` (after the initial time), every step's start and
+    dt, the steps whose dt the drive cap set, and the flushed mass.  As
+    `pde.run` does, blocks of `_RunTables.steps` steps start afresh in each
+    output interval; each takes its support against the initial mass at
+    its start (flushing the edge tails beyond, unless flush is false), and
+    step j of a block is capped at that support widened by j cells and at
+    the drive cap; given dts, the steps take those instead.  A step cut at
+    an output or a source breakpoint ends exactly there."""
     field = DistributionField(initial.grid, initial.p.copy(), initial.time)
     block = pde._RunTables(initial, params, model).steps
-    fields, dts, mass0, flushed = [], [], initial.mass(), 0.0
+    cuts = affine_rows(params, model)[1].breakpoint_times()
+    ref = types.SimpleNamespace(fields=[], starts=[], dts=[], drive_capped=0, flushed=0.0)
+    mass0, dq = initial.mass(), initial.grid.dq
     for t_out in outputs:
         k = 0
         while field.time < t_out - 1e-15 * max(t_out, 1.0):
-            dt = min(reference_dt(field, params, model, series), t_out - field.time)
-            if flush and k % block == 0:
-                flushed += _flush(field.p, mass0, field.grid.dq)
+            if k % block == 0:
+                support = held_cells(field.p, mass0, dq)
+                if flush:
+                    ref.flushed += _flush(field.p, mass0, dq)
+            t = field.time
+            t_cut = min([t_out] + [b for b in cuts if b > t])
+            window = window_cap(field, params, model, support, k % block, series)
+            drive = drive_cap(field, params, model, series)
+            dt = dts[len(ref.dts)] if dts else min(window, drive, t_cut - t)
             field = _reference_step(field, dt, params, model, flush=False, series=series)
-            dts.append(dt)
+            field.time = t + dt if dt < t_cut - t else t_cut
+            ref.drive_capped += drive < window and drive < t_cut - t
+            ref.starts.append(t)
+            ref.dts.append(dt)
             k += 1
         field.time = t_out
-        fields.append(field.p.copy())
-    return fields, dts, flushed
+        ref.fields.append(field.p.copy())
+    return ref
 
 
 BIT_CASES = ["figure2_constant", "sine_three_state", "pwl_reverse_three_state",
@@ -497,23 +570,34 @@ def test_run_is_bit_identical_to_the_per_state_step(params, model, case):
     circ, m, initial, outputs = _bit_case(case, params, model)
     g, t_end = initial.grid, outputs[-1]
     res = pde.run(initial, t_end, outputs, circ, m)
-    fields, dts, flushed = _reference_run(initial, outputs[1:], circ, m)
-    for f, p in zip(res.fields[1:], fields):
+    ref = _reference_run(initial, outputs[1:], circ, m)
+    for f, p in zip(res.fields[1:], ref.fields):
         assert np.array_equal(f.p, p)
-    assert np.array_equal(res.marginals[1:], np.array([p.sum(axis=1) * g.dq for p in fields]))
+    assert np.array_equal(res.marginals[1:],
+                          np.array([p.sum(axis=1) * g.dq for p in ref.fields]))
+    dts = ref.dts
     if case == "figure2_constant":
-        # dt repeats within an output interval and changes at its end
-        assert len(set(dts)) < len(dts) and len(set(dts)) > 1
+        # dt shrinks within a block as the faces its steps reach widen, and
+        # the next block, from the same support, repeats it
+        block = pde._RunTables(initial, circ, m).steps
+        assert dts[block - 1] < dts[0] == dts[block] and len(set(dts)) < len(dts)
     if case == "interval_of_many_blocks":
         assert len(dts) > 10 * pde._RunTables(initial, circ, m).steps
+    if case == "step_two_state":
+        # the planning cuts at the source's jump: a step starts on it
+        assert circ.waveform.t_step in ref.starts
     diag = dict(res.diagnostics)
     blocks, cell_steps = diag.pop("blocks"), diag.pop("cell_steps")
     assert blocks >= 1 and 0 < cell_steps <= len(dts) * g.n_cells
     hits = diag.pop("rate_ceiling_hits")
     assert hits > 0 if case == "sine_three_state_capped" else hits == 0
     # the window sums the tails in other chunks than the whole-grid reference
-    assert diag.pop("flushed_mass") == pytest.approx(flushed, rel=1e-12, abs=0.0)
-    assert flushed > 0.0 if case == "sine_three_state" else flushed >= 0.0
+    assert diag.pop("flushed_mass") == pytest.approx(ref.flushed, rel=1e-12, abs=0.0)
+    assert ref.flushed > 0.0 if case == "sine_three_state" else ref.flushed >= 0.0
+    # under a constant or step source no drive cap applies
+    capped = diag.pop("drive_capped_steps")
+    assert capped == ref.drive_capped
+    assert capped > 0 if affine_rows(circ, m)[1].kind in ("sine", "pwl") else capped == 0
     assert diag == dict(steps=len(dts), dt_min=min(dts), dt_max=max(dts))
 
 
@@ -523,9 +607,9 @@ def test_series_fields_match_the_series_formulas(params, model, case):
     # round-off: the same steps, and marginals within 1e-13
     circ, m, initial, outputs = _bit_case(case, params, model)
     res = pde.run(initial, outputs[-1], outputs, circ, m)
-    fields, dts, _ = _reference_run(initial, outputs[1:], circ, m, series=True)
-    assert res.diagnostics["steps"] == len(dts)
-    series = np.array([p.sum(axis=1) * initial.grid.dq for p in fields])
+    ref = _reference_run(initial, outputs[1:], circ, m, series=True)
+    assert res.diagnostics["steps"] == len(ref.dts)
+    series = np.array([p.sum(axis=1) * initial.grid.dq for p in ref.fields])
     assert np.max(np.abs(res.marginals[1:] - series)) <= 1e-13
 
 
@@ -536,8 +620,10 @@ def test_flush_narrows_the_sine_window_and_reports_its_mass():
     initial = DistributionField.from_delta(g, 3, 0, 0.0)
     circ, outputs = SeriesCircuitParams(SINE_C, SINE_WAVE), np.linspace(0.0, 0.005, 21)
     res = pde.run(initial, 0.005, outputs, circ, SINE_MODEL3)
-    fields, _, _ = _reference_run(initial, outputs[1:], circ, SINE_MODEL3, flush=False)
-    unflushed = np.array([p.sum(axis=1) * g.dq for p in fields])
+    # the steps of the flushing run: the support they are capped at is the flushed one
+    dts = _reference_run(initial, outputs[1:], circ, SINE_MODEL3).dts
+    ref = _reference_run(initial, outputs[1:], circ, SINE_MODEL3, flush=False, dts=dts)
+    unflushed = np.array([p.sum(axis=1) * g.dq for p in ref.fields])
     assert np.max(np.abs(res.marginals[1:] - unflushed)) <= 1e-12
     flushed = res.diagnostics["flushed_mass"]
     assert 0.0 <= flushed <= 1e-12

@@ -164,17 +164,17 @@ def _output_times(cfg: dict) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Engines
 
-def _run_analytic(cfg: dict) -> ResultTable:
+def _run_analytic(cfg: dict, config: str) -> ResultTable:
     params = _series_params(cfg)
     times = _output_times(cfg)
     p0 = np.array([analytic.p0_constant_voltage(params, float(t)) for t in times])
     rows = np.column_stack([times, p0, 1.0 - p0])
     meta = {"engine": "analytic", "prob_sum_tol": "1e-15",
-            "config": _config_hash(cfg), "version": __version__}
+            "config": config, "version": __version__}
     return ResultTable(meta, ["time", "p0", "p1"], rows)
 
 
-def _run_pde(cfg: dict) -> ResultTable:
+def _run_pde(cfg: dict, config: str) -> ResultTable:
     netlist = _circuit(cfg)
     times = _output_times(cfg)
     t_end = float(times[-1])
@@ -190,11 +190,11 @@ def _run_pde(cfg: dict) -> ResultTable:
     meta = {**result.diagnostics,
             "engine": "pde", "n_cells": n_cells, "prob_sum_tol": "1e-8",
             "mass_error": f"{result.max_mass_error:.3e}",
-            "config": _config_hash(cfg), "version": __version__}
+            "config": config, "version": __version__}
     return ResultTable(meta, cols, rows)
 
 
-def _run_mc(cfg: dict, seed_override=None, traj_override=None) -> ResultTable:
+def _run_mc(cfg: dict, config: str, seed_override=None, traj_override=None) -> ResultTable:
     mc_cfg = cfg.get("mc", {})
     n = int(traj_override if traj_override is not None
             else mc_cfg.get("trajectories", 1000))
@@ -215,17 +215,18 @@ def _run_mc(cfg: dict, seed_override=None, traj_override=None) -> ResultTable:
             "engine": "mc", "trajectories": stats.n, "seed": seed,
             "failed": stats.n_failed, "events_up": stats.events_up,
             "events_down": stats.events_down, "prob_sum_tol": "1e-12",
-            "config": _config_hash(cfg), "version": __version__}
+            "config": config, "version": __version__}
     return ResultTable(meta, cols, rows)
 
 
-def _run_compare(cfg: dict, seed_override=None, traj_override=None) -> ResultTable:
+def _run_compare(cfg: dict, config: str, seed_override=None,
+                 traj_override=None) -> ResultTable:
     if "netlist" in cfg:    # the analytic engine knows only the series block
         raise ConfigError("engine compare needs a series: block, not a netlist:")
     times = _output_times(cfg)
-    ana = _run_analytic(cfg)
-    pd_ = _run_pde(cfg)
-    mc_ = _run_mc(cfg, seed_override, traj_override)
+    ana = _run_analytic(cfg, config)
+    pd_ = _run_pde(cfg, config)
+    mc_ = _run_mc(cfg, config, seed_override, traj_override)
     p0a = ana.column("p0")
     p0p = pd_.column("p0")
     p0m = mc_.column("p0")
@@ -244,7 +245,7 @@ def _run_compare(cfg: dict, seed_override=None, traj_override=None) -> ResultTab
             "max_abs_dev_pde": f"{dev_pde:.6e}",
             "max_dev_mc_over_stderr": f"{dev_mc:.6e}",
             "prob_sum_tol": "1e-8",
-            "config": _config_hash(cfg), "version": __version__}
+            "config": config, "version": __version__}
     return ResultTable(meta, ["time", "p0_analytic", "p0_pde", "p0_mc",
                               "p0_mc_stderr"], rows)
 
@@ -252,14 +253,15 @@ def _run_compare(cfg: dict, seed_override=None, traj_override=None) -> ResultTab
 def cmd_simulate(cfg: dict, out=None, seed_override=None,
                  traj_override=None) -> ResultTable:
     engine = _require(cfg, "engine", str)
+    config = _config_hash(cfg)  # one hash for every engine's header
     if engine == "analytic":
-        table = _run_analytic(cfg)
+        table = _run_analytic(cfg, config)
     elif engine == "pde":
-        table = _run_pde(cfg)
+        table = _run_pde(cfg, config)
     elif engine == "mc":
-        table = _run_mc(cfg, seed_override, traj_override)
+        table = _run_mc(cfg, config, seed_override, traj_override)
     elif engine == "compare":
-        table = _run_compare(cfg, seed_override, traj_override)
+        table = _run_compare(cfg, config, seed_override, traj_override)
     else:
         raise ConfigError(f"unknown engine {engine!r} "
                           "(expected mc, pde, analytic or compare)")

@@ -30,10 +30,14 @@ narrow and its drift slow.  Steps end at output times and at the source's
 breakpoints.  The block's steps are then tabulated, about 64 KB, over the
 support widened by their number plus one cell: face velocities split into
 their upwind parts below and above each state's split face, pair rates and
-reaction weights (under a constant drive the velocities and rates once per
-run; one vm and one rate table per law for states with equal (Dq, Ds)
-rows).  One kernel steps that window of one working
-copy of the field in place, checking positivity and mass after every step;
+reaction weights (one vm and one rate table per law for states with equal
+(Dq, Ds) rows).  Under a constant drive the velocities, rates and CFL caps
+are computed once per run over the whole grid and each block slices them,
+and the whole-grid reaction weights of the last block's dt sequence are
+kept: a block whose dts equal them slices those too
+(diagnostics["weight_tables"] counts the tables computed).  One kernel
+steps a contiguous copy of the block's window of one working copy of the
+field, checking positivity and mass after every step, and writes it back;
 `step` runs it on a copy of its field, as a block of one.
 """
 
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -239,16 +244,20 @@ def _caps(grid, A, B, c, wave):
     reach (s0 - j and s1 + j, clipped to the grid; the drift A_s q + B_s v is
     affine in q, so fastest at one of them) and the drive cap CFL_LIMIT dq /
     (max |c_s| max |V'|), under which no state's fixed charge c_s V moves
-    more than CFL_LIMIT cells in one step."""
+    more than CFL_LIMIT cells in one step.  Under a constant drive the
+    fastest drift of every face, max_s |A_s f + B_s v|, is tabulated once."""
     faces, n, dq = grid.faces().tolist(), grid.n_cells, grid.dq
     rows = list(zip(A.tolist(), B.tolist()))
     slope = (abs(wave.amplitude) * 2.0 * math.pi * wave.frequency if wave.kind == "sine" else
              float(np.abs(wave.segments[2]).max()) if wave.kind == "pwl" else 0.0)
     top = float(np.abs(c).max()) * slope
     drive = CFL_LIMIT * dq / top if top > 0 else math.inf
+    speed = (np.abs(A[:, None] * grid.faces() + (B * wave.amplitude)[:, None]).max(axis=0)
+             .tolist() if wave.kind == "constant" else None)
     def dt_ok(v, s0, s1, j):
-        lo, hi = faces[max(s0 - j, 0)], faces[min(s1 + j, n)]
-        vmax = max([max(abs(a * lo + b * v), abs(a * hi + b * v)) for a, b in rows])
+        i, k = max(s0 - j, 0), min(s1 + j, n)
+        vmax = max(speed[i], speed[k]) if speed else max(
+            [max(abs(a * faces[i] + b * v), abs(a * faces[k] + b * v)) for a, b in rows])
         window = CFL_LIMIT * dq / vmax if vmax > 0 else math.inf
         return (drive, True) if drive < window else (window, False)
     return dt_ok
@@ -276,10 +285,12 @@ class _RunTables:
         self.vrow, (dq, ds) = [rows.index(k) for k in keys], np.array(rows).T
         self.vm_q, self.vm_v = dq[:, None] * grid.centers(), ds
         self.steps = max(1, _BLOCK_BYTES // (8 * grid.n_cells))
-        self.fixed = None
+        g = self.model.num_states  # pairs up the ladder, then back down
+        self.sweep = list(range(g - 1)) + list(range(g - 3, -1, -1))
+        self.fixed, self.wkey, self.wgrid = None, None, None
         self.lo, self.hi, self.min_cell, self.mass_err = 0, grid.n_cells, math.inf, 0.0
         self.diag = dict(rate_ceiling_hits=0, blocks=0, cell_steps=0, flushed_mass=0.0,
-                         drive_capped_steps=0)
+                         drive_capped_steps=0, weight_tables=0)
 
     def _drive(self, v, lo, hi):
         """Face velocities below and above the split faces (steps, G, faces),
@@ -333,42 +344,48 @@ class _RunTables:
         lo, hi = max(s0 - 1 - m, 0), min(s1 + 1 + m, self.vm_q.shape[1])
         self.lo, self.hi = lo, hi
         ts, vs, dts, oks = zip(*rows)
-        if self.wave.kind != "constant":
-            vel, rates = self._drive(np.array(vs), lo, hi)
-        else:  # velocities and rates once per run: one row, sliced to the window
+        if self.wave.kind != "constant":  # rows of step i: velocities, (up, down) per pair
+            (vl, vr), rates = self._drive(np.array(vs), lo, hi)
+            ab = zip(*(zip(up, down) for up, down, _ in rates))
+            ws = self._weights(rates, np.array(dts)[:, None])
+            self.diag["weight_tables"] += 1
+        else:  # one row over the grid, sliced to the window; weights kept per dt sequence
             self.fixed = self.fixed or self._drive(np.array(vs[:1]), 0, self.vm_q.shape[1])
-            vel = [[v[0, :, lo:hi - 1]] * m for v in self.fixed[0]]
-            rates = [[x[:, lo:hi] for x in r] for r in self.fixed[1]]
-        ws = self._weights(rates, np.array(dts)[:, None])
-        # step i's rates: row i, or the constant drive's one row
-        pairs = [[(k, a[i % len(a)], b[i % len(b)], w[i])
-                  for k, ((a, b, _), w) in enumerate(zip(rates, ws))] for i in range(m)]
-        self.block = list(zip(ts, dts, oks, *vel, [ps + ps[-2::-1] for ps in pairs]))
+            vl, vr = (itertools.repeat(v[0, :, lo:hi - 1]) for v in self.fixed[0])
+            ab = itertools.repeat([(up[0, lo:hi], down[0, lo:hi])
+                                   for up, down, _ in self.fixed[1]])
+            if dts != self.wkey:
+                self.wkey = dts
+                self.wgrid = self._weights(self.fixed[1], np.array(dts)[:, None])
+                self.diag["weight_tables"] += 1
+            ws = [w[:, lo:hi] for w in self.wgrid]
+        self.block = list(zip(ts, dts, oks, vl, vr, ab, zip(*ws)))
         self.diag["blocks"] += 1
         self.diag["cell_steps"] += m * (hi - lo)
 
     def advance(self, p: np.ndarray, mass0: float, mass_tolerance: float) -> None:
-        """Take the planned block's steps on p in place, over the window."""
-        pw = p[:, self.lo:self.hi]
-        rows, dq, left, right = list(pw), self.dq, pw[:, :-1], pw[:, 1:]
-        flux, upper = np.empty(left.shape), np.empty(left.shape)
-        div, transfer, back = np.empty(pw.shape), np.empty(pw.shape[1]), np.empty(pw.shape[1])
-        for t, dt, dt_ok, vl, vr, sweep in self.block:
+        """Take the planned block's steps on p in place: on a contiguous copy
+        of the window, written back at the end."""
+        pw = np.ascontiguousarray(p[:, self.lo:self.hi])
+        (g, n), dq = pw.shape, self.dq
+        rows, left, right = list(pw), pw[:, :-1], pw[:, 1:]
+        padded = np.zeros((g, n + 1))  # face fluxes, zero at the window's ends
+        flux, upper = padded[:, 1:-1], np.empty((g, n - 1))
+        div, transfer, back = np.empty(pw.shape), np.empty(n), np.empty(n)
+        for t, dt, dt_ok, vl, vr, ab, ws in self.block:
             if dt > dt_ok:
                 raise StepSizeError(f"dt = {dt:g} s too large", dt_ok)
             # ---- advection: upwind fluxes at interior faces, zero at boundaries
             np.multiply(vl, left, out=flux)
             flux += np.multiply(vr, right, out=upper)
-            div.fill(0.0)
-            div[:, :-1] += flux
-            div[:, 1:] -= flux
+            np.subtract(padded[:, 1:], padded[:, :-1], out=div)
             div *= dt / dq
             pw -= div
             # ---- reaction at cell centers: pair exchanges up the ladder, then down
-            for k, a, b, w in sweep:
-                np.multiply(a, rows[k], out=transfer)
-                transfer -= np.multiply(b, rows[k + 1], out=back)
-                transfer *= w
+            for k in self.sweep:
+                np.multiply(ab[k][0], rows[k], out=transfer)
+                transfer -= np.multiply(ab[k][1], rows[k + 1], out=back)
+                transfer *= ws[k]
                 rows[k] -= transfer
                 rows[k + 1] += transfer
             # a window short of a grid edge ends in an empty cell: its min is the grid's
@@ -385,6 +402,7 @@ class _RunTables:
             if err > mass_tolerance:
                 raise MassLossError(f"mass error {err:g} exceeds {mass_tolerance:g} at "
                                     f"t = {t + dt:g} s (boundary outflow?)")
+        p[:, self.lo:self.hi] = pw
 
 
 def step(field: DistributionField, dt: float, circuit,
@@ -426,7 +444,8 @@ class PdeResult:
     max_mass_error: float
     # what the run did: steps taken, the smallest and largest dt, how many
     # computed rates the ceiling capped, blocks planned, cells worked, flushed
-    # mass, and the steps whose dt the drive cap set
+    # mass, the steps whose dt the drive cap set, and reaction-weight tables
+    # computed
     diagnostics: dict
 
 

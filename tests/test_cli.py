@@ -122,7 +122,7 @@ def test_simulate_compare_engine(tmp_path):
                                "pde_steps", "pde_dt_min", "pde_dt_max", "pde_n_cells",
                                "pde_mass_error", "pde_rate_ceiling_hits", "pde_blocks",
                                "pde_cell_steps", "pde_flushed_mass",
-                               "pde_drive_capped_steps", "mc_windows",
+                               "pde_drive_capped_steps", "pde_weight_tables", "mc_windows",
                                "mc_candidates", "mc_accepted", "mc_rows_max",
                                "mc_runaway_failures", "mc_configurations",
                                "mc_rate_ceiling_hits", "mc_trajectories", "mc_seed",

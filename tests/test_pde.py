@@ -528,7 +528,7 @@ def _reference_run(initial, outputs, params, model, flush=True, series=False, dt
 
 BIT_CASES = ["figure2_constant", "sine_three_state", "pwl_reverse_three_state",
              "step_two_state", "uniform_clamped_at_both_edges", "interval_of_many_blocks",
-             "sine_three_state_capped"]
+             "sine_three_state_capped", "constant_uniform_at_both_edges"]
 # the sine ladder with a 50 /s ceiling: rates up to exp(0.4/0.04)/20 = 1100 /s
 # are capped, and the second pair's down transition has its own (tau, V)
 SINE_MODEL3_CAPPED = MemristorModel(SINE_MODEL3.resistances, (10.0, 10.0), (0.05, 0.05),
@@ -555,11 +555,16 @@ def _bit_case(case, params, model):
         "uniform_clamped_at_both_edges": (sine, SINE_MODEL3, 200, 0.003, 4),
         "interval_of_many_blocks": (figure2, model, 2000, 0.002, 2),
         "sine_three_state_capped": (sine, SINE_MODEL3_CAPPED, 300, 0.005, 6),
+        "constant_uniform_at_both_edges": (figure2, model, 1000, 0.01, 6),
     }[case]
     g = ChargeGrid.for_drive(circ.C, circ.waveform, t_end, cells)
     if case == "uniform_clamped_at_both_edges":
         initial = DistributionField.from_uniform(g, m.num_states, 0, g.q_min + 2 * g.dq,
                                                  g.q_max - 2 * g.dq)
+    elif case == "constant_uniform_at_both_edges":
+        # mass in both edge cells: every window ends at the top of the grid, and
+        # about half start at its bottom, until the fast inward drift there empties it
+        initial = DistributionField.from_uniform(g, m.num_states, 0, g.q_min, g.q_max)
     else:
         initial = DistributionField.from_delta(g, m.num_states, 0, 0.0)
     return circ, m, initial, np.linspace(0.0, t_end, outputs)
@@ -589,6 +594,11 @@ def test_run_is_bit_identical_to_the_per_state_step(params, model, case):
     diag = dict(res.diagnostics)
     blocks, cell_steps = diag.pop("blocks"), diag.pop("cell_steps")
     assert blocks >= 1 and 0 < cell_steps <= len(dts) * g.n_cells
+    # a constant drive reuses the weights of a block whose dts repeat the last one's
+    tables = diag.pop("weight_tables")
+    if case in ("figure2_constant", "interval_of_many_blocks"):
+        assert tables < blocks
+    assert tables <= blocks if affine_rows(circ, m)[1].kind == "constant" else tables == blocks
     hits = diag.pop("rate_ceiling_hits")
     assert hits > 0 if case == "sine_three_state_capped" else hits == 0
     # the window sums the tails in other chunks than the whole-grid reference

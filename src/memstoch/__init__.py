@@ -8,8 +8,10 @@ Three cross-validating engines share one device and circuit model:
 - ``memstoch.pde``: a finite-volume solver for the coupled
   advection-reaction master equations of any circuit of one memristor,
   one capacitor and one source, read from its per-state affine tables,
-- ``memstoch.analytic``: closed-form solutions for the no-switching and
-  unidirectional-switching regimes of the binary series circuit.
+- ``memstoch.analytic``: closed forms: the survival of the initial state
+  of any such single-device circuit under a constant or step source
+  (``initial_hazard``, from the same tables), and the no-switching and
+  unidirectional-switching solutions of the binary series circuit.
 
 ``memstoch.circuit`` provides the SPICE-like netlist front end and the
 modified-nodal-analysis operating-point solver; ``memstoch.cli`` the
@@ -23,7 +25,7 @@ from .circuit import (CircuitState, Netlist, NetlistError,
                       SingularNetworkError, Waveform, parse_netlist,
                       serialize, series_mc, solve_operating_point)
 from .analytic import (ConstantDriveParams, Density1D, expint_ei,
-                       mean_switching_time, no_switch_density,
+                       initial_hazard, mean_switching_time, no_switch_density,
                        p0_asymptotic, p0_constant_voltage, rc_charge,
                        rc_charge_wave, unidirectional_densities)
 from .pde import ChargeGrid, DistributionField, SeriesCircuitParams
@@ -34,7 +36,8 @@ __all__ = [
     "CircuitState", "Netlist", "NetlistError", "SingularNetworkError",
     "Waveform", "parse_netlist", "serialize", "series_mc",
     "solve_operating_point",
-    "ConstantDriveParams", "Density1D", "expint_ei", "mean_switching_time",
+    "ConstantDriveParams", "Density1D", "expint_ei", "initial_hazard",
+    "mean_switching_time",
     "no_switch_density", "p0_asymptotic", "p0_constant_voltage",
     "rc_charge", "rc_charge_wave", "unidirectional_densities",
     "ChargeGrid", "DistributionField", "SeriesCircuitParams",

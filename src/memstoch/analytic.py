@@ -1,19 +1,23 @@
-"""Closed-form results for the series binary memristor-capacitor circuit.
+"""Closed-form results on the per-state affine tables that the PDE and the
+MC read (`circuit.single_device_tables`).
 
-Contains Ei and the hazard of an exponential rate along an RC relaxation,
-the RC characteristics in closed form (`_Paths`: the forced charge of
-`circuit.forced_charge` plus a decaying transient), the no-switching
-transport of a charge density along them, and the unidirectional-switching
-solutions: exact survival under constant drive, the mean switching time,
-the large-drive asymptotic no-switch probability and the general
-two-density solution, whose integrals run on Gauss-Legendre panels over
-array calls of `device.switching_rate`.  scipy is imported on first use:
-`scipy.special` by Ei, `scipy.integrate` by `Density1D.mass` and
-`mean_switching_time`.
+`initial_hazard` gives the survival of the initial state of any circuit of
+one memristor, one capacitor and one source, any state count, under a
+constant or step source: `hazard_integral` of the rate along the relaxing
+device voltage, through its sign changes and the rate's ceiling.  For the
+binary series circuit (`ConstantDriveParams`): Ei, the characteristics of
+a state's drift in closed form (`_Paths`), the no-switching transport of a
+charge density, the survival under constant drive (`p0_constant_voltage`,
+`initial_hazard`'s series case), the mean switching time, the large-drive
+asymptote and the unidirectional two-density solution, whose integrals run
+on Gauss-Legendre panels over array calls of `device.switching_rate`.
+scipy is imported on first use: `scipy.special` by Ei, `scipy.integrate`
+by `Density1D.mass` and `mean_switching_time`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -21,7 +25,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .circuit import Waveform, forced_charge
+from .circuit import (Netlist, Waveform, cancelled_sum, forced_charge, series_mc,
+                      single_device_tables)
 from .device import MemristorModel, switching_rate
 
 EULER_GAMMA = 0.57721566490153286061
@@ -233,6 +238,12 @@ class ConstantDriveParams:
         """Dimensionless initial drive (Va - q0/C) / V0."""
         return (self.Va - self.q0 / self.C) / self.V0
 
+    @functools.cached_property
+    def netlist(self) -> Netlist:
+        """The series circuit of these parameters (`circuit.series_mc`)."""
+        model = MemristorModel.binary(self.R0, self.R1, self.tau0, self.V0)
+        return series_mc(model, self.C, Waveform.constant(self.Va), self.q0)
+
 
 @dataclass(frozen=True)
 class Density1D:
@@ -300,14 +311,15 @@ def rc_charge(params: ConstantDriveParams, R: float, t: float) -> float:
 
 
 class _Paths:
-    """The RC characteristics dq/ds = (V(s) - q/C) / R of one resistance in
-    closed form: the forced charge q_p (`forced_charge`) plus a transient
-    that decays as e^{-s/(CR)} and, at each source breakpoint, takes up
-    q_p's jump."""
+    """The characteristics dq/ds = A q + B V(s) of one state's drift (A <=
+    0) in closed form: the forced charge q_p (`forced_charge`) plus a
+    transient that decays as e^{A s} and, at each source breakpoint, takes
+    up q_p's jump.  Through a resistance R to a capacitor C, A = -1/(CR)
+    and B = 1/R."""
 
-    def __init__(self, C: float, R: float, waveform: Waveform):
-        self.w, self.a = waveform, -1.0 / (C * R)
-        self.fq = forced_charge(self.a, 1.0 / R, waveform)
+    def __init__(self, A: float, B: float, waveform: Waveform):
+        self.w, self.a = waveform, A
+        self.fq = forced_charge(A, B, waveform)
         self.bp = self.jump = np.zeros(0)
         if waveform.kind != "sine":
             self.t0, self.v0, self.k = waveform.segments
@@ -343,7 +355,7 @@ def rc_charge_wave(q0: float, C: float, R: float, waveform: Waveform,
     q0 e^{-t/(CR)} plus the convolution of V with the exponential kernel."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    return float(_Paths(C, R, waveform)(q0, 0.0, t))
+    return float(_Paths(-1.0 / (C * R), 1.0 / R, waveform)(q0, 0.0, t))
 
 
 # --------------------------------------------------------------------------
@@ -376,7 +388,100 @@ def no_switch_density(f: Density1D, R: float, C: float,
 
 
 # --------------------------------------------------------------------------
-# Constant-voltage closed forms
+# Survival of the initial state of a single-device netlist
+
+@functools.lru_cache(maxsize=16)
+def _tables(netlist: Netlist) -> np.ndarray:
+    """`single_device_tables` as one read-only (4, G) array, kept for the
+    last netlists: the closed forms are often called once per time point."""
+    tab = np.array(single_device_tables(netlist))
+    tab.flags.writeable = False
+    return tab
+
+
+def _piecewise_constant(w: Waveform) -> bool:
+    return w.kind != "sine" and not np.any(w.segments[2])
+
+
+def _capped_integral(a, y, top, d0, d1):
+    """int_{d0}^{d1} min(e^{a + y e^{-u}}, e^top) du, elementwise, d1 >= d0.
+    The exponent is monotone in u, so the cap binds up to d_cap where it
+    falls (y >= 0) and from d_cap on where it rises (y < 0)."""
+    z = top - a
+    falling = y >= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_cap = np.where(np.where(falling, z > 0.0, z < 0.0), np.log(y / z), np.inf)
+    c = np.clip(d_cap, d0, d1)
+    lo, hi = np.where(falling, c, d0), np.where(falling, d1, c)
+    h = np.exp(top) * (d1 - d0 - (hi - lo))
+    live = hi > lo
+    if live.any():
+        h[live] += hazard_integral(a[live], y[live], lo[live], hi[live])
+    return h
+
+
+def _piece_hazard(vm_inf, b, A, laws, top, ceiling, dt):
+    """The hazard over [0, dt] of one piece, on which vm = vm_inf + b e^{-d}
+    with d = -A t: the up law (column 0 of laws, top) where vm > 0, the
+    down law where vm < 0, split where vm changes sign, at d_sign =
+    ln(-b / vm_inf) (0 where it does not and vm_inf != 0: vm has vm_inf's
+    sign throughout); A = 0 (cut off) keeps vm and the rate constant."""
+    vm0 = vm_inf + b
+    if A == 0.0:
+        return switching_rate(vm0, *(np.where(vm0 > 0.0, x[0], x[1]) for x in laws),
+                              ceiling) * dt
+    d = -A * dt + 0.0 * b       # over the broadcast of times and charges
+    d_sign = d if vm_inf == 0.0 else np.minimum(np.log(np.maximum(-b / vm_inf, 1.0)), d)
+    # vm has the sign of vm0 on [0, d_sign] and that of vm_inf on [d_sign, d]
+    sign = np.sign([vm0 + 0.0 * d, vm_inf + 0.0 * d])
+    v, tau, cap = (np.where(sign > 0.0, x[0], x[1]) for x in (*laws, top))
+    h = _capped_integral(sign * vm_inf / v, sign * b / v, cap,
+                         np.stack([0.0 * d, d_sign]), np.stack([d_sign, d]))
+    return np.where(sign != 0.0, h / tau, 0.0).sum(axis=0) / -A
+
+
+def initial_hazard(netlist: Netlist, t, q0=None) -> np.ndarray:
+    """The hazard H(t) of leaving the initial state s of a single-device
+    netlist (one memristor, one capacitor, one source, any resistors), at
+    times t from the capacitor charge q0 (default its IC); t and q0
+    broadcast.  exp(-H) is the survival of state s.  The circuit enters
+    through `circuit.single_device_tables`: under a constant source vm(t)
+    = vm_inf + (vm0 - vm_inf) e^{A_s t}, vm = Dq_s q + Ds_s V, and the
+    hazard is `hazard_integral` of the up law where vm > 0 and the down law
+    where vm < 0, with the rate ceiling and the exponent cut at 700 of
+    `device.switching_rate`.  A step source (or a PWL of flat segments)
+    runs piece by piece.  RegimeError for a sine or a sloped PWL source,
+    NetlistError for any other netlist."""
+    tab = _tables(netlist)
+    (mem,), (src,), (cap,) = netlist.memristors, netlist.sources, netlist.capacitors
+    model, s, w = mem.model, mem.initial_state, src.waveform
+    if not _piecewise_constant(w):
+        raise RegimeError(f"source {src.name} is a {w.kind} source with slopes: the "
+                          "closed-form survival needs a constant or piecewise-constant one")
+    A, B, Dq, Ds = tab[:, s]
+    laws = model.transitions[:, [s, model.num_states + s]]     # (V, tau) of up and down
+    top = np.minimum(math.log(model.rate_ceiling) + np.log(laws[1]), 700.0)
+    q_inf = forced_charge(A, B, w)[0]                         # per volt of source
+    vm_inf = cancelled_sum(Dq * q_inf, Ds)                    # per volt of source
+    t = np.asarray(t, dtype=float)
+    q = np.asarray(cap.initial_charge if q0 is None else q0, dtype=float)
+    if np.any(t < 0.0):
+        raise ValueError("t must be >= 0")
+    # one piece per source segment, from the charge at its start
+    starts = [0.0] + [b for b in w.breakpoint_times() if b > 0.0]
+    h = 0.0
+    for t0, t1 in zip(starts, starts[1:] + [math.inf]):
+        v = w(t0)
+        dt = np.clip(t - t0, 0.0, t1 - t0)
+        h = h + _piece_hazard(vm_inf * v, Dq * (q - q_inf * v), A, laws, top,
+                              model.rate_ceiling, dt)
+        if t1 < math.inf:
+            q = q_inf * v + (q - q_inf * v) * math.exp(A * (t1 - t0))
+    return h
+
+
+# --------------------------------------------------------------------------
+# Constant-voltage closed forms of the series circuit
 
 def _check_unidirectional(params: ConstantDriveParams):
     if params.Va - params.q0 / params.C <= 0:
@@ -388,7 +493,7 @@ def _check_unidirectional(params: ConstantDriveParams):
 def p0_constant_voltage(params: ConstantDriveParams, t: float) -> float:
     """Probability of no switching event up to time t under constant
     drive: exp{-(C R0/tau0) [Ei(x) - Ei(x e^{-t/(C R0)})]} with
-    x = (Va - q0/C)/V0."""
+    x = (Va - q0/C)/V0 (1 if x <= 0: state 0 has no down law)."""
     return math.exp(-accumulated_hazard(params, t))
 
 
@@ -405,15 +510,9 @@ def switching_rate_at(params: ConstantDriveParams, t: float) -> float:
 
 def accumulated_hazard(params: ConstantDriveParams, t: float) -> float:
     """Integral of the 0->1 rate along the unswitched trajectory; the
-    survival probability is exp(-hazard).  Computed directly, so it stays
-    finite where the survival probability underflows."""
-    _check_unidirectional(params)
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0.0:
-        return 0.0
-    tc = params.C * params.R0
-    return tc / params.tau0 * float(hazard_integral(0.0, params.x_drive, 0.0, t / tc)[0])
+    survival probability is exp(-hazard).  `initial_hazard` of the series
+    netlist, so it stays finite where the survival probability underflows."""
+    return float(initial_hazard(params.netlist, t))
 
 
 def mean_switching_time(params: ConstantDriveParams, t_star: float,
@@ -467,59 +566,56 @@ def p0_asymptotic(params: ConstantDriveParams) -> float:
 class _Switching:
     """The integrals of the unidirectional solution up to time t: the
     state-0 and state-1 characteristics, the 0 -> 1 rate along them and
-    the hazard it accumulates, on Gauss-Legendre panels to rtol."""
+    the hazard it accumulates, on Gauss-Legendre panels to rtol.  The
+    circuit enters through the tables (A, B, Dq, Ds) of `series_mc(model,
+    C, waveform)`."""
 
     def __init__(self, model: MemristorModel, C: float, waveform: Waveform,
                  t: float, rtol: float):
-        self.model, self.C, self.w, self.t, self.rtol = model, C, waveform, t, rtol
-        self.r0, self.r1 = model.resistances[0], model.resistances[1]
-        self.paths = _Paths(C, self.r0, waveform), _Paths(C, self.r1, waveform)
+        self.model, self.w, self.t, self.rtol = model, waveform, t, rtol
+        self.net = series_mc(model, C, waveform)
+        self.tab = _tables(self.net)
+        self.paths = _Paths(*self.tab[:2, 0], waveform), _Paths(*self.tab[:2, 1], waveform)
+
+    def vm(self, s, q):
+        """The device voltage Dq q + Ds V(s) at times s and charges q."""
+        return self.tab[2, 0] * q + self.tab[3, 0] * self.w(s)
 
     def rate(self, s, q):
         """The 0 -> 1 rate at times s and charges q (0 where vm <= 0)."""
-        vm = self.w(s) - q / self.C
-        return switching_rate(np.maximum(vm, 0.0), *self.model.transitions[:, 0],
+        return switching_rate(np.maximum(self.vm(s, q), 0.0), *self.model.transitions[:, 0],
                               self.model.rate_ceiling)
 
     def hazard(self, q, s):
         """The hazard accumulated over [0, s] along the state-0
-        characteristics through (q, s): under constant drive vm = vm(0)
-        e^{-u/(C R0)}, so `hazard_integral` after the rate leaves its cap,
-        else panels of the rate."""
+        characteristics through (q, s): the closed form `initial_hazard`
+        under a piecewise-constant source, else panels of the rate."""
         p0 = self.paths[0]
-        if self.w.kind != "constant":
-            return _pieces(lambda u, q, s: self.rate(u, p0(q, s, u)), 0.0, s, p0.bp,
-                           self.rtol, q, s)
-        v, tau = self.model.transitions[:, 0]
-        tc = self.C * self.r0
-        d = np.asarray(s) / tc
-        beta = (self.w.amplitude - p0(q, s, 0.0) / self.C) / v
-        # the rate e^{beta e^{-u}} / tau is capped at e^top / tau up to d_cap
-        top = min(math.log(self.model.rate_ceiling) + math.log(tau), 700.0)
-        d_cap = np.minimum(np.log(np.maximum(beta / top, 1.0)), d) if top > 0.0 else d
-        h = tc / tau * (math.exp(top) * d_cap + hazard_integral(0.0, beta, d_cap, d))
-        return np.where(beta > 0.0, h, 0.0).reshape(np.shape(beta))
+        if _piecewise_constant(self.w):
+            return initial_hazard(self.net, s, p0(q, s, 0.0))
+        return _pieces(lambda u, q, s: self.rate(u, p0(q, s, u)), 0.0, s, p0.bp,
+                       self.rtol, q, s)
 
     def switched(self, f: Density1D, q):
         """State-1 density at (q, t) of the smooth f's mass switched at ts
-        in [0, t]: int rate e^{(t - ts)/(C R1)} p0(Q1(ts), ts) dts along the
+        in [0, t]: int rate e^{-A_1 (t - ts)} p0(Q1(ts), ts) dts along the
         state-1 characteristic Q1 through (q, t).  p0 is non-zero where the
         state-0 characteristic through (Q1(ts), ts) starts inside f's
         support, and that start is monotone in ts (vm > 0): `_crossing`
         finds where it crosses the support's edges."""
         p0, p1 = self.paths
-        t, tc0, tc1 = self.t, self.C * self.r0, self.C * self.r1
+        t, (a0, a1), (b0, b1) = self.t, self.tab[0, :2], self.tab[1, :2]
         fvals = np.vectorize(f, otypes=[float])
 
-        rising = self.r1 < self.r0
+        rising = b1 > b0
         ends = _crossing(lambda ts, q, edge: p0(p1(q, t, ts), ts, 0.0) - edge, 0.0, t, rising,
                          np.asarray(q)[..., None], np.array(f.support))
         lo, hi = (ends[..., 0], ends[..., 1]) if rising else (ends[..., 1], ends[..., 0])
 
         def integrand(ts, q):
             qs = p1(q, t, ts)
-            p0_value = np.exp(ts / tc0) * fvals(p0(qs, ts, 0.0)) * np.exp(-self.hazard(qs, ts))
-            return self.rate(ts, qs) * np.exp((t - ts) / tc1) * p0_value
+            p0_value = np.exp(-a0 * ts) * fvals(p0(qs, ts, 0.0)) * np.exp(-self.hazard(qs, ts))
+            return self.rate(ts, qs) * np.exp(a1 * (ts - t)) * p0_value
 
         return _pieces(integrand, lo, np.maximum(lo, hi), p1.bp, self.rtol, q)
 
@@ -528,27 +624,27 @@ class _Switching:
 
         Mass switching at time ts leaves the deterministic state-0
         trajectory q0(ts) and rides the state-1 characteristic to time t.
-        If R0 != R1 the arrival position is monotone in ts and the result
-        is a smooth density; if R0 == R1 all switched mass arrives at the
-        same point and stays a delta.  Returns (density, delta)."""
+        If the states' drifts differ the arrival position is monotone in
+        ts and the result is a smooth density; if they are equal all
+        switched mass arrives at the same point and stays a delta.
+        Returns (density, delta)."""
         p0, p1 = self.paths
-        t, r0, r1 = self.t, self.r0, self.r1
+        t, (a0, a1), (b0, b1) = self.t, self.tab[0, :2], self.tab[1, :2]
 
         def arrival(ts):        # position at t of mass that switched at ts
             return p1(p0(q_init, 0.0, ts), ts, t)
 
-        if abs(r0 - r1) <= 1e-12 * max(r0, r1):
+        if abs(a0 - a1) <= 1e-12 * abs(a0) and abs(b0 - b1) <= 1e-12 * abs(b0):
             # switched mass shares the unswitched trajectory
             q_t = p0(q_init, 0.0, t)
             return None, (float(arrival(t)), weight * (1.0 - math.exp(-float(self.hazard(q_t, t)))))
         lo, hi = sorted((float(arrival(0.0)), float(arrival(t))))
 
         def density(q):
-            ts = _crossing(lambda s, q: arrival(s) - q, 0.0, t, r1 > r0, q)
+            ts = _crossing(lambda s, q: arrival(s) - q, 0.0, t, b0 > b1, q)
             qs = p0(q_init, 0.0, ts)
-            # d(arrival)/dts = e^{(ts - t)/(C R1)} vm(ts) (1/R0 - 1/R1)
-            jac = np.abs(np.exp((ts - t) / (self.C * r1)) * (self.w(ts) - qs / self.C)
-                         * (1.0 / r0 - 1.0 / r1))
+            # d(arrival)/dts: the state-1 flow of the drifts' difference
+            jac = np.abs(np.exp(a1 * (t - ts)) * ((a0 - a1) * qs + (b0 - b1) * self.w(ts)))
             value = weight * self.rate(ts, qs) * np.exp(-self.hazard(qs, ts)) / jac
             return np.where((lo <= q) & (q <= hi), value, 0.0)
 
@@ -572,20 +668,20 @@ def unidirectional_densities(f: Density1D, g: Density1D,
     if t < 0:
         raise ValueError("t must be >= 0")
     r0, r1 = model.resistances[0], model.resistances[1]
+    sw = _Switching(model, C, waveform, t, rtol)
     upper = max(f.max_support(), g.max_support())
     # while vm > 0 on it, the path of the top charge through the smaller
     # resistance bounds every path, switched or not
-    top = _Paths(C, min(r0, r1), waveform)
+    top, slow = sw.paths if r0 < r1 else sw.paths[::-1]
     if upper > -math.inf:
         s = np.union1d(np.linspace(0.0, t, 1025), top.bp[(top.bp >= 0.0) & (top.bp <= t)])
-        bad = waveform(s) - top(upper, 0.0, s) / C <= 0.0
+        bad = sw.vm(s, top(upper, 0.0, s)) <= 0.0
         if bad.any():
             raise RegimeError(
                 f"mass reaches q >= C V(t) first at t = {s[np.argmax(bad)]:g} s; "
                 "unidirectional solution invalid there")
     if t == 0.0:
         return f, g
-    sw = _Switching(model, C, waveform, t, rtol)
 
     # ---- state 0: transported f times the survival factor
     transported_f = no_switch_density(f, r0, C, waveform, t)
@@ -617,7 +713,7 @@ def unidirectional_densities(f: Density1D, g: Density1D,
         # through min(R0, R1) bound p1's mass
         starts = ([qd for qd, _ in f.deltas] + [f.support[0]] * (f.fn is not None)
                   + [g.support[0]] * (g.fn is not None))
-        support1 = (float(_Paths(C, max(r0, r1), waveform)(min(starts), 0.0, t)),
+        support1 = (float(slow(min(starts), 0.0, t)),
                     float(top(upper, 0.0, t)))
 
         def p1_fn(q, tg=transported_g, fns=tuple(source_fns)):

@@ -182,6 +182,13 @@ def forced_charge(A, B, waveform: Waveform) -> np.ndarray:
     return -B * np.array([ia, ia * ia])
 
 
+def cancelled_sum(a, b):
+    """a + b, with sums that cancel to round-off set to 0 (so that vm's
+    forced response keeps the sign it has in exact arithmetic)."""
+    s = a + b
+    return np.where(np.abs(s) <= 4.0 * np.finfo(float).eps * (np.abs(a) + np.abs(b)), 0.0, s)
+
+
 # --------------------------------------------------------------------------
 # Components and the netlist
 

@@ -26,9 +26,7 @@ import numpy as np
 import yaml
 
 from . import __version__, analytic, mc, pde
-from .circuit import (NetlistError, SingularNetworkError, Waveform,
-                      parse_netlist, series_mc, solve_operating_point)
-from .device import MemristorModel
+from .circuit import NetlistError, SingularNetworkError, parse_netlist, solve_operating_point
 
 
 class ConfigError(ValueError):
@@ -144,9 +142,7 @@ def _circuit(cfg: dict):
     """The config's `netlist:` file, else the circuit of its `series:` block."""
     if "netlist" in cfg:
         return parse_netlist(Path(_require(cfg, "netlist", str)).read_text())
-    p = _series_params(cfg)
-    return series_mc(MemristorModel.binary(p.R0, p.R1, p.tau0, p.V0), p.C,
-                     Waveform.constant(p.Va), p.q0)
+    return _series_params(cfg).netlist
 
 
 def _output_times(cfg: dict) -> np.ndarray:
@@ -167,15 +163,14 @@ def _output_times(cfg: dict) -> np.ndarray:
 def _run_analytic(cfg: dict, config: str) -> ResultTable:
     params = _series_params(cfg)
     times = _output_times(cfg)
-    p0 = np.array([analytic.p0_constant_voltage(params, float(t)) for t in times])
+    p0 = np.exp(-analytic.initial_hazard(params.netlist, times))
     rows = np.column_stack([times, p0, 1.0 - p0])
     meta = {"engine": "analytic", "prob_sum_tol": "1e-15",
             "config": config, "version": __version__}
     return ResultTable(meta, ["time", "p0", "p1"], rows)
 
 
-def _run_pde(cfg: dict, config: str) -> ResultTable:
-    netlist = _circuit(cfg)
+def _run_pde(cfg: dict, config: str, netlist) -> ResultTable:
     times = _output_times(cfg)
     t_end = float(times[-1])
     n_cells = int(cfg.get("pde", {}).get("n_cells", 2000))
@@ -194,7 +189,9 @@ def _run_pde(cfg: dict, config: str) -> ResultTable:
     return ResultTable(meta, cols, rows)
 
 
-def _run_mc(cfg: dict, config: str, seed_override=None, traj_override=None) -> ResultTable:
+def _run_mc(cfg: dict, config: str, netlist, seed_override=None,
+            traj_override=None) -> tuple:
+    """The MC table and the ensemble statistics behind it."""
     mc_cfg = cfg.get("mc", {})
     n = int(traj_override if traj_override is not None
             else mc_cfg.get("trajectories", 1000))
@@ -202,7 +199,6 @@ def _run_mc(cfg: dict, config: str, seed_override=None, traj_override=None) -> R
                else mc_cfg.get("seed", 0))
     times = _output_times(cfg)
     t_end = float(times[-1])
-    netlist = _circuit(cfg)
     stats = mc.run_ensemble(netlist, netlist.initial_state(), t_end, times, n, seed)
     occ = stats.occupancy[0]
     se = stats.stderr[0]
@@ -216,38 +212,51 @@ def _run_mc(cfg: dict, config: str, seed_override=None, traj_override=None) -> R
             "failed": stats.n_failed, "events_up": stats.events_up,
             "events_down": stats.events_down, "prob_sum_tol": "1e-12",
             "config": config, "version": __version__}
-    return ResultTable(meta, cols, rows)
+    return ResultTable(meta, cols, rows), stats
 
 
-def _run_compare(cfg: dict, config: str, seed_override=None,
-                 traj_override=None) -> ResultTable:
-    if "netlist" in cfg:    # the analytic engine knows only the series block
-        raise ConfigError("engine compare needs a series: block, not a netlist:")
-    times = _output_times(cfg)
-    ana = _run_analytic(cfg, config)
-    pd_ = _run_pde(cfg, config)
-    mc_ = _run_mc(cfg, config, seed_override, traj_override)
-    p0a = ana.column("p0")
-    p0p = pd_.column("p0")
-    p0m = mc_.column("p0")
-    sem = mc_.column("stderr0")
-    rows = np.column_stack([times, p0a, p0p, p0m, sem])
-    dev_pde = float(np.max(np.abs(p0a - p0p)))
+def _max_z(dev, sigma) -> float:
+    """The largest |dev| / sigma where it is finite (0 if nowhere)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.abs(p0a - p0m) / sem
-    ratio = ratio[np.isfinite(ratio)]
-    dev_mc = float(ratio.max()) if ratio.size else 0.0
+        z = np.abs(dev) / sigma
+    z = z[np.isfinite(z)]
+    return float(z.max()) if z.size else 0.0
+
+
+def _run_compare(cfg: dict, config: str, netlist, seed_override=None,
+                 traj_override=None) -> ResultTable:
+    """The initial state s's survival in closed form (`analytic.initial_hazard`)
+    beside the PDE's and the MC's marginals of s; the header compares the
+    closed form with the MC's survival and every state's marginal between
+    the PDE and the MC."""
+    times = _output_times(cfg)
+    s = netlist.memristors[0].initial_state
+    try:
+        closed = np.exp(-analytic.initial_hazard(netlist, times))
+    except analytic.RegimeError as exc:
+        raise ConfigError(f"engine compare: {exc}") from None
+    pd_ = _run_pde(cfg, config, netlist)
+    mc_, stats = _run_mc(cfg, config, netlist, seed_override, traj_override)
+    # the MC's survival of s: the share of trajectories without an event by t
+    n, first = stats.n, stats.first_event_times
+    survival = (n - (first[:, None] <= times).sum(axis=0)) / n
+    g = pd_.rows.shape[1] - 1     # columns: time, p0..p(G-1) [, stderr0..stderr(G-1)]
+    p_pde, p_mc, sem = pd_.rows[:, 1:], mc_.rows[:, 1:g + 1], mc_.rows[:, g + 1:]
     # what each engine did rides along under its prefix
     shared = {"engine", "prob_sum_tol", "config", "version"}
     meta = {**{f"{name}_{k}": v for name, table in (("pde", pd_), ("mc", mc_))
                for k, v in table.meta.items() if k not in shared},
+            **{f"max_dev_pde_mc_p{i}": f"{_max_z(p_pde[:, i] - p_mc[:, i], sem[:, i]):.6e}"
+               for i in range(g)},
             "engine": "compare",
-            "max_abs_dev_pde": f"{dev_pde:.6e}",
-            "max_dev_mc_over_stderr": f"{dev_mc:.6e}",
+            "max_abs_dev_pde": f"{np.max(np.abs(closed - p_pde[:, s])):.6e}",
+            "max_dev_mc_over_stderr":
+                f"{_max_z(closed - survival, np.sqrt(survival * (1.0 - survival) / n)):.6e}",
             "prob_sum_tol": "1e-8",
             "config": config, "version": __version__}
-    return ResultTable(meta, ["time", "p0_analytic", "p0_pde", "p0_mc",
-                              "p0_mc_stderr"], rows)
+    rows = np.column_stack([times, closed, p_pde[:, s], p_mc[:, s], sem[:, s]])
+    columns = ["time"] + [f"p{s}_{k}" for k in ("analytic", "pde", "mc", "mc_stderr")]
+    return ResultTable(meta, columns, rows)
 
 
 def cmd_simulate(cfg: dict, out=None, seed_override=None,
@@ -257,11 +266,11 @@ def cmd_simulate(cfg: dict, out=None, seed_override=None,
     if engine == "analytic":
         table = _run_analytic(cfg, config)
     elif engine == "pde":
-        table = _run_pde(cfg, config)
+        table = _run_pde(cfg, config, _circuit(cfg))
     elif engine == "mc":
-        table = _run_mc(cfg, config, seed_override, traj_override)
+        table = _run_mc(cfg, config, _circuit(cfg), seed_override, traj_override)[0]
     elif engine == "compare":
-        table = _run_compare(cfg, config, seed_override, traj_override)
+        table = _run_compare(cfg, config, _circuit(cfg), seed_override, traj_override)
     else:
         raise ConfigError(f"unknown engine {engine!r} "
                           "(expected mc, pde, analytic or compare)")
@@ -282,7 +291,7 @@ def cmd_reproduce(figure: str, out_dir=".") -> ResultTable:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     times = np.linspace(0.0, 0.03, 301)
-    p0 = np.array([analytic.p0_constant_voltage(params, float(t)) for t in times])
+    p0 = np.exp(-analytic.initial_hazard(params.netlist, times))
     if figure == "fig2":
         rows = np.column_stack([times, p0, 1.0 - p0])
         meta = {"figure": "fig2", "C": params.C, "R0": params.R0,

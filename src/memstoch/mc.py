@@ -37,8 +37,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .circuit import (CircuitState, Netlist, affine_dynamics, forced_charge, is_single_device,
-                      output_grid, single_device_tables)
+from .circuit import (CircuitState, Netlist, affine_dynamics, cancelled_sum, forced_charge,
+                      is_single_device, output_grid, single_device_tables)
 from .device import switching_rate
 
 # thinning
@@ -634,13 +634,13 @@ class _Ensemble:
         fq = forced_charge(A, B, w)
         if w.kind == "sine":
             om = self.omega[0]
-            fu = _cancel(Dq * fq, Ds * np.array([w.offset, w.amplitude, 0.0])[:, None])
+            fu = cancelled_sum(Dq * fq, Ds * np.array([w.offset, w.amplitude, 0.0])[:, None])
             du, curve = om * np.array([0.0 * A, -fu[2], fu[1]]), om * om * np.hypot(fu[1], fu[2])
             self._coef = np.array([fq, fu, du])
         else:
             self._t0, v0, k = w.segments
             v0, k = v0[:, None], k[:, None]
-            fu = _cancel(Dq * fq, Ds * np.array([1.0, 0.0])[:, None])
+            fu = cancelled_sum(Dq * fq, Ds * np.array([1.0, 0.0])[:, None])
             self._coef = np.array([[f[0] * v0 + f[1] * k, f[0] * k] for f in (fq, fu)]
                                   + [[fu[0] * k, 0.0 * k * A]]).reshape(3, 2, -1)
             curve = 0.0 * A
@@ -748,13 +748,6 @@ def _hist_codes(state, q, edges):
     b -= q < edges[b]
     b += q >= edges[b + 1]
     return state * bins + np.minimum(b, bins - 1)
-
-
-def _cancel(a, b):
-    """a + b, with sums that cancel to round-off set to 0 (so that vm's
-    forced response keeps the sign it has in exact arithmetic)."""
-    s = a + b
-    return np.where(np.abs(s) <= 4.0 * np.finfo(float).eps * (np.abs(a) + np.abs(b)), 0.0, s)
 
 
 def _integral(l0, l1, dt):

@@ -6,6 +6,7 @@ integration and quadrature so none of the closed forms is compared
 against itself.
 """
 
+import dataclasses
 import math
 
 import mpmath
@@ -19,9 +20,11 @@ from scipy.special import expi
 from memstoch import (ConstantDriveParams, Density1D, MemristorModel,
                       Waveform, expint_ei, mean_switching_time,
                       no_switch_density, p0_asymptotic, p0_constant_voltage,
-                      rc_charge, rc_charge_wave, unidirectional_densities)
+                      parse_netlist, rc_charge, rc_charge_wave, series_mc,
+                      unidirectional_densities)
 from memstoch.analytic import (RegimeError, _gauss, _Paths, accumulated_hazard,
-                               hazard_integral, p1_constant_voltage, switching_rate_at)
+                               hazard_integral, initial_hazard, p1_constant_voltage,
+                               switching_rate_at)
 
 mpmath.mp.dps = 40
 
@@ -132,7 +135,7 @@ def test_rc_characteristic_against_mpmath(kind, direction):
                 got = rc_charge_wave(2e-8, C, R, w, s)
                 ref = _mp_characteristic(w, C, R, 2e-8, 0.0, s)
             else:
-                got = float(_Paths(C, R, w)(1e-7, 6e-3, 6e-3 - s))
+                got = float(_Paths(-1.0 / (C * R), 1.0 / R, w)(1e-7, 6e-3, 6e-3 - s))
                 ref = _mp_characteristic(w, C, R, 1e-7, 6e-3, 6e-3 - s)
             assert abs(got - float(ref)) <= tol, (s, got, float(ref))
 
@@ -244,6 +247,145 @@ def test_hazard_integral_against_mpmath(alpha, beta, d0, d1):
     assert hazard_integral(alpha, beta, d0, d1)[0] == pytest.approx(float(ref), rel=1e-12)
 
 
+# ------------------------------------- survival of a netlist's initial state
+
+SHUNTED = """
+V1 in 0 DC 0.4
+M1 in n1 STATES=2 R=100k,10k TAUUP=10 VUP=0.03 TAUDOWN=10 VDOWN=0.03 STATE=0
+C1 n1 0 100n IC=35n
+R2 n1 0 100k
+"""
+SIGN_CHANGE = """
+V1 in 0 DC 0.4
+M1 in n1 STATES=3 R=100k,30k,10k TAUUP=10,10 VUP=0.03,0.03 TAUDOWN=10,10 VDOWN=0.03,0.03 STATE=1
+C1 n1 0 100n IC=70n
+R2 n1 0 30k
+"""
+CUT_OFF = """
+V1 in 0 DC 0.3
+M1 in 0 STATES=2 R=100k,10k TAUUP=10 VUP=0.03 TAUDOWN=10 VDOWN=0.03 STATE=0
+C1 n1 0 100n
+R2 n1 0 100k
+"""
+
+
+def _relax(vm0, vm_inf, tau):
+    """vm = vm_inf + (vm0 - vm_inf) e^{-t / tau}, as an mpmath function."""
+    return lambda t: vm_inf + (vm0 - vm_inf) * mpmath.exp(-t / tau)
+
+
+def _figure2_step(t, t_on=5e-3, tau=0.1):
+    # 0.1 V, then 0.35 V from t_on: vm relaxes from 0.1 V, then from
+    # 0.35 V less the capacitor's voltage at t_on
+    if t < t_on:
+        return 0.1 * mpmath.exp(-t / tau)
+    return (0.35 - 0.1 * (1 - mpmath.exp(-t_on / tau))) * mpmath.exp(-(t - t_on) / tau)
+
+
+# netlist, vm(t) of the initial state derived by hand, its (V, tau) up and
+# down laws (None: absent), the rate ceiling, times and source breakpoints
+SURVIVAL_CASES = {
+    # C (100k || 100k) = 5 ms, 0.4 V - 35 nC / 100 nF up to 0.4 V / 2
+    "shunted": (SHUNTED, _relax(0.05, 0.2, 5e-3), ((0.03, 10.0), None), math.inf,
+                (1e-3, 5e-3, 0.02), ()),
+    # C (30k || 30k) = 1.5 ms; vm crosses zero at 1.5 ms ln 2.5
+    "sign_change": (SIGN_CHANGE, _relax(-0.3, 0.2, 1.5e-3), ((0.03, 10.0), (0.03, 10.0)),
+                    math.inf, (1e-3, 1.5e-3 * math.log(2.5), 5e-3), ()),
+    "cut_off": (CUT_OFF, lambda t: mpmath.mpf(0.3), ((0.03, 10.0), None), math.inf,
+                (0.01, 0.05), ()),
+    # e^{17.5} / 3e5 = 132 /s at first, capped at 100 /s until 2.7 ms
+    "decaying_ceiling": ("figure2", _relax(0.35, 0.0, 0.1), ((0.02, 3e5), None), 100.0,
+                         (1e-3, 0.01, 0.05), ()),
+    # the rate rises through 10 /s at 0.03 ln 100 = 0.138 V
+    "rising_ceiling": (SHUNTED, _relax(0.05, 0.2, 5e-3), ((0.03, 10.0), None), 10.0,
+                       (1e-3, 5e-3, 0.02), ()),
+    "step": ("step", _figure2_step, ((0.02, 3e5), None), math.inf, (2e-3, 5e-3, 0.03), (5e-3,)),
+    # state 1 of 3: the up law of 1 -> 2 and the down law of 1 -> 0 differ,
+    # and a ceiling of 30 /s binds on both sides of the sign change
+    "g3_unequal_laws": (SIGN_CHANGE.replace("TAUUP=10,10 VUP=0.03,0.03", "TAUUP=10,5 VUP=0.03,0.02")
+                        .replace("TAUDOWN=10,10 VDOWN=0.03,0.03", "TAUDOWN=8,12 VDOWN=0.04,0.025"),
+                        _relax(-0.3, 0.2, 1.5e-3), ((0.02, 5.0), (0.04, 8.0)), 30.0,
+                        (5e-4, 2e-3, 5e-3), ()),
+}
+
+
+def _survival_netlist(text, ceiling):
+    if text == "figure2":
+        model = MemristorModel.binary(1e5, 1e4, 3e5, 0.02, rate_ceiling=ceiling)
+        return series_mc(model, 1e-6, Waveform.constant(0.35))
+    if text == "step":
+        model = MemristorModel.binary(1e5, 1e4, 3e5, 0.02, rate_ceiling=ceiling)
+        return series_mc(model, 1e-6, Waveform.step(0.35, 5e-3, value_before=0.1))
+    net = parse_netlist(text)
+    (mem,) = net.memristors
+    model = dataclasses.replace(mem.model, rate_ceiling=ceiling)
+    return dataclasses.replace(net, memristors=(dataclasses.replace(mem, model=model),))
+
+
+def _mp_hazard(vm, laws, cap, t, cuts):
+    """mpmath quadrature of the rate min(e^{|vm| / V} / tau, cap) over
+    [0, t], with (V, tau) the up law where vm > 0 and the down law where
+    vm < 0, split where vm or the capped exponent crosses over (found on a
+    grid and refined by bisection) and at the cuts."""
+    def law(x):
+        return laws[0] if x > 0 else laws[1] if x < 0 else None
+
+    def rate(u):
+        x, lw = vm(u), law(vm(u))
+        return 0 if lw is None else min(mpmath.exp(abs(x) / lw[0]) / lw[1], cap)
+
+    def over(u):
+        x, lw = vm(u), law(vm(u))
+        return -1 if lw is None else mpmath.sign(abs(x) / lw[0] - mpmath.log(cap * lw[1]))
+
+    grid = [mpmath.mpf(t) * k / 400 for k in range(401)]
+    knots = {mpmath.mpf(c) for c in cuts if 0 < c < t}
+    for g in (lambda u: mpmath.sign(vm(u)), over):
+        for a, b in zip(grid, grid[1:]):
+            if g(a) != g(b):
+                for _ in range(100):
+                    a, b = (a, (a + b) / 2) if g((a + b) / 2) != g(a) else ((a + b) / 2, b)
+                knots.add((a + b) / 2)
+    return mpmath.quad(rate, [0, *sorted(knots), mpmath.mpf(t)])
+
+
+@pytest.mark.parametrize("case", list(SURVIVAL_CASES))
+def test_initial_hazard_against_mpmath(case):
+    text, vm, laws, cap, times, cuts = SURVIVAL_CASES[case]
+    net = _survival_netlist(text, cap)
+    got = initial_hazard(net, np.array(times))
+    with mpmath.workdps(30):
+        ref = [float(_mp_hazard(vm, laws, cap, t, cuts)) for t in times]
+    assert got == pytest.approx(ref, rel=1e-10)
+    assert np.array_equal(initial_hazard(net, 0.0), 0.0)
+
+
+def test_initial_hazard_broadcasts_over_times_and_charges():
+    # the shunted circuit from 0 (vm falls from 0.4 V), its fixed point
+    # (20 nC: vm stays at 0.2 V) and its IC (35 nC: vm rises from 0.05 V)
+    net = parse_netlist(SHUNTED)
+    times, charges = np.array([1e-3, 4e-3, 0.02]), np.array([0.0, 2e-8, 3.5e-8])
+    got = initial_hazard(net, times[:, None], charges)
+    assert got.shape == (3, 3)
+    with mpmath.workdps(30):
+        for j, q0 in enumerate(charges):
+            vm = _relax(0.4 - q0 / 1e-7, 0.2, 5e-3)
+            ref = [float(_mp_hazard(vm, ((0.03, 10.0), None), math.inf, t, ())) for t in times]
+            assert got[:, j] == pytest.approx(ref, rel=1e-10)
+    assert np.array_equal(got[:, 2], initial_hazard(net, times))
+
+
+def test_initial_hazard_refuses_sloped_sources():
+    model = MemristorModel.binary(1e5, 1e4, 3e5, 0.02)
+    for wave in (Waveform.sine(0.35, 0.05, 50.0), Waveform.pwl([(0.0, 0.0), (1e-3, 0.35)])):
+        with pytest.raises(RegimeError, match=f"V1 is a {wave.kind} source"):
+            initial_hazard(series_mc(model, 1e-6, wave), 0.01)
+    # a PWL of flat segments is piecewise constant
+    flat = series_mc(model, 1e-6, Waveform.pwl([(0.0, 0.35), (1.0, 0.35)]))
+    const = series_mc(model, 1e-6, Waveform.constant(0.35))
+    assert initial_hazard(flat, 0.01) == pytest.approx(initial_hazard(const, 0.01), rel=1e-15)
+
+
 def test_gauss_panels_raise_rather_than_return_an_unconverged_value():
     # 1.6e6 periods on [0, 1]: no panel count up to the cap resolves them
     assert _gauss(lambda x: np.exp(-x), 0.0, 1.0, 1e-13)[()] == pytest.approx(-math.expm1(-1.0),
@@ -261,10 +403,11 @@ def test_rate_decays_to_floor(params):
 
 
 def test_p0_regime_checks():
-    bad = ConstantDriveParams(C=1e-6, R0=1e5, R1=1e4, tau0=3e5, V0=0.02,
-                              Va=0.1, q0=2e-7)  # q0/C = 0.2 > Va
-    with pytest.raises(RegimeError):
-        p0_constant_voltage(bad, 0.1)
+    # q0/C = 0.2 > Va: vm < 0 relaxes to 0 from below, and state 0 has no
+    # down law, so the binary device cannot leave it
+    reversed_ = ConstantDriveParams(C=1e-6, R0=1e5, R1=1e4, tau0=3e5, V0=0.02,
+                                    Va=0.1, q0=2e-7)
+    assert p0_constant_voltage(reversed_, 0.1) == 1.0
     with pytest.raises(ValueError):
         p0_constant_voltage(ConstantDriveParams.figure2(), -0.1)
 
@@ -476,3 +619,17 @@ def test_unidirectional_constant_drive_agrees_with_flat_pwl(params, ceiling):
     (_, closed), (_, panels) = (p0.deltas[0] for p0, _ in out)
     assert closed == pytest.approx(panels, rel=1e-8)
     assert out[0][1](1e-7) == pytest.approx(out[1][1](1e-7), rel=1e-8)
+
+
+def test_unidirectional_flat_pwl_meets_a_tight_rtol_where_the_rate_meets_its_cap():
+    # the rate leaves its 50 /s cap inside the flat PWL's first piece; the
+    # hazard runs through the closed form piece by piece, where panels of
+    # the kinked rate did not converge to rtol 1e-10 by 512 panels
+    m = MemristorModel.binary(1e5, 1e4, 3e5, 0.02, rate_ceiling=50)
+    out = [unidirectional_densities(Density1D.delta(0.0), Density1D.zero(), m, 1e-6, w, 0.01,
+                                    rtol=1e-10)
+           for w in (Waveform.constant(0.35), Waveform.pwl([(0.0, 0.35), (1.0, 0.35)]))]
+    (_, closed), (_, pieces) = (p0.deltas[0] for p0, _ in out)
+    assert pieces == pytest.approx(closed, rel=1e-10)
+    for q in (1e-7, 2e-7):
+        assert out[1][1](q) == pytest.approx(out[0][1](q), rel=1e-10)

@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 from memstoch import analytic
+from memstoch.circuit import parse_netlist
 from memstoch.cli import ResultTable, cmd_netlist_check, load_config, main
 
 GOOD_NETLIST = """
@@ -118,6 +119,7 @@ def test_simulate_compare_engine(tmp_path):
                                   "p0_mc_stderr"}
     # the compare header carries what each engine did under its prefix
     assert set(table.meta) == {"engine", "max_abs_dev_pde", "max_dev_mc_over_stderr",
+                               "max_dev_pde_mc_p0", "max_dev_pde_mc_p1",
                                "prob_sum_tol", "config", "version",
                                "pde_steps", "pde_dt_min", "pde_dt_max", "pde_n_cells",
                                "pde_mass_error", "pde_rate_ceiling_hits", "pde_blocks",
@@ -175,15 +177,58 @@ def test_simulate_pde_engine_refuses_two_devices(tmp_path, capsys):
     assert "one memristor, one capacitor and one source" in capsys.readouterr().err
 
 
-def test_simulate_compare_engine_refuses_a_netlist(tmp_path, capsys):
-    # unrefused, the analytic and PDE columns were the series block's and
-    # the MC column the netlist's, and the run exited 0
-    net = tmp_path / "shunted.net"
-    net.write_text(SHUNTED_NETLIST)
+# the capacitor starts at 0.7 V, so the 3-state device's vm starts at
+# -0.3 V (down events from state 1) and rises through zero to +0.2 V
+SIGN_CHANGE_NETLIST = """
+V1 in 0 DC 0.4
+M1 in n1 STATES=3 R=100k,30k,10k TAUUP=10,10 VUP=0.03,0.03 TAUDOWN=10,10 VDOWN=0.03,0.03 STATE=1
+C1 n1 0 100n IC=70n
+R2 n1 0 30k
+"""
+
+
+def test_simulate_compare_engine_reads_a_netlist(tmp_path):
+    # every column is the netlist's: the closed form of its initial state's
+    # survival and the pde and mc engines' marginals of that state
+    def run(name, text=None, **extra):
+        if text:
+            (tmp_path / f"{name}.net").write_text(text)
+            extra["netlist"] = str(tmp_path / f"{name}.net")
+        cfg = write_cfg(tmp_path, f"{name}.yaml", t_end=0.005, output_points=4,
+                        mc={"trajectories": 400, "seed": 3}, pde={"n_cells": 300}, **extra)
+        out = tmp_path / f"{name}.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        return ResultTable.read_csv(out)
+
+    series = run("series", engine="compare")
+    for name, text, s, g in (("shunted", SHUNTED_NETLIST, 0, 2),
+                             ("sign_change", SIGN_CHANGE_NETLIST, 1, 3)):
+        table = run(name, text, engine="compare")
+        assert table.columns == ["time", f"p{s}_analytic", f"p{s}_pde", f"p{s}_mc",
+                                 f"p{s}_mc_stderr"]
+        net = parse_netlist(text)
+        closed = np.exp(-analytic.initial_hazard(net, table.column("time")))
+        assert np.array_equal(table.column(f"p{s}_analytic"), closed)
+        pde_rows, mc_rows = (run(f"{name}_{e}", text, engine=e) for e in ("pde", "mc"))
+        assert np.array_equal(table.column(f"p{s}_pde"), pde_rows.column(f"p{s}"))
+        assert np.array_equal(table.column(f"p{s}_mc"), mc_rows.column(f"p{s}"))
+        assert np.array_equal(table.column(f"p{s}_mc_stderr"), mc_rows.column(f"stderr{s}"))
+        if s == 0:
+            assert np.abs(table.column("p0_pde") - series.column("p0_pde")).max() > 1e-3
+        assert float(table.meta["max_dev_mc_over_stderr"]) < 6.0
+        assert all(float(table.meta[f"max_dev_pde_mc_p{i}"]) < 6.0 for i in range(g))
+        assert f"max_dev_pde_mc_p{g}" not in table.meta
+
+
+def test_simulate_compare_engine_refuses_a_sine_netlist(tmp_path, capsys):
+    # the closed form needs a constant or piecewise-constant source
+    net = tmp_path / "sine.net"
+    net.write_text(SIN_NETLIST)
     cfg = write_cfg(tmp_path, engine="compare", netlist=str(net),
                     mc={"trajectories": 400, "seed": 3}, pde={"n_cells": 300})
     assert main(["simulate", "--config", str(cfg)]) == 2
-    assert "series" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "V1" in err and "sine" in err
 
 
 def test_simulate_reads_exponent_floats_without_dot(tmp_path):

@@ -19,7 +19,7 @@ from memstoch import (ConstantDriveParams, MemristorModel, Waveform,
                       p0_constant_voltage, rc_charge, run_ensemble,
                       series_mc, simulate_trajectory)
 from memstoch import mc
-from memstoch.analytic import hazard_integral
+from memstoch.analytic import initial_hazard
 from memstoch.circuit import (Capacitor, CircuitState, Memristor, Netlist,
                               VoltageSource, parse_netlist)
 from memstoch.device import switching_rate
@@ -602,27 +602,11 @@ def _ks_first_events(first, t_end, hazard_at, knots=()):
     return d, kstwo.isf(1e-6, n), (capped.mean() - mean) / (capped.std() / math.sqrt(n))
 
 
-def _decay_hazard(vm0, tau, tau_x, v_x, vm_inf=0.0, t_on=0.0, cap=math.inf):
-    """nodes -> H, the closed-form hazard (`hazard_integral`) of the rate
-    min(e^{|vm| / v_x} / tau_x, cap) along vm = vm_inf + (vm0 - vm_inf)
-    e^{-(t - t_on) / tau} after t_on (H = 0 before), through the sign
-    change of vm if there is one.  The cap may act only on a decaying |vm|
-    from t_on on."""
-    a, b = vm_inf / v_x, (vm0 - vm_inf) / v_x
-    # vm / v_x = a + b e^{-d} changes sign once, at d_sign, if a b < 0 and |b| > |a|
-    d_sign = math.log(-b / a) if a * b < 0.0 and abs(b) > abs(a) else math.inf
-    s0 = math.copysign(1.0, a + b)
-    d_cap = max(math.log(s0 * b / (math.log(cap * tau_x) - s0 * a)), 0.0) if cap < math.inf else 0.0
-
-    def hazard(t):
-        t = np.asarray(t, dtype=float)
-        d = np.maximum(t.ravel() - t_on, 0.0) / tau
-        dc = np.minimum(d, d_cap)
-        ds = np.maximum(np.minimum(d, d_sign), dc)
-        h = tau / tau_x * (hazard_integral(s0 * a, s0 * b, dc, ds)
-                           + hazard_integral(-s0 * a, -s0 * b, ds, d))
-        return (h + cap * tau * dc if d_cap > 0.0 else h).reshape(t.shape)
-    return lambda nodes: hazard
+def _closed_hazard(net, initial):
+    """nodes -> H, the closed-form hazard (`analytic.initial_hazard`) of
+    leaving the netlist's initial state from the initial charge; its mpmath
+    check is in test_analytic.py."""
+    return lambda nodes: lambda t: initial_hazard(net, t, initial.capacitor_charges[0])
 
 
 KS_CASES = ["sine_three_state", "figure2_strong_sine", "pwl_three_state_reversing",
@@ -635,43 +619,36 @@ def _ks_case(case, params, model):
     drives = {"sine_three_state": (SINE3, 1e-7, Waveform.sine(0.0, 0.4, 200.0), 0.005),
               "figure2_strong_sine": (model, params.C, Waveform.sine(0.9, 0.05, 50.0), 0.01),
               "pwl_three_state_reversing": (SINE3, 1e-7, REVERSING_PWL, 0.006)}
-    figure2 = (params.R0 * params.C, params.tau0, params.V0)
     if case in drives:
         m, C, wave, t_end = drives[case]
         net = series_mc(m, C, wave)
         return (net, net.initial_state(), t_end, _quad_hazard(_series_state0_rate(m, C, wave)),
                 wave.breakpoint_times())
     if case in ("figure2_0.35V", "figure2_0.9V"):     # vm = va e^{-t / (R0 C)}
-        va = float(case[8:-1])
-        net = _figure2_at(params, va)
-        return net, net.initial_state(), 0.05, _decay_hazard(va, *figure2), ()
-    if case == "rate_ceiling":
+        net, t_end, knots = _figure2_at(params, float(case[8:-1])), 0.05, ()
+    elif case == "rate_ceiling":
         # at 0.35 V the rate starts at 130 /s; a ceiling of 100 /s holds it
         # until the relaxing voltage brings it below
-        net = _figure2_at(params, params.Va, rate_ceiling=100.0)
-        return net, net.initial_state(), 0.05, _decay_hazard(params.Va, *figure2, cap=100.0), ()
-    if case == "step_shift":        # the constant drive's law, 10 ms later
+        net, t_end, knots = _figure2_at(params, params.Va, rate_ceiling=100.0), 0.05, ()
+    elif case == "step_shift":      # the constant drive's law, 10 ms later
         net = series_mc(model, params.C, Waveform.step(params.Va, 0.01))
-        hazard_at = _decay_hazard(params.Va, *figure2, t_on=0.01)
-        return net, net.initial_state(), 0.06, hazard_at, (0.01,)
-    if case == "shunted":
+        t_end, knots = 0.06, (0.01,)
+    elif case == "shunted":
         # the shunt halves the drive: vm starts at 0.4 - 0.35 = 0.05 V and
         # relaxes up to 0.2 V with tau = 100 nF * (100k || 100k) = 5 ms
-        net = parse_netlist(SHUNTED_TEXT)
-        return net, net.initial_state(), 0.02, _decay_hazard(0.05, 5e-3, 10.0, 0.03, 0.2), ()
-    if case == "sign_change":
+        net, t_end, knots = parse_netlist(SHUNTED_TEXT), 0.02, ()
+    elif case == "sign_change":
         # the capacitor starts at 0.7 V, so vm = -0.3 V (down events) and
         # rises through zero at 1.5 ms ln 2.5 towards +0.2 V (up events)
-        net = parse_netlist(SIGN_CHANGE_TEXT)
-        return (net, net.initial_state(), 0.005, _decay_hazard(-0.3, 1.5e-3, 10.0, 0.03, 0.2),
-                (1.5e-3 * math.log(2.5),))
-    if case == "cut_off":
-        # the capacitor has no path to the device (A = B = 0): vm = 0.3 V
-        net = parse_netlist(CUT_OFF_TEXT)
-        return net, net.initial_state(), 0.05, _decay_hazard(0.3, 1.0, 10.0, 0.03, 0.3), ()
-    # the shunted circuit started on its fixed point (20 nC): vm = 0.2 V
-    net = parse_netlist(SHUNTED_TEXT)
-    return net, CircuitState((0,), (2e-8,)), 0.05, _decay_hazard(0.2, 5e-3, 10.0, 0.03, 0.2), ()
+        net, t_end, knots = parse_netlist(SIGN_CHANGE_TEXT), 0.005, (1.5e-3 * math.log(2.5),)
+    elif case == "cut_off":
+        # the capacitor has no path to the device (Dq = 0): vm = 0.3 V
+        net, t_end, knots = parse_netlist(CUT_OFF_TEXT), 0.05, ()
+    else:
+        # the shunted circuit started on its fixed point (20 nC): vm = 0.2 V
+        net, t_end, knots = parse_netlist(SHUNTED_TEXT), 0.05, ()
+    initial = CircuitState((0,), (2e-8,)) if case == "at_asymptote" else net.initial_state()
+    return net, initial, t_end, _closed_hazard(net, initial), knots
 
 
 def _check_ks(monkeypatch, params, model, case, kernels):
@@ -750,12 +727,14 @@ def test_vector_runaway_cascade_fails_alone(monkeypatch, model, params):
 
 # ------------------------------------------ netlist thinning: two branches
 
+DEV = "STATES=2 R=100k,10k TAUUP=300k VUP=0.02 TAUDOWN=300k VDOWN=0.02"
+# the benchmark's netlist_mc circuit: branch a = M1 + C1 and branch
+# b = R1 + M2 + C2, both across the ideal source V1
+BRANCHES = (f"M1 in a {DEV}\nC1 a 0 1u\n", f"R1 in b 10k\nM2 b c {DEV}\nC2 c 0 1u\n")
+
+
 def _two_branch(source):
-    # the benchmark's netlist_mc circuit: branch a = M1 + C1 and branch
-    # b = R1 + M2 + C2, both across the ideal source V1
-    dev = "STATES=2 R=100k,10k TAUUP=300k VUP=0.02 TAUDOWN=300k VDOWN=0.02"
-    return parse_netlist(f"V1 in 0 {source}\nM1 in a {dev}\nC1 a 0 1u\n"
-                         f"R1 in b 10k\nM2 b c {dev}\nC2 c 0 1u\n")
+    return parse_netlist(f"V1 in 0 {source}\n" + "".join(BRANCHES))
 
 
 TWO_BRANCH_CASES = [("DC 0.35", 0.05), ("SIN 0 0.4 200", 0.005)]
@@ -773,9 +752,9 @@ def _first_events_of(eng, m):
 @pytest.mark.parametrize("source, t_end", TWO_BRANCH_CASES, ids=["dc", "sine"])
 def test_netlist_first_events_pass_ks(source, t_end):
     # each memristor's first event has the CDF 1 - exp(-H(t)) of its own
-    # branch (K = 2).  Under DC, vm = 0.35 R0 / (R0 + Rs) e^{-t / ((R0 + Rs) C)}
-    # with Rs = 0 (branch a) or 10k (branch b), and H is closed form; under
-    # the sine, H is the mpmath integral of the branch's rate
+    # branch (K = 2).  Under DC, H is the closed form of the branch alone
+    # across the source; under the sine, the mpmath integral of the rate
+    # along vm = R0 / (R0 + Rs) (v - q / C), Rs = 0 (branch a) or 10k (b)
     net, n = _two_branch(source), 100_000
     device = net.memristors[0].model
     eng = mc._Ensemble(net, n, 17)
@@ -783,9 +762,10 @@ def test_netlist_first_events_pass_ks(source, t_end):
     assert stats.n_failed == 0 and stats.n == n
     firsts = [_first_events_of(eng, m) for m in range(2)]
     assert np.array_equal(stats.first_event_times, np.fmin(*firsts), equal_nan=True)
-    for first, rs in zip(firsts, (0.0, 1e4)):
-        if source.startswith("DC"):
-            hazard_at = _decay_hazard(0.35 * 1e5 / (1e5 + rs), (1e5 + rs) * 1e-6, 3e5, 0.02)
+    for first, branch, rs in zip(firsts, BRANCHES, (0.0, 1e4)):
+        if source.startswith("DC"):     # the branch alone across the source
+            alone = parse_netlist(f"V1 in 0 {source}\n{branch}")
+            hazard_at = _closed_hazard(alone, alone.initial_state())
         else:
             hazard_at = _quad_hazard(_series_state0_rate(
                 device, 1e-6, net.sources[0].waveform, rs))

@@ -1,18 +1,18 @@
-"""Closed-form results on the per-state affine tables that the PDE and the
-MC read (`circuit.single_device_tables`).
+"""Closed-form results on the single device's closed-form charge that the
+PDE and the MC read (`circuit.DeviceCharge`).
 
 `initial_hazard` gives the survival of the initial state of any circuit of
 one memristor, one capacitor and one source, any state count, under a
 constant or step source: `hazard_integral` of the rate along the relaxing
 device voltage, through its sign changes and the rate's ceiling.  For the
-binary series circuit (`ConstantDriveParams`): Ei, the characteristics of
-a state's drift in closed form (`_Paths`), the no-switching transport of a
-charge density, the survival under constant drive (`p0_constant_voltage`,
-`initial_hazard`'s series case), the mean switching time, the large-drive
-asymptote and the unidirectional two-density solution, whose integrals run
-on Gauss-Legendre panels over array calls of `device.switching_rate`.
-scipy is imported on first use: `scipy.special` by Ei, `scipy.integrate`
-by `Density1D.mass` and `mean_switching_time`.
+binary series circuit (`ConstantDriveParams`): Ei, the no-switching
+transport of a charge density along the characteristics
+(`DeviceCharge.charge`), the survival under constant drive
+(`p0_constant_voltage`, `initial_hazard`'s series case), the mean switching
+time, the large-drive asymptote and the unidirectional two-density
+solution, whose integrals run on Gauss-Legendre panels over array calls of
+`device.switching_rate` or `initial_hazard`.  scipy is imported on first
+use: `scipy.special` by Ei, `scipy.integrate` by `Density1D.mass`.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .circuit import (Netlist, Waveform, cancelled_sum, forced_charge, series_mc,
-                      single_device_tables)
+from .circuit import DeviceCharge, Netlist, Waveform, series_mc
 from .device import MemristorModel, switching_rate
 
 EULER_GAMMA = 0.57721566490153286061
@@ -39,11 +38,6 @@ class RegimeError(ValueError):
 def _expi(x):
     from scipy.special import expi
     return expi(x)
-
-
-def _quad(*args, **kwargs):
-    from scipy.integrate import quad
-    return quad(*args, **kwargs)
 
 
 # --------------------------------------------------------------------------
@@ -155,6 +149,8 @@ _GL_MAX_PANELS = 512
 # a pass of `_crossing` cuts its bracket into _PIECES; _PASSES of them take
 # a bracket [0, t] to round-off in t (256^7 = 2^56)
 _PIECES, _PASSES = 256, 7
+# equal intervals of [0, s] in which `_Switching` looks for the rate's cap
+_CAP_SAMPLES = 64
 
 
 def _panels(fn, a, b, n, *args):
@@ -283,8 +279,9 @@ class Density1D:
     def mass(self, rtol: float = 1e-9) -> float:
         total = sum(w for _, w in self.deltas)
         if self.fn is not None and self.support[1] > self.support[0]:
-            val, _ = _quad(self, self.support[0], self.support[1],
-                           epsrel=rtol, epsabs=1e-14, limit=200)
+            from scipy.integrate import quad
+            val, _ = quad(self, self.support[0], self.support[1],
+                          epsrel=rtol, epsabs=1e-14, limit=200)
             total += val
         return total
 
@@ -310,52 +307,14 @@ def rc_charge(params: ConstantDriveParams, R: float, t: float) -> float:
     return params.q0 * e + params.Va * params.C * (1.0 - e)
 
 
-class _Paths:
-    """The characteristics dq/ds = A q + B V(s) of one state's drift (A <=
-    0) in closed form: the forced charge q_p (`forced_charge`) plus a
-    transient that decays as e^{A s} and, at each source breakpoint, takes
-    up q_p's jump.  Through a resistance R to a capacitor C, A = -1/(CR)
-    and B = 1/R."""
-
-    def __init__(self, A: float, B: float, waveform: Waveform):
-        self.w, self.a = waveform, A
-        self.fq = forced_charge(A, B, waveform)
-        self.bp = self.jump = np.zeros(0)
-        if waveform.kind != "sine":
-            self.t0, self.v0, self.k = waveform.segments
-            self.bp = self.t0[1:]
-            seg = np.arange(self.bp.size)
-            self.jump = self.forced(self.bp, seg) - self.forced(self.bp, seg + 1)
-
-    def forced(self, s, seg=None):
-        """q_p at times s, on the source segments seg (by default those of s)."""
-        fq = self.fq
-        if self.w.kind == "sine":
-            ws = 2.0 * math.pi * self.w.frequency * np.asarray(s)
-            return fq[0] + fq[1] * np.sin(ws) + fq[2] * np.cos(ws)
-        if seg is None:
-            seg = np.searchsorted(self.bp, s, "right") if self.bp.size else 0
-        k = self.k[seg]
-        return fq[0] * (self.v0[seg] + k * (s - self.t0[seg])) + fq[1] * k
-
-    def __call__(self, q, t, s):
-        """The charges at times s, earlier or later, on the characteristics
-        through (q, t)."""
-        out = self.forced(s) + np.exp(self.a * (s - t)) * (q - self.forced(t))
-        if self.bp.size:    # the jumps at the breakpoints between t and s
-            b, t, s = self.bp, np.asarray(t)[..., None], np.asarray(s)[..., None]
-            sign = ((t < b) & (b <= s)).astype(float) - ((s < b) & (b <= t))
-            out += (sign * self.jump * np.exp(self.a * np.where(sign != 0.0, s - b, 0.0))).sum(-1)
-        return out
-
-
 def rc_charge_wave(q0: float, C: float, R: float, waveform: Waveform,
                    t: float) -> float:
     """General-waveform RC charge at t from q0 at time 0, in closed form:
     q0 e^{-t/(CR)} plus the convolution of V with the exponential kernel."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    return float(_Paths(-1.0 / (C * R), 1.0 / R, waveform)(q0, 0.0, t))
+    rc = DeviceCharge([-1.0 / (C * R)], [1.0 / R], [-1.0 / C], [1.0], waveform)
+    return float(rc.charge(0, q0, 0.0, t))
 
 
 # --------------------------------------------------------------------------
@@ -389,15 +348,6 @@ def no_switch_density(f: Density1D, R: float, C: float,
 
 # --------------------------------------------------------------------------
 # Survival of the initial state of a single-device netlist
-
-@functools.lru_cache(maxsize=16)
-def _tables(netlist: Netlist) -> np.ndarray:
-    """`single_device_tables` as one read-only (4, G) array, kept for the
-    last netlists: the closed forms are often called once per time point."""
-    tab = np.array(single_device_tables(netlist))
-    tab.flags.writeable = False
-    return tab
-
 
 def _piecewise_constant(w: Waveform) -> bool:
     return w.kind != "sine" and not np.any(w.segments[2])
@@ -445,24 +395,22 @@ def initial_hazard(netlist: Netlist, t, q0=None) -> np.ndarray:
     netlist (one memristor, one capacitor, one source, any resistors), at
     times t from the capacitor charge q0 (default its IC); t and q0
     broadcast.  exp(-H) is the survival of state s.  The circuit enters
-    through `circuit.single_device_tables`: under a constant source vm(t)
+    through its `circuit.DeviceCharge`: under a constant source vm(t)
     = vm_inf + (vm0 - vm_inf) e^{A_s t}, vm = Dq_s q + Ds_s V, and the
     hazard is `hazard_integral` of the up law where vm > 0 and the down law
     where vm < 0, with the rate ceiling and the exponent cut at 700 of
     `device.switching_rate`.  A step source (or a PWL of flat segments)
     runs piece by piece.  RegimeError for a sine or a sloped PWL source,
     NetlistError for any other netlist."""
-    tab = _tables(netlist)
+    dev = DeviceCharge.of(netlist)
     (mem,), (src,), (cap,) = netlist.memristors, netlist.sources, netlist.capacitors
     model, s, w = mem.model, mem.initial_state, src.waveform
     if not _piecewise_constant(w):
         raise RegimeError(f"source {src.name} is a {w.kind} source with slopes: the "
                           "closed-form survival needs a constant or piecewise-constant one")
-    A, B, Dq, Ds = tab[:, s]
+    A, Dq, q_inf, vm_inf = dev.A[s], dev.Dq[s], dev.c[s], dev.u[s]   # the last two per volt
     laws = model.transitions[:, [s, model.num_states + s]]     # (V, tau) of up and down
     top = np.minimum(math.log(model.rate_ceiling) + np.log(laws[1]), 700.0)
-    q_inf = forced_charge(A, B, w)[0]                         # per volt of source
-    vm_inf = cancelled_sum(Dq * q_inf, Ds)                    # per volt of source
     t = np.asarray(t, dtype=float)
     q = np.asarray(cap.initial_charge if q0 is None else q0, dtype=float)
     if np.any(t < 0.0):
@@ -475,7 +423,7 @@ def initial_hazard(netlist: Netlist, t, q0=None) -> np.ndarray:
         dt = np.clip(t - t0, 0.0, t1 - t0)
         h = h + _piece_hazard(vm_inf * v, Dq * (q - q_inf * v), A, laws, top,
                               model.rate_ceiling, dt)
-        if t1 < math.inf:
+        if t1 < math.inf:   # relaxed towards q_inf v up to t1, before q_p's jump there
             q = q_inf * v + (q - q_inf * v) * math.exp(A * (t1 - t0))
     return h
 
@@ -501,11 +449,11 @@ def p1_constant_voltage(params: ConstantDriveParams, t: float) -> float:
     return 1.0 - p0_constant_voltage(params, t)
 
 
-def switching_rate_at(params: ConstantDriveParams, t: float) -> float:
-    """Instantaneous 0->1 rate along the unswitched trajectory:
-    gamma(t) = exp(x e^{-t/(C R0)}) / tau0."""
+def switching_rate_at(params: ConstantDriveParams, t):
+    """Instantaneous 0->1 rate along the unswitched trajectory, at times t
+    (a float or an array): gamma(t) = exp(x e^{-t/(C R0)}) / tau0."""
     x = params.x_drive
-    return math.exp(x * math.exp(-t / (params.C * params.R0))) / params.tau0
+    return np.exp(x * np.exp(-np.asarray(t) / (params.C * params.R0))) / params.tau0
 
 
 def accumulated_hazard(params: ConstantDriveParams, t: float) -> float:
@@ -520,8 +468,10 @@ def mean_switching_time(params: ConstantDriveParams, t_star: float,
     """Mean switching time <T1> = (1/p1(t*)) int_0^{t*} t dp1/dt dt.
 
     Evaluated both directly (dp1/dt = p0 gamma) and via integration by
-    parts (t* - (1/p1(t*)) int p1 dt); the two routes must agree to 1e-6
-    relative or a ValueError is raised.
+    parts (t* - (1/p1(t*)) int p1 dt), each on Gauss-Legendre panels to
+    rtol over array calls of `initial_hazard`, cut at 1e-3, 1e-2, 0.1 and 1
+    times C R0; the two routes must agree to 1e-6 relative or a ValueError
+    is raised.
     """
     if t_star <= 0:
         raise ValueError("t_star must be positive")
@@ -529,22 +479,17 @@ def mean_switching_time(params: ConstantDriveParams, t_star: float,
     p1_end = p1_constant_voltage(params, t_star)
     if p1_end <= 0.0:
         raise RegimeError("p1(t_star) = 0; mean switching time undefined")
-    tc = params.C * params.R0
-    hint = [p for p in (1e-3 * tc, 1e-2 * tc, 0.1 * tc, tc) if 0 < p < t_star] or None
+    tc, net = params.C * params.R0, params.netlist
+    hint = [p for p in (1e-3 * tc, 1e-2 * tc, 0.1 * tc, tc) if 0 < p < t_star]
 
-    def dp1dt(t):
-        return p0_constant_voltage(params, t) * switching_rate_at(params, t)
-
-    direct, _ = _quad(lambda t: t * dp1dt(t), 0.0, t_star,
-                      epsrel=rtol, epsabs=1e-16, points=hint, limit=400)
-    direct /= p1_end
-    tail, _ = _quad(lambda t: p1_constant_voltage(params, t), 0.0, t_star,
-                    epsrel=rtol, epsabs=1e-16, points=hint, limit=400)
+    direct = _pieces(lambda t: t * np.exp(-initial_hazard(net, t)) * switching_rate_at(params, t),
+                     0.0, t_star, hint, rtol) / p1_end
+    tail = _pieces(lambda t: -np.expm1(-initial_hazard(net, t)), 0.0, t_star, hint, rtol)
     by_parts = t_star - tail / p1_end
     if abs(direct - by_parts) > 1e-6 * max(abs(direct), abs(by_parts)):
         raise ValueError(
             f"quadrature routes disagree: {direct} vs {by_parts}")
-    return direct
+    return float(direct)
 
 
 def p0_asymptotic(params: ConstantDriveParams) -> float:
@@ -567,19 +512,19 @@ class _Switching:
     """The integrals of the unidirectional solution up to time t: the
     state-0 and state-1 characteristics, the 0 -> 1 rate along them and
     the hazard it accumulates, on Gauss-Legendre panels to rtol.  The
-    circuit enters through the tables (A, B, Dq, Ds) of `series_mc(model,
-    C, waveform)`."""
+    circuit enters through the `DeviceCharge` of `series_mc(model, C,
+    waveform)`."""
 
     def __init__(self, model: MemristorModel, C: float, waveform: Waveform,
                  t: float, rtol: float):
         self.model, self.w, self.t, self.rtol = model, waveform, t, rtol
         self.net = series_mc(model, C, waveform)
-        self.tab = _tables(self.net)
-        self.paths = _Paths(*self.tab[:2, 0], waveform), _Paths(*self.tab[:2, 1], waveform)
+        self.dev = DeviceCharge.of(self.net)
+        self.paths = tuple(functools.partial(self.dev.charge, i) for i in (0, 1))
 
     def vm(self, s, q):
         """The device voltage Dq q + Ds V(s) at times s and charges q."""
-        return self.tab[2, 0] * q + self.tab[3, 0] * self.w(s)
+        return self.dev.Dq[0] * q + self.dev.Ds[0] * self.w(s)
 
     def rate(self, s, q):
         """The 0 -> 1 rate at times s and charges q (0 where vm <= 0)."""
@@ -589,12 +534,39 @@ class _Switching:
     def hazard(self, q, s):
         """The hazard accumulated over [0, s] along the state-0
         characteristics through (q, s): the closed form `initial_hazard`
-        under a piecewise-constant source, else panels of the rate."""
+        under a piecewise-constant source, else panels of the rate, cut at
+        the source's breakpoints and where the rate meets its cap."""
         p0 = self.paths[0]
         if _piecewise_constant(self.w):
             return initial_hazard(self.net, s, p0(q, s, 0.0))
-        return _pieces(lambda u, q, s: self.rate(u, p0(q, s, u)), 0.0, s, p0.bp,
+        return _pieces(lambda u, q, s: self.rate(u, p0(q, s, u)), 0.0, s, self._cuts(q, s),
                        self.rtol, q, s)
+
+    def _cuts(self, q, s):
+        """The source's breakpoints and where the up exponent vm / V along
+        the state-0 characteristics through (q, s) crosses its cap, ln(ceiling
+        tau) or 700, on [0, s], ascending: the crossings by `_crossing`, in
+        each of _CAP_SAMPLES equal intervals at whose ends the sign of the
+        difference differs, padded with s to the most of any element."""
+        v, tau = self.model.transitions[:, 0]
+        top = min(math.log(self.model.rate_ceiling) + math.log(tau), 700.0)
+
+        def over(u, q, s, d):   # d (vm / V - top), with d = +-1: rising in u
+            return d * (self.vm(u, self.paths[0](q, s, u)) / v - top)
+
+        q, s = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(s, dtype=float))
+        u = s[..., None] * np.linspace(0.0, 1.0, _CAP_SAMPLES + 1)
+        above = over(u, q[..., None], s[..., None], 1.0) > 0.0
+        change = above[..., 1:] != above[..., :-1]
+        cut = np.repeat(s[..., None], change.sum(axis=-1).max(initial=0), axis=-1)
+        if change.any():    # an element's n-th crossing is its cut n
+            *at, _ = np.nonzero(change)
+            cut[(*at, np.cumsum(change, axis=-1)[change] - 1)] = _crossing(
+                over, u[..., :-1][change], u[..., 1:][change], True,
+                *(np.broadcast_to(x[..., None], change.shape)[change] for x in (q, s)),
+                np.where(above[..., 1:][change], 1.0, -1.0))
+        bp = np.broadcast_to(self.dev.bp, s.shape + self.dev.bp.shape)
+        return np.sort(np.concatenate((bp, cut), axis=-1), axis=-1)
 
     def switched(self, f: Density1D, q):
         """State-1 density at (q, t) of the smooth f's mass switched at ts
@@ -604,7 +576,7 @@ class _Switching:
         support, and that start is monotone in ts (vm > 0): `_crossing`
         finds where it crosses the support's edges."""
         p0, p1 = self.paths
-        t, (a0, a1), (b0, b1) = self.t, self.tab[0, :2], self.tab[1, :2]
+        t, (a0, a1), (b0, b1) = self.t, self.dev.A[:2], self.dev.B[:2]
         fvals = np.vectorize(f, otypes=[float])
 
         rising = b1 > b0
@@ -617,7 +589,7 @@ class _Switching:
             p0_value = np.exp(-a0 * ts) * fvals(p0(qs, ts, 0.0)) * np.exp(-self.hazard(qs, ts))
             return self.rate(ts, qs) * np.exp(a1 * (ts - t)) * p0_value
 
-        return _pieces(integrand, lo, np.maximum(lo, hi), p1.bp, self.rtol, q)
+        return _pieces(integrand, lo, np.maximum(lo, hi), self.dev.bp, self.rtol, q)
 
     def delta_source(self, q_init: float, weight: float) -> tuple:
         """State-1 density produced by a state-0 delta of given weight.
@@ -629,7 +601,7 @@ class _Switching:
         switched mass arrives at the same point and stays a delta.
         Returns (density, delta)."""
         p0, p1 = self.paths
-        t, (a0, a1), (b0, b1) = self.t, self.tab[0, :2], self.tab[1, :2]
+        t, (a0, a1), (b0, b1) = self.t, self.dev.A[:2], self.dev.B[:2]
 
         def arrival(ts):        # position at t of mass that switched at ts
             return p1(p0(q_init, 0.0, ts), ts, t)
@@ -674,7 +646,7 @@ def unidirectional_densities(f: Density1D, g: Density1D,
     # resistance bounds every path, switched or not
     top, slow = sw.paths if r0 < r1 else sw.paths[::-1]
     if upper > -math.inf:
-        s = np.union1d(np.linspace(0.0, t, 1025), top.bp[(top.bp >= 0.0) & (top.bp <= t)])
+        s = np.union1d(np.linspace(0.0, t, 1025), np.clip(sw.dev.bp, 0.0, t))
         bad = sw.vm(s, top(upper, 0.0, s)) <= 0.0
         if bad.any():
             raise RegimeError(

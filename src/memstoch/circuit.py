@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -163,30 +163,6 @@ class Waveform:
         if self.kind == "pwl":
             k = np.r_[0.0, np.diff(self._pwl[1]) / np.diff(self._pwl[0]), 0.0]
         return t0, v0, k
-
-
-def forced_charge(A, B, waveform: Waveform) -> np.ndarray:
-    """Coefficients of the forced charge q_p, the particular solution of
-    dq/dt = A q + B v(t) (A <= 0, elementwise; A = 0 means B = 0 and q_p =
-    0).  Under a sine v = off + amp sin(wt), q_p = -B off / A + B amp
-    Im[e^{iwt} / (iw - A)] = fq[0] + fq[1] sin(wt) + fq[2] cos(wt); under
-    the other sources, on a segment where v has slope k, q_p = -(B / A)
-    (v + k / A) = fq[0] v + fq[1] k.  q_p jumps where v or k does."""
-    A = np.asarray(A, dtype=float)
-    ia = np.divide(1.0, A, out=np.zeros_like(A), where=A < 0.0)
-    if waveform.kind == "sine":
-        om = 2.0 * math.pi * waveform.frequency
-        den = np.where(A * A + om * om > 0.0, A * A + om * om, 1.0)
-        return -B * np.array([waveform.offset * ia, waveform.amplitude * A / den,
-                              waveform.amplitude * om / den])
-    return -B * np.array([ia, ia * ia])
-
-
-def cancelled_sum(a, b):
-    """a + b, with sums that cancel to round-off set to 0 (so that vm's
-    forced response keeps the sign it has in exact arithmetic)."""
-    s = a + b
-    return np.where(np.abs(s) <= 4.0 * np.finfo(float).eps * (np.abs(a) + np.abs(b)), 0.0, s)
 
 
 # --------------------------------------------------------------------------
@@ -673,14 +649,103 @@ def is_single_device(netlist: Netlist) -> bool:
             and len(netlist.sources) == 1)
 
 
-def single_device_tables(netlist: Netlist) -> tuple:
-    """(A, B, Dq, Ds) of a single device, arrays over its G states: in state
-    s, dq/dt = A[s] q + B[s] v and vm = Dq[s] q + Ds[s] v, from one
-    `affine_dynamics` per state.  Any other netlist raises NetlistError."""
-    if not is_single_device(netlist):
-        raise NetlistError("need one memristor, one capacitor and one source")
-    dyn = [affine_dynamics(netlist, (i,)) for i in range(netlist.memristors[0].model.num_states)]
-    return tuple(np.array([[d.A[0, 0], d.B[0, 0], d.Dq[0, 0], d.Ds[0, 0]] for d in dyn]).T)
+def _cancelled_sum(a, b):
+    """a + b, with sums that cancel to round-off set to 0 (so that vm's
+    forced response keeps the sign it has in exact arithmetic)."""
+    s = a + b
+    return np.where(np.abs(s) <= 4.0 * np.finfo(float).eps * (np.abs(a) + np.abs(b)), 0.0, s)
+
+
+class DeviceCharge:
+    """The capacitor charge of a single device in closed form, per state s
+    of its memristor: dq/dt = A[s] q + B[s] v(t) and vm = Dq[s] q + Ds[s]
+    v(t), with A <= 0 (A = 0: B = 0, the charge stays put).  Under a constant
+    source v the charge relaxes to c v (c = -B / A, 0 where A = 0) and vm to
+    u v (u = Dq c + Ds).  In general it is the forced charge q_p plus a
+    transient that decays as e^{A t} and at breakpoint bp[b] takes up
+    jump[b, s], q_p before less q_p after: under a sine v = off + amp
+    sin(wt), q_p = -B off / A + B amp Im[e^{iwt} / (iw - A)]; on a segment
+    of another source where v has slope k, q_p = -(B / A)(v + k / A).
+    coef[i, j, col]: basis function j's coefficient in q_p (i = 0), vm's
+    forced part Dq q_p + Ds v (i = 1) and its derivative (i = 2), with col
+    the state under a sine (basis 1, sin wt, cos wt), else segment * G +
+    state (basis 1, t - t0[segment], on the source's `segments`)."""
+
+    def __init__(self, A, B, Dq, Ds, waveform: Waveform):
+        self.A, self.B, self.Dq, self.Ds = (np.array(x, dtype=float) for x in (A, B, Dq, Ds))
+        self.wave, self.G, A = waveform, self.A.size, self.A
+        ia = np.divide(1.0, A, out=np.zeros_like(A), where=A < 0.0)
+        self.c = -self.B * ia
+        self.u = _cancelled_sum(self.Dq * self.c, self.Ds)
+        self.sine = waveform.kind == "sine"
+        if self.sine:
+            self.omega = om = 2.0 * math.pi * waveform.frequency
+            den = np.where(A * A + om * om > 0.0, A * A + om * om, 1.0)
+            fq = -self.B * np.array([waveform.offset * ia, waveform.amplitude * A / den,
+                                     waveform.amplitude * om / den])
+            fu = _cancelled_sum(self.Dq * fq,
+                                self.Ds * np.array([waveform.offset, waveform.amplitude, 0.0])[:, None])
+            self.coef = np.array([fq, fu, om * np.array([0.0 * A, -fu[2], fu[1]])])
+            self.bp, self.jump = np.zeros(0), np.zeros((0, self.G))
+        else:
+            self.t0, v0, k = waveform.segments
+            v0, k = v0[:, None], k[:, None]
+            fq = -self.B * np.array([ia, ia * ia])
+            fu = _cancelled_sum(self.Dq * fq, self.Ds * np.array([1.0, 0.0])[:, None])
+            self.coef = np.array([[f[0] * v0 + f[1] * k, f[0] * k] for f in (fq, fu)]
+                                 + [[fu[0] * k, 0.0 * k * A]]).reshape(3, 2, -1)
+            self.bp = self.t0[1:]
+            seg, s, b = np.arange(self.bp.size)[:, None], np.arange(self.G), self.bp[:, None]
+            self.jump = self.forced(s, seg, slice(1), b)[0] - self.forced(s, seg + 1, slice(1), b)[0]
+        for x in (self.A, self.B, self.Dq, self.Ds, self.c, self.u, self.coef, self.jump):
+            x.flags.writeable = False   # shared by every caller of `of`
+
+    @classmethod
+    @lru_cache(maxsize=32)
+    def of(cls, netlist: Netlist) -> "DeviceCharge":
+        """The charge of a single-device netlist (one memristor, one capacitor
+        and one source, with any resistors) from one `affine_dynamics` per
+        state, kept for the last 32 netlists; NetlistError for any other."""
+        if not is_single_device(netlist):
+            raise NetlistError("need one memristor, one capacitor and one source")
+        dyn = [affine_dynamics(netlist, (i,)) for i in range(netlist.memristors[0].model.num_states)]
+        return cls(*np.array([[d.A[0, 0], d.B[0, 0], d.Dq[0, 0], d.Ds[0, 0]] for d in dyn]).T,
+                   netlist.sources[0].waveform)
+
+    def segment(self, t):
+        """Source segments of times t (0 for all without breakpoints)."""
+        return self.bp.searchsorted(t, "right") if self.bp.size else 0
+
+    def forced(self, s, seg, rows, t):
+        """The `rows` (a slice of q_p, vm's forced part and its derivative)
+        in states s on the source segments seg at times t; where the basis
+        is one for all times, per table column first."""
+        if self.sine:
+            j, basis = s, (np.sin(self.omega * t), np.cos(self.omega * t))
+        else:
+            j, basis = seg * self.G + s, (t - self.t0[seg],)
+        one = np.ndim(basis[0]) == 0
+        coef = self.coef[rows] if one else self.coef[rows].take(j, axis=2)
+        out = coef[:, 0] + coef[:, 1] * basis[0]
+        for i, b in enumerate(basis[1:], 2):
+            out += coef[:, i] * b
+        return out.take(j, axis=1) if one else out
+
+    def charge(self, state, q, t, s):
+        """The charges at times s, earlier or later, on the characteristics
+        of `state` through the charges q at times t (q, t and s broadcast)."""
+        a = self.A[state]
+        out = self._q_p(state, s) + np.exp(a * (s - t)) * (q - self._q_p(state, t))
+        if self.bp.size:    # the jumps at the breakpoints between t and s
+            b, t, s = self.bp, np.asarray(t)[..., None], np.asarray(s)[..., None]
+            sign = ((t < b) & (b <= s)).astype(float) - ((s < b) & (b <= t))
+            out += (sign * self.jump[:, state] * np.exp(a * np.where(sign != 0.0, s - b, 0.0))).sum(-1)
+        return out
+
+    def _q_p(self, state, t):
+        t = np.asarray(t, dtype=float)     # under a sine the state indexes each time's column
+        state = np.broadcast_to(state, t.shape) if self.sine else state
+        return self.forced(state, self.segment(t), slice(1), t)[0]
 
 
 def output_grid(t0: float, t_end: float, output_times) -> list:

@@ -41,23 +41,22 @@ class ResultTable:
     columns: list
     rows: np.ndarray  # (T, len(columns))
 
-    def to_csv_text(self) -> str:
+    def _text(self, sep: str, head: str) -> str:
+        """The meta line, the column names after head and .17g rows, joined by sep."""
         meta = ";".join(f"{k}={v}" for k, v in sorted(self.meta.items()))
-        lines = [f"# meta: {meta}", ",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(f"{x:.17g}" for x in row))
+        lines = [f"# meta: {meta}", head + sep.join(self.columns)]
+        lines += [sep.join(f"{x:.17g}" for x in row) for row in self.rows]
         return "\n".join(lines) + "\n"
+
+    def to_csv_text(self) -> str:
+        return self._text(",", "")
 
     def write_csv(self, path) -> None:
         Path(path).write_text(self.to_csv_text())
 
     def write_dat(self, path) -> None:
         """Gnuplot-compatible whitespace-separated variant."""
-        meta = ";".join(f"{k}={v}" for k, v in sorted(self.meta.items()))
-        lines = [f"# meta: {meta}", "# " + " ".join(self.columns)]
-        for row in self.rows:
-            lines.append(" ".join(f"{x:.17g}" for x in row))
-        Path(path).write_text("\n".join(lines) + "\n")
+        Path(path).write_text(self._text(" ", "# "))
 
     def column(self, name: str) -> np.ndarray:
         return self.rows[:, self.columns.index(name)]

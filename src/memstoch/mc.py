@@ -15,9 +15,10 @@ that has not switched yet.  Windows end at source breakpoints and where
 the envelope would loosen, never at output times; at an output the
 recorder takes each row's charge in closed form from its window start.
 The loop runs one of two kernel pairs (window and charge flow), bound at
-construction: the scalar pair, with the charge in closed form per state,
-for one memristor, one capacitor and one source; the matrix pair, with
-one flow in the eigenmodes of the Kirchhoff ODE, for every other netlist.
+construction: the scalar pair, which reads the closed-form charge and
+vm's forced part per state from `circuit.DeviceCharge`, for one
+memristor, one capacitor and one source; the matrix pair, with one flow
+in the eigenmodes of the Kirchhoff ODE, for every other netlist.
 
 Exit rates come from `device.switching_rate` (`_Rates` stacks the
 memristors' transition tables so that one call covers every clock) and
@@ -37,8 +38,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .circuit import (CircuitState, Netlist, affine_dynamics, cancelled_sum, forced_charge,
-                      is_single_device, output_grid, single_device_tables)
+from .circuit import (CircuitState, DeviceCharge, Netlist, affine_dynamics, is_single_device,
+                      output_grid)
 from .device import switching_rate
 
 # thinning
@@ -621,53 +622,19 @@ class _Ensemble:
 
     # -- scalar kernels (one memristor, one capacitor, one source) -------
     def _forcing(self):
-        """Tables of the closed-form charge q_p(t) + (q(t0) - q_p(t0)) e^{A (t - t0)}
-        per state, with q_p from `forced_charge` (constant, step and PWL
-        sources on their `segments`); A = 0 (so B = 0) keeps q.  _coef[:, i, j]:
-        basis function i's coefficients in q_p, u = Dq q_p + Ds v (vm without
-        the transient) and du/dt, with j the state under a sine (basis 1,
-        sin wt, cos wt) and segment * G + state otherwise (basis 1, t - t0).
-        _par[:, s]: A, Dq, A^2, a bound on |u''|, the window slack in volts,
-        1 / V and ln tau up and down, the log of the rate's cap."""
-        A, B, Dq, Ds = single_device_tables(self.netlist)
-        w, g = self.waves[0], self.gs[0]
-        fq = forced_charge(A, B, w)
-        if w.kind == "sine":
-            om = self.omega[0]
-            fu = cancelled_sum(Dq * fq, Ds * np.array([w.offset, w.amplitude, 0.0])[:, None])
-            du, curve = om * np.array([0.0 * A, -fu[2], fu[1]]), om * om * np.hypot(fu[1], fu[2])
-            self._coef = np.array([fq, fu, du])
-        else:
-            self._t0, v0, k = w.segments
-            v0, k = v0[:, None], k[:, None]
-            fu = cancelled_sum(Dq * fq, Ds * np.array([1.0, 0.0])[:, None])
-            self._coef = np.array([[f[0] * v0 + f[1] * k, f[0] * k] for f in (fq, fu)]
-                                  + [[fu[0] * k, 0.0 * k * A]]).reshape(3, 2, -1)
-            curve = 0.0 * A
-        v, lt = self.rates.v_scale, np.log(self.rates.tau)
-        cap = np.minimum(math.log(self.rates.ceiling[0]), 700.0 - np.minimum(lt[:g], lt[g:]))
-        self._par = np.array([A, Dq, A * A, curve, _WINDOW_SLACK * np.minimum(v[:g], v[g:]),
-                              1.0 / v[:g], 1.0 / v[g:], lt[:g], lt[g:], cap])
-
-    def _segment(self, t):
-        """Source segments of times t (0 for all without breakpoints)."""
-        return np.searchsorted(self.breakpoints, t, "right") if self.breakpoints.size > 1 else 0
-
-    def _forced(self, s, seg, rows, t):
-        """The `rows` (a slice) of q_p, u, du/dt in states s on the source
-        segments seg at times t; where the basis is one for all rows, per
-        table column first."""
-        j = s if self.sine.size else seg * self.gs[0] + s
-        if self.sine.size:
-            basis = np.sin(self.omega[0] * t), np.cos(self.omega[0] * t)
-        else:
-            basis = t - self._t0[seg],
-        one = np.ndim(basis[0]) == 0
-        coef = self._coef[rows] if one else np.take(self._coef[rows], j, axis=2)
-        out = coef[:, 0] + coef[:, 1] * basis[0]
-        for i, b in enumerate(basis[1:], 2):
-            out += coef[:, i] * b
-        return np.take(out, j, axis=1) if one else out
+        """The device's closed-form charge (`DeviceCharge.of`) and, per state
+        s, _par[:, s]: A, Dq, A^2, a bound on |u''| (u: vm's forced part), the
+        window slack in volts, 1 / V and ln tau up and down and the log of
+        the rate's cap, from the rate entries s (up) and G + s (down)."""
+        self.dev = dev = DeviceCharge.of(self.netlist)
+        g = self.gs[0]
+        curve = (dev.omega * dev.omega * np.hypot(dev.coef[1, 1], dev.coef[1, 2]) if dev.sine
+                 else 0.0 * dev.A)
+        up, down = slice(g), slice(g, 2 * g)
+        self._par = np.array([dev.A, dev.Dq, dev.A * dev.A, curve,
+                              _WINDOW_SLACK * self.rates.v_min[0], self.inv_v[up],
+                              self.inv_v[down], self.log_tau[up], self.log_tau[down],
+                              np.maximum(self.log_cap[up], self.log_cap[down])])
 
     def _scalar_window(self, c, s, t, z, t_end, fresh):
         """`_matrix_window` for one device, whose table rows c are its
@@ -677,10 +644,10 @@ class _Ensemble:
         the transitions the sign of vm can drive there.  Off sines, a window
         in which no transition can be driven up to the segment's end runs to
         it.  Returns t1, l0, l1, and the transient at t and t1."""
-        seg = self._segment(t)
+        seg = self.dev.segment(t)
         a, dq, a2, curve, slack, iv_up, iv_down, lt_up, lt_down, cap = (
             np.take(self._par, c, axis=1))
-        qp, u, du = self._forced(c, seg, slice(3), t)
+        qp, u, du = self.dev.forced(c, seg, slice(3), t)
         cq = np.where(fresh, z[:, 0] - qp, z[:, 0])
         vc = dq * cq                  # vm's transient, decaying as e^{A x}
         k = curve + a2 * np.abs(vc)
@@ -708,10 +675,9 @@ class _Ensemble:
                 l0, l1 = np.where(idle, -700.0, l0), np.where(idle, -700.0, l1)
         top = np.maximum(l0, l1) > cap
         z1 = cq * np.exp(a * (t1 - t))
-        if self.breakpoints.size > 1:   # at a breakpoint the transient takes up q_p's jump
+        if self.dev.bp.size:    # at a breakpoint the transient takes up q_p's jump
             at = np.flatnonzero(t1 == self.breakpoints[seg])
-            qa, qb = (self._forced(c[at], g, slice(1), t1[at])[0] for g in (seg[at], seg[at] + 1))
-            z1[at] += qa - qb
+            z1[at] += self.dev.jump[seg[at], c[at]]
         # from l1 - 50 at least: the inversion cannot overflow
         return (t1, np.where(top, cap, np.maximum(l0, l1 - 50.0)), np.where(top, cap, l1),
                 cq[:, None], z1[:, None])
@@ -720,7 +686,7 @@ class _Ensemble:
         """`_matrix_flow` for one device: q_p at t1 plus the transient z at t
         times e^{A (t1 - t)}, and vm = u + Dq times the transient."""
         a, dq = np.take(self._par[:2], c, axis=1)
-        qp = self._forced(c, self._segment(t), slice(2 if with_vm else 1), t1)
+        qp = self.dev.forced(c, self.dev.segment(t), slice(2 if with_vm else 1), t1)
         trans = z[:, 0] * np.exp(a * (t1 - t))
         q1 = (qp[0] + trans)[:, None]
         return (q1, (qp[1] + dq * trans)[:, None]) if with_vm else (q1,)

@@ -1,12 +1,13 @@
 """Finite-volume solver for the coupled advection-reaction master
 equations of a circuit of one stochastic memristor, one capacitor and one
 source, with any resistors: a `Netlist`, or the series circuit as
-`SeriesCircuitParams` and a model.  The circuit enters only through its
-per-state tables (`circuit.single_device_tables`): in state s the charge
-drifts at A_s q + B_s V(t) and the memristor sees vm_s = Dq_s q + Ds_s V(t).
+`SeriesCircuitParams` and a model.  The circuit enters only through the
+per-state tables of its closed-form charge (`circuit.DeviceCharge`): in
+state s the charge drifts at A_s q + B_s V(t) towards c_s V(t), and the
+memristor sees vm_s = Dq_s q + Ds_s V(t).
 
 Each state density p_s(q, t) is advected with its drift (conservative
-first-order upwind, split at the face of q* = -B_s V / A_s) and exchanges
+first-order upwind, split at the face of c_s V) and exchanges
 mass with adjacent states: pair (k, k+1) goes up at the rate vm_k drives
 and down at the one vm_{k+1} drives.  The reaction splits each cell's
 birth-death generator into adjacent-pair exchanges, each solved exactly
@@ -44,7 +45,6 @@ field, checking positivity and mass after every step, and writes it back;
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -52,7 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import Netlist, Waveform, output_grid, series_mc, single_device_tables
+from .circuit import DeviceCharge, Netlist, Waveform, output_grid, series_mc
 from .device import MemristorModel, switching_rate
 
 CFL_LIMIT = 0.9
@@ -202,22 +202,19 @@ class SeriesCircuitParams:
         return series_mc(model, self.C, self.waveform)
 
 
-@functools.lru_cache
 def _device(circuit, model):
-    """((A, B, Dq, Ds, c = -B / A or 0 where A = 0), waveform, model), once per
-    argument pair, of a single-device netlist (and its own model) or params."""
+    """(`DeviceCharge`, model) of a netlist (and its own model) or params."""
     net = circuit.netlist(model) if isinstance(circuit, SeriesCircuitParams) else circuit
-    A, B, Dq, Ds = single_device_tables(net)
+    dev = DeviceCharge.of(net)
     if model not in (None, net.memristors[0].model):
         raise ValueError("model differs from the netlist's memristor")
-    c = np.divide(-B, A, out=np.zeros_like(A), where=A < 0.0)
-    return (A, B, Dq, Ds, c), net.sources[0].waveform, net.memristors[0].model
+    return dev, net.memristors[0].model
 
 
 def fixed_charges(circuit, model: MemristorModel = None) -> np.ndarray:
     """c_s per state s: under a source v, state s drifts toward the charge
     c_s v.  `ChargeGrid.for_drive` takes them for C."""
-    return _device(circuit, model)[0][4].copy()  # the cached array stays put
+    return _device(circuit, model)[0].c.copy()  # the cached array stays put
 
 
 def admissible_dt(field: DistributionField, circuit, model: MemristorModel = None) -> float:
@@ -225,9 +222,9 @@ def admissible_dt(field: DistributionField, circuit, model: MemristorModel = Non
     of one step, the CFL cap at the end faces of the field's support (the
     cells where some state holds more than FLUSH_EPS of its mass) and the
     drive cap."""
-    (A, B, *_, c), wave, _ = _device(circuit, model)
+    dev = _device(circuit, model)[0]
     s0, s1 = _support(field.p, field.mass(), field.grid.dq)
-    return _caps(field.grid, A, B, c, wave)(wave(field.time), s0, s1, 0)[0]
+    return _caps(field.grid, dev)(dev.wave(field.time), s0, s1, 0)[0]
 
 
 def _support(p, mass0, dq):
@@ -237,7 +234,7 @@ def _support(p, mass0, dq):
     return (int(held[0]), int(held[-1]) + 1) if held.size else (0, 0)
 
 
-def _caps(grid, A, B, c, wave):
+def _caps(grid, dev):
     """dt_ok(v, s0, s1, j) -> (cap, whether the drive cap set it): the cap on
     step j of a block whose start support is the cells s0..s1-1, at source
     voltage v.  It is the lesser of the CFL cap at the faces that step can
@@ -246,13 +243,13 @@ def _caps(grid, A, B, c, wave):
     (max |c_s| max |V'|), under which no state's fixed charge c_s V moves
     more than CFL_LIMIT cells in one step.  Under a constant drive the
     fastest drift of every face, max_s |A_s f + B_s v|, is tabulated once."""
-    faces, n, dq = grid.faces().tolist(), grid.n_cells, grid.dq
-    rows = list(zip(A.tolist(), B.tolist()))
+    faces, n, dq, wave = grid.faces().tolist(), grid.n_cells, grid.dq, dev.wave
+    rows = list(zip(dev.A.tolist(), dev.B.tolist()))
     slope = (abs(wave.amplitude) * 2.0 * math.pi * wave.frequency if wave.kind == "sine" else
              float(np.abs(wave.segments[2]).max()) if wave.kind == "pwl" else 0.0)
-    top = float(np.abs(c).max()) * slope
+    top = float(np.abs(dev.c).max()) * slope
     drive = CFL_LIMIT * dq / top if top > 0 else math.inf
-    speed = (np.abs(A[:, None] * grid.faces() + (B * wave.amplitude)[:, None]).max(axis=0)
+    speed = (np.abs(dev.A[:, None] * grid.faces() + (dev.B * wave.amplitude)[:, None]).max(axis=0)
              .tolist() if wave.kind == "constant" else None)
     def dt_ok(v, s0, s1, j):
         i, k = max(s0 - j, 0), min(s1 + j, n)
@@ -273,15 +270,15 @@ class _RunTables:
     takes those steps in place."""
 
     def __init__(self, field: DistributionField, circuit, model: MemristorModel = None):
-        (A, B, Dq, Ds, c), self.wave, self.model = _device(circuit, model)
+        dev, self.model = _device(circuit, model)
         if self.model.num_states != field.num_states:
             raise ValueError("model/field state-count mismatch")
         # state s drifts at A_s q + B_s v: upward below its split face at c_s v
-        grid, faces, self.b, self.c = field.grid, field.grid.faces(), B, c
-        self.dq, self.dt_ok = grid.dq, _caps(grid, A, B, c, self.wave)
-        self.faces, self.a_face = faces[1:-1], A[:, None] * faces[1:-1]
+        grid, faces, self.b, self.c, self.wave = field.grid, field.grid.faces(), dev.B, dev.c, dev.wave
+        self.dq, self.dt_ok = grid.dq, _caps(grid, dev)
+        self.faces, self.a_face = faces[1:-1], dev.A[:, None] * faces[1:-1]
         # one vm = Dq q + Ds v per distinct (Dq, Ds) row; vrow[s] is state s's
-        rows = list(dict.fromkeys(keys := list(zip(Dq.tolist(), Ds.tolist()))))
+        rows = list(dict.fromkeys(keys := list(zip(dev.Dq.tolist(), dev.Ds.tolist()))))
         self.vrow, (dq, ds) = [rows.index(k) for k in keys], np.array(rows).T
         self.vm_q, self.vm_v = dq[:, None] * grid.centers(), ds
         self.steps = max(1, _BLOCK_BYTES // (8 * grid.n_cells))

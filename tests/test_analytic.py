@@ -22,9 +22,10 @@ from memstoch import (ConstantDriveParams, Density1D, MemristorModel,
                       no_switch_density, p0_asymptotic, p0_constant_voltage,
                       parse_netlist, rc_charge, rc_charge_wave, series_mc,
                       unidirectional_densities)
-from memstoch.analytic import (RegimeError, _gauss, _Paths, accumulated_hazard,
+from memstoch.analytic import (RegimeError, _gauss, accumulated_hazard,
                                hazard_integral, initial_hazard, p1_constant_voltage,
                                switching_rate_at)
+from memstoch.circuit import DeviceCharge
 
 mpmath.mp.dps = 40
 
@@ -135,7 +136,8 @@ def test_rc_characteristic_against_mpmath(kind, direction):
                 got = rc_charge_wave(2e-8, C, R, w, s)
                 ref = _mp_characteristic(w, C, R, 2e-8, 0.0, s)
             else:
-                got = float(_Paths(-1.0 / (C * R), 1.0 / R, w)(1e-7, 6e-3, 6e-3 - s))
+                rc = DeviceCharge([-1.0 / (C * R)], [1.0 / R], [-1.0 / C], [1.0], w)
+                got = float(rc.charge(0, 1e-7, 6e-3, 6e-3 - s))
                 ref = _mp_characteristic(w, C, R, 1e-7, 6e-3, 6e-3 - s)
             assert abs(got - float(ref)) <= tol, (s, got, float(ref))
 
@@ -633,3 +635,39 @@ def test_unidirectional_flat_pwl_meets_a_tight_rtol_where_the_rate_meets_its_cap
     assert pieces == pytest.approx(closed, rel=1e-10)
     for q in (1e-7, 2e-7):
         assert out[1][1](q) == pytest.approx(out[0][1](q), rel=1e-10)
+
+
+@pytest.mark.parametrize("wave", [Waveform.pwl([(0.0, 0.35), (1.0, 0.36)]),
+                                  Waveform.sine(0.35, 0.05, 200.0)], ids=["pwl", "sine"])
+def test_unidirectional_hazard_is_cut_where_the_rate_meets_its_cap(wave):
+    # the 50 /s cap binds at first under the rising ramp and on every crest
+    # of the sine; uncut at its kinks, the panels do not converge to rtol
+    # 1e-10 by 512.  Reference: scipy quad of the rate along the solve_ivp
+    # path, split where bisection puts the kinks
+    R0, C, V0, tau0, ceiling, t = 1e5, 1e-6, 0.02, 3e5, 50.0, 0.01
+    m = MemristorModel.binary(R0, 1e4, tau0, V0, rate_ceiling=ceiling)
+    path = solve_ivp(lambda s, q: (wave(s) - q[0] / C) / R0, (0.0, t), [0.0], method="DOP853",
+                     rtol=1e-13, atol=1e-22, dense_output=True).sol
+
+    def over(s):    # the exponent less its cap: the kinks are its zeros
+        return (wave(s) - path(s)[0] / C) / V0 - math.log(ceiling * tau0)
+
+    def bisect(a, b):
+        for _ in range(60):
+            mid = 0.5 * (a + b)
+            if (over(mid) > 0) == (over(a) > 0):
+                a = mid
+            else:
+                b = mid
+        return 0.5 * (a + b)
+
+    s = np.linspace(0.0, t, 401)
+    kinks = [bisect(a, b) for a, b in zip(s, s[1:]) if (over(a) > 0) != (over(b) > 0)]
+    assert len(kinks) == {"pwl": 1, "sine": 3}[wave.kind]
+    edges = [0.0, *kinks, t]
+    hazard = sum(quad(lambda u: min(math.exp(over(u)), 1.0) * ceiling, a, b, epsrel=1e-12,
+                      epsabs=0.0, limit=200)[0] for a, b in zip(edges, edges[1:]))
+    p0, _ = unidirectional_densities(Density1D.delta(0.0), Density1D.zero(), m, C, wave, t,
+                                     rtol=1e-10)
+    (_, weight), = p0.deltas
+    assert -math.log(weight) == pytest.approx(hazard, rel=1e-9)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from memstoch.circuit import (CircuitState, NetlistError,
-                              SingularNetworkError, Waveform, affine_dynamics,
-                              parse_netlist, parse_si, serialize, series_mc,
-                              solve_operating_point)
+from memstoch import mc
+from memstoch.circuit import (Capacitor, CircuitState, DeviceCharge, Memristor, Netlist,
+                              NetlistError, Resistor, SingularNetworkError, VoltageSource,
+                              Waveform, affine_dynamics, parse_netlist, parse_si, serialize,
+                              series_mc, solve_operating_point)
 from memstoch.device import MemristorModel
 
 SERIES_TEXT = """
@@ -190,3 +191,64 @@ def test_two_loop_network():
     # -> Vb = (2/3) Va and 36 = (29/3) Va, so Va = 108/29, Vb = 72/29
     assert op.node_voltages["a"] == pytest.approx(108.0 / 29.0, rel=1e-12)
     assert op.node_voltages["b"] == pytest.approx(72.0 / 29.0, rel=1e-12)
+
+
+# ------------------------------------------------ single-device charge
+
+# one of each source kind; the step and the PWL have breakpoints inside [0, 6 ms]
+CHARGE_WAVES = {"constant": Waveform.constant(0.35),
+                "step": Waveform.step(0.3, 2e-3, value_before=0.1),
+                "sine": Waveform.sine(0.1, 0.3, 250.0),
+                "pwl": Waveform.pwl([(0.0, 0.0), (1e-3, 0.3), (3e-3, 0.3), (4e-3, -0.1),
+                                     (6e-3, 0.2)])}
+CHARGE_MODEL = MemristorModel.binary(1e5, 1e4, 10.0, 0.03)
+
+
+def _one_capacitor(wave, shunt):
+    """The series circuit on 100 nF; with `shunt`, 100 kOhm across the capacitor."""
+    return Netlist(sources=(VoltageSource("V1", "in", "0", wave),),
+                   resistors=(Resistor("R2", "n1", "0", 1e5),) if shunt else (),
+                   capacitors=(Capacitor("C1", "n1", "0", 1e-7),),
+                   memristors=(Memristor("M1", "in", "n1", CHARGE_MODEL),))
+
+
+@pytest.mark.parametrize("shunt", [False, True], ids=["series", "shunted"])
+@pytest.mark.parametrize("kind", list(CHARGE_WAVES))
+def test_device_charge_agrees_with_the_eigenmode_flow(monkeypatch, kind, shunt):
+    # the matrix pair's flow, chained from breakpoint to breakpoint, carries
+    # the charge from t to s (forward) and the charge that `charge` puts at
+    # s back to t (backward), in both states; 1e-12 relative to the charge
+    # scale C * 0.4 V, as the PWL's charges pass through 0
+    wave = CHARGE_WAVES[kind]
+    net = _one_capacitor(wave, shunt)
+    dev = DeviceCharge.of(net)
+    monkeypatch.setattr(mc, "is_single_device", lambda netlist: False)
+    eng = mc._Ensemble(net, 1, 0)
+
+    def flow(state, q, t, s):
+        row = eng._rows_of(np.array([[state]]))
+        for b in [b for b in wave.breakpoint_times() if t < b < s] + [s]:
+            q = eng._matrix_flow(row, None, np.array([t]), np.array([[q]]), np.array([b]))[0][0, 0]
+            t = b
+        return q
+
+    for state in (0, 1):
+        for t, s in ((0.0, 0.5e-3), (0.0, 2e-3), (0.5e-3, 3.5e-3), (0.0, 6e-3), (1.5e-3, 5e-3)):
+            fwd = float(dev.charge(state, 2e-8, t, s))
+            assert fwd == pytest.approx(flow(state, 2e-8, t, s), rel=1e-12, abs=4e-20)
+            back = float(dev.charge(state, 3e-8, s, t))
+            assert flow(state, back, t, s) == pytest.approx(3e-8, rel=1e-12, abs=4e-20)
+
+
+def test_device_charge_is_built_once_per_netlist_and_its_cache_stays_bounded():
+    net = parse_netlist(SERIES_TEXT)
+    dev = DeviceCharge.of(net)
+    assert DeviceCharge.of(parse_netlist(SERIES_TEXT)) is dev
+    with pytest.raises(ValueError):
+        dev.c[0] = 1.0      # shared by every engine: read-only
+    size = DeviceCharge.of.cache_info().maxsize
+    for k in range(size + 3):
+        DeviceCharge.of(series_mc(CHARGE_MODEL, 1e-7 * (1 + k), Waveform.constant(0.35)))
+    assert DeviceCharge.of.cache_info().currsize == size
+    with pytest.raises(NetlistError):
+        DeviceCharge.of(parse_netlist("V1 in 0 DC 1\nR1 in 0 1k"))

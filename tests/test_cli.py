@@ -374,7 +374,12 @@ def test_exit_code_engine_failure(tmp_path, capsys):
 def test_reproduce_saturation_dataset(tmp_path):
     assert main(["reproduce", "fig2", "--out", str(tmp_path)]) == 0
     table = ResultTable.read_csv(tmp_path / "fig2.csv")
-    assert (tmp_path / "fig2.dat").exists()
+    # the gnuplot file: the same header, its column names commented out, and
+    # rows of the same floats separated by spaces
+    dat = (tmp_path / "fig2.dat").read_text().splitlines()
+    assert dat[:2] == [(tmp_path / "fig2.csv").read_text().splitlines()[0], "# time p0 p1"]
+    assert np.array_equal(np.array([[float(x) for x in line.split(" ")] for line in dat[2:]]),
+                          table.rows)
     p0 = table.column("p0")
     assert p0[0] == 1.0 and np.all(np.diff(p0) <= 0)
     params = analytic.ConstantDriveParams.figure2()

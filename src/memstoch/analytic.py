@@ -539,26 +539,27 @@ class _Switching:
         p0 = self.paths[0]
         if _piecewise_constant(self.w):
             return initial_hazard(self.net, s, p0(q, s, 0.0))
-        return _pieces(lambda u, q, s: self.rate(u, p0(q, s, u)), 0.0, s, self._cuts(q, s),
-                       self.rtol, q, s)
+        return _pieces(lambda u, q, s: self.rate(u, p0(q, s, u)), 0.0, s,
+                       self._cuts(p0, q, s, 0.0, s), self.rtol, q, s)
 
-    def _cuts(self, q, s):
+    def _cuts(self, path, q, s, lo, hi):
         """The source's breakpoints and where the up exponent vm / V along
-        the state-0 characteristics through (q, s) crosses its cap, ln(ceiling
-        tau) or 700, on [0, s], ascending: the crossings by `_crossing`, in
-        each of _CAP_SAMPLES equal intervals at whose ends the sign of the
-        difference differs, padded with s to the most of any element."""
+        the characteristics `path` (one of `paths`) through (q, s) crosses
+        its cap, ln(ceiling tau) or 700, on [lo, hi], ascending: the
+        crossings by `_crossing`, in each of _CAP_SAMPLES equal intervals at
+        whose ends the sign of the difference differs, padded with hi to the
+        most of any element."""
         v, tau = self.model.transitions[:, 0]
         top = min(math.log(self.model.rate_ceiling) + math.log(tau), 700.0)
 
         def over(u, q, s, d):   # d (vm / V - top), with d = +-1: rising in u
-            return d * (self.vm(u, self.paths[0](q, s, u)) / v - top)
+            return d * (self.vm(u, path(q, s, u)) / v - top)
 
-        q, s = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(s, dtype=float))
-        u = s[..., None] * np.linspace(0.0, 1.0, _CAP_SAMPLES + 1)
+        q, s, lo, hi = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (q, s, lo, hi)))
+        u = lo[..., None] + (hi - lo)[..., None] * np.linspace(0.0, 1.0, _CAP_SAMPLES + 1)
         above = over(u, q[..., None], s[..., None], 1.0) > 0.0
         change = above[..., 1:] != above[..., :-1]
-        cut = np.repeat(s[..., None], change.sum(axis=-1).max(initial=0), axis=-1)
+        cut = np.repeat(hi[..., None], change.sum(axis=-1).max(initial=0), axis=-1)
         if change.any():    # an element's n-th crossing is its cut n
             *at, _ = np.nonzero(change)
             cut[(*at, np.cumsum(change, axis=-1)[change] - 1)] = _crossing(
@@ -574,7 +575,8 @@ class _Switching:
         state-1 characteristic Q1 through (q, t).  p0 is non-zero where the
         state-0 characteristic through (Q1(ts), ts) starts inside f's
         support, and that start is monotone in ts (vm > 0): `_crossing`
-        finds where it crosses the support's edges."""
+        finds where it crosses the support's edges.  The panels are cut at
+        the source's breakpoints and where the rate along Q1 meets its cap."""
         p0, p1 = self.paths
         t, (a0, a1), (b0, b1) = self.t, self.dev.A[:2], self.dev.B[:2]
         fvals = np.vectorize(f, otypes=[float])
@@ -583,13 +585,14 @@ class _Switching:
         ends = _crossing(lambda ts, q, edge: p0(p1(q, t, ts), ts, 0.0) - edge, 0.0, t, rising,
                          np.asarray(q)[..., None], np.array(f.support))
         lo, hi = (ends[..., 0], ends[..., 1]) if rising else (ends[..., 1], ends[..., 0])
+        hi = np.maximum(lo, hi)
 
         def integrand(ts, q):
             qs = p1(q, t, ts)
             p0_value = np.exp(-a0 * ts) * fvals(p0(qs, ts, 0.0)) * np.exp(-self.hazard(qs, ts))
             return self.rate(ts, qs) * np.exp(a1 * (ts - t)) * p0_value
 
-        return _pieces(integrand, lo, np.maximum(lo, hi), self.dev.bp, self.rtol, q)
+        return _pieces(integrand, lo, hi, self._cuts(p1, q, t, lo, hi), self.rtol, q)
 
     def delta_source(self, q_init: float, weight: float) -> tuple:
         """State-1 density produced by a state-0 delta of given weight.

@@ -13,12 +13,13 @@ summed exit rate along the closed-form charges are accepted with
 probability rate / envelope, and one shared row carries every trajectory
 that has not switched yet.  Windows end at source breakpoints and where
 the envelope would loosen, never at output times; at an output the
-recorder takes each row's charge in closed form from its window start.
-The loop runs one of two kernel pairs (window and charge flow), bound at
-construction: the scalar pair, which reads the closed-form charge and
-vm's forced part per state from `circuit.DeviceCharge`, for one
-memristor, one capacitor and one source; the matrix pair, with one flow
-in the eigenmodes of the Kirchhoff ODE, for every other netlist.
+recorder takes each row's charge in closed form from its window start,
+on contiguous slices of the rows in place.  The loop runs one of two
+kernel pairs (window and charge flow), bound at construction: the scalar
+pair, which reads the closed-form charge and vm's forced part per state
+from `circuit.DeviceCharge`, for one memristor, one capacitor and one
+source; the matrix pair, with one flow in the eigenmodes of the
+Kirchhoff ODE, for every other netlist.
 
 Exit rates come from `device.switching_rate` (`_Rates` stacks the
 memristors' transition tables so that one call covers every clock) and
@@ -46,7 +47,8 @@ from .device import switching_rate
 MAX_CANDIDATES = 10_000     # candidates of one trajectory within one output interval
 _WINDOW_SLACK = 1.0         # bound on the envelope's excess over the log-rate
 # rows per kernel call: a kernel holds some dozens of temporaries of this
-# length, so batches keep its memory O(batch) rather than O(n)
+# length, so batches keep its memory O(batch) rather than O(n); the recorder
+# flows contiguous slices of this many rows in place
 _BATCH = 4096
 
 
@@ -275,7 +277,7 @@ class _Ensemble:
 
     def _record(self, s, q, live=None, n_own=None) -> None:
         """Record an output from rows in states s with charges q: each
-        capacitor's smallest charge over the `live` rows (a mask, or all),
+        capacitor's smallest charge over the `live` rows (indices, or all),
         `bins` uniform bins from capacitor 0's smallest to its largest
         charge there (`_edges`) and, per trajectory, a row of codes: its
         memristors' states, the first as state * bins + capacitor 0's bin
@@ -347,7 +349,8 @@ class _Ensemble:
         so a window touches only the members with a candidate in it.  Before
         each output, passes draw every candidate ahead of it and open the
         windows that end before it; the recorder then takes each row's
-        charge there in closed form.  A trajectory with more than
+        charge there in closed form, on contiguous slices of rows 0..k in
+        place.  A trajectory with more than
         MAX_CANDIDATES candidates in one output interval fails alone."""
         n, t_end, (window, flow, rows_of) = self.n, outputs[-1], self.kernels
         # row r > 0 carries trajectory traj[r]
@@ -441,13 +444,12 @@ class _Ensemble:
         pending = np.zeros(1, dtype=np.intp)    # rows that jumped, whose windows open next
         for t_out in outputs:
             tries[:] = 0
-            rows, swept = np.arange(1, k + 1), False    # swept: row 0's members drawn up to t_out
+            # own rows that act before t_out: at a candidate, or where their
+            # window ends with none left in it (then the next one opens, with
+            # those of the rows that jumped and row 0's once its members are
+            # drawn); swept: row 0's members drawn up to t_out
+            rows, swept = 1 + np.flatnonzero(A[1:k + 1] < t_out), False
             while True:
-                # own rows that act before t_out: at a candidate, or where
-                # their window ends with none left in it (then the next one
-                # opens, with those of the rows that jumped and row 0's
-                # once its members are drawn)
-                rows = rows[A[rows] < t_out]
                 shared = left < n or pend_id.size > 0
                 turn = shared and swept and E[0] < t_out
                 if not (rows.size or pending.size or turn or shared and not swept):
@@ -482,16 +484,21 @@ class _Ensemble:
                     swept = True
                 pending = draw(r, ids, gap, x, t_out) if r.size else r
                 rows = np.concatenate((c, opened))
+                rows = rows[A[rows] < t_out]
                 self.diag["rows_max"] = k
             if len(self.failures) == n:
                 raise TrajectoryFailure(f"all trajectories failed: {self.failures[-1][1]}")
-            # row 0 is live while it has members; own rows until they fail
-            rows = np.arange(k + 1)
-            live = T[rows] < math.inf
+            # every row's charge flows in place, a failed row's (T = inf)
+            # over no time; row 0 is live while it has members, own rows
+            # until they fail, and only live rows bound the bins (a dead
+            # row's code is dropped or cancelled in _tally)
+            q = np.empty((k + 1, self.K))
+            for i in range(0, k + 1, _BATCH):
+                j = slice(i, min(i + _BATCH, k + 1))
+                q[j] = flow(self, R[j], S[j], np.minimum(T[j], t_out), Q[j], t_out)[0]
+            live = T[:k + 1] < math.inf
             live[0] = left < n or pend_id.size > 0
-            q = Q[rows]
-            q[live] = batched(flow, rows[live], t_out)[0]
-            self._record(S[rows], q, live, k)
+            self._record(S[:k + 1], q, None if live.all() else np.flatnonzero(live), k)
         self.own = traj[1:k + 1]
         self.diag["runaway_failures"] = len(self.failures)
         # the scalar pair's tables are its device's states

@@ -671,3 +671,72 @@ def test_unidirectional_hazard_is_cut_where_the_rate_meets_its_cap(wave):
                                      rtol=1e-10)
     (_, weight), = p0.deltas
     assert -math.log(weight) == pytest.approx(hazard, rel=1e-9)
+
+
+W_SINE = 2.0 * math.pi * 200.0
+# the cap-test sources: the waveform, v(s) and the forced charge per farad
+# of an RC circuit of time constant tc, by hand
+CAP_SOURCES = {
+    "pwl": (Waveform.pwl([(0.0, 0.35), (1.0, 0.36)]), lambda s: 0.35 + 0.01 * s,
+            lambda s, tc: 0.35 + 0.01 * (s - tc), (1.5e-7, 1.9e-7)),
+    "sine": (Waveform.sine(0.35, 0.05, 200.0), lambda s: 0.35 + 0.05 * math.sin(W_SINE * s),
+             lambda s, tc: 0.35 + 0.05 * (math.sin(W_SINE * s) - W_SINE * tc
+                                          * math.cos(W_SINE * s)) / (1.0 + (W_SINE * tc) ** 2),
+             (1e-7, 1.5e-7, 1.9e-7)),
+}
+
+
+@pytest.mark.parametrize("kind", list(CAP_SOURCES))
+def test_unidirectional_switched_density_is_cut_where_the_rate_meets_its_cap(kind):
+    # a uniform state-0 density switches where the rate along the state-1
+    # characteristic through (q, t) leaves its 50 /s cap; uncut there, the
+    # panels did not converge to rtol 1e-10 by 512.  Reference: scipy quad
+    # over the switch times on the hand-written RC paths, the hazard and the
+    # switch-time integral each split where brentq brackets the kinks
+    wave, v, forced, charges = CAP_SOURCES[kind]
+    R0, R1, C, V0, tau0, ceiling, t, width = 1e5, 1e4, 1e-6, 0.02, 3e5, 50.0, 0.01, 2e-8
+    tc0, tc1, top = C * R0, C * R1, math.log(ceiling * tau0)
+
+    def path(tc, q_at, t_at, s):    # the RC characteristic through (q_at, t_at), at s
+        return C * forced(s, tc) + (q_at - C * forced(t_at, tc)) * math.exp((t_at - s) / tc)
+
+    def over(s, q):     # the up exponent less its cap: the kinks are its zeros
+        return (v(s) - q / C) / V0 - top
+
+    def rate(s, q):
+        return min(math.exp(over(s, q)), 1.0) * ceiling
+
+    def kinks(g, a, b, n):
+        s = np.linspace(a, b, n + 1)
+        return [brentq(g, lo, hi, xtol=1e-20, rtol=1e-15)
+                for lo, hi in zip(s, s[1:]) if (g(lo) > 0.0) != (g(hi) > 0.0)]
+
+    def reference(q):
+        def start(ts):      # the state-0 characteristic through (Q1(ts), ts), at 0
+            return path(tc0, path(tc1, q, t, ts), ts, 0.0)
+
+        def integrand(ts):
+            x = start(ts)
+            bends = kinks(lambda u: over(u, path(tc0, x, 0.0, u)), 0.0, ts, 24)
+            hazard = quad(lambda u: rate(u, path(tc0, x, 0.0, u)), 0.0, ts, points=bends or None,
+                          epsrel=1e-13, epsabs=0.0, limit=400)[0]
+            return (rate(ts, path(tc1, q, t, ts)) * math.exp((t - ts) / tc1 + ts / tc0) / width
+                    * math.exp(-hazard))
+
+        def crossing(edge):     # start rises with ts, since R1 < R0
+            if start(0.0) >= edge or start(t) <= edge:
+                return 0.0 if start(0.0) >= edge else t
+            return brentq(lambda ts: start(ts) - edge, 0.0, t, xtol=1e-20, rtol=1e-15)
+
+        lo, hi = crossing(0.0), crossing(width)
+        cuts = kinks(lambda s: over(s, path(tc1, q, t, s)), lo, hi, 64)
+        assert len(cuts) == 1
+        edges = [lo, *cuts, hi]
+        return sum(quad(integrand, a, b, epsrel=1e-12, epsabs=0.0, limit=200)[0]
+                   for a, b in zip(edges, edges[1:]))
+
+    m = MemristorModel.binary(R0, R1, tau0, V0, rate_ceiling=ceiling)
+    _, p1 = unidirectional_densities(Density1D.uniform(0.0, width), Density1D.zero(), m, C, wave,
+                                     t, rtol=1e-10)
+    for q in charges:
+        assert p1(q) == pytest.approx(reference(q), rel=1e-9)

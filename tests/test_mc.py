@@ -786,6 +786,26 @@ def test_netlist_thinning_does_not_depend_on_the_ensemble_size(source, t_end):
     assert np.isfinite(b.first_event_times).sum() > 30
 
 
+def test_netlist_results_do_not_depend_on_earlier_runs():
+    # a short run visits fewer configurations than the full one; run
+    # again after it, its statistics and diagnostics are unchanged
+    net = _two_branch("SIN 0 0.4 200")
+
+    def short():
+        return run_ensemble(net, net.initial_state(), 0.001, np.linspace(0.0, 0.001, 5), 20, 7)
+
+    first = short()
+    full = run_ensemble(net, net.initial_state(), 0.005, np.linspace(0.0, 0.005, 11), 2000, 7)
+    again = short()
+    assert first.diagnostics["configurations"] < full.diagnostics["configurations"] == 4
+    assert first.diagnostics == again.diagnostics
+    for a, b in zip(first.occupancy + first.stderr, again.occupancy + again.stderr):
+        assert np.array_equal(a, b)
+    assert all(np.array_equal(a, b) and np.array_equal(ea, eb)
+               for (a, ea), (b, eb) in zip(first.histograms, again.histograms))
+    assert np.array_equal(first.first_event_times, again.first_event_times, equal_nan=True)
+
+
 def test_netlist_runaway_fails_alone(monkeypatch):
     # a trajectory with more than MAX_CANDIDATES thinning candidates in one
     # output interval fails, and the others finish
@@ -997,6 +1017,41 @@ def test_shared_row_is_bit_identical_to_the_per_row_loop(monkeypatch, params, mo
         assert new.events_down > 0
     if case == "figure2_ramp":
         assert new.diagnostics["rows_max"] == n
+
+
+@pytest.mark.parametrize("case", ["runaway", "figure2_ramp", "two_branch_sine"])
+def test_results_do_not_depend_on_the_batch_size(monkeypatch, params, model, case):
+    # kernels and the recorder run on at most _BATCH rows at a time: the
+    # runaway case has failed own rows, the ramp empties row 0 and the
+    # two-branch sine runs the matrix pair
+    n, t_end, seed = 2000, 0.005, 100
+    if case == "runaway":
+        net = _sine3_net()
+        monkeypatch.setattr(mc, "MAX_CANDIDATES", 1)
+    elif case == "figure2_ramp":
+        net = series_mc(model, params.C, Waveform.pwl([(0.0, 0.35), (0.02, 0.5)]))
+        t_end, seed = 0.03, 3
+    else:
+        (source, t_end), = [c for c in TWO_BRANCH_CASES if c[0].startswith("SIN")]
+        net = _two_branch(source)
+    times = np.linspace(0.0, t_end, 21)
+    runs = []
+    for batch in (7, 4096, 1 << 20):
+        monkeypatch.setattr(mc, "_BATCH", batch)
+        runs.append(run_ensemble(net, net.initial_state(), t_end, times, n, seed))
+    ref = runs[1]
+    assert (ref.n_failed > 0) == (case == "runaway")
+    if case == "figure2_ramp":
+        assert ref.diagnostics["rows_max"] == n
+    for new in runs[::2]:
+        for a, b in zip(new.occupancy + new.stderr, ref.occupancy + ref.stderr):
+            assert np.array_equal(a, b)
+        assert len(new.histograms) == len(ref.histograms) == times.size
+        assert all(np.array_equal(a, b) and np.array_equal(ea, eb)
+                   for (a, ea), (b, eb) in zip(new.histograms, ref.histograms))
+        assert np.array_equal(new.first_event_times, ref.first_event_times, equal_nan=True)
+        assert (new.n, new.failures, new.diagnostics) == (ref.n, ref.failures, ref.diagnostics)
+        assert (new.events_up, new.events_down) == (ref.events_up, ref.events_down)
 
 
 def _grid_case(case, params, model):

@@ -528,11 +528,14 @@ def solve_operating_point(netlist: Netlist, state: CircuitState) -> OperatingPoi
     source_values = [s.waveform(state.time) for s in netlist.sources]
     volts, mem_v, dqdt = _solve_network(netlist, state.memristor_states,
                                         source_values, state.capacitor_charges)
-    return OperatingPoint(volts, tuple(mem_v), tuple(dqdt))
+    return OperatingPoint({k: float(v) for k, v in volts.items()},
+                          tuple(float(v) for v in mem_v), tuple(float(d) for d in dqdt))
 
 
 def _solve_network(netlist: Netlist, mem_states, source_values, charges):
-    """MNA solve with explicit source values and capacitor charges."""
+    """MNA solve with explicit source values and capacitor charges, each
+    1-D, or 2-D with one column per right-hand side: the node voltages (by
+    name, ground included), the memristor voltages and dq/dt."""
     for m, s in zip(netlist.memristors, mem_states):
         if not 0 <= s < m.model.num_states:
             raise ValueError(f"memristor {m.name}: state {s} out of range")
@@ -543,7 +546,7 @@ def _solve_network(netlist: Netlist, mem_states, source_values, charges):
     branches = list(netlist.sources) + list(netlist.capacitors)
     m = len(branches)
     A = np.zeros((n + m, n + m))
-    rhs = np.zeros(n + m)
+    rhs = np.zeros((n + m,) + np.shape(source_values)[1:])
 
     def node_idx(name):
         return None if name == GROUND else index[name]
@@ -571,7 +574,7 @@ def _solve_network(netlist: Netlist, mem_states, source_values, charges):
             value = source_values[k]
         else:
             a, b = br.node1, br.node2
-            value = charges[k - n_src] / br.capacitance
+            value = np.divide(charges[k - n_src], br.capacitance)
         ia, ib = node_idx(a), node_idx(b)
         row = n + k
         if ia is not None:
@@ -589,13 +592,10 @@ def _solve_network(netlist: Netlist, mem_states, source_values, charges):
             "singular network matrix; check for floating subcircuits among "
             f"nodes {node_names}", node_names) from None
 
-    volts = {GROUND: 0.0}
-    for name, i in index.items():
-        volts[name] = float(x[i])
+    volts = {GROUND: 0.0, **{name: x[i] for name, i in index.items()}}
     mem_v = [volts[mm.node_plus] - volts[mm.node_minus]
              for mm in netlist.memristors]
-    dqdt = [float(x[n + n_src + k]) for k in range(len(netlist.capacitors))]
-    return volts, mem_v, dqdt
+    return volts, mem_v, list(x[n + n_src:])
 
 
 @dataclass(frozen=True)
@@ -618,29 +618,14 @@ class AffineDynamics:
 
 def affine_dynamics(netlist: Netlist, mem_states) -> AffineDynamics:
     """Extract the affine operating-point maps for one state config by
-    probing the linear network with unit charges and unit sources."""
-    n_cap = len(netlist.capacitors)
-    n_src = len(netlist.sources)
-    n_mem = len(netlist.memristors)
-    A = np.zeros((n_cap, n_cap))
-    B = np.zeros((n_cap, n_src))
-    Dq = np.zeros((n_mem, n_cap))
-    Ds = np.zeros((n_mem, n_src))
-    zero_q = [0.0] * n_cap
-    zero_s = [0.0] * n_src
-    for k in range(n_cap):
-        probe = list(zero_q)
-        probe[k] = 1.0
-        _, vm, dqdt = _solve_network(netlist, mem_states, zero_s, probe)
-        A[:, k] = dqdt
-        Dq[:, k] = vm
-    for s in range(n_src):
-        probe = list(zero_s)
-        probe[s] = 1.0
-        _, vm, dqdt = _solve_network(netlist, mem_states, probe, zero_q)
-        B[:, s] = dqdt
-        Ds[:, s] = vm
-    return AffineDynamics(A, B, Dq, Ds)
+    probing the linear network with unit charges and unit sources, one
+    right-hand side each."""
+    n_cap, n_src, n_mem = len(netlist.capacitors), len(netlist.sources), len(netlist.memristors)
+    probes = np.eye(n_cap + n_src)
+    _, vm, dqdt = _solve_network(netlist, mem_states, probes[n_cap:], probes[:n_cap])
+    vm = np.array(vm).reshape(n_mem, n_cap + n_src)
+    dqdt = np.array(dqdt).reshape(n_cap, n_cap + n_src)
+    return AffineDynamics(dqdt[:, :n_cap], dqdt[:, n_cap:], vm[:, :n_cap], vm[:, n_cap:])
 
 
 def is_single_device(netlist: Netlist) -> bool:
@@ -657,48 +642,129 @@ def _cancelled_sum(a, b):
 
 
 class DeviceCharge:
-    """The capacitor charge of a single device in closed form, per state s
-    of its memristor: dq/dt = A[s] q + B[s] v(t) and vm = Dq[s] q + Ds[s]
-    v(t), with A <= 0 (A = 0: B = 0, the charge stays put).  Under a constant
-    source v the charge relaxes to c v (c = -B / A, 0 where A = 0) and vm to
-    u v (u = Dq c + Ds).  In general it is the forced charge q_p plus a
-    transient that decays as e^{A t} and at breakpoint bp[b] takes up
-    jump[b, s], q_p before less q_p after: under a sine v = off + amp
-    sin(wt), q_p = -B off / A + B amp Im[e^{iwt} / (iw - A)]; on a segment
-    of another source where v has slope k, q_p = -(B / A)(v + k / A).
-    coef[i, j, col]: basis function j's coefficient in q_p (i = 0), vm's
-    forced part Dq q_p + Ds v (i = 1) and its derivative (i = 2), with col
-    the state under a sine (basis 1, sin wt, cos wt), else segment * G +
-    state (basis 1, t - t0[segment], on the source's `segments`)."""
+    """Capacitor charges in closed form for K capacitors, M memristors and S
+    sources, one table row per memristor-state configuration (`add`): dq/dt
+    = A q + B v(t) and vm = Dq q + Ds v(t).  The network is reciprocal, so A
+    = V diag(lam) V^-1 with real lam <= 0, V's columns scaled to a largest
+    entry of magnitude 1 (a single device has V = 1); a mode whose lam and
+    drive b are both at round-off is conserved (lam = 0, no forced part),
+    and a driven mode that does not decay is a ValueError.  The charge is
+    the forced charge q_p plus a transient V y whose modes decay as
+    e^{lam x}, and vm = u + (Dq V) y with u = Dq q_p + Ds v, vm's forced
+    part.  Per volt of a constant source q_p is c and u is u (= Dq c + Ds).
+    Segment j runs up to ends[j], the breakpoints bp of all sources and
+    then inf; on it a source is v0 + k (t - t0[j]), or off + amp sin(wt)
+    for a sine, and in mode lam q_p is -b (v0 + k (t - t0) + k / lam) / lam
+    plus b amp Im[e^{iwt} / (iw - lam)] per sine (b = V^-1 B).  Tables keep
+    rows on their last axis:
+    coef[i, col, r * len(t0) + j] holds basis function i's coefficients
+    (basis: 1, t - t0[j] where a source has slopes, then sin wt and cos wt
+    per sine) in q_p, u and u' (col :K, K:K + M and K + M:) on segment j;
+    jump[:, r * len(t0) + j] is the transient's jump at ends[j], V^-1 (q_p
+    before - q_p after), 0 at inf.  A single device (K = M = S = 1, `of`)
+    has one row per state, and its A, B, Dq, Ds, c and u hold one value per
+    state."""
 
-    def __init__(self, A, B, Dq, Ds, waveform: Waveform):
-        self.A, self.B, self.Dq, self.Ds = (np.array(x, dtype=float) for x in (A, B, Dq, Ds))
-        self.wave, self.G, A = waveform, self.A.size, self.A
-        ia = np.divide(1.0, A, out=np.zeros_like(A), where=A < 0.0)
-        self.c = -self.B * ia
-        self.u = _cancelled_sum(self.Dq * self.c, self.Ds)
-        self.sine = waveform.kind == "sine"
-        if self.sine:
-            self.omega = om = 2.0 * math.pi * waveform.frequency
-            den = np.where(A * A + om * om > 0.0, A * A + om * om, 1.0)
-            fq = -self.B * np.array([waveform.offset * ia, waveform.amplitude * A / den,
-                                     waveform.amplitude * om / den])
-            fu = _cancelled_sum(self.Dq * fq,
-                                self.Ds * np.array([waveform.offset, waveform.amplitude, 0.0])[:, None])
-            self.coef = np.array([fq, fu, om * np.array([0.0 * A, -fu[2], fu[1]])])
-            self.bp, self.jump = np.zeros(0), np.zeros((0, self.G))
-        else:
-            self.t0, v0, k = waveform.segments
-            v0, k = v0[:, None], k[:, None]
-            fq = -self.B * np.array([ia, ia * ia])
-            fu = _cancelled_sum(self.Dq * fq, self.Ds * np.array([1.0, 0.0])[:, None])
-            self.coef = np.array([[f[0] * v0 + f[1] * k, f[0] * k] for f in (fq, fu)]
-                                 + [[fu[0] * k, 0.0 * k * A]]).reshape(3, 2, -1)
-            self.bp = self.t0[1:]
-            seg, s, b = np.arange(self.bp.size)[:, None], np.arange(self.G), self.bp[:, None]
-            self.jump = self.forced(s, seg, slice(1), b)[0] - self.forced(s, seg + 1, slice(1), b)[0]
-        for x in (self.A, self.B, self.Dq, self.Ds, self.c, self.u, self.coef, self.jump):
-            x.flags.writeable = False   # shared by every caller of `of`
+    def __init__(self, A, B, Dq, Ds, waves, capacitances=(1.0,)):
+        """Rows from A (R, K, K), B (R, K, S), Dq (R, M, K) and Ds (R, M, S),
+        or from a single device's values per state (R,), under the sources'
+        waveforms `waves` (or the one source's); the capacitances make A
+        symmetric (any value serves for K = 1)."""
+        self.waves = (waves,) if isinstance(waves, Waveform) else tuple(waves)
+        self.wave = self.waves[0] if self.waves else None
+        if np.ndim(A) == 1:
+            A, B, Dq, Ds = (np.reshape(np.asarray(x, dtype=float), (-1, 1, 1))
+                            for x in (A, B, Dq, Ds))
+        (_, K, S), M = np.shape(B), np.shape(Dq)[1]
+        self.K, self.M = K, M
+        self.sqrt_c = np.sqrt(np.asarray(capacitances, dtype=float))
+        # the sources on the segments: v0 and k per segment, the sines apart
+        self.bp = np.array(sorted({b for w in self.waves for b in w.breakpoint_times()}))
+        self.ends = np.concatenate((self.bp, [math.inf]))
+        starts = np.concatenate(([-math.inf], self.bp))
+        self.t0 = np.concatenate((self.bp[:1], self.bp)) if self.bp.size else np.zeros(1)
+        self.v0, self.k = np.zeros((2, self.t0.size, S))
+        for j, w in enumerate(self.waves):
+            if w.kind == "sine":
+                self.v0[:, j] = w.offset
+            else:
+                t0, v0, k = w.segments
+                i = np.searchsorted(w.breakpoint_times(), starts, "right")
+                self.v0[:, j], self.k[:, j] = v0[i] + k[i] * (self.t0 - t0[i]), k[i]
+        self.sine = [j for j, w in enumerate(self.waves) if w.kind == "sine"]
+        self.omega = [2.0 * math.pi * self.waves[j].frequency for j in self.sine]
+        self.slopes = bool(self.k.any())
+        nb = 1 + self.slopes + 2 * len(self.sine)       # basis functions
+        self.lam, self.V, self.Vinv, self.dqv, self.curve, self.coef, self.jump = (
+            np.zeros(shape + (0,)) for shape in (
+                (K,), (K, K), (K, K), (M, K), (M,), (nb, K + 2 * M), (K,)))
+        if len(A):
+            c, u = self.add(A, B, Dq, Ds)
+            if (K, M, S) == (1, 1, 1):
+                self.A, self.B, self.Dq, self.Ds, self.c, self.u = (
+                    x.reshape(-1) for x in (A, B, Dq, Ds, c, u))
+
+    def add(self, A, B, Dq, Ds):
+        """Rows for the configurations with these A, B, Dq and Ds (R, ...);
+        returns their q_p and u per volt of a constant source."""
+        R, K, M, n = len(A), self.K, self.M, self.t0.size
+        c = self.sqrt_c
+        # A = -L C^-1 with L symmetric, so C^-1/2 A C^1/2 is symmetric negative
+        # semi-definite (its diagonal is A's, exactly)
+        sym = A * (c / c[:, None])
+        lam, u = np.linalg.eigh(0.5 * (sym + np.swapaxes(sym, 1, 2)))
+        scale = np.abs(c[:, None] * u).max(axis=1, keepdims=True, initial=0.0)
+        vec, inv = c[:, None] * u / scale, np.swapaxes(scale * u, 1, 2) / c
+        err = np.abs(vec * lam[:, None] @ inv - A).max(initial=0.0)
+        if err > 1e-9 * np.abs(A).max(initial=0.0):
+            raise ValueError("the network is not reciprocal")
+        # a mode is conserved where lam and its drive b are both at round-off
+        # (a stiff network's slow modes keep theirs); any other mode decays
+        b = inv @ B
+        small = np.abs(lam) <= 1e-12 * np.abs(lam).max(axis=1, keepdims=True, initial=0.0)
+        if small.any():
+            still = small & (np.abs(b) <= 1e-12 * (np.abs(inv) @ np.abs(B))).all(axis=2)
+            if (small & ~still & (lam >= 0.0)).any():
+                raise ValueError("a mode of the network that does not decay is driven")
+            lam, b = np.where(still, 0.0, lam), np.where(still[..., None], 0.0, b)
+        ia = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam != 0.0)
+        # q_p, u and u' per volt of a constant source (resp) and per volt/s
+        # of a slope (slope), then on the segments
+        cv = vec @ (-ia[..., None] * b)
+        uv = _cancelled_sum(Dq @ cv, Ds)
+        resp = np.concatenate((cv, uv, np.zeros_like(uv)), axis=1)
+        basis = [np.einsum("ris,js->irj", resp, self.v0)]
+        if self.slopes:
+            cs = vec @ (-(ia * ia)[..., None] * b)
+            slope = np.concatenate((cs, Dq @ cs, uv), axis=1)
+            basis = [basis[0] + np.einsum("ris,js->irj", slope, self.k),
+                     np.einsum("ris,js->irj", resp, self.k)]
+        curve = np.zeros((M, R))
+        for j, om in zip(self.sine, self.omega):
+            amp = self.waves[j].amplitude
+            den = lam * lam + om * om
+            den = np.where(den > 0.0, den, 1.0)
+            qs, qc = (vec @ (-b[..., j] * (amp * x / den))[..., None] for x in (lam, om))
+            us_, uc = _cancelled_sum(Dq @ qs, Ds[..., j:j + 1] * amp), Dq @ qc
+            curve += (om * om * np.hypot(us_, uc))[..., 0].T
+            for part in ((qs, us_, -om * uc), (qc, uc, om * us_)):   # sin wt, cos wt
+                basis.append(np.broadcast_to(np.concatenate(part, axis=1).transpose(1, 0, 2),
+                                             (K + 2 * M, R, n)))
+        coef = np.stack(basis)      # (basis, column, R, n)
+        # at ends[j] the transient takes up q_p's jump
+        jump = np.zeros((K, R, n))
+        if self.bp.size:
+            j = np.arange(self.bp.size)
+            step = (self._eval(coef[:, :K, :, :-1], j, self.bp)
+                    - self._eval(coef[:, :K, :, 1:], j + 1, self.bp))
+            jump[..., :-1] = np.einsum("rkl,lrj->krj", inv, step)
+        self.lam, self.V, self.Vinv, self.dqv, self.curve, self.coef, self.jump = (
+            np.concatenate(x, axis=-1) for x in zip(
+                (self.lam, self.V, self.Vinv, self.dqv, self.curve, self.coef, self.jump),
+                (lam.T, vec.transpose(1, 2, 0), inv.transpose(1, 2, 0),
+                 (Dq @ vec).transpose(1, 2, 0), curve, coef.reshape(coef.shape[:2] + (R * n,)),
+                 jump.reshape(K, R * n))))
+        return cv, uv
 
     @classmethod
     @lru_cache(maxsize=32)
@@ -709,43 +775,58 @@ class DeviceCharge:
         if not is_single_device(netlist):
             raise NetlistError("need one memristor, one capacitor and one source")
         dyn = [affine_dynamics(netlist, (i,)) for i in range(netlist.memristors[0].model.num_states)]
-        return cls(*np.array([[d.A[0, 0], d.B[0, 0], d.Dq[0, 0], d.Ds[0, 0]] for d in dyn]).T,
-                   netlist.sources[0].waveform)
+        dev = cls(*(np.array(x) for x in zip(*((d.A, d.B, d.Dq, d.Ds) for d in dyn))),
+                  netlist.sources[0].waveform)
+        for x in vars(dev).values():
+            if isinstance(x, np.ndarray):
+                x.flags.writeable = False   # shared by every caller of `of`
+        return dev
 
     def segment(self, t):
-        """Source segments of times t (0 for all without breakpoints)."""
+        """Segments of times t (0 for all without breakpoints)."""
         return self.bp.searchsorted(t, "right") if self.bp.size else 0
 
-    def forced(self, s, seg, rows, t):
-        """The `rows` (a slice of q_p, vm's forced part and its derivative)
-        in states s on the source segments seg at times t; where the basis
-        is one for all times, per table column first."""
-        if self.sine:
-            j, basis = s, (np.sin(self.omega * t), np.cos(self.omega * t))
-        else:
-            j, basis = seg * self.G + s, (t - self.t0[seg],)
-        one = np.ndim(basis[0]) == 0
-        coef = self.coef[rows] if one else self.coef[rows].take(j, axis=2)
-        out = coef[:, 0] + coef[:, 1] * basis[0]
-        for i, b in enumerate(basis[1:], 2):
-            out += coef[:, i] * b
-        return out.take(j, axis=1) if one else out
+    def forced(self, r, seg, cols, t):
+        """The columns `cols` (a slice of q_p, u and u', on the first axis, or
+        one of them) of rows r on segments seg at times t (r, seg and t
+        broadcast)."""
+        t = np.asarray(t, dtype=float)
+        at = r * self.t0.size + seg
+        if t.ndim == 0 and np.ndim(seg) == 0:   # one basis for all: per table column first
+            return self._eval(self.coef[:, cols], seg, t).take(at, axis=-1)
+        if isinstance(cols, slice) and np.ndim(at) < t.ndim:
+            at = np.broadcast_to(at, t.shape)
+        return self._eval(self.coef[:, cols].take(at, axis=-1), seg, t)
+
+    def _eval(self, coef, seg, t):
+        """The forced part with coefficients coef (basis, column, ...) or
+        (basis, ...) for one column."""
+        if coef.ndim > t.ndim + 1:
+            t = t[None]
+        out, i = coef[0], 1
+        if self.slopes:
+            out, i = out + coef[1] * (t - self.t0[seg]), 2
+        for om in self.omega:
+            wt = om * t
+            out = out + coef[i] * np.sin(wt) + coef[i + 1] * np.cos(wt)
+            i += 2
+        return out
 
     def charge(self, state, q, t, s):
-        """The charges at times s, earlier or later, on the characteristics
-        of `state` through the charges q at times t (q, t and s broadcast)."""
+        """A single device's charges at times s, earlier or later, on the
+        characteristics of `state` through the charges q at times t (q, t and
+        s broadcast)."""
         a = self.A[state]
         out = self._q_p(state, s) + np.exp(a * (s - t)) * (q - self._q_p(state, t))
-        if self.bp.size:    # the jumps at the breakpoints between t and s
+        if self.bp.size:    # the jumps at the breakpoints between t and s (V = 1)
             b, t, s = self.bp, np.asarray(t)[..., None], np.asarray(s)[..., None]
             sign = ((t < b) & (b <= s)).astype(float) - ((s < b) & (b <= t))
-            out += (sign * self.jump[:, state] * np.exp(a * np.where(sign != 0.0, s - b, 0.0))).sum(-1)
+            jump = self.jump[0, state * self.t0.size:(state + 1) * self.t0.size - 1]
+            out += (sign * jump * np.exp(a * np.where(sign != 0.0, s - b, 0.0))).sum(-1)
         return out
 
     def _q_p(self, state, t):
-        t = np.asarray(t, dtype=float)     # under a sine the state indexes each time's column
-        state = np.broadcast_to(state, t.shape) if self.sine else state
-        return self.forced(state, self.segment(t), slice(1), t)[0]
+        return self.forced(state, self.segment(t), 0, t)
 
 
 def output_grid(t0: float, t_end: float, output_times) -> list:

@@ -14,12 +14,11 @@ probability rate / envelope, and one shared row carries every trajectory
 that has not switched yet.  Windows end at source breakpoints and where
 the envelope would loosen, never at output times; at an output the
 recorder takes each row's charge in closed form from its window start,
-on contiguous slices of the rows in place.  The loop runs one of two
-kernel pairs (window and charge flow), bound at construction: the scalar
-pair, which reads the closed-form charge and vm's forced part per state
-from `circuit.DeviceCharge`, for one memristor, one capacitor and one
-source; the matrix pair, with one flow in the eigenmodes of the
-Kirchhoff ODE, for every other netlist.
+on contiguous slices of the rows in place.  One kernel pair, a window and
+a charge flow, serves every netlist: it reads the closed-form charge of
+each visited memristor-state configuration from `circuit.DeviceCharge`,
+a forced part tabled per source segment plus a transient that decays in
+the eigenmodes of the Kirchhoff ODE.
 
 Exit rates come from `device.switching_rate` (`_Rates` stacks the
 memristors' transition tables so that one call covers every clock) and
@@ -39,8 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .circuit import (CircuitState, DeviceCharge, Netlist, affine_dynamics, is_single_device,
-                      output_grid)
+from .circuit import CircuitState, DeviceCharge, Netlist, affine_dynamics, output_grid
 from .device import switching_rate
 
 # thinning
@@ -108,11 +106,6 @@ class EnsembleStats:
         return float(t1[sel].mean())
 
 
-def _mv(a, x):
-    """Batched matrix-vector product: a (..., I, J) times x (..., J)."""
-    return np.einsum("...ij,...j->...i", a, x)
-
-
 class _Rates:
     """Exit rates of the clocks of M memristors in one `switching_rate`
     call: each model's `transitions`, padded to the largest state count
@@ -166,31 +159,18 @@ class _Thresholds:
 class _Ensemble:
     """All n trajectories of a netlist as arrays: states (n, M), charges
     (n, K).  Each memristor-state configuration (a mixed-radix index) gets a
-    row of tables on first use: its `affine_dynamics`, an eigenbasis of A
-    and the sine factors of the flow.  The thinning kernels are bound here:
-    the scalar pair for a single device (one memristor, one capacitor, one
-    source), its table rows being its states; the matrix pair for
-    everything else.  Both take the table rows c, states s (rows, M),
-    window start times t and the rows' state z (rows, K) there: charges for
-    the matrix pair, their transient for the scalar pair, whose window
-    kernel turns the charges of `fresh` rows into it."""
+    table row on first visit: its closed-form charge (a row of
+    `circuit.DeviceCharge`) and, in `par`, what the kernels read of it and
+    of its clocks.  The two thinning kernels, the window and the flow, take
+    the table rows c, states s (rows, M), window start times t and the
+    rows' transients z (rows, K) there (the window turns the charges of
+    `fresh` rows into them)."""
 
     def __init__(self, netlist: Netlist, n: int, master_seed: int,
                  histogram_bins: int = 50):
         self.netlist = netlist
         self.n = n
         self.bins = histogram_bins
-        self.waves = [s.waveform for s in netlist.sources]
-        self.piecewise_constant = all(w.kind in ("constant", "step") for w in self.waves)
-        self.breakpoints = np.array(
-            sorted({b for w in self.waves for b in w.breakpoint_times()}) + [math.inf])
-        # sines v = offset + amp sin(w t), and the slopes of each PWL segment
-        sines = [(k, w) for k, w in enumerate(self.waves) if w.kind == "sine"]
-        self.sine = np.array([k for k, _ in sines], dtype=np.intp)
-        self.omega, self.amp, self.offset = np.array(
-            [(2.0 * math.pi * w.frequency, w.amplitude, w.offset) for _, w in sines]).reshape(-1, 3).T
-        self.ramps = [(k, w.segments[0][1:], w.segments[2])
-                      for k, w in enumerate(self.waves) if w.kind == "pwl"]
         models = [m.model for m in netlist.memristors]
         self.gs = [m.num_states for m in models]
         self.M, self.K = len(models), len(netlist.capacitors)
@@ -204,18 +184,21 @@ class _Ensemble:
         self.inv_v, self.log_tau = 1.0 / r.v_scale, np.log(r.tau)
         self.log_cap = np.minimum(np.repeat(np.log(r.ceiling), 2 * r.gmax), 700.0 - self.log_tau)
         self.mi = np.arange(self.M)
-        self.sqrt_c = np.sqrt([c.capacitance for c in netlist.capacitors])
-        self.config_row = {}     # configuration index -> table row
-        self.tables = []
+        # the configuration indices with table rows, sorted, and their rows;
+        # the largest index last, with no row
+        self.keys, self.key_rows = np.array([np.iinfo(np.int64).max]), np.array([-1])
+        self.dev = DeviceCharge(*(np.zeros((0,) + shape) for shape in (
+            (self.K, self.K), (self.K, len(netlist.sources)), (self.M, self.K),
+            (self.M, len(netlist.sources)))), [s.waveform for s in netlist.sources],
+            [c.capacitance for c in netlist.capacitors])
+        # par's rows, per table row: lam, V and Dq V (the flow's), then V^-1,
+        # lam^2 and, per memristor, u's curve under sines, the window slack
+        # in volts, 1 / V and ln tau up and down and the log of the rate's cap
+        K, M = self.K, self.M
+        self.par = np.zeros((K * (2 * K + M + 2) + 7 * M, 0))
+        self.flow_rows = K * (K + M + 1)
         # candidate round r's spacing in stream 2r, its acceptance in 2r + 1
         self.candidates = _Thresholds(master_seed, n)
-        # window, charge flow and table rows, as functions of the engine:
-        # bound methods kept on it would hold its arrays in a reference cycle
-        if is_single_device(netlist):
-            self._forcing()
-            self.kernels = _Ensemble._scalar_window, _Ensemble._scalar_flow, _Ensemble._state_rows
-        else:
-            self.kernels = _Ensemble._matrix_window, _Ensemble._matrix_flow, _Ensemble._rows_of
 
     def run(self, initial: CircuitState, outputs: Sequence[float]) -> EnsembleStats:
         """The ensemble from `initial`, sampled at `outputs` (ascending,
@@ -224,46 +207,37 @@ class _Ensemble:
         return self._tally(outputs)
 
     # -- configuration tables ------------------------------------------
-    def _add_configurations(self, configurations) -> None:
-        """Table rows for the (configuration index, states) pairs, in order."""
-        if not configurations:
-            return
-        for index, states in configurations:
-            d = affine_dynamics(self.netlist, states)
-            # A = -L C^{-1} with L symmetric, so C^{-1/2} A C^{1/2} is symmetric
-            # negative semi-definite: A = V diag(lam) V^{-1} with real lam <= 0
-            c = self.sqrt_c
-            sym = d.A * c[None, :] / c[:, None]
-            lam, u = np.linalg.eigh(0.5 * (sym + sym.T))
-            vec, inv = c[:, None] * u, u.T / c[None, :]
-            if self.K and np.abs(vec * lam @ inv - d.A).max() > 1e-9 * np.abs(d.A).max():
-                raise ValueError(f"configuration {states}: the network is not reciprocal")
-            bhat, dqv = inv @ d.B, d.Dq @ vec
-            # the sines through mode lam: b / (iw - lam), and lam^2 times that
-            den = 1j * self.omega - lam[:, None]
-            bw = bhat[:, self.sine] / np.where(den != 0.0, den, 1.0)
-            # |vm''| of the forced sines: w^2 amp |Dq V b / (iw - lam) + Ds|
-            curve = np.abs(dqv @ bw + d.Ds[:, self.sine]) @ (self.omega ** 2 * np.abs(self.amp))
-            self.tables.append((d.A, d.B, d.Dq, d.Ds, vec, inv, lam, bhat, bw,
-                                lam[:, None] ** 2 * bw, np.abs(dqv), curve))
-            self.config_row[index] = len(self.tables) - 1
-        (self.A, self.B, self.Dq, self.Ds, self.V, self.Vinv, self.eig, self.Bhat,
-         self.bw, self.bw2, self.abs_dqv, self.curve) = (np.stack(x) for x in zip(*self.tables))
-
     def _rows_of(self, s):
-        """Table rows of the configurations of states s (rows, M)."""
+        """Table rows of the configurations of states s (rows, M), each
+        added on its first visit."""
         index = s @ self.strides
-        found, at = np.unique(index, return_index=True)
-        self._add_configurations([(c, tuple(s[i].tolist())) for c, i in zip(found, at)
-                                  if c not in self.config_row])
-        rows = np.empty(index.size, dtype=np.int64)
-        for c in found:
-            rows[index == c] = self.config_row[c]
-        return rows
+        at = self.keys.searchsorted(index)
+        miss = self.keys[at] != index
+        if miss.any():
+            new, first = np.unique(index[miss], return_index=True)
+            start = self.par.shape[1]
+            self._add_configurations(s[miss][first].astype(np.intp))
+            keys = np.concatenate((self.keys, new))
+            order = keys.argsort()
+            self.keys = keys[order]
+            self.key_rows = np.concatenate((self.key_rows, start + np.arange(new.size)))[order]
+            at = self.keys.searchsorted(index)
+        return self.key_rows[at]
 
-    def _state_rows(self, s):
-        """Table rows of a single device's states s (rows, 1): the states."""
-        return s[:, 0]
+    def _add_configurations(self, states):
+        """Table rows for the configurations of states (k, M), in order: a
+        row of `dev` each from its `affine_dynamics`, and of `par`."""
+        dyn = [affine_dynamics(self.netlist, tuple(x)) for x in states.tolist()]
+        self.dev.add(*(np.array(x) for x in zip(*((d.A, d.B, d.Dq, d.Ds) for d in dyn))))
+        dev, k, K, M = self.dev, len(states), self.K, self.M
+        up = self.rates.base + states
+        down = up + self.rates.gmax
+        self.par = np.concatenate((self.par, np.concatenate([
+            dev.lam[:, -k:], dev.V[..., -k:].reshape(K * K, k), dev.dqv[..., -k:].reshape(M * K, k),
+            dev.Vinv[..., -k:].reshape(K * K, k), dev.lam[:, -k:] ** 2, dev.curve[:, -k:]] + [
+                x.T for x in (_WINDOW_SLACK * self.rates.v_min[self.mi, states], self.inv_v[up],
+                              self.inv_v[down], self.log_tau[up], self.log_tau[down],
+                              np.maximum(self.log_cap[up], self.log_cap[down]))])), axis=1)
 
     # -- record ----------------------------------------------------------
     def _reset(self) -> None:
@@ -332,13 +306,13 @@ class _Ensemble:
     # -- thinning ----------------------------------------------------------
     def _evolve(self, initial: CircuitState, outputs) -> None:
         """Thinning (Lewis & Shedler 1979) from `initial` to t_end =
-        outputs[-1], recorded at `outputs`, with the kernels bound at
-        construction.  Each row runs through windows that end at a source
-        breakpoint, at the curvature reach (_WINDOW_SLACK) or at t_end;
-        output times do not cut them.  Of its open window a row keeps the
-        start T with its state Q, the end E with the state Q1, the
-        envelope's log-rates L0 and L1 at both ends and its integral TOT.  A
-        candidate falls where that integral from the window start reaches
+        outputs[-1], recorded at `outputs`.  Each row runs through windows
+        that end at a source breakpoint, at the curvature reach
+        (_WINDOW_SLACK) or at t_end; output times do not cut them.  Of its
+        open window a row keeps the start T with its transient Q, the end E
+        with the transient Q1, the envelope's log-rates L0 and L1 at both
+        ends and its integral TOT.  A candidate falls where that integral
+        from the window start reaches
         the row's gap G (a sum of spacing draws, less the windows passed), X
         into the window (inf: none in it), and is accepted with probability
         summed rate / envelope; A is when the row next acts, at its candidate
@@ -350,14 +324,14 @@ class _Ensemble:
         each output, passes draw every candidate ahead of it and open the
         windows that end before it; the recorder then takes each row's
         charge there in closed form, on contiguous slices of rows 0..k in
-        place.  A trajectory with more than
-        MAX_CANDIDATES candidates in one output interval fails alone."""
-        n, t_end, (window, flow, rows_of) = self.n, outputs[-1], self.kernels
+        place.  A trajectory with more than MAX_CANDIDATES candidates in one
+        output interval fails alone."""
+        n, t_end = self.n, outputs[-1]
         # row r > 0 carries trajectory traj[r]
         S, traj = np.zeros((n + 1, self.M), dtype=np.int16), np.zeros(n + 1, dtype=np.int32)
         S[0] = initial.memristor_states
         R, T = np.zeros(n + 1, dtype=np.int64), np.zeros(n + 1)
-        R[0], T[0] = rows_of(self, S[:1])[0], initial.time
+        R[0], T[0] = self._rows_of(S[:1])[0], initial.time
         Q, Q1 = (np.zeros((n + 1, self.K)) for _ in range(2))
         Q[0] = initial.capacitor_charges
         E, L0, L1, TOT, G, X, A = (np.zeros(n + 1) for _ in range(7))
@@ -372,7 +346,7 @@ class _Ensemble:
             """fn(self, R, S, T, Q of rows r, *args) over _BATCH rows at a
             time; array args go along with the rows."""
             out = [fn(self, R[b], S[b], T[b], Q[b],
-                      *(a if np.ndim(a) == 0 else a[i:i + _BATCH] for a in args))
+                      *(a[i:i + _BATCH] if isinstance(a, np.ndarray) else a for a in args))
                    for i in range(0, r.size, _BATCH) for b in [r[i:i + _BATCH]]]
             return out[0] if len(out) == 1 else tuple(np.concatenate(x) for x in zip(*out))
 
@@ -382,7 +356,8 @@ class _Ensemble:
             if not r.size:
                 return
             t = T[r]
-            t1, l0, l1, Q[r], Q1[r] = batched(window, r, t_end, np.arange(r.size) < fresh)
+            t1, l0, l1, Q[r], Q1[r] = batched(_Ensemble._window, r, t_end,
+                                              np.arange(r.size) < fresh)
             dt = t1 - t
             if not (dt > 0.0).all():
                 raise TrajectoryFailure(f"a window at {t.min():.9g} s is below the time step")
@@ -430,7 +405,7 @@ class _Ensemble:
                 k += new.size
                 S[jr] = S[r[ok]]
                 S[jr, m] += np.where(up[ok], 1, -1)
-                R[jr] = rows_of(self, S[jr])
+                R[jr] = self._rows_of(S[jr])
                 T[jr], G[jr], A[jr], Q[jr] = t_c[ok], spacing[ok], math.inf, q_c[ok]
                 self.log.append((t_c[ok], j, m, up[ok]))
                 jumped.append(jr)
@@ -495,14 +470,13 @@ class _Ensemble:
             q = np.empty((k + 1, self.K))
             for i in range(0, k + 1, _BATCH):
                 j = slice(i, min(i + _BATCH, k + 1))
-                q[j] = flow(self, R[j], S[j], np.minimum(T[j], t_out), Q[j], t_out)[0]
+                q[j] = self._flow(R[j], S[j], np.minimum(T[j], t_out), Q[j], t_out)[0]
             live = T[:k + 1] < math.inf
             live[0] = left < n or pend_id.size > 0
             self._record(S[:k + 1], q, None if live.all() else np.flatnonzero(live), k)
         self.own = traj[1:k + 1]
         self.diag["runaway_failures"] = len(self.failures)
-        # the scalar pair's tables are its device's states
-        self.diag["configurations"] = len(self.tables) or self.gs[0]
+        self.diag["configurations"] = self.keys.size - 1
 
     def _candidates(self, c, s, t, q, l0, l1, dt, ids, x):
         """Trajectories ids' candidates at offsets x into their windows
@@ -512,7 +486,7 @@ class _Ensemble:
         proportion to the clocks' rates), its direction (up: the one its
         rate drives, so boundary states jump inward) and next spacing draws."""
         t_c = t + x
-        q_c, vm = self.kernels[1](self, c, s, t, q, t_c, True)
+        q_c, vm = self._flow(c, s, t, q, t_c, True)
         rate, _ = self.rates(s, vm, self.diag)
         cum = np.cumsum(rate, axis=1)
         k = 2 * self._rounds[ids]
@@ -526,183 +500,107 @@ class _Ensemble:
         up = vm[np.arange(m.size), m] > 0.0
         return excess > 0.0, t_c, q_c, m, up, self.candidates.take(ids, k + 2)
 
-    # -- matrix kernels (any netlist) -----------------------------------
-    def _v(self, t):
-        """Source voltages at t: (S,) for a scalar t, (n, S) for an array."""
-        t = np.asarray(t, dtype=float)
-        out = np.empty(t.shape + (len(self.waves),))
-        for k, w in enumerate(self.waves):
-            out[..., k] = w(t)
-        return out
-
-    def _modes(self, rows, q, t, v):
-        """What the flow from q at t (scalar or per row) needs, with v = v(t):
-        g = lam y + b v0 per mode (y = V^{-1} q, b = V^{-1} B, v0 = v without
-        its sine parts), b k for the PWL slopes k, amp e^{iwt} of the sines,
-        v0 and k; all but g are None under piecewise-constant sources."""
-        if self.piecewise_constant:
-            return (_mv(self.Vinv[rows], _mv(self.A[rows], q) + _mv(self.B[rows], v)),) + (None,) * 4
-        t, v0 = np.asarray(t, dtype=float), v.copy()
-        v0[..., self.sine] = self.offset
-        k = np.zeros_like(v0)
-        for j, ts, slope in self.ramps:
-            k[..., j] = slope[np.searchsorted(ts, t, "right")]
-        g = _mv(self.Vinv[rows], _mv(self.A[rows], q) + _mv(self.B[rows], v0))
-        return g, _mv(self.Bhat[rows], k), self.amp * np.exp(1j * self.omega * t[..., None]), v0, k
-
-    def _flow(self, rows, q, modes, span):
-        """Exact charges after span (scalar or per row) from q at t, with
-        modes = `_modes` there: in mode lam, y moves by s phi1(lam s) g
-        + s^2 phi2(lam s) b k + Im[amp e^{iwt} (e^{iws} - e^{lam s}) b / (iw - lam)],
-        with lam = 0 taken through the phi limits and b / (iw - lam) tabled
-        per configuration."""
-        g, bk, ph = modes[:3]
-        s = np.reshape(span, (-1, 1))
-        z = self.eig[rows] * s
-        with np.errstate(divide="ignore", invalid="ignore"):
-            phi = np.where(z != 0.0, np.expm1(z) / z, 1.0)
-            dy = phi * s * g
-            if bk is not None:
-                phi2 = np.where(z != 0.0, (phi - 1.0) / z, 0.5)
-                wave = np.expm1(1j * self.omega * s[..., None]) - np.expm1(z)[..., None]
-                dy += phi2 * s * s * bk + np.imag(ph[..., None, :] * wave * self.bw[rows]).sum(axis=-1)
-        return q + _mv(self.V[rows], dy)
-
-    def _vm(self, rows, q, v):
-        return _mv(self.Dq[rows], q) + _mv(self.Ds[rows], v)
-
-    def _matrix_window(self, c, s, t, q, t_end, fresh):
-        """Windows [t, t1] of rows in configurations c (states s, charges q)
-        and on them the envelope e^{l0 + (l1 - l0) x / dt} of the summed exit
-        rate (x the time into the window).  Per clock, +-vm lie below their
-        tangents at t plus kk dt x / 2, where kk bounds |vm''|: the forced
-        sines' curve plus sum_k |(Dq V)_k| lam_k^2 |y_k - y_p,k| over the
-        decaying modes.  A window ends by t_end, at a breakpoint and where
+    # -- kernels ---------------------------------------------------------
+    def _window(self, c, s, t, z, t_end, fresh):
+        """Windows [t, t1] of rows in configurations c (states s) from their
+        transients z at t and on them the envelope e^{l0 + (l1 - l0) x / dt}
+        of the summed exit rate (x the time into the window).  Per clock,
+        +-vm lie below their tangents at t plus kk dt x / 2, where kk bounds
+        |vm''|: u's curve under sines plus sum_k |(Dq V)_k y_k| lam_k^2 over
+        the decaying modes.  A window ends by t_end, at a breakpoint and where
         kk dt^2 reaches _WINDOW_SLACK voltage scales.  Each clock's envelope
-        covers the transitions the sign of vm can drive, floored at e^-700
-        and flat at the rate's cap; their sum is bounded by the chord of its
-        (convex) log.  Returns t1, l0, l1, and the charges at t and t1."""
-        v = self._v(t)
-        modes = self._modes(c, q, t, v)
-        g, bk, ph = modes[:3]
-        dq, dv = _mv(self.A[c], q) + _mv(self.B[c], v), 0.0
-        lam_c = self.eig[c] * g                     # lam^2 (y - y_p)
-        if bk is not None:
-            dv = modes[4].copy()
-            dv[..., self.sine] += self.omega * ph.real
-            dv = _mv(self.Ds[c], dv)
-            lam_c += bk - np.imag(ph[..., None, :] * self.bw2[c]).sum(axis=-1)
-        vm0, dvm = self._vm(c, q, v), _mv(self.Dq[c], dq) + dv
-        kk = self.curve[c] + _mv(self.abs_dqv[c], np.abs(lam_c))
+        covers the transitions the sign of vm can drive, floored at e^-700 and
+        flat at the rate's cap; their sum is bounded by the chord of its
+        (convex) log.  Off sines, a window in which no clock can be driven up
+        to the segment's end runs to it.  Returns t1, l0, l1, and the
+        transients at t and t1.  Inside, rows run along the last axis."""
+        dev, K, M, n = self.dev, self.K, self.M, c.size
+        seg = dev.segment(t)
+        p = self.par.take(c, axis=1)
+        lam, dqv = p[:K], p[K * (K + 1):self.flow_rows].reshape(M, K, n)
+        o = self.flow_rows + K * K
+        vinv, lam2 = p[self.flow_rows:o].reshape(K, K, n), p[o:o + K]
+        curve, slack, iv_up, iv_down, lt_up, lt_down, cap = p[o + K:].reshape(7, M, n)
+        new = fresh.any()       # then charges to transients, through q_p
+        f = dev.forced(c, seg, slice(0 if new else K, None), t)
+        o = f.shape[0] - 2 * M
+        u, du, z = f[o:o + M], f[o + M:], z.T
+        if new:
+            z = np.where(fresh, _mv(vinv, z - f[:K]), z)
+        vc = dqv * z[None]      # each mode's part of vm's transient
+        vm0, kk = u + _msum(vc), curve + _msum(np.abs(vc) * lam2[None])
         with np.errstate(divide="ignore", invalid="ignore"):
-            reach = np.sqrt(_WINDOW_SLACK * self.rates.v_min[self.mi, s] / kk).min(
-                axis=1, initial=math.inf)
-            t1 = np.minimum(np.minimum(t + reach, t_end),
-                            self.breakpoints[np.searchsorted(self.breakpoints, t, "right")])
-            dt = t1 - t
-            rise, bend = dvm * dt[:, None], 0.5 * kk * (dt * dt)[:, None]
-            vm1, mv1 = vm0 + rise + bend, bend - rise - vm0   # vm, -vm at t1
-            on_up, on_down = (vm0 > 0.0) | (vm1 > 0.0), (vm0 < 0.0) | (mv1 > 0.0)
-            up, down = self.rates.base + s, self.rates.base + s + self.rates.gmax
-            l0, l1 = (np.maximum(np.maximum(
-                np.where(on_up, x * self.inv_v[up] - self.log_tau[up], -700.0),
-                np.where(on_down, y * self.inv_v[down] - self.log_tau[down], -700.0)), -700.0)
-                for x, y in ((vm0, -vm0), (vm1, mv1)))
-            cap = np.maximum(self.log_cap[up], self.log_cap[down])
-            top = np.maximum(l0, l1) > cap
-            l0, l1 = (_log_sum_exp(np.where(top, cap, x)) for x in (l0, l1))
-        # from l1 - 50 at least: the inversion cannot overflow
-        return t1, np.maximum(l0, l1 - 50.0), l1, q, self._flow(c, q, modes, dt)
-
-    def _matrix_flow(self, c, s, t, q, t1, with_vm=False):
-        """Charges at times t1 from q at t in configurations c (`_flow`)
-        and, with_vm, the memristor voltages there."""
-        v = self._v(t)
-        modes = self._modes(c, q, t, v)
-        q1 = self._flow(c, q, modes, t1 - t)
-        if not with_vm:
-            return q1,
-        if modes[1] is not None:        # the sources along their segments
-            v = modes[3] + modes[4] * (t1 - t)[:, None]
-            v[:, self.sine] += self.amp * np.sin(self.omega * t1[:, None])
-        return q1, self._vm(c, q1, v)
-
-    # -- scalar kernels (one memristor, one capacitor, one source) -------
-    def _forcing(self):
-        """The device's closed-form charge (`DeviceCharge.of`) and, per state
-        s, _par[:, s]: A, Dq, A^2, a bound on |u''| (u: vm's forced part), the
-        window slack in volts, 1 / V and ln tau up and down and the log of
-        the rate's cap, from the rate entries s (up) and G + s (down)."""
-        self.dev = dev = DeviceCharge.of(self.netlist)
-        g = self.gs[0]
-        curve = (dev.omega * dev.omega * np.hypot(dev.coef[1, 1], dev.coef[1, 2]) if dev.sine
-                 else 0.0 * dev.A)
-        up, down = slice(g), slice(g, 2 * g)
-        self._par = np.array([dev.A, dev.Dq, dev.A * dev.A, curve,
-                              _WINDOW_SLACK * self.rates.v_min[0], self.inv_v[up],
-                              self.inv_v[down], self.log_tau[up], self.log_tau[down],
-                              np.maximum(self.log_cap[up], self.log_cap[down])])
-
-    def _scalar_window(self, c, s, t, z, t_end, fresh):
-        """`_matrix_window` for one device, whose table rows c are its
-        states: +-vm lie below their tangents at t plus K dt x / 2 (K bounds
-        |vm''|); a window ends by t_end, at a source breakpoint and where
-        K dt^2 reaches _WINDOW_SLACK voltage scales, and the envelope covers
-        the transitions the sign of vm can drive there.  Off sines, a window
-        in which no transition can be driven up to the segment's end runs to
-        it.  Returns t1, l0, l1, and the transient at t and t1."""
-        seg = self.dev.segment(t)
-        a, dq, a2, curve, slack, iv_up, iv_down, lt_up, lt_down, cap = (
-            np.take(self._par, c, axis=1))
-        qp, u, du = self.dev.forced(c, seg, slice(3), t)
-        cq = np.where(fresh, z[:, 0] - qp, z[:, 0])
-        vc = dq * cq                  # vm's transient, decaying as e^{A x}
-        k = curve + a2 * np.abs(vc)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = np.minimum(np.minimum(t + np.sqrt(slack / k), t_end), self.breakpoints[seg])
-            dt = t1 - t
-            rise, bend = (du + a * vc) * dt, 0.5 * k * dt * dt
-            vm0 = u + vc
+            t1 = np.minimum(np.minimum(t + _over(np.minimum, np.sqrt(slack / kk), 0, math.inf),
+                                       t_end), dev.ends[seg])
+            dt = (t1 - t)[None]
+            rise, bend = (du + _msum(vc * lam[None])) * dt, 0.5 * kk * dt * dt
             vm1, mv1 = vm0 + rise + bend, bend - rise - vm0   # vm, -vm at t1
             on_up, on_down = (vm0 > 0.0) | (vm1 > 0.0), (vm0 < 0.0) | (mv1 > 0.0)
             l0, l1 = (np.maximum(np.maximum(np.where(on_up, x * iv_up - lt_up, -700.0),
                                             np.where(on_down, y * iv_down - lt_down, -700.0)),
                                  -700.0) for x, y in ((vm0, -vm0), (vm1, mv1)))
-            if not self.sine.size:
+            if not dev.sine:
                 # up to the segment's end b, vm runs between the forced part
-                # u (linear) and u plus the transient: where neither sign it
-                # takes drives a transition, no candidate falls before b
-                b = np.minimum(self.breakpoints[seg], t_end)
-                ub = u + du * (b - t)
-                lo = np.minimum(u, ub) + np.minimum(vc, 0.0)
-                hi = np.maximum(u, ub) + np.maximum(vc, 0.0)
-                idle = (np.where(hi > 0.0, hi * iv_up - lt_up, -700.0) <= -700.0) & (
-                    np.where(lo < 0.0, -lo * iv_down - lt_down, -700.0) <= -700.0)
+                # u (linear) and u plus each mode's part of the transient:
+                # where no sign it takes drives a clock, no candidate falls
+                # before b
+                b = np.minimum(dev.ends[seg], t_end)
+                ub = u + du * (b - t)[None]
+                lo = np.minimum(u, ub) + _msum(np.minimum(vc, 0.0))
+                hi = np.maximum(u, ub) + _msum(np.maximum(vc, 0.0))
+                idle = ((np.where(hi > 0.0, hi * iv_up - lt_up, -700.0) <= -700.0)
+                        & (np.where(lo < 0.0, -lo * iv_down - lt_down, -700.0) <= -700.0))
+                idle = _over(np.logical_and, idle, 0, True)
                 t1 = np.where(idle, b, t1)
-                l0, l1 = np.where(idle, -700.0, l0), np.where(idle, -700.0, l1)
+                l0, l1 = np.where(idle[None], -700.0, l0), np.where(idle[None], -700.0, l1)
         top = np.maximum(l0, l1) > cap
-        z1 = cq * np.exp(a * (t1 - t))
-        if self.dev.bp.size:    # at a breakpoint the transient takes up q_p's jump
-            at = np.flatnonzero(t1 == self.breakpoints[seg])
-            z1[at] += self.dev.jump[seg[at], c[at]]
+        l0, l1 = _log_sum_exp(np.where(top, cap, l0)), _log_sum_exp(np.where(top, cap, l1))
+        z1 = z * np.exp(lam * (t1 - t)[None])
+        if dev.bp.size:     # at a breakpoint the transient takes up q_p's jump
+            at = np.flatnonzero(t1 == dev.ends[seg])
+            z1[:, at] += dev.jump.take(c[at] * dev.t0.size + seg[at], axis=1)
         # from l1 - 50 at least: the inversion cannot overflow
-        return (t1, np.where(top, cap, np.maximum(l0, l1 - 50.0)), np.where(top, cap, l1),
-                cq[:, None], z1[:, None])
+        return t1, np.maximum(l0, l1 - 50.0), l1, z.T, z1.T
 
-    def _scalar_flow(self, c, s, t, z, t1, with_vm=False):
-        """`_matrix_flow` for one device: q_p at t1 plus the transient z at t
-        times e^{A (t1 - t)}, and vm = u + Dq times the transient."""
-        a, dq = np.take(self._par[:2], c, axis=1)
-        qp = self.dev.forced(c, self.dev.segment(t), slice(2 if with_vm else 1), t1)
-        trans = z[:, 0] * np.exp(a * (t1 - t))
-        q1 = (qp[0] + trans)[:, None]
-        return (q1, (qp[1] + dq * trans)[:, None]) if with_vm else (q1,)
+    def _flow(self, c, s, t, z, t1, with_vm=False):
+        """Charges at times t1 from the transients z at t (on t's source
+        segment) in configurations c: q_p plus V times the transient decayed
+        by e^{lam (t1 - t)} and, with_vm, vm = u + (Dq V) times it."""
+        K, M, n = self.K, self.M, c.size
+        p = self.par[:self.flow_rows].take(c, axis=1)
+        y = z.T * np.exp(p[:K] * (t1 - t)[None])
+        f = self.dev.forced(c, self.dev.segment(t), slice(K + M if with_vm else K), t1)
+        q1 = (f[:K] + _mv(p[K:K * (K + 1)].reshape(K, K, n), y)).T
+        if not with_vm:
+            return q1,
+        return q1, (f[K:] + _mv(p[K * (K + 1):].reshape(M, K, n), y)).T
+
+
+def _over(ufunc, x, axis=0, initial=None):
+    """ufunc reduced over `axis` of x from `initial`: a view of the one entry
+    where there is one (one clock or one mode, the single device's case)."""
+    if x.shape[axis] == 1:
+        return x[(slice(None),) * axis + (0,)]
+    return ufunc.reduce(x, axis=axis, initial=initial)
+
+
+def _msum(x):
+    """The sum over axis 1, the modes of (I, K, ...) products."""
+    return _over(np.add, x, 1, 0.0)
+
+
+def _mv(a, x):
+    """Matrix-vector products with the rows on the last axis: a (I, J, ...)
+    times x (J, ...)."""
+    return _msum(a * x[None])
 
 
 def _log_sum_exp(x):
-    """log sum_m e^{x_m} over the last axis."""
-    top = x.max(axis=-1, initial=-700.0)
-    return top + np.log(np.exp(x - top[..., None]).sum(axis=-1))
+    """log sum_m e^{x_m} over the first axis (the clocks): x[0] for one."""
+    if len(x) == 1:
+        return x[0]
+    top = x.max(axis=0, initial=-700.0)
+    return top + np.log(np.exp(x - top).sum(axis=0))
 
 
 def _edges(lo, hi, bins):
@@ -782,8 +680,7 @@ def run_ensemble(netlist: Netlist, initial: CircuitState, t_end: float,
     estimates with standard errors and conditional charge histograms
     (see `EnsembleStats`).
 
-    Every run thins, with the scalar kernel pair for one memristor, one
-    capacitor and one source and the matrix pair otherwise.  Draws come
+    Every run thins, with one kernel pair for every netlist.  Draws come
     from counter-based Philox streams keyed by master_seed, so results do
     not depend on batching or on the output times.  Failed
     trajectories are excluded and reported, never silently retried.  n and

@@ -1,10 +1,10 @@
 """Netlist parsing, waveforms, and the operating-point solver."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from memstoch import mc
 from memstoch.circuit import (Capacitor, CircuitState, DeviceCharge, Memristor, Netlist,
                               NetlistError, Resistor, SingularNetworkError, VoltageSource,
                               Waveform, affine_dynamics, parse_netlist, parse_si, serialize,
@@ -214,23 +214,24 @@ def _one_capacitor(wave, shunt):
 
 @pytest.mark.parametrize("shunt", [False, True], ids=["series", "shunted"])
 @pytest.mark.parametrize("kind", list(CHARGE_WAVES))
-def test_device_charge_agrees_with_the_eigenmode_flow(monkeypatch, kind, shunt):
-    # the matrix pair's flow, chained from breakpoint to breakpoint, carries
-    # the charge from t to s (forward) and the charge that `charge` puts at
-    # s back to t (backward), in both states; 1e-12 relative to the charge
+def test_device_charge_agrees_with_the_eigenmode_flow(kind, shunt):
+    # the one mode's flow, q(s) = e^{A (s - t)} q + int_t^s e^{A (s - u)} B
+    # v(u) du by mpmath quadrature split at the breakpoints, carries the
+    # charge from t to s (forward) and the charge that `charge` puts at s
+    # back to t (backward), in both states; 1e-12 relative to the charge
     # scale C * 0.4 V, as the PWL's charges pass through 0
     wave = CHARGE_WAVES[kind]
     net = _one_capacitor(wave, shunt)
     dev = DeviceCharge.of(net)
-    monkeypatch.setattr(mc, "is_single_device", lambda netlist: False)
-    eng = mc._Ensemble(net, 1, 0)
 
     def flow(state, q, t, s):
-        row = eng._rows_of(np.array([[state]]))
-        for b in [b for b in wave.breakpoint_times() if t < b < s] + [s]:
-            q = eng._matrix_flow(row, None, np.array([t]), np.array([[q]]), np.array([b]))[0][0, 0]
-            t = b
-        return q
+        d = affine_dynamics(net, (state,))
+        a, b = mpmath.mpf(d.A[0, 0]), mpmath.mpf(d.B[0, 0])
+        cuts = [x for x in wave.breakpoint_times() if min(t, s) < x < max(t, s)]
+        with mpmath.workdps(25):
+            drive = mpmath.quad(lambda u: mpmath.exp(a * (s - u)) * b * float(wave(float(u))),
+                                [t] + (cuts if t < s else cuts[::-1]) + [s])
+            return float(mpmath.exp(a * (s - t)) * q + drive)
 
     for state in (0, 1):
         for t, s in ((0.0, 0.5e-3), (0.0, 2e-3), (0.5e-3, 3.5e-3), (0.0, 6e-3), (1.5e-3, 5e-3)):

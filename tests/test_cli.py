@@ -317,7 +317,7 @@ C2 c 0 1u
 
 
 def test_simulate_two_device_netlist_reports_thinning(tmp_path):
-    # a two-device netlist thins as well (with the matrix kernels), and
+    # a two-device netlist thins as well (two clocks, two modes), and
     # its counters ride along in the header
     net = tmp_path / "pair.net"
     net.write_text(TWO_DEVICE_NETLIST)

@@ -20,8 +20,8 @@ from memstoch import (ConstantDriveParams, MemristorModel, Waveform,
                       series_mc, simulate_trajectory)
 from memstoch import mc
 from memstoch.analytic import initial_hazard
-from memstoch.circuit import (Capacitor, CircuitState, Memristor, Netlist,
-                              VoltageSource, parse_netlist)
+from memstoch.circuit import (Capacitor, CircuitState, Memristor, Netlist, Resistor,
+                              VoltageSource, affine_dynamics, parse_netlist)
 from memstoch.device import switching_rate
 
 
@@ -173,9 +173,18 @@ def test_ensemble_occupancy_tracks_survival(netlist, params):
     assert stats.events_down == 0  # forward-biased throughout
 
 
-def _thinning_only(monkeypatch):
-    """Send every netlist through the thinning path and its matrix kernels."""
-    monkeypatch.setattr(mc, "is_single_device", lambda netlist: False)
+def _with_rc_branch(net, initial=None):
+    """The netlist with a second capacitor charged through 10 kOhm from the
+    first source (K = 2), and `initial` (or its initial state) with that
+    capacitor empty: the ideal source keeps the device's law as it was,
+    while the kernels run on two modes."""
+    src = net.sources[0]
+    wide = Netlist(net.sources, net.resistors + (Resistor("R9", src.node_plus, "z9", 1e4),),
+                   net.capacitors + (Capacitor("C9", "z9", src.node_minus, 1e-6),),
+                   net.memristors)
+    initial = net.initial_state() if initial is None else initial
+    return wide, CircuitState(initial.memristor_states, initial.capacitor_charges + (0.0,),
+                              initial.time)
 
 
 def test_ensemble_bitwise_reproducible(netlist):
@@ -230,7 +239,7 @@ C1 b 0 1u
 def test_ensemble_refuses_output_times_outside_the_run(params, model, path):
     # unchecked, an output after t_end makes thinning run past t_end;
     # t_end = inf under a sine never ends, and a nan time returns a nan row
-    # ("netlist": the matrix kernels)
+    # ("netlist": the device behind a divider)
     net = {"constant": lambda: series_mc(model, params.C, Waveform.constant(params.Va)),
            "thinning": lambda: series_mc(model, params.C, Waveform.sine(0.0, 0.4, 200.0)),
            "netlist": lambda: parse_netlist(DIVIDER_TEXT)}[path]()
@@ -369,48 +378,88 @@ def _source_mp(wave, t0):
     return lambda u: mpmath.mpf(float(wave(t0)))
 
 
-@pytest.mark.parametrize("circuit", ["series", "ladder"])
-@pytest.mark.parametrize("kind", list(FLOW_WAVES))
+# two sources: a sine on one branch and a PWL on the other, the branches
+# coupled through R3 (K = 2, S = 2)
+TWO_SOURCE_TEXT = """
+V1 a 0 SIN 0.05 0.4 200
+V2 b 0 PWL 0 0 1m 0.4 2.5m -0.3 4m -0.3
+M1 a x STATES=2 R=100k,10k TAUUP=10 VUP=0.05 TAUDOWN=10 VDOWN=0.05
+C1 x 0 100n IC=20n
+M2 b y STATES=2 R=100k,10k TAUUP=10 VUP=0.05 TAUDOWN=10 VDOWN=0.05
+C2 y 0 47n IC=-5n
+R3 x y 50k
+"""
+
+
+@pytest.mark.parametrize("kind, circuit", [(k, c) for c in ("series", "ladder") for k in FLOW_WAVES]
+                         + [("sine_pwl", "two_source")])
 def test_flow_matches_the_variation_of_constants_integral(kind, circuit):
     # q(t + s) = e^{A s} q(t) + int_0^s e^{A (s - u)} B v(t + u) du, by
     # mpmath quadrature in each eigenmode of A, from starts on and between
     # breakpoints, over spans that end at most at the next one; the
     # shortest have |lam s| < 1e-3
-    wave, knots = FLOW_WAVES[kind]
-    if circuit == "series":
-        net = series_mc(MemristorModel.binary(1e5, 1e4, 10.0, 0.05), 1e-7, wave, 2e-8)
+    if circuit == "two_source":
+        net = parse_netlist(TWO_SOURCE_TEXT)
+        knots = sorted({b for s in net.sources for b in s.waveform.breakpoint_times()})
     else:
-        net = _ladder(wave)
+        wave, knots = FLOW_WAVES[kind]
+        net = series_mc(MemristorModel.binary(1e5, 1e4, 10.0, 0.05), 1e-7, wave, 2e-8) \
+            if circuit == "series" else _ladder(wave)
+    waves = [s.waveform for s in net.sources]
     eng = mc._Ensemble(net, 1, 0)
-    rows = eng._rows_of(np.zeros((1, 1), dtype=np.int64))
-    tol = 1e-13 * max(c.capacitance for c in net.capacitors) * np.abs(wave.bounds(0.05)).max()
+    state = np.zeros((1, eng.M), dtype=np.int64)
+    rows, d = eng._rows_of(state), affine_dynamics(net, tuple(state[0]))
+    tol = 1e-13 * max(c.capacitance for c in net.capacitors) * max(
+        np.abs(w.bounds(0.05)).max() for w in waves)
     q0 = np.array([[c.initial_charge for c in net.capacitors]])
     starts, spans, exact = [], [], []
     with mpmath.workdps(25):
-        lam, vec = mpmath.eig(mpmath.matrix(eng.A[rows[0]].tolist()))
+        lam, vec = mpmath.eig(mpmath.matrix(d.A.tolist()))
         if circuit == "ladder":
             assert min(abs(x) for x in lam) < 1e-9
         inv = mpmath.inverse(vec)
-        b, y0 = inv * mpmath.matrix(eng.B[rows[0]].tolist()), inv * mpmath.matrix(q0[0].tolist())
+        b, y0 = inv * mpmath.matrix(d.B.tolist()), inv * mpmath.matrix(q0[0].tolist())
         for t in [0.0, 4e-4] + knots:
             end = min([x for x in knots if x > t], default=t + 0.03)
-            v = _source_mp(wave, t)
+            vs = [_source_mp(w, t) for w in waves]
             for s in [3e-7, 5e-6, min(2e-4, end - t), end - t]:
-                y = [mpmath.exp(lam[k] * s) * y0[k] + b[k] * mpmath.quad(
+                y = [mpmath.exp(lam[k] * s) * y0[k] + sum(b[k, j] * mpmath.quad(
                     lambda u: mpmath.exp(lam[k] * (s - u)) * v(u), mpmath.linspace(0, s, 9))
-                     for k in range(eng.K)]
+                    for j, v in enumerate(vs)) for k in range(eng.K)]
                 starts.append(t)
                 spans.append(s)
                 exact.append([float(x) for x in vec * mpmath.matrix(y)])
     starts, spans, exact = np.array(starts), np.array(spans), np.array(exact)
-    assert np.abs(eng.eig[rows[0]]).max() * spans.min() < 1e-3
-    # one start per call (a scalar t) and every start at once (t per row)
-    one = np.array([eng._flow(rows, q0, eng._modes(rows, q0, t, eng._v(t)), s)[0]
-                    for t, s in zip(starts, spans)])
-    rows_n, q_n = np.repeat(rows, starts.size), np.repeat(q0, starts.size, axis=0)
-    many = eng._flow(rows_n, q_n, eng._modes(rows_n, q_n, starts, eng._v(starts)), spans)
+    assert np.abs(eng.dev.lam[:, rows[0]]).max() * spans.min() < 1e-3
+
+    def flow(r, q, t, s):
+        """The flow from charges q at t over s, through the transient at t."""
+        dev = eng.dev
+        q_p = dev.forced(r, dev.segment(t), slice(eng.K), t).T
+        y = np.einsum("klr,rl->rk", dev.Vinv[..., r], q - q_p)
+        return eng._flow(r, None, t, y, t + s)[0]
+
+    # one start per call and every start at once
+    one = np.array([flow(rows, q0, np.array([t]), s)[0] for t, s in zip(starts, spans)])
+    many = flow(np.repeat(rows, starts.size), np.repeat(q0, starts.size, axis=0), starts, spans)
     assert np.abs(one - exact).max() <= tol
     assert np.abs(many - exact).max() <= tol
+
+
+def test_a_stiff_network_keeps_its_slow_driven_mode():
+    # C1 charges through M1 (tau = 0.1 s) beside a 0.1 Ohm / 0.1 pF branch
+    # (tau = 1e-14 s): C1's lam is 1e-13 of the fast one's, at round-off
+    # beside it, but its mode is driven, so C1 charges as an RC circuit does
+    m = MemristorModel.binary(1e5, 1e4, 1e30, 0.05)
+    net = Netlist(sources=(VoltageSource("V1", "in", "0", Waveform.constant(1.0)),),
+                  resistors=(Resistor("R2", "in", "b", 0.1),),
+                  capacitors=(Capacitor("C1", "a", "0", 1e-6), Capacitor("C2", "b", "0", 1e-13)),
+                  memristors=(Memristor("M1", "in", "a", m),))
+    times = np.linspace(0.0, 0.3, 4)
+    rec = simulate_trajectory(net, net.initial_state(), 0.3, 1, times)
+    assert rec.events == []
+    expected = np.stack((-1e-6 * np.expm1(-times / 0.1), np.where(times > 0.0, 1e-13, 0.0)), axis=1)
+    np.testing.assert_allclose(rec.sample_charges, expected, rtol=1e-12, atol=1e-24)
 
 
 def test_trajectories_fail_alone():
@@ -479,18 +528,17 @@ R2 n1 0 100k
 
 
 @pytest.mark.parametrize("path", ["thinning", "netlist"])
-def test_rate_ceiling_hits_count_the_capped_rates(monkeypatch, params, path):
+def test_rate_ceiling_hits_count_the_capped_rates(params, path):
     # the Figure-2 device under a sine about 0.35 V: its rates stay below
     # the default ceiling, while a ceiling of 100 /s caps them near the
-    # crests; "netlist" runs the matrix kernels
-    if path == "netlist":
-        _thinning_only(monkeypatch)
+    # crests; "netlist" adds a second capacitor (`_with_rc_branch`)
     counts = []
     for ceiling in (1e30, 100.0):
         model = MemristorModel.binary(params.R0, params.R1, params.tau0, params.V0,
                                       rate_ceiling=ceiling)
         net = series_mc(model, params.C, Waveform.sine(0.35, 0.05, 50.0))
-        stats = run_ensemble(net, net.initial_state(), 0.01, [0.01], 200, 3)
+        net, initial = _with_rc_branch(net) if path == "netlist" else (net, net.initial_state())
+        stats = run_ensemble(net, initial, 0.01, [0.01], 200, 3)
         counts.append(stats.diagnostics["rate_ceiling_hits"])
     assert counts[0] == 0 and counts[1] > 0
 
@@ -651,11 +699,11 @@ def _ks_case(case, params, model):
     return net, initial, t_end, _closed_hazard(net, initial), knots
 
 
-def _check_ks(monkeypatch, params, model, case, kernels):
+def _check_ks(params, model, case, capacitors):
     net, initial, t_end, hazard_at, knots = _ks_case(case, params, model)
     n = 100_000
-    if kernels == "matrix":
-        _thinning_only(monkeypatch)
+    if capacitors == 2:
+        net, initial = _with_rc_branch(net, initial)
     stats = run_ensemble(net, initial, t_end, [t_end], n, master_seed=17)
     assert stats.n_failed == 0 and stats.n == n
     fired = np.isfinite(stats.first_event_times).sum()
@@ -671,18 +719,19 @@ def _check_ks(monkeypatch, params, model, case, kernels):
 
 
 @pytest.mark.parametrize("case", KS_CASES)
-def test_first_events_pass_ks_against_mpmath(monkeypatch, params, model, case):
+def test_first_events_pass_ks_against_mpmath(params, model, case):
     # before its first event every trajectory follows one deterministic
     # path, so T1 has the CDF 1 - exp(-H(t)), with H from mpmath
     # quadrature or the closed form; at 0.9 V the Figure-2 device fires
     # within about 1e-14 s, which the thinning draws exactly
-    _check_ks(monkeypatch, params, model, case, "scalar")
+    _check_ks(params, model, case, 1)
 
 
 @pytest.mark.parametrize("case", KS_CASES)
-def test_netlist_engine_first_events_pass_ks_against_mpmath(monkeypatch, params, model, case):
-    # the same cases on the matrix kernels, with one clock and one mode
-    _check_ks(monkeypatch, params, model, case, "matrix")
+def test_netlist_engine_first_events_pass_ks_against_mpmath(params, model, case):
+    # the same cases with a second capacitor beside the device
+    # (`_with_rc_branch`): one clock, two modes
+    _check_ks(params, model, case, 2)
 
 
 def test_thinning_does_not_depend_on_the_ensemble_size():
@@ -784,6 +833,23 @@ def test_netlist_thinning_does_not_depend_on_the_ensemble_size(source, t_end):
     b = run_ensemble(net, net.initial_state(), t_end, times, 150, master_seed=21)
     assert np.array_equal(a.first_event_times[:150], b.first_event_times, equal_nan=True)
     assert np.isfinite(b.first_event_times).sum() > 30
+
+
+@pytest.mark.parametrize("case", ["device", "two_branch"])
+def test_idle_rows_open_one_window(params, model, case):
+    # every memristor in its top state under forward drive: no clock can be
+    # driven before t_end, so row 0 opens one window and draws no candidate,
+    # and the run visits only the configuration it starts in
+    if case == "device":
+        net = series_mc(model, params.C, Waveform.constant(params.Va), initial_state=1)
+    else:
+        net = parse_netlist("V1 in 0 DC 0.35\n" + "".join(b.replace(DEV, DEV + " STATE=1")
+                                                          for b in BRANCHES))
+    stats = run_ensemble(net, net.initial_state(), 0.01, np.linspace(0.0, 0.01, 11), 100, 1)
+    assert stats.diagnostics["windows"] == 1 and stats.diagnostics["candidates"] == 0
+    assert stats.events_up == stats.events_down == 0
+    assert stats.diagnostics["configurations"] == 1
+    assert all(np.all(occ[:, -1] == 1.0) for occ in stats.occupancy)
 
 
 def test_netlist_results_do_not_depend_on_earlier_runs():
@@ -892,7 +958,8 @@ def _reference_evolve(self, initial, outputs):
     compares its level, a sum of spacings since the start, with its
     envelope integral lam, as the shared row does; after it, it keeps its
     gap G from the window start."""
-    n, t_end, (window, flow, rows_of) = self.n, outputs[-1], self.kernels
+    n, t_end = self.n, outputs[-1]
+    window, flow, rows_of = mc._Ensemble._window, mc._Ensemble._flow, mc._Ensemble._rows_of
     S = np.tile(np.array(initial.memristor_states, dtype=np.int64), (n, 1))
     Q = np.tile(np.array(initial.capacitor_charges, dtype=float), (n, 1))
     T, R = np.full(n, float(initial.time)), np.full(n, rows_of(self, S[:1])[0])
@@ -988,7 +1055,7 @@ def test_shared_row_is_bit_identical_to_the_per_row_loop(monkeypatch, params, mo
         t_end = 0.03
     elif case == "pwl_g3_reversing":
         net, n, t_end = series_mc(SINE3, 1e-7, REVERSING_PWL), 5000, 0.006
-    elif case == "two_branch_sine":     # the matrix kernels, two clocks
+    elif case == "two_branch_sine":     # two clocks, two modes
         (source, t_end), = [c for c in TWO_BRANCH_CASES if c[0].startswith("SIN")]
         net = _two_branch(source)
     else:
@@ -1023,7 +1090,7 @@ def test_shared_row_is_bit_identical_to_the_per_row_loop(monkeypatch, params, mo
 def test_results_do_not_depend_on_the_batch_size(monkeypatch, params, model, case):
     # kernels and the recorder run on at most _BATCH rows at a time: the
     # runaway case has failed own rows, the ramp empties row 0 and the
-    # two-branch sine runs the matrix pair
+    # two-branch sine has two clocks and two modes
     n, t_end, seed = 2000, 0.005, 100
     if case == "runaway":
         net = _sine3_net()
@@ -1072,8 +1139,7 @@ def _grid_case(case, params, model):
 def test_windows_do_not_depend_on_the_output_grid(params, model, case):
     # output times only read the rows' charges: 2 and 21 outputs run the
     # same windows and draw the same candidates, bit for bit (the last
-    # three: the scalar pair under a sine, the matrix pair under DC and a
-    # sine)
+    # three: one device under a sine, two under DC and a sine)
     net, t_end, n = _grid_case(case, params, model)
     runs = [run_ensemble(net, net.initial_state(), t_end, np.linspace(0.0, t_end, k), n, 23)
             for k in (2, 21)]
@@ -1088,7 +1154,7 @@ def test_windows_do_not_depend_on_the_output_grid(params, model, case):
 
 
 def _agreement_case(case, params, model):
-    """Netlist, t_end and seed of a scalar-matrix case."""
+    """Netlist, t_end and seed of a one-and-two-capacitor case."""
     if case == "sine":
         return series_mc(SINE3, 1e-7, Waveform.sine(0.0, 0.4, 200.0)), 0.005, 100
     if case == "pwl":
@@ -1100,18 +1166,18 @@ def _agreement_case(case, params, model):
 
 
 @pytest.mark.parametrize("case", ["sine", "pwl", "constant", "sign_change"])
-def test_scalar_and_matrix_kernels_agree(monkeypatch, params, model, case):
-    # one device: the per-state closed forms and the eigenmode flow draw
-    # the same candidates, so they accept the same ones.  Event times agree
-    # to round-off, amplified where a level is found as the difference of
-    # two large envelope integrals of the shared row: up to 9.3e-14
-    # relative under the PWL and 9.3e-13 through the sign change
+def test_scalar_and_matrix_kernels_agree(params, model, case):
+    # one device on a one-mode table ("scalar") and beside a second
+    # capacitor that the source decouples from it (`_with_rc_branch`, a
+    # two-mode table, "matrix"): the kernels draw the same candidates, so
+    # they accept the same ones.  Event times agree to round-off, amplified
+    # where a level is found as the difference of two large envelope
+    # integrals of the shared row
     net, t_end, seed = _agreement_case(case, params, model)
     n = 20_000
     times = np.linspace(0.0, t_end, 21)
     scalar = run_ensemble(net, net.initial_state(), t_end, times, n, seed)
-    _thinning_only(monkeypatch)
-    matrix = run_ensemble(net, net.initial_state(), t_end, times, n, seed)
+    matrix = run_ensemble(*_with_rc_branch(net), t_end, times, n, seed)
     assert "configurations" in scalar.diagnostics
     assert np.array_equal(scalar.occupancy[0], matrix.occupancy[0])
     assert (scalar.events_up, scalar.events_down) == (matrix.events_up, matrix.events_down)

@@ -26,8 +26,8 @@ from .circuit import (CircuitState, Netlist, NetlistError,
                       serialize, series_mc, solve_operating_point)
 from .analytic import (ConstantDriveParams, Density1D, expint_ei,
                        initial_hazard, mean_switching_time, no_switch_density,
-                       p0_asymptotic, p0_constant_voltage, rc_charge,
-                       rc_charge_wave, unidirectional_densities)
+                       p0_asymptotic, p0_constant_voltage, rc_charge_wave,
+                       unidirectional_densities)
 from .pde import ChargeGrid, DistributionField, SeriesCircuitParams
 from .mc import EnsembleStats, TrajectoryRecord, run_ensemble, simulate_trajectory
 
@@ -39,7 +39,7 @@ __all__ = [
     "ConstantDriveParams", "Density1D", "expint_ei", "initial_hazard",
     "mean_switching_time",
     "no_switch_density", "p0_asymptotic", "p0_constant_voltage",
-    "rc_charge", "rc_charge_wave", "unidirectional_densities",
+    "rc_charge_wave", "unidirectional_densities",
     "ChargeGrid", "DistributionField", "SeriesCircuitParams",
     "EnsembleStats", "TrajectoryRecord", "run_ensemble", "simulate_trajectory",
 ]

@@ -298,22 +298,15 @@ class Density1D:
 # --------------------------------------------------------------------------
 # RC charge evolution
 
-def rc_charge(params: ConstantDriveParams, R: float, t: float) -> float:
-    """Capacitor charge under constant drive through resistance R:
-    q0 e^{-t/(CR)} + Va C (1 - e^{-t/(CR)})."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    e = math.exp(-t / (params.C * R))
-    return params.q0 * e + params.Va * params.C * (1.0 - e)
-
-
 def rc_charge_wave(q0: float, C: float, R: float, waveform: Waveform,
                    t: float) -> float:
     """General-waveform RC charge at t from q0 at time 0, in closed form:
-    q0 e^{-t/(CR)} plus the convolution of V with the exponential kernel."""
+    q0 e^{-t/(CR)} plus the convolution of V with the exponential kernel,
+    read from the `DeviceCharge` of the series circuit of a memristor of
+    resistance R in both states."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    rc = DeviceCharge([-1.0 / (C * R)], [1.0 / R], [-1.0 / C], [1.0], waveform)
+    rc = DeviceCharge.of(series_mc(MemristorModel.binary(R, R, 1.0, 1.0), C, waveform))
     return float(rc.charge(0, q0, 0.0, t))
 
 

@@ -8,6 +8,11 @@ network is solved by modified nodal analysis.  The capacitor charges are
 therefore the only continuous state variables, and dq/dt is the current
 into each capacitor.
 
+Every way from a netlist to its per-configuration tables runs through this
+module: `affine_dynamics` gives the linear maps of a stack of memristor-state
+configurations from one MNA system, stamped once per call, and
+`DeviceCharge(netlist).add(states)` turns them into closed-form charge rows.
+
 Netlist text format (one component per line, '#' comments, kinds
 case-insensitive, SI suffixes p/n/u/m/k/meg/g):
 
@@ -525,89 +530,82 @@ def solve_operating_point(netlist: Netlist, state: CircuitState) -> OperatingPoi
         raise ValueError("state/netlist mismatch: memristor count")
     if len(state.capacitor_charges) != len(netlist.capacitors):
         raise ValueError("state/netlist mismatch: capacitor count")
-    source_values = [s.waveform(state.time) for s in netlist.sources]
-    volts, mem_v, dqdt = _solve_network(netlist, state.memristor_states,
-                                        source_values, state.capacitor_charges)
-    return OperatingPoint({k: float(v) for k, v in volts.items()},
-                          tuple(float(v) for v in mem_v), tuple(float(d) for d in dqdt))
+    values = state.capacitor_charges + tuple(s.waveform(state.time) for s in netlist.sources)
+    volts, mem_v, dqdt = _solve_network(netlist, [state.memristor_states],
+                                        np.array(values, dtype=float)[:, None])
+    names = [n for n in netlist.nodes() if n != GROUND]
+    return OperatingPoint({GROUND: 0.0, **dict(zip(names, volts[0, :, 0].tolist()))},
+                          tuple(mem_v[0, :, 0].tolist()), tuple(dqdt[0, :, 0].tolist()))
 
 
-def _solve_network(netlist: Netlist, mem_states, source_values, charges):
-    """MNA solve with explicit source values and capacitor charges, each
-    1-D, or 2-D with one column per right-hand side: the node voltages (by
-    name, ground included), the memristor voltages and dq/dt."""
-    for m, s in zip(netlist.memristors, mem_states):
-        if not 0 <= s < m.model.num_states:
-            raise ValueError(f"memristor {m.name}: state {s} out of range")
+def _solve_network(netlist: Netlist, states, values):
+    """Modified nodal analysis (Ho, Ruehli & Brennan 1975) of the
+    configurations states (R, M), with the capacitor charges and then the
+    source voltages in the rows of values (K + S, P), one column per
+    right-hand side.  The resistors and the branch rows of the sources and
+    capacitors (ideal sources of value q/C) are stamped once; each
+    configuration adds its memristors' conductances on a copy, in netlist
+    order, and one stacked solve follows.  Returns the node voltages
+    (R, nodes, P), in the order of `Netlist.nodes` without ground, the
+    memristor voltages (R, M, P) and dq/dt (R, K, P)."""
+    index = {name: i for i, name in enumerate(n for n in netlist.nodes() if n != GROUND)}
+    n, K, S = len(index), len(netlist.capacitors), len(netlist.sources)
+    base = np.zeros((n + S + K,) * 2)
+    rhs = np.zeros((1, n + S + K) + np.shape(values)[1:])
 
-    node_names = [n for n in netlist.nodes() if n != GROUND]
-    index = {n: i for i, n in enumerate(node_names)}
-    n = len(node_names)
-    branches = list(netlist.sources) + list(netlist.capacitors)
-    m = len(branches)
-    A = np.zeros((n + m, n + m))
-    rhs = np.zeros((n + m,) + np.shape(source_values)[1:])
-
-    def node_idx(name):
-        return None if name == GROUND else index[name]
-
-    def stamp_conductance(a, b, g):
-        ia, ib = node_idx(a), node_idx(b)
-        if ia is not None:
-            A[ia, ia] += g
-        if ib is not None:
-            A[ib, ib] += g
-        if ia is not None and ib is not None:
-            A[ia, ib] -= g
-            A[ib, ia] -= g
+    def stamp(a, node1, node2, g):
+        i, j = index.get(node1), index.get(node2)
+        if i is not None:
+            a[i, i] += g
+        if j is not None:
+            a[j, j] += g
+        if i is not None and j is not None:
+            a[i, j] -= g
+            a[j, i] -= g
 
     for r in netlist.resistors:
-        stamp_conductance(r.node1, r.node2, 1.0 / r.resistance)
-    for mem, s in zip(netlist.memristors, mem_states):
-        stamp_conductance(mem.node_plus, mem.node_minus,
-                          1.0 / mem.model.resistances[s])
-
-    n_src = len(netlist.sources)
-    for k, br in enumerate(branches):
-        if isinstance(br, VoltageSource):
-            a, b = br.node_plus, br.node_minus
-            value = source_values[k]
-        else:
-            a, b = br.node1, br.node2
-            value = np.divide(charges[k - n_src], br.capacitance)
-        ia, ib = node_idx(a), node_idx(b)
-        row = n + k
-        if ia is not None:
-            A[ia, row] += 1.0
-            A[row, ia] += 1.0
-        if ib is not None:
-            A[ib, row] -= 1.0
-            A[row, ib] -= 1.0
-        rhs[row] = value
-
+        stamp(base, r.node1, r.node2, 1.0 / r.resistance)
+    for k, br in enumerate(netlist.sources + netlist.capacitors, start=n):
+        for node, sign in zip(_terminals(br), (1.0, -1.0)):
+            if node != GROUND:
+                base[index[node], k] += sign
+                base[k, index[node]] += sign
+    rhs[0, n:n + S] = values[K:]
+    for k, c in enumerate(netlist.capacitors):
+        rhs[0, n + S + k] = values[k] / c.capacitance
+    mat = base[None].repeat(len(states), axis=0)
+    for a, row in zip(mat, states):
+        if len(row) != len(netlist.memristors):
+            raise ValueError("state/netlist mismatch: memristor count")
+        for m, s in zip(netlist.memristors, row):
+            if not 0 <= s < len(m.model.resistances):
+                raise ValueError(f"memristor {m.name}: state {s} out of range")
+            stamp(a, m.node_plus, m.node_minus, 1.0 / m.model.resistances[s])
     try:
-        x = np.linalg.solve(A, rhs)
+        x = np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError:
         raise SingularNetworkError(
             "singular network matrix; check for floating subcircuits among "
-            f"nodes {node_names}", node_names) from None
-
-    volts = {GROUND: 0.0, **{name: x[i] for name, i in index.items()}}
-    mem_v = [volts[mm.node_plus] - volts[mm.node_minus]
-             for mm in netlist.memristors]
-    return volts, mem_v, list(x[n + n_src:])
+            f"nodes {list(index)}", list(index)) from None
+    # node+ minus node- of each memristor, with ground in column n
+    inc = np.zeros((len(netlist.memristors), n + 1))
+    for i, m in enumerate(netlist.memristors):
+        inc[i, index.get(m.node_plus, n)] += 1.0
+        inc[i, index.get(m.node_minus, n)] -= 1.0
+    return x[:, :n], inc[:, :n] @ x[:, :n], x[:, n + S:]
 
 
 @dataclass(frozen=True)
 class AffineDynamics:
-    """For a fixed memristor state configuration the resistive network
-    is linear, so dq/dt = A q + B vs and vm = Dq q + Ds vs, where q are
-    the capacitor charges and vs the instantaneous source voltages."""
+    """For each memristor-state configuration r the resistive network is
+    linear, so dq/dt = A[r] q + B[r] vs and vm = Dq[r] q + Ds[r] vs, where q
+    are the capacitor charges and vs the instantaneous source voltages;
+    the configurations run along the leading axis."""
 
-    A: np.ndarray   # (K, K)
-    B: np.ndarray   # (K, S)
-    Dq: np.ndarray  # (M, K)
-    Ds: np.ndarray  # (M, S)
+    A: np.ndarray   # (R, K, K)
+    B: np.ndarray   # (R, K, S)
+    Dq: np.ndarray  # (R, M, K)
+    Ds: np.ndarray  # (R, M, S)
 
     def dqdt(self, q: np.ndarray, vs: np.ndarray) -> np.ndarray:
         return self.A @ q + self.B @ vs
@@ -616,16 +614,13 @@ class AffineDynamics:
         return self.Dq @ q + self.Ds @ vs
 
 
-def affine_dynamics(netlist: Netlist, mem_states) -> AffineDynamics:
-    """Extract the affine operating-point maps for one state config by
-    probing the linear network with unit charges and unit sources, one
-    right-hand side each."""
-    n_cap, n_src, n_mem = len(netlist.capacitors), len(netlist.sources), len(netlist.memristors)
-    probes = np.eye(n_cap + n_src)
-    _, vm, dqdt = _solve_network(netlist, mem_states, probes[n_cap:], probes[:n_cap])
-    vm = np.array(vm).reshape(n_mem, n_cap + n_src)
-    dqdt = np.array(dqdt).reshape(n_cap, n_cap + n_src)
-    return AffineDynamics(dqdt[:, :n_cap], dqdt[:, n_cap:], vm[:, :n_cap], vm[:, n_cap:])
+def affine_dynamics(netlist: Netlist, states) -> AffineDynamics:
+    """The affine operating-point maps of the configurations states (R, M),
+    from one `_solve_network` call that probes the network with unit
+    charges and unit sources, one right-hand side each."""
+    K = len(netlist.capacitors)
+    _, vm, dqdt = _solve_network(netlist, states, np.eye(K + len(netlist.sources)))
+    return AffineDynamics(dqdt[..., :K], dqdt[..., K:], vm[..., :K], vm[..., K:])
 
 
 def is_single_device(netlist: Netlist) -> bool:
@@ -642,9 +637,10 @@ def _cancelled_sum(a, b):
 
 
 class DeviceCharge:
-    """Capacitor charges in closed form for K capacitors, M memristors and S
-    sources, one table row per memristor-state configuration (`add`): dq/dt
-    = A q + B v(t) and vm = Dq q + Ds v(t).  The network is reciprocal, so A
+    """Capacitor charges in closed form for the K capacitors, M memristors
+    and S sources of a netlist, one table row per memristor-state
+    configuration (`add`, from its `affine_dynamics`): dq/dt = A q + B v(t)
+    and vm = Dq q + Ds v(t).  The network is reciprocal, so A
     = V diag(lam) V^-1 with real lam <= 0, V's columns scaled to a largest
     entry of magnitude 1 (a single device has V = 1); a mode whose lam and
     drive b are both at round-off is conserved (lam = 0, no forced part),
@@ -665,19 +661,15 @@ class DeviceCharge:
     has one row per state, and its A, B, Dq, Ds, c and u hold one value per
     state."""
 
-    def __init__(self, A, B, Dq, Ds, waves, capacitances=(1.0,)):
-        """Rows from A (R, K, K), B (R, K, S), Dq (R, M, K) and Ds (R, M, S),
-        or from a single device's values per state (R,), under the sources'
-        waveforms `waves` (or the one source's); the capacitances make A
-        symmetric (any value serves for K = 1)."""
-        self.waves = (waves,) if isinstance(waves, Waveform) else tuple(waves)
+    def __init__(self, netlist: Netlist):
+        """No rows yet, for the sources and capacitors of `netlist`; the
+        capacitances make A symmetric."""
+        self.netlist = netlist
+        self.waves = tuple(s.waveform for s in netlist.sources)
         self.wave = self.waves[0] if self.waves else None
-        if np.ndim(A) == 1:
-            A, B, Dq, Ds = (np.reshape(np.asarray(x, dtype=float), (-1, 1, 1))
-                            for x in (A, B, Dq, Ds))
-        (_, K, S), M = np.shape(B), np.shape(Dq)[1]
+        K, M, S = len(netlist.capacitors), len(netlist.memristors), len(self.waves)
         self.K, self.M = K, M
-        self.sqrt_c = np.sqrt(np.asarray(capacitances, dtype=float))
+        self.sqrt_c = np.sqrt([c.capacitance for c in netlist.capacitors])
         # the sources on the segments: v0 and k per segment, the sines apart
         self.bp = np.array(sorted({b for w in self.waves for b in w.breakpoint_times()}))
         self.ends = np.concatenate((self.bp, [math.inf]))
@@ -698,15 +690,12 @@ class DeviceCharge:
         self.lam, self.V, self.Vinv, self.dqv, self.curve, self.coef, self.jump = (
             np.zeros(shape + (0,)) for shape in (
                 (K,), (K, K), (K, K), (M, K), (M,), (nb, K + 2 * M), (K,)))
-        if len(A):
-            c, u = self.add(A, B, Dq, Ds)
-            if (K, M, S) == (1, 1, 1):
-                self.A, self.B, self.Dq, self.Ds, self.c, self.u = (
-                    x.reshape(-1) for x in (A, B, Dq, Ds, c, u))
 
-    def add(self, A, B, Dq, Ds):
-        """Rows for the configurations with these A, B, Dq and Ds (R, ...);
-        returns their q_p and u per volt of a constant source."""
+    def add(self, states):
+        """Rows for the configurations states (R, M), in order; returns their
+        `affine_dynamics` and their q_p and u per volt of a constant source."""
+        dyn = affine_dynamics(self.netlist, states)
+        A, B, Dq, Ds = dyn.A, dyn.B, dyn.Dq, dyn.Ds
         R, K, M, n = len(A), self.K, self.M, self.t0.size
         c = self.sqrt_c
         # A = -L C^-1 with L symmetric, so C^-1/2 A C^1/2 is symmetric negative
@@ -764,19 +753,20 @@ class DeviceCharge:
                 (lam.T, vec.transpose(1, 2, 0), inv.transpose(1, 2, 0),
                  (Dq @ vec).transpose(1, 2, 0), curve, coef.reshape(coef.shape[:2] + (R * n,)),
                  jump.reshape(K, R * n))))
-        return cv, uv
+        return dyn, cv, uv
 
     @classmethod
     @lru_cache(maxsize=32)
     def of(cls, netlist: Netlist) -> "DeviceCharge":
         """The charge of a single-device netlist (one memristor, one capacitor
-        and one source, with any resistors) from one `affine_dynamics` per
-        state, kept for the last 32 netlists; NetlistError for any other."""
+        and one source, with any resistors), a row per state, kept for the
+        last 32 netlists; NetlistError for any other."""
         if not is_single_device(netlist):
             raise NetlistError("need one memristor, one capacitor and one source")
-        dyn = [affine_dynamics(netlist, (i,)) for i in range(netlist.memristors[0].model.num_states)]
-        dev = cls(*(np.array(x) for x in zip(*((d.A, d.B, d.Dq, d.Ds) for d in dyn))),
-                  netlist.sources[0].waveform)
+        dev = cls(netlist)
+        d, c, u = dev.add(np.arange(netlist.memristors[0].model.num_states)[:, None])
+        dev.A, dev.B, dev.Dq, dev.Ds, dev.c, dev.u = (
+            x.reshape(-1) for x in (d.A, d.B, d.Dq, d.Ds, c, u))
         for x in vars(dev).values():
             if isinstance(x, np.ndarray):
                 x.flags.writeable = False   # shared by every caller of `of`

@@ -138,10 +138,14 @@ def _series_params(cfg: dict) -> analytic.ConstantDriveParams:
 
 
 def _circuit(cfg: dict):
-    """The config's `netlist:` file, else the circuit of its `series:` block."""
-    if "netlist" in cfg:
-        return parse_netlist(Path(_require(cfg, "netlist", str)).read_text())
-    return _series_params(cfg).netlist
+    """The config's `netlist:` file, else the circuit of its `series:` block;
+    ConfigError for a netlist without a memristor, which no engine runs."""
+    if "netlist" not in cfg:
+        return _series_params(cfg).netlist
+    netlist = parse_netlist(Path(_require(cfg, "netlist", str)).read_text())
+    if not netlist.memristors:
+        raise ConfigError(f"engine {cfg['engine']}: the netlist has no memristor (M line)")
+    return netlist
 
 
 def _output_times(cfg: dict) -> np.ndarray:

@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .circuit import CircuitState, DeviceCharge, Netlist, affine_dynamics, output_grid
+from .circuit import CircuitState, DeviceCharge, Netlist, output_grid
 from .device import switching_rate
 
 # thinning
@@ -168,7 +168,6 @@ class _Ensemble:
 
     def __init__(self, netlist: Netlist, n: int, master_seed: int,
                  histogram_bins: int = 50):
-        self.netlist = netlist
         self.n = n
         self.bins = histogram_bins
         models = [m.model for m in netlist.memristors]
@@ -187,10 +186,7 @@ class _Ensemble:
         # the configuration indices with table rows, sorted, and their rows;
         # the largest index last, with no row
         self.keys, self.key_rows = np.array([np.iinfo(np.int64).max]), np.array([-1])
-        self.dev = DeviceCharge(*(np.zeros((0,) + shape) for shape in (
-            (self.K, self.K), (self.K, len(netlist.sources)), (self.M, self.K),
-            (self.M, len(netlist.sources)))), [s.waveform for s in netlist.sources],
-            [c.capacitance for c in netlist.capacitors])
+        self.dev = DeviceCharge(netlist)
         # par's rows, per table row: lam, V and Dq V (the flow's), then V^-1,
         # lam^2 and, per memristor, u's curve under sines, the window slack
         # in volts, 1 / V and ln tau up and down and the log of the rate's cap
@@ -226,9 +222,8 @@ class _Ensemble:
 
     def _add_configurations(self, states):
         """Table rows for the configurations of states (k, M), in order: a
-        row of `dev` each from its `affine_dynamics`, and of `par`."""
-        dyn = [affine_dynamics(self.netlist, tuple(x)) for x in states.tolist()]
-        self.dev.add(*(np.array(x) for x in zip(*((d.A, d.B, d.Dq, d.Ds) for d in dyn))))
+        row of `dev` each, and of `par`."""
+        self.dev.add(states)
         dev, k, K, M = self.dev, len(states), self.K, self.M
         up = self.rates.base + states
         down = up + self.rates.gmax
@@ -596,10 +591,13 @@ def _mv(a, x):
 
 
 def _log_sum_exp(x):
-    """log sum_m e^{x_m} over the first axis (the clocks): x[0] for one."""
+    """log sum_m e^{x_m} over the first axis (the clocks): x[0] for one,
+    the floor -700 for none."""
     if len(x) == 1:
         return x[0]
     top = x.max(axis=0, initial=-700.0)
+    if not len(x):
+        return top
     return top + np.log(np.exp(x - top).sum(axis=0))
 
 

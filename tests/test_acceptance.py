@@ -17,9 +17,10 @@ from conftest import ACCEPTANCE_LINES
 from memstoch import (ChargeGrid, ConstantDriveParams, DistributionField,
                       MemristorModel, SeriesCircuitParams, Waveform,
                       expint_ei, mean_switching_time, p0_asymptotic,
-                      p0_constant_voltage, rc_charge, run_ensemble,
+                      p0_constant_voltage, run_ensemble,
                       series_mc, simulate_trajectory)
 from memstoch import pde
+from test_analytic import rc_charge
 
 mpmath.mp.dps = 40
 

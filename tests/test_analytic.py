@@ -20,7 +20,7 @@ from scipy.special import expi
 from memstoch import (ConstantDriveParams, Density1D, MemristorModel,
                       Waveform, expint_ei, mean_switching_time,
                       no_switch_density, p0_asymptotic, p0_constant_voltage,
-                      parse_netlist, rc_charge, rc_charge_wave, series_mc,
+                      parse_netlist, rc_charge_wave, series_mc,
                       unidirectional_densities)
 from memstoch.analytic import (RegimeError, _gauss, accumulated_hazard,
                                hazard_integral, initial_hazard, p1_constant_voltage,
@@ -71,6 +71,13 @@ def test_ei_derivative(x):
 
 
 # ----------------------------------------------------------------- RC charge
+
+def rc_charge(params: ConstantDriveParams, R: float, t: float) -> float:
+    """The tests' independent reference: the capacitor charge under constant
+    drive through resistance R, q0 e^{-t/(CR)} + Va C (1 - e^{-t/(CR)})."""
+    e = math.exp(-t / (params.C * R))
+    return params.q0 * e + params.Va * params.C * (1.0 - e)
+
 
 def test_rc_charge_against_ode(params):
     def rhs(t, q):
@@ -136,7 +143,7 @@ def test_rc_characteristic_against_mpmath(kind, direction):
                 got = rc_charge_wave(2e-8, C, R, w, s)
                 ref = _mp_characteristic(w, C, R, 2e-8, 0.0, s)
             else:
-                rc = DeviceCharge([-1.0 / (C * R)], [1.0 / R], [-1.0 / C], [1.0], w)
+                rc = DeviceCharge.of(series_mc(MemristorModel.binary(R, R, 1.0, 1.0), C, w))
                 got = float(rc.charge(0, 1e-7, 6e-3, 6e-3 - s))
                 ref = _mp_characteristic(w, C, R, 1e-7, 6e-3, 6e-3 - s)
             assert abs(got - float(ref)) <= tol, (s, got, float(ref))
@@ -144,7 +151,7 @@ def test_rc_characteristic_against_mpmath(kind, direction):
 
 def test_rc_charge_rejects_negative_time(params):
     with pytest.raises(ValueError):
-        rc_charge(params, params.R0, -1.0)
+        rc_charge_wave(params.q0, params.C, params.R0, Waveform.constant(params.Va), -1.0)
 
 
 # ------------------------------------------------------------- densities

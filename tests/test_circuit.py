@@ -1,5 +1,7 @@
 """Netlist parsing, waveforms, and the operating-point solver."""
 
+import itertools
+
 import mpmath
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from memstoch.circuit import (Capacitor, CircuitState, DeviceCharge, Memristor, 
                               Waveform, affine_dynamics, parse_netlist, parse_si, serialize,
                               series_mc, solve_operating_point)
 from memstoch.device import MemristorModel
+from test_mc import SIGN_CHANGE_TEXT, TWO_SOURCE_TEXT
 
 SERIES_TEXT = """
 # series source-memristor-capacitor loop
@@ -169,18 +172,34 @@ def test_state_mismatch_rejected():
         solve_operating_point(net, CircuitState((0,), ()))
 
 
-@given(st.floats(min_value=-5e-7, max_value=5e-7),
-       st.integers(min_value=0, max_value=1))
-def test_affine_dynamics_matches_direct_solve(q, state):
-    net = parse_netlist(SERIES_TEXT)
-    dyn = affine_dynamics(net, (state,))
-    op = solve_operating_point(net, CircuitState((state,), (q,)))
-    vs = np.array([0.35])
-    qv = np.array([q])
-    assert dyn.dqdt(qv, vs)[0] == pytest.approx(op.charge_derivatives[0],
-                                                rel=1e-9, abs=1e-18)
-    assert dyn.memristor_voltages(qv, vs)[0] == pytest.approx(
-        op.memristor_voltages[0], rel=1e-9, abs=1e-15)
+# the series loop; two coupled branches on two sources (K = S = M = 2); a
+# 3-state device; a memristor-free divider (M = 0)
+AFFINE_NETS = [parse_netlist(text) for text in (
+    SERIES_TEXT, TWO_SOURCE_TEXT, SIGN_CHANGE_TEXT, "V1 in 0 DC 1\nR1 in a 20k\nR2 a 0 10k\nC1 a 0 1u")]
+
+
+@given(st.floats(min_value=-5e-7, max_value=5e-7), st.floats(min_value=0.0, max_value=5e-3))
+def test_affine_dynamics_matches_direct_solve(q, t):
+    # every configuration of a netlist in one stacked call: each row is the
+    # call for that configuration alone, and gives the operating point
+    for net in AFFINE_NETS:
+        states = list(itertools.product(*(range(m.model.num_states) for m in net.memristors)))
+        dyn = affine_dynamics(net, states)
+        qv = q * np.linspace(1.0, -0.5, len(net.capacitors))
+        vs = np.array([s.waveform(t) for s in net.sources])
+        for r, state in enumerate(states):
+            one = affine_dynamics(net, [state])
+            assert all(np.array_equal(x[r], y[0]) for x, y in zip(
+                (dyn.A, dyn.B, dyn.Dq, dyn.Ds), (one.A, one.B, one.Dq, one.Ds)))
+            op = solve_operating_point(net, CircuitState(state, qv, t))
+            assert dyn.dqdt(qv, vs)[r] == pytest.approx(np.array(op.charge_derivatives),
+                                                        rel=1e-9, abs=1e-18)
+            assert dyn.memristor_voltages(qv, vs)[r] == pytest.approx(
+                np.array(op.memristor_voltages), rel=1e-9, abs=1e-15)
+    with pytest.raises(ValueError, match="memristor M2: state 2 out of range"):
+        affine_dynamics(AFFINE_NETS[1], [(0, 0), (1, 2), (1, 1)])
+    with pytest.raises(ValueError, match="memristor count"):
+        affine_dynamics(AFFINE_NETS[1], [(0, 0), (1,)])
 
 
 def test_two_loop_network():
@@ -225,8 +244,8 @@ def test_device_charge_agrees_with_the_eigenmode_flow(kind, shunt):
     dev = DeviceCharge.of(net)
 
     def flow(state, q, t, s):
-        d = affine_dynamics(net, (state,))
-        a, b = mpmath.mpf(d.A[0, 0]), mpmath.mpf(d.B[0, 0])
+        d = affine_dynamics(net, [(state,)])
+        a, b = mpmath.mpf(d.A[0, 0, 0]), mpmath.mpf(d.B[0, 0, 0])
         cuts = [x for x in wave.breakpoint_times() if min(t, s) < x < max(t, s)]
         with mpmath.workdps(25):
             drive = mpmath.quad(lambda u: mpmath.exp(a * (s - u)) * b * float(wave(float(u))),

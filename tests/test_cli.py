@@ -231,6 +231,17 @@ def test_simulate_compare_engine_refuses_a_sine_netlist(tmp_path, capsys):
     assert "V1" in err and "sine" in err
 
 
+@pytest.mark.parametrize("engine", ["mc", "compare", "pde"])
+def test_simulate_refuses_a_netlist_without_memristor(tmp_path, capsys, engine):
+    # an RC circuit has no state to sample: a config error, not an engine failure
+    net = tmp_path / "rc.net"
+    net.write_text("V1 in 0 SIN 0 0.4 200\nR1 in a 10k\nC1 a 0 1u\n")
+    cfg = write_cfg(tmp_path, engine=engine, netlist=str(net),
+                    mc={"trajectories": 10, "seed": 3}, pde={"n_cells": 100})
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert f"engine {engine}: the netlist has no memristor" in capsys.readouterr().err
+
+
 def test_simulate_reads_exponent_floats_without_dot(tmp_path):
     # YAML 1.2 reads 1e-06 as a float; YAML 1.1 resolvers leave it a string
     text = "engine: analytic\nt_end: 0.01\noutput_points: 6\nseries:\n"

@@ -6,6 +6,7 @@ catch a genuinely wrong sampler.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -16,13 +17,14 @@ from scipy.optimize import brentq
 from scipy.stats import kstwo
 
 from memstoch import (ConstantDriveParams, MemristorModel, Waveform,
-                      p0_constant_voltage, rc_charge, run_ensemble,
+                      p0_constant_voltage, rc_charge_wave, run_ensemble,
                       series_mc, simulate_trajectory)
 from memstoch import mc
 from memstoch.analytic import initial_hazard
 from memstoch.circuit import (Capacitor, CircuitState, Memristor, Netlist, Resistor,
                               VoltageSource, affine_dynamics, parse_netlist)
 from memstoch.device import switching_rate
+from test_analytic import rc_charge
 
 
 @pytest.fixture
@@ -298,6 +300,19 @@ def test_resistor_divider_circuit_runs():
     assert rec.sample_charges[-1, 0] > 0.0
 
 
+def test_memristor_free_netlist_is_its_rc_charge():
+    # no clocks: the envelope sits at its floor, without warnings, and the
+    # charge is the closed-form RC charge under the sine
+    net = parse_netlist("V1 in 0 SIN 0 0.4 200\nR1 in a 10k\nC1 a 0 1u")
+    times = np.linspace(0.0, 0.01, 11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = simulate_trajectory(net, net.initial_state(), 0.01, 5, times)
+    assert rec.events == [] and rec.sample_states.shape == (11, 0)
+    ref = [rc_charge_wave(0.0, 1e-6, 1e4, net.sources[0].waveform, t) for t in times]
+    assert rec.sample_charges[:, 0] == pytest.approx(ref, rel=1e-12, abs=1e-20)
+
+
 def test_memristors_across_sources_switch_at_constant_rates():
     # no capacitor: each device sees the source, so its clock has the
     # constant rate e^{V/V_up}/tau_up and p0 = exp(-t e^{V/V_up}/tau_up)
@@ -408,17 +423,17 @@ def test_flow_matches_the_variation_of_constants_integral(kind, circuit):
     waves = [s.waveform for s in net.sources]
     eng = mc._Ensemble(net, 1, 0)
     state = np.zeros((1, eng.M), dtype=np.int64)
-    rows, d = eng._rows_of(state), affine_dynamics(net, tuple(state[0]))
+    rows, d = eng._rows_of(state), affine_dynamics(net, state)
     tol = 1e-13 * max(c.capacitance for c in net.capacitors) * max(
         np.abs(w.bounds(0.05)).max() for w in waves)
     q0 = np.array([[c.initial_charge for c in net.capacitors]])
     starts, spans, exact = [], [], []
     with mpmath.workdps(25):
-        lam, vec = mpmath.eig(mpmath.matrix(d.A.tolist()))
+        lam, vec = mpmath.eig(mpmath.matrix(d.A[0].tolist()))
         if circuit == "ladder":
             assert min(abs(x) for x in lam) < 1e-9
         inv = mpmath.inverse(vec)
-        b, y0 = inv * mpmath.matrix(d.B.tolist()), inv * mpmath.matrix(q0[0].tolist())
+        b, y0 = inv * mpmath.matrix(d.B[0].tolist()), inv * mpmath.matrix(q0[0].tolist())
         for t in [0.0, 4e-4] + knots:
             end = min([x for x in knots if x > t], default=t + 0.03)
             vs = [_source_mp(w, t) for w in waves]

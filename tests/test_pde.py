@@ -29,14 +29,13 @@ def model(params):
 
 @functools.lru_cache
 def affine_rows(circuit, model):
-    """(A, B, Dq, Ds), one row per state, read from `affine_dynamics` state by
-    state, and the source: in state i, dq/dt = A[i] q + B[i] V and vm =
+    """(A, B, Dq, Ds), one row per state, read from one `affine_dynamics`
+    call, and the source: in state i, dq/dt = A[i] q + B[i] V and vm =
     Dq[i] q + Ds[i] V."""
     net = circuit if isinstance(circuit, Netlist) else series_mc(model, circuit.C,
                                                                  circuit.waveform)
-    dyn = [affine_dynamics(net, (i,)) for i in range(model.num_states)]
-    return ([np.array([d.A[0, 0], d.B[0, 0], d.Dq[0, 0], d.Ds[0, 0]]) for d in dyn],
-            net.sources[0].waveform)
+    d = affine_dynamics(net, np.arange(model.num_states)[:, None])
+    return np.concatenate((d.A, d.B, d.Dq, d.Ds), axis=2)[:, 0], net.sources[0].waveform
 
 
 def drift_velocity(i, q, t, circuit, model, series=False):

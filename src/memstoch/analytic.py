@@ -343,7 +343,7 @@ def no_switch_density(f: Density1D, R: float, C: float,
 # Survival of the initial state of a single-device netlist
 
 def _piecewise_constant(w: Waveform) -> bool:
-    return w.kind != "sine" and not np.any(w.segments[2])
+    return not w.omega and not np.any(w.segments[2])
 
 
 def _capped_integral(a, y, top, d0, d1):

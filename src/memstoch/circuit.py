@@ -30,6 +30,7 @@ voltage drives up-transitions.
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass
@@ -67,9 +68,11 @@ class SingularNetworkError(ValueError):
 
 @dataclass(frozen=True)
 class Waveform:
-    """Time-dependent source voltage, evaluable for all t >= 0.
+    """Time-dependent source voltage, evaluable at any finite time.
 
-    kind is one of 'constant', 'step', 'sine', 'pwl'.
+    kind is one of 'constant', 'step', 'sine', 'pwl'.  Every kind is one
+    piecewise form: the piecewise-linear `segments` plus amplitude
+    sin(omega t), where omega is 0 but for a sine.
     """
 
     kind: str
@@ -110,64 +113,62 @@ class Waveform:
         return cls("pwl", breakpoints=tuple((float(t), float(v)) for t, v in points))
 
     def __call__(self, t):
-        if self.kind == "constant":
-            return self.amplitude if np.isscalar(t) else np.full(np.shape(t), self.amplitude)
-        if self.kind == "step":
-            return np.where(np.asarray(t) >= self.t_step, self.amplitude,
-                            self.value_before)[()] if not np.isscalar(t) else (
-                self.amplitude if t >= self.t_step else self.value_before)
-        if self.kind == "sine":
-            return self.offset + self.amplitude * np.sin(2.0 * math.pi * self.frequency * np.asarray(t))[()] \
-                if not np.isscalar(t) else \
-                self.offset + self.amplitude * math.sin(2.0 * math.pi * self.frequency * t)
-        return np.interp(t, *self._pwl)
+        if np.isscalar(t):
+            bp, t0, v0, k = self._lists
+            j = bisect.bisect_right(bp, t)
+            v = v0[j] + k[j] * (t - t0[j])
+            return v + self.amplitude * math.sin(self.omega * t) if self.omega else v
+        t = np.asarray(t, dtype=float)
+        v = self._linear(t)
+        return (v + self.amplitude * np.sin(self.omega * t) if self.omega else v)[()]
 
     def bounds(self, t_end: float) -> tuple:
-        """(min, max) of the waveform over [0, t_end]."""
-        if self.kind == "constant":
-            return (self.amplitude, self.amplitude)
-        if self.kind == "step":
-            vals = [self.value_before] if self.t_step > 0 else []
-            if self.t_step <= t_end:
-                vals.append(self.amplitude)
-            if not vals:
-                vals = [self.value_before]
-            return (min(vals), max(vals))
-        if self.kind == "sine":
-            # conservative envelope
-            return (self.offset - abs(self.amplitude), self.offset + abs(self.amplitude))
-        ts, vs = self._pwl
-        sample = np.interp(np.clip([0.0, t_end], ts[0], ts[-1]), ts, vs)
-        inside = vs[(ts >= 0.0) & (ts <= t_end)]
-        allv = np.concatenate([sample, inside]) if inside.size else sample
-        return (float(allv.min()), float(allv.max()))
-
-    @cached_property
-    def _pwl(self) -> tuple:
-        """Breakpoint times and values of a PWL source as arrays."""
-        return (np.array([t for t, _ in self.breakpoints]),
-                np.array([v for _, v in self.breakpoints]))
+        """(min, max) of the waveform over [0, t_end]: of the piecewise-linear
+        part at 0, at t_end and where each segment inside starts, widened by
+        |amplitude| under a sine."""
+        t0, v0, _ = self.segments
+        inside = (t0[1:] > 0.0) & (t0[1:] <= t_end)
+        vals = np.concatenate((self._linear(np.array([0.0, t_end])), v0[1:][inside]))
+        lo, hi = float(vals.min()), float(vals.max())
+        if self.omega:
+            lo, hi = lo - abs(self.amplitude), hi + abs(self.amplitude)
+        return (lo, hi)
 
     def breakpoint_times(self) -> tuple:
         """Times where the waveform is non-smooth: the ends of its segments."""
-        if self.kind == "step":
-            return (self.t_step,)
-        if self.kind == "pwl":
-            return tuple(t for t, _ in self.breakpoints)
-        return ()
+        return tuple(self._lists[0])
 
     @cached_property
     def segments(self) -> tuple:
-        """(t0, v0, k) of a source without sines: on segment j, the times
+        """(t0, v0, k) of the piecewise-linear part: on segment j, the times
         from breakpoint j - 1 (-inf for j = 0) to breakpoint j (inf after
-        the last), the voltage is v0[j] + k[j] (t - t0[j])."""
-        bp = np.array(self.breakpoint_times())
-        t0 = np.r_[bp[:1], bp] if bp.size else np.zeros(1)
-        v0 = np.array([self(b) for b in np.r_[-math.inf, bp]])
-        k = np.zeros(bp.size + 1)
+        the last), it is v0[j] + k[j] (t - t0[j]).  A constant or a sine
+        has one flat segment, at its value or offset."""
         if self.kind == "pwl":
-            k = np.r_[0.0, np.diff(self._pwl[1]) / np.diff(self._pwl[0]), 0.0]
-        return t0, v0, k
+            ts, vs = np.array(self.breakpoints).T
+            k = np.r_[0.0, np.diff(vs) / np.diff(ts), 0.0]
+            return np.r_[ts[:1], ts], np.r_[vs[:1], vs], k
+        if self.kind == "step":
+            return np.full(2, self.t_step), np.array([self.value_before, self.amplitude]), np.zeros(2)
+        flat = self.offset if self.kind == "sine" else self.amplitude
+        return np.zeros(1), np.array([flat]), np.zeros(1)
+
+    @cached_property
+    def omega(self) -> float:
+        """Angular frequency of the sine term: 2 pi frequency for a sine, else 0."""
+        return 2.0 * math.pi * self.frequency if self.kind == "sine" else 0.0
+
+    @cached_property
+    def _lists(self) -> tuple:
+        """The breakpoints and the segments as lists, for scalar calls."""
+        t0, v0, k = self.segments
+        return t0[1:].tolist(), t0.tolist(), v0.tolist(), k.tolist()
+
+    def _linear(self, t):
+        """The piecewise-linear part at times t (an array)."""
+        t0, v0, k = self.segments
+        j = t0[1:].searchsorted(t, "right")
+        return v0[j] + k[j] * (t - t0[j])
 
 
 # --------------------------------------------------------------------------
@@ -479,10 +480,10 @@ def serialize(netlist: Netlist) -> str:
         elif w.kind == "pwl":
             pts = " ".join(f"{_fmt(t)} {_fmt(v)}" for t, v in w.breakpoints)
             lines.append(f"{s.name} {s.node_plus} {s.node_minus} PWL {pts}")
-        else:  # step has no netlist syntax; emit the equivalent PWL ramp
+        else:  # step: no netlist syntax; the equal PWL ramp (held before its first point)
             eps = max(1e-12, 1e-9 * max(abs(w.t_step), 1.0))
-            pts = f"{_fmt(0.0)} {_fmt(w.value_before)} {_fmt(w.t_step)} " \
-                  f"{_fmt(w.value_before)} {_fmt(w.t_step + eps)} {_fmt(w.amplitude)}"
+            pts = f"{_fmt(w.t_step)} {_fmt(w.value_before)} " \
+                  f"{_fmt(w.t_step + eps)} {_fmt(w.amplitude)}"
             lines.append(f"{s.name} {s.node_plus} {s.node_minus} PWL {pts}")
     for r in netlist.resistors:
         lines.append(f"{r.name} {r.node1} {r.node2} {_fmt(r.resistance)}")
@@ -649,10 +650,10 @@ class DeviceCharge:
     e^{lam x}, and vm = u + (Dq V) y with u = Dq q_p + Ds v, vm's forced
     part.  Per volt of a constant source q_p is c and u is u (= Dq c + Ds).
     Segment j runs up to ends[j], the breakpoints bp of all sources and
-    then inf; on it a source is v0 + k (t - t0[j]), or off + amp sin(wt)
-    for a sine, and in mode lam q_p is -b (v0 + k (t - t0) + k / lam) / lam
-    plus b amp Im[e^{iwt} / (iw - lam)] per sine (b = V^-1 B).  Tables keep
-    rows on their last axis:
+    then inf; on it a source is v0 + k (t - t0[j]) (its `Waveform.segments`)
+    plus amp sin(wt) where w = omega > 0, and in mode lam q_p is
+    -b (v0 + k (t - t0) + k / lam) / lam plus b amp Im[e^{iwt} / (iw - lam)]
+    per sine (b = V^-1 B).  Tables keep rows on their last axis:
     coef[i, col, r * len(t0) + j] holds basis function i's coefficients
     (basis: 1, t - t0[j] where a source has slopes, then sin wt and cos wt
     per sine) in q_p, u and u' (col :K, K:K + M and K + M:) on segment j;
@@ -677,23 +678,20 @@ class DeviceCharge:
         self.t0 = np.concatenate((self.bp[:1], self.bp)) if self.bp.size else np.zeros(1)
         self.v0, self.k = np.zeros((2, self.t0.size, S))
         for j, w in enumerate(self.waves):
-            if w.kind == "sine":
-                self.v0[:, j] = w.offset
-            else:
-                t0, v0, k = w.segments
-                i = np.searchsorted(w.breakpoint_times(), starts, "right")
-                self.v0[:, j], self.k[:, j] = v0[i] + k[i] * (self.t0 - t0[i]), k[i]
-        self.sine = [j for j, w in enumerate(self.waves) if w.kind == "sine"]
-        self.omega = [2.0 * math.pi * self.waves[j].frequency for j in self.sine]
+            t0, v0, k = w.segments
+            i = t0[1:].searchsorted(starts, "right")
+            self.v0[:, j], self.k[:, j] = v0[i] + k[i] * (self.t0 - t0[i]), k[i]
+        self.sine = [j for j, w in enumerate(self.waves) if w.omega]
+        self.omega = [self.waves[j].omega for j in self.sine]
         self.slopes = bool(self.k.any())
         nb = 1 + self.slopes + 2 * len(self.sine)       # basis functions
-        self.lam, self.V, self.Vinv, self.dqv, self.curve, self.coef, self.jump = (
-            np.zeros(shape + (0,)) for shape in (
-                (K,), (K, K), (K, K), (M, K), (M,), (nb, K + 2 * M), (K,)))
+        self.coef, self.jump = np.zeros((nb, K + 2 * M, 0)), np.zeros((K, 0))
 
     def add(self, states):
         """Rows for the configurations states (R, M), in order; returns their
-        `affine_dynamics` and their q_p and u per volt of a constant source."""
+        `affine_dynamics`, their q_p and u per volt of a constant source, and
+        lam, V, V^-1, Dq V and u's curve (a bound on |u''| under the sines),
+        rows on the last axis."""
         dyn = affine_dynamics(self.netlist, states)
         A, B, Dq, Ds = dyn.A, dyn.B, dyn.Dq, dyn.Ds
         R, K, M, n = len(A), self.K, self.M, self.t0.size
@@ -747,13 +745,10 @@ class DeviceCharge:
             step = (self._eval(coef[:, :K, :, :-1], j, self.bp)
                     - self._eval(coef[:, :K, :, 1:], j + 1, self.bp))
             jump[..., :-1] = np.einsum("rkl,lrj->krj", inv, step)
-        self.lam, self.V, self.Vinv, self.dqv, self.curve, self.coef, self.jump = (
-            np.concatenate(x, axis=-1) for x in zip(
-                (self.lam, self.V, self.Vinv, self.dqv, self.curve, self.coef, self.jump),
-                (lam.T, vec.transpose(1, 2, 0), inv.transpose(1, 2, 0),
-                 (Dq @ vec).transpose(1, 2, 0), curve, coef.reshape(coef.shape[:2] + (R * n,)),
-                 jump.reshape(K, R * n))))
-        return dyn, cv, uv
+        self.coef = np.concatenate((self.coef, coef.reshape(coef.shape[:2] + (R * n,))), axis=-1)
+        self.jump = np.concatenate((self.jump, jump.reshape(K, R * n)), axis=-1)
+        return dyn, cv, uv, (lam.T, vec.transpose(1, 2, 0), inv.transpose(1, 2, 0),
+                             (Dq @ vec).transpose(1, 2, 0), curve)
 
     @classmethod
     @lru_cache(maxsize=32)
@@ -764,7 +759,7 @@ class DeviceCharge:
         if not is_single_device(netlist):
             raise NetlistError("need one memristor, one capacitor and one source")
         dev = cls(netlist)
-        d, c, u = dev.add(np.arange(netlist.memristors[0].model.num_states)[:, None])
+        d, c, u, _ = dev.add(np.arange(netlist.memristors[0].model.num_states)[:, None])
         dev.A, dev.B, dev.Dq, dev.Ds, dev.c, dev.u = (
             x.reshape(-1) for x in (d.A, d.B, d.Dq, d.Ds, c, u))
         for x in vars(dev).values():
@@ -782,8 +777,6 @@ class DeviceCharge:
         broadcast)."""
         t = np.asarray(t, dtype=float)
         at = r * self.t0.size + seg
-        if t.ndim == 0 and np.ndim(seg) == 0:   # one basis for all: per table column first
-            return self._eval(self.coef[:, cols], seg, t).take(at, axis=-1)
         if isinstance(cols, slice) and np.ndim(at) < t.ndim:
             at = np.broadcast_to(at, t.shape)
         return self._eval(self.coef[:, cols].take(at, axis=-1), seg, t)

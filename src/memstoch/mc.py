@@ -222,14 +222,13 @@ class _Ensemble:
 
     def _add_configurations(self, states):
         """Table rows for the configurations of states (k, M), in order: a
-        row of `dev` each, and of `par`."""
-        self.dev.add(states)
-        dev, k, K, M = self.dev, len(states), self.K, self.M
+        row of `dev` each, and of `par`, from what `dev.add` returns."""
+        _, _, _, (lam, vec, inv, dqv, curve) = self.dev.add(states)
+        k = len(states)
         up = self.rates.base + states
         down = up + self.rates.gmax
         self.par = np.concatenate((self.par, np.concatenate([
-            dev.lam[:, -k:], dev.V[..., -k:].reshape(K * K, k), dev.dqv[..., -k:].reshape(M * K, k),
-            dev.Vinv[..., -k:].reshape(K * K, k), dev.lam[:, -k:] ** 2, dev.curve[:, -k:]] + [
+            lam, vec.reshape(-1, k), dqv.reshape(-1, k), inv.reshape(-1, k), lam ** 2, curve] + [
                 x.T for x in (_WINDOW_SLACK * self.rates.v_min[self.mi, states], self.inv_v[up],
                               self.inv_v[down], self.log_tau[up], self.log_tau[down],
                               np.maximum(self.log_cap[up], self.log_cap[down]))])), axis=1)

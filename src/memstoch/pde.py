@@ -245,8 +245,8 @@ def _caps(grid, dev):
     fastest drift of every face, max_s |A_s f + B_s v|, is tabulated once."""
     faces, n, dq, wave = grid.faces().tolist(), grid.n_cells, grid.dq, dev.wave
     rows = list(zip(dev.A.tolist(), dev.B.tolist()))
-    slope = (abs(wave.amplitude) * 2.0 * math.pi * wave.frequency if wave.kind == "sine" else
-             float(np.abs(wave.segments[2]).max()) if wave.kind == "pwl" else 0.0)
+    slope = float(np.abs(wave.segments[2]).max()) + (
+        abs(wave.amplitude) * 2.0 * math.pi * wave.frequency if wave.omega else 0.0)
     top = float(np.abs(dev.c).max()) * slope
     drive = CFL_LIMIT * dq / top if top > 0 else math.inf
     speed = (np.abs(dev.A[:, None] * grid.faces() + (dev.B * wave.amplitude)[:, None]).max(axis=0)

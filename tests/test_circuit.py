@@ -1,6 +1,7 @@
 """Netlist parsing, waveforms, and the operating-point solver."""
 
 import itertools
+import math
 
 import mpmath
 import numpy as np
@@ -41,8 +42,9 @@ def test_waveform_bounds_and_breakpoints():
     assert Waveform.constant(3.0).bounds(1.0) == (3.0, 3.0)
     assert Waveform.step(2.0, 0.5, value_before=-1.0).bounds(1.0) == (-1.0, 2.0)
     assert Waveform.step(2.0, 5.0, value_before=-1.0).bounds(1.0) == (-1.0, -1.0)
-    lo, hi = Waveform.sine(0.1, 0.5, 2.0).bounds(10.0)
-    assert (lo, hi) == (-0.4, 0.6)
+    s = Waveform.sine(0.1, 0.5, 2.0)
+    assert s.bounds(10.0) == (0.1 - 0.5, 0.1 + 0.5) and s.breakpoint_times() == ()
+    assert s.omega == 2.0 * math.pi * 2.0 and Waveform.step(2.0, 0.5).omega == 0.0
     w = Waveform.pwl([(0.0, 0.0), (1.0, 2.0)])
     assert w.bounds(0.5) == (0.0, 1.0)
     assert w.breakpoint_times() == (0.0, 1.0)
@@ -53,6 +55,46 @@ def test_waveform_bounds_and_breakpoints():
     t0, v0, k = Waveform.step(2.0, 0.5, value_before=-1.0).segments
     assert (t0.tolist(), v0.tolist(), k.tolist()) == ([0.5, 0.5], [-1.0, 2.0], [0.0, 0.0])
     assert [x.tolist() for x in Waveform.constant(3.0).segments] == [[0.0], [3.0], [0.0]]
+    # a sine's offset is one flat segment; the sine term rides on omega
+    assert [x.tolist() for x in s.segments] == [[0.0], [0.1], [0.0]]
+
+
+_VOLTS = st.floats(min_value=-2.0, max_value=2.0)
+_TIMES = st.integers(min_value=-100, max_value=200).map(lambda i: i * 1e-4)
+
+
+@st.composite
+def _waveforms(draw):
+    kind = draw(st.sampled_from(["constant", "step", "sine", "pwl"]))
+    if kind == "constant":
+        return Waveform.constant(draw(_VOLTS))
+    if kind == "step":     # t_step <= 0 too
+        return Waveform.step(draw(_VOLTS), draw(_TIMES), draw(_VOLTS))
+    if kind == "sine":
+        return Waveform.sine(draw(_VOLTS), draw(_VOLTS), draw(st.floats(1.0, 1e3)))
+    times = sorted(set(draw(st.lists(_TIMES, min_size=1, max_size=6))))
+    return Waveform.pwl([(t, draw(_VOLTS)) for t in times])
+
+
+@given(_waveforms(), st.lists(_TIMES | st.floats(-0.02, 0.03), max_size=8),
+       st.integers(min_value=1, max_value=250).map(lambda i: i * 1e-4))
+def test_waveform_calls_and_bounds_of_every_kind(w, times, t_end):
+    bp = list(w.breakpoint_times())
+    t = np.array(times + bp + [0.0, t_end])
+    # a scalar call is the array call, bit for bit; a PWL is np.interp on its
+    # points (equal values: a held end value of -0.0 may read 0.0)
+    one = np.array([w(float(x)) for x in t])
+    assert one.tobytes() == np.asarray(w(t), dtype=float).tobytes()
+    if w.kind == "pwl":
+        assert np.array_equal(one, np.interp(t, *np.array(w.breakpoints).T))
+    # bounds: the values at 0, at t_end and at each breakpoint inside, with
+    # the value before a step; a sine's offset widened by |amplitude|
+    vals = [w(x) for x in [0.0, t_end] + [b for b in bp if 0.0 <= b <= t_end]]
+    if w.kind == "step" and 0.0 < w.t_step <= t_end:
+        vals.append(w.value_before)
+    if w.kind == "sine":
+        vals = [w.offset - abs(w.amplitude), w.offset + abs(w.amplitude)]
+    assert w.bounds(t_end) == (min(vals), max(vals))
 
 
 def test_waveform_validation():
@@ -103,6 +145,16 @@ C1 b 0 1u IC=2e-7
 M1 a 0 STATES=3 R=9k,5k,1k TAUUP=1,2 VUP=0.1,0.1 TAUDOWN=3,4 VDOWN=0.2,0.2 STATE=1
 """)
     assert parse_netlist(serialize(rich)) == rich
+    # a step has no netlist syntax: its text is a PWL ramp that parses and
+    # equals the step outside [t_step, t_step + eps]
+    for t_step in (0.0, -1e-3, 1e-3):
+        step = Waveform.step(0.4, t_step, 0.1)
+        pwl = parse_netlist(serialize(series_mc(model, 1e-6, step))).sources[0].waveform
+        eps = pwl.breakpoints[-1][0] - t_step
+        assert 0.0 < eps <= 1e-9
+        t = np.r_[np.linspace(-0.01, 0.01, 201), t_step + eps, t_step - 1e-12]
+        t = t[(t < t_step) | (t >= t_step + eps)]
+        assert np.array_equal(pwl(t), step(t))
 
 
 def test_parse_errors_carry_location():

@@ -445,13 +445,14 @@ def test_flow_matches_the_variation_of_constants_integral(kind, circuit):
                 spans.append(s)
                 exact.append([float(x) for x in vec * mpmath.matrix(y)])
     starts, spans, exact = np.array(starts), np.array(spans), np.array(exact)
-    assert np.abs(eng.dev.lam[:, rows[0]]).max() * spans.min() < 1e-3
+    assert np.abs(eng.par[:eng.K, rows[0]]).max() * spans.min() < 1e-3
 
     def flow(r, q, t, s):
         """The flow from charges q at t over s, through the transient at t."""
         dev = eng.dev
         q_p = dev.forced(r, dev.segment(t), slice(eng.K), t).T
-        y = np.einsum("klr,rl->rk", dev.Vinv[..., r], q - q_p)
+        vinv = eng.par[eng.flow_rows:eng.flow_rows + eng.K ** 2, r].reshape(eng.K, eng.K, -1)
+        y = np.einsum("klr,rl->rk", vinv, q - q_p)
         return eng._flow(r, None, t, y, t + s)[0]
 
     # one start per call and every start at once

@@ -12,13 +12,12 @@ them by thinning (`_evolve`): candidates drawn from an envelope of the
 summed exit rate along the closed-form charges are accepted with
 probability rate / envelope, and one shared row carries every trajectory
 that has not switched yet.  Windows end at source breakpoints and where
-the envelope would loosen, never at output times; at an output the
-recorder takes each row's charge in closed form from its window start,
-on contiguous slices of the rows in place.  One kernel pair, a window and
-a charge flow, serves every netlist: it reads the closed-form charge of
-each visited memristor-state configuration from `circuit.DeviceCharge`,
-a forced part tabled per source segment plus a transient that decays in
-the eigenmodes of the Kirchhoff ODE.
+the envelope would loosen, never at output times: the kernels follow the
+events, and outputs are read in closed form as the rows pass them.  One
+kernel pair, a window and a charge flow, serves every netlist: it reads
+the closed-form charge of each visited memristor-state configuration from
+`circuit.DeviceCharge`, a forced part tabled per source segment plus a
+transient that decays in the eigenmodes of the Kirchhoff ODE.
 
 Exit rates come from `device.switching_rate` (`_Rates` stacks the
 memristors' transition tables so that one call covers every clock) and
@@ -45,8 +44,8 @@ from .device import switching_rate
 MAX_CANDIDATES = 10_000     # candidates of one trajectory within one output interval
 _WINDOW_SLACK = 1.0         # bound on the envelope's excess over the log-rate
 # rows per kernel call: a kernel holds some dozens of temporaries of this
-# length, so batches keep its memory O(batch) rather than O(n); the recorder
-# flows contiguous slices of this many rows in place
+# length, so batches keep its memory O(batch) rather than O(n); outputs
+# close together while their rows number at most this many
 _BATCH = 4096
 
 
@@ -237,30 +236,31 @@ class _Ensemble:
     def _reset(self) -> None:
         """An empty record, event log and diagnostics."""
         self.codes, self.q_min, self.edges, self.failures = [], [], [], []
-        self.diag = dict(windows=0, candidates=0, accepted=0, rows_max=0, runaway_failures=0,
-                         configurations=0, rate_ceiling_hits=0)
+        self.diag = dict(passes=0, windows=0, candidates=0, accepted=0, rows_max=0,
+                         runaway_failures=0, configurations=0, rate_ceiling_hits=0)
         # per accepted batch: times, trajectories, memristors, up (or down)
-        self.log = [(np.zeros(0), np.zeros(0, np.intp), np.zeros(0, np.intp),
-                     np.zeros(0, bool))]
+        self.log = [(np.zeros(0), np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, bool))]
 
-    def _record(self, s, q, live=None, n_own=None) -> None:
-        """Record an output from rows in states s with charges q: each
-        capacitor's smallest charge over the `live` rows (indices, or all),
-        `bins` uniform bins from capacitor 0's smallest to its largest
-        charge there (`_edges`) and, per trajectory, a row of codes: its
-        memristors' states, the first as state * bins + capacitor 0's bin
-        (`_hist_codes`).  Row i is trajectory i or, with n_own, row i + 1
-        is trajectory own[i], with own = self.own[:n_own] (a prefix of the
-        final one), and row 0 stands for every other trajectory."""
+    def _record(self, s, q, live, n_own=None) -> None:
+        """Record outputs from rows in states s (outputs, rows, M) with
+        charges q (outputs, rows, K): each capacitor's smallest charge over
+        the `live` rows (a mask), `bins` uniform bins over capacitor 0's
+        range there and a code per row: its memristors' states, the first
+        times bins plus capacitor 0's bin (`_hist_codes`).  Row i is
+        trajectory i or, with n_own, row i + 1 is trajectory self.own[i]
+        for i < n_own, and row 0 stands for every other one."""
         code = s.astype(self.code_type)
         if self.K:
-            q_live = q if live is None else q[live]
-            self.q_min.append(q_live.min(axis=0, initial=math.inf))
-            hi = q_live[:, 0].max(initial=-math.inf)
-            self.edges.append(_edges(self.q_min[-1][0], hi, self.bins))
+            live = True if live.all() else live[..., None]    # the masked reductions are slower
+            self.q_min.append(q.min(axis=1, initial=math.inf, where=live))
+            # capacitor 0's range, widened where it is a point (np.linspace's arithmetic)
+            lo, hi = self.q_min[-1][:, :1], q[..., :1].max(axis=1, initial=-math.inf, where=live)
+            hi = np.where(hi > lo, hi, lo + np.maximum(np.abs(lo), 1e-30))
+            self.edges.append(lo + np.arange(self.bins + 1.0) * ((hi - lo) / self.bins))
+            self.edges[-1][:, -1:] = hi
         if self.M:
-            code[:, 0] = (_hist_codes(s[:, 0], q[:, 0], self.edges[-1]) if self.K
-                          else s[:, 0] * self.bins)
+            code[..., 0] = (_hist_codes(s[..., 0], q[..., 0], self.edges[-1]) if self.K
+                            else s[..., 0] * self.bins)
         self.codes.append((code, n_own))
 
     def _tally(self, outputs) -> EnsembleStats:
@@ -269,22 +269,23 @@ class _Ensemble:
         ok = np.ones(n, dtype=bool)
         ok[[i for i, _ in self.failures]] = False
         n_ok = int(ok.sum())
-        occupancy = [np.zeros((len(outputs), g)) for g in self.gs]
-        hists = []
+        occupancy, hists = [[] for _ in self.gs], []
         for k, (code, n_own) in enumerate(self.codes):
             own = None if n_own is None else self.own[:n_own]
             if n_ok < n:
-                code = code[ok if own is None else np.concatenate(([True], ok[own]))]
+                code = code[:, ok if own is None else np.concatenate(([True], ok[own]))]
             for m, g in enumerate(self.gs):
-                counts = np.bincount(code[:, m], minlength=g * self.bins if m == 0 else g)
+                counts = np.array([np.bincount(c, minlength=g * self.bins if m == 0 else g)
+                                   for c in code[..., m]])
                 if own is not None:     # row 0 counts the trajectories not in own
-                    counts[code[0, m]] += n_ok - code.shape[0]
+                    counts[np.arange(len(code)), code[:, 0, m]] += n_ok - code.shape[1]
                 if m == 0:
-                    counts = counts.reshape(g, self.bins)
+                    counts = counts.reshape(-1, g, self.bins)
                     if self.K:
-                        hists.append((counts.astype(float), self.edges[k]))
-                    counts = counts.sum(axis=1)
-                occupancy[m][k] = counts / n_ok
+                        hists += zip(counts.astype(float), self.edges[k])
+                    counts = counts.sum(axis=2)
+                occupancy[m].append(counts / n_ok)
+        occupancy = [np.concatenate(p) for p in occupancy]
         te, who, _, up = (np.concatenate(x) for x in zip(*self.log))
         counted = ok[who]
         first_event = np.full(n, np.nan)
@@ -300,177 +301,177 @@ class _Ensemble:
     # -- thinning ----------------------------------------------------------
     def _evolve(self, initial: CircuitState, outputs) -> None:
         """Thinning (Lewis & Shedler 1979) from `initial` to t_end =
-        outputs[-1], recorded at `outputs`.  Each row runs through windows
-        that end at a source breakpoint, at the curvature reach
-        (_WINDOW_SLACK) or at t_end; output times do not cut them.  Of its
-        open window a row keeps the start T with its transient Q, the end E
-        with the transient Q1, the envelope's log-rates L0 and L1 at both
-        ends and its integral TOT.  A candidate falls where that integral
-        from the window start reaches
-        the row's gap G (a sum of spacing draws, less the windows passed), X
-        into the window (inf: none in it), and is accepted with probability
-        summed rate / envelope; A is when the row next acts, at its candidate
-        or at its window's end.  A trajectory gets a row of its own when it
-        first switches; until then row 0, one path through the same windows,
-        stands for it and keeps only its level (measured from the initial
-        time against row 0's integral lam0; sorted, unsorted once rejected),
-        so a window touches only the members with a candidate in it.  Before
-        each output, passes draw every candidate ahead of it and open the
-        windows that end before it; the recorder then takes each row's
-        charge there in closed form, on contiguous slices of rows 0..k in
-        place.  A trajectory with more than MAX_CANDIDATES candidates in one
-        output interval fails alone."""
-        n, t_end = self.n, outputs[-1]
-        # row r > 0 carries trajectory traj[r]
-        S, traj = np.zeros((n + 1, self.M), dtype=np.int16), np.zeros(n + 1, dtype=np.int32)
-        S[0] = initial.memristor_states
-        R, T = np.zeros(n + 1, dtype=np.int64), np.zeros(n + 1)
-        R[0], T[0] = self._rows_of(S[:1])[0], initial.time
-        Q, Q1 = (np.zeros((n + 1, self.K)) for _ in range(2))
-        Q[0] = initial.capacitor_charges
-        E, L0, L1, TOT, G, X, A = (np.zeros(n + 1) for _ in range(7))
-        self._rounds = np.zeros(n, dtype=np.int32)
-        order = np.argsort(self.candidates.stream(0))
-        levels, left = self.candidates.stream(0)[order], 0    # row 0: order[left:], pend_id
-        pend_id, pend_lev, lam0, k = order[:0], levels[:0], 0.0, 0
-        tries = np.zeros(n, dtype=np.int32)
+        outputs[-1], recorded at `outputs`.  A row's windows end at source
+        breakpoints, at the curvature reach (_WINDOW_SLACK) and at t_end,
+        never at an output.  Of its window a row keeps the start T with its
+        transient Q, the end E with Q1, the envelope's log-rates L0, L1 and
+        its integral TOT; its next candidate falls where that integral
+        reaches its gap G (spacing draws less the windows passed), and A is
+        when it next acts.  A trajectory gets a row of its own at its first
+        switch; until then row 0, one path through the same windows, stands
+        for it with its level alone (against row 0's integral, -G[0]).  The
+        kernels follow the events: each pass opens every window that is due
+        (row 0's once its members are drawn) and draws the candidates in
+        them, until no row acts before t_end.  Outputs are read as the rows
+        pass them: a row about to act past open outputs leaves them its
+        window (a ghost; P: the outputs passed), and the outputs before the
+        next act close together.  Rows keep the order of their first jump's
+        output interval, so an output's own rows are a prefix.  A trajectory
+        with more than MAX_CANDIDATES candidates in one output interval
+        fails alone."""
+        n, t_end, nout, K, M = self.n, outputs[-1], len(outputs), self.K, self.M
+        outputs = np.asarray(outputs)
+        # the rows, row 0 alone at first; row r > 0 carries trajectory traj[r]
+        S, Q, Q1 = np.zeros((1, M), np.int16), np.zeros((1, K)), np.zeros((1, K))
+        traj, R, P = (np.zeros(1, dtype=np.int64) for _ in range(3))
+        T, E, L0, L1, TOT, G, A = (np.zeros(1) for _ in range(7))
+        S[0], Q[0], T[0] = initial.memristor_states, initial.capacitor_charges, initial.time
+        R[0], A[0] = self._rows_of(S[:1])[0], math.inf
+        # row 0's members' levels (inf while drawn, once switched or failed)
+        lev, k, self._rounds = self.candidates.stream(0).copy(), 0, np.zeros(n, dtype=np.int32)
+        # per trajectory: the output interval of its last candidate (high
+        # bits) and its candidates in it; per interval: first jumps (born)
+        # and members that failed (lost)
+        tries = np.full(n, -1 << 32, dtype=np.int64)
+        msg = "more than %d candidates within one output interval at t = %%.9g s" % MAX_CANDIDATES
+        born, lost, ghosts, closed = np.zeros(nout, int), np.zeros(nout, int), {}, 0
         self._reset()
 
-        def batched(fn, r, *args):
-            """fn(self, R, S, T, Q of rows r, *args) over _BATCH rows at a
-            time; array args go along with the rows."""
-            out = [fn(self, R[b], S[b], T[b], Q[b],
-                      *(a[i:i + _BATCH] if isinstance(a, np.ndarray) else a for a in args))
-                   for i in range(0, r.size, _BATCH) for b in [r[i:i + _BATCH]]]
+        def batched(fn, *args):
+            """fn(self, *args) over _BATCH rows (array args) at a time."""
+            out = [fn(self, *(a[i:i + _BATCH] if isinstance(a, np.ndarray) else a for a in args))
+                   for i in range(0, args[0].size, _BATCH)]
             return out[0] if len(out) == 1 else tuple(np.concatenate(x) for x in zip(*out))
 
-        def open_windows(r, fresh):
-            """Windows from the starts of rows r, and their next candidates;
-            the first `fresh` rows hold the charges they jumped with."""
+        def keep(r, at):
+            """Rows r act in output intervals `at`, past the open outputs from P[r] on."""
+            lo = np.maximum(P[r], closed)
+            for j in range(closed, at.max(initial=closed)):
+                g = r[(lo <= j) & (j < at)]
+                if g.size:
+                    ghosts.setdefault(j, []).append((g, R[g], S[g], T[g], Q[g]))
+            P[r] = at
+
+        def close(b):
+            """Record the outputs before b, some _BATCH rows of them at a time."""
+            nonlocal closed
+            if len(self.failures) == n:     # the last failed at its last candidate
+                raise TrajectoryFailure(
+                    f"all trajectories failed: {msg % outputs[tries.max() >> 32]}")
+            firsts, gone = np.cumsum(born), np.cumsum(lost)
+            while closed < b:
+                e = min(b, closed + max(1, _BATCH // (1 + firsts[b - 1])))
+                m, o, kk = 1 + firsts[e - 1], e - closed, np.arange(closed, e)
+                slow = o > 1 or any(j in ghosts for j in kk)    # else no row passed the output
+                rows, t1 = [a[:m] for a in (R, S, T, Q)], outputs[closed]
+                live = ((T[:m] < math.inf) | (P[:m] > kk[:, None]) if slow
+                        else (T[:m] < math.inf)[None])
+                live[:, 0] = firsts[closed:e] + gone[closed:e] < n
+                if slow:
+                    rows = [np.repeat(a[None], o, axis=0) for a in rows]
+                    for i, j in enumerate(kk):
+                        for g, *v in ghosts.pop(j, ()):     # rows that passed j
+                            for a, x in zip(rows, v):
+                                a[i, g] = x
+                        for a in rows:      # later first jumps: row 0's members
+                            a[i, 1 + firsts[j]:] = a[i, 0]
+                        live[i, 1 + firsts[j]:] = live[i, 0]
+                    rows = [a.reshape(o * m, *a.shape[2:]) for a in rows]
+                    t1 = np.repeat(outputs[closed:e], m) if o > 1 else t1
+                q, = batched(_Ensemble._flow, *rows[:2], np.minimum(rows[2], t1), rows[3], t1)
+                self._record(rows[1].reshape(o, m, M), q.reshape(o, m, K), live, m - 1)
+                closed = e
+
+        pending = np.zeros(1, dtype=np.intp)    # rows that jumped (first: row 0's start)
+        while True:
+            ends = np.flatnonzero(A[:k + 1] < t_end)     # windows with no candidate left
+            r = np.concatenate((ends, pending))
             if not r.size:
-                return
+                break
+            self.diag["passes"] += 1
+            keep(ends, outputs.searchsorted(E[ends], "right"))
+            G[ends] -= TOT[ends]
+            T[ends], Q[ends] = E[ends], Q1[ends]
+            # their windows (pending rows hold the charges they jumped with)
             t = T[r]
-            t1, l0, l1, Q[r], Q1[r] = batched(_Ensemble._window, r, t_end,
-                                              np.arange(r.size) < fresh)
-            dt = t1 - t
-            if not (dt > 0.0).all():
+            t1, l0, l1, Q[r], Q1[r] = batched(_Ensemble._window, R[r], S[r], t, Q[r], t_end,
+                                              np.arange(r.size) >= ends.size)
+            if not (t1 > t).all():
                 raise TrajectoryFailure(f"a window at {t.min():.9g} s is below the time step")
-            E[r], L0[r], L1[r] = t1, l0, l1
-            TOT[r] = tot = _integral(l0, l1, dt)
-            X[r] = x = _offset(l0, l1, dt, G[r], tot)
+            E[r], L0[r], L1[r], TOT[r] = t1, l0, l1, _integral(l0, l1, t1 - t)
+            x = _offset(l0, l1, t1 - t, G[r], TOT[r])
             A[r] = np.minimum(t + x, t1)
             self.diag["windows"] += r.size
-
-        def draw(r, ids, gap, x, t_out):
-            """Candidates of trajectories ids at offsets x into the windows
-            of rows r (0: a member of row 0 at level gap, else its own row
-            with G = gap) before t_out, each until accepted or none is left
-            (members then go back to row 0).  Returns the rows that jumped."""
-            nonlocal pend_id, pend_lev, k
-            jumped = [r[:0]]
-            while True:
-                due = (x < math.inf) & ((T[r] + x < t_out) | (E[r] < t_out))
-                if not due.all():
-                    later = ~due & (r == 0)
-                    pend_id = np.concatenate((pend_id, ids[later]))
-                    pend_lev = np.concatenate((pend_lev, gap[later]))
-                    r, ids, gap, x = r[due], ids[due], gap[due], x[due]
-                tries[ids] += 1
-                over = tries[ids] > MAX_CANDIDATES
+            sweep, r, x = r[0] == 0, r[(r > 0) & (x < math.inf)], x[(r > 0) & (x < math.inf)]
+            ids, gap = traj[r], G[r]
+            if sweep:      # the members with a candidate in row 0's window
+                m_id = np.flatnonzero(lev + G[0] < TOT[0])
+                x0 = _offset(L0[0], L1[0], E[0] - T[0], lev[m_id] + G[0], TOT[0])
+                r, x = np.concatenate((r, np.zeros(m_id.size, r.dtype))), np.concatenate((x, x0))
+                ids, gap = np.concatenate((ids, m_id)), np.concatenate((gap, lev[m_id]))
+                lev[m_id] = math.inf
+                if k + 1 + m_id.size > T.size:     # room for the members' rows, doubling
+                    size = min(n + 1, max(k + 1 + m_id.size, 2 * T.size))
+                    S, Q, Q1, traj, R, P, T, E, L0, L1, TOT, G, A = (
+                        np.concatenate((a, np.empty((size - len(a),) + a.shape[1:], a.dtype)))
+                        for a in (S, Q, Q1, traj, R, P, T, E, L0, L1, TOT, G, A))
+            # every candidate in them (of members at level gap, of own rows
+            # with G = gap), until accepted or none is left before t_end
+            k0, jumped = k, [r[:0]]
+            while r.size:
+                # each candidate's output interval (nout: none before t_end)
+                at = np.where(x < math.inf,
+                              outputs.searchsorted(np.minimum(T[r] + x, E[r]), "right"), nout)
+                if not (at < nout).all():
+                    later = (at == nout) & (r == 0)
+                    lev[ids[later]] = gap[later]
+                    r, ids, gap, x, at = (a[at < nout] for a in (r, ids, gap, x, at))
+                tries[ids] = t = np.where(tries[ids] >> 32 == at, tries[ids] + 1, at << 32 | 1)
+                over = t & 0xFFFFFFFF > MAX_CANDIDATES
                 if over.any():      # a runaway trajectory fails alone
-                    self.failures += [(int(i), f"more than {MAX_CANDIDATES} candidates within "
-                                       f"one output interval at t = {t_out:.9g} s")
-                                      for i in ids[over]]
-                    gone = r[over & (r > 0)]      # own rows; members just drop out
-                    T[gone] = A[gone] = math.inf
-                    r, ids, gap, x = r[~over], ids[~over], gap[~over], x[~over]
-                if not ids.size:
-                    return np.concatenate(jumped)
-                ok, t_c, q_c, m, up, spacing = batched(
-                    _Ensemble._candidates, r, L0[r], L1[r], E[r] - T[r], ids, x)
+                    self.failures += [(int(i), msg % outputs[a])
+                                      for i, a in zip(ids[over], at[over])]
+                    mine = over & (r > 0)       # own rows; members just drop out
+                    keep(r[mine], at[mine])
+                    T[r[mine]] = A[r[mine]] = math.inf
+                    lost += np.bincount(at[over & (r == 0)], minlength=nout)
+                    r, ids, gap, x, at = (a[~over] for a in (r, ids, gap, x, at))
+                if not r.size:
+                    break
+                ok, t_c, q_c, m, up, spacing = batched(_Ensemble._candidates, R[r], S[r], T[r],
+                                                       Q[r], L0[r], L1[r], E[r] - T[r], ids, x)
                 self.diag["candidates"] += ids.size
                 self.diag["accepted"] += int(ok.sum())
-                # accepted: clock m of the trajectory jumps (a member into
-                # a new row), and a window opens at the next pass (until then
-                # A = inf)
-                j, m, jr = ids[ok], m[ok], r[ok]
+                # accepted: clock m of the trajectory jumps (a member into a
+                # new row), and a window opens at the next pass
+                j, m, jr, at = ids[ok], m[ok], r[ok], at[ok]
+                keep(jr[jr > 0], at[jr > 0])
                 new = np.flatnonzero(jr == 0)
                 jr[new], traj[k + 1:k + 1 + new.size] = np.arange(k + 1, k + 1 + new.size), j[new]
+                born += np.bincount(at[new], minlength=nout)
                 k += new.size
                 S[jr] = S[r[ok]]
                 S[jr, m] += np.where(up[ok], 1, -1)
                 R[jr] = self._rows_of(S[jr])
-                T[jr], G[jr], A[jr], Q[jr] = t_c[ok], spacing[ok], math.inf, q_c[ok]
+                T[jr], G[jr], A[jr], Q[jr], P[jr] = t_c[ok], spacing[ok], math.inf, q_c[ok], at
                 self.log.append((t_c[ok], j, m, up[ok]))
                 jumped.append(jr)
                 # rejected: the next candidate, in this window or a later one
                 r, ids, gap = r[~ok], ids[~ok], gap[~ok] + spacing[~ok]
-                mine = r == 0
-                x = _offset(L0[r], L1[r], E[r] - T[r], np.where(mine, gap - lam0, gap), TOT[r])
-                o = r[~mine]
-                G[o], X[o], A[o] = gap[~mine], x[~mine], np.minimum(T[o] + x[~mine], E[o])
-
-        pending = np.zeros(1, dtype=np.intp)    # rows that jumped, whose windows open next
-        for t_out in outputs:
-            tries[:] = 0
-            # own rows that act before t_out: at a candidate, or where their
-            # window ends with none left in it (then the next one opens, with
-            # those of the rows that jumped and row 0's once its members are
-            # drawn); swept: row 0's members drawn up to t_out
-            rows, swept = 1 + np.flatnonzero(A[1:k + 1] < t_out), False
-            while True:
-                shared = left < n or pend_id.size > 0
-                turn = shared and swept and E[0] < t_out
-                if not (rows.size or pending.size or turn or shared and not swept):
-                    break
-                x = X[rows]
-                ends, c = rows[x == math.inf], rows[x < math.inf]
-                if turn:
-                    lam0 += TOT[0]
-                    ends, swept = np.concatenate(([0], ends)), False
-                G[ends] -= TOT[ends]
-                T[ends], Q[ends] = E[ends], Q1[ends]
-                opened = np.concatenate((pending, ends))
-                open_windows(opened, pending.size)
-                opened = opened[opened > 0]
-                opened = opened[A[opened] < t_out]     # those that act before t_out
-                r = np.concatenate((c, opened[X[opened] < math.inf]))
-                ids, gap, x = traj[r], G[r], X[r]
-                if shared and not swept:    # the members with a candidate in row 0's window
-                    tot = TOT[0]
-                    end = left + int(np.searchsorted(levels[left:], lam0 + tot))
-                    while end < n and levels[end] - lam0 < tot:
-                        end += 1
-                    while end > left and not levels[end - 1] - lam0 < tot:
-                        end -= 1
-                    inside = pend_lev - lam0 < tot
-                    m_id = np.concatenate((order[left:end], pend_id[inside]))
-                    m_lev = np.concatenate((levels[left:end], pend_lev[inside]))
-                    left, pend_id, pend_lev = end, pend_id[~inside], pend_lev[~inside]
-                    r = np.concatenate((r, np.zeros(m_id.size, dtype=r.dtype)))
-                    ids, gap = np.concatenate((ids, m_id)), np.concatenate((gap, m_lev))
-                    x = np.concatenate((x, _offset(L0[0], L1[0], E[0] - T[0], m_lev - lam0, tot)))
-                    swept = True
-                pending = draw(r, ids, gap, x, t_out) if r.size else r
-                rows = np.concatenate((c, opened))
-                rows = rows[A[rows] < t_out]
-                self.diag["rows_max"] = k
-            if len(self.failures) == n:
-                raise TrajectoryFailure(f"all trajectories failed: {self.failures[-1][1]}")
-            # every row's charge flows in place, a failed row's (T = inf)
-            # over no time; row 0 is live while it has members, own rows
-            # until they fail, and only live rows bound the bins (a dead
-            # row's code is dropped or cancelled in _tally)
-            q = np.empty((k + 1, self.K))
-            for i in range(0, k + 1, _BATCH):
-                j = slice(i, min(i + _BATCH, k + 1))
-                q[j] = self._flow(R[j], S[j], np.minimum(T[j], t_out), Q[j], t_out)[0]
-            live = T[:k + 1] < math.inf
-            live[0] = left < n or pend_id.size > 0
-            self._record(S[:k + 1], q, None if live.all() else np.flatnonzero(live), k)
+                x = _offset(L0[r], L1[r], E[r] - T[r], np.where(r == 0, gap + G[0], gap), TOT[r])
+                o, mine = r[r > 0], r > 0
+                G[o], A[o] = gap[mine], np.minimum(T[o] + x[mine], E[o])
+            if (np.diff(P[k0 + 1:k + 1]) < 0).any():   # the new rows in first-jump order
+                perm = k0 + 1 + np.argsort(P[k0 + 1:k + 1], kind="stable")
+                for a in (S, Q, traj, R, P, T, G):
+                    a[k0 + 1:k + 1] = a[perm]
+            pending = np.concatenate([p[p <= k0] for p in jumped] + [np.arange(k0 + 1, k + 1)])
+            # row 0 acts at its window's end once its members are drawn
+            A[0] = E[0] if born.sum() + lost.sum() < n else math.inf
+            close(min(outputs.searchsorted(A[:k + 1].min(), "right"), P[pending].min(initial=nout)))
         self.own = traj[1:k + 1]
-        self.diag["runaway_failures"] = len(self.failures)
-        self.diag["configurations"] = self.keys.size - 1
+        self.diag.update(rows_max=k, runaway_failures=len(self.failures),
+                         configurations=self.keys.size - 1)
 
     def _candidates(self, c, s, t, q, l0, l1, dt, ids, x):
         """Trajectories ids' candidates at offsets x into their windows
@@ -600,22 +601,20 @@ def _log_sum_exp(x):
     return top + np.log(np.exp(x - top).sum(axis=0))
 
 
-def _edges(lo, hi, bins):
-    """`bins` uniform bins from lo to hi, widened where lo == hi."""
-    return np.linspace(lo, hi if hi > lo else lo + max(abs(lo), 1e-30), bins + 1)
-
-
 def _hist_codes(state, q, edges):
     """state * bins + np.histogram's bin of each charge over the uniform
-    `edges` (the last bin closed), with charges outside them clipped to the
-    edges: as in np.histogram, the arithmetic bin moves by at most one to
-    agree with the edges."""
-    bins, lo, hi = edges.size - 1, edges[0], edges[-1]
+    `edges` (the last bin closed; a row of edges per row of q, or one),
+    with charges outside them clipped to the edges: as in np.histogram,
+    the arithmetic bin moves by at most one to agree with the edges."""
+    shape, bins, look = q.shape, edges.shape[-1] - 1, np.take_along_axis
+    if edges.size == bins + 1:      # one row: flat, with scalar bounds
+        state, q, edges, look = state.ravel(), q.ravel(), edges.ravel(), np.take
+    lo, hi = (edges[0], edges[-1]) if edges.ndim == 1 else (edges[:, :1], edges[:, -1:])
     q = np.minimum(np.maximum(q, lo), hi)
     b = np.minimum(((q - lo) * (bins / (hi - lo))).astype(np.intp), bins - 1)
-    b -= q < edges[b]
-    b += q >= edges[b + 1]
-    return state * bins + np.minimum(b, bins - 1)
+    b -= q < look(edges, b, -1)
+    b += q >= look(edges, b + 1, -1)
+    return (state * bins + np.minimum(b, bins - 1)).reshape(shape)
 
 
 def _integral(l0, l1, dt):
@@ -658,9 +657,9 @@ def simulate_trajectory(netlist: Netlist, initial: CircuitState,
     eng = _Ensemble(netlist, 1, seed)
     eng._evolve(initial, outputs)
     # the one trajectory is the last row of each record
-    states = np.array([code[-1] for code, _ in eng.codes], dtype=np.int64)
+    states = np.concatenate([code[:, -1] for code, _ in eng.codes]).astype(np.int64)
     states[:, :1] //= eng.bins
-    charges = np.array(eng.q_min).reshape(len(outputs), eng.K)
+    charges = np.concatenate(eng.q_min or [np.zeros((len(outputs), 0))])
     te, _, mem, up = (np.concatenate(x) for x in zip(*eng.log))
     now, events = list(initial.memristor_states), []
     for t, m, u in zip(te.tolist(), mem.tolist(), up.tolist()):

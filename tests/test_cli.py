@@ -124,8 +124,8 @@ def test_simulate_compare_engine(tmp_path):
                                "pde_steps", "pde_dt_min", "pde_dt_max", "pde_n_cells",
                                "pde_mass_error", "pde_rate_ceiling_hits", "pde_blocks",
                                "pde_cell_steps", "pde_flushed_mass",
-                               "pde_drive_capped_steps", "pde_weight_tables", "mc_windows",
-                               "mc_candidates", "mc_accepted", "mc_rows_max",
+                               "pde_drive_capped_steps", "pde_weight_tables", "mc_passes",
+                               "mc_windows", "mc_candidates", "mc_accepted", "mc_rows_max",
                                "mc_runaway_failures", "mc_configurations",
                                "mc_rate_ceiling_hits", "mc_trajectories", "mc_seed",
                                "mc_failed", "mc_events_up", "mc_events_down"}

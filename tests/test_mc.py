@@ -140,6 +140,19 @@ def test_event_record_structure(netlist):
     assert rec.final_state.memristor_states[0] in (0, 1)
 
 
+def test_records_without_a_capacitor():
+    # a memristor across the ideal source alone (K = 0): no charges, no
+    # histograms, and the states of the one trajectory at each output
+    net = parse_netlist(f"V1 in 0 DC 0.35\nM1 in 0 {DEV}\n")
+    times = np.linspace(0.0, 0.005, 4)
+    rec = simulate_trajectory(net, net.initial_state(), 0.005, 3, times)
+    assert rec.sample_charges.shape == (4, 0) and rec.sample_states.shape == (4, 1)
+    switched = [t for t, *_ in rec.events]
+    assert np.array_equal(rec.sample_states[:, 0], [sum(t < x for t in switched) for x in times])
+    stats = run_ensemble(net, net.initial_state(), 0.005, times, 200, 3)
+    assert stats.histograms == [] and np.all(stats.occupancy[0].sum(axis=1) == 1.0)
+
+
 def test_trajectory_refuses_an_output_time_before_the_initial_time(netlist):
     with pytest.raises(ValueError, match="before the initial time"):
         simulate_trajectory(netlist, netlist.initial_state(), 0.01, 1, [-0.005, 0.005])
@@ -945,10 +958,12 @@ def test_ensemble_histograms_match_the_per_state_loop(monkeypatch, wave, C, t_en
     codes = mc._hist_codes
 
     def spy(state, q, edges):
-        # entry 0 stands for every trajectory that the others leave out
-        weight = np.ones(q.size)
-        weight[0] += 2000 - q.size
-        seen.append((_histograms_by_loop(state, q, edges, 3, weight), edges))
+        # one row per output; entry 0 stands for every trajectory that the
+        # others leave out
+        for s_o, q_o, e_o in zip(state, q, edges):
+            weight = np.ones(q_o.size)
+            weight[0] += 2000 - q_o.size
+            seen.append((_histograms_by_loop(s_o, q_o, e_o, 3, weight), e_o))
         return codes(state, q, edges)
 
     monkeypatch.setattr(mc, "_hist_codes", spy)
@@ -1050,7 +1065,7 @@ def _reference_evolve(self, initial, outputs):
         live = T < math.inf
         q = Q.copy()
         q[live] = flow(self, R[live], S[live], T[live], Q[live], t_out)[0]
-        self._record(S, q, live)
+        self._record(S[None], q[None], live[None])
     self.diag["runaway_failures"] = len(self.failures)
 
 
@@ -1153,20 +1168,23 @@ def _grid_case(case, params, model):
 @pytest.mark.parametrize("case", ["mc_const", "step", "reverse_bias_g3", "netlist_dc",
                                   "netlist_sine"])
 def test_windows_do_not_depend_on_the_output_grid(params, model, case):
-    # output times only read the rows' charges: 2 and 21 outputs run the
-    # same windows and draw the same candidates, bit for bit (the last
-    # three: one device under a sine, two under DC and a sine)
+    # output times only read the rows' charges: 2, 21 and 201 outputs run
+    # the same windows and draw the same candidates, bit for bit, in the
+    # same passes (the last three: one device under a sine, two under DC
+    # and a sine)
     net, t_end, n = _grid_case(case, params, model)
     runs = [run_ensemble(net, net.initial_state(), t_end, np.linspace(0.0, t_end, k), n, 23)
-            for k in (2, 21)]
-    a, b = runs
-    assert np.array_equal(a.first_event_times, b.first_event_times, equal_nan=True)
+            for k in (2, 21, 201)]
+    a = runs[0]
     assert np.isfinite(a.first_event_times).sum() > 0.05 * n
-    assert (a.events_up, a.events_down) == (b.events_up, b.events_down)
-    for key in ("windows", "candidates", "accepted", "rows_max"):
-        assert a.diagnostics[key] == b.diagnostics[key]
-    assert np.array_equal(a.occupancy[0][-1], b.occupancy[0][-1])
-    assert all(np.array_equal(x, y) for x, y in zip(a.histograms[-1], b.histograms[-1]))
+    assert a.diagnostics["passes"] > 0
+    for b in runs[1:]:
+        assert np.array_equal(a.first_event_times, b.first_event_times, equal_nan=True)
+        assert (a.events_up, a.events_down) == (b.events_up, b.events_down)
+        for key in ("passes", "windows", "candidates", "accepted", "rows_max"):
+            assert a.diagnostics[key] == b.diagnostics[key]
+        assert np.array_equal(a.occupancy[0][-1], b.occupancy[0][-1])
+        assert all(np.array_equal(x, y) for x, y in zip(a.histograms[-1], b.histograms[-1]))
 
 
 def _agreement_case(case, params, model):

@@ -313,28 +313,35 @@ class _Ensemble:
         kernels follow the events: each pass opens every window that is due
         (row 0's once its members are drawn) and draws the candidates in
         them, until no row acts before t_end.  Outputs are read as the rows
-        pass them: a row about to act past open outputs leaves them its
-        window (a ghost; P: the outputs passed), and the outputs before the
-        next act close together.  Rows keep the order of their first jump's
-        output interval, so an output's own rows are a prefix.  A trajectory
-        with more than MAX_CANDIDATES candidates in one output interval
-        fails alone."""
+        pass them: a row about to act past open outputs keeps the window it
+        leaves once, with the outputs it covers (a ghost; P: the outputs
+        passed), and the outputs before the next act close together.  Rows
+        keep the order of their first jump's output interval, so an output's
+        own rows are a prefix.  A trajectory with more than MAX_CANDIDATES
+        candidates in one output interval fails alone."""
         n, t_end, nout, K, M = self.n, outputs[-1], len(outputs), self.K, self.M
         outputs = np.asarray(outputs)
         # the rows, row 0 alone at first; row r > 0 carries trajectory traj[r]
         S, Q, Q1 = np.zeros((1, M), np.int16), np.zeros((1, K)), np.zeros((1, K))
         traj, R, P = (np.zeros(1, dtype=np.int64) for _ in range(3))
         T, E, L0, L1, TOT, G, A = (np.zeros(1) for _ in range(7))
-        S[0], Q[0], T[0] = initial.memristor_states, initial.capacitor_charges, initial.time
-        R[0], A[0] = self._rows_of(S[:1])[0], math.inf
+        S[0] = initial.memristor_states
+        Q[0] = initial.capacitor_charges
+        T[0] = initial.time
+        R[0] = self._rows_of(S[:1])[0]
+        A[0] = math.inf
         # row 0's members' levels (inf while drawn, once switched or failed)
-        lev, k, self._rounds = self.candidates.stream(0).copy(), 0, np.zeros(n, dtype=np.int32)
-        # per trajectory: the output interval of its last candidate (high
-        # bits) and its candidates in it; per interval: first jumps (born)
-        # and members that failed (lost)
-        tries = np.full(n, -1 << 32, dtype=np.int64)
+        lev = self.candidates.stream(0).copy()
+        k = 0
+        self._rounds = np.zeros(n, dtype=np.int32)
+        # per trajectory: the output interval of its last candidate and its
+        # candidates in it; per interval: first jumps (born) and members
+        # that failed (lost)
+        try_at = np.full(n, -1, dtype=np.int32)
+        try_count = np.zeros(n, dtype=np.int32)
         msg = "more than %d candidates within one output interval at t = %%.9g s" % MAX_CANDIDATES
-        born, lost, ghosts, closed = np.zeros(nout, int), np.zeros(nout, int), {}, 0
+        born, lost = np.zeros(nout, int), np.zeros(nout, int)
+        ghosts, closed = {}, 0
         self._reset()
 
         def batched(fn, *args):
@@ -344,40 +351,44 @@ class _Ensemble:
             return out[0] if len(out) == 1 else tuple(np.concatenate(x) for x in zip(*out))
 
         def keep(r, at):
-            """Rows r act in output intervals `at`, past the open outputs from P[r] on."""
+            """Rows r act in output intervals `at`: each leaves the window it
+            is in to the open outputs it passes, from P[r] on, once."""
             lo = np.maximum(P[r], closed)
-            for j in range(closed, at.max(initial=closed)):
-                g = r[(lo <= j) & (j < at)]
-                if g.size:
-                    ghosts.setdefault(j, []).append((g, R[g], S[g], T[g], Q[g]))
+            past = lo < at
+            if past.any():      # filed under the first output they cover
+                g = r[past]
+                ghosts.setdefault(lo[past].min(), []).append(
+                    (lo[past], at[past], g, R[g], S[g], T[g], Q[g]))
             P[r] = at
 
         def close(b):
             """Record the outputs before b, some _BATCH rows of them at a time."""
             nonlocal closed
             if len(self.failures) == n:     # the last failed at its last candidate
-                raise TrajectoryFailure(
-                    f"all trajectories failed: {msg % outputs[tries.max() >> 32]}")
+                raise TrajectoryFailure(f"all trajectories failed: {msg % outputs[try_at.max()]}")
             firsts, gone = np.cumsum(born), np.cumsum(lost)
             while closed < b:
                 e = min(b, closed + max(1, _BATCH // (1 + firsts[b - 1])))
                 m, o, kk = 1 + firsts[e - 1], e - closed, np.arange(closed, e)
-                slow = o > 1 or any(j in ghosts for j in kk)    # else no row passed the output
-                rows, t1 = [a[:m] for a in (R, S, T, Q)], outputs[closed]
-                live = ((T[:m] < math.inf) | (P[:m] > kk[:, None]) if slow
-                        else (T[:m] < math.inf)[None])
-                live[:, 0] = firsts[closed:e] + gone[closed:e] < n
-                if slow:
-                    rows = [np.repeat(a[None], o, axis=0) for a in rows]
+                rows = [np.repeat(a[None, :m], o, axis=0) for a in (R, S, T, Q)]
+                live = (T[:m] < math.inf) | (P[:m] > kk[:, None])
+                live[:, 0] = firsts[kk] + gone[kk] < n
+                kept = [x for j in kk for x in ghosts.pop(j, ())]
+                if kept:        # a row that passed an output reads the window it left
+                    lo, hi, g, *kept = (np.concatenate(x) for x in zip(*kept))
                     for i, j in enumerate(kk):
-                        for g, *v in ghosts.pop(j, ()):     # rows that passed j
-                            for a, x in zip(rows, v):
-                                a[i, g] = x
-                        for a in rows:      # later first jumps: row 0's members
-                            a[i, 1 + firsts[j]:] = a[i, 0]
-                        live[i, 1 + firsts[j]:] = live[i, 0]
-                    rows = [a.reshape(o * m, *a.shape[2:]) for a in rows]
-                    t1 = np.repeat(outputs[closed:e], m) if o > 1 else t1
+                        w = np.flatnonzero((lo <= j) & (j < hi))
+                        for a, x in zip(rows, kept):
+                            a[i, g[w]] = x[w]
+                    left = np.flatnonzero(hi > e)
+                    if left.size:
+                        ghosts.setdefault(max(e, lo[left].min()), []).append(
+                            tuple(x[left] for x in (lo, hi, g, *kept)))
+                for i in np.flatnonzero(firsts[kk] < m - 1):   # later first jumps: row 0's members
+                    for a in rows + [live]:
+                        a[i, 1 + firsts[closed + i]:] = a[i, 0]
+                rows = [a.reshape(o * m, *a.shape[2:]) for a in rows]
+                t1 = np.repeat(outputs[closed:e], m)
                 q, = batched(_Ensemble._flow, *rows[:2], np.minimum(rows[2], t1), rows[3], t1)
                 self._record(rows[1].reshape(o, m, M), q.reshape(o, m, K), live, m - 1)
                 closed = e
@@ -391,18 +402,22 @@ class _Ensemble:
             self.diag["passes"] += 1
             keep(ends, outputs.searchsorted(E[ends], "right"))
             G[ends] -= TOT[ends]
-            T[ends], Q[ends] = E[ends], Q1[ends]
+            T[ends] = E[ends]
+            Q[ends] = Q1[ends]
             # their windows (pending rows hold the charges they jumped with)
             t = T[r]
             t1, l0, l1, Q[r], Q1[r] = batched(_Ensemble._window, R[r], S[r], t, Q[r], t_end,
                                               np.arange(r.size) >= ends.size)
             if not (t1 > t).all():
                 raise TrajectoryFailure(f"a window at {t.min():.9g} s is below the time step")
-            E[r], L0[r], L1[r], TOT[r] = t1, l0, l1, _integral(l0, l1, t1 - t)
+            E[r], L0[r], L1[r] = t1, l0, l1
+            TOT[r] = _integral(l0, l1, t1 - t)
             x = _offset(l0, l1, t1 - t, G[r], TOT[r])
             A[r] = np.minimum(t + x, t1)
             self.diag["windows"] += r.size
-            sweep, r, x = r[0] == 0, r[(r > 0) & (x < math.inf)], x[(r > 0) & (x < math.inf)]
+            sweep = r[0] == 0
+            drawn = (r > 0) & (x < math.inf)
+            r, x = r[drawn], x[drawn]
             ids, gap = traj[r], G[r]
             if sweep:      # the members with a candidate in row 0's window
                 m_id = np.flatnonzero(lev + G[0] < TOT[0])
@@ -426,8 +441,9 @@ class _Ensemble:
                     later = (at == nout) & (r == 0)
                     lev[ids[later]] = gap[later]
                     r, ids, gap, x, at = (a[at < nout] for a in (r, ids, gap, x, at))
-                tries[ids] = t = np.where(tries[ids] >> 32 == at, tries[ids] + 1, at << 32 | 1)
-                over = t & 0xFFFFFFFF > MAX_CANDIDATES
+                try_count[ids] = np.where(try_at[ids] == at, try_count[ids] + 1, 1)
+                try_at[ids] = at
+                over = try_count[ids] > MAX_CANDIDATES
                 if over.any():      # a runaway trajectory fails alone
                     self.failures += [(int(i), msg % outputs[a])
                                       for i, a in zip(ids[over], at[over])]
@@ -447,20 +463,25 @@ class _Ensemble:
                 j, m, jr, at = ids[ok], m[ok], r[ok], at[ok]
                 keep(jr[jr > 0], at[jr > 0])
                 new = np.flatnonzero(jr == 0)
-                jr[new], traj[k + 1:k + 1 + new.size] = np.arange(k + 1, k + 1 + new.size), j[new]
+                jr[new] = np.arange(k + 1, k + 1 + new.size)
+                traj[k + 1:k + 1 + new.size] = j[new]
                 born += np.bincount(at[new], minlength=nout)
                 k += new.size
                 S[jr] = S[r[ok]]
                 S[jr, m] += np.where(up[ok], 1, -1)
                 R[jr] = self._rows_of(S[jr])
-                T[jr], G[jr], A[jr], Q[jr], P[jr] = t_c[ok], spacing[ok], math.inf, q_c[ok], at
+                T[jr], Q[jr], G[jr] = t_c[ok], q_c[ok], spacing[ok]
+                A[jr] = math.inf
+                P[jr] = at
                 self.log.append((t_c[ok], j, m, up[ok]))
                 jumped.append(jr)
                 # rejected: the next candidate, in this window or a later one
                 r, ids, gap = r[~ok], ids[~ok], gap[~ok] + spacing[~ok]
                 x = _offset(L0[r], L1[r], E[r] - T[r], np.where(r == 0, gap + G[0], gap), TOT[r])
-                o, mine = r[r > 0], r > 0
-                G[o], A[o] = gap[mine], np.minimum(T[o] + x[mine], E[o])
+                mine = r > 0
+                o = r[mine]
+                G[o] = gap[mine]
+                A[o] = np.minimum(T[o] + x[mine], E[o])
             if (np.diff(P[k0 + 1:k + 1]) < 0).any():   # the new rows in first-jump order
                 perm = k0 + 1 + np.argsort(P[k0 + 1:k + 1], kind="stable")
                 for a in (S, Q, traj, R, P, T, G):
@@ -606,15 +627,14 @@ def _hist_codes(state, q, edges):
     `edges` (the last bin closed; a row of edges per row of q, or one),
     with charges outside them clipped to the edges: as in np.histogram,
     the arithmetic bin moves by at most one to agree with the edges."""
-    shape, bins, look = q.shape, edges.shape[-1] - 1, np.take_along_axis
-    if edges.size == bins + 1:      # one row: flat, with scalar bounds
-        state, q, edges, look = state.ravel(), q.ravel(), edges.ravel(), np.take
-    lo, hi = (edges[0], edges[-1]) if edges.ndim == 1 else (edges[:, :1], edges[:, -1:])
+    bins, lo, hi = edges.shape[-1] - 1, edges[..., :1], edges[..., -1:]
     q = np.minimum(np.maximum(q, lo), hi)
     b = np.minimum(((q - lo) * (bins / (hi - lo))).astype(np.intp), bins - 1)
-    b -= q < look(edges, b, -1)
-    b += q >= look(edges, b + 1, -1)
-    return (state * bins + np.minimum(b, bins - 1)).reshape(shape)
+    # edge b of each row of edges, through one flat index
+    flat, row = edges.ravel(), np.arange(0, edges.size, bins + 1).reshape(lo.shape)
+    b -= q < flat.take(row + b)
+    b += q >= flat.take(row + b + 1)
+    return state * bins + np.minimum(b, bins - 1)
 
 
 def _integral(l0, l1, dt):

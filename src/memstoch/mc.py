@@ -370,24 +370,25 @@ class _Ensemble:
             while closed < b:
                 e = min(b, closed + max(1, _BATCH // (1 + firsts[b - 1])))
                 m, o, kk = 1 + firsts[e - 1], e - closed, np.arange(closed, e)
-                rows = [np.repeat(a[None, :m], o, axis=0) for a in (R, S, T, Q)]
-                live = (T[:m] < math.inf) | (P[:m] > kk[:, None])
-                live[:, 0] = firsts[kk] + gone[kk] < n
+                # each output's rows in their present windows: output i's row r at i * m + r
+                rows = [np.concatenate([a[:m]] * o) for a in (R, S, T, Q)]
                 kept = [x for j in kk for x in ghosts.pop(j, ())]
                 if kept:        # a row that passed an output reads the window it left
                     lo, hi, g, *kept = (np.concatenate(x) for x in zip(*kept))
                     for i, j in enumerate(kk):
                         w = np.flatnonzero((lo <= j) & (j < hi))
                         for a, x in zip(rows, kept):
-                            a[i, g[w]] = x[w]
+                            a[i * m + g[w]] = x[w]
                     left = np.flatnonzero(hi > e)
                     if left.size:
                         ghosts.setdefault(max(e, lo[left].min()), []).append(
                             tuple(x[left] for x in (lo, hi, g, *kept)))
                 for i in np.flatnonzero(firsts[kk] < m - 1):   # later first jumps: row 0's members
-                    for a in rows + [live]:
-                        a[i, 1 + firsts[closed + i]:] = a[i, 0]
-                rows = [a.reshape(o * m, *a.shape[2:]) for a in rows]
+                    for a in rows:
+                        a[i * m + 1 + firsts[closed + i]:(i + 1) * m] = a[i * m]
+                # a failed row counts at the outputs it passed before it failed
+                live = (rows[2] < math.inf).reshape(o, m)
+                live[:, 0] = firsts[kk] + gone[kk] < n
                 t1 = np.repeat(outputs[closed:e], m)
                 q, = batched(_Ensemble._flow, *rows[:2], np.minimum(rows[2], t1), rows[3], t1)
                 self._record(rows[1].reshape(o, m, M), q.reshape(o, m, K), live, m - 1)

@@ -372,9 +372,9 @@ class _Ensemble:
                 m, o, kk = 1 + firsts[e - 1], e - closed, np.arange(closed, e)
                 # each output's rows in their present windows: output i's row r at i * m + r
                 rows = [np.concatenate([a[:m]] * o) for a in (R, S, T, Q)]
-                kept = [x for j in kk for x in ghosts.pop(j, ())]
-                if kept:        # a row that passed an output reads the window it left
-                    lo, hi, g, *kept = (np.concatenate(x) for x in zip(*kept))
+                chunks = [x for j in kk for x in ghosts.pop(j, ())]
+                if chunks:      # a row that passed an output reads the window it left
+                    lo, hi, g, *kept = (np.concatenate(x) for x in zip(*chunks))
                     for i, j in enumerate(kk):
                         w = np.flatnonzero((lo <= j) & (j < hi))
                         for a, x in zip(rows, kept):
